@@ -3,7 +3,8 @@
    Three pins:
    - worst-case mode IS the pre-refactor optimizer: dynamic plans for
      120 generated instances and the five paper queries match the
-     seed-locked digests in [Fixture_worstcase] bit-for-bit;
+     seed-locked digests in [Fixture_worstcase] bit-for-bit, and so do
+     the [Expected] and [Quantile 0.9] plans;
    - ranked postures only change WHICH plans are kept, never what they
      compute: plans optimized and resolved under every posture execute
      multiset-equal to the naive reference evaluator;
@@ -30,13 +31,16 @@ let queries_of_instance (inst : D.Plangen.instance) =
 
 let with_risk risk = { D.Optimizer.default_options with risk }
 
-(* --- worst-case is bit-for-bit the pre-refactor search -------------------- *)
+(* --- every posture is pinned bit-for-bit ----------------------------------- *)
 
-let test_worstcase_fixture_plangen () =
+(* [Worst_case] is the pre-refactor search; the ranked postures are
+   pinned too, so a search-engine change that claims to leave answers
+   alone is checked under all three. *)
+let check_fixture_plangen risk fixture () =
   List.iter
     (fun (seed, digest, chooses) ->
       let q = queries_of_instance (D.Plangen.generate ~seed) in
-      let r = optimize_exn ~mode:(D.Optimizer.dynamic ()) q in
+      let r = optimize_exn ~options:(with_risk risk) ~mode:(D.Optimizer.dynamic ()) q in
       Alcotest.(check string)
         (Printf.sprintf "plangen seed %d digest" seed)
         digest (digest_plan r.D.Optimizer.plan);
@@ -44,20 +48,19 @@ let test_worstcase_fixture_plangen () =
         (Printf.sprintf "plangen seed %d choose count" seed)
         chooses
         (D.Plan.choose_count r.D.Optimizer.plan))
-    Fixture_worstcase.plangen_dynamic
+    fixture
 
-let test_worstcase_fixture_paper () =
+let check_fixture_paper risk fixture () =
   List.iter
     (fun (q : D.Queries.t) ->
       let digest, chooses =
         match List.assoc_opt q.D.Queries.id
-                (List.map (fun (i, d, c) -> (i, (d, c)))
-                   Fixture_worstcase.paper_dynamic)
+                (List.map (fun (i, d, c) -> (i, (d, c))) fixture)
         with
         | Some dc -> dc
         | None -> Alcotest.failf "no fixture for paper query %d" q.D.Queries.id
       in
-      let r = optimize_exn ~mode:(D.Optimizer.dynamic ()) q in
+      let r = optimize_exn ~options:(with_risk risk) ~mode:(D.Optimizer.dynamic ()) q in
       Alcotest.(check string)
         (Printf.sprintf "paper query %d digest" q.D.Queries.id)
         digest (digest_plan r.D.Optimizer.plan);
@@ -178,9 +181,17 @@ let test_resolution_respects_posture () =
 let suite =
   ( "risk",
     [ Alcotest.test_case "worst-case fixture: 120 plangen plans" `Slow
-        test_worstcase_fixture_plangen;
+        (check_fixture_plangen D.Risk.Worst_case Fixture_worstcase.plangen_dynamic);
       Alcotest.test_case "worst-case fixture: paper queries" `Quick
-        test_worstcase_fixture_paper;
+        (check_fixture_paper D.Risk.Worst_case Fixture_worstcase.paper_dynamic);
+      Alcotest.test_case "expected fixture: 120 plangen plans" `Slow
+        (check_fixture_plangen D.Risk.Expected Fixture_worstcase.plangen_expected);
+      Alcotest.test_case "expected fixture: paper queries" `Quick
+        (check_fixture_paper D.Risk.Expected Fixture_worstcase.paper_expected);
+      Alcotest.test_case "quantile-0.9 fixture: 120 plangen plans" `Slow
+        (check_fixture_plangen (D.Risk.Quantile 0.9) Fixture_worstcase.plangen_q90);
+      Alcotest.test_case "quantile-0.9 fixture: paper queries" `Quick
+        (check_fixture_paper (D.Risk.Quantile 0.9) Fixture_worstcase.paper_q90);
       Alcotest.test_case "explicit Worst_case = default search" `Quick
         test_worstcase_options_identical;
       Alcotest.test_case "differential: all postures match reference" `Slow
