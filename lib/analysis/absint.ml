@@ -222,9 +222,9 @@ let node_rows env (p : Plan.t) (inputs : value list) =
    combination here.  So for any point env inside the region this env
    abstracts, the point totals lie inside these interval totals. *)
 let eval env (plan : Plan.t) =
-  let memo : (int, value) Hashtbl.t = Hashtbl.create 64 in
+  let memo : value Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
   let rec go (p : Plan.t) =
-    match Hashtbl.find_opt memo p.Plan.pid with
+    match Plan.Pid_tbl.find_opt memo p.Plan.pid with
     | Some v -> v
     | None ->
       let inputs = List.map go p.Plan.inputs in
@@ -248,11 +248,11 @@ let eval env (plan : Plan.t) =
           List.fold_left (fun acc v -> Interval.add acc v.total) own inputs
       in
       let v = { rows; total } in
-      Hashtbl.add memo p.Plan.pid v;
+      Plan.Pid_tbl.add memo p.Plan.pid v;
       v
   in
   ignore (go plan);
-  fun (p : Plan.t) -> Hashtbl.find memo p.Plan.pid
+  fun (p : Plan.t) -> Plan.Pid_tbl.find memo p.Plan.pid
 
 (* Many-region evaluation with cross-region sharing.  A node's value
    depends on the environment only through the memory interval and the
@@ -268,32 +268,101 @@ type evaluator = {
   work : unit -> int;
 }
 
+(* The memo's keys are strings; compare them as such. *)
+module String_tbl = Hashtbl.Make (struct
+  include String
+
+  let hash = Hashtbl.hash
+end)
+
+(* Sorted union of two sorted, duplicate-free arrays; an input that
+   already holds the union is returned itself, so the many nodes over
+   the same variables share one array. *)
+let union a b =
+  let na = Array.length a and nb = Array.length b in
+  if na = 0 then b
+  else if nb = 0 then a
+  else begin
+    let out = Array.make (na + nb) 0 in
+    let rec go i j k =
+      if i = na && j = nb then
+        if k = na then a else if k = nb then b else Array.sub out 0 k
+      else if j = nb || (i < na && a.(i) < b.(j)) then begin
+        out.(k) <- a.(i);
+        go (i + 1) j (k + 1)
+      end
+      else begin
+        out.(k) <- b.(j);
+        go (if i < na && a.(i) = b.(j) then i + 1 else i) (j + 1) (k + 1)
+      end
+    in
+    go 0 0 0
+  end
+
+(* [a] with room for index [n]. *)
+let ensure a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (Int.max (n + 1) (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Filler for result slots not yet written. *)
+let unseen = { rows = Interval.point 0.; total = Interval.point 0. }
+
 let evaluator env (plan : Plan.t) =
-  let vars : (int, string list) Hashtbl.t = Hashtbl.create 64 in
-  let rec collect (p : Plan.t) =
-    match Hashtbl.find_opt vars p.Plan.pid with
-    | Some vs -> vs
+  (* Nodes are numbered densely on first sight (children first), and
+     host variables once; each node records its children's numbers and
+     the numbers of the variables occurring in its subtree.  Nodes
+     outside [plan] are numbered when first asked for. *)
+  let var_index : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let var_names = ref [||] in
+  let index_of v =
+    match Hashtbl.find_opt var_index v with
+    | Some i -> i
     | None ->
+      let i = Hashtbl.length var_index in
+      Hashtbl.add var_index v i;
+      var_names := ensure !var_names i v;
+      !var_names.(i) <- v;
+      i
+  in
+  let slot : int Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
+  let count = ref 0 in
+  let nodes = ref [||] and kids = ref [||] and vars = ref [||] in
+  let rec number (p : Plan.t) =
+    match Plan.Pid_tbl.find_opt slot p.Plan.pid with
+    | Some i -> i
+    | None ->
+      let ks = Array.of_list (List.map number p.Plan.inputs) in
       let own =
         match p.Plan.op with
         | Physical.Filter pr | Physical.Filter_btree_scan { pred = pr; _ }
-        | Physical.Index_join { inner_filter = Some pr; _ } ->
-          Option.to_list (Predicate.host_var pr)
+        | Physical.Index_join { inner_filter = Some pr; _ } -> (
+          match Predicate.host_var pr with
+          | Some v -> [| index_of v |]
+          | None -> [||])
         | Physical.Index_join { inner_filter = None; _ }
         | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
-        | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan -> []
+        | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan -> [||]
       in
-      let vs =
-        List.sort_uniq String.compare
-          (own @ List.concat_map collect p.Plan.inputs)
-      in
-      Hashtbl.add vars p.Plan.pid vs;
-      vs
+      let vs = Array.fold_left (fun acc k -> union acc !vars.(k)) own ks in
+      let i = !count in
+      nodes := ensure !nodes i p;
+      kids := ensure !kids i [||];
+      vars := ensure !vars i [||];
+      !nodes.(i) <- p;
+      !kids.(i) <- ks;
+      !vars.(i) <- vs;
+      incr count;
+      Plan.Pid_tbl.add slot p.Plan.pid i;
+      i
   in
-  ignore (collect plan);
+  ignore (number plan);
   let misses = ref 0 in
-  (* Memo keys are compact byte strings — pid plus one small interned id
-     per dimension the node depends on.  Interval ids are interned per
+  (* Memo keys are compact byte strings — node number plus one small
+     interned id per dimension the node depends on.  Interval ids are interned per
      (dimension, box) so a grid sweep reuses a handful of ids per
      dimension; string keys hash fully (the generic hash on float lists
      truncates and collides catastrophically here). *)
@@ -309,51 +378,66 @@ let evaluator env (plan : Plan.t) =
       Hashtbl.add intern k id;
       id
   in
-  let memo : (string, value) Hashtbl.t = Hashtbl.create 256 in
+  let memo : value String_tbl.t = String_tbl.create (4 * !count) in
+  (* Per-region results by node number, valid where [stamp] holds the
+     region's generation, so a region allocates nothing per node.
+     Interleaving two regions' lookups stays correct (the memo is keyed
+     by intervals) and only costs re-lookups. *)
+  let results = ref (Array.make !count unseen) and stamp = ref (Array.make !count 0) in
+  let generation = ref 0 in
   let value (region : region) =
+    incr generation;
+    let gen = !generation in
     let renv = restrict env region in
-    let dim_id : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (v, iv) -> Hashtbl.replace dim_id v (id_of v iv))
-      region.sels;
-    let mem_id = id_of "" region.memory in
-    let unit_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    let var_id v =
-      match Hashtbl.find_opt dim_id v with
-      | Some id -> id
-      | None -> (
-        (* A variable foreign to this region defaults to the unit
-           interval; intern it once per variable. *)
-        match Hashtbl.find_opt unit_ids v with
-        | Some id -> id
-        | None ->
-          let id = id_of v unit_interval in
-          Hashtbl.replace unit_ids v id;
-          id)
+    (* Interned box of each variable in this region, filled on first
+       use; a variable foreign to the region takes the unit interval. *)
+    let dim_ids = ref (Array.make (Hashtbl.length var_index) (-1)) in
+    let dim_id v =
+      dim_ids := ensure !dim_ids v (-1);
+      if !dim_ids.(v) < 0 then begin
+        let name = !var_names.(v) in
+        !dim_ids.(v) <-
+          id_of name
+            (Option.value ~default:unit_interval (List.assoc_opt name region.sels))
+      end;
+      !dim_ids.(v)
     in
-    let key_of (p : Plan.t) =
-      let vs = collect p in
-      let b = Bytes.create (5 + (2 * List.length vs)) in
-      Bytes.set b 0 (Char.unsafe_chr (p.Plan.pid land 0xff));
-      Bytes.set b 1 (Char.unsafe_chr ((p.Plan.pid lsr 8) land 0xff));
-      Bytes.set b 2 (Char.unsafe_chr ((p.Plan.pid lsr 16) land 0xff));
+    let mem_id = id_of "" region.memory in
+    let key_of i =
+      let vs = !vars.(i) in
+      let b = Bytes.create (5 + (2 * Array.length vs)) in
+      Bytes.set b 0 (Char.unsafe_chr (i land 0xff));
+      Bytes.set b 1 (Char.unsafe_chr ((i lsr 8) land 0xff));
+      Bytes.set b 2 (Char.unsafe_chr ((i lsr 16) land 0xff));
       Bytes.set b 3 (Char.unsafe_chr (mem_id land 0xff));
       Bytes.set b 4 (Char.unsafe_chr ((mem_id lsr 8) land 0xff));
-      List.iteri
-        (fun i v ->
-          let id = var_id v in
-          Bytes.set b (5 + (2 * i)) (Char.unsafe_chr (id land 0xff));
-          Bytes.set b (6 + (2 * i)) (Char.unsafe_chr ((id lsr 8) land 0xff)))
+      Array.iteri
+        (fun j v ->
+          let id = dim_id v in
+          Bytes.set b (5 + (2 * j)) (Char.unsafe_chr (id land 0xff));
+          Bytes.set b (6 + (2 * j)) (Char.unsafe_chr ((id lsr 8) land 0xff)))
         vs;
       Bytes.unsafe_to_string b
     in
-    let rec go (p : Plan.t) =
-      let key = key_of p in
-      match Hashtbl.find_opt memo key with
+    (* Within one region a node's value depends only on its number. *)
+    let rec go i =
+      results := ensure !results i unseen;
+      stamp := ensure !stamp i 0;
+      if !stamp.(i) = gen then !results.(i)
+      else begin
+        let v = shared i in
+        !results.(i) <- v;
+        !stamp.(i) <- gen;
+        v
+      end
+    and shared i =
+      let key = key_of i in
+      match String_tbl.find_opt memo key with
       | Some v -> v
       | None ->
         incr misses;
-        let inputs = List.map go p.Plan.inputs in
+        let p = !nodes.(i) in
+        let inputs = List.map go (Array.to_list !kids.(i)) in
         let rows = node_rows renv p inputs in
         let total =
           match p.Plan.op with
@@ -374,10 +458,10 @@ let evaluator env (plan : Plan.t) =
             List.fold_left (fun acc v -> Interval.add acc v.total) own inputs
         in
         let v = { rows; total } in
-        Hashtbl.add memo key v;
+        String_tbl.add memo key v;
         v
     in
-    go
+    fun p -> go (number p)
   in
   { value; work = (fun () -> !misses) }
 
@@ -391,7 +475,7 @@ let evaluator env (plan : Plan.t) =
    real data (threshold rounding, duplicate join values), so certificates
    must not use them. *)
 let sound_rows env (plan : Plan.t) =
-  let memo : (int, Interval.t) Hashtbl.t = Hashtbl.create 64 in
+  let memo : Interval.t Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
   let catalog = Env.catalog env in
   let from0 hi = Interval.make 0. (Float.max 0. hi) in
   let base rel fallback =
@@ -400,7 +484,7 @@ let sound_rows env (plan : Plan.t) =
     | None -> from0 fallback.Interval.hi
   in
   let rec go (p : Plan.t) =
-    match Hashtbl.find_opt memo p.Plan.pid with
+    match Plan.Pid_tbl.find_opt memo p.Plan.pid with
     | Some v -> v
     | None ->
       let inputs = List.map go p.Plan.inputs in
@@ -420,11 +504,11 @@ let sound_rows env (plan : Plan.t) =
           List.fold_left Interval.union first rest
         | _, _ -> from0 p.Plan.rows.Interval.hi
       in
-      Hashtbl.add memo p.Plan.pid rows;
+      Plan.Pid_tbl.add memo p.Plan.pid rows;
       rows
   in
   ignore (go plan);
-  fun (p : Plan.t) -> Hashtbl.find memo p.Plan.pid
+  fun (p : Plan.t) -> Plan.Pid_tbl.find memo p.Plan.pid
 
 (* --- resource bounds ------------------------------------------------------ *)
 
@@ -462,9 +546,9 @@ let worst_bytes_of ~checkpoints env (plan : Plan.t) =
   let bytes_hi (p : Plan.t) =
     ceil_rows (rows p) *. float_of_int (Int.max 1 p.Plan.bytes_per_row)
   in
-  let memo : (int, float) Hashtbl.t = Hashtbl.create 64 in
+  let memo : float Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
   let rec go (p : Plan.t) =
-    match Hashtbl.find_opt memo p.Plan.pid with
+    match Plan.Pid_tbl.find_opt memo p.Plan.pid with
     | Some v -> v
     | None ->
       let v =
@@ -479,7 +563,7 @@ let worst_bytes_of ~checkpoints env (plan : Plan.t) =
           go c +. bytes_hi c +. (if checkpoints then bytes_hi p else 0.)
         | _, inputs -> List.fold_left (fun acc c -> acc +. go c) 0. inputs
       in
-      Hashtbl.add memo p.Plan.pid v;
+      Plan.Pid_tbl.add memo p.Plan.pid v;
       v
   in
   go plan
@@ -506,9 +590,9 @@ let worst_io_of env (plan : Plan.t) =
     | Some _ -> float_of_int (Cost_model.index_depth env rel)
     | None -> 0.
   in
-  let memo : (int, float) Hashtbl.t = Hashtbl.create 64 in
+  let memo : float Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
   let rec go (p : Plan.t) =
-    match Hashtbl.find_opt memo p.Plan.pid with
+    match Plan.Pid_tbl.find_opt memo p.Plan.pid with
     | Some v -> v
     | None ->
       let own =
@@ -537,7 +621,7 @@ let worst_io_of env (plan : Plan.t) =
           List.fold_left (fun acc a -> Float.max acc (go a)) 0. p.Plan.inputs
         | _ -> List.fold_left (fun acc c -> acc +. go c) own p.Plan.inputs
       in
-      Hashtbl.add memo p.Plan.pid v;
+      Plan.Pid_tbl.add memo p.Plan.pid v;
       v
   in
   go plan
@@ -584,9 +668,9 @@ let floors env ~budget_bytes ~rows_of =
   let bytes_lo (p : Plan.t) =
     floor_rows (rows_of p) *. float_of_int (Int.max 1 p.Plan.bytes_per_row)
   in
-  let memo : (int, float) Hashtbl.t = Hashtbl.create 64 in
+  let memo : float Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
   let rec go (p : Plan.t) =
-    match Hashtbl.find_opt memo p.Plan.pid with
+    match Plan.Pid_tbl.find_opt memo p.Plan.pid with
     | Some v -> v
     | None ->
       let own =
@@ -611,7 +695,7 @@ let floors env ~budget_bytes ~rows_of =
             infinity p.Plan.inputs
         | _ -> List.fold_left (fun acc c -> Float.max acc (go c)) own p.Plan.inputs
       in
-      Hashtbl.add memo p.Plan.pid v;
+      Plan.Pid_tbl.add memo p.Plan.pid v;
       v
   in
   fun (p : Plan.t) ->

@@ -8,8 +8,6 @@ module Interval = Dqep_util.Interval
 module Diagnostic = Dqep_util.Diagnostic
 module Physical = Dqep_algebra.Physical
 module Predicate = Dqep_algebra.Predicate
-module Schema = Dqep_algebra.Schema
-module Col = Dqep_algebra.Col
 module Catalog = Dqep_catalog.Catalog
 module Env = Dqep_cost.Env
 module Plan = Dqep_plans.Plan
@@ -39,11 +37,12 @@ let choose_nodes plan =
   List.filter (fun (n : Plan.t) -> n.Plan.op = Physical.Choose_plan)
     (all_nodes plan)
 
-let close a b =
+(* Inlined so the fingerprint lint's pair loop compares unboxed floats. *)
+let[@inline] close a b =
   let tol = 1e-6 *. Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
   Float.abs (a -. b) <= tol
 
-let interval_close (a : Interval.t) (b : Interval.t) =
+let[@inline] interval_close (a : Interval.t) (b : Interval.t) =
   close a.Interval.lo b.Interval.lo && close a.Interval.hi b.Interval.hi
 
 (* --- dominance ------------------------------------------------------------ *)
@@ -102,35 +101,35 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
     let evaluate = Absint.evaluator env plan in
     let full_values = evaluate.Absint.value full in
     let max_work = work_budget plan in
-    (* One whole-plan verification pass, then bottom-up propagation:
-       feasibility diagnostics (missing relation / attribute / index)
-       are node-local, so an alternative is feasible iff no flagged node
-       is reachable through it — where a nested choose only needs one
-       feasible alternative.  Verifying each alternative's subtree
-       separately re-walks shared structure quadratically. *)
+    (* One whole-plan catalog-resolution pass, then bottom-up
+       propagation: feasibility diagnostics (missing relation /
+       attribute / index) are node-local, so an alternative is feasible
+       iff no flagged node is reachable through it — where a nested
+       choose only needs one feasible alternative.  Verifying each
+       alternative's subtree separately re-walks shared structure
+       quadratically. *)
     let feasible =
-      let flagged = Hashtbl.create 16 in
+      let flagged = Plan.Pid_tbl.create 16 in
       List.iter
         (fun (d : Diagnostic.t) ->
-          if Diagnostic.is_feasibility d.code then
-            match d.site with
-            | Diagnostic.Node pid -> Hashtbl.replace flagged pid ()
-            | Diagnostic.Query | Diagnostic.Group _ -> ())
-        (Verify.semantics ~catalog plan);
-      let memo = Hashtbl.create 64 in
+          match d.site with
+          | Diagnostic.Node pid -> Plan.Pid_tbl.replace flagged pid ()
+          | Diagnostic.Query | Diagnostic.Group _ -> ())
+        (Verify.feasibility ~catalog plan);
+      let memo = Plan.Pid_tbl.create 64 in
       let rec ok (p : Plan.t) =
-        match Hashtbl.find_opt memo p.Plan.pid with
+        match Plan.Pid_tbl.find_opt memo p.Plan.pid with
         | Some b -> b
         | None ->
           let b =
-            (not (Hashtbl.mem flagged p.Plan.pid))
+            (not (Plan.Pid_tbl.mem flagged p.Plan.pid))
             &&
             match p.Plan.op with
             | Physical.Choose_plan ->
               p.Plan.inputs = [] || List.exists ok p.Plan.inputs
             | _ -> List.for_all ok p.Plan.inputs
           in
-          Hashtbl.add memo p.Plan.pid b;
+          Plan.Pid_tbl.add memo p.Plan.pid b;
           b
       in
       ok
@@ -462,13 +461,54 @@ let budget_check env ~budget_bytes (plan : Plan.t) =
 
 (* --- checkpoint-fingerprint collisions ------------------------------------ *)
 
+(* Hash-consed sorted string lists: equal lists get one id, so the
+   per-node sets of a DAG cost an int each and every distinct union is
+   merged once.  [merge] combines two sorted lists (a set or a multiset
+   union); it must be commutative and associative. *)
+type interned = {
+  empty : int;
+  intern : string list -> int;
+  union : int -> int -> int;
+  list_of : int -> string list;
+}
+
+let interned ~merge =
+  let ids : (string list, int) Hashtbl.t = Hashtbl.create 64 in
+  let lists : (int, string list) Hashtbl.t = Hashtbl.create 64 in
+  let intern l =
+    match Hashtbl.find_opt ids l with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids l i;
+      Hashtbl.add lists i l;
+      i
+  in
+  let empty = intern [] in
+  let unions : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let union a b =
+    if a = empty then b
+    else if b = empty then a
+    else begin
+      let key = (Int.min a b lsl 24) lor Int.max a b in
+      match Hashtbl.find_opt unions key with
+      | Some i -> i
+      | None ->
+        let i = intern (merge (Hashtbl.find lists a) (Hashtbl.find lists b)) in
+        Hashtbl.add unions key i;
+        i
+    end
+  in
+  { empty; intern; union; list_of = Hashtbl.find lists }
+
 (* [Checkpoint.fingerprint], replicated: the analysis layer cannot depend
    on the execution layer (which depends on it).  The differential test
    in suite_absint pins the two implementations together. *)
 (* The per-node selection-string sets are shared bottom-up: a node's set
-   is the sorted-unique merge of its children's (already sorted-unique)
-   sets plus its own predicate, so fingerprinting every node of a DAG is
-   one pass instead of one subtree walk per node. *)
+   is the sorted-unique union of its children's sets plus its own
+   predicate, so fingerprinting every node of a DAG is one pass instead
+   of one subtree walk per node.  [sel_sets ()] numbers each node's set
+   and returns the numbering with the set behind each number. *)
 let sel_sets () =
   let pred_str = Hashtbl.create 16 in
   let render p =
@@ -479,7 +519,6 @@ let sel_sets () =
       Hashtbl.add pred_str p s;
       s
   in
-  let sets : (int, string list) Hashtbl.t = Hashtbl.create 64 in
   let rec merge a b =
     match (a, b) with
     | [], l | l, [] -> l
@@ -489,33 +528,33 @@ let sel_sets () =
       else if c < 0 then x :: merge xs b
       else y :: merge a ys
   in
+  let sets = interned ~merge in
+  let ids : int Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
   let rec go (node : Plan.t) =
-    match Hashtbl.find_opt sets node.Plan.pid with
+    match Plan.Pid_tbl.find_opt ids node.Plan.pid with
     | Some s -> s
     | None ->
       let own =
         match node.Plan.op with
         | Physical.Filter p | Physical.Filter_btree_scan { pred = p; _ }
         | Physical.Index_join { inner_filter = Some p; _ } ->
-          [ render p ]
+          sets.intern [ render p ]
         | Physical.Index_join { inner_filter = None; _ }
         | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
-        | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan -> []
+        | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan ->
+          sets.empty
       in
-      let s =
-        List.fold_left
-          (fun acc c -> merge acc (go c))
-          own node.Plan.inputs
-      in
-      Hashtbl.add sets node.Plan.pid s;
+      let s = List.fold_left (fun acc c -> sets.union acc (go c)) own node.Plan.inputs in
+      Plan.Pid_tbl.add ids node.Plan.pid s;
       s
   in
-  go
+  (go, sets.list_of)
 
-let fingerprint_with sels (plan : Plan.t) =
-  Plan.rels_key plan ^ "?" ^ String.concat "&" (sels plan)
+let fingerprint_of ~rels_key sels = rels_key ^ "?" ^ String.concat "&" sels
 
-let fingerprint (plan : Plan.t) = fingerprint_with (sel_sets ()) plan
+let fingerprint (plan : Plan.t) =
+  let id, list_of = sel_sets () in
+  fingerprint_of ~rels_key:(Plan.rels_key plan) (list_of (id plan))
 
 (* Distinct nodes sharing a fingerprint are *expected* (choose
    alternatives, a sort and its child): the registry is keyed by logical
@@ -525,22 +564,28 @@ let fingerprint (plan : Plan.t) = fingerprint_with (sel_sets ()) plan
    splice one node's tuples into the other's slot (error); if the
    fingerprint collides without even a remappable schema, the entry is
    dead weight that can shadow a real checkpoint (warning). *)
-(* Sorted column multisets, memoized bottom-up by pid (one pass over the
-   DAG where a [Plan.schema] call per node would re-walk each subtree).
-   The combination rules mirror [Plan.schema]; [None] marks a subtree the
-   catalog cannot resolve. *)
+(* Column multisets, numbered bottom-up by pid (one pass over the DAG
+   where a [Plan.schema] call per node would re-walk each subtree).  The
+   combination rules mirror [Plan.schema]; [None] marks a subtree the
+   catalog cannot resolve.  Columns are qualified by their relation, so
+   a multiset is represented by the sorted names of the relations that
+   contribute columns to it: two nodes have equal column multisets iff
+   they have equal relation multisets (a relation without attributes
+   contributes no column and is left out).  Equal multisets get equal
+   numbers. *)
 let col_sets catalog =
-  let sets : (int, Col.t list option) Hashtbl.t = Hashtbl.create 64 in
+  let sets = interned ~merge:(List.merge String.compare) in
+  let ids : int option Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
   let of_rel rel =
     match Catalog.relation catalog rel with
     | Some r ->
       Some
-        (List.sort Col.compare
-           (Array.to_list (Schema.columns (Schema.of_relation r))))
+        (sets.intern
+           (if r.Dqep_catalog.Relation.attributes = [] then [] else [ r.name ]))
     | None -> None
   in
   let rec go (n : Plan.t) =
-    match Hashtbl.find_opt sets n.Plan.pid with
+    match Plan.Pid_tbl.find_opt ids n.Plan.pid with
     | Some c -> c
     | None ->
       let c =
@@ -553,74 +598,100 @@ let col_sets catalog =
         | (Physical.Filter _ | Physical.Sort _), [ child ] -> go child
         | (Physical.Hash_join _ | Physical.Merge_join _), [ l; r ] -> (
           match (go l, go r) with
-          | Some a, Some b -> Some (List.merge Col.compare a b)
+          | Some a, Some b -> Some (sets.union a b)
           | _ -> None)
         | Physical.Index_join { inner_rel; _ }, [ outer ] -> (
           match (go outer, of_rel inner_rel) with
-          | Some a, Some b -> Some (List.merge Col.compare a b)
+          | Some a, Some b -> Some (sets.union a b)
           | _ -> None)
         | Physical.Choose_plan, first :: _ -> go first
         | _, _ -> None
       in
-      Hashtbl.add sets n.Plan.pid c;
+      Plan.Pid_tbl.add ids n.Plan.pid c;
       c
   in
   go
 
 let fingerprints ~catalog (plan : Plan.t) =
-  let sels = sel_sets () in
+  let sel_id, sels_of = sel_sets () in
   let cols_of = col_sets catalog in
-  let groups : (string, (Plan.t * Interval.t * Col.t list option) list ref)
-      Hashtbl.t =
+  (* Nodes of one memo group share their [rels] list, so relation keys
+     are cached by physical list; each distinct (relations, selections)
+     pair then builds its fingerprint and finds its group once. *)
+  let rels_keys = ref [] in
+  let rels_key_of (n : Plan.t) =
+    match List.assq_opt n.Plan.rels !rels_keys with
+    | Some k -> k
+    | None ->
+      let k = Plan.rels_key n in
+      rels_keys := (n.Plan.rels, k) :: !rels_keys;
+      k
+  in
+  let group_of : (string * int, (Plan.t * Interval.t * int option) list ref) Hashtbl.t =
+    Hashtbl.create 32
+  in
+  let groups : (string, (Plan.t * Interval.t * int option) list ref) Hashtbl.t =
     Hashtbl.create 32
   in
   List.iter
     (fun (n : Plan.t) ->
-      let cols = cols_of n in
-      let fp = fingerprint_with sels n in
+      let rels_key = rels_key_of n and sid = sel_id n in
       let r =
-        match Hashtbl.find_opt groups fp with
+        match Hashtbl.find_opt group_of (rels_key, sid) with
         | Some r -> r
         | None ->
-          let r = ref [] in
-          Hashtbl.add groups fp r;
+          let fp = fingerprint_of ~rels_key (sels_of sid) in
+          let r =
+            match Hashtbl.find_opt groups fp with
+            | Some r -> r
+            | None ->
+              let r = ref [] in
+              Hashtbl.add groups fp r;
+              r
+          in
+          Hashtbl.add group_of (rels_key, sid) r;
           r
       in
-      r := (n, n.Plan.rows, cols) :: !r)
+      r := (n, n.Plan.rows, cols_of n) :: !r)
     (all_nodes plan);
   Hashtbl.fold
     (fun fp members acc ->
-      let members = List.rev !members in
-      let rec pairs acc = function
-        | [] -> acc
-        | x :: rest -> pairs (List.fold_left (fun a y -> (x, y) :: a) acc rest) rest
-      in
-      List.fold_left
-        (fun acc ((a, arows, acols), ((b : Plan.t), brows, bcols)) ->
-          let remappable =
+      let members = Array.of_list (List.rev !members) in
+      let acc = ref acc in
+      (* Every pair i < j, visited last-first: the order the findings have
+         always been reported in. *)
+      for i = Array.length members - 1 downto 0 do
+        for j = Array.length members - 1 downto i + 1 do
+          let (a : Plan.t), arows, acols = members.(i)
+          and (b : Plan.t), brows, bcols = members.(j) in
+          let remappable, resolved =
             match (acols, bcols) with
-            | Some ca, Some cb -> List.equal Col.equal ca cb
-            | _ -> false
+            | Some ca, Some cb -> (Int.equal ca cb, true)
+            | Some _, None | None, Some _ -> (false, true)
+            | None, None -> (false, false)
           in
           let rows_differ = not (interval_close arows brows) in
           if remappable && rows_differ then
-            diag ~severity:Diagnostic.Error ~site:(node_site a)
-              Diagnostic.Fingerprint_collision
-              "node #%d shares checkpoint fingerprint %S with node #%d but \
-               estimates %a rows against its %a — resume could splice the \
-               wrong intermediate"
-              a.Plan.pid fp b.Plan.pid Interval.pp arows Interval.pp brows
-            :: acc
-          else if rows_differ || ((acols <> None || bcols <> None) && not remappable)
+            acc :=
+              diag ~severity:Diagnostic.Error ~site:(node_site a)
+                Diagnostic.Fingerprint_collision
+                "node #%d shares checkpoint fingerprint %S with node #%d but \
+                 estimates %a rows against its %a — resume could splice the \
+                 wrong intermediate"
+                a.Plan.pid fp b.Plan.pid Interval.pp arows Interval.pp brows
+              :: !acc
+          else if rows_differ || (resolved && not remappable)
           then
-            diag ~site:(node_site a) Diagnostic.Fingerprint_collision
-              "nodes #%d and #%d share checkpoint fingerprint %S with \
-               incompatible schemas or cardinalities — the entry can shadow \
-               a real checkpoint"
-              a.Plan.pid b.Plan.pid fp
-            :: acc
-          else acc)
-        acc (pairs [] members))
+            acc :=
+              diag ~site:(node_site a) Diagnostic.Fingerprint_collision
+                "nodes #%d and #%d share checkpoint fingerprint %S with \
+                 incompatible schemas or cardinalities — the entry can shadow \
+                 a real checkpoint"
+                a.Plan.pid b.Plan.pid fp
+              :: !acc
+        done
+      done;
+      !acc)
     groups []
 
 (* --- unchecked streaming pipelines ---------------------------------------- *)
@@ -638,23 +709,26 @@ let default_pipeline_threshold = 3
    [Checkpoint.take] sites (a merge join materializes its right side but
    takes no checkpoint). *)
 let pipeline ?(threshold = default_pipeline_threshold) (plan : Plan.t) =
-  let best : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let best : int Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
   let findings = ref [] in
-  let flagged : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let flagged : unit Plan.Pid_tbl.t = Plan.Pid_tbl.create 8 in
   let rec walk streak (p : Plan.t) =
-    let seen = Hashtbl.find_opt best p.Plan.pid in
+    let seen = Plan.Pid_tbl.find_opt best p.Plan.pid in
     if seen = None || Option.get seen < streak then begin
-      Hashtbl.replace best p.Plan.pid streak;
+      Plan.Pid_tbl.replace best p.Plan.pid streak;
       (match p.Plan.op with
       | Physical.Choose_plan when streak >= threshold ->
-        if not (Hashtbl.mem flagged p.Plan.pid) then begin
-          Hashtbl.replace flagged p.Plan.pid ();
+        if not (Plan.Pid_tbl.mem flagged p.Plan.pid) then begin
+          Plan.Pid_tbl.replace flagged p.Plan.pid ();
+          (* [Printf], not [diag]'s [Format]: a big plan reports dozens
+             of these. *)
           findings :=
-            diag ~site:(node_site p) Diagnostic.Unchecked_pipeline
-              "choose-plan resolution streams through %d operators to the \
-               nearest blocking point — its validity band is never \
-               rechecked mid-pipeline"
-              streak
+            Diagnostic.make ~site:(node_site p) Diagnostic.Unchecked_pipeline
+              (Printf.sprintf
+                 "choose-plan resolution streams through %d operators to the \
+                  nearest blocking point — its validity band is never \
+                  rechecked mid-pipeline"
+                 streak)
             :: !findings
         end
       | _ -> ());

@@ -269,33 +269,54 @@ let cost plan =
 
 (* --- schema and semantics ------------------------------------------------ *)
 
+(* Catalog resolution: each check reports through [add] and says whether
+   the object exists.  These are the only sources of the feasibility
+   diagnostics ([Diagnostic.is_feasibility]). *)
+let need_rel ~catalog ~add site r =
+  if Catalog.relation catalog r <> None then true
+  else begin
+    add (diag ~site Diagnostic.Missing_relation "relation %s does not exist" r);
+    false
+  end
+
+let need_attr ~catalog ~add site r a =
+  if not (need_rel ~catalog ~add site r) then false
+  else
+    match Relation.attribute (Catalog.relation_exn catalog r) a with
+    | Some _ -> true
+    | None ->
+      add
+        (diag ~site Diagnostic.Missing_attribute
+           "attribute %s.%s does not exist" r a);
+      false
+
+let need_index ~catalog ~add site r a =
+  if need_attr ~catalog ~add site r a && not (Catalog.has_index catalog ~rel:r ~attr:a)
+  then add (diag ~site Diagnostic.Missing_index "no index on %s.%s exists" r a)
+
+(* The catalog objects one node names itself. *)
+let resolve_node ~catalog ~add (p : Plan.t) =
+  let site = node_site p in
+  match p.Plan.op with
+  | Physical.File_scan r -> ignore (need_rel ~catalog ~add site r)
+  | Physical.Btree_scan { rel; attr } | Physical.Filter_btree_scan { rel; attr; _ } ->
+    need_index ~catalog ~add site rel attr
+  | Physical.Index_join { inner_rel; inner_attr; _ } ->
+    need_index ~catalog ~add site inner_rel inner_attr
+  | Physical.Filter _ | Physical.Sort _ | Physical.Hash_join _
+  | Physical.Merge_join _ | Physical.Choose_plan -> ()
+
+let feasibility ~catalog plan =
+  let diags = ref [] in
+  let add d = diags := d :: !diags in
+  let nodes, _ = all_nodes plan in
+  List.iter (resolve_node ~catalog ~add) nodes;
+  List.rev !diags
+
 let semantics ~catalog plan =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let rel_known r = Catalog.relation catalog r <> None in
-  let need_rel site r =
-    if rel_known r then true
-    else begin
-      add (diag ~site Diagnostic.Missing_relation "relation %s does not exist" r);
-      false
-    end
-  in
-  let need_attr site r a =
-    if not (need_rel site r) then false
-    else
-      match Relation.attribute (Catalog.relation_exn catalog r) a with
-      | Some _ -> true
-      | None ->
-        add
-          (diag ~site Diagnostic.Missing_attribute
-             "attribute %s.%s does not exist" r a);
-        false
-  in
-  let need_index site r a =
-    if need_attr site r a && not (Catalog.has_index catalog ~rel:r ~attr:a) then
-      add
-        (diag ~site Diagnostic.Missing_index "no index on %s.%s exists" r a)
-  in
   let in_scope site what schema (c : Col.t) =
     match schema with
     | None -> ()  (* the input is already broken; avoid cascades *)
@@ -329,11 +350,10 @@ let semantics ~catalog plan =
   in
   let check_node (p : Plan.t) =
     let site = node_site p in
+    resolve_node ~catalog ~add p;
     (match p.Plan.op with
-    | Physical.File_scan r -> ignore (need_rel site r)
-    | Physical.Btree_scan { rel; attr } -> need_index site rel attr
-    | Physical.Filter_btree_scan { rel; attr; pred } ->
-      need_index site rel attr;
+    | Physical.File_scan _ | Physical.Btree_scan _ -> ()
+    | Physical.Filter_btree_scan { rel; pred; _ } ->
       if rel_known rel then
         in_scope site "filter"
           (Some (Schema.of_relation (Catalog.relation_exn catalog rel)))
@@ -367,8 +387,7 @@ let semantics ~catalog plan =
             | _ -> ())
           preds
       | _ -> ())
-    | Physical.Index_join { preds; inner_rel; inner_attr; inner_filter } ->
-      need_index site inner_rel inner_attr;
+    | Physical.Index_join { preds; inner_rel; inner_filter; _ } ->
       let inner_schema =
         if rel_known inner_rel then
           Some (Schema.of_relation (Catalog.relation_exn catalog inner_rel))

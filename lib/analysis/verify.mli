@@ -49,6 +49,11 @@ val semantics : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
     node [rels] consistency, and choose-alternative equivalence (same
     relation set, compatible order). *)
 
+val feasibility : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
+(** The catalog-resolution subset of {!semantics} — exactly its
+    diagnostics for which [Diagnostic.is_feasibility] holds (missing
+    relations, attributes and indexes), without the schema walk. *)
+
 val plan : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
 (** All three plan layers: [structure @ cost @ semantics]. *)
 

@@ -220,14 +220,29 @@ let store_entry t gid required entry =
 let group_input (g : Memo.group) =
   { Cost_model.rows = g.Memo.rows; bytes_per_row = g.Memo.bytes_per_row }
 
-let rec optimize t gid required ~limit =
+(* A goal's entry records the largest limit its answer is known for.
+   The answer depends on [limit] only while [local_limit] still equals
+   it: a candidate pruned then, or a child answer that was itself
+   limit-dependent, could change under a larger limit.  Once a retained
+   plan tightens [local_limit] below [limit], a search under any larger
+   limit tightens to the same value at the same plan, so it would
+   return the same answer.  Goals that never depend on [limit] are
+   stored with an infinite bound and are never searched again. *)
+let rec goal t gid required ~limit =
   t.goals <- t.goals + 1;
   match find_entry t gid required with
-  | Some e when e.bound >= limit -> e.best
+  | Some e when e.bound >= limit -> e
   | _ ->
     Rules.explore t.memo gid;
     let g = Memo.group t.memo gid in
     let local_limit = ref limit in
+    let sensitive = ref false in
+    let untightened () = !local_limit >= limit in
+    let child gid required ~limit =
+      let e = goal t gid required ~limit in
+      if untightened () && e.bound < Float.infinity then sensitive := true;
+      e.best
+    in
     let pareto = ref [] in
     let sample_dom =
       match t.config.sample_domination with
@@ -264,7 +279,10 @@ let rec optimize t gid required ~limit =
           pareto := set
         end
         else if t.config.prune && plan.Plan.total_cost.Interval.lo > !local_limit
-        then t.pruned <- t.pruned + 1
+        then begin
+          t.pruned <- t.pruned + 1;
+          if untightened () then sensitive := true
+        end
         else begin
           let set, added =
             Pareto.insert ~keep_equal:t.config.keep_equal_alternatives
@@ -314,7 +332,11 @@ let rec optimize t gid required ~limit =
       Cost_model.own_cost t.config.env op ~inputs ~output_rows:g.Memo.rows
     in
     let child_limit base = if t.config.prune then base else Float.infinity in
-    List.iter (fun e -> implementations t g e ~mk ~own_of ~child_limit ~local_limit ~consider) g.Memo.lexprs;
+    List.iter
+      (fun e ->
+        implementations t g e ~mk ~own_of ~child ~child_limit ~local_limit
+          ~consider)
+      g.Memo.lexprs;
     (* Sort enforcer for ordered goals. *)
     (match required with
     | Props.Any -> ()
@@ -322,7 +344,7 @@ let rec optimize t gid required ~limit =
       let op = Physical.Sort [ col ] in
       let own = own_of op [ group_input g ] in
       (match
-         optimize t gid Props.Any
+         child gid Props.Any
            ~limit:(child_limit (!local_limit -. own.Interval.lo))
        with
       | None -> ()
@@ -371,11 +393,14 @@ let rec optimize t gid required ~limit =
       | [] -> ()
       | errs -> raise (Dqep_analysis.Verify.Failed errs))
     | Some _ | None -> ());
-    store_entry t gid required { bound = limit; best };
-    best
+    let entry =
+      { bound = (if !sensitive then limit else Float.infinity); best }
+    in
+    store_entry t gid required entry;
+    entry
 
-and implementations t (_g : Memo.group) (e : Lmexpr.t) ~mk ~own_of ~child_limit
-    ~local_limit ~consider =
+and implementations t (_g : Memo.group) (e : Lmexpr.t) ~mk ~own_of ~child
+    ~child_limit ~local_limit ~consider =
   let catalog = Env.catalog t.config.env in
   match e.Lmexpr.op with
   | Lmexpr.Get rel ->
@@ -407,7 +432,7 @@ and implementations t (_g : Memo.group) (e : Lmexpr.t) ~mk ~own_of ~child_limit
     List.iter
       (fun child_required ->
         match
-          optimize t child_gid child_required
+          child child_gid child_required
             ~limit:(child_limit (!local_limit -. own.Interval.lo))
         with
         | None -> ()
@@ -433,12 +458,12 @@ and implementations t (_g : Memo.group) (e : Lmexpr.t) ~mk ~own_of ~child_limit
     let binary op lreq rreq props =
       let own = own_of op [ group_input lgroup; group_input rgroup ] in
       match
-        optimize t gl lreq ~limit:(child_limit (!local_limit -. own.Interval.lo))
+        child gl lreq ~limit:(child_limit (!local_limit -. own.Interval.lo))
       with
       | None -> ()
       | Some left -> (
         match
-          optimize t gr rreq
+          child gr rreq
             ~limit:
               (child_limit
                  (!local_limit -. own.Interval.lo
@@ -489,7 +514,7 @@ and implementations t (_g : Memo.group) (e : Lmexpr.t) ~mk ~own_of ~child_limit
                 in
                 let own = own_of op [ group_input lgroup ] in
                 match
-                  optimize t gl Props.Any
+                  child gl Props.Any
                     ~limit:(child_limit (!local_limit -. own.Interval.lo))
                 with
                 | None -> ()
@@ -497,6 +522,8 @@ and implementations t (_g : Memo.group) (e : Lmexpr.t) ~mk ~own_of ~child_limit
               end)
             preds)
     end
+
+let optimize t gid required ~limit = (goal t gid required ~limit).best
 
 (* Post-hoc static analysis of the whole search state: memo-group
    consistency plus a full check of every memoized winner. *)

@@ -47,31 +47,42 @@ module Builder = struct
 
   let create env = { env; table = Hashtbl.create 256; count = 0 }
 
+  let key op inputs = (op, List.map (fun p -> p.pid) inputs)
+
+  let add b key ~op ~inputs ~rels ~rows ~bytes_per_row ~own_cost ~total_cost ~props =
+    let p =
+      { pid = !next_pid; op; inputs; rels; rows; bytes_per_row; own_cost;
+        total_cost; props }
+    in
+    incr next_pid;
+    b.count <- b.count + 1;
+    Hashtbl.add b.table key p;
+    p
+
   let intern b ~op ~inputs ~rels ~rows ~bytes_per_row ~own_cost ~total_cost ~props =
-    let key = (op, List.map (fun p -> p.pid) inputs) in
+    let key = key op inputs in
     match Hashtbl.find_opt b.table key with
     | Some p -> p
     | None ->
-      let p =
-        { pid = !next_pid; op; inputs; rels; rows; bytes_per_row; own_cost;
-          total_cost; props }
-      in
-      incr next_pid;
-      b.count <- b.count + 1;
-      Hashtbl.add b.table key p;
-      p
+      add b key ~op ~inputs ~rels ~rows ~bytes_per_row ~own_cost ~total_cost ~props
 
+  (* Interned before costing: a node the search rebuilds skips the cost
+     model entirely. *)
   let operator b op ~inputs ~rels ~rows ~bytes_per_row ~props =
-    let cm_inputs =
-      List.map
-        (fun p -> { Cost_model.rows = p.rows; bytes_per_row = p.bytes_per_row })
-        inputs
-    in
-    let own_cost = Cost_model.own_cost b.env op ~inputs:cm_inputs ~output_rows:rows in
-    let total_cost =
-      List.fold_left (fun acc p -> Interval.add acc p.total_cost) own_cost inputs
-    in
-    intern b ~op ~inputs ~rels ~rows ~bytes_per_row ~own_cost ~total_cost ~props
+    let key = key op inputs in
+    match Hashtbl.find_opt b.table key with
+    | Some p -> p
+    | None ->
+      let cm_inputs =
+        List.map
+          (fun p -> { Cost_model.rows = p.rows; bytes_per_row = p.bytes_per_row })
+          inputs
+      in
+      let own_cost = Cost_model.own_cost b.env op ~inputs:cm_inputs ~output_rows:rows in
+      let total_cost =
+        List.fold_left (fun acc p -> Interval.add acc p.total_cost) own_cost inputs
+      in
+      add b key ~op ~inputs ~rels ~rows ~bytes_per_row ~own_cost ~total_cost ~props
 
   (* Alternatives agree on logical properties; the sort columns they all
      deliver survive the choose. *)
@@ -146,11 +157,18 @@ module Builder = struct
   let created b = b.count
 end
 
+module Pid_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash pid = pid land max_int
+end)
+
 let iter f plan =
-  let seen = Hashtbl.create 64 in
+  let seen = Pid_tbl.create 64 in
   let rec go p =
-    if not (Hashtbl.mem seen p.pid) then begin
-      Hashtbl.add seen p.pid ();
+    if not (Pid_tbl.mem seen p.pid) then begin
+      Pid_tbl.add seen p.pid ();
       List.iter go p.inputs;
       f p
     end

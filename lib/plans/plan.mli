@@ -93,6 +93,10 @@ val expanded_count : t -> float
     because it grows exponentially.  Quantifies how much DAG sharing
     saves (paper, Section 3). *)
 
+module Pid_tbl : Hashtbl.S with type key = int
+(** Tables keyed by pid.  Pids are issued sequentially, so they hash as
+    themselves. *)
+
 val iter : (t -> unit) -> t -> unit
 (** Visit every node exactly once, children before parents. *)
 

@@ -68,6 +68,30 @@ let config ?(session = Session.config ()) ?(cache_capacity = 64)
   { session; cache_capacity; replan_threshold; breaker; resilience;
     default_deadline; default_memory_pages; max_request_retries; clock }
 
+(* The most recent [latency_window] latencies of one class: appended
+   until the window is full, then overwritten oldest first, so a
+   long-lived server's latency state stays bounded. *)
+let latency_window = 4096
+
+type window = { mutable buf : float array; mutable seen : int }
+
+let new_window () = { buf = [||]; seen = 0 }
+
+let record w ms =
+  let len = Array.length w.buf in
+  if w.seen < len then w.buf.(w.seen) <- ms
+  else if len < latency_window then begin
+    let buf = Array.make (Int.min latency_window (Int.max 64 (2 * len))) 0. in
+    Array.blit w.buf 0 buf 0 len;
+    buf.(len) <- ms;
+    w.buf <- buf
+  end
+  else w.buf.(w.seen mod latency_window) <- ms;
+  w.seen <- w.seen + 1
+
+let window_samples w =
+  Array.to_list (Array.sub w.buf 0 (Int.min w.seen (Array.length w.buf)))
+
 type t = {
   cfg : config;
   session : Session.t;
@@ -78,8 +102,8 @@ type t = {
   mutable catalog : Catalog.t;
   mutable fp : string;
   breakers : (string, Breaker.t) Hashtbl.t;
-  mutable hit_lat_ms : float list;
-  mutable miss_lat_ms : float list;
+  hit_lat_ms : window;
+  miss_lat_ms : window;
   requests : int Atomic.t;
   errors : int Atomic.t;
   started : float;
@@ -134,7 +158,7 @@ let create ?(config = config ()) ~acquire ~release catalog =
         ~replan_threshold:config.replan_threshold ();
     acquire; release; mu = Mutex.create (); catalog;
     fp = Plan_cache.fingerprint catalog; breakers = Hashtbl.create 16;
-    hit_lat_ms = []; miss_lat_ms = []; requests = Atomic.make 0;
+    hit_lat_ms = new_window (); miss_lat_ms = new_window (); requests = Atomic.make 0;
     errors = Atomic.make 0; started = config.clock () }
 
 let session t = t.session
@@ -215,8 +239,8 @@ let note_replan t ~key =
 let record_latency t ~cached ms =
   locked t (fun () ->
       match cached with
-      | Protocol.Hit -> t.hit_lat_ms <- ms :: t.hit_lat_ms
-      | Protocol.Miss -> t.miss_lat_ms <- ms :: t.miss_lat_ms)
+      | Protocol.Hit -> record t.hit_lat_ms ms
+      | Protocol.Miss -> record t.miss_lat_ms ms)
 
 let handle_run t (run : Protocol.run) =
   Atomic.incr t.requests;
@@ -402,7 +426,7 @@ let percentile p = function [] -> 0. | samples -> Stats_u.percentile p samples
 let stats t =
   let hit_lat, miss_lat, trips, closes =
     locked t (fun () ->
-        ( t.hit_lat_ms, t.miss_lat_ms,
+        ( window_samples t.hit_lat_ms, window_samples t.miss_lat_ms,
           Hashtbl.fold (fun _ b acc -> acc + Breaker.trips b) t.breakers 0,
           Hashtbl.fold (fun _ b acc -> acc + Breaker.closes b) t.breakers 0 ))
   in

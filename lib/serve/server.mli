@@ -121,6 +121,10 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Counters since {!create}.  The latency percentiles cover only the
+    most recent 4096 completed requests of each class (cache hit, cache
+    miss): older samples are dropped so the server's memory stays
+    bounded however long it runs. *)
 
 val stats_json : t -> Dqep_util.Json.t
 (** The [STATS] / [dqep serve --json] payload. *)

@@ -36,6 +36,13 @@ let () =
    cannot deadlock) to pick the globally least-recently-used unpinned
    victim.
 
+   Victim selection folds over every bucket of every shard table, so
+   the tables track the current capacity rather than the largest one
+   the pool has held: a pool bulk-loaded through thousands of frames
+   and then shrunk to a small grant rebuilds its tables in [resize],
+   keeping eviction O(capacity).  LRU clock values are unique, so the
+   rebuild cannot change which frame a later eviction picks.
+
    I/O accounting lives on an owned observation trace: the pool's
    counters are ordinary [Dqep_obs.Counter]s, and a per-run trace can be
    teed in with [attach_obs] so an executor run sees its own I/O without
@@ -46,12 +53,16 @@ let shard_count = 16
 
 type shard = {
   smu : Mutex.t;
-  table : (int, frame) Hashtbl.t;
+  mutable table : (int, frame) Hashtbl.t; (* replaced only under all shard locks *)
 }
 
 type t = {
   disk : Disk.t;
   mutable capacity : int; (* written only under all shard locks *)
+  mutable sized_for : int;
+      (* largest capacity since the shard tables were built; the tables
+         hold at most that many frames, so their bucket count is bounded
+         by it.  Written only under all shard locks. *)
   shards : shard array;
   clock : int Atomic.t;
   resident_n : int Atomic.t;
@@ -70,14 +81,18 @@ let zero_stats =
     write_faults = 0;
   }
 
+(* Initial bucket count of a shard table for [capacity] frames;
+   [Hashtbl.create] never allocates fewer than 16. *)
+let table_size capacity = Int.max 16 (2 * (1 + (capacity / shard_count)))
+
 let create ?(frames = 64) disk =
   if frames <= 0 then invalid_arg "Buffer_pool.create: frames <= 0";
   { disk;
     capacity = frames;
+    sized_for = frames;
     shards =
       Array.init shard_count (fun _ ->
-          { smu = Mutex.create ();
-            table = Hashtbl.create (2 * (1 + (frames / shard_count))) });
+          { smu = Mutex.create (); table = Hashtbl.create (table_size frames) });
     clock = Atomic.make 0;
     resident_n = Atomic.make 0;
     obs = Trace.create ();
@@ -153,21 +168,22 @@ let with_all t f =
   lock_all t;
   Fun.protect ~finally:(fun () -> unlock_all t) f
 
+(* Requires all shard locks.  Folds over every resident frame. *)
+let fold_locked t f init =
+  Array.fold_left (fun acc s -> Hashtbl.fold f s.table acc) init t.shards
+
 (* Requires all shard locks.  Globally least-recently-used unpinned
    victim, exactly as the single-latch pool chose it. *)
 let evict_one_locked t =
   let victim =
-    Array.fold_left
-      (fun best s ->
-        Hashtbl.fold
-          (fun id f best ->
-            if f.pins > 0 then best
-            else
-              match best with
-              | Some (_, bf) when bf.last_use <= f.last_use -> best
-              | _ -> Some (id, f))
-          s.table best)
-      None t.shards
+    fold_locked t
+      (fun id f best ->
+        if f.pins > 0 then best
+        else
+          match best with
+          | Some (_, bf) when bf.last_use <= f.last_use -> best
+          | _ -> Some (id, f))
+      None
   in
   match victim with
   | None -> failwith "Buffer_pool: all frames pinned"
@@ -192,15 +208,13 @@ let ensure_room t =
   done
 
 let pinned_pages_locked t =
-  Array.fold_left
-    (fun acc s ->
-      Hashtbl.fold
-        (fun id f acc -> if f.pins > 0 then (id, f.pins) :: acc else acc)
-        s.table acc)
-    [] t.shards
+  fold_locked t (fun id f acc -> if f.pins > 0 then (id, f.pins) :: acc else acc) []
   |> List.sort compare
 
-let pinned_count t = with_all t (fun () -> List.length (pinned_pages_locked t))
+let pinned_count_locked t =
+  fold_locked t (fun _ f n -> if f.pins > 0 then n + 1 else n) 0
+
+let pinned_count t = with_all t (fun () -> pinned_count_locked t)
 let pinned_pages t = with_all t (fun () -> pinned_pages_locked t)
 
 let leak_check t =
@@ -217,12 +231,24 @@ let leak_check t =
 let resize t capacity =
   if capacity <= 0 then invalid_arg "Buffer_pool.resize: capacity <= 0";
   with_all t (fun () ->
-      if capacity < List.length (pinned_pages_locked t) then
+      if capacity < pinned_count_locked t then
         invalid_arg "Buffer_pool.resize: smaller than pinned pages";
       t.capacity <- capacity;
+      t.sized_for <- Int.max t.sized_for capacity;
       while Atomic.get t.resident_n > t.capacity do
         evict_one_locked t
-      done)
+      done;
+      (* [Hashtbl.reset] only shrinks back to the creation size, so a
+         table sized for a much larger pool is copied into a fresh one. *)
+      if table_size t.sized_for > 4 * table_size capacity then begin
+        Array.iter
+          (fun s ->
+            let table = Hashtbl.create (table_size capacity) in
+            Hashtbl.iter (Hashtbl.add table) s.table;
+            s.table <- table)
+          t.shards;
+        t.sized_for <- capacity
+      end)
 
 let pin t id =
   bump t Counter.Logical_reads;
@@ -322,3 +348,7 @@ let diff ~(before : stats) ~(after : stats) =
     write_faults = after.write_faults - before.write_faults }
 
 let resident t = Atomic.get t.resident_n
+
+let resident_pages t =
+  with_all t (fun () -> fold_locked t (fun id _ acc -> id :: acc) [])
+  |> List.sort Int.compare

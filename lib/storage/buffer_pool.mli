@@ -104,6 +104,10 @@ val detach_obs : t -> unit
 val resident : t -> int
 (** Number of pages currently held. *)
 
+val resident_pages : t -> int list
+(** Ids of the pages currently held, sorted — which pages the
+    replacement policy has kept. *)
+
 val pinned_count : t -> int
 (** Number of resident pages with at least one pin. *)
 

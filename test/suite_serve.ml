@@ -311,6 +311,35 @@ let test_cache_hit_skips_optimizer () =
   Alcotest.(check int) "still one optimizer run" 1
     (counter server D.Obs.Counter.Cache_miss)
 
+let test_latency_window () =
+  (* Latency percentiles cover only the most recent 4096 requests of a
+     class.  The fake clock advances [!step] seconds per reading, so a
+     request's latency is proportional to the step in force: 3000 slow
+     hits are followed by 4096 fast ones that push them all out. *)
+  let step = ref 1.0 and now = ref 0. in
+  let clock () = now := !now +. !step; !now in
+  let server =
+    make_server ~config:(S.Server.config ~clock ()) (D.Paper_catalog.make ~relations:2)
+  in
+  let sql = chain_sql 2 in
+  let serve n =
+    for id = 1 to n do
+      match S.Server.handle server (run_request ~u:0.001 ~id sql) with
+      | P.Ok_reply _ -> ()
+      | r -> Alcotest.failf "request %d: %s" id (P.render_response r)
+    done
+  in
+  serve 3001;
+  let slow = S.Server.stats server in
+  Alcotest.(check bool) "slow hits recorded" true (slow.S.Server.hit_p50_ms >= 1000.);
+  step := 1e-6;
+  serve 4096;
+  let fast = S.Server.stats server in
+  Alcotest.(check bool)
+    (Printf.sprintf "slow hits aged out (p95 %g ms)" fast.S.Server.hit_p95_ms)
+    true (fast.S.Server.hit_p95_ms < 1.);
+  Alcotest.(check int) "every request still counted" 7097 fast.S.Server.completed
+
 let test_drift_invalidation () =
   let server = make_server (D.Paper_catalog.make ~relations:2) in
   let sql = chain_sql 2 in
@@ -619,6 +648,8 @@ let suite =
         test_replan_storm_evicts;
       Alcotest.test_case "cache hit skips the optimizer" `Quick
         test_cache_hit_skips_optimizer;
+      Alcotest.test_case "latency percentiles keep a bounded window" `Quick
+        test_latency_window;
       Alcotest.test_case "catalog drift invalidates cached plans" `Quick
         test_drift_invalidation;
       Alcotest.test_case "cached plans match the reference evaluator" `Slow
