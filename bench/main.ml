@@ -212,14 +212,13 @@ let run_benchmarks () =
     merged;
   Format.printf "@."
 
-(* --- part 3: row vs batch execution engines ------------------------------ *)
+(* --- part 3: execution scaling ------------------------------------------- *)
 
 (* Three workloads where the morsel pool matters: a table scan + filter
-   (the batch engine fuses the predicate into the scan morsels), a
-   two-way hash join (radix-partitioned into per-partition morsels) and
-   a full-table sort (parallel chunk sorts merged on the consumer).  No
-   indexes, so the optimizer has a single access path per relation and
-   the two engines run the same plan.
+   (the predicate is fused into the scan morsels), a two-way hash join
+   (radix-partitioned into per-partition morsels) and a full-table sort
+   (parallel chunk sorts merged on the consumer).  No indexes, so the
+   optimizer has a single access path per relation.
 
    Scaling is gated on the *schedule model*, not wall clock: the morsel
    decomposition is fixed-size (worker-count independent), every morsel
@@ -231,10 +230,10 @@ let run_benchmarks () =
    [Timer.cpu_auto] sums CPU across domains — so the measured timings
    are recorded alongside the model but never gated on for scaling.
 
-   Results go to BENCH_exec.json; `exec --check` gates CI on (a) the
-   batch engine beating the row engine on the scan microbenchmark and
-   (b) the 1/2/4/8 scaling curve: workers=4 at least 1.5x better than
-   workers=1 on every workload, and the whole curve monotone or flat. *)
+   Results go to BENCH_exec.json; `exec --check` gates CI on every worker
+   width returning the same rows and on the 1/2/4/8 scaling curve:
+   workers=4 at least 1.5x better than workers=1 on every workload, and
+   the whole curve monotone or flat. *)
 
 let exec_scan_instance () =
   let rel =
@@ -320,7 +319,6 @@ let exec_sort_instance () =
   ("sort", catalog, plan, bindings)
 
 type exec_point = {
-  engine : string;
   point_workers : int;
   cpu_seconds : float;
   rows : int;
@@ -367,8 +365,8 @@ let exec_series (name, catalog, plan, bindings) =
   let db = D.Database.build ~frames:1024 ~seed:7 catalog in
   let env = D.Env.of_bindings catalog bindings in
   ignore catalog;
-  let measure engine workers =
-    let run () = D.Executor.execute db env ~engine ~workers plan in
+  let measure workers =
+    let run () = D.Executor.execute db env ~workers plan in
     ignore (run ());
     (* warm the buffer pool *)
     let best = ref infinity in
@@ -379,39 +377,27 @@ let exec_series (name, catalog, plan, bindings) =
       last := Some result
     done;
     let tuples, profile = Option.get !last in
-    ( { engine = D.Exec_common.engine_name engine;
-        point_workers = workers;
+    ( { point_workers = workers;
         cpu_seconds = !best;
         rows = List.length tuples;
         batches = profile.D.Exec_common.batches;
         partitions = profile.D.Exec_common.partitions },
       profile )
   in
-  let points =
-    List.map
-      (fun (engine, workers) -> measure engine workers)
-      [ (D.Exec_common.Row, 1);
-        (D.Exec_common.Batch, 1);
-        (D.Exec_common.Batch, 2);
-        (D.Exec_common.Batch, 4);
-        (D.Exec_common.Batch, 8) ]
-  in
+  let points = List.map measure curve_workers in
   let model =
     scaling_model
-      (snd
-         (List.find
-            (fun (p, _) -> p.engine = "batch" && p.point_workers = 8)
-            points))
+      (snd (List.find (fun (p, _) -> p.point_workers = 8) points))
   in
   let points = List.map fst points in
   List.iter
     (fun p ->
-      Format.printf "%-12s %-6s workers=%d: %8.2f ms cpu  (%d rows, %d batches)@."
-        name p.engine p.point_workers (p.cpu_seconds *. 1e3) p.rows p.batches)
+      Format.printf "%-12s workers=%d: %8.2f ms cpu  (%d rows, %d batches)@."
+        name p.point_workers (p.cpu_seconds *. 1e3) p.rows p.batches)
     points;
   List.iter
     (fun (k, scaled) ->
-      Format.printf "%-12s model  workers=%d: %8d units (%.2fx)@." name k
+      Format.printf "%-12s model workers=%d: %8d units (%.2fx)@." name k
         scaled
         (float_of_int (List.assoc 1 model.curve) /. float_of_int scaled))
     model.curve;
@@ -421,8 +407,7 @@ let exec_json benchmarks =
   let open D.Json in
   let point p =
     Obj
-      [ ("engine", String p.engine);
-        ("workers", Int p.point_workers);
+      [ ("workers", Int p.point_workers);
         ("cpu_seconds", Float p.cpu_seconds);
         ("rows", Int p.rows);
         ("batches", Int p.batches);
@@ -442,7 +427,7 @@ let exec_json benchmarks =
   in
   to_string_pretty
     (Obj
-       [ ("benchmark", String "dqep exec engines");
+       [ ("benchmark", String "dqep exec scaling");
          ("unit", String "cpu_seconds_per_run");
          ( "scaling_metric",
            String
@@ -459,7 +444,7 @@ let exec_json benchmarks =
                 benchmarks) ) ])
 
 let exec_bench ~check () =
-  Format.printf "=== execution engines: row vs batch ===@.";
+  Format.printf "=== execution: worker scaling ===@.";
   let scan = exec_series (exec_scan_instance ()) in
   let join = exec_series (exec_join_instance ()) in
   let sort = exec_series (exec_sort_instance ()) in
@@ -478,13 +463,13 @@ let exec_bench ~check () =
     let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
     List.iter
       (fun (name, points, m) ->
-        (* All five points must agree on the answer. *)
+        (* Every worker width must agree on the answer. *)
         let rows = (List.hd points).rows in
         List.iter
           (fun p ->
             if p.rows <> rows then
-              fail "%s: %s/%d workers returned %d rows, expected %d" name
-                p.engine p.point_workers p.rows rows)
+              fail "%s: %d workers returned %d rows, expected %d" name
+                p.point_workers p.rows rows)
           points;
         (* The scaling gate runs on the schedule model. *)
         if m.morsel_count = 0 then
@@ -501,25 +486,9 @@ let exec_bench ~check () =
                 name a b (scaled a) (scaled b))
           [ 1; 2; 4 ] [ 2; 4; 8 ])
       benchmarks;
-    (* The original row-vs-batch gate on the scan microbenchmark. *)
-    let scan_points = match benchmarks with (_, p, _) :: _ -> p | [] -> [] in
-    let find engine workers =
-      List.find
-        (fun p -> p.engine = engine && p.point_workers = workers)
-        scan_points
-    in
-    let row = find "row" 1 and batch = find "batch" 1 in
-    if batch.cpu_seconds > row.cpu_seconds then
-      fail "scan_filter: batch engine slower than row (%.3f ms vs %.3f ms)"
-        (batch.cpu_seconds *. 1e3)
-        (row.cpu_seconds *. 1e3);
     match !failures with
     | [] ->
-      Format.printf
-        "exec --check: ok (batch %.2f ms <= row %.2f ms on scan_filter; \
-         4-worker model speedups:%s)@."
-        (batch.cpu_seconds *. 1e3)
-        (row.cpu_seconds *. 1e3)
+      Format.printf "exec --check: ok (4-worker model speedups:%s)@."
         (String.concat ""
            (List.map
               (fun (name, _, m) ->

@@ -254,16 +254,11 @@ let run_cmd =
                  by this factor and fail over to another alternative. \
                  Default: guard off.")
   in
-  let engine =
-    Arg.(value & opt (some string) None & info [ "engine" ]
-           ~doc:"Execution engine: 'row' (tuple-at-a-time iterators) or \
-                 'batch' (vectorized batches with exchange-parallel scans). \
-                 Default: \\$DQEP_ENGINE, else row.")
-  in
   let workers =
     Arg.(value & opt (some int) None & info [ "workers" ]
-           ~doc:"Exchange scan partitions/worker domains for the batch \
-                 engine. Default: \\$DQEP_WORKERS, else 1 (sequential).")
+           ~doc:"Worker domains for exchange scans, radix joins and \
+                 chunked sorts. Default: \\$DQEP_WORKERS, else 1 \
+                 (sequential).")
   in
   let deadline_ms =
     Arg.(value & opt (some float) None
@@ -318,7 +313,7 @@ let run_cmd =
                    with `dqep trace validate`.")
   in
   let run relations seed memory sels fault_rate fault_seed retries
-      io_budget_factor engine workers deadline_ms memory_kb checkpoints
+      io_budget_factor workers deadline_ms memory_kb checkpoints
       replan_tolerance max_replans json trace risk =
     let q = D.Queries.chain ~relations in
     (* --risk steers both ends: the optimizer ranks plans under the
@@ -360,17 +355,6 @@ let run_cmd =
            (D.Fault.create
               (D.Fault.config ~read_fault_rate:fault_rate
                  ~write_fault_rate:fault_rate ~seed:fault_seed ())));
-    let engine =
-      Option.map
-        (fun s ->
-          match D.Exec_common.engine_of_string s with
-          | Some e -> e
-          | None ->
-            Printf.eprintf "dqep: --engine must be 'row' or 'batch' (got %s)\n"
-              s;
-            exit 2)
-        engine
-    in
     (match workers with
     | Some w when w < 1 ->
       Printf.eprintf "dqep: --workers must be >= 1 (got %d)\n" w;
@@ -391,7 +375,7 @@ let run_cmd =
          config's env-var default unless --checkpoints forces it on. *)
       D.Resilience.config ~max_retries:retries
         ~io_budget_factor:(Option.value ~default:0. io_budget_factor)
-        ?engine ?workers
+        ?workers
         ?checkpoints:(if checkpoints then Some true else None)
         ~checkpoint_tolerance:replan_tolerance ~max_replans ?risk ?replan ()
     in
@@ -581,7 +565,7 @@ let run_cmd =
              deadline exceeded, 14 memory exceeded, 15 cancelled, 17 \
              estimate busted (16 is reserved for session shedding).")
     Term.(const run $ relations_arg $ seed $ memory $ sels $ fault_rate
-          $ fault_seed $ retries $ io_budget_factor $ engine $ workers
+          $ fault_seed $ retries $ io_budget_factor $ workers
           $ deadline_ms $ memory_kb $ checkpoints $ replan_tolerance
           $ max_replans $ json $ trace $ risk_arg)
 

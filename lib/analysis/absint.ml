@@ -16,7 +16,7 @@
    - {e certificates} ([certificate]): a sound worst-case bound on the
      bytes a run can ever hold against its governor, derived from
      data-sound cardinalities (not the optimizer's estimates) and the
-     engines' actual charging discipline in [Exec_common] — if the bound
+     executor's actual charging discipline in [Exec_common] — if the bound
      fits a budget, no execution under that budget raises
      [Memory_exceeded];
 

@@ -8,15 +8,15 @@
     - {!certificate}: a sound {e upper} bound on the bytes an execution
       can ever hold against its governor.  Soundness contract: if
       [worst_bytes <= B], then running the plan under a governor granted
-      [B] never raises [Governor.Memory_exceeded], on either engine,
-      with or without checkpointing (pass [~checkpoints:true] when a
-      checkpoint registry will hold blocking-point materializations).
+      [B] never raises [Governor.Memory_exceeded], with or without
+      checkpointing (pass [~checkpoints:true] when a checkpoint registry
+      will hold blocking-point materializations).
     - {!guaranteed_bytes}: a sound {e lower} bound on the largest single
       charge every execution must make.  If it exceeds the budget, the
       plan is statically doomed — every run ends in [Memory_exceeded] —
       and admission can refuse it up front (DQEP503).
 
-    Both derive from the engines' actual charging discipline in
+    Both derive from the executor's actual charging discipline in
     [Dqep_exec.Exec_common] (hash build sides, sort inputs and runs,
     merge-join right sides, checkpoint entries) evaluated over
     data-sound cardinalities: base scans deliver exactly the catalog

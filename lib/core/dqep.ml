@@ -108,7 +108,6 @@ module Sql = Dqep_sql.Sql
 
 (** {1 Execution engine} *)
 
-module Iterator = Dqep_exec.Iterator
 module Pred_eval = Dqep_exec.Pred_eval
 module Executor = Dqep_exec.Executor
 module Exec_common = Dqep_exec.Exec_common

@@ -175,18 +175,3 @@ let choose_plan_cost_dist env alternatives =
     Dist.add
       (Dist.point (Env.device env).Device.choose_plan_overhead)
       combined
-
-(* CPU seconds to process [rows] tuples through one operator under the
-   given engine.  The batched estimate pays a dispatch overhead per batch
-   but a much smaller per-tuple cost — the model behind the vectorized
-   engine's advantage on scan-heavy plans (and behind its break-even
-   point on tiny inputs, where a part-filled batch still pays a full
-   dispatch). *)
-let scan_cpu_seconds env ~batched ~rows =
-  let d = Env.device env in
-  if not batched then rows *. d.Device.cpu_per_tuple
-  else begin
-    let batches = Float.ceil (rows /. float_of_int d.Device.batch_rows) in
-    (batches *. d.Device.batch_dispatch)
-    +. (rows *. d.Device.cpu_per_tuple_batched)
-  end

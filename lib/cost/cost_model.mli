@@ -54,8 +54,3 @@ val index_depth : Env.t -> string -> int
 val pages_for : Env.t -> rows:float -> bytes_per_row:int -> float
 (** Fractional page count of [rows] tuples of the given width, at
     least 1. *)
-
-val scan_cpu_seconds : Env.t -> batched:bool -> rows:float -> float
-(** CPU seconds to push [rows] tuples through one operator: per-tuple
-    dispatch for the row engine, per-batch dispatch plus a reduced
-    per-tuple cost for the vectorized engine. *)

@@ -7,9 +7,6 @@ type t = {
   plan_node_bytes : int;
   plan_disk_bandwidth : float;
   activation_base : float;
-  cpu_per_tuple_batched : float;
-  batch_dispatch : float;
-  batch_rows : int;
 }
 
 let default =
@@ -20,10 +17,7 @@ let default =
     choose_plan_overhead = 0.01;
     plan_node_bytes = 128;
     plan_disk_bandwidth = 2e6;
-    activation_base = 0.1;
-    cpu_per_tuple_batched = 8e-6;
-    batch_dispatch = 2e-4;
-    batch_rows = 1024 }
+    activation_base = 0.1 }
 
 let plan_io_time t ~nodes =
   float_of_int (nodes * t.plan_node_bytes) /. t.plan_disk_bandwidth

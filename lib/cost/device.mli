@@ -19,13 +19,6 @@ type t = {
   activation_base : float;
       (** seconds for catalog validation and the initial seek when
           activating any access module (paper: z = 0.1 s) *)
-  cpu_per_tuple_batched : float;
-      (** seconds per tuple when processed batch-at-a-time: the
-          vectorized engine amortizes operator dispatch over a whole
-          batch, so its per-tuple cost is a fraction of [cpu_per_tuple] *)
-  batch_dispatch : float;
-      (** seconds of fixed overhead per batch handed between operators *)
-  batch_rows : int;  (** tuples per batch of the vectorized engine *)
 }
 
 val default : t

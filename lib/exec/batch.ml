@@ -1,57 +1,45 @@
-(* Columnar tuple batches with a selection vector.
+(* Tuple batches with a selection vector.
 
-   The unit of the vectorized execution engine (Batch_exec): a fixed-
-   capacity block of tuples stored column-major, plus a selection vector
-   naming the rows that are logically present.  Operators work a batch at
-   a time, so the per-tuple interpretation overhead of the row engine
-   (one closure call per operator per tuple) is paid once per ~1024
-   tuples instead.
+   The unit of the execution engine (Batch_exec): up to [capacity]
+   references to tuples, plus a selection vector naming the rows that are
+   logically present.  Operators work a batch at a time, so per-operator
+   dispatch is paid once per batch instead of once per tuple.
 
-   Columns are contiguous [Bigarray] int vectors: unboxed, cache-dense,
-   and off the OCaml heap — the GC never scans a column, hot filter/join
-   loops are plain machine loads with no write barriers, and a batch
-   staged by one exchange worker can be consumed by another domain
-   without touching shared heap state.
+   Rows are shared, never copied: a scan hands on the very arrays its
+   heap page holds, and [tuple] and [to_tuples] return them as they are.
+   The row array grows on demand up to [capacity], so a result of a few
+   rows allocates a few slots, not a full block.  Both choices are
+   measured on the serve path.  Allocating a full columnar block of
+   [capacity] ints per column for every batch, however small the result,
+   drives enough major-GC marking to cost about half of cache-hit
+   throughput; copying scanned tuples out of their pages doubles the live
+   heap wherever spilled pages stay resident.
 
    Invariants:
-   - every column array has length [capacity]; rows [0, len) are
-     materialized;
+   - rows [0, len) are materialized and [len <= capacity];
    - [sel] is [None] when all materialized rows are selected (the dense
      case), or [Some v] where [v] holds strictly increasing physical row
-     indices < [len];
-   - [len <= capacity] always (checked, the qcheck suite leans on it). *)
+     indices < [len]. *)
 
 module Schema = Dqep_algebra.Schema
-module A1 = Bigarray.Array1
 
 type tuple = int array
-
-type col = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
 
 let default_capacity = 1024
 
 type t = {
   schema : Schema.t;
   capacity : int;
-  cols : col array;
+  mutable rows : tuple array;
   mutable len : int;
   mutable sel : int array option;
 }
 
-let make_col capacity : col =
-  A1.create Bigarray.int Bigarray.c_layout capacity
-
 let create ?(capacity = default_capacity) schema =
   if capacity <= 0 then invalid_arg "Batch.create: capacity <= 0";
-  { schema;
-    capacity;
-    cols = Array.init (Schema.width schema) (fun _ -> make_col capacity);
-    len = 0;
-    sel = None }
+  { schema; capacity; rows = [||]; len = 0; sel = None }
 
-let schema t = t.schema
 let capacity t = t.capacity
-let width t = Array.length t.cols
 let physical_length t = t.len
 
 (* Number of logically present (selected) rows. *)
@@ -60,44 +48,37 @@ let length t =
 
 let is_empty t = length t = 0
 let is_full t = t.len >= t.capacity
-let is_dense t = t.sel = None
 
 (* Physical row index of the [i]-th selected row. *)
 let row t i = match t.sel with None -> i | Some v -> v.(i)
 
-let get t ~col ~i = A1.unsafe_get t.cols.(col) (row t i)
-
 (* Direct physical access, for kernels that already hold a physical row
    index (e.g. the predicate passed to [refine]). *)
-let get_phys t ~col ~row = A1.unsafe_get t.cols.(col) row
+let get_phys t ~col ~row = t.rows.(row).(col)
 
-let tuple t i =
-  let r = row t i in
-  Array.init (width t) (fun c -> A1.unsafe_get t.cols.(c) r)
+(* The [i]-th selected tuple: the shared array itself. *)
+let tuple t i = t.rows.(row t i)
 
-(* Append one tuple.  Only dense batches grow: pushing into a filtered
-   batch would silently deselect the new row. *)
+(* Append one tuple by reference, doubling the row array when it is
+   full.  Only dense batches grow: pushing into a filtered batch would
+   silently deselect the new row. *)
 let push t tuple =
-  if t.sel <> None then invalid_arg "Batch.push: batch has a selection vector";
+  (match t.sel with
+  | Some _ -> invalid_arg "Batch.push: batch has a selection vector"
+  | None -> ());
   if is_full t then invalid_arg "Batch.push: batch full";
-  if Array.length tuple <> width t then invalid_arg "Batch.push: width mismatch";
-  Array.iteri (fun c v -> A1.unsafe_set t.cols.(c) t.len v) tuple;
+  if Array.length tuple <> Schema.width t.schema then
+    invalid_arg "Batch.push: width mismatch";
+  if t.len = Array.length t.rows then begin
+    let grown = Array.make (Int.min t.capacity (Int.max 8 (2 * t.len))) tuple in
+    Array.blit t.rows 0 grown 0 t.len;
+    t.rows <- grown
+  end;
+  t.rows.(t.len) <- tuple;
   t.len <- t.len + 1
 
-(* Install a selection vector of physical row indices (must be strictly
-   increasing and < len; composes with an existing selection). *)
-let set_selection t indices =
-  let bound = t.len in
-  Array.iteri
-    (fun i r ->
-      if r < 0 || r >= bound then invalid_arg "Batch.set_selection: out of range";
-      if i > 0 && indices.(i - 1) >= r then
-        invalid_arg "Batch.set_selection: not strictly increasing")
-    indices;
-  t.sel <- Some indices
-
 (* Keep only the selected rows for which [keep] holds (given the physical
-   row index).  This is the vectorized filter kernel: one pass over the
+   row index).  This is the fused filter kernel: one pass over the
    selection, no tuple materialization. *)
 let refine t keep =
   let n = length t in
@@ -112,21 +93,9 @@ let refine t keep =
   done;
   t.sel <- Some (Array.sub out 0 !k)
 
-let iter f t =
-  let n = length t in
-  for i = 0 to n - 1 do
-    f (row t i)
-  done
-
-let fold f init t =
-  let acc = ref init in
-  iter (fun r -> acc := f !acc r) t;
-  !acc
-
 let to_tuples t =
   let acc = ref [] in
-  let n = length t in
-  for i = n - 1 downto 0 do
+  for i = length t - 1 downto 0 do
     acc := tuple t i :: !acc
   done;
   !acc
@@ -145,97 +114,21 @@ let of_tuples ?(capacity = default_capacity) schema tuples =
   in
   go [] (create ~capacity schema) tuples
 
-(* Present the batch under [target]'s column order, permuting the column
-   pointers by name — the row data is shared, not copied.  Identity when
-   the orders already agree. *)
+(* Present the batch under [target]'s column order.  A choose-plan node's
+   alternatives may concatenate the same columns in different orders;
+   consumers bind positions against the nominal schema, so each selected
+   row of a differently laid out alternative is permuted by column name
+   into a fresh dense batch.  Identity when the orders already agree. *)
 let remap ~target t =
   if Schema.columns t.schema = Schema.columns target then t
   else begin
     let perm =
       Array.map (fun c -> Schema.position_exn t.schema c) (Schema.columns target)
     in
-    { t with schema = target; cols = Array.map (fun p -> t.cols.(p)) perm }
+    let n = length t in
+    { schema = target;
+      capacity = t.capacity;
+      rows = Array.init n (fun i -> Array.map (Array.get (tuple t i)) perm);
+      len = n;
+      sel = None }
   end
-
-(* Copy the selected rows into a fresh dense batch.  Compaction preserves
-   the multiset of logical rows (qcheck-checked). *)
-let compact t =
-  let out = create ~capacity:t.capacity t.schema in
-  iter
-    (fun r ->
-      Array.iteri
-        (fun c col -> A1.unsafe_set out.cols.(c) out.len (A1.unsafe_get col r))
-        t.cols;
-      out.len <- out.len + 1)
-    t;
-  out
-
-(* Split the selected rows at position [at] into two dense batches. *)
-let split t ~at =
-  let n = length t in
-  if at < 0 || at > n then invalid_arg "Batch.split: position out of range";
-  let copy lo hi =
-    let out = create ~capacity:t.capacity t.schema in
-    for i = lo to hi - 1 do
-      let r = row t i in
-      Array.iteri
-        (fun c col -> A1.unsafe_set out.cols.(c) out.len (A1.unsafe_get col r))
-        t.cols;
-      out.len <- out.len + 1
-    done;
-    out
-  in
-  (copy 0 at, copy at n)
-
-(* Concatenate the selected rows of many batches into dense batches of at
-   most [capacity] rows each. *)
-let concat ?(capacity = default_capacity) schema batches =
-  let current = ref (create ~capacity schema) in
-  let acc = ref [] in
-  List.iter
-    (fun b ->
-      iter
-        (fun r ->
-          if is_full !current then begin
-            acc := !current :: !acc;
-            current := create ~capacity schema
-          end;
-          let dst = !current in
-          Array.iteri
-            (fun c col -> A1.unsafe_set dst.cols.(c) dst.len (A1.unsafe_get col r))
-            b.cols;
-          dst.len <- dst.len + 1)
-        b)
-    batches;
-  List.rev (if is_empty !current then !acc else !current :: !acc)
-
-(* Drop consecutive duplicate rows (all columns equal) among the selected
-   rows — the batched dedup kernel, meaningful on sorted streams. *)
-let dedup_sorted_consecutive t =
-  let n = length t in
-  if n <= 1 then ()
-  else begin
-    let equal_rows a b =
-      let rec go c =
-        c >= width t
-        || (A1.unsafe_get t.cols.(c) a = A1.unsafe_get t.cols.(c) b && go (c + 1))
-      in
-      go 0
-    in
-    let out = Array.make n 0 in
-    let k = ref 0 in
-    let prev = ref (-1) in
-    for i = 0 to n - 1 do
-      let r = row t i in
-      if !prev < 0 || not (equal_rows !prev r) then begin
-        out.(!k) <- r;
-        incr k
-      end;
-      prev := r
-    done;
-    t.sel <- Some (Array.sub out 0 !k)
-  end
-
-let pp ppf t =
-  Format.fprintf ppf "batch[%d/%d%s]" (length t) t.capacity
-    (if is_dense t then "" else " sel")

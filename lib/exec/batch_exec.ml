@@ -1,14 +1,15 @@
-(* The vectorized batch-at-a-time execution engine.
+(* The execution engine: physical plans compiled to batch-at-a-time
+   iterators.
 
-   A second compilation target for physical plans, alongside the row
-   engine in Executor.  Operators exchange Batch.t values (columnar
-   blocks of up to [capacity] tuples with a selection vector) instead of
-   single tuples, so the per-tuple closure dispatch of the Volcano
-   iterator is amortized over a whole block:
+   Operators exchange Batch.t values (up to [capacity] shared tuple
+   references plus a selection vector) instead of single tuples, so the
+   per-operator closure dispatch of a Volcano iterator is paid once per
+   block:
 
-   - scans fill batches a page stripe at a time, with the selection
-     predicate fused into the scan (the filter refines the selection
-     vector during the same pass that materializes the block);
+   - scans fill batches a page stripe at a time with the page's own
+     tuple arrays (no copy), and a selection predicate on a base
+     relation is fused into the scan: the filter refines the selection
+     vector of each block as it is filled;
    - base-relation file scans are morsel-driven: the heap file is split
      into fixed-size contiguous page stripes — the morsel size never
      depends on the worker count — and the stripes run as tasks on the
@@ -18,21 +19,23 @@
      stripe order, helping execute pending morsels instead of blocking,
      and re-raises the job's first fault (workers never block on the
      consumer, so a faulted stripe can never deadlock the drain);
-   - joins and sort delegate to the same algorithmic cores as the row
-     engine (Exec_common: Grace hash partitioning, external sort runs),
-     so spilling behavior and multiset semantics are identical by
-     construction — the property the differential harness checks.  With
-     workers > 1 the cores additionally fan out radix join partitions
-     and sort chunks as morsels on the same pool.
+   - joins and sort delegate to the algorithmic cores in Exec_common
+     (Grace hash partitioning, external sort runs).  With workers > 1 the
+     cores additionally fan out radix join partitions and sort chunks as
+     morsels on the same pool.
 
    Shared storage is safe to use from concurrent morsels: the buffer
    pool's latch is sharded per page-id bucket and the disk serializes
    its own directory, so this engine takes no execution-wide storage
    lock at all.
 
-   Iterator protocol: as for the row engine (see Iterator), [open_] must
-   fully rewind the stream, so consuming an iterator twice — or closing
-   it half-drained and consuming again — yields the same multiset. *)
+   Re-open contract: [open_] must fully rewind the operator — discard any
+   buffered output from a previous consumption and reset every position —
+   so that consuming an iterator twice, or closing it half-drained and
+   consuming again, yields the same multiset.  Operators that buffer
+   output across [next] calls clear that buffer in [open_]; relying on
+   [close] alone is wrong because [close] may run while results are still
+   pending. *)
 
 module Schema = Dqep_algebra.Schema
 module Physical = Dqep_algebra.Physical
@@ -49,7 +52,7 @@ module Page = Dqep_storage.Page
 module Trace = Dqep_obs.Trace
 module Counter = Dqep_obs.Counter
 
-type tuple = int array
+type tuple = Exec_common.tuple
 
 type iterator = {
   schema : Schema.t;
@@ -78,18 +81,22 @@ let consume it =
       let rec drain acc =
         match it.next () with
         | None -> List.rev acc
-        | Some b -> drain (List.rev_append (Batch.to_tuples b) acc)
+        | Some b ->
+          let acc = ref acc in
+          for i = 0 to Batch.length b - 1 do
+            acc := Batch.tuple b i :: !acc
+          done;
+          drain !acc
       in
       drain [])
 
 (* --- generic plumbing ---------------------------------------------------- *)
 
 (* Serve a fixed tuple list (materialized subplans) in batches. *)
-let of_tuples ctx schema tuples =
+let of_tuples ?(capacity = Batch.default_capacity) schema tuples =
   let pending = ref [] in
   { schema;
-    open_ =
-      (fun () -> pending := Batch.of_tuples ~capacity:ctx.capacity schema tuples);
+    open_ = (fun () -> pending := Batch.of_tuples ~capacity schema tuples);
     next =
       (fun () ->
         match !pending with
@@ -111,16 +118,18 @@ let refine_fused b { pos; cutoff } =
 
 (* --- scans --------------------------------------------------------------- *)
 
+(* The tuples of one heap page, collected while it is pinned: the page's
+   own arrays, by reference. *)
 let read_page_tuples ctx page =
-  let copied = ref [] in
+  let tuples = ref [] in
   Buffer_pool.with_page (Database.pool ctx.db) page (fun p ->
       match p.Page.payload with
       | Page.Heap h ->
         for slot = h.count - 1 downto 0 do
-          copied := h.tuples.(slot) :: !copied
+          tuples := h.tuples.(slot) :: !tuples
         done
       | Page.Free | Page.Btree _ -> invalid_arg "Batch_exec: corrupt heap page");
-  !copied
+  !tuples
 
 (* Scan a stripe of pages into batches, fusing the filter.  Returns the
    work performed in deterministic units (tuples materialized plus a
@@ -342,28 +351,26 @@ type out_buffer = {
   out_schema : Schema.t;
   cap : int;
   mutable building : Batch.t;
-  mutable ready : Batch.t list; (* in emission order *)
+  ready : Batch.t Queue.t; (* full batches, in emission order *)
 }
 
 let out_buffer ctx schema =
   { out_schema = schema;
     cap = ctx.capacity;
     building = Batch.create ~capacity:ctx.capacity schema;
-    ready = [] }
+    ready = Queue.create () }
 
 let out_push ob t =
   if Batch.is_full ob.building then begin
-    ob.ready <- ob.ready @ [ ob.building ];
+    Queue.push ob.building ob.ready;
     ob.building <- Batch.create ~capacity:ob.cap ob.out_schema
   end;
   Batch.push ob.building t
 
 let out_pop ob =
-  match ob.ready with
-  | b :: rest ->
-    ob.ready <- rest;
-    Some b
-  | [] ->
+  match Queue.take_opt ob.ready with
+  | Some b -> Some b
+  | None ->
     if Batch.is_empty ob.building then None
     else begin
       let b = ob.building in
@@ -373,7 +380,7 @@ let out_pop ob =
 
 let out_reset ob =
   ob.building <- Batch.create ~capacity:ob.cap ob.out_schema;
-  ob.ready <- []
+  Queue.clear ob.ready
 
 (* --- compiler ------------------------------------------------------------ *)
 
@@ -381,11 +388,11 @@ let schema_of ctx plan = Plan.schema (Database.catalog ctx.db) plan
 
 let materialized_tuples ctx (plan : Plan.t) = List.assoc_opt plan.Plan.pid ctx.mat
 
-(* Per-operator cardinality tap, the batch-engine counterpart of the row
-   engine's per-tuple wrapper: each delivered batch records its selected
-   row count in one call.  An operator that delivers nothing still taps
-   once with zero rows, so feedback distinguishes "ran empty" from "not
-   observed". *)
+(* Per-operator cardinality tap: each delivered batch records its
+   selected row count in one call.  Wrapped around a compiled node only
+   when the trace asked for taps, so the default path pays nothing.  An
+   operator that delivers nothing still taps once with zero rows, so
+   feedback distinguishes "ran empty" from "not observed". *)
 let tap_iterator obs (plan : Plan.t) it =
   let op = Physical.name plan.Plan.op in
   let pid = plan.Plan.pid in
@@ -417,7 +424,7 @@ and compile_op ctx (plan : Plan.t) : iterator =
   match materialized_tuples ctx plan with
   | Some tuples ->
     (* The subplan was already materialized (mid-query adaptation). *)
-    of_tuples ctx (schema_of ctx plan) tuples
+    of_tuples ~capacity:ctx.capacity (schema_of ctx plan) tuples
   | None -> (
     match plan.Plan.op with
     | Physical.File_scan rel ->
@@ -571,9 +578,8 @@ and merge_join ctx (plan : Plan.t) preds =
         Governor.with_charge ctx.gov
           (Array.length right * Int.max 1 right_width)
           (fun () ->
-            (* Same pointer discipline as the row engine: never advance
-               the group pointer past the current key — the next left
-               tuple may carry it again. *)
+            (* Never advance the group pointer past the current key:
+               the next left tuple may carry it again. *)
             let rpointer = ref 0 in
             List.iter
               (fun l ->
@@ -753,8 +759,7 @@ let run_plan db env ?(gov = Governor.none) ?(obs = Trace.null)
   in
   let tuples = consume counting in
   let profile =
-    { Exec_common.engine = Exec_common.Batch;
-      batches = !batches;
+    { Exec_common.batches = !batches;
       max_batch_rows = !max_rows;
       rows_per_batch =
         (if !batches = 0 then 0.

@@ -65,7 +65,7 @@ type entry = {
   rels : string list;
   schema : Schema.t;  (* column order of the stored tuples *)
   order : Col.t list option;  (* sort order the tuples were produced in *)
-  tuples : Iterator.tuple list;
+  tuples : Exec_common.tuple list;
   observed_rows : int;
   bytes : int;  (* charged against the governor until [release] *)
   stamp : stamp;

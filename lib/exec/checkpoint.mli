@@ -65,7 +65,7 @@ val take :
   Dqep_cost.Env.t ->
   Dqep_plans.Plan.t ->
   schema:Dqep_algebra.Schema.t ->
-  Iterator.tuple list ->
+  Exec_common.tuple list ->
   unit
 (** [take t db env plan ~schema tuples] checkpoints the fully
     materialized [tuples] of [plan] (produced in [schema]'s column
@@ -76,9 +76,9 @@ val take :
     @raise Estimate_busted when [List.length tuples] escapes the band. *)
 
 val resume_for :
-  t -> Dqep_storage.Database.t -> Dqep_plans.Plan.t -> (int * Iterator.tuple list) list
+  t -> Dqep_storage.Database.t -> Dqep_plans.Plan.t -> (int * Exec_common.tuple list) list
 (** Materialized inputs for every node of [plan] a checkpoint can serve,
-    as [(pid, tuples)] splices for the engines' [materialized] hook.
+    as [(pid, tuples)] splices for the executor's [materialized] hook.
     Matching is by logical fingerprint; tuples are remapped into the
     node's schema, and an ordered node is served only when the stored
     sort order satisfies it. *)

@@ -1,20 +1,15 @@
-(* Algorithmic cores shared by the two execution engines.
+(* Algorithmic cores of the execution engine (Batch_exec), and the types
+   and knobs the rest of the library shares with it.
 
-   The row engine (Executor) and the batch engine (Batch_exec) present
-   different operator interfaces — tuple-at-a-time vs batch-at-a-time —
-   but must implement the *same* algorithms underneath: the differential
-   test harness (test/suite_batch.ml) holds them to identical multiset
-   semantics, and the spilling behavior under low memory (Grace hash
-   join partitioning, external sort runs) must be observable through the
-   buffer pool in both.  Those cores live here.
-
-   The joining and sorting cores optionally go wide on a [Scheduler]
-   morsel pool: a radix partition pass fans a hash join out to
-   independent per-partition build+probe morsels, and an in-memory sort
-   fans out fixed-size chunk sorts merged stably on the consumer.  The
-   sequential paths are byte-for-byte the old algorithms, and the
-   parallel ones produce the same multiset (joins) or the identical
-   stable order (sorts). *)
+   The joining and sorting cores materialize their inputs and spill
+   through the buffer pool under low memory (Grace hash join
+   partitioning, external sort runs), so spilling is observable in the
+   I/O counters.  They optionally go wide on a [Scheduler] morsel pool:
+   a radix partition pass fans a hash join out to independent
+   per-partition build+probe morsels, and an in-memory sort fans out
+   fixed-size chunk sorts merged stably on the consumer.  The parallel
+   paths produce the same multiset (joins) or the identical stable order
+   (sorts) as the sequential ones. *)
 
 module Interval = Dqep_util.Interval
 module Schema = Dqep_algebra.Schema
@@ -28,25 +23,19 @@ module Counter = Dqep_obs.Counter
 
 type tuple = int array
 
-(* --- engine selection ---------------------------------------------------- *)
+(* --- engine name and worker default ------------------------------------ *)
 
-type engine = Row | Batch
+(* There is one engine and nothing to select.  The one-constructor type
+   and its two functions stay because the pinned benchmark harness
+   (perfbench/perfbench.ml) prints [engine_name (default_engine ())] in
+   its header line; removing them would break that build. *)
+type engine = Batch
 
-let engine_name = function Row -> "row" | Batch -> "batch"
+let engine_name Batch = "batch"
+let default_engine () = Batch
 
-let engine_of_string = function
-  | "row" -> Some Row
-  | "batch" -> Some Batch
-  | _ -> None
-
-(* Process-wide defaults, overridable per call site.  DQEP_ENGINE lets CI
-   push every existing suite through the batch engine without touching
-   the tests; DQEP_WORKERS arms the exchange operator's scheduler. *)
-let default_engine () =
-  match Option.bind (Sys.getenv_opt "DQEP_ENGINE") engine_of_string with
-  | Some e -> e
-  | None -> Row
-
+(* DQEP_WORKERS arms the exchange operator's scheduler process-wide, so
+   CI can push every existing suite through the morsel pool unchanged. *)
 let default_workers () =
   match Option.bind (Sys.getenv_opt "DQEP_WORKERS") int_of_string_opt with
   | Some n when n >= 1 -> n
@@ -96,7 +85,6 @@ let ilog2 n =
 (* Per-run execution profile, surfaced through Executor.run_stats, the
    CLI and the benchmark harness. *)
 type exec_profile = {
-  engine : engine;
   batches : int;          (* batches delivered at the plan root *)
   max_batch_rows : int;
   rows_per_batch : float; (* mean selected rows per delivered batch *)
@@ -106,13 +94,9 @@ type exec_profile = {
   morsel_units_ : int array; (* work per morsel, for the schedule model *)
 }
 
-let row_profile =
-  { engine = Row; batches = 0; max_batch_rows = 0; rows_per_batch = 0.;
-    partitions = 0; workers = 1; serial_units = 0; morsel_units_ = [||] }
-
 let pp_profile ppf p =
-  Format.fprintf ppf "%s engine: %d batches, %.1f rows/batch, %d partitions, %d workers"
-    (engine_name p.engine) p.batches p.rows_per_batch p.partitions p.workers
+  Format.fprintf ppf "%d batches, %.1f rows/batch, %d partitions, %d workers"
+    p.batches p.rows_per_batch p.partitions p.workers
 
 (* --- small helpers ------------------------------------------------------- *)
 

@@ -1,5 +1,6 @@
-(** The execution engine: compiles physical plans to iterators over a
-    materialized {!Dqep_storage.Database}.
+(** The executor: validates, resolves and runs physical plans over a
+    materialized {!Dqep_storage.Database}, through the one execution
+    engine, {!Batch_exec}.
 
     All data access flows through the database's buffer pool, so physical
     I/O is accounted: hash joins whose build input exceeds memory
@@ -24,9 +25,7 @@ type run_stats = {
   budget_aborts : int;  (** attempts aborted by the I/O budget guard *)
   failovers : int;  (** re-resolutions onto another choose-plan alternative *)
   replans : int;  (** incremental re-optimizations after a busted estimate *)
-  exec : Exec_common.exec_profile;
-      (** which engine ran and, for the batch engine, its batch and
-          exchange accounting *)
+  exec : Exec_common.exec_profile;  (** batch and exchange accounting *)
 }
 (** The resilience counters are zero for a plain {!run}; they are filled
     in by {!Resilience.run}. *)
@@ -57,68 +56,57 @@ val check_feasible :
     @raise Infeasible when nothing feasible remains. *)
 
 val compile :
-  Dqep_storage.Database.t -> Dqep_cost.Env.t -> Dqep_plans.Plan.t -> Iterator.t
-(** Compile a plan under a point environment (from actual bindings).
-    Dynamic plans are resolved first.
-    @raise Invalid_argument on malformed plans. *)
-
-val compile_with :
   Dqep_storage.Database.t ->
   Dqep_cost.Env.t ->
-  ?gov:Governor.t ->
-  ?obs:Dqep_obs.Trace.t ->
-  ?materialized:(int * Iterator.tuple list) list ->
-  ?checkpoint:Checkpoint.t ->
   Dqep_plans.Plan.t ->
-  Iterator.t
-(** Like {!compile}, but nodes whose pid appears in [materialized] are
-    served from the given temporary results instead of being executed —
-    the execution half of mid-query adaptation ({!Midquery}).  When a
-    [gov] is given, every iterator's [next] is a cancellation point and
-    the spilling operators charge their working sets against its memory
-    budget ({!Governor}); default {!Governor.none} governs nothing.
-    [obs] (default {!Dqep_obs.Trace.null}) records spill counters and —
-    when the trace has taps enabled — per-operator cardinalities.
-    [checkpoint] (default {!Checkpoint.disabled}) captures fully
-    materialized intermediates at blocking points — a hash join's
-    completed build side, a sort's output — and may raise
-    {!Checkpoint.Estimate_busted} when an observation escapes the plan's
-    validity band. *)
+  Batch_exec.iterator
+(** Compile a plan under a point environment (from actual bindings) for
+    sequential execution.  Choose-plan operators are resolved as they
+    compile.
+    @raise Invalid_argument on malformed plans. *)
 
 val execute :
   Dqep_storage.Database.t ->
   Dqep_cost.Env.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?materialized:(int * Iterator.tuple list) list ->
+  ?materialized:(int * Exec_common.tuple list) list ->
   ?checkpoint:Checkpoint.t ->
-  ?engine:Exec_common.engine ->
   ?workers:int ->
   ?on_batch:(int -> unit) ->
   Dqep_plans.Plan.t ->
-  Iterator.tuple list * Exec_common.exec_profile
-(** Drain the plan through the selected engine.  [engine] defaults to
-    [DQEP_ENGINE] (row when unset), [workers] to [DQEP_WORKERS]; workers
-    only matter to the batch engine's exchange scans.  [on_batch]
-    observes the selected row count of every batch delivered at the plan
-    root as it is produced (the row engine reports one "batch" holding
-    the whole result) — {!Midquery} accumulates observed cardinalities
-    through it.  [gov] and [obs] as in {!compile_with}; the plan root
-    additionally counts delivered rows against the governor's row limit
-    and records [Rows_out]/[Batches_out] on the trace. *)
+  Exec_common.tuple list * Exec_common.exec_profile
+(** Drain the plan and report the run's execution profile.  [workers]
+    (default [DQEP_WORKERS], else 1) arms the exchange scans, radix joins
+    and chunked sorts.  Nodes whose pid appears in [materialized] are
+    served from the given temporary results instead of being executed —
+    the execution half of mid-query adaptation ({!Midquery}).  When a
+    [gov] is given, every batch is a cancellation point, the plan root
+    counts delivered rows against its row limit, and the spilling
+    operators charge their working sets against its memory budget
+    ({!Governor}); default {!Governor.none} governs nothing.  [obs]
+    (default {!Dqep_obs.Trace.null}) records spill counters,
+    [Rows_out]/[Batches_out] and — when the trace has taps enabled —
+    per-operator cardinalities.  [checkpoint] (default
+    {!Checkpoint.disabled}) captures fully materialized intermediates at
+    blocking points — a hash join's completed build side, a sort's output
+    — and may raise {!Checkpoint.Estimate_busted} when an observation
+    escapes the plan's validity band.  [on_batch] observes the selected
+    row count of every batch delivered at the plan root as it is
+    produced — {!Midquery} accumulates observed cardinalities through
+    it. *)
 
 val run :
   Dqep_storage.Database.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?engine:Exec_common.engine ->
   ?workers:int ->
   ?risk:Dqep_cost.Risk.t ->
   Dqep_cost.Bindings.t ->
   Dqep_plans.Plan.t ->
-  Iterator.tuple list * run_stats
+  Exec_common.tuple list * run_stats
 (** Resolve, execute and drain a plan, reporting I/O and CPU.
-    [gov]/[engine]/[workers] as in {!execute}.  [risk] scalarizes any
+    [gov]/[workers] as in {!execute}.  [risk] scalarizes any
     residual cost uncertainty during start-up resolution
     ({!Dqep_plans.Startup.resolve}); default [Expected], which is the
     historical behaviour.  The run records through [obs] when one is

@@ -1,11 +1,11 @@
 (* Per-query resource governor: a cooperative cancellation token with a
    deadline, a memory budget, and a row limit.
 
-   One governor accompanies one query through both execution engines: row
-   iterators call [check] on every [next], batch operators once per
-   batch, exchange workers per partition page, and the spilling cores in
-   Exec_common charge their materializations against the memory budget
-   through [charge]/[with_charge].  Violations raise the typed exceptions
+   One governor accompanies one query through the execution engine:
+   operators call [check] once per batch, exchange workers per partition
+   page, and the spilling cores in Exec_common charge their
+   materializations against the memory budget through
+   [charge]/[with_charge].  Violations raise the typed exceptions
    below, which Resilience maps to typed failures (a memory violation
    triggers choose-plan failover onto a lower-memory alternative).
 
@@ -57,7 +57,10 @@ type t = {
   max_rows : int option;
   cancel_after_checks : int option;  (* deterministic injection for tests *)
   check_every : int;  (* clock poll interval, in check ticks *)
-  cancelled : string option Atomic.t;
+  cancelled : exn option Atomic.t;
+      (* the first stop — [Cancelled] or [Deadline_exceeded] — which every
+         later check on any domain re-raises, so a parallel run reports
+         the same typed failure whichever domain gets there first *)
   charged : int Atomic.t;  (* bytes currently charged *)
   rows : int Atomic.t;
   ticks : int Atomic.t;
@@ -114,18 +117,21 @@ let with_pool t p =
 let cancel t ~reason =
   if not t.limited then invalid_arg "Governor.cancel: unlimited governor";
   ignore
-    (Atomic.compare_and_set t.cancelled None (Some reason) : bool)
+    (Atomic.compare_and_set t.cancelled None (Some (Cancelled reason)) : bool)
 
-let cancelled_reason t = Atomic.get t.cancelled
-let is_cancelled t = cancelled_reason t <> None
+let cancelled_reason t =
+  match Atomic.get t.cancelled with
+  | None -> None
+  | Some (Cancelled reason) -> Some reason
+  | Some _ -> Some "deadline exceeded"
+
+let is_cancelled t = Option.is_some (Atomic.get t.cancelled)
 
 let elapsed t = if t.limited then t.clock () -. t.started else 0.
 
 let check t =
   if t.limited then begin
-    (match Atomic.get t.cancelled with
-    | Some reason -> raise (Cancelled reason)
-    | None -> ());
+    (match Atomic.get t.cancelled with Some e -> raise e | None -> ());
     let tick = Atomic.fetch_and_add t.ticks 1 in
     (match t.cancel_after_checks with
     | Some k when tick + 1 >= k ->
@@ -137,11 +143,11 @@ let check t =
       let elapsed = t.clock () -. t.started in
       if elapsed > budget then begin
         (* Record the violation so siblings (exchange workers) stop at
-           their next check without re-reading the clock. *)
-        ignore
-          (Atomic.compare_and_set t.cancelled None
-             (Some "deadline exceeded") : bool);
-        raise (Deadline_exceeded { elapsed; budget })
+           their next check without re-reading the clock.  First stop
+           wins, here as on every other domain. *)
+        let e = Deadline_exceeded { elapsed; budget } in
+        ignore (Atomic.compare_and_set t.cancelled None (Some e) : bool);
+        raise (Option.value (Atomic.get t.cancelled) ~default:e)
       end
     | _ -> ()
   end
@@ -211,7 +217,7 @@ let count_rows t n =
     match t.max_rows with
     | Some limit when before + n > limit ->
       let reason = Printf.sprintf "row limit %d exceeded" limit in
-      ignore (Atomic.compare_and_set t.cancelled None (Some reason) : bool);
+      cancel t ~reason;
       raise (Cancelled reason)
     | _ -> ()
   end

@@ -1,11 +1,10 @@
 (** Per-query resource governance: a cooperative cancellation token with
     a deadline, a memory budget, and a row limit.
 
-    One governor accompanies one query through both execution engines —
-    row iterators {!check} on every [next], batch operators per batch,
-    exchange workers per partition page — and the spilling join/sort
-    cores ({!Exec_common}) account their materializations against the
-    memory budget with {!charge}.  The token is shared across domains
+    One governor accompanies one query through the execution engine —
+    operators {!check} once per batch, exchange workers per partition
+    page — and the spilling join/sort cores ({!Exec_common}) account
+    their materializations against the memory budget with {!charge}.  The token is shared across domains
     (all state is atomic), so cancelling from any thread stops a
     parallel exchange as well as the consuming iterator.
 
@@ -82,7 +81,7 @@ val check : t -> unit
     is reached),
     @raise Deadline_exceeded once the deadline has passed (checked every
     [check_every] ticks; the violation also cancels the token so sibling
-    domains stop without re-reading the clock). *)
+    domains stop with the same exception without re-reading the clock). *)
 
 val checks : t -> int
 (** Check ticks consumed so far (for the benchmark's latency bound). *)

@@ -66,9 +66,9 @@ let shared_subplan (plan : Plan.t) =
       |> Option.map snd)
   | _ -> None
 
-let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
+let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     bindings plan =
-  let tuples, run = Executor.run db ~gov ~obs ?engine ?workers bindings plan in
+  let tuples, run = Executor.run db ~gov ~obs ?workers bindings plan in
   let env = Env.of_bindings (Database.catalog db) bindings in
   let cost, _ = Startup.evaluate env run.Executor.resolved_plan in
   ( tuples,
@@ -84,10 +84,10 @@ type observation = {
   observed_rows : int;
   batches : int;
   overrides : (int * float) list;
-  materialized : (int * Iterator.tuple list) list;
+  materialized : (int * Exec_common.tuple list) list;
 }
 
-let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
+let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     plan ~sub =
   (* Evaluate the shared subplan into a temporary and propagate the
      observation to every subplan computing the same logical result (same
@@ -108,7 +108,7 @@ let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
   let delivered = ref 0 in
   let tapped_before = Option.value ~default:0 (Trace.tap_rows ot sub.Plan.pid) in
   let temp, profile =
-    Executor.execute db env ~gov ~obs:ot ?engine ?workers
+    Executor.execute db env ~gov ~obs:ot ?workers
       ~on_batch:(fun n -> delivered := !delivered + n)
       sub
   in
@@ -117,12 +117,6 @@ let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
     | Some rows when rows - tapped_before > 0 || !delivered = 0 ->
       rows - tapped_before
     | Some _ | None -> !delivered
-  in
-  (* The row engine delivers the whole temporary as one "batch". *)
-  let batches =
-    match profile.Exec_common.engine with
-    | Exec_common.Row -> 1
-    | Exec_common.Batch -> profile.Exec_common.batches
   in
   let equivalent =
     Plan.fold
@@ -147,14 +141,17 @@ let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
         | Dqep_algebra.Props.Ordered _ -> None)
       equivalent
   in
-  { observed_rows = observed; batches; overrides; materialized }
+  { observed_rows = observed;
+    batches = profile.Exec_common.batches;
+    overrides;
+    materialized }
 
-let run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
+let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     bindings plan =
   let env = Env.of_bindings (Database.catalog db) bindings in
   let plan = Executor.check_feasible db env plan in
   match shared_subplan plan with
-  | None -> plain_run db ~gov ~obs ?engine ?workers bindings plan
+  | None -> plain_run db ~gov ~obs ?workers bindings plan
   | Some sub ->
     let pool = Database.pool db in
     Buffer_pool.resize pool (Executor.memory_pages env);
@@ -166,7 +163,7 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
     (* Phase 1: evaluate the shared subplan into a temporary. *)
     let { observed_rows = observed; batches = _; overrides; materialized } =
       Trace.span rt "observe" (fun () ->
-          observe db env ~gov ~obs:rt ?engine ?workers plan ~sub)
+          observe db env ~gov ~obs:rt ?workers plan ~sub)
     in
     (* Phase 2: decide with the observation, execute with the temporary. *)
     let default_resolution = Startup.resolve env plan in
@@ -177,7 +174,7 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
     in
     let adapted = Startup.resolve ~overrides env plan in
     let tuples, profile =
-      Executor.execute db env ~gov ~obs:rt ~materialized ?engine ?workers
+      Executor.execute db env ~gov ~obs:rt ~materialized ?workers
         adapted.Startup.plan
     in
     let cpu_seconds = Sys.time () -. start in

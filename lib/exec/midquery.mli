@@ -35,12 +35,11 @@ val shared_subplan : Dqep_plans.Plan.t -> Dqep_plans.Plan.t option
 type observation = {
   observed_rows : int;  (** actual cardinality of the shared subplan *)
   batches : int;
-      (** batches the cardinality accumulated over — 1 under the row
-          engine, the root's batch count under the batch engine *)
+      (** batches delivered at the subplan's root *)
   overrides : (int * float) list;
       (** pid -> observed cardinality, for {!Dqep_plans.Startup.resolve} *)
-  materialized : (int * Iterator.tuple list) list;
-      (** pid -> temporary result, for {!Executor.compile_with} *)
+  materialized : (int * Exec_common.tuple list) list;
+      (** pid -> temporary result, for {!Executor.execute} *)
 }
 
 val observe :
@@ -48,7 +47,6 @@ val observe :
   Dqep_cost.Env.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?engine:Exec_common.engine ->
   ?workers:int ->
   Dqep_plans.Plan.t ->
   sub:Dqep_plans.Plan.t ->
@@ -68,13 +66,12 @@ val run :
   Dqep_storage.Database.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?engine:Exec_common.engine ->
   ?workers:int ->
   Dqep_cost.Bindings.t ->
   Dqep_plans.Plan.t ->
-  Iterator.tuple list * stats
+  Exec_common.tuple list * stats
 (** Execute with mid-query adaptation; falls back to plain start-up
-    resolution when there is nothing to observe.  [gov]/[engine]/[workers]
+    resolution when there is nothing to observe.  [gov]/[workers]
     as in {!Executor.execute}: the observation phase and the final
     execution run under the same governor, so deadlines and memory
     budgets span the whole adapted query. *)

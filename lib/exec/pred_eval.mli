@@ -12,15 +12,15 @@ val select_matches :
   Dqep_cost.Env.t ->
   Dqep_algebra.Schema.t ->
   Dqep_algebra.Predicate.select ->
-  Iterator.tuple ->
+  Exec_common.tuple ->
   bool
 
 val equi_matches :
   left:Dqep_algebra.Schema.t ->
   right:Dqep_algebra.Schema.t ->
   Dqep_algebra.Predicate.equi list ->
-  Iterator.tuple ->
-  Iterator.tuple ->
+  Exec_common.tuple ->
+  Exec_common.tuple ->
   bool
 (** Whether two tuples (from the left/right schemas) satisfy all join
     predicates; predicates are located on either side automatically. *)

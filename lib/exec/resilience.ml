@@ -18,7 +18,6 @@ type config = {
   io_budget_factor : float option;
   max_failovers : int;
   observe_on_failover : bool;
-  engine : Exec_common.engine option;
   workers : int option;
   checkpoints : bool;
   checkpoint_tolerance : float;
@@ -37,7 +36,7 @@ let default_checkpoints () =
 
 let config ?(max_retries = 2) ?(backoff_base = 0.01) ?(backoff_cap = 1.)
     ?(backoff_seed = 0x5eed) ?io_budget_factor ?(max_failovers = 8)
-    ?(observe_on_failover = true) ?engine ?workers ?checkpoints
+    ?(observe_on_failover = true) ?workers ?checkpoints
     ?(checkpoint_tolerance = Checkpoint.default_tolerance) ?(max_replans = 2)
     ?replan ?(risk = Dqep_cost.Risk.Expected) () =
   if max_retries < 0 then invalid_arg "Resilience.config: max_retries < 0";
@@ -54,7 +53,7 @@ let config ?(max_retries = 2) ?(backoff_base = 0.01) ?(backoff_cap = 1.)
   in
   { max_retries; backoff_base; backoff_cap; backoff_seed; io_budget_factor;
     max_failovers;
-    observe_on_failover; engine; workers; checkpoints; checkpoint_tolerance;
+    observe_on_failover; workers; checkpoints; checkpoint_tolerance;
     max_replans; replan; risk }
 
 let default = config ()
@@ -235,7 +234,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
           match
             Trace.span rt "observe" (fun () ->
                 Midquery.observe db !mem_env ~gov ~obs:rt
-                  ?engine:config.engine ?workers:config.workers !current_plan
+                  ?workers:config.workers !current_plan
                   ~sub)
           with
           | obs ->
@@ -278,7 +277,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
           Trace.span rt "attempt" (fun () ->
             Executor.execute db !mem_env ~gov ~obs:rt
               ~materialized:(resume @ !materialized) ~checkpoint:ckpt
-              ?engine:config.engine ?workers:config.workers
+              ?workers:config.workers
               resolution.Startup.plan))
       with
       | (tuples, profile), cpu_seconds ->

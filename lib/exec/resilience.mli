@@ -54,14 +54,12 @@ type config = {
           re-resolution decides with observed cardinalities
           (default true; best-effort — observation failures are
           swallowed) *)
-  engine : Exec_common.engine option;
-      (** execution engine for every attempt; [None] defers to
-          [DQEP_ENGINE] (see {!Executor.execute}) *)
   workers : int option;
-      (** exchange workers for the batch engine; [None] defers to
-          [DQEP_WORKERS].  Faults raised inside a parallel exchange
-          partition surface as typed errors at the merge and take the
-          same retry/failover path as row-engine faults. *)
+      (** exchange workers for every attempt; [None] defers to
+          [DQEP_WORKERS] (see {!Executor.execute}).  Faults raised inside
+          a parallel exchange partition surface as typed errors at the
+          merge and take the same retry/failover path as sequential
+          faults. *)
   checkpoints : bool;
       (** materialize checkpoints at blocking points ({!Checkpoint}) and
           validate observed cardinalities against the plan's validity
@@ -98,7 +96,6 @@ val config :
   ?io_budget_factor:float ->
   ?max_failovers:int ->
   ?observe_on_failover:bool ->
-  ?engine:Exec_common.engine ->
   ?workers:int ->
   ?checkpoints:bool ->
   ?checkpoint_tolerance:float ->
@@ -167,7 +164,7 @@ val run :
   Dqep_storage.Database.t ->
   Dqep_cost.Bindings.t ->
   Dqep_plans.Plan.t ->
-  (Iterator.tuple list * Executor.run_stats, failure) result * stats
+  (Exec_common.tuple list * Executor.run_stats, failure) result * stats
 (** Supervised execution.  On success the embedded
     {!Executor.run_stats} has its resilience counters filled in and its
     I/O window covers the final (successful) attempt.  [stats] is

@@ -1,6 +1,6 @@
 (* Persistent work-stealing morsel scheduler.
 
-   Contract (see DESIGN.md "The batch engine: morsel-driven parallelism"):
+   Contract (see DESIGN.md "The execution engine: morsel-driven parallelism"):
 
    - A [pool] is a set of long-lived worker domains, spawned lazily up to
      the demanded width and reused across jobs, queries and sessions —

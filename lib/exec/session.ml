@@ -8,7 +8,7 @@
    Concurrency model: session state is guarded by one mutex + condition;
    submitters on any number of domains take a ticket, wait FIFO for a
    slot, run, release.  Storage is NOT shared — each submitter executes
-   against its own Database (the engines are not thread-safe across
+   against its own Database (the executor is not thread-safe across
    concurrent executions); the session governs only admission and the
    global memory pool, which are domain-safe by construction.
 
@@ -41,7 +41,7 @@ let shed_counter = function
   | Queue_timeout -> Counter.Shed_queue_timeout
 
 type outcome =
-  | Completed of Iterator.tuple list * Executor.run_stats
+  | Completed of Exec_common.tuple list * Executor.run_stats
   | Failed of Resilience.failure
   | Shed of shed_reason
 

@@ -25,7 +25,7 @@ val shed_counter : shed_reason -> Dqep_obs.Counter.t
     sheds attribute them by reason rather than as one lump. *)
 
 type outcome =
-  | Completed of Iterator.tuple list * Executor.run_stats
+  | Completed of Exec_common.tuple list * Executor.run_stats
   | Failed of Resilience.failure
       (** every in-flight error, including governor violations, as the
           supervisor's typed failure *)
@@ -107,7 +107,7 @@ val submit :
     (a cancellation queued before admission surfaces as
     [Failed (Cancelled _)] on the first check).  [resilience] overrides
     the session's supervisor configuration for this one submission (the
-    chaos harness mixes engines per query this way).  [clock] is the
+    chaos harness mixes worker widths per query this way).  [clock] is the
     queue clock, injectable for tests.
 
     [obs] is this submission's run trace (a taps-enabled private trace

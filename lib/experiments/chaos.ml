@@ -14,11 +14,10 @@
    - memory: a tight per-query memory budget (plus the shared pool);
    - faulty: an injected I/O fault schedule on the job's disk.
 
-   Jobs alternate row/batch engines, and every fourth batch job runs
-   wide on the persistent work-stealing morsel pool (at least 3 workers,
-   or DQEP_WORKERS when larger), so cancellation also lands mid-morsel
-   on pool domains — with several submitter domains contending for the
-   one process-wide pool at once.
+   Every fourth job runs wide on the persistent work-stealing morsel
+   pool (at least 3 workers, or DQEP_WORKERS when larger), so
+   cancellation also lands mid-morsel on pool domains — with several
+   submitter domains contending for the one process-wide pool at once.
 
    The harness asserts the governed-session contract structurally: every
    job yields exactly one typed outcome (anything escaping
@@ -95,8 +94,8 @@ let pp_tally ppf t =
     (List.length t.escaped)
 
 (* One job, executed on whatever domain claimed it.  Deterministic in
-   (seed, job): the instance, bindings, scenario, engine and fault
-   schedule all derive from them. *)
+   (seed, job): the instance, bindings, scenario, worker count and
+   fault schedule all derive from them. *)
 let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
   let inst = Plangen.generate ~seed:(1 + ((seed * 131) + job) mod 97) in
   let scenario = scenarios.(job mod Array.length scenarios) in
@@ -152,17 +151,11 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
          (Fault.create
             (Fault.config ~read_fault_rate:0.02 ~seed:(seed + job) ())))
   | Clean | Deadline | Cancel | Memory | Busted -> ());
-  let engine =
-    if job land 1 = 0 then Exec_common.Row else Exec_common.Batch
-  in
   let workers =
-    (* Every fourth batch job goes wide on the shared morsel pool, so
+    (* Every fourth job goes wide on the shared morsel pool, so
        cancellation and deadlines land on pool domains too; DQEP_WORKERS
        widens it further (CI soaks the pool at 8). *)
-    match engine with
-    | Exec_common.Batch when job mod 4 = 1 ->
-      Int.max 3 (Exec_common.default_workers ())
-    | _ -> 1
+    if job mod 4 = 1 then Int.max 3 (Exec_common.default_workers ()) else 1
   in
   let resilience =
     match scenario with
@@ -174,12 +167,12 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
         | Ok (rt, _) -> Some (Reoptimize.replanner rt)
         | Error _ -> None
       in
-      Resilience.config ~engine ~workers ~backoff_seed:(seed + job)
+      Resilience.config ~workers ~backoff_seed:(seed + job)
         ~checkpoints:true
         ~checkpoint_tolerance:(if scenario = Busted then 1.5 else 4.0)
         ~max_replans:2 ?replan ()
     | Clean | Deadline | Cancel | Memory | Faulty ->
-      Resilience.config ~engine ~workers ~backoff_seed:(seed + job) ()
+      Resilience.config ~workers ~backoff_seed:(seed + job) ()
   in
   let outcome =
     try Ok (Session.submit session ~gov ~resilience db bindings plan)
@@ -190,17 +183,15 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
     | Ok () -> None
     | Error msg ->
       Some
-        (Printf.sprintf "job %d (%s, %s): %s" job (scenario_name scenario)
-           (Exec_common.engine_name engine) msg)
+        (Printf.sprintf "job %d (%s, %d workers): %s" job
+           (scenario_name scenario) workers msg)
   in
   let ckpt_leak =
     match scenario with
     | (Busted | Faulty_resume) when Governor.charged_bytes gov <> 0 ->
       Some
-        (Printf.sprintf "job %d (%s, %s): %d bytes still charged" job
-           (scenario_name scenario)
-           (Exec_common.engine_name engine)
-           (Governor.charged_bytes gov))
+        (Printf.sprintf "job %d (%s, %d workers): %d bytes still charged"
+           job (scenario_name scenario) workers (Governor.charged_bytes gov))
     | _ -> None
   in
   (scenario, outcome, leak, ckpt_leak)

@@ -2,7 +2,7 @@
 
     Worker domains submit seeded query jobs — a mix of clean runs,
     wall-clock deadlines, deterministic cancellations, tight memory
-    budgets and injected I/O faults, across both engines including
+    budgets and injected I/O faults, sequential and through the
     parallel exchange — through one shared {!Dqep_exec.Session}.  The
     harness checks the governed-session contract: every job gets exactly
     one typed outcome ({!tally.escaped} empty), no outcome leaks a
@@ -109,5 +109,5 @@ val serve_soak :
 (** Defaults: 4 client domains, 256 requests, seed 1, 3 admission
     slots, queue bound 4 (8+ clients overload it, exercising door
     sheds), 3 relations (= 3 shapes, shape 0 poisoned).
-    The engine follows [DQEP_ENGINE], as everywhere.  Blocks until
+    Exchange width follows [DQEP_WORKERS], as everywhere.  Blocks until
     every request has its response. *)

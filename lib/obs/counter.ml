@@ -2,8 +2,7 @@
 
    Keeping the set closed (a variant, not strings) is what lets a trace
    store its totals in a flat atomic array — incrementing a counter on
-   the row engine's per-tuple path costs one atomic add and nothing
-   else — and what lets downstream consumers (run_stats, the CLI, the
+   a hot path costs one atomic add and nothing else — and what lets downstream consumers (run_stats, the CLI, the
    trace schema) enumerate every counter without coordination. *)
 
 type t =

@@ -15,7 +15,7 @@ type t =
   | Write_faults  (** injected/observed I/O faults absorbed on write *)
   (* execution *)
   | Rows_out  (** tuples produced by the plan root *)
-  | Batches_out  (** batches produced by the plan root (batch engine) *)
+  | Batches_out  (** batches produced by the plan root *)
   | Spill_partitions  (** hash-join partitions spilled to temp heaps *)
   | Spill_runs  (** external-sort runs written to temp heaps *)
   | Spilled_tuples  (** tuples that crossed a spill boundary *)

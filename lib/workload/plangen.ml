@@ -4,7 +4,7 @@
    count, cardinalities, domain sizes, index subset) and a query over it
    (random spanning-tree join order, random unbound selections).  The
    harness optimizes each instance in several modes and runs every plan
-   through both execution engines and the naive reference evaluator —
+   through the executor and the naive reference evaluator —
    random structure is what makes the differential comparison worth
    anything: it reaches operator combinations no hand-written test
    enumerates. *)

@@ -1,7 +1,7 @@
 (* The abstract interpreter's soundness contracts, enforced by running
    real executions against the static verdicts:
 
-   1. Certificate soundness fuzz (qcheck over Plangen, both engines):
+   1. Certificate soundness fuzz (qcheck over Plangen):
       a plan certified at [worst_bytes] runs to completion under a
       governor granted exactly that — never [Memory_exceeded].
    2. Doom differential: when the demand floor exceeds a budget, the
@@ -30,11 +30,9 @@ let modes =
   [ ("static", D.Optimizer.static);
     ("dynamic", D.Optimizer.dynamic ~uncertain_memory:true ()) ]
 
-let engines = [ ("row", D.Exec_common.Row); ("batch", D.Exec_common.Batch) ]
-
 (* --- 1. certificate soundness fuzz --------------------------------------- *)
 
-(* One Plangen instance, both modes, both engines, three binding draws:
+(* One Plangen instance, both modes, three binding draws:
    execution under a governor granted exactly [worst_bytes] must never
    hit the memory budget.  Checkpoints stay off (the certificate's
    default contract) and the I/O guard is irrelevant — the governor
@@ -53,32 +51,29 @@ let certificate_sound_for ~seed =
       List.iter
         (fun bseed ->
           let b = D.Plangen.bindings inst ~seed:bseed in
-          List.iter
-            (fun (engine_name, engine) ->
-              let grant = Int.max 1 cert.D.Absint.worst_bytes in
-              match
-                D.Executor.run db
-                  ~gov:(D.Governor.create ~memory_bytes:grant ())
-                  ~engine ~workers:1 b r.D.Optimizer.plan
-              with
-              | tuples, _ ->
-                let n = float_of_int (List.length tuples) in
-                if
-                  n < cert.D.Absint.rows.I.lo -. 0.5
-                  || n > cert.D.Absint.rows.I.hi +. 0.5
-                then
-                  Alcotest.failf
-                    "seed %d %s/%s: %d rows escape the certificate's \
-                     data-sound band %s"
-                    seed mode_name engine_name (List.length tuples)
-                    (I.to_string cert.D.Absint.rows)
-              | exception D.Governor.Memory_exceeded { budget; in_use; requested }
-                ->
-                Alcotest.failf
-                  "seed %d %s/%s: certified at %d bytes but the run \
-                   demanded %d over %d in use"
-                  seed mode_name engine_name budget requested in_use)
-            engines)
+          let grant = Int.max 1 cert.D.Absint.worst_bytes in
+          match
+            D.Executor.run db
+              ~gov:(D.Governor.create ~memory_bytes:grant ())
+              ~workers:1 b r.D.Optimizer.plan
+          with
+          | tuples, _ ->
+            let n = float_of_int (List.length tuples) in
+            if
+              n < cert.D.Absint.rows.I.lo -. 0.5
+              || n > cert.D.Absint.rows.I.hi +. 0.5
+            then
+              Alcotest.failf
+                "seed %d %s: %d rows escape the certificate's data-sound \
+                 band %s"
+                seed mode_name (List.length tuples)
+                (I.to_string cert.D.Absint.rows)
+          | exception D.Governor.Memory_exceeded { budget; in_use; requested }
+            ->
+            Alcotest.failf
+              "seed %d %s: certified at %d bytes but the run demanded %d \
+               over %d in use"
+              seed mode_name budget requested in_use)
         [ seed + 1; seed + 2; seed + 3 ])
     modes
 

@@ -1,18 +1,22 @@
-(* The batch engine's guard rails.
+(* The execution engine's guard rails.
 
    1. Randomized differential harness: seeded random catalogs and queries
       (Plangen), optimized in static and dynamic modes, every plan run
-      through the row engine, the batch engine swept over the full
-      worker widths {1,2,4,8} (so the morsel pool, work stealing and the
-      staged exchange drain are all on the hot path) and the naive
-      reference evaluator, asserting multiset-equal results — and
-      asserting the buffer pool holds zero pins after every single run,
-      so a morsel that leaks a pin under parallelism fails here first.
-   2. qcheck properties of Batch.t: selection-vector refinement/compaction
-      preserves the selected multiset, split/concat round-trip, capacity
-      is never exceeded.
-   3. Iterator re-open semantics in both engines: consuming twice — or
-      closing half-drained and consuming again — yields the same result. *)
+      with the worker width swept over {1,2,4,8} (so the morsel pool,
+      work stealing and the staged exchange drain are all on the hot
+      path), at tiny batch capacities, and through the naive reference
+      evaluator, asserting multiset-equal results — and asserting the
+      buffer pool holds zero pins after every single run, so a morsel
+      that leaks a pin under parallelism fails here first.
+   2. qcheck properties of Batch.t: selection-vector refinement keeps
+      exactly the selected multiset, of_tuples/to_tuples round-trips the
+      very arrays it was given, remap permutes columns by name, and
+      capacity is never exceeded.
+   3. Scans share their page's tuples: every tuple a file scan returns,
+      fused filter or not, sequential or parallel, is physically one of
+      the arrays on the relation's heap pages.
+   4. Iterator re-open semantics: consuming twice — or closing
+      half-drained and consuming again — yields the same result. *)
 
 module D = Dqep
 
@@ -65,20 +69,16 @@ let run_differential () =
               if not (D.Reference.multiset_equal expected got) then
                 fail label got
             in
-            let check_run label engine workers =
-              let tuples, stats = D.Executor.run db ~engine ~workers b plan in
+            let check_run label workers =
+              let tuples, stats = D.Executor.run db ~workers b plan in
               check label tuples
                 (D.Plan.schema catalog stats.D.Executor.resolved_plan);
               assert_no_leaks
                 (Printf.sprintf "seed %d, %s: pin leak" seed label)
                 db
             in
-            check_run "row engine" D.Exec_common.Row 1;
             List.iter
-              (fun w ->
-                check_run
-                  (Printf.sprintf "batch engine, %d workers" w)
-                  D.Exec_common.Batch w)
+              (fun w -> check_run (Printf.sprintf "%d workers" w) w)
               worker_sweep;
             (* Resolve choose nodes up front so the result's column order
                is known, then drive Batch_exec directly: tiny capacities
@@ -93,13 +93,13 @@ let run_differential () =
             let tuples, _ =
               D.Batch_exec.run_plan db env ~capacity:13 resolved
             in
-            check "batch engine, capacity 13" tuples resolved_schema;
+            check "capacity 13" tuples resolved_schema;
             assert_no_leaks "capacity 13: pin leak" db;
             if seed mod 5 = 0 then begin
               let tuples, profile =
                 D.Batch_exec.run_plan db env ~workers:3 ~capacity:64 resolved
               in
-              check "batch engine, 3 workers" tuples resolved_schema;
+              check "capacity 64, 3 workers" tuples resolved_schema;
               assert_no_leaks "3 workers: pin leak" db;
               Alcotest.(check bool)
                 "parallel profile reports workers" true
@@ -138,9 +138,9 @@ let arb_batch_input =
 
 let multiset tuples = List.sort compare (List.map Array.to_list tuples)
 
-let prop_refine_compact_preserve_multiset =
-  QCheck.Test.make ~name:"refine+compact preserve the selected multiset"
-    ~count:200 arb_batch_input (fun (cap, tuples) ->
+let prop_refine_preserves_multiset =
+  QCheck.Test.make ~name:"refine keeps the selected multiset" ~count:200
+    arb_batch_input (fun (cap, tuples) ->
       let batches = D.Batch.of_tuples ~capacity:cap batch_schema tuples in
       let keep t = t.(0) mod 2 = 0 in
       let survivors =
@@ -148,24 +148,52 @@ let prop_refine_compact_preserve_multiset =
           (fun b ->
             D.Batch.refine b (fun r ->
                 D.Batch.get_phys b ~col:0 ~row:r mod 2 = 0);
-            D.Batch.to_tuples (D.Batch.compact b))
+            (* A second refinement composes with the first selection. *)
+            D.Batch.refine b (fun r -> D.Batch.get_phys b ~col:1 ~row:r < 50);
+            D.Batch.to_tuples b)
           batches
       in
-      multiset survivors = multiset (List.filter keep tuples))
+      multiset survivors
+      = multiset (List.filter (fun t -> keep t && t.(1) < 50) tuples))
 
-let prop_split_concat_roundtrip =
-  QCheck.Test.make ~name:"split/concat round-trip" ~count:200 arb_batch_input
-    (fun (cap, tuples) ->
-      let batches = D.Batch.of_tuples ~capacity:cap batch_schema tuples in
-      let split_halves =
+let prop_tuples_roundtrip_shares =
+  QCheck.Test.make ~name:"of_tuples/to_tuples round-trip"
+    ~count:200 arb_batch_input (fun (cap, tuples) ->
+      let back =
+        List.concat_map D.Batch.to_tuples
+          (D.Batch.of_tuples ~capacity:cap batch_schema tuples)
+      in
+      List.length back = List.length tuples && List.for_all2 ( == ) back tuples)
+
+(* The same three columns under two layouts: (x, y | z) and (z | x, y). *)
+let remap_schemas =
+  let rel name attrs =
+    D.Schema.of_relation
+      (D.Relation.make ~name ~cardinality:1 ~record_bytes:8
+         ~attributes:
+           (List.map (fun a -> D.Attribute.make ~name:a ~domain_size:100) attrs))
+  in
+  let p = rel "P" [ "x"; "y" ] and q = rel "Q" [ "z" ] in
+  (D.Schema.concat p q, D.Schema.concat q p)
+
+let prop_remap_permutes_by_name =
+  QCheck.Test.make ~name:"remap permutes columns by name" ~count:200
+    arb_batch_input (fun (cap, tuples) ->
+      let source, target = remap_schemas in
+      let remapped =
         List.concat_map
           (fun b ->
-            let a, z = D.Batch.split b ~at:(D.Batch.length b / 2) in
-            [ a; z ])
-          batches
+            D.Batch.refine b (fun r -> D.Batch.get_phys b ~col:2 ~row:r >= 20);
+            D.Batch.to_tuples (D.Batch.remap ~target b))
+          (D.Batch.of_tuples ~capacity:cap source tuples)
       in
-      let repacked = D.Batch.concat ~capacity:cap batch_schema split_halves in
-      List.concat_map D.Batch.to_tuples repacked = tuples)
+      remapped
+      = List.filter_map
+          (fun t -> if t.(2) >= 20 then Some [| t.(2); t.(0); t.(1) |] else None)
+          tuples
+      && List.for_all
+           (fun b -> D.Batch.remap ~target:source b == b)
+           (D.Batch.of_tuples ~capacity:cap source tuples))
 
 let prop_capacity_never_exceeded =
   QCheck.Test.make ~name:"capacity never exceeded" ~count:200 arb_batch_input
@@ -188,10 +216,10 @@ let prop_capacity_never_exceeded =
 
 (* --- iterator re-open semantics ------------------------------------------ *)
 
-(* A hand-built index-join plan: its row-engine operator buffers pending
-   probe results across [next] calls, which is exactly the state a
-   re-open must discard (a partial drain followed by a fresh consume used
-   to replay stale tuples). *)
+(* A hand-built index-join plan: the operator buffers pending probe
+   results across [next] calls, which is exactly the state a re-open must
+   discard (a partial drain followed by a fresh consume used to replay
+   stale tuples). *)
 let reopen_fixture () =
   let q = D.Queries.chain ~relations:2 in
   let db = D.Database.build ~seed:17 q.D.Queries.catalog in
@@ -237,20 +265,21 @@ let reopen_fixture () =
   in
   (db, env, plan)
 
-let test_row_reopen () =
+(* Capacity 1 delivers one tuple per batch, so a two-batch partial drain
+   stops the index join mid-stream with probe results still buffered. *)
+let test_tuple_at_a_time_reopen () =
   let db, env, plan = reopen_fixture () in
-  let it = D.Executor.compile db env plan in
-  let first = D.Iterator.consume it in
+  let _ctx, it = D.Batch_exec.compile_with db env ~capacity:1 plan in
+  let first = D.Batch_exec.consume it in
   Alcotest.(check bool) "fixture produces rows" true (List.length first > 2);
-  let second = D.Iterator.consume it in
+  let second = D.Batch_exec.consume it in
   Alcotest.(check bool) "full reconsume equals first run" true
     (D.Reference.multiset_equal first second);
-  (* Partial drain, close, then a fresh consume. *)
-  it.D.Iterator.open_ ();
-  ignore (it.D.Iterator.next ());
-  ignore (it.D.Iterator.next ());
-  it.D.Iterator.close ();
-  let third = D.Iterator.consume it in
+  it.D.Batch_exec.open_ ();
+  ignore (it.D.Batch_exec.next ());
+  ignore (it.D.Batch_exec.next ());
+  it.D.Batch_exec.close ();
+  let third = D.Batch_exec.consume it in
   Alcotest.(check bool) "consume after partial drain equals first run" true
     (D.Reference.multiset_equal first third)
 
@@ -269,24 +298,81 @@ let test_batch_reopen () =
   Alcotest.(check bool) "consume after partial drain equals first run" true
     (D.Reference.multiset_equal first third)
 
-(* Both engines agree on the fixture too. *)
+(* Batch boundaries and worker width do not change the fixture's answer. *)
 let test_reopen_fixture_differential () =
   let db, env, plan = reopen_fixture () in
-  let row = D.Iterator.consume (D.Executor.compile db env plan) in
-  let batch, _ = D.Batch_exec.run_plan db env ~capacity:4 plan in
-  Alcotest.(check bool) "row and batch agree" true
-    (D.Reference.multiset_equal row batch)
+  let whole = D.Batch_exec.consume (D.Executor.compile db env plan) in
+  List.iter
+    (fun (capacity, workers) ->
+      let got, _ = D.Batch_exec.run_plan db env ~capacity ~workers plan in
+      Alcotest.(check bool)
+        (Printf.sprintf "capacity %d, %d workers agree" capacity workers)
+        true
+        (D.Reference.multiset_equal whole got))
+    [ (1, 1); (4, 1); (4, 3) ]
+
+(* --- scans share their page's tuples ------------------------------------ *)
+
+(* A scan hands on the arrays its heap pages hold rather than copies:
+   spilled pages stay resident, so a copying scan doubles the live heap
+   wherever results are retained. *)
+let test_scans_share_page_tuples () =
+  let q = D.Queries.chain ~relations:1 in
+  let catalog = q.D.Queries.catalog in
+  let db = D.Database.build ~seed:5 catalog in
+  let b = D.Bindings.make ~selectivities:[ ("hv1", 0.5) ] ~memory_pages:64 in
+  let env = D.Env.of_bindings catalog b in
+  let on_pages = ref [] in
+  D.Heap_file.scan (D.Database.pool db) (D.Database.heap db "R1")
+    (fun _ t -> on_pages := t :: !on_pages);
+  let builder = D.Plan.Builder.create env in
+  let scan =
+    D.Plan.Builder.operator builder (D.Physical.File_scan "R1") ~inputs:[]
+      ~rels:[ "R1" ]
+      ~rows:(D.Estimate.base_rows env "R1")
+      ~bytes_per_row:512 ~props:D.Props.unordered
+  in
+  let pred =
+    D.Predicate.select ~rel:"R1" ~attr:"a"
+      (D.Predicate.Host_var (D.Queries.host_var 1))
+  in
+  let filtered =
+    D.Plan.Builder.operator builder (D.Physical.Filter pred) ~inputs:[ scan ]
+      ~rels:[ "R1" ]
+      ~rows:(D.Estimate.select_rows env pred scan.D.Plan.rows)
+      ~bytes_per_row:512 ~props:D.Props.unordered
+  in
+  List.iter
+    (fun (label, plan, expect_all) ->
+      List.iter
+        (fun workers ->
+          let got, _ = D.Batch_exec.run_plan db env ~workers plan in
+          let label = Printf.sprintf "%s, %d workers" label workers in
+          Alcotest.(check bool) (label ^ ": rows returned") true
+            (got <> []
+            && (not expect_all || List.length got = List.length !on_pages));
+          List.iter
+            (fun t ->
+              if not (List.exists (fun p -> p == t) !on_pages) then
+                Alcotest.failf "%s: a returned tuple is a copy, not the page's"
+                  label)
+            got)
+        [ 1; 3 ])
+    [ ("file scan", scan, true); ("fused filter", filtered, false) ]
 
 let suite =
   ( "batch",
-    [ Alcotest.test_case "randomized differential: batch vs row vs reference"
-        `Slow test_differential;
-      QCheck_alcotest.to_alcotest prop_refine_compact_preserve_multiset;
-      QCheck_alcotest.to_alcotest prop_split_concat_roundtrip;
+    [ Alcotest.test_case "randomized differential vs reference" `Slow
+        test_differential;
+      QCheck_alcotest.to_alcotest prop_refine_preserves_multiset;
+      QCheck_alcotest.to_alcotest prop_tuples_roundtrip_shares;
+      QCheck_alcotest.to_alcotest prop_remap_permutes_by_name;
       QCheck_alcotest.to_alcotest prop_capacity_never_exceeded;
-      Alcotest.test_case "row iterator re-open semantics" `Quick
-        test_row_reopen;
+      Alcotest.test_case "tuple-at-a-time re-open semantics" `Quick
+        test_tuple_at_a_time_reopen;
       Alcotest.test_case "batch iterator re-open semantics" `Quick
         test_batch_reopen;
       Alcotest.test_case "re-open fixture differential" `Quick
-        test_reopen_fixture_differential ] )
+        test_reopen_fixture_differential;
+      Alcotest.test_case "scans share page tuples, never copy" `Quick
+        test_scans_share_page_tuples ] )

@@ -172,8 +172,8 @@ let test_sort_produces_order () =
       ~props:(D.Props.ordered [ col ])
   in
   let it = D.Executor.compile db env sorted in
-  let tuples = D.Iterator.consume it in
-  let pos = D.Schema.position_exn it.D.Iterator.schema col in
+  let tuples = D.Batch_exec.consume it in
+  let pos = D.Schema.position_exn it.D.Batch_exec.schema col in
   let rec is_sorted = function
     | [] | [ _ ] -> true
     | a :: (b :: _ as rest) -> a.(pos) <= b.(pos) && is_sorted rest
@@ -195,8 +195,8 @@ let test_btree_scan_ordered () =
       ~bytes_per_row:512 ~props:(D.Props.ordered [ col ])
   in
   let it = D.Executor.compile db env scan in
-  let tuples = D.Iterator.consume it in
-  let pos = D.Schema.position_exn it.D.Iterator.schema col in
+  let tuples = D.Batch_exec.consume it in
+  let pos = D.Schema.position_exn it.D.Batch_exec.schema col in
   let rec is_sorted = function
     | [] | [ _ ] -> true
     | a :: (b :: _ as rest) -> a.(pos) <= b.(pos) && is_sorted rest
@@ -225,10 +225,10 @@ let test_iterator_of_list () =
   let schema = D.Schema.of_relation
       (D.Relation.make ~name:"T" ~cardinality:1 ~record_bytes:8
          ~attributes:[ D.Attribute.make ~name:"x" ~domain_size:10 ]) in
-  let it = D.Iterator.of_list schema [ [| 1 |]; [| 2 |] ] in
-  Alcotest.(check int) "count" 2 (D.Iterator.count it);
+  let it = D.Batch_exec.of_tuples ~capacity:1 schema [ [| 1 |]; [| 2 |] ] in
+  Alcotest.(check int) "count" 2 (List.length (D.Batch_exec.consume it));
   (* Reopening restarts. *)
-  Alcotest.(check int) "count again" 2 (D.Iterator.count it)
+  Alcotest.(check int) "count again" 2 (List.length (D.Batch_exec.consume it))
 
 let test_empty_results () =
   let q = D.Queries.chain ~relations:2 in

@@ -47,8 +47,8 @@ let reference db catalog mem =
 
 let run_plan db env plan =
   let it = D.Executor.compile db env plan in
-  let tuples = D.Iterator.consume it in
-  D.Reference.normalize it.D.Iterator.schema tuples
+  let tuples = D.Batch_exec.consume it in
+  D.Reference.normalize it.D.Batch_exec.schema tuples
 
 let test_duplicate_join_keys () =
   (* Domain 3 over 60 rows: every key duplicated ~20x on both sides; the
@@ -134,9 +134,9 @@ let test_external_sort_many_runs () =
   in
   D.Buffer_pool.resize (D.Database.pool db) (Int.max 2 mem);
   let it = D.Executor.compile db env sorted in
-  let tuples = D.Iterator.consume it in
+  let tuples = D.Batch_exec.consume it in
   Alcotest.(check int) "complete" 3000 (List.length tuples);
-  let pos = D.Schema.position_exn it.D.Iterator.schema col in
+  let pos = D.Schema.position_exn it.D.Batch_exec.schema col in
   let rec is_sorted = function
     | [] | [ _ ] -> true
     | a :: (b :: _ as rest) -> a.(pos) <= b.(pos) && is_sorted rest

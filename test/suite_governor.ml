@@ -2,8 +2,8 @@
    memory accounting, typed failures through the resilient supervisor,
    graceful degradation (spill earlier under budget pressure), the
    memory-failover acceptance path, and the qcheck property that
-   cancelling at an arbitrary check tick — row engine, batch engine,
-   parallel exchange — never leaks a buffer-pool pin. *)
+   cancelling at an arbitrary check tick — sequential or mid parallel
+   exchange — never leaks a buffer-pool pin. *)
 
 module D = Dqep
 
@@ -127,24 +127,20 @@ let test_row_limit () =
 
 let test_generous_governor_is_transparent () =
   (* A governor with room to spare changes nothing: same tuples as the
-     ungoverned run, on both engines. *)
+     ungoverned run. *)
   let plan = dynamic_plan q2 in
   let db = D.Database.build ~seed:11 q2.D.Queries.catalog in
   let expected, _ = D.Executor.run db bindings2 plan in
-  List.iter
-    (fun engine ->
-      let gov =
-        D.Governor.create ~deadline:3600. ~memory_bytes:(1 lsl 24)
-          ~max_rows:1_000_000 ()
-      in
-      let tuples, _ = D.Executor.run db ~gov ~engine bindings2 plan in
-      Alcotest.(check int)
-        (D.Exec_common.engine_name engine ^ " row count unchanged")
-        (List.length expected) (List.length tuples);
-      Alcotest.(check int) "all memory released" 0 (D.Governor.charged_bytes gov);
-      Alcotest.(check bool) "checks were actually performed" true
-        (D.Governor.checks gov > 0))
-    [ D.Exec_common.Row; D.Exec_common.Batch ]
+  let gov =
+    D.Governor.create ~deadline:3600. ~memory_bytes:(1 lsl 24)
+      ~max_rows:1_000_000 ()
+  in
+  let tuples, _ = D.Executor.run db ~gov bindings2 plan in
+  Alcotest.(check int) "row count unchanged" (List.length expected)
+    (List.length tuples);
+  Alcotest.(check int) "all memory released" 0 (D.Governor.charged_bytes gov);
+  Alcotest.(check bool) "checks were actually performed" true
+    (D.Governor.checks gov > 0)
 
 let test_sort_spills_earlier_under_pressure () =
   (* Graceful degradation: the same sort that fits in memory ungoverned
@@ -281,8 +277,8 @@ let test_memory_violation_fails_over_to_low_memory_alternative () =
 let prop_cancellation_never_leaks_pins =
   QCheck.Test.make ~count:40 ~name:"cancel at random tick leaks no pins"
     QCheck.(
-      triple (int_range 1 25) (int_range 1 300) (int_range 0 2))
-    (fun (seed, tick, engine_sel) ->
+      triple (int_range 1 25) (int_range 1 300) bool)
+    (fun (seed, tick, wide) ->
       let inst = D.Plangen.generate ~seed in
       let db = D.Database.build ~seed:(seed * 7919) inst.D.Plangen.catalog in
       let plan =
@@ -293,22 +289,17 @@ let prop_cancellation_never_leaks_pins =
           .D.Optimizer.plan
       in
       let b = D.Plangen.bindings inst ~seed:(seed + tick) in
-      let engine, workers =
-        match engine_sel with
-        | 0 -> (D.Exec_common.Row, 1)
-        | 1 -> (D.Exec_common.Batch, 1)
-        | _ -> (D.Exec_common.Batch, 3) (* cancellation lands mid-exchange *)
-      in
+      (* Three workers: cancellation lands mid-exchange. *)
+      let workers = if wide then 3 else 1 in
       let gov = D.Governor.create ~cancel_after_checks:tick () in
-      (match D.Executor.run db ~gov ~engine ~workers b plan with
+      (match D.Executor.run db ~gov ~workers b plan with
       | _ -> () (* finished before the injected tick: also fine *)
       | exception D.Governor.Cancelled _ -> ());
       match D.Buffer_pool.leak_check (D.Database.pool db) with
       | Ok () -> true
       | Error msg ->
         QCheck.Test.fail_reportf
-          "seed %d, tick %d, %s/%d workers: %s" seed tick
-          (D.Exec_common.engine_name engine) workers msg)
+          "seed %d, tick %d, %d workers: %s" seed tick workers msg)
 
 (* --- cancellation under full-width parallelism --------------------------- *)
 
@@ -331,8 +322,7 @@ let test_cancel_under_eight_workers () =
     let tick = 1 + Random.State.int rng 400 in
     let gov = D.Governor.create ~cancel_after_checks:tick () in
     (match
-       D.Executor.run db ~gov ~engine:D.Exec_common.Batch ~workers:8 bindings2
-         plan
+       D.Executor.run db ~gov ~workers:8 bindings2 plan
      with
     | _ -> () (* finished before the injected tick: also fine *)
     | exception D.Governor.Cancelled _ -> incr cancelled
@@ -342,7 +332,7 @@ let test_cancel_under_eight_workers () =
     | Ok () -> ()
     | Error msg -> Alcotest.failf "tick %d: %s" tick msg);
     let tuples, _ =
-      D.Executor.run db ~engine:D.Exec_common.Batch ~workers:8 bindings2 plan
+      D.Executor.run db ~workers:8 bindings2 plan
     in
     Alcotest.(check int) "pool reusable after cancel" (List.length expected)
       (List.length tuples)

@@ -309,7 +309,7 @@ let test_partially_infeasible_plan_prunes_and_runs () =
        (D.Reference.normalize ref_schema expected)
        (normalized db stats tuples))
 
-(* A permanently broken heap page under the parallel batch engine: the
+(* A permanently broken heap page under a parallel exchange scan: the
    fault fires inside one exchange partition's worker domain, must
    surface as a typed [Io_fault] at the merge point, and must take the
    normal failover path — never deadlock the merge queue.  A watchdog
@@ -333,7 +333,7 @@ let test_exchange_partition_fault_is_typed_and_terminates () =
   install db
     (D.Fault.config ~broken_pages:[ (broken, D.Fault.Permanent) ] ~seed:1 ());
   let config =
-    D.Resilience.config ~engine:D.Exec_common.Batch ~workers:4 ()
+    D.Resilience.config ~workers:4 ()
   in
   let result, rstats =
     Test_util.with_watchdog "resilience: exchange-partition fault" (fun () ->

@@ -570,7 +570,10 @@ let test_overload_sheds_typed () =
   (match S.Server.handle server (run_request ~id:0 sql) with
   | P.Ok_reply _ -> ()
   | r -> Alcotest.failf "warm-up: %s" (P.render_response r));
-  let n = 24 in
+  (* Enough requests that the spawned clients overlap the first one:
+     it starts serving while the other domains are still spawning, and
+     a short storm can end before they arrive. *)
+  let n = 200 in
   let lines =
     Array.init n (fun i -> P.render_request (run_request ~id:i sql))
   in
