@@ -315,17 +315,38 @@ let feasibility ~catalog plan =
 
 let semantics ~catalog plan =
   let diags = ref [] in
-  let add d = diags := d :: !diags in
+  (* A node can name one missing object twice (an index scan's key and
+     its filter column); report it once. *)
+  let add d = if not (List.mem d !diags) then diags := d :: !diags in
   let rel_known r = Catalog.relation catalog r <> None in
+  (* A column whose attribute the catalog no longer has is drift, not
+     corruption: it gets the feasibility code, so activation prunes or
+     raises [Infeasible] instead of rejecting the plan. *)
+  let in_catalog site (c : Col.t) =
+    need_attr ~catalog ~add site c.Col.rel c.Col.attr
+  in
   let in_scope site what schema (c : Col.t) =
     match schema with
     | None -> ()  (* the input is already broken; avoid cascades *)
     | Some s ->
-      if not (Schema.mem s c) then
+      if (not (Schema.mem s c)) && in_catalog site c then
         add
           (diag ~site Diagnostic.Attribute_out_of_scope
              "%s column %s does not resolve in the input schema" what
              (Col.to_string c))
+  in
+  (* A join predicate that fails to span its inputs only because one of
+     its columns was dropped is likewise drift. *)
+  let misses_span site (e : Predicate.equi) a b =
+    let spans =
+      (Schema.mem a e.Predicate.left && Schema.mem b e.Predicate.right)
+      || (Schema.mem b e.Predicate.left && Schema.mem a e.Predicate.right)
+    in
+    if spans then false
+    else
+      let left_known = in_catalog site e.Predicate.left in
+      let right_known = in_catalog site e.Predicate.right in
+      left_known && right_known
   in
   (* Bottom-up schema and relation-set computation, memoized by physical
      node so shared subplans are checked once. *)
@@ -374,12 +395,7 @@ let semantics ~catalog plan =
           (fun (e : Predicate.equi) ->
             match (schema_of l, schema_of r) with
             | Some ls, Some rs ->
-              let spans =
-                (Schema.mem ls e.Predicate.left && Schema.mem rs e.Predicate.right)
-                || (Schema.mem rs e.Predicate.left
-                   && Schema.mem ls e.Predicate.right)
-              in
-              if not spans then
+              if misses_span site e ls rs then
                 add
                   (diag ~site Diagnostic.Join_pred_span
                      "join predicate %s does not span the inputs"
@@ -402,12 +418,7 @@ let semantics ~catalog plan =
           (fun (e : Predicate.equi) ->
             match (schema_of outer, inner_schema) with
             | Some os, Some is ->
-              let spans =
-                (Schema.mem os e.Predicate.left && Schema.mem is e.Predicate.right)
-                || (Schema.mem is e.Predicate.left
-                   && Schema.mem os e.Predicate.right)
-              in
-              if not spans then
+              if misses_span site e os is then
                 add
                   (diag ~site Diagnostic.Join_pred_span
                      "index-join predicate %s does not span outer input and %s"

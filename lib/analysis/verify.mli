@@ -23,7 +23,9 @@
 
     The pass is wired into {!Dqep_optimizer.Search} (debug winner
     verification), the [dqep analyze] CLI subcommand, and the executor's
-    activation-time hook ({!Dqep_exec.Executor.check_feasible}). *)
+    activation-time hook ({!Dqep_exec.Executor.check_feasible}), which
+    runs it once per plan and catalog; failures and pruned results are
+    re-checked every time. *)
 
 module Diagnostic = Dqep_util.Diagnostic
 module Plan = Dqep_plans.Plan
@@ -47,7 +49,9 @@ val semantics : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
 (** Catalog resolution (relations, attributes, indexes), attribute scope
     through the operator tree, join predicates spanning their inputs,
     node [rels] consistency, and choose-alternative equivalence (same
-    relation set, compatible order). *)
+    relation set, compatible order).  A filter, sort or join column whose
+    attribute the catalog lacks is reported as drift (DQEP301/302), not
+    as a scope or span error (DQEP304/305). *)
 
 val feasibility : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
 (** The catalog-resolution subset of {!semantics} — exactly its

@@ -250,6 +250,12 @@ let exchange_scan ctx schema fused heap =
                 if !drain_pos >= Array.length !slots then None
                 else begin
                   let slot = (!slots).(!drain_pos) in
+                  (* Read [eos] before draining: the worker sets it after
+                     its last push, so a stripe already finished here
+                     has staged everything the exchange below takes.
+                     Read after, a push landing in between would be
+                     skipped. *)
+                  let finished = Atomic.get slot.eos in
                   let got = Atomic.exchange slot.staged [] in
                   if got <> [] then begin
                     (* Chunks arrive newest-first; re-reversing each
@@ -257,7 +263,7 @@ let exchange_scan ctx schema fused heap =
                     buffered := List.rev got;
                     pop ()
                   end
-                  else if Atomic.get slot.eos then begin
+                  else if finished then begin
                     incr drain_pos;
                     pop ()
                   end

@@ -48,7 +48,7 @@ let memory_pages = Exec_common.memory_pages
    referencing a dropped object either loses only some choose-plan
    alternatives — then the pruned plan runs — or is truly dead and raises
    [Infeasible] instead of an arbitrary [Invalid_argument] mid-iteration. *)
-let check_feasible db env plan =
+let verify_activation db env plan =
   let catalog = Database.catalog db in
   let corrupt =
     Dqep_analysis.Verify.plan ~catalog plan
@@ -63,6 +63,34 @@ let check_feasible db env plan =
     match Dqep_plans.Validate.prune_infeasible env catalog plan with
     | Some pruned -> pruned
     | None -> raise (Infeasible problems))
+
+(* Both checks are pure functions of the immutable plan and catalog, so
+   [check_feasible] runs them once per plan and catalog; failures and
+   pruned results are re-checked every time.  Only the verdict "plan
+   returned unchanged" is remembered: a pruned plan depends on [env]
+   (the builder re-costs it), and keeping failures on the uncached path
+   means the memo can only skip work that would have succeeded.  The
+   memo is direct-mapped on the root pid, and each slot holds the
+   (plan, catalog) pair in an ephemeron: it keeps no plan or catalog
+   alive, never grows, and a collision costs one re-verification.
+   Ephemerons are immutable and a slot is one atomic word, so domains
+   share the memo without a lock. *)
+let verdict_slots = 256
+
+let verdicts :
+    (Plan.t, Dqep_catalog.Catalog.t, unit) Ephemeron.K2.t option Atomic.t array =
+  Array.init verdict_slots (fun _ -> Atomic.make None)
+
+let check_feasible db env (plan : Plan.t) =
+  let catalog = Database.catalog db in
+  let slot = verdicts.(plan.Plan.pid land (verdict_slots - 1)) in
+  match Atomic.get slot with
+  | Some e when Ephemeron.K2.query e plan catalog <> None -> plan
+  | _ ->
+    let checked = verify_activation db env plan in
+    if checked == plan then
+      Atomic.set slot (Some (Ephemeron.K2.make plan catalog ()));
+    checked
 
 let compile db env plan = snd (Batch_exec.compile_with db env plan)
 

@@ -51,9 +51,21 @@ val check_feasible :
     take the classic path ({!Dqep_plans.Validate}) — the plan is returned
     unchanged when it checks out, pruned when only some choose-plan
     alternatives are infeasible.
+
+    The check runs once per plan and catalog; failures and pruned
+    results are re-checked every time.  A plan returned unchanged is
+    remembered by physical identity of the plan and of the database's
+    catalog, in a small fixed-size memo that holds both weakly, so
+    later activations skip both catalog walks.  Safe to call from
+    several domains at once.
     @raise Invalid_plan on error-severity diagnostics outside the
     feasibility subset.
     @raise Infeasible when nothing feasible remains. *)
+
+val verdict_slots : int
+(** Size of {!check_feasible}'s memo.  It is direct-mapped on the root
+    pid: plans whose root pids are congruent modulo [verdict_slots]
+    share a slot, and the later one evicts the earlier. *)
 
 val compile :
   Dqep_storage.Database.t ->

@@ -333,6 +333,8 @@ module Breaker = Dqep_serve.Breaker
 module Paper_catalog = Dqep_workload.Paper_catalog
 module Sql = Dqep_sql.Sql
 module Rng = Dqep_util.Rng
+module Catalog = Dqep_catalog.Catalog
+module Index = Dqep_catalog.Index
 
 type serve_tally = {
   requests : int;
@@ -346,6 +348,9 @@ type serve_tally = {
   poisoned_trips : int;  (** breaker trips of the poisoned shape *)
   poisoned_ok : int;  (** poisoned-shape requests that completed anyway *)
   healthy_ok : int;  (** completions across the healthy shapes *)
+  drifted_ok : int;  (** drifted-shape requests completed on a pruned plan *)
+  drifted_infeasible : int;  (** drifted-shape requests ended [infeasible] *)
+  drifted_rejected : int;  (** drifted-shape verifier rejections; must be 0 *)
   untyped : string list;  (** unparseable/blank responses; must be [] *)
   internal_errors : string list;  (** class=internal details; must be [] *)
   leaks : string list;  (** buffer-pool pin leaks across every db; must be [] *)
@@ -355,13 +360,15 @@ type serve_tally = {
 
 let pp_serve_tally ppf t =
   Format.fprintf ppf
-    "@[<v>%d requests: %d ok (%d cache-hit, %d poisoned-shape, %d healthy), \
-     %d typed failures, %d client errors, %d/%d/%d shed \
-     (door/queue-deadline/breaker); %d poisoned-shape trips; %d untyped; %d \
-     internal; %d leaks; %d pool bytes@]"
+    "@[<v>%d requests: %d ok (%d cache-hit, %d poisoned-shape, %d healthy, \
+     %d drifted), %d typed failures, %d client errors, %d/%d/%d shed \
+     (door/queue-deadline/breaker); %d poisoned-shape trips; drifted shape \
+     %d infeasible, %d rejected; %d untyped; %d internal; %d leaks; %d pool \
+     bytes@]"
     t.requests t.ok t.cache_hits_served t.poisoned_ok t.healthy_ok
-    t.failed_typed t.client_errors t.shed_queue_full t.shed_queue_timeout
-    t.shed_breaker_open t.poisoned_trips
+    t.drifted_ok t.failed_typed t.client_errors t.shed_queue_full
+    t.shed_queue_timeout t.shed_breaker_open t.poisoned_trips
+    t.drifted_infeasible t.drifted_rejected
     (List.length t.untyped)
     (List.length t.internal_errors)
     (List.length t.leaks) t.pool_leak_bytes
@@ -386,13 +393,45 @@ let serve_shape ~relations i =
   in
   Sql.render { Sql.tables; selections; joins }
 
+(* The drifted shape selects on an indexed attribute no other shape
+   filters on.  Its databases are built from a catalog that has lost that
+   index since the server optimized the shape, so its cached plan
+   references a dropped object: activation must prune to the file-scan
+   alternative or end [infeasible], never reject the plan as corrupt. *)
+let drifted_rel = Paper_catalog.rel_name 1
+let drifted_attr = Paper_catalog.join_left_attr
+
+let drifted_shape =
+  Sql.render
+    { Sql.tables = [ drifted_rel ];
+      selections = [ (drifted_rel, drifted_attr, Sql.Host "u") ];
+      joins = [] }
+
+let without_drifted_index catalog =
+  Catalog.create ~page_bytes:(Catalog.page_bytes catalog)
+    ~relations:(Catalog.relations catalog)
+    ~indexes:
+      (List.filter
+         (fun (i : Index.t) ->
+           not (i.relation = drifted_rel && i.attribute = drifted_attr))
+         (Catalog.indexes catalog))
+    ()
+
 let serve_soak ?(clients = 4) ?(requests = 256) ?(seed = 1)
     ?(max_inflight = 3) ?(max_queue = 4) ?(relations = 3) () =
   if clients < 1 then invalid_arg "Chaos.serve_soak: clients < 1";
   if requests < 1 then invalid_arg "Chaos.serve_soak: requests < 1";
   if relations < 1 then invalid_arg "Chaos.serve_soak: relations < 1";
   let catalog = Paper_catalog.make ~relations in
-  let shapes = Array.init relations (fun i -> serve_shape ~relations i) in
+  (* Shapes 0 .. relations-1 are the chains (0 poisoned); the last one
+     is the drifted shape. *)
+  let shapes =
+    Array.append
+      (Array.init relations (fun i -> serve_shape ~relations i))
+      [| drifted_shape |]
+  in
+  let n_shapes = Array.length shapes in
+  let drifted = n_shapes - 1 in
   let keys =
     Array.map
       (fun sql ->
@@ -401,7 +440,7 @@ let serve_soak ?(clients = 4) ?(requests = 256) ?(seed = 1)
         | Error e -> invalid_arg ("Chaos.serve_soak: bad shape SQL: " ^ e))
       shapes
   in
-  let poisoned_key = keys.(0) in
+  let poisoned_key = keys.(0) and drifted_key = keys.(drifted) in
   (* Track every database either pool ever builds, for the pin-leak
      sweep at the end. *)
   let all_dbs = ref [] in
@@ -431,12 +470,22 @@ let serve_soak ?(clients = 4) ?(requests = 256) ?(seed = 1)
   let poisoned_acquire, poisoned_release =
     Server.db_pool ~build:build_poisoned ~slots:(max_inflight + clients) ()
   in
+  let drifted_catalog = without_drifted_index catalog in
+  let drifted_acquire, drifted_release =
+    Server.db_pool
+      ~build:(fun () -> track (Database.build ~seed drifted_catalog))
+      ~slots:(max_inflight + clients) ()
+  in
+  (* The server keeps serving [catalog] (its fingerprint never moves):
+     only the databases it borrows for the drifted shape have drifted. *)
   let acquire ~shape =
     if shape = poisoned_key then poisoned_acquire ~shape
+    else if shape = drifted_key then drifted_acquire ~shape
     else healthy_acquire ~shape
   in
   let release ~shape db =
     if shape = poisoned_key then poisoned_release ~shape db
+    else if shape = drifted_key then drifted_release ~shape db
     else healthy_release ~shape db
   in
   let config =
@@ -454,7 +503,7 @@ let serve_soak ?(clients = 4) ?(requests = 256) ?(seed = 1)
   let rng = Rng.create (seed * 65537) in
   let lines =
     Array.init requests (fun i ->
-        let shape = i mod relations in
+        let shape = i mod n_shapes in
         let u = 0.05 +. Rng.uniform rng 0. 0.9 in
         (* Every 7th request carries a millisecond-scale deadline, so
            deadline shedding and queue-deadline interplay are part of
@@ -480,16 +529,16 @@ let serve_soak ?(clients = 4) ?(requests = 256) ?(seed = 1)
       (fun acc r -> if p r then acc + 1 else acc)
       0 parsed
   in
-  let shape_of i = i mod relations in
-  let ok_for poisoned =
+  (* Responses of shape [s] (by request index) satisfying [p]. *)
+  let count_shape p s =
     let n = ref 0 in
-    Array.iteri
-      (fun i r ->
-        match r with
-        | Ok (Protocol.Ok_reply _) when poisoned = (shape_of i = 0) -> incr n
-        | _ -> ())
-      parsed;
+    Array.iteri (fun i r -> if i mod n_shapes = s && p r then incr n) parsed;
     !n
+  in
+  let is_ok = function Ok (Protocol.Ok_reply _) -> true | _ -> false in
+  let is_class c = function
+    | Ok (Protocol.Error_reply { class_; _ }) -> class_ = c
+    | _ -> false
   in
   let leaks =
     Mutex.lock dbs_mu;
@@ -540,8 +589,13 @@ let serve_soak ?(clients = 4) ?(requests = 256) ?(seed = 1)
       (match Server.breaker server ~shape:poisoned_key with
       | None -> 0
       | Some b -> Breaker.trips b);
-    poisoned_ok = ok_for true;
-    healthy_ok = ok_for false;
+    poisoned_ok = count_shape is_ok 0;
+    healthy_ok =
+      List.fold_left ( + ) 0
+        (List.init (relations - 1) (fun s -> count_shape is_ok (s + 1)));
+    drifted_ok = count_shape is_ok drifted;
+    drifted_infeasible = count_shape (is_class "infeasible") drifted;
+    drifted_rejected = count_shape (is_class "rejected") drifted;
     untyped =
       Array.to_list parsed
       |> List.filter_map (function Error e -> Some e | Ok _ -> None);

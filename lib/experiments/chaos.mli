@@ -67,14 +67,17 @@ val run :
     Client domains hammer a {!Dqep_serve.Server} over the paper catalog
     with a fixed set of query shapes — one of which is {e poisoned}:
     every database the server borrows for it runs on dead storage
-    (permanent faults on all I/O).  The storm mixes millisecond
+    (permanent faults on all I/O).  Another is {e drifted}: the
+    databases it borrows lack an index its cached plan uses, while the
+    server's catalog still has it.  The storm mixes millisecond
     deadlines and admission overload into the same request stream.
 
     The serving contract under the storm: every request line gets
     exactly one typed response ({!serve_tally.untyped} empty, no
     [class=internal] errors), no database leaks a buffer-pool pin, the
     session memory pool drains to zero, the poisoned shape trips its
-    breaker, and the healthy shapes keep completing. *)
+    breaker, the healthy shapes keep completing, and the drifted shape
+    completes on a pruned plan or ends [infeasible], never [rejected]. *)
 
 type serve_tally = {
   requests : int;
@@ -88,6 +91,9 @@ type serve_tally = {
   poisoned_trips : int;  (** breaker trips of the poisoned shape *)
   poisoned_ok : int;  (** poisoned-shape requests that completed anyway *)
   healthy_ok : int;  (** completions across the healthy shapes *)
+  drifted_ok : int;  (** drifted-shape requests completed on a pruned plan *)
+  drifted_infeasible : int;  (** drifted-shape requests ended [infeasible] *)
+  drifted_rejected : int;  (** drifted-shape verifier rejections; must be 0 *)
   untyped : string list;  (** unparseable/blank responses; must be [] *)
   internal_errors : string list;  (** class=internal details; must be [] *)
   leaks : string list;  (** buffer-pool pin leaks across every db; must be [] *)
@@ -108,6 +114,7 @@ val serve_soak :
   serve_tally
 (** Defaults: 4 client domains, 256 requests, seed 1, 3 admission
     slots, queue bound 4 (8+ clients overload it, exercising door
-    sheds), 3 relations (= 3 shapes, shape 0 poisoned).
+    sheds), 3 relations (= 3 chain shapes, shape 0 poisoned, plus the
+    drifted shape).
     Exchange width follows [DQEP_WORKERS], as everywhere.  Blocks until
     every request has its response. *)

@@ -8,10 +8,12 @@
 
    With --serve the soak runs through the serving layer instead: client
    domains hammer a Server (wire protocol, plan cache, per-shape
-   breakers) whose poisoned shape rides dead storage, and the contract
-   adds typed responses for every line, a tripped breaker on the
-   poisoned shape with healthy shapes still completing, and a drained
-   session memory pool. *)
+   breakers) whose poisoned shape rides dead storage and whose drifted
+   shape borrows databases that lack an index its cached plan uses.
+   The contract adds typed responses for every line, a tripped breaker
+   on the poisoned shape with healthy shapes still completing, drifted
+   requests that complete on a pruned plan or end infeasible (never
+   rejected), and a drained session memory pool. *)
 
 module Chaos = Dqep.Experiments.Chaos
 
@@ -55,6 +57,11 @@ let serve_soak ~workers ~jobs ~seed ~max_inflight =
     fail "no healthy-shape request completed during the storm";
   if t.Chaos.cache_hits_served = 0 then
     fail "no request was served from the plan cache";
+  if t.Chaos.drifted_rejected > 0 then
+    fail "%d drifted-shape requests rejected as corrupt plans"
+      t.Chaos.drifted_rejected;
+  if t.Chaos.drifted_ok + t.Chaos.drifted_infeasible = 0 then
+    fail "no drifted-shape request reached activation";
   !errors
 
 let () =

@@ -303,6 +303,252 @@ let test_missing_relation_stays_infeasible () =
     Alcotest.(check bool) "names the relation" true
       (List.mem (D.Validate.Missing_relation "Nope") problems)
 
+(* --- catalog drift on columns --------------------------------------------- *)
+
+let no_bindings = D.Bindings.make ~selectivities:[] ~memory_pages:64
+
+(* SELECT * FROM R1 WHERE R1.a <= 5 over the 2-relation paper catalog:
+   a Filter-B-tree-Scan on R1.a. *)
+let index_selection catalog =
+  let q =
+    Result.get_ok (D.Sql.compile catalog "SELECT * FROM R1 WHERE R1.a <= 5")
+  in
+  let plan =
+    (Result.get_ok (D.Optimizer.optimize ~mode:(D.Optimizer.dynamic ()) catalog q))
+      .D.Optimizer.plan
+  in
+  (match plan.D.Plan.op with
+  | D.Physical.Filter_btree_scan { rel = "R1"; attr = "a"; _ } -> ()
+  | _ ->
+    Alcotest.failf "expected a B-tree filter scan on R1.a: %s"
+      (Format.asprintf "%a" D.Plan.pp plan));
+  plan
+
+let test_dropped_attribute_is_infeasible () =
+  let catalog = D.Paper_catalog.make ~relations:2 in
+  let plan = index_selection catalog in
+  let drifted = Test_util.without_attribute catalog ~rel:"R1" ~attr:"a" in
+  let db = D.Database.build ~seed:7 drifted in
+  let names problems =
+    Alcotest.(check bool) "names the attribute" true
+      (List.mem (D.Validate.Missing_attribute { rel = "R1"; attr = "a" })
+         problems)
+  in
+  (match D.Executor.run db no_bindings plan with
+  | _ -> Alcotest.fail "plan over a dropped attribute executed"
+  | exception D.Executor.Infeasible problems -> names problems);
+  match D.Resilience.run db no_bindings plan with
+  | Error (D.Resilience.Infeasible problems), _ -> names problems
+  | Ok _, _ -> Alcotest.fail "plan over a dropped attribute executed (supervised)"
+  | Error f, _ ->
+    Alcotest.failf "wrong failure kind: %a" D.Resilience.pp_failure f
+
+let test_dropped_columns_are_drift () =
+  (* Filter, sort and join columns whose attribute left the catalog get
+     the feasibility code, not a scope or span error. *)
+  let c, b = builder () in
+  let op op inputs rels =
+    D.Plan.Builder.operator b op ~inputs ~rels ~rows:(I.point 50.)
+      ~bytes_per_row:512 ~props:D.Props.unordered
+  in
+  let r = scan b "R" and s = scan b "S" in
+  let plans =
+    [ ( "filter",
+        op
+          (D.Physical.Filter
+             (D.Predicate.select ~rel:"R" ~attr:"j" (D.Predicate.Bound 0.5)))
+          [ r ] [ "R" ] );
+      ("sort", op (D.Physical.Sort [ col "R" "j" ]) [ r ] [ "R" ]);
+      ( "join",
+        op
+          (D.Physical.Hash_join
+             [ D.Predicate.equi ~left:(col "S" "a") ~right:(col "R" "j") ])
+          [ s; r ] [ "R"; "S" ] ) ]
+  in
+  let drifted = Test_util.without_attribute c ~rel:"R" ~attr:"j" in
+  List.iter
+    (fun (name, p) ->
+      no_errors name (D.Verify.semantics ~catalog:c p);
+      let diags = D.Verify.semantics ~catalog:drifted p in
+      fires name Dg.Missing_attribute diags;
+      Alcotest.(check (list string))
+        (name ^ ": only feasibility errors") []
+        (List.filter_map
+           (fun d ->
+             if Dg.is_feasibility d.Dg.code then None else Some (Dg.id d.Dg.code))
+           (Dg.errors diags)))
+    plans
+
+(* --- the activation verdict memo ------------------------------------------ *)
+
+(* What one activation check returned.  Pruned plans are compared by
+   shape: pruning rebuilds nodes under fresh pids. *)
+type activation =
+  | Unchanged
+  | Pruned of string
+  | Infeasible of D.Validate.problem list
+  | Rejected of Dg.t list
+
+let rec sketch (p : D.Plan.t) =
+  Format.asprintf "%a(%s)" D.Physical.pp p.D.Plan.op
+    (String.concat ", " (List.map sketch p.D.Plan.inputs))
+
+let classify plan f =
+  match f () with
+  | p when p == plan -> Unchanged
+  | p -> Pruned (sketch p)
+  | exception D.Executor.Infeasible ps -> Infeasible ps
+  | exception D.Executor.Invalid_plan ds -> Rejected ds
+
+(* The activation check as specified, with no memo. *)
+let reference_activation db env plan =
+  let catalog = D.Database.catalog db in
+  classify plan (fun () ->
+      let corrupt =
+        Dg.errors (D.Verify.plan ~catalog plan)
+        |> List.filter (fun d -> not (Dg.is_feasibility d.Dg.code))
+      in
+      if corrupt <> [] then raise (D.Executor.Invalid_plan corrupt);
+      match D.Validate.check catalog plan with
+      | Ok () -> plan
+      | Error problems -> (
+        match D.Validate.prune_infeasible env catalog plan with
+        | Some pruned -> pruned
+        | None -> raise (D.Executor.Infeasible problems)))
+
+let kind = function
+  | Unchanged -> "unchanged"
+  | Pruned _ -> "pruned"
+  | Infeasible _ -> "infeasible"
+  | Rejected _ -> "rejected"
+
+(* Activate [plan] on [db] and check the memoized answer against the
+   reference; returns it. *)
+let activate name db plan =
+  let env = D.Env.dynamic (D.Database.catalog db) in
+  let got = classify plan (fun () -> D.Executor.check_feasible db env plan) in
+  let want = reference_activation db env plan in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %s, reference %s" name (kind got) (kind want))
+    true (got = want);
+  got
+
+let expect name want got =
+  Alcotest.(check string) name want (kind got)
+
+let test_memo_keyed_on_catalog () =
+  let catalog = D.Paper_catalog.make ~relations:2 in
+  let plan = index_selection catalog in
+  let intact = D.Database.build ~seed:7 catalog in
+  let drifted =
+    D.Database.build ~seed:7
+      (Test_util.without_attribute catalog ~rel:"R1" ~attr:"a")
+  in
+  for round = 1 to 2 do
+    let name what = Printf.sprintf "round %d, %s" round what in
+    expect (name "intact") "unchanged" (activate (name "intact") intact plan);
+    expect (name "again") "unchanged" (activate (name "again") intact plan);
+    expect (name "drifted") "infeasible"
+      (activate (name "drifted") drifted plan)
+  done
+
+let test_memo_rechecks_corrupt_plans () =
+  let c, b = builder () in
+  let bad = I.unchecked ~lo:5. ~hi:1. in
+  let corrupt = raw_scan b ~own:bad ~total:bad "R" in
+  let db = D.Database.build ~seed:7 c in
+  expect "first activation" "rejected" (activate "first" db corrupt);
+  expect "second activation" "rejected" (activate "second" db corrupt)
+
+let test_memo_skips_pruned_plans () =
+  let q = D.Queries.chain ~relations:2 in
+  let catalog = q.D.Queries.catalog in
+  let plan =
+    (Result.get_ok
+       (D.Optimizer.optimize ~mode:(D.Optimizer.dynamic ()) catalog
+          q.D.Queries.query))
+      .D.Optimizer.plan
+  in
+  let intact = D.Database.build ~seed:7 catalog in
+  let drifted =
+    D.Database.build ~seed:7 (Test_util.without_index catalog ~rel:"R1" ~attr:"a")
+  in
+  let first = activate "drifted" drifted plan in
+  expect "drifted db prunes" "pruned" first;
+  List.iter
+    (fun (name, db) ->
+      let got = activate name db plan in
+      if db == intact then expect name "unchanged" got
+      else
+        Alcotest.(check bool) (name ^ " prunes the same way") true (got = first))
+    [ ("drifted again", drifted); ("intact", intact);
+      ("drifted after intact", drifted); ("intact again", intact) ]
+
+let test_memo_slot_collisions () =
+  (* Three plans whose root pids share one slot, activated in turn: each
+     evicts the previous verdict, and none borrows another's. *)
+  let c = catalog () in
+  let db = D.Database.build ~seed:7 c in
+  let fresh () = D.Plan.Builder.create (D.Env.dynamic c) in
+  let slot (p : D.Plan.t) = p.D.Plan.pid mod D.Executor.verdict_slots in
+  let first = scan (fresh ()) "R" in
+  let rec sharing mk =
+    let p = mk () in
+    if slot p = slot first then p else sharing mk
+  in
+  let second = sharing (fun () -> scan (fresh ()) "S") in
+  let bad = I.unchecked ~lo:5. ~hi:1. in
+  let corrupt = sharing (fun () -> raw_scan (fresh ()) ~own:bad ~total:bad "R") in
+  for round = 1 to 3 do
+    List.iter
+      (fun (name, p, want) ->
+        let name = Printf.sprintf "round %d, %s" round name in
+        expect name want (activate name db p))
+      [ ("first", first, "unchanged");
+        ("second", second, "unchanged");
+        ("corrupt", corrupt, "rejected") ]
+  done
+
+(* Verify a plan nobody else holds; only [probe] sees it afterwards. *)
+let verify_and_drop db probe =
+  let env = D.Env.dynamic (D.Database.catalog db) in
+  let p = scan (D.Plan.Builder.create env) "R" in
+  ignore (D.Executor.check_feasible db env p : D.Plan.t);
+  Weak.set probe 0 (Some p)
+[@@inline never]
+
+let test_memo_keeps_no_plan_alive () =
+  let db = D.Database.build ~seed:7 (catalog ()) in
+  let probe = Weak.create 1 in
+  verify_and_drop db probe;
+  Gc.full_major ();
+  Alcotest.(check bool) "the dropped plan was collected" false
+    (Weak.check probe 0)
+
+let verify_fresh db n =
+  let env = D.Env.dynamic (D.Database.catalog db) in
+  for _ = 1 to n do
+    let p = scan (D.Plan.Builder.create env) "R" in
+    ignore (D.Executor.check_feasible db env p : D.Plan.t)
+  done
+[@@inline never]
+
+let test_memo_footprint_is_flat () =
+  let db = D.Database.build ~seed:7 (catalog ()) in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  (* Fill every slot first, so the fixed table is in the baseline. *)
+  verify_fresh db (4 * D.Executor.verdict_slots);
+  let before = live_words () in
+  verify_fresh db 10_000;
+  let after = live_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words %d -> %d after 10k verified plans" before after)
+    true
+    (after - before < 8192)
+
 (* --- diagnostics as data -------------------------------------------------- *)
 
 let test_validate_collects_all () =
@@ -554,6 +800,22 @@ let suite =
         test_executor_rejects_corrupt_plan;
       Alcotest.test_case "missing relation stays infeasible" `Quick
         test_missing_relation_stays_infeasible;
+      Alcotest.test_case "dropped attribute is infeasible" `Quick
+        test_dropped_attribute_is_infeasible;
+      Alcotest.test_case "dropped columns are drift" `Quick
+        test_dropped_columns_are_drift;
+      Alcotest.test_case "verdict memo is keyed on the catalog" `Quick
+        test_memo_keyed_on_catalog;
+      Alcotest.test_case "verdict memo re-checks corrupt plans" `Quick
+        test_memo_rechecks_corrupt_plans;
+      Alcotest.test_case "verdict memo skips pruned plans" `Quick
+        test_memo_skips_pruned_plans;
+      Alcotest.test_case "verdict memo slot collisions" `Quick
+        test_memo_slot_collisions;
+      Alcotest.test_case "verdict memo keeps no plan alive" `Quick
+        test_memo_keeps_no_plan_alive;
+      Alcotest.test_case "verdict memo footprint is flat" `Quick
+        test_memo_footprint_is_flat;
       Alcotest.test_case "validate collects every diagnostic" `Quick
         test_validate_collects_all;
       Alcotest.test_case "JSON rendering" `Quick test_json_rendering;

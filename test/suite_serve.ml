@@ -365,6 +365,88 @@ let test_drift_invalidation () =
   | P.Ok_reply { cache = P.Hit; _ } -> ()
   | r -> Alcotest.failf "post-reoptimize: %s" (P.render_response r)
 
+let test_dropped_attribute_infeasible () =
+  (* The database the server borrows has lost R1.a and its index while
+     the server's catalog, and so its fingerprint, still has them: the
+     cached plan is drift, answered [infeasible] and evicted, not
+     rejected as corrupt. *)
+  let catalog = D.Paper_catalog.make ~relations:2 in
+  let drifted = Test_util.without_attribute catalog ~rel:"R1" ~attr:"a" in
+  let drift = ref false in
+  let acquire ~shape:_ =
+    D.Database.build ~seed:11 (if !drift then drifted else catalog)
+  in
+  let server =
+    S.Server.create ~acquire ~release:(fun ~shape:_ _ -> ()) catalog
+  in
+  let sql = "SELECT * FROM R1 WHERE R1.a <= 5" in
+  let serve id =
+    S.Server.handle server
+      (P.Run
+         { P.id = Some id; bindings = []; memory_pages = Some 64;
+           deadline_ms = None; retries = None; risk = None; sql })
+  in
+  (match serve 1 with
+  | P.Ok_reply { cache = P.Miss; _ } -> ()
+  | r -> Alcotest.failf "warm-up: %s" (P.render_response r));
+  (match serve 2 with
+  | P.Ok_reply { cache = P.Hit; _ } -> ()
+  | r -> Alcotest.failf "pre-drift hit: %s" (P.render_response r));
+  drift := true;
+  (match serve 3 with
+  | P.Error_reply { class_ = "infeasible"; _ } -> ()
+  | r -> Alcotest.failf "drifted hit: %s" (P.render_response r));
+  let s = S.Server.stats server in
+  Alcotest.(check int) "cache entry invalidated" 1
+    s.S.Server.cache_invalidated_drift;
+  Alcotest.(check int) "cache empty" 0 s.S.Server.cache_size;
+  drift := false;
+  match serve 4 with
+  | P.Ok_reply { cache = P.Miss; _ } -> ()
+  | r -> Alcotest.failf "post-drift: %s" (P.render_response r)
+
+let test_concurrent_hits_agree () =
+  (* Four domains serve the same cached shapes at once; the verdict memo
+     they share must not change any answer. *)
+  Test_util.with_watchdog ~deadline:120. "serve concurrent hits" @@ fun () ->
+  let server =
+    make_server
+      ~config:
+        (S.Server.config
+           ~session:(D.Session.config ~max_inflight:4 ~max_queue:256 ())
+           ())
+      (D.Paper_catalog.make ~relations:3)
+  in
+  let lines =
+    List.init 3 (fun i ->
+        P.render_request (run_request ~id:i (chain_sql (i + 1))))
+  in
+  let rows line =
+    match P.parse_response (S.Server.handle_line server line) with
+    | Ok (P.Ok_reply { rows; _ }) -> rows
+    | Ok r -> Alcotest.failf "%s -> %s" line (P.render_response r)
+    | Error e -> Alcotest.failf "%s -> unparseable: %s" line e
+  in
+  let expected = List.map rows lines in
+  let rounds = 25 in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () -> List.init rounds (fun _ -> List.map rows lines)))
+  in
+  List.iteri
+    (fun d dom ->
+      List.iteri
+        (fun round got ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "domain %d round %d" d round)
+            expected got)
+        (Domain.join dom))
+    domains;
+  let s = S.Server.stats server in
+  Alcotest.(check int) "every concurrent request hit the cache"
+    (4 * rounds * List.length lines)
+    s.S.Server.cache_hits
+
 (* --- server: differential against the reference evaluator ---------------- *)
 
 (* Random Plangen instances, served through the cache: optimize the
@@ -655,6 +737,10 @@ let suite =
         test_latency_window;
       Alcotest.test_case "catalog drift invalidates cached plans" `Quick
         test_drift_invalidation;
+      Alcotest.test_case "dropped attribute answers infeasible" `Quick
+        test_dropped_attribute_infeasible;
+      Alcotest.test_case "concurrent cache hits agree" `Quick
+        test_concurrent_hits_agree;
       Alcotest.test_case "cached plans match the reference evaluator" `Slow
         test_cached_plan_matches_reference;
       Alcotest.test_case "poisoned shape trips its breaker" `Quick

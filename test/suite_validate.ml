@@ -10,14 +10,7 @@ let optimize_exn ~mode (q : D.Queries.t) =
 (* The same schema minus the index on R1.a (as if it were dropped after
    compile time). *)
 let catalog_without_index ~rel ~attr =
-  let c = base_query.D.Queries.catalog in
-  D.Catalog.create ~page_bytes:(D.Catalog.page_bytes c)
-    ~relations:(D.Catalog.relations c)
-    ~indexes:
-      (List.filter
-         (fun (i : D.Index.t) -> not (i.D.Index.relation = rel && i.D.Index.attribute = attr))
-         (D.Catalog.indexes c))
-    ()
+  Test_util.without_index base_query.D.Queries.catalog ~rel ~attr
 
 let catalog_without_relation name =
   let c = base_query.D.Queries.catalog in

@@ -30,3 +30,37 @@ let with_watchdog ?(deadline = 60.) name f =
       ()
   in
   Fun.protect ~finally:(fun () -> Atomic.set finished true) f
+
+(* Copies of [catalog] after DDL since a plan was optimized: the
+   catalog drift a cached plan can meet when it is activated.
+   [without_index] drops the index on [rel].[attr]; [without_attribute]
+   drops the attribute itself together with that index. *)
+let without_index catalog ~rel ~attr =
+  let module C = Dqep.Catalog in
+  C.create ~page_bytes:(C.page_bytes catalog) ~relations:(C.relations catalog)
+    ~indexes:
+      (List.filter
+         (fun (i : Dqep.Index.t) ->
+           not (i.Dqep.Index.relation = rel && i.Dqep.Index.attribute = attr))
+         (C.indexes catalog))
+    ()
+
+let without_attribute catalog ~rel ~attr =
+  let module C = Dqep.Catalog in
+  let module R = Dqep.Relation in
+  let relations =
+    List.map
+      (fun (r : R.t) ->
+        if r.R.name <> rel then r
+        else
+          R.make ~name:r.R.name ~cardinality:r.R.cardinality
+            ~record_bytes:r.R.record_bytes
+            ~attributes:
+              (List.filter
+                 (fun (a : Dqep.Attribute.t) -> a.Dqep.Attribute.name <> attr)
+                 r.R.attributes))
+      (C.relations catalog)
+  in
+  C.create ~page_bytes:(C.page_bytes catalog) ~relations
+    ~indexes:(C.indexes (without_index catalog ~rel ~attr))
+    ()
