@@ -109,20 +109,14 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
        alternative's subtree separately re-walks shared structure
        quadratically. *)
     let feasible =
-      let flagged = Plan.Pid_tbl.create 16 in
-      List.iter
-        (fun (d : Diagnostic.t) ->
-          match d.site with
-          | Diagnostic.Node pid -> Plan.Pid_tbl.replace flagged pid ()
-          | Diagnostic.Query | Diagnostic.Group _ -> ())
-        (Verify.feasibility ~catalog plan);
+      let drifted = Verify.drifted (Verify.feasibility ~catalog plan) in
       let memo = Plan.Pid_tbl.create 64 in
       let rec ok (p : Plan.t) =
         match Plan.Pid_tbl.find_opt memo p.Plan.pid with
         | Some b -> b
         | None ->
           let b =
-            (not (Plan.Pid_tbl.mem flagged p.Plan.pid))
+            (not (drifted p))
             &&
             match p.Plan.op with
             | Physical.Choose_plan ->
@@ -414,39 +408,6 @@ let survivors ?(max_regions = default_max_regions) env (alts : Plan.t list) =
        belt and braces. *)
     if kept = [] then alts else kept
   end
-
-(* Rebuild [plan] with every choose node's dead alternatives removed.
-   Unchanged subtrees are kept verbatim (same nodes, same pids), so DAG
-   sharing survives; a choose left with one survivor collapses to it.
-   Returns the plan and how many alternatives were dropped. *)
-let prune_dead ?(max_regions = default_max_regions) env (plan : Plan.t) =
-  let builder = Plan.Builder.create env in
-  let pruned = ref 0 in
-  let memo : (int, Plan.t) Hashtbl.t = Hashtbl.create 64 in
-  let rec rebuild (p : Plan.t) =
-    match Hashtbl.find_opt memo p.Plan.pid with
-    | Some p' -> p'
-    | None ->
-      let inputs = List.map rebuild p.Plan.inputs in
-      let unchanged = List.for_all2 (fun a b -> a == b) p.Plan.inputs inputs in
-      let p' =
-        match p.Plan.op with
-        | Physical.Choose_plan -> (
-          let kept = survivors ~max_regions env inputs in
-          pruned := !pruned + (List.length inputs - List.length kept);
-          match kept with
-          | [ only ] -> only
-          | kept when unchanged && List.length kept = List.length inputs -> p
-          | kept -> Plan.Builder.choose builder kept)
-        | _ ->
-          if unchanged then p
-          else Plan.Builder.copy_node builder p ~inputs
-      in
-      Hashtbl.add memo p.Plan.pid p';
-      p'
-  in
-  let plan' = rebuild plan in
-  (plan', !pruned)
 
 (* --- static budget admission ---------------------------------------------- *)
 

@@ -4,8 +4,9 @@
     - {!choose_space} — parameter-space coverage (DQEP501) and dead,
       everywhere-dominated alternatives (DQEP502) for every choose-plan
       node;
-    - {!survivors} / {!prune_dead} — the pruning side of the dominance
-      analysis, used by the optimizer's memoized-winner hook;
+    - {!survivors} — the pruning side of the dominance analysis, used
+      by the optimizer's memoized-winner hook ([Search] keeps only the
+      survivors when it builds a choose node);
     - {!budget_check} — static admission against a governor budget
       (DQEP503), the precheck behind [Session] and [dqep analyze
       --budget-kb];
@@ -40,12 +41,6 @@ val survivors : ?max_regions:int -> Env.t -> Plan.t list -> Plan.t list
 (** The subset of sibling alternatives a startup decision could ever
     select (non-dead under region-wise dominance).  Never empty for a
     non-empty input; order is preserved. *)
-
-val prune_dead : ?max_regions:int -> Env.t -> Plan.t -> Plan.t * int
-(** Rebuild the plan with dead alternatives removed from every choose
-    node (a single survivor collapses the choose); unchanged subtrees
-    keep their nodes.  Returns the plan and the number of alternatives
-    dropped. *)
 
 val budget_check :
   Env.t -> budget_bytes:int -> Plan.t -> Diagnostic.t list

@@ -294,42 +294,72 @@ let need_index ~catalog ~add site r a =
   if need_attr ~catalog ~add site r a && not (Catalog.has_index catalog ~rel:r ~attr:a)
   then add (diag ~site Diagnostic.Missing_index "no index on %s.%s exists" r a)
 
-(* The catalog objects one node names itself. *)
+(* Every catalog object one node names: its relations and indexes, and
+   the columns of its filters, sort keys and join predicates. *)
 let resolve_node ~catalog ~add (p : Plan.t) =
   let site = node_site p in
+  let column (c : Col.t) = ignore (need_attr ~catalog ~add site c.Col.rel c.Col.attr) in
+  let select (s : Predicate.select) = column s.Predicate.target in
+  let equi (e : Predicate.equi) =
+    column e.Predicate.left;
+    column e.Predicate.right
+  in
   match p.Plan.op with
   | Physical.File_scan r -> ignore (need_rel ~catalog ~add site r)
-  | Physical.Btree_scan { rel; attr } | Physical.Filter_btree_scan { rel; attr; _ } ->
-    need_index ~catalog ~add site rel attr
-  | Physical.Index_join { inner_rel; inner_attr; _ } ->
-    need_index ~catalog ~add site inner_rel inner_attr
-  | Physical.Filter _ | Physical.Sort _ | Physical.Hash_join _
-  | Physical.Merge_join _ | Physical.Choose_plan -> ()
+  | Physical.Btree_scan { rel; attr } -> need_index ~catalog ~add site rel attr
+  | Physical.Filter_btree_scan { rel; attr; pred } ->
+    need_index ~catalog ~add site rel attr;
+    select pred
+  | Physical.Filter pred -> select pred
+  | Physical.Sort cols -> List.iter column cols
+  | Physical.Hash_join preds | Physical.Merge_join preds -> List.iter equi preds
+  | Physical.Index_join { inner_rel; inner_attr; inner_filter; preds } ->
+    need_index ~catalog ~add site inner_rel inner_attr;
+    Option.iter select inner_filter;
+    List.iter equi preds
+  | Physical.Choose_plan -> ()
+
+(* A node can name one missing object twice (an index scan's key and
+   its filter column); report it once. *)
+let collector () =
+  let diags = ref [] in
+  let add d = if not (List.mem d !diags) then diags := d :: !diags in
+  (diags, add)
 
 let feasibility ~catalog plan =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
+  let diags, add = collector () in
   let nodes, _ = all_nodes plan in
   List.iter (resolve_node ~catalog ~add) nodes;
   List.rev !diags
 
+let drifted diags =
+  let flagged = Plan.Pid_tbl.create 16 in
+  List.iter
+    (fun (d : Diagnostic.t) ->
+      match d.Diagnostic.site with
+      | Diagnostic.Node pid when Diagnostic.is_feasibility d.Diagnostic.code ->
+        Plan.Pid_tbl.replace flagged pid ()
+      | Diagnostic.Node _ | Diagnostic.Query | Diagnostic.Group _ -> ())
+    diags;
+  fun (p : Plan.t) -> Plan.Pid_tbl.mem flagged p.Plan.pid
+
 let semantics ~catalog plan =
-  let diags = ref [] in
-  (* A node can name one missing object twice (an index scan's key and
-     its filter column); report it once. *)
-  let add d = if not (List.mem d !diags) then diags := d :: !diags in
+  let diags, add = collector () in
   let rel_known r = Catalog.relation catalog r <> None in
   (* A column whose attribute the catalog no longer has is drift, not
-     corruption: it gets the feasibility code, so activation prunes or
-     raises [Infeasible] instead of rejecting the plan. *)
-  let in_catalog site (c : Col.t) =
-    need_attr ~catalog ~add site c.Col.rel c.Col.attr
+     corruption: [resolve_node] reported it with the feasibility code,
+     so activation prunes or raises [Infeasible] instead of rejecting
+     the plan, and the scope and span checks stay silent on it. *)
+  let in_catalog (c : Col.t) =
+    match Catalog.relation catalog c.Col.rel with
+    | Some r -> Relation.attribute r c.Col.attr <> None
+    | None -> false
   in
   let in_scope site what schema (c : Col.t) =
     match schema with
     | None -> ()  (* the input is already broken; avoid cascades *)
     | Some s ->
-      if (not (Schema.mem s c)) && in_catalog site c then
+      if (not (Schema.mem s c)) && in_catalog c then
         add
           (diag ~site Diagnostic.Attribute_out_of_scope
              "%s column %s does not resolve in the input schema" what
@@ -337,16 +367,12 @@ let semantics ~catalog plan =
   in
   (* A join predicate that fails to span its inputs only because one of
      its columns was dropped is likewise drift. *)
-  let misses_span site (e : Predicate.equi) a b =
-    let spans =
-      (Schema.mem a e.Predicate.left && Schema.mem b e.Predicate.right)
+  let misses_span (e : Predicate.equi) a b =
+    not
+      ((Schema.mem a e.Predicate.left && Schema.mem b e.Predicate.right)
       || (Schema.mem b e.Predicate.left && Schema.mem a e.Predicate.right)
-    in
-    if spans then false
-    else
-      let left_known = in_catalog site e.Predicate.left in
-      let right_known = in_catalog site e.Predicate.right in
-      left_known && right_known
+      || (not (in_catalog e.Predicate.left))
+      || not (in_catalog e.Predicate.right))
   in
   (* Bottom-up schema and relation-set computation, memoized by physical
      node so shared subplans are checked once. *)
@@ -395,7 +421,7 @@ let semantics ~catalog plan =
           (fun (e : Predicate.equi) ->
             match (schema_of l, schema_of r) with
             | Some ls, Some rs ->
-              if misses_span site e ls rs then
+              if misses_span e ls rs then
                 add
                   (diag ~site Diagnostic.Join_pred_span
                      "join predicate %s does not span the inputs"
@@ -418,7 +444,7 @@ let semantics ~catalog plan =
           (fun (e : Predicate.equi) ->
             match (schema_of outer, inner_schema) with
             | Some os, Some is ->
-              if misses_span site e os is then
+              if misses_span e os is then
                 add
                   (diag ~site Diagnostic.Join_pred_span
                      "index-join predicate %s does not span outer input and %s"

@@ -21,11 +21,14 @@
     - {!memo} / {!winner} — memo-group consistency and memoized-winner
       membership (DQEP4xx).
 
+    This is the only code that resolves a plan against the catalog.
     The pass is wired into {!Dqep_optimizer.Search} (debug winner
-    verification), the [dqep analyze] CLI subcommand, and the executor's
+    verification), the [dqep analyze] CLI subcommand, the coverage
+    analysis ({!Analyses.choose_space}), and the executor's
     activation-time hook ({!Dqep_exec.Executor.check_feasible}), which
-    runs it once per plan and catalog; failures and pruned results are
-    re-checked every time. *)
+    runs {!plan} once per plan and catalog and splits its errors into
+    corruption and catalog drift ({!drifted}); failures and pruned
+    results are re-checked every time. *)
 
 module Diagnostic = Dqep_util.Diagnostic
 module Plan = Dqep_plans.Plan
@@ -46,17 +49,26 @@ val cost : Plan.t -> Diagnostic.t list
     allow, and pairwise incomparability of choose alternatives. *)
 
 val semantics : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
-(** Catalog resolution (relations, attributes, indexes), attribute scope
-    through the operator tree, join predicates spanning their inputs,
-    node [rels] consistency, and choose-alternative equivalence (same
-    relation set, compatible order).  A filter, sort or join column whose
-    attribute the catalog lacks is reported as drift (DQEP301/302), not
-    as a scope or span error (DQEP304/305). *)
+(** Catalog resolution of every object a node names (relations,
+    indexes, and the columns of filters, sort keys and join predicates,
+    index-join inner filters included), attribute scope through the
+    operator tree, join predicates spanning their inputs, node [rels]
+    consistency, and choose-alternative equivalence (same relation set,
+    compatible order).  A column whose attribute the catalog lacks is
+    reported as drift (DQEP301/302), never also as a scope or span error
+    (DQEP304/305). *)
 
 val feasibility : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
 (** The catalog-resolution subset of {!semantics} — exactly its
     diagnostics for which [Diagnostic.is_feasibility] holds (missing
-    relations, attributes and indexes), without the schema walk. *)
+    relations, attributes and indexes), in the same order, without the
+    schema walk. *)
+
+val drifted : Diagnostic.t list -> Plan.t -> bool
+(** [drifted diags] holds for the nodes at which [diags] has a
+    feasibility diagnostic: the nodes that name a catalog object that
+    no longer exists.  Those nodes cannot run, and every plan through
+    them is infeasible; the rest of the DAG is untouched by drift. *)
 
 val plan : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
 (** All three plan layers: [structure @ cost @ semantics]. *)

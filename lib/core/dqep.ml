@@ -83,7 +83,6 @@ module Plan = Dqep_plans.Plan
 module Startup = Dqep_plans.Startup
 module Access_module = Dqep_plans.Access_module
 module Adapt = Dqep_plans.Adapt
-module Validate = Dqep_plans.Validate
 
 (** {1 Static analysis} *)
 

@@ -20,18 +20,15 @@ type run_stats = {
   exec : Exec_common.exec_profile;
 }
 
-exception Infeasible of Dqep_plans.Validate.problem list
+exception Infeasible of Dqep_util.Diagnostic.t list
 exception Invalid_plan of Dqep_util.Diagnostic.t list
 
 let () =
   Printexc.register_printer (function
-    | Infeasible problems ->
+    | Infeasible diags ->
       Some
-        (Format.asprintf "Executor.Infeasible(%a)"
-           (Format.pp_print_list
-              ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-              Dqep_plans.Validate.pp_problem)
-           problems)
+        (Format.asprintf "Executor.Infeasible(%s)"
+           (Dqep_util.Diagnostic.list_to_string diags))
     | Invalid_plan diags ->
       Some
         (Format.asprintf "Executor.Invalid_plan(%s)"
@@ -40,32 +37,31 @@ let () =
 
 let memory_pages = Exec_common.memory_pages
 
-(* Activation-time validation (paper, Section 2).  The full static
-   verifier runs first: corruption — broken DAG identity, inverted cost
-   intervals, non-equivalent choose alternatives — is unrecoverable and
-   raises [Invalid_plan] up front.  Catalog drift (the feasibility subset
-   of diagnostics, equivalent to [Validate.check]) is survivable: a plan
-   referencing a dropped object either loses only some choose-plan
-   alternatives — then the pruned plan runs — or is truly dead and raises
-   [Infeasible] instead of an arbitrary [Invalid_argument] mid-iteration. *)
+(* Activation-time validation (paper, Section 2): one run of the static
+   verifier, its errors split in two.  Corruption — broken DAG identity,
+   inverted cost intervals, non-equivalent choose alternatives — is
+   unrecoverable and raises [Invalid_plan].  Catalog drift (the
+   feasibility subset: a dropped relation, attribute or index) is
+   survivable: the nodes naming dropped objects are dead, and a plan
+   that loses only some choose-plan alternatives to them runs pruned.
+   A plan with nothing left raises [Infeasible] instead of an arbitrary
+   [Invalid_argument] mid-iteration. *)
 let verify_activation db env plan =
-  let catalog = Database.catalog db in
-  let corrupt =
-    Dqep_analysis.Verify.plan ~catalog plan
+  let drift, corrupt =
+    Dqep_analysis.Verify.plan ~catalog:(Database.catalog db) plan
     |> Dqep_util.Diagnostic.errors
-    |> List.filter (fun (d : Dqep_util.Diagnostic.t) ->
-           not (Dqep_util.Diagnostic.is_feasibility d.Dqep_util.Diagnostic.code))
+    |> List.partition (fun (d : Dqep_util.Diagnostic.t) ->
+           Dqep_util.Diagnostic.is_feasibility d.Dqep_util.Diagnostic.code)
   in
   if corrupt <> [] then raise (Invalid_plan corrupt);
-  match Dqep_plans.Validate.check catalog plan with
-  | Ok () -> plan
-  | Error problems -> (
-    match Dqep_plans.Validate.prune_infeasible env catalog plan with
+  if drift = [] then plan
+  else
+    match Plan.rewrite env ~dead:(Dqep_analysis.Verify.drifted drift) plan with
     | Some pruned -> pruned
-    | None -> raise (Infeasible problems))
+    | None -> raise (Infeasible drift)
 
-(* Both checks are pure functions of the immutable plan and catalog, so
-   [check_feasible] runs them once per plan and catalog; failures and
+(* The check is a pure function of the immutable plan and catalog, so
+   [check_feasible] runs it once per plan and catalog; failures and
    pruned results are re-checked every time.  Only the verdict "plan
    returned unchanged" is remembered: a pruned plan depends on [env]
    (the builder re-costs it), and keeping failures on the uncached path

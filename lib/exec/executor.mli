@@ -30,10 +30,12 @@ type run_stats = {
 (** The resilience counters are zero for a plain {!run}; they are filled
     in by {!Resilience.run}. *)
 
-exception Infeasible of Dqep_plans.Validate.problem list
+exception Infeasible of Dqep_util.Diagnostic.t list
 (** The plan references catalog objects that no longer exist and pruning
     infeasible choose-plan alternatives left nothing runnable — a full
-    re-optimization is needed (paper, Section 2). *)
+    re-optimization is needed (paper, Section 2).  Carries the
+    verifier's feasibility diagnostics (DQEP301-303), one per missing
+    object and node. *)
 
 exception Invalid_plan of Dqep_util.Diagnostic.t list
 (** The static verifier found corruption beyond catalog drift — a broken
@@ -46,18 +48,19 @@ val check_feasible :
   Dqep_plans.Plan.t ->
   Dqep_plans.Plan.t
 (** Activation-time validation, the executor's pre-activation hook into
-    the static analysis pass ({!Dqep_analysis.Verify}): the full verifier
-    runs first and rejects corrupt plans; catalog-drift findings then
-    take the classic path ({!Dqep_plans.Validate}) — the plan is returned
-    unchanged when it checks out, pruned when only some choose-plan
-    alternatives are infeasible.
+    the static analysis pass: one run of {!Dqep_analysis.Verify.plan}.
+    Errors outside the feasibility subset reject the plan as corrupt.
+    Catalog drift marks the nodes naming dropped objects dead
+    ({!Dqep_analysis.Verify.drifted}): the plan is returned unchanged
+    when nothing drifted, and pruned by {!Dqep_plans.Plan.rewrite} when
+    only some choose-plan alternatives are infeasible.
 
     The check runs once per plan and catalog; failures and pruned
     results are re-checked every time.  A plan returned unchanged is
     remembered by physical identity of the plan and of the database's
     catalog, in a small fixed-size memo that holds both weakly, so
-    later activations skip both catalog walks.  Safe to call from
-    several domains at once.
+    later activations skip the verifier.  Safe to call from several
+    domains at once.
     @raise Invalid_plan on error-severity diagnostics outside the
     feasibility subset.
     @raise Infeasible when nothing feasible remains. *)

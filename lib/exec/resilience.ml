@@ -71,7 +71,7 @@ let backoff_delay config rng ~attempt =
   Rng.uniform rng 0. bound
 
 type failure =
-  | Infeasible of Dqep_plans.Validate.problem list
+  | Infeasible of Dqep_util.Diagnostic.t list
   | Rejected of Dqep_util.Diagnostic.t list
   | Exhausted of { excluded : int list; last_error : exn }
   | Deadline_exceeded of { elapsed : float; budget : float }
@@ -80,12 +80,9 @@ type failure =
   | Estimate_busted of { pid : int; observed : int; lo : float; hi : float }
 
 let pp_failure ppf = function
-  | Infeasible problems ->
+  | Infeasible diags ->
     Format.fprintf ppf "@[<hov 2>infeasible:@ %a@]"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-         Dqep_plans.Validate.pp_problem)
-      problems
+      Dqep_util.Diagnostic.pp_list diags
   | Rejected diags ->
     Format.fprintf ppf "@[<hov 2>rejected by the plan verifier:@ %a@]"
       Dqep_util.Diagnostic.pp_list diags

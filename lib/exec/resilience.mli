@@ -115,7 +115,7 @@ val backoff_delay : config -> Dqep_util.Rng.t -> attempt:int -> float
     @raise Invalid_argument if [attempt < 0]. *)
 
 type failure =
-  | Infeasible of Dqep_plans.Validate.problem list
+  | Infeasible of Dqep_util.Diagnostic.t list
       (** activation-time validation failed and pruning left no feasible
           plan *)
   | Rejected of Dqep_util.Diagnostic.t list

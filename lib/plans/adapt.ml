@@ -1,5 +1,3 @@
-module Physical = Dqep_algebra.Physical
-
 type t = {
   mutable plan : Plan.t;
   mutable counts : (int * int, int) Hashtbl.t;  (* (choose pid, alt pid) *)
@@ -19,34 +17,16 @@ let record t (r : Startup.resolution) =
     r.Startup.choices
 
 let shrink env t =
-  let builder = Plan.Builder.create env in
-  let rebuilt = Hashtbl.create 64 in
-  let rec go (p : Plan.t) =
-    match Hashtbl.find_opt rebuilt p.Plan.pid with
-    | Some q -> q
-    | None ->
-      let q =
-        match p.Plan.op with
-        | Physical.Choose_plan ->
-          let used =
-            List.filter
-              (fun (alt : Plan.t) ->
-                Hashtbl.mem t.counts (p.Plan.pid, alt.Plan.pid))
-              p.Plan.inputs
-          in
-          (* No statistics for this operator: keep every alternative. *)
-          let kept = if used = [] then p.Plan.inputs else used in
-          (match List.map go kept with
-          | [ only ] -> only
-          | alts -> Plan.Builder.choose builder alts)
-        | _ ->
-          let inputs = List.map go p.Plan.inputs in
-          Plan.Builder.copy_node builder p ~inputs
-      in
-      Hashtbl.add rebuilt p.Plan.pid q;
-      q
+  let used (p : Plan.t) =
+    match
+      List.filter
+        (fun (alt : Plan.t) -> Hashtbl.mem t.counts (p.Plan.pid, alt.Plan.pid))
+        p.Plan.inputs
+    with
+    | [] -> p.Plan.inputs  (* no statistics: keep every alternative *)
+    | used -> used
   in
-  go t.plan
+  Option.get (Plan.rewrite env ~keep:used t.plan)
 
 let maybe_replace ~threshold env t =
   if t.invocations >= threshold then begin

@@ -42,8 +42,10 @@ module Builder = struct
 
   (* Pids are globally unique, not per builder: resolved or shrunk plans
      mix rebuilt nodes with nodes reused from the original builder, and
-     every DAG traversal keys on the pid. *)
-  let next_pid = ref 0
+     every DAG traversal keys on the pid.  Domains build nodes
+     concurrently (server clients on cache misses, every start-up
+     resolution), so the counter is atomic. *)
+  let next_pid = Atomic.make 0
 
   let create env = { env; table = Hashtbl.create 256; count = 0 }
 
@@ -51,10 +53,9 @@ module Builder = struct
 
   let add b key ~op ~inputs ~rels ~rows ~bytes_per_row ~own_cost ~total_cost ~props =
     let p =
-      { pid = !next_pid; op; inputs; rels; rows; bytes_per_row; own_cost;
-        total_cost; props }
+      { pid = Atomic.fetch_and_add next_pid 1; op; inputs; rels; rows;
+        bytes_per_row; own_cost; total_cost; props }
     in
-    incr next_pid;
     b.count <- b.count + 1;
     Hashtbl.add b.table key p;
     p
@@ -179,6 +180,49 @@ let fold f init plan =
   let acc = ref init in
   iter (fun p -> acc := f !acc p) plan;
   !acc
+
+(* The one choose-plan rewrite behind start-up extraction, plan
+   shrinking and activation-time pruning.  Top-down, memoized per pid;
+   [keep] sees a choose node's original alternatives before any of them
+   is rewritten, so callbacks that record decisions see them in
+   pre-order.  Nodes are only rebuilt when an input changed. *)
+let rewrite env ?(dead = fun _ -> false) ?(verbatim = fun _ -> false)
+    ?(keep = fun p -> p.inputs) plan =
+  let builder = lazy (Builder.create env) in
+  let memo = Pid_tbl.create 64 in
+  let rec go p =
+    match Pid_tbl.find_opt memo p.pid with
+    | Some r -> r
+    | None ->
+      let r =
+        if dead p then None
+        else if verbatim p then Some p
+        else
+          match p.op with
+          | Physical.Choose_plan -> (
+            match List.filter_map go (keep p) with
+            | [] -> None
+            | [ only ] -> Some only
+            | alts when List.equal ( == ) alts p.inputs -> Some p
+            | alts -> Some (Builder.choose (Lazy.force builder) alts))
+          | _ -> (
+            match all p.inputs with
+            | None -> None
+            | Some inputs when List.equal ( == ) inputs p.inputs -> Some p
+            | Some inputs ->
+              Some (Builder.copy_node (Lazy.force builder) p ~inputs))
+      in
+      Pid_tbl.add memo p.pid r;
+      r
+  (* Left to right, stopping at the first dead input. *)
+  and all = function
+    | [] -> Some []
+    | p :: rest -> (
+      match go p with
+      | None -> None
+      | Some q -> Option.map (List.cons q) (all rest))
+  in
+  go plan
 
 (* Stable identity of a node's relation set, e.g. "R|S|T" — the key the
    observation cache files cardinality observations under, so a later

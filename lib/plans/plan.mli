@@ -102,6 +102,35 @@ val iter : (t -> unit) -> t -> unit
 
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 
+val rewrite :
+  Dqep_cost.Env.t ->
+  ?dead:(t -> bool) ->
+  ?verbatim:(t -> bool) ->
+  ?keep:(t -> t list) ->
+  t ->
+  t option
+(** Rewrite the plan top-down, keeping a subset of every choose-plan
+    node's alternatives — the one rewrite behind start-up extraction
+    ({!Startup.resolve}), plan shrinking ({!Adapt.shrink}) and
+    activation-time pruning of infeasible alternatives.
+
+    - [keep c] (default: all of them) picks which of choose node [c]'s
+      original alternatives survive, in order.  It is called once per
+      reached choose node, before any alternative is rewritten, so
+      nested choose nodes are reached only through kept alternatives.
+    - [dead n] (default: none) drops node [n]; a non-choose node with a
+      dropped input is dropped too, and a choose node loses that
+      alternative.
+    - [verbatim n] (default: none) keeps [n] as it is without visiting
+      its inputs.
+
+    Every node is rewritten once (memoized by pid).  A node whose inputs
+    all came back unchanged is returned physically unchanged, with its
+    pid; otherwise it is rebuilt in a fresh {!Builder} under the given
+    environment, keeping its operator, rows and own cost.  A choose node
+    left with one alternative collapses to it.  [None] when nothing
+    survives. *)
+
 val choose_count : t -> int
 (** Number of choose-plan nodes in the DAG. *)
 

@@ -218,54 +218,35 @@ let resolve ?(risk = Risk.Expected) ?(overrides = []) ?(excluded = []) env
   in
   let (), cpu_seconds = Timer.cpu (fun () -> ignore (eval_node st plan)) in
   (* Extraction is not part of the measured decision procedure; it is a
-     pointer walk comparable to reading the chosen plan. *)
-  let builder = Plan.Builder.create env in
+     pointer walk comparable to reading the chosen plan.  Each reached
+     choose node keeps its cheapest surviving alternative (the first on
+     ties).  An overridden node stands for its materialized temporary;
+     it is kept verbatim (the executor splices the temp in by pid). *)
   let choices = ref [] in
-  let rebuilt = Hashtbl.create 64 in
-  let rec extract (p : Plan.t) =
-    match Hashtbl.find_opt rebuilt p.Plan.pid with
-    | Some q -> q
-    | None ->
-      let q =
-        match p.Plan.op with
-        | _ when List.mem_assoc p.Plan.pid st.overrides ->
-          (* An overridden node stands for its materialized temporary; it
-             is kept verbatim (the executor splices the temp in by pid). *)
-          p
-        | Physical.Choose_plan ->
-          let viable =
-            List.filter
-              (fun (alt : Plan.t) -> not (List.mem alt.Plan.pid st.excluded))
-              p.Plan.inputs
-          in
-          if viable = [] then raise (Exhausted p.Plan.pid);
-          let best =
-            List.fold_left
-              (fun acc (alt : Plan.t) ->
-                let v = Hashtbl.find st.memo alt.Plan.pid in
-                match acc with
-                | Some (_, best_total) when best_total <= v.total -> acc
-                | _ -> Some (alt, v.total))
-              None viable
-          in
-          (match best with
-          | None -> invalid_arg "Startup.resolve: empty choose node"
-          | Some (alt, _) ->
-            choices := (p.Plan.pid, alt.Plan.pid) :: !choices;
-            extract alt)
-        | _ ->
-          let inputs = List.map extract p.Plan.inputs in
-          if
-            List.length inputs = List.length p.Plan.inputs
-            && List.for_all2 (fun (a : Plan.t) (b : Plan.t) -> a.Plan.pid = b.Plan.pid)
-                 inputs p.Plan.inputs
-          then p
-          else Plan.Builder.copy_node builder p ~inputs
-      in
-      Hashtbl.add rebuilt p.Plan.pid q;
-      q
+  let cheapest (p : Plan.t) =
+    let best =
+      List.fold_left
+        (fun acc (alt : Plan.t) ->
+          if List.mem alt.Plan.pid st.excluded then acc
+          else
+            let v = Hashtbl.find st.memo alt.Plan.pid in
+            match acc with
+            | Some (_, best_total) when best_total <= v.total -> acc
+            | _ -> Some (alt, v.total))
+        None p.Plan.inputs
+    in
+    match best with
+    | None -> raise (Exhausted p.Plan.pid)
+    | Some (alt, _) ->
+      choices := (p.Plan.pid, alt.Plan.pid) :: !choices;
+      [ alt ]
   in
-  let chosen = extract plan in
+  let chosen =
+    Option.get
+      (Plan.rewrite env
+         ~verbatim:(fun (p : Plan.t) -> List.mem_assoc p.Plan.pid st.overrides)
+         ~keep:cheapest plan)
+  in
   (* Execution cost of the chosen plan, without decision overheads. *)
   let exec_cost, _ = evaluate ~risk ~overrides env chosen in
   { plan = chosen;

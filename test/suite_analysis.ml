@@ -299,9 +299,9 @@ let test_missing_relation_stays_infeasible () =
   let bindings = D.Bindings.make ~selectivities:[] ~memory_pages:64 in
   match D.Executor.run db bindings plan with
   | _ -> Alcotest.fail "plan over a missing relation executed"
-  | exception D.Executor.Infeasible problems ->
+  | exception D.Executor.Infeasible diags ->
     Alcotest.(check bool) "names the relation" true
-      (List.mem (D.Validate.Missing_relation "Nope") problems)
+      (Test_util.reports Dg.Missing_relation "Nope" diags)
 
 (* --- catalog drift on columns --------------------------------------------- *)
 
@@ -329,16 +329,15 @@ let test_dropped_attribute_is_infeasible () =
   let plan = index_selection catalog in
   let drifted = Test_util.without_attribute catalog ~rel:"R1" ~attr:"a" in
   let db = D.Database.build ~seed:7 drifted in
-  let names problems =
+  let names diags =
     Alcotest.(check bool) "names the attribute" true
-      (List.mem (D.Validate.Missing_attribute { rel = "R1"; attr = "a" })
-         problems)
+      (Test_util.reports Dg.Missing_attribute "R1.a" diags)
   in
   (match D.Executor.run db no_bindings plan with
   | _ -> Alcotest.fail "plan over a dropped attribute executed"
-  | exception D.Executor.Infeasible problems -> names problems);
+  | exception D.Executor.Infeasible diags -> names diags);
   match D.Resilience.run db no_bindings plan with
-  | Error (D.Resilience.Infeasible problems), _ -> names problems
+  | Error (D.Resilience.Infeasible diags), _ -> names diags
   | Ok _, _ -> Alcotest.fail "plan over a dropped attribute executed (supervised)"
   | Error f, _ ->
     Alcotest.failf "wrong failure kind: %a" D.Resilience.pp_failure f
@@ -382,11 +381,12 @@ let test_dropped_columns_are_drift () =
 (* --- the activation verdict memo ------------------------------------------ *)
 
 (* What one activation check returned.  Pruned plans are compared by
-   shape: pruning rebuilds nodes under fresh pids. *)
+   shape: pruning rebuilds the nodes above a dropped alternative under
+   fresh pids. *)
 type activation =
   | Unchanged
   | Pruned of string
-  | Infeasible of D.Validate.problem list
+  | Infeasible of Dg.t list
   | Rejected of Dg.t list
 
 let rec sketch (p : D.Plan.t) =
@@ -400,21 +400,22 @@ let classify plan f =
   | exception D.Executor.Infeasible ps -> Infeasible ps
   | exception D.Executor.Invalid_plan ds -> Rejected ds
 
-(* The activation check as specified, with no memo. *)
+(* The activation check as specified, with no memo: the verifier's
+   errors split into corruption and drift, drifted nodes pruned. *)
 let reference_activation db env plan =
   let catalog = D.Database.catalog db in
   classify plan (fun () ->
-      let corrupt =
-        Dg.errors (D.Verify.plan ~catalog plan)
-        |> List.filter (fun d -> not (Dg.is_feasibility d.Dg.code))
+      let drift, corrupt =
+        List.partition
+          (fun d -> Dg.is_feasibility d.Dg.code)
+          (Dg.errors (D.Verify.plan ~catalog plan))
       in
       if corrupt <> [] then raise (D.Executor.Invalid_plan corrupt);
-      match D.Validate.check catalog plan with
-      | Ok () -> plan
-      | Error problems -> (
-        match D.Validate.prune_infeasible env catalog plan with
+      if drift = [] then plan
+      else
+        match D.Plan.rewrite env ~dead:(D.Verify.drifted drift) plan with
         | Some pruned -> pruned
-        | None -> raise (D.Executor.Infeasible problems)))
+        | None -> raise (D.Executor.Infeasible drift))
 
 let kind = function
   | Unchanged -> "unchanged"

@@ -128,6 +128,52 @@ let test_copy_node () =
   let j'' = D.Plan.Builder.copy_node b j ~inputs:[ l; r ] in
   Alcotest.(check int) "hash-consed" j.D.Plan.pid j''.D.Plan.pid
 
+(* Pids are process-global and domains build nodes concurrently: a
+   server client optimizing on a cache miss, every start-up resolution
+   that rebuilds a node.  Four domains each build 100k nodes (a fresh
+   builder every 1000, so hash-consing cannot hand back an old node and
+   the builders stay small); every pid must be distinct.  Whether the
+   domains really overlap depends on the host's load, so the round is
+   repeated. *)
+let test_pids_distinct_across_domains () =
+  let domains = 4 and per_domain = 100_000 and batch = 1000 in
+  let env = D.Env.dynamic (catalog ()) in
+  let ops = Array.init batch (fun i -> D.Physical.File_scan (string_of_int i)) in
+  let one = I.point 1. in
+  let round () =
+    let started = Atomic.make 0 in
+    let build () =
+      (* Start together, so the domains can overlap. *)
+      Atomic.incr started;
+      while Atomic.get started < domains do Domain.cpu_relax () done;
+      let pids = Array.make per_domain 0 in
+      let b = ref (D.Plan.Builder.create env) in
+      for i = 0 to per_domain - 1 do
+        if i mod batch = 0 then b := D.Plan.Builder.create env;
+        let p =
+          D.Plan.Builder.raw !b ~op:ops.(i mod batch) ~inputs:[] ~rels:[ "R1" ]
+            ~rows:one ~bytes_per_row:8 ~own_cost:one ~total_cost:one
+            ~props:D.Props.unordered
+        in
+        pids.(i) <- p.D.Plan.pid
+      done;
+      pids
+    in
+    let pids =
+      Array.concat
+        (List.map Domain.join (List.init domains (fun _ -> Domain.spawn build)))
+    in
+    Array.sort compare pids;
+    let duplicates = ref 0 in
+    Array.iteri
+      (fun i pid -> if i > 0 && pids.(i - 1) = pid then incr duplicates)
+      pids;
+    !duplicates
+  in
+  for r = 1 to 8 do
+    Alcotest.(check int) (Printf.sprintf "round %d: duplicate pids" r) 0 (round ())
+  done
+
 let suite =
   ( "plan",
     [ Alcotest.test_case "hash-consing" `Quick test_hash_consing;
@@ -136,4 +182,6 @@ let suite =
       Alcotest.test_case "DAG counting" `Quick test_dag_counting;
       Alcotest.test_case "iter visits once, topologically" `Quick test_iter_visits_once;
       Alcotest.test_case "schema" `Quick test_schema;
-      Alcotest.test_case "copy_node" `Quick test_copy_node ] )
+      Alcotest.test_case "copy_node" `Quick test_copy_node;
+      Alcotest.test_case "pids distinct across domains" `Quick
+        test_pids_distinct_across_domains ] )

@@ -269,14 +269,14 @@ let test_infeasible_plan_reports_problems () =
   in
   (match D.Executor.run db b plan with
   | _ -> Alcotest.fail "infeasible plan executed"
-  | exception D.Executor.Infeasible problems ->
+  | exception D.Executor.Infeasible diags ->
     Alcotest.(check bool) "names the dropped relation" true
-      (List.mem (D.Validate.Missing_relation "R1") problems));
+      (Test_util.reports D.Diagnostic.Missing_relation "R1" diags));
   match D.Resilience.run db b plan with
   | Ok _, _ -> Alcotest.fail "infeasible plan executed (supervised)"
-  | Error (D.Resilience.Infeasible problems), rstats ->
+  | Error (D.Resilience.Infeasible diags), rstats ->
     Alcotest.(check bool) "typed problems surface" true
-      (List.mem (D.Validate.Missing_relation "R1") problems);
+      (Test_util.reports D.Diagnostic.Missing_relation "R1" diags);
     Alcotest.(check int) "nothing was attempted" 0 rstats.D.Resilience.attempts
   | Error f, _ ->
     Alcotest.failf "wrong failure kind: %a" D.Resilience.pp_failure f
@@ -298,11 +298,11 @@ let test_partially_infeasible_plan_prunes_and_runs () =
       ~memory_pages:64
   in
   let tuples, stats = D.Executor.run db b plan in
-  (match D.Validate.check reduced stats.D.Executor.resolved_plan with
-  | Ok () -> ()
-  | Error ps ->
-    Alcotest.failf "executed plan references dropped objects: %a"
-      D.Validate.pp_problem (List.hd ps));
+  (match D.Verify.feasibility ~catalog:reduced stats.D.Executor.resolved_plan with
+  | [] -> ()
+  | diags ->
+    Alcotest.failf "executed plan references dropped objects: %s"
+      (D.Diagnostic.list_to_string diags));
   let ref_schema, expected = D.Reference.eval db b q2.D.Queries.query in
   Alcotest.(check bool) "pruned plan answers correctly" true
     (D.Reference.multiset_equal

@@ -203,6 +203,122 @@ let test_maybe_replace_threshold () =
     (D.Adapt.maybe_replace ~threshold:1 env_dyn adapt);
   Alcotest.(check int) "stats reset" 0 (D.Adapt.invocations adapt)
 
+(* --- the unified rewrite against the walks it replaced -------------------- *)
+
+let bits (f : float) = Int64.bits_of_float f
+
+let interval_bits (i : I.t) = (bits i.I.lo, bits i.I.hi)
+
+(* Host variables alternate between [sel] and [1 - sel], so multi-way
+   plans see skewed as well as uniform bindings. *)
+let grid (inst : D.Plangen.instance) =
+  List.concat_map
+    (fun sel ->
+      List.map
+        (fun memory_pages ->
+          D.Bindings.make ~memory_pages
+            ~selectivities:
+              (List.mapi
+                 (fun i hv -> (hv, if i mod 2 = 0 then sel else 1. -. sel))
+                 inst.D.Plangen.host_vars))
+        [ 4; 16; 64 ])
+    [ 0.05; 0.5; 0.95 ]
+
+(* [Startup.resolve] and [Adapt.shrink] on [Plan.rewrite] reproduce the
+   old extraction and shrinking walks bit for bit: Plangen seeds 1..120,
+   each optimized and resolved under the Expected, Worst_case and
+   Quantile 0.9 postures over a bindings grid — plain, with the first
+   choice excluded, and with the first chosen alternative overridden. *)
+let test_rewrite_matches_legacy_walks () =
+  Test_util.with_watchdog ~deadline:300. "rewrite oracle" @@ fun () ->
+  let resolve_both name ?overrides ?excluded ~risk env plan =
+    let got =
+      match D.Startup.resolve ~risk ?overrides ?excluded env plan with
+      | r -> Ok r
+      | exception D.Startup.Exhausted pid -> Error pid
+    in
+    let want =
+      match Legacy_rewrites.resolve ~risk ?overrides ?excluded env plan with
+      | r -> Ok r
+      | exception D.Startup.Exhausted pid -> Error pid
+    in
+    match (got, want) with
+    | Error a, Error b -> Alcotest.(check int) (name ^ ": exhausted at") b a
+    | Ok r, Ok (chosen, cost, choices) ->
+      let shape = Test_util.shape () in
+      Alcotest.(check bool) (name ^ ": same shape") true
+        (shape r.D.Startup.plan = shape chosen);
+      Alcotest.(check int) (name ^ ": same node count")
+        (D.Plan.node_count chosen) (D.Plan.node_count r.D.Startup.plan);
+      Alcotest.(check (list (pair int int))) (name ^ ": same choices") choices
+        r.D.Startup.choices;
+      Alcotest.(check bool) (name ^ ": same anticipated cost") true
+        (bits cost = bits r.D.Startup.anticipated_cost)
+    | _ -> Alcotest.failf "%s: only one side raised Exhausted" name
+  in
+  List.iter
+    (fun seed ->
+      let inst = D.Plangen.generate ~seed in
+      let catalog = inst.D.Plangen.catalog in
+      let bindings = grid inst in
+      List.iter
+        (fun risk ->
+          let options = { D.Optimizer.default_options with risk } in
+          let plan =
+            (Result.get_ok
+               (D.Optimizer.optimize ~options ~mode:(D.Optimizer.dynamic ())
+                  catalog inst.D.Plangen.query))
+              .D.Optimizer.plan
+          in
+          let adapt = D.Adapt.create plan in
+          List.iteri
+            (fun i b ->
+              let name =
+                Printf.sprintf "seed %d, %s, bindings %d" seed
+                  (D.Risk.to_string risk) i
+              in
+              let env = D.Env.of_bindings catalog b in
+              resolve_both name ~risk env plan;
+              let r = D.Startup.resolve ~risk env plan in
+              (* Train on a third of the grid, so some choose nodes keep
+                 every alternative for lack of statistics. *)
+              if i mod 3 = 0 then D.Adapt.record adapt r;
+              match r.D.Startup.choices with
+              | [] -> ()
+              | (_, alt) :: _ ->
+                resolve_both (name ^ ", excluded") ~excluded:[ alt ] ~risk env
+                  plan;
+                resolve_both (name ^ ", overridden")
+                  ~overrides:[ (alt, 7.) ] ~risk env plan)
+            bindings;
+          let name = Printf.sprintf "seed %d, %s, shrink" seed (D.Risk.to_string risk) in
+          let used =
+            List.concat_map
+              (fun b ->
+                (D.Startup.resolve ~risk (D.Env.of_bindings catalog b) plan)
+                  .D.Startup.choices)
+              (List.filteri (fun i _ -> i mod 3 = 0) bindings)
+          in
+          let env = D.Env.dynamic catalog in
+          let got = D.Adapt.shrink env adapt in
+          let want = Legacy_rewrites.shrink env ~used plan in
+          Alcotest.(check int) (name ^ ": node count") (D.Plan.node_count want)
+            (D.Plan.node_count got);
+          Alcotest.(check int) (name ^ ": choose count")
+            (D.Plan.choose_count want) (D.Plan.choose_count got);
+          Alcotest.(check bool) (name ^ ": root cost") true
+            (interval_bits got.D.Plan.total_cost
+            = interval_bits want.D.Plan.total_cost);
+          List.iter
+            (fun b ->
+              let env = D.Env.of_bindings catalog b in
+              let cost p = (D.Startup.resolve ~risk env p).D.Startup.anticipated_cost in
+              Alcotest.(check bool) (name ^ ": resolved cost") true
+                (bits (cost got) = bits (cost want)))
+            bindings)
+        [ D.Risk.Expected; D.Risk.Worst_case; D.Risk.Quantile 0.9 ])
+    (List.init 120 (fun i -> i + 1))
+
 let suite =
   ( "startup",
     [ Alcotest.test_case "resolution removes choose" `Quick
@@ -223,4 +339,6 @@ let suite =
         test_shrink_keeps_used_choices;
       Alcotest.test_case "shrink without stats keeps all" `Quick
         test_shrink_without_stats_keeps_all;
-      Alcotest.test_case "maybe_replace threshold" `Quick test_maybe_replace_threshold ] )
+      Alcotest.test_case "maybe_replace threshold" `Quick test_maybe_replace_threshold;
+      Alcotest.test_case "rewrite matches the legacy walks" `Slow
+        test_rewrite_matches_legacy_walks ] )

@@ -64,3 +64,36 @@ let without_attribute catalog ~rel ~attr =
   C.create ~page_bytes:(C.page_bytes catalog) ~relations
     ~indexes:(C.indexes (without_index catalog ~rel ~attr))
     ()
+
+(* Whether [diags] holds a [code] diagnostic naming [what]: a relation
+   ("R1") or a column ("R1.a"), as the verifier's feasibility messages
+   spell them. *)
+let reports code what diags =
+  List.exists
+    (fun (d : Dqep.Diagnostic.t) ->
+      d.Dqep.Diagnostic.code = code
+      && List.mem what (String.split_on_char ' ' d.Dqep.Diagnostic.message))
+    diags
+
+(* Plan shape up to pids and sharing: structurally equal subplans get
+   one id, however many nodes they are spread over.  Pids are unique
+   across builders, so one table serves any number of plans. *)
+let shape () =
+  let ids = Hashtbl.create 256 and by_pid = Hashtbl.create 256 in
+  let rec id (p : Dqep.Plan.t) =
+    match Hashtbl.find_opt by_pid p.Dqep.Plan.pid with
+    | Some i -> i
+    | None ->
+      let key = (p.Dqep.Plan.op, List.map id p.Dqep.Plan.inputs) in
+      let i =
+        match Hashtbl.find_opt ids key with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length ids in
+          Hashtbl.add ids key i;
+          i
+      in
+      Hashtbl.add by_pid p.Dqep.Plan.pid i;
+      i
+  in
+  id
