@@ -136,6 +136,10 @@ let bench_tests () =
     (* Figure 7: the choose-plan decision procedure on the largest plan. *)
     Test.make ~name:"fig7_startup_resolve_10way"
       (Staged.stage (fun () -> ignore (D.Startup.resolve env5 dyn5)));
+    (* What a plan's first activation pays on top of the pass above:
+       compiling the start-up program (kept from the second on). *)
+    Test.make ~name:"startup_compile_10way"
+      (Staged.stage (fun () -> ignore (D.Startup.compile env5 dyn5)));
     (* Figure 8: a full run-time optimization, the thing dynamic plans
        replace at start-up. *)
     Test.make ~name:"fig8_runtime_optimize_6way"

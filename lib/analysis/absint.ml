@@ -179,7 +179,7 @@ let pp_region ppf r =
 
 (* --- bottom-up interval evaluation ---------------------------------------- *)
 
-(* Modelled rows of one operator, mirroring [Startup.node_rows] but over
+(* Modelled rows of one operator, mirroring start-up's row formulas but over
    whatever interval environment it is given.  Falls back to the node's
    compile-time estimate when the catalog cannot resolve the operator
    (feasibility diagnostics are Verify's job, not this pass's). *)
@@ -215,7 +215,7 @@ let node_rows env (p : Plan.t) (inputs : value list) =
    per DAG node.  The returned lookup answers for any node of [plan] (by
    pid) and raises [Not_found] for foreign nodes.
 
-   The invariant connecting this to startup: [Startup.eval_node]
+   The invariant connecting this to startup: a [Startup] program
    evaluates the same formulas at a point of the environment, taking the
    midpoint of each own-cost interval and the minimum alternative at each
    choose node — both of which lie inside the corresponding interval

@@ -6,9 +6,13 @@ module Physical = Dqep_algebra.Physical
 type input = { rows : Interval.t; bytes_per_row : int }
 type dist_input = { drows : Dist.t; dbytes_per_row : int }
 
+(* Fractional page count of [rows] tuples [width] bytes wide. *)
+let pages ~page ~width rows = Float.max 1. (rows *. width /. page)
+
+let page_size env = float_of_int (Catalog.page_bytes (Env.catalog env))
+
 let pages_for env ~rows ~bytes_per_row =
-  let page = float_of_int (Catalog.page_bytes (Env.catalog env)) in
-  Float.max 1. (rows *. float_of_int bytes_per_row /. page)
+  pages ~page:(page_size env) ~width:(float_of_int bytes_per_row) rows
 
 (* B-tree geometry mirrors Btree.capacities: ~16 bytes per entry and per
    child pointer, packed at 90%. *)
@@ -39,106 +43,151 @@ let passes ~mem ~pages =
 let arity_error op =
   invalid_arg ("Cost_model.own_cost: bad inputs for " ^ Physical.name op)
 
-(* The cost formula at one concrete parameter point: cardinalities and
-   the memory grant are plain floats here.  [own_cost] evaluates it at
-   the interval corners, [own_cost_dist] over the scenario grid — one
-   body, two uncertainty views.  Monotone non-decreasing in every row
-   count and non-increasing in [mem_v], which is what makes both views
-   agree on the hull. *)
-let point_cost env op ~arity ~in_rows ~in_width ~out ~mem_v =
+(* The cost formulas, staged.  [prepare] does everything that depends
+   only on the catalog and the device — relation sizes, index depths,
+   per-probe costs, page sizes — and leaves constants in [k]; [apply]
+   is the formula at one concrete parameter point, float arithmetic in
+   the original evaluation order.  [own_cost] applies it at the interval
+   corners, [own_cost_dist] over the scenario grid, and start-up
+   resolution keeps the prepared constants of every plan node: one
+   body, three uses.  Monotone non-decreasing in every row count and
+   non-increasing in [mem], which is what makes the views agree on the
+   hull. *)
+type opcode = Const | Filter | Index_range | Hash | Merge | Probe | Sort
+
+let stage_width = 5
+
+let need op ~arity n = if arity <> n then arity_error op
+
+let prepare env op ~arity ~width0 ~width1 k off =
   let d = Env.device env in
-    match op with
-    | Physical.File_scan rel ->
-      let card, pages = rel_info env rel in
-      (pages *. d.Device.seq_page_io) +. (card *. d.Device.cpu_per_tuple)
-    | Physical.Btree_scan { rel; _ } ->
-      (* Full retrieval in index order: walk all leaves, fetch every
-         record through the unclustered index. *)
-      let card, _ = rel_info env rel in
-      let leaves = Float.max 1. (card /. leaf_fanout env) in
+  match op with
+  | Physical.File_scan rel ->
+    let card, pages = rel_info env rel in
+    k.(off) <- (pages *. d.Device.seq_page_io) +. (card *. d.Device.cpu_per_tuple);
+    Const
+  | Physical.Btree_scan { rel; _ } ->
+    (* Full retrieval in index order: walk all leaves, fetch every
+       record through the unclustered index. *)
+    let card, _ = rel_info env rel in
+    let leaves = Float.max 1. (card /. leaf_fanout env) in
+    k.(off) <-
       (float_of_int (index_depth env rel) *. d.Device.random_page_io)
       +. (leaves *. d.Device.seq_page_io)
-      +. (card *. (d.Device.random_page_io +. d.Device.cpu_per_tuple))
-    | Physical.Filter _ ->
-      if arity <> 1 then arity_error op
-      else in_rows 0 *. d.Device.cpu_per_compare
-    | Physical.Filter_btree_scan { rel; _ } ->
-      (* [output_rows] is exactly the matching cardinality. *)
-      let _, _ = rel_info env rel in
-      let leaves_touched = Float.max 1. (out /. leaf_fanout env) in
-      (float_of_int (index_depth env rel) *. d.Device.random_page_io)
-      +. (leaves_touched *. d.Device.seq_page_io)
-      +. (out *. (d.Device.random_page_io +. d.Device.cpu_per_tuple))
-    | Physical.Hash_join _ ->
-      if arity <> 2 then arity_error op
-      else begin
-        let bl = in_rows 0 and br = in_rows 1 in
-        let cpu = ((bl +. br +. out) *. d.Device.cpu_per_tuple) in
-        let build_pages = pages_for env ~rows:bl ~bytes_per_row:(in_width 0) in
-        if build_pages <= mem_v -. 1. then cpu
-        else begin
-          (* Grace hash join: partition both inputs to disk and back,
-             possibly over several passes. *)
-          let probe_pages = pages_for env ~rows:br ~bytes_per_row:(in_width 1) in
-          let n = passes ~mem:mem_v ~pages:build_pages in
-          cpu
-          +. (2. *. (build_pages +. probe_pages) *. d.Device.seq_page_io
-              *. float_of_int n)
-        end
-      end
-    | Physical.Merge_join _ ->
-      if arity <> 2 then arity_error op
-      else
-        ((in_rows 0 +. in_rows 1)
-         *. (d.Device.cpu_per_tuple +. d.Device.cpu_per_compare))
-        +. (out *. d.Device.cpu_per_tuple)
-    | Physical.Index_join { inner_rel; inner_attr; _ } ->
-      if arity <> 1 then arity_error op
-      else begin
-        let outer = in_rows 0 in
-        let inner_card, _ = rel_info env inner_rel in
-        let dom =
-          float_of_int
-            (Catalog.domain_size (Env.catalog env) ~rel:inner_rel ~attr:inner_attr)
-        in
-        let matches_per_probe = inner_card /. dom in
-        let per_probe =
-          (float_of_int (index_depth env inner_rel) *. d.Device.random_page_io)
-          +. (matches_per_probe
-              *. (d.Device.random_page_io +. d.Device.cpu_per_tuple))
-        in
-        (outer *. per_probe) +. (out *. d.Device.cpu_per_tuple)
-      end
-    | Physical.Sort _ ->
-      if arity <> 1 then arity_error op
-      else begin
-        let rows = in_rows 0 in
-        let cpu =
-          rows *. (log (Float.max 2. rows) /. log 2.) *. d.Device.cpu_per_compare
-        in
-        let pages = pages_for env ~rows ~bytes_per_row:(in_width 0) in
-        if pages <= mem_v then cpu
-        else
-          let n = passes ~mem:mem_v ~pages in
-          cpu +. (2. *. pages *. d.Device.seq_page_io *. float_of_int n)
-      end
-  | Physical.Choose_plan -> d.Device.choose_plan_overhead
+      +. (card *. (d.Device.random_page_io +. d.Device.cpu_per_tuple));
+    Const
+  | Physical.Filter _ ->
+    need op ~arity 1;
+    k.(off) <- d.Device.cpu_per_compare;
+    Filter
+  | Physical.Filter_btree_scan { rel; _ } ->
+    k.(off) <- float_of_int (index_depth env rel) *. d.Device.random_page_io;
+    k.(off + 1) <- leaf_fanout env;
+    k.(off + 2) <- d.Device.seq_page_io;
+    k.(off + 3) <- d.Device.random_page_io +. d.Device.cpu_per_tuple;
+    Index_range
+  | Physical.Hash_join _ ->
+    need op ~arity 2;
+    k.(off) <- d.Device.cpu_per_tuple;
+    k.(off + 1) <- page_size env;
+    k.(off + 2) <- float_of_int width0;
+    k.(off + 3) <- float_of_int width1;
+    k.(off + 4) <- d.Device.seq_page_io;
+    Hash
+  | Physical.Merge_join _ ->
+    need op ~arity 2;
+    k.(off) <- d.Device.cpu_per_tuple +. d.Device.cpu_per_compare;
+    k.(off + 1) <- d.Device.cpu_per_tuple;
+    Merge
+  | Physical.Index_join { inner_rel; inner_attr; _ } ->
+    need op ~arity 1;
+    let inner_card, _ = rel_info env inner_rel in
+    let dom =
+      float_of_int
+        (Catalog.domain_size (Env.catalog env) ~rel:inner_rel ~attr:inner_attr)
+    in
+    let matches_per_probe = inner_card /. dom in
+    k.(off) <-
+      (float_of_int (index_depth env inner_rel) *. d.Device.random_page_io)
+      +. (matches_per_probe
+          *. (d.Device.random_page_io +. d.Device.cpu_per_tuple));
+    k.(off + 1) <- d.Device.cpu_per_tuple;
+    Probe
+  | Physical.Sort _ ->
+    need op ~arity 1;
+    k.(off) <- d.Device.cpu_per_compare;
+    k.(off + 1) <- page_size env;
+    k.(off + 2) <- float_of_int width0;
+    k.(off + 3) <- d.Device.seq_page_io;
+    Sort
+  | Physical.Choose_plan ->
+    k.(off) <- d.Device.choose_plan_overhead;
+    Const
+
+let[@inline] apply code k off ~in0 ~in1 ~out ~mem =
+  match code with
+  | Const -> k.(off)
+  | Filter -> in0 *. k.(off)
+  | Index_range ->
+    (* [out] is exactly the matching cardinality. *)
+    k.(off)
+    +. (Float.max 1. (out /. k.(off + 1)) *. k.(off + 2))
+    +. (out *. k.(off + 3))
+  | Hash ->
+    let cpu = (in0 +. in1 +. out) *. k.(off) in
+    let page = k.(off + 1) in
+    let build_pages = pages ~page ~width:k.(off + 2) in0 in
+    if build_pages <= mem -. 1. then cpu
+    else begin
+      (* Grace hash join: partition both inputs to disk and back,
+         possibly over several passes. *)
+      let probe_pages = pages ~page ~width:k.(off + 3) in1 in
+      let n = passes ~mem ~pages:build_pages in
+      cpu
+      +. (2. *. (build_pages +. probe_pages) *. k.(off + 4) *. float_of_int n)
+    end
+  | Merge -> ((in0 +. in1) *. k.(off)) +. (out *. k.(off + 1))
+  | Probe -> (in0 *. k.(off)) +. (out *. k.(off + 1))
+  | Sort ->
+    let cpu = in0 *. (log (Float.max 2. in0) /. log 2.) *. k.(off) in
+    let pages = pages ~page:k.(off + 1) ~width:k.(off + 2) in0 in
+    if pages <= mem then cpu
+    else
+      let n = passes ~mem ~pages in
+      cpu +. (2. *. pages *. k.(off + 3) *. float_of_int n)
+
+(* The first two inputs, absent ones as empty: [prepare] rejects a
+   wrong arity and [apply] ignores inputs beyond it. *)
+let first_two none = function
+  | [] -> (none, none)
+  | [ a ] -> (a, none)
+  | a :: b :: _ -> (a, b)
+
+let no_input = { rows = Interval.zero; bytes_per_row = 0 }
 
 let own_cost env op ~inputs ~output_rows =
   let mem = Env.memory_pages env in
-  (* Evaluate one corner: [sel] projects an interval to the relevant
-     bound for cardinalities/output, memory is taken at the opposite
-     bound (cost decreases with memory). *)
-  let corner sel mem_v =
-    point_cost env op ~arity:(List.length inputs)
-      ~in_rows:(fun i -> sel (List.nth inputs i).rows)
-      ~in_width:(fun i -> (List.nth inputs i).bytes_per_row)
-      ~out:(sel output_rows) ~mem_v
+  let a, b = first_two no_input inputs in
+  let k = Array.make stage_width 0. in
+  let code =
+    prepare env op ~arity:(List.length inputs) ~width0:a.bytes_per_row
+      ~width1:b.bytes_per_row k 0
   in
-  let lo = corner (fun (i : Interval.t) -> i.Interval.lo) mem.Interval.hi in
-  let hi = corner (fun (i : Interval.t) -> i.Interval.hi) mem.Interval.lo in
+  (* The cheap corner takes every cardinality at its low bound and memory
+     at its high one (cost decreases with memory); the dear corner the
+     opposite. *)
+  let lo =
+    apply code k 0 ~in0:a.rows.Interval.lo ~in1:b.rows.Interval.lo
+      ~out:output_rows.Interval.lo ~mem:mem.Interval.hi
+  in
+  let hi =
+    apply code k 0 ~in0:a.rows.Interval.hi ~in1:b.rows.Interval.hi
+      ~out:output_rows.Interval.hi ~mem:mem.Interval.lo
+  in
   (* Guard against float noise breaking the interval invariant. *)
   Interval.make (Float.min lo hi) (Float.max lo hi)
+
+let no_dist_input = { drows = Dist.point 0.; dbytes_per_row = 0 }
 
 let own_cost_dist env op ~inputs ~output_rows =
   (* Comonotone scenario evaluation: at grid level [q] every cardinality
@@ -146,12 +195,16 @@ let own_cost_dist env op ~inputs ~output_rows =
      extreme levels are exactly [own_cost]'s two corners and the hull of
      the result equals the interval cost. *)
   let mem = Env.memory_pages_dist env in
+  let a, b = first_two no_dist_input inputs in
+  let k = Array.make stage_width 0. in
+  let code =
+    prepare env op ~arity:(List.length inputs) ~width0:a.dbytes_per_row
+      ~width1:b.dbytes_per_row k 0
+  in
   let scenario q =
-    point_cost env op ~arity:(List.length inputs)
-      ~in_rows:(fun i -> Dist.quantile (List.nth inputs i).drows q)
-      ~in_width:(fun i -> (List.nth inputs i).dbytes_per_row)
+    apply code k 0 ~in0:(Dist.quantile a.drows q) ~in1:(Dist.quantile b.drows q)
       ~out:(Dist.quantile output_rows q)
-      ~mem_v:(Dist.quantile mem (1. -. q))
+      ~mem:(Dist.quantile mem (1. -. q))
   in
   Dist.make
     (List.map (fun q -> (scenario q, 1.)) (Dist.scenario_levels ()))

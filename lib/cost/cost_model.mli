@@ -40,6 +40,40 @@ val own_cost_dist :
     levels are exactly [own_cost]'s two corners, so the result's hull
     equals the interval cost. *)
 
+(** {1 Staged formulas}
+
+    {!own_cost} and {!own_cost_dist} are [prepare] followed by [apply].
+    Start-up resolution keeps each plan node's prepared constants and
+    re-runs only [apply] under each activation's bindings. *)
+
+type opcode = Const | Filter | Index_range | Hash | Merge | Probe | Sort
+(** Which formula [apply] evaluates. *)
+
+val stage_width : int
+(** Constants one prepared operator occupies. *)
+
+val prepare :
+  Env.t ->
+  Dqep_algebra.Physical.op ->
+  arity:int ->
+  width0:int ->
+  width1:int ->
+  float array ->
+  int ->
+  opcode
+(** [prepare env op ~arity ~width0 ~width1 k off] resolves every catalog
+    and device quantity of [op]'s cost into [k.(off)] ..
+    [k.(off + stage_width - 1)]; [width0] and [width1] are the first two
+    inputs' tuple widths (ignored beyond the arity).
+    @raise Invalid_argument if [arity] doesn't match the operator. *)
+
+val apply :
+  opcode -> float array -> int -> in0:float -> in1:float -> out:float ->
+  mem:float -> float
+(** The operator's own cost at one parameter point: input
+    cardinalities [in0], [in1] (ignored beyond the arity), output
+    cardinality [out] and memory grant [mem]. *)
+
 val choose_plan_cost : Env.t -> Interval.t list -> Interval.t
 (** Cost of a whole choose-plan subplan over alternatives' total costs:
     the element-wise minimum of the alternatives plus the decision

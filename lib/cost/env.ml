@@ -117,6 +117,7 @@ let selectivity_dist t (p : Predicate.select) =
   | Predicate.Host_var v -> t.selectivity_dist v
 
 let selectivity t p = Dist.hull (selectivity_dist t p)
+let host_selectivity t var = Dist.hull (t.selectivity_dist var)
 
 let is_point t = t.point
 

@@ -104,6 +104,10 @@ val selectivity : t -> Dqep_algebra.Predicate.select -> Interval.t
     the environment's interval for its host variable.  Always the hull
     of {!selectivity_dist}. *)
 
+val host_selectivity : t -> string -> Interval.t
+(** {!selectivity} of a predicate on the named host variable.
+    @raise Not_found as {!of_bindings} does for an unlisted variable. *)
+
 val selectivity_dist : t -> Dqep_algebra.Predicate.select -> Dist.t
 (** The distribution behind {!selectivity}: a point mass for a bound
     predicate, the environment's belief for a host variable. *)

@@ -4,10 +4,22 @@ module Relation = Dqep_catalog.Relation
 module Predicate = Dqep_algebra.Predicate
 module Logical = Dqep_algebra.Logical
 
-let base_rows env rel =
-  Interval.point (float_of_int (Catalog.relation_exn (Env.catalog env) rel).Relation.cardinality)
+let cardinality env rel =
+  float_of_int (Catalog.relation_exn (Env.catalog env) rel).Relation.cardinality
 
-let select_rows env pred rows = Interval.mul (Env.selectivity env pred) rows
+let base_rows env rel = Interval.point (cardinality env rel)
+
+(* The row formulas at one bound: what [select_rows] and [join_rows]
+   apply to each end of an interval, and start-up resolution to the
+   bounds it keeps in flat arrays. *)
+let selected ~sel rows = sel *. rows
+let joined ~factor l r = factor *. (l *. r)
+
+let select_rows env pred (rows : Interval.t) =
+  let s = Env.selectivity env pred in
+  Interval.unchecked
+    ~lo:(selected ~sel:s.Interval.lo rows.Interval.lo)
+    ~hi:(selected ~sel:s.Interval.hi rows.Interval.hi)
 
 let one_join_selectivity env (p : Predicate.equi) =
   let catalog = Env.catalog env in
@@ -16,12 +28,16 @@ let one_join_selectivity env (p : Predicate.equi) =
   in
   1. /. float_of_int (Int.max (dom p.left) (dom p.right))
 
-let join_selectivity env preds =
-  Interval.point
-    (List.fold_left (fun acc p -> acc *. one_join_selectivity env p) 1. preds)
+let join_factor env preds =
+  List.fold_left (fun acc p -> acc *. one_join_selectivity env p) 1. preds
 
-let join_rows env preds rows_l rows_r =
-  Interval.mul (join_selectivity env preds) (Interval.mul rows_l rows_r)
+let join_selectivity env preds = Interval.point (join_factor env preds)
+
+let join_rows env preds (rows_l : Interval.t) (rows_r : Interval.t) =
+  let factor = join_factor env preds in
+  Interval.unchecked
+    ~lo:(joined ~factor rows_l.Interval.lo rows_r.Interval.lo)
+    ~hi:(joined ~factor rows_l.Interval.hi rows_r.Interval.hi)
 
 let rec logical_rows env = function
   | Logical.Get_set r -> base_rows env r
@@ -34,18 +50,13 @@ let rec logical_rows env = function
    inject uncertainty — shaped by the environment's per-predicate
    distribution instead of flattened to its bounds.  Hulls agree with
    the interval estimates by [Dist.mul]'s comonotone-lifting law. *)
-let base_rows_dist env rel =
-  Dist.point
-    (float_of_int
-       (Catalog.relation_exn (Env.catalog env) rel).Relation.cardinality)
+let base_rows_dist env rel = Dist.point (cardinality env rel)
 
 let select_rows_dist env pred rows =
   Dist.mul (Env.selectivity_dist env pred) rows
 
 let join_rows_dist env preds rows_l rows_r =
-  Dist.scale
-    (List.fold_left (fun acc p -> acc *. one_join_selectivity env p) 1. preds)
-    (Dist.mul rows_l rows_r)
+  Dist.scale (join_factor env preds) (Dist.mul rows_l rows_r)
 
 let rec logical_rows_dist env = function
   | Logical.Get_set r -> base_rows_dist env r

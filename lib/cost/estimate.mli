@@ -23,6 +23,24 @@ val join_rows :
 val logical_rows : Env.t -> Dqep_algebra.Logical.t -> Interval.t
 (** Output cardinality of a whole logical expression. *)
 
+(** {1 Staged formulas}
+
+    The estimates above split into what the catalog fixes
+    ({!cardinality}, {!join_factor}) and the arithmetic applied to each
+    bound ({!selected}, {!joined}).  Start-up resolution prepares the
+    former once per plan and applies the latter per activation. *)
+
+val cardinality : Env.t -> string -> float
+
+val join_factor : Env.t -> Dqep_algebra.Predicate.equi list -> float
+(** The point value of {!join_selectivity}. *)
+
+val selected : sel:float -> float -> float
+(** One bound of {!select_rows}. *)
+
+val joined : factor:float -> float -> float -> float
+(** One bound of {!join_rows}: [joined ~factor l r]. *)
+
 (** {1 Distribution view}
 
     The same estimates over the environment's selectivity distributions.

@@ -26,11 +26,14 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
    interval is exactly its midpoint — the same scalarization Startup has
    always used to break ties inside choose-plan nodes, which is what
    makes Expected the compatible default for start-up resolution. *)
-let scalarize t (i : Interval.t) =
+let scalarize_bounds t ~lo ~hi =
   match t with
-  | Expected -> Interval.mid i
-  | Worst_case -> i.Interval.hi
-  | Quantile p -> i.Interval.lo +. (p *. Interval.width i)
+  | Expected -> (lo +. hi) /. 2.
+  | Worst_case -> hi
+  | Quantile p -> lo +. (p *. (hi -. lo))
+
+let scalarize t (i : Interval.t) =
+  scalarize_bounds t ~lo:i.Interval.lo ~hi:i.Interval.hi
 
 let scalarize_dist t d =
   match t with

@@ -37,6 +37,9 @@ val scalarize : t -> Interval.t -> float
     resolution has always used), [Worst_case] the upper bound,
     [Quantile p] the linear interpolation [lo + p * width]. *)
 
+val scalarize_bounds : t -> lo:float -> hi:float -> float
+(** {!scalarize} of the interval [\[lo, hi\]], without building it. *)
+
 val scalarize_dist : t -> Dist.t -> float
 (** Collapse a distribution: mean, max support, or quantile. *)
 

@@ -66,26 +66,21 @@ let verify_activation db env plan =
    returned unchanged" is remembered: a pruned plan depends on [env]
    (the builder re-costs it), and keeping failures on the uncached path
    means the memo can only skip work that would have succeeded.  The
-   memo is direct-mapped on the root pid, and each slot holds the
-   (plan, catalog) pair in an ephemeron: it keeps no plan or catalog
-   alive, never grows, and a collision costs one re-verification.
-   Ephemerons are immutable and a slot is one atomic word, so domains
-   share the memo without a lock. *)
+   memo is keyed on the root pid and weak in both keys
+   ({!Dqep_util.Weak_memo}): a collision costs one re-verification. *)
 let verdict_slots = 256
 
-let verdicts :
-    (Plan.t, Dqep_catalog.Catalog.t, unit) Ephemeron.K2.t option Atomic.t array =
-  Array.init verdict_slots (fun _ -> Atomic.make None)
+let verdicts : (Plan.t, Dqep_catalog.Catalog.t, unit) Dqep_util.Weak_memo.t =
+  Dqep_util.Weak_memo.create verdict_slots
 
 let check_feasible db env (plan : Plan.t) =
-  let catalog = Database.catalog db in
-  let slot = verdicts.(plan.Plan.pid land (verdict_slots - 1)) in
-  match Atomic.get slot with
-  | Some e when Ephemeron.K2.query e plan catalog <> None -> plan
-  | _ ->
+  let catalog = Database.catalog db and hash = plan.Plan.pid in
+  match Dqep_util.Weak_memo.find verdicts ~hash plan catalog with
+  | Some () -> plan
+  | None ->
     let checked = verify_activation db env plan in
     if checked == plan then
-      Atomic.set slot (Some (Ephemeron.K2.make plan catalog ()));
+      Dqep_util.Weak_memo.replace verdicts ~hash plan catalog ();
     checked
 
 let compile db env plan = snd (Batch_exec.compile_with db env plan)
@@ -100,12 +95,8 @@ let execute db env ?gov ?obs ?materialized ?checkpoint ?workers ?on_batch plan =
 let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     ?(risk = Dqep_cost.Risk.Expected) bindings plan =
   let env = Env.of_bindings (Database.catalog db) bindings in
-  let plan = check_feasible db env plan in
-  let choose_nodes = Plan.choose_count plan in
-  let resolved =
-    if Plan.contains_choose plan then (Startup.resolve ~risk env plan).Startup.plan
-    else plan
-  in
+  let resolution = Startup.resolve ~risk env (check_feasible db env plan) in
+  let resolved = resolution.Startup.plan in
   let pool = Database.pool db in
   Buffer_pool.resize pool (memory_pages env);
   (* Every run records through a trace — the caller's when one was
@@ -129,7 +120,7 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
       io = Buffer_pool.diff ~before ~after:(Buffer_pool.stats_of_trace rt);
       cpu_seconds;
       resolved_plan = resolved;
-      choose_nodes;
+      choose_nodes = resolution.Startup.choose_nodes;
       retries = 0;
       faults_absorbed = 0;
       budget_aborts = 0;

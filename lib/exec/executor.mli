@@ -66,9 +66,10 @@ val check_feasible :
     @raise Infeasible when nothing feasible remains. *)
 
 val verdict_slots : int
-(** Size of {!check_feasible}'s memo.  It is direct-mapped on the root
-    pid: plans whose root pids are congruent modulo [verdict_slots]
-    share a slot, and the later one evicts the earlier. *)
+(** Size of {!check_feasible}'s memo.  It is two-way set-associative on
+    the root pid ({!Dqep_util.Weak_memo}): plans whose root pids are
+    congruent modulo [verdict_slots / 2] share a set of two entries, and
+    a third evicts the one used least recently. *)
 
 val compile :
   Dqep_storage.Database.t ->

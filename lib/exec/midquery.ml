@@ -195,7 +195,7 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
             io = Buffer_pool.diff ~before ~after;
             cpu_seconds;
             resolved_plan = adapted.Startup.plan;
-            choose_nodes = Plan.choose_count plan;
+            choose_nodes = adapted.Startup.choose_nodes;
             retries = 0;
             faults_absorbed = 0;
             budget_aborts = 0;

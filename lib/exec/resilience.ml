@@ -285,7 +285,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
               io = Buffer_pool.diff ~before ~after;
               cpu_seconds;
               resolved_plan = resolution.Startup.plan;
-              choose_nodes = Dqep_plans.Plan.choose_count !current_plan;
+              choose_nodes = resolution.Startup.choose_nodes;
               retries = Trace.get rt Counter.Retries - base_retries;
               faults_absorbed =
                 Trace.get rt Counter.Faults_absorbed - base_faults;

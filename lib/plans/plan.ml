@@ -188,7 +188,9 @@ let fold f init plan =
    pre-order.  Nodes are only rebuilt when an input changed. *)
 let rewrite env ?(dead = fun _ -> false) ?(verbatim = fun _ -> false)
     ?(keep = fun p -> p.inputs) plan =
-  let builder = lazy (Builder.create env) in
+  (* A rewrite rebuilds few nodes, once per resolving activation: a
+     small table keeps its builder off the major heap. *)
+  let builder = lazy { Builder.env; table = Hashtbl.create 16; count = 0 } in
   let memo = Pid_tbl.create 64 in
   let rec go p =
     match Pid_tbl.find_opt memo p.pid with

@@ -1,19 +1,19 @@
 module Interval = Dqep_util.Interval
+module Weak_memo = Dqep_util.Weak_memo
 module Physical = Dqep_algebra.Physical
+module Predicate = Dqep_algebra.Predicate
+module Catalog = Dqep_catalog.Catalog
 module Env = Dqep_cost.Env
+module Device = Dqep_cost.Device
 module Estimate = Dqep_cost.Estimate
 module Cost_model = Dqep_cost.Cost_model
 module Risk = Dqep_cost.Risk
-module Timer = Dqep_util.Timer
 
 type stats = {
   nodes_evaluated : int;
   cost_evaluations : int;
   choose_decisions : int;
-  cpu_seconds : float;
 }
-
-type node_value = { rows : Interval.t; total : float }
 
 exception Exhausted of int
 
@@ -25,122 +25,530 @@ let () =
            "Startup.Exhausted(choose-plan #%d has no surviving alternative)" pid)
     | _ -> None)
 
-type eval_state = {
+(* --- compiled programs ----------------------------------------------------- *)
+
+(* How a node's output rows follow from its inputs: one constructor per
+   shape of the optimizer's logical estimation applied to a physical
+   operator. *)
+type rows_op =
+  | Base  (* a stored relation *)
+  | Select  (* a selection over the first input *)
+  | Select_base  (* a selection over a stored relation *)
+  | Join  (* the two inputs, times the join factor *)
+  | Probe  (* index join: the outer input against the inner relation *)
+  | Probe_select  (* ... against the inner relation's selection *)
+  | Pass  (* the first input's rows *)
+  | Choose  (* the first alternative's rows; the cheapest total *)
+
+(* Each node owns [stride] constants: its relation's cardinality, its
+   join factor, a bound predicate's selectivity, then the prepared
+   own-cost formula. *)
+let card = 0
+let factor = 1
+let sel_lo = 2
+let sel_hi = 3
+let cost_at = 4
+let stride = cost_at + Cost_model.stage_width
+
+(* A plan's nodes in children-first order ([Plan.iter]'s), under dense
+   local indices; the root is the last.  Everything the catalog and the
+   device decide is resolved here, once: an activation only binds the
+   host variables and the memory grant. *)
+type program = {
+  device : Device.t;
+  mutable n : int;
+  mutable nodes : Plan.t array;
+  mutable rows_op : rows_op array;
+  mutable cost_op : Cost_model.opcode array;
+  mutable slot : int array;
+      (* host-variable slot of the node's selection; -1 for a bound
+         predicate (its selectivity is a constant) or none *)
+  mutable first_input : int array;
+      (* node [i]'s inputs are [inputs.(first_input.(i))] up to
+         [inputs.(first_input.(i + 1) - 1)] *)
+  mutable inputs : int array;
+  mutable consts : float array;
+  mutable vars : string array;  (* slot -> host variable *)
+  mutable n_vars : int;
+  mutable choose_at : int array;  (* local indices of the choose nodes *)
+  mutable chooses : int;
+}
+
+let grow a len fill =
+  if len <= Array.length a then a
+  else begin
+    let b = Array.make (Int.max len (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* A program with room for [nodes] and [edges] input references. *)
+let sized env ~nodes ~edges =
+  let n = Array.length nodes in
+  { device = Env.device env; n = 0; nodes;
+    rows_op = Array.make n Base; cost_op = Array.make n Cost_model.Const;
+    slot = Array.make n (-1); first_input = Array.make (n + 1) 0;
+    inputs = Array.make edges 0; consts = Array.make (n * stride) 0.;
+    vars = [||]; n_vars = 0; choose_at = [||]; chooses = 0 }
+
+(* Plans bind a handful of host variables: a scan beats a table. *)
+let var_slot prog var =
+  let rec find s =
+    if s = prog.n_vars then begin
+      prog.vars <- grow prog.vars (s + 1) var;
+      prog.vars.(s) <- var;
+      prog.n_vars <- s + 1;
+      s
+    end
+    else if String.equal prog.vars.(s) var then s
+    else find (s + 1)
+  in
+  find 0
+
+(* [Estimate.join_factor], remembering the last predicate list: a join's
+   alternatives share it, and children-first order visits them close
+   together. *)
+let join_factors env =
+  let last = ref [] and value = ref 1. in
+  fun preds ->
+    if preds != !last then begin
+      last := preds;
+      value := Estimate.join_factor env preds
+    end;
+    !value
+
+(* Append one node whose inputs are already in the program, at local
+   indices [ins]. *)
+let add_node prog env ~join_factor (p : Plan.t) ins =
+  let i = prog.n in
+  let arity = List.length ins in
+  let rows_op, pred =
+    match (p.Plan.op, arity) with
+    | (Physical.File_scan _ | Physical.Btree_scan _), 0 -> (Base, None)
+    | Physical.Filter pred, 1 -> (Select, Some pred)
+    | Physical.Filter_btree_scan { pred; _ }, 0 -> (Select_base, Some pred)
+    | (Physical.Hash_join _ | Physical.Merge_join _), 2 -> (Join, None)
+    | Physical.Index_join { inner_filter = None; _ }, 1 -> (Probe, None)
+    | Physical.Index_join { inner_filter = Some pred; _ }, 1 ->
+      (Probe_select, Some pred)
+    | Physical.Sort _, 1 -> (Pass, None)
+    | Physical.Choose_plan, n when n > 0 -> (Choose, None)
+    | _ -> invalid_arg "Startup: operator arity mismatch"
+  in
+  prog.nodes <- grow prog.nodes (i + 1) p;
+  prog.rows_op <- grow prog.rows_op (i + 1) Base;
+  prog.cost_op <- grow prog.cost_op (i + 1) Cost_model.Const;
+  prog.slot <- grow prog.slot (i + 1) (-1);
+  prog.first_input <- grow prog.first_input (i + 2) 0;
+  prog.consts <- grow prog.consts ((i + 1) * stride) 0.;
+  let at = i * stride and k = prog.consts in
+  prog.nodes.(i) <- p;
+  prog.rows_op.(i) <- rows_op;
+  (match p.Plan.op with
+  | Physical.File_scan rel | Physical.Btree_scan { rel; _ }
+  | Physical.Filter_btree_scan { rel; _ }
+  | Physical.Index_join { inner_rel = rel; _ } ->
+    k.(at + card) <- Estimate.cardinality env rel
+  | _ -> ());
+  (match p.Plan.op with
+  | Physical.Hash_join preds | Physical.Merge_join preds
+  | Physical.Index_join { preds; _ } ->
+    k.(at + factor) <- join_factor preds
+  | _ -> ());
+  (match pred with
+  | Some { Predicate.selectivity = Predicate.Host_var v; _ } ->
+    prog.slot.(i) <- var_slot prog v
+  | Some pred ->
+    let s = Env.selectivity env pred in
+    k.(at + sel_lo) <- s.Interval.lo;
+    k.(at + sel_hi) <- s.Interval.hi
+  | None -> ());
+  (match rows_op with
+  | Choose ->
+    prog.choose_at <- grow prog.choose_at (prog.chooses + 1) i;
+    prog.choose_at.(prog.chooses) <- i;
+    prog.chooses <- prog.chooses + 1
+  | _ ->
+    let width j =
+      match List.nth_opt p.Plan.inputs j with
+      | Some (c : Plan.t) -> c.Plan.bytes_per_row
+      | None -> 0
+    in
+    prog.cost_op.(i) <-
+      Cost_model.prepare env p.Plan.op ~arity ~width0:(width 0)
+        ~width1:(width 1) k (at + cost_at));
+  let first = prog.first_input.(i) in
+  prog.inputs <- grow prog.inputs (first + arity) 0;
+  List.iteri (fun j c -> prog.inputs.(first + j) <- c) ins;
+  prog.first_input.(i + 1) <- first + arity;
+  prog.n <- i + 1
+
+(* The nodes of [plan] not yet in [local], children first, each with
+   its inputs' local indices; [local] is extended to them, numbering on
+   from [from].  Returns the root's index too. *)
+let collect local ~from plan =
+  let order = ref [] and next = ref from in
+  let rec visit (p : Plan.t) =
+    match Plan.Pid_tbl.find_opt local p.Plan.pid with
+    | Some i -> i
+    | None ->
+      let ins = List.map visit p.Plan.inputs in
+      let i = !next in
+      Plan.Pid_tbl.add local p.Plan.pid i;
+      incr next;
+      order := (p, ins) :: !order;
+      i
+  in
+  let root = visit plan in
+  (root, List.rev !order)
+
+(* The order is found first, so the arrays are allocated once, at their
+   final size. *)
+let compile env plan =
+  let _, order = collect (Plan.Pid_tbl.create 64) ~from:0 plan in
+  let edges = List.fold_left (fun acc (_, ins) -> acc + List.length ins) 0 order in
+  let prog = sized env ~nodes:(Array.make (List.length order) plan) ~edges in
+  let join_factor = join_factors env in
+  List.iter (fun (p, ins) -> add_node prog env ~join_factor p ins) order;
+  prog
+
+(* Overrides and exclusions name nodes by pid; they are rare enough for
+   a scan. *)
+let find_local prog pid =
+  let rec go i =
+    if i = prog.n then None
+    else if prog.nodes.(i).Plan.pid = pid then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* --- activations ----------------------------------------------------------- *)
+
+(* One evaluation of a program.  [temp], [excluded] and [live] are empty
+   unless the activation has overrides or exclusions; the [chosen_*]
+   arrays are empty unless it resolves. *)
+type state = {
   env : Env.t;
   risk : Risk.t;
-  overrides : (int * float) list;
-  excluded : int list;
-  memo : (int, node_value) Hashtbl.t;
+  mem_lo : float;
+  mem_hi : float;
+  mutable var_lo : float array;  (* per host-variable slot, nan until read *)
+  mutable var_hi : float array;
+  mutable rows_lo : float array;
+  mutable rows_hi : float array;
+  mutable total : float array;
+  mutable choice : int array;  (* a choose node's cheapest survivor, or -1 *)
+  temp : float array;  (* an override's observed rows, nan if none *)
+  excluded : Bytes.t;
+  live : Bytes.t;  (* reached without passing through an override *)
+  (* The chosen plan's own rows and cost, node by node: the rows of a
+     choose node's cheapest alternative instead of its first one, and no
+     decision overheads. *)
+  chosen_lo : float array;
+  chosen_hi : float array;
+  chosen_total : float array;
+  unchanged : Bytes.t;
+  mutable nodes_evaluated : int;
   mutable cost_evaluations : int;
   mutable choose_decisions : int;
 }
 
-(* Recompute a node's output cardinality under the point environment.
-   This mirrors the optimizer's logical estimation, applied to physical
-   operators. *)
-let node_rows st (p : Plan.t) (input_values : node_value list) =
-  let env = st.env in
-  match (p.Plan.op, input_values) with
-  | Physical.File_scan rel, [] | Physical.Btree_scan { rel; _ }, [] ->
-    Estimate.base_rows env rel
-  | Physical.Filter pred, [ child ] -> Estimate.select_rows env pred child.rows
-  | Physical.Filter_btree_scan { rel; pred; _ }, [] ->
-    Estimate.select_rows env pred (Estimate.base_rows env rel)
-  | Physical.Hash_join preds, [ l; r ] | Physical.Merge_join preds, [ l; r ] ->
-    Estimate.join_rows env preds l.rows r.rows
-  | Physical.Index_join { preds; inner_rel; inner_filter; _ }, [ outer ] ->
-    let inner = Estimate.base_rows env inner_rel in
-    let inner =
-      match inner_filter with
-      | None -> inner
-      | Some pred -> Estimate.select_rows env pred inner
-    in
-    Estimate.join_rows env preds outer.rows inner
-  | Physical.Sort _, [ child ] -> child.rows
-  | Physical.Choose_plan, first :: _ -> first.rows
-  | ( ( Physical.File_scan _ | Physical.Btree_scan _ | Physical.Filter _
-      | Physical.Filter_btree_scan _ | Physical.Hash_join _
-      | Physical.Merge_join _ | Physical.Index_join _ | Physical.Sort _
-      | Physical.Choose_plan ),
-      _ ) ->
-    invalid_arg "Startup: operator arity mismatch"
+let overridden st i = Array.length st.temp > 0 && not (Float.is_nan st.temp.(i))
+let is_excluded st i = Bytes.length st.excluded > 0 && Bytes.get st.excluded i <> '\000'
+let live st i = Bytes.length st.live = 0 || Bytes.get st.live i <> '\000'
+
+let activation ?(chosen = false) ~risk ~overrides ~excluded env prog =
+  let n = prog.n in
+  let index = find_local prog in
+  let temp =
+    match overrides with
+    | [] -> [||]
+    | _ ->
+      (* The first binding of a pid wins, as with [List.assoc]. *)
+      let t = Array.make n Float.nan in
+      List.iter
+        (fun (pid, rows) -> Option.iter (fun i -> t.(i) <- rows) (index pid))
+        (List.rev overrides);
+      t
+  in
+  let excl =
+    match excluded with
+    | [] -> Bytes.empty
+    | _ ->
+      let e = Bytes.make n '\000' in
+      List.iter
+        (fun pid -> Option.iter (fun i -> Bytes.set e i '\001') (index pid))
+        excluded;
+      e
+  in
+  let vars = prog.n_vars in
+  let mem = Env.memory_pages env in
+  let chosen_arr () = if chosen then Array.make n 0. else [||] in
+  let st =
+    { env; risk; mem_lo = mem.Interval.lo; mem_hi = mem.Interval.hi;
+      var_lo = Array.make vars Float.nan; var_hi = Array.make vars Float.nan;
+      rows_lo = Array.make n 0.; rows_hi = Array.make n 0.;
+      total = Array.make n 0.; choice = Array.make n (-1); temp;
+      excluded = excl;
+      live = (if Array.length temp = 0 then Bytes.empty else Bytes.make n '\000');
+      chosen_lo = chosen_arr (); chosen_hi = chosen_arr ();
+      chosen_total = chosen_arr ();
+      unchanged = (if chosen then Bytes.make n '\000' else Bytes.empty);
+      nodes_evaluated = 0; cost_evaluations = 0;
+      choose_decisions = 0 }
+  in
+  (* Nodes only an overridden subplan reaches are never evaluated: that
+     subplan's cost is a rescan of its temporary. *)
+  if Bytes.length st.live > 0 then begin
+    Bytes.set st.live (n - 1) '\001';
+    for i = n - 1 downto 0 do
+      if live st i && not (overridden st i) then
+        for x = prog.first_input.(i) to prog.first_input.(i + 1) - 1 do
+          Bytes.set st.live prog.inputs.(x) '\001'
+        done
+    done
+  end;
+  st
 
 (* Cost of rescanning a materialized temporary of [rows] tuples. *)
 let temp_scan_cost env ~rows ~bytes_per_row =
   let d = Env.device env in
-  let page = float_of_int (Dqep_catalog.Catalog.page_bytes (Env.catalog env)) in
-  let pages = Float.max 1. (rows *. float_of_int bytes_per_row /. page) in
-  (pages *. d.Dqep_cost.Device.seq_page_io)
-  +. (rows *. d.Dqep_cost.Device.cpu_per_tuple)
+  (Cost_model.pages_for env ~rows ~bytes_per_row *. d.Device.seq_page_io)
+  +. (rows *. d.Device.cpu_per_tuple)
 
-let rec eval_node st (p : Plan.t) =
-  match Hashtbl.find_opt st.memo p.Plan.pid with
-  | Some v -> v
-  | None when List.mem_assoc p.Plan.pid st.overrides ->
-    (* The subplan was already evaluated into a temporary: its actual
-       cardinality is known and its remaining cost is a rescan. *)
-    let rows = List.assoc p.Plan.pid st.overrides in
-    let v =
-      { rows = Interval.point rows;
-        total = temp_scan_cost st.env ~rows ~bytes_per_row:p.Plan.bytes_per_row }
-    in
-    Hashtbl.add st.memo p.Plan.pid v;
-    v
-  | None ->
-    let input_values = List.map (eval_node st) p.Plan.inputs in
-    let rows = node_rows st p input_values in
-    let total =
-      match p.Plan.op with
-      | Physical.Choose_plan ->
+let input prog i j = prog.inputs.(prog.first_input.(i) + j)
+
+(* One bound of node [i]'s rows, from its inputs' rows at that bound in
+   [rows] and its selection's selectivity bound [sel]. *)
+let rows_bound prog i rows sel =
+  let k = prog.consts and at = i * stride in
+  match prog.rows_op.(i) with
+  | Base -> k.(at + card)
+  | Select -> Estimate.selected ~sel rows.(input prog i 0)
+  | Select_base -> Estimate.selected ~sel k.(at + card)
+  | Join ->
+    Estimate.joined ~factor:k.(at + factor) rows.(input prog i 0)
+      rows.(input prog i 1)
+  | Probe -> Estimate.joined ~factor:k.(at + factor) rows.(input prog i 0) k.(at + card)
+  | Probe_select ->
+    Estimate.joined ~factor:k.(at + factor) rows.(input prog i 0)
+      (Estimate.selected ~sel k.(at + card))
+  | Pass | Choose -> rows.(input prog i 0)
+
+(* Node [i]'s rows from its inputs' rows in [lo]/[hi], into the same
+   arrays.  Each host variable is looked up once per activation. *)
+let node_rows prog st i lo hi =
+  let s = prog.slot.(i) and at = i * stride in
+  if s >= 0 && Float.is_nan st.var_lo.(s) then begin
+    let v = Env.host_selectivity st.env prog.vars.(s) in
+    st.var_lo.(s) <- v.Interval.lo;
+    st.var_hi.(s) <- v.Interval.hi
+  end;
+  lo.(i) <- rows_bound prog i lo (if s >= 0 then st.var_lo.(s) else prog.consts.(at + sel_lo));
+  hi.(i) <- rows_bound prog i hi (if s >= 0 then st.var_hi.(s) else prog.consts.(at + sel_hi))
+
+(* Node [i]'s own cost at one corner, input and output rows read from
+   [rows]. *)
+let cost_bound prog i rows ~mem =
+  let a = prog.first_input.(i) and b = prog.first_input.(i + 1) in
+  Cost_model.apply prog.cost_op.(i) prog.consts ((i * stride) + cost_at)
+    ~in0:(if b > a then rows.(prog.inputs.(a)) else 0.)
+    ~in1:(if b > a + 1 then rows.(prog.inputs.(a + 1)) else 0.)
+    ~out:rows.(i) ~mem
+
+(* Node [i]'s own cost, scalarized: the cheap corner (low rows, high
+   memory) and the dear one. *)
+let own_cost prog st i lo hi =
+  let c_lo = cost_bound prog i lo ~mem:st.mem_hi in
+  let c_hi = cost_bound prog i hi ~mem:st.mem_lo in
+  Risk.scalarize_bounds st.risk ~lo:(Float.min c_lo c_hi) ~hi:(Float.max c_lo c_hi)
+
+let plus_inputs prog i totals own =
+  let acc = ref own in
+  for x = prog.first_input.(i) to prog.first_input.(i + 1) - 1 do
+    acc := !acc +. totals.(prog.inputs.(x))
+  done;
+  !acc
+
+let overhead prog = prog.device.Device.choose_plan_overhead
+
+let set_chosen st i ~unchanged lo hi total =
+  st.chosen_lo.(i) <- lo;
+  st.chosen_hi.(i) <- hi;
+  st.chosen_total.(i) <- total;
+  if unchanged then Bytes.set st.unchanged i '\001'
+
+(* Node [i]'s values in the chosen plan.  Below a choose node with no
+   surviving alternative there is no chosen plan (extraction raises
+   [Exhausted] if it gets there): such nodes get nan.  [Plan.rewrite]
+   returns a node as is when nothing below it changed, so a
+   one-alternative choose node over an unchanged alternative survives
+   extraction, decision overhead and all; [st.unchanged] tracks which
+   nodes extraction leaves alone. *)
+let chosen_node prog st i ~own =
+  let lo = st.chosen_lo and hi = st.chosen_hi and totals = st.chosen_total in
+  let a = prog.first_input.(i) and b = prog.first_input.(i + 1) in
+  if overridden st i then
+    set_chosen st i ~unchanged:true st.rows_lo.(i) st.rows_hi.(i) st.total.(i)
+  else
+    match prog.rows_op.(i) with
+    | Choose ->
+      let j = st.choice.(i) in
+      if j < 0 then set_chosen st i ~unchanged:false Float.nan Float.nan Float.nan
+      else if b - a = 1 && Bytes.get st.unchanged j <> '\000' then
+        set_chosen st i ~unchanged:true lo.(j) hi.(j) (totals.(j) +. overhead prog)
+      else set_chosen st i ~unchanged:false lo.(j) hi.(j) totals.(j)
+    | _ ->
+      let reached = ref true and same_rows = ref true and unchanged = ref true in
+      for x = a to b - 1 do
+        let c = prog.inputs.(x) in
+        if Float.is_nan totals.(c) then reached := false
+        else if lo.(c) <> st.rows_lo.(c) || hi.(c) <> st.rows_hi.(c) then
+          same_rows := false;
+        if Bytes.get st.unchanged c = '\000' then unchanged := false
+      done;
+      if not !reached then
+        set_chosen st i ~unchanged:false Float.nan Float.nan Float.nan
+      else if !same_rows then
+        set_chosen st i ~unchanged:!unchanged st.rows_lo.(i) st.rows_hi.(i)
+          (plus_inputs prog i totals own)
+      else begin
+        node_rows prog st i lo hi;
+        set_chosen st i ~unchanged:!unchanged lo.(i) hi.(i)
+          (plus_inputs prog i totals (own_cost prog st i lo hi))
+      end
+
+let step prog st i =
+  st.nodes_evaluated <- st.nodes_evaluated + 1;
+  let own =
+    if overridden st i then begin
+      (* The subplan was already evaluated into a temporary: its actual
+         cardinality is known and its remaining cost is a rescan. *)
+      let rows = st.temp.(i) in
+      st.rows_lo.(i) <- rows;
+      st.rows_hi.(i) <- rows;
+      st.total.(i) <-
+        temp_scan_cost st.env ~rows
+          ~bytes_per_row:prog.nodes.(i).Plan.bytes_per_row;
+      0.
+    end
+    else begin
+      node_rows prog st i st.rows_lo st.rows_hi;
+      match prog.rows_op.(i) with
+      | Choose ->
         st.choose_decisions <- st.choose_decisions + 1;
         (* Excluded alternatives (failed at run-time, see Resilience)
-           cost infinity: the minimum falls on a surviving one. *)
-        let best =
-          List.fold_left2
-            (fun acc (alt : Plan.t) v ->
-              if List.mem alt.Plan.pid st.excluded then acc
-              else Float.min acc v.total)
-            Float.infinity p.Plan.inputs input_values
-        in
-        best +. (Env.device st.env).Dqep_cost.Device.choose_plan_overhead
+           cost infinity: the minimum falls on a surviving one, the first
+           on ties. *)
+        let best = ref Float.infinity and pick = ref (-1) in
+        for x = prog.first_input.(i) to prog.first_input.(i + 1) - 1 do
+          let j = prog.inputs.(x) in
+          if not (is_excluded st j) then begin
+            let t = st.total.(j) in
+            best := Float.min !best t;
+            if !pick < 0 || not (st.total.(!pick) <= t) then pick := j
+          end
+        done;
+        st.total.(i) <- !best +. overhead prog;
+        st.choice.(i) <- !pick;
+        0.
       | _ ->
         st.cost_evaluations <- st.cost_evaluations + 1;
-        let cm_inputs =
-          List.map2
-            (fun (child : Plan.t) v ->
-              { Cost_model.rows = v.rows;
-                bytes_per_row = child.Plan.bytes_per_row })
-            p.Plan.inputs input_values
-        in
-        let own = Cost_model.own_cost st.env p.Plan.op ~inputs:cm_inputs ~output_rows:rows in
-        List.fold_left
-          (fun acc v -> acc +. v.total)
-          (Risk.scalarize st.risk own) input_values
-    in
-    let v = { rows; total } in
-    Hashtbl.add st.memo p.Plan.pid v;
-    v
+        let own = own_cost prog st i st.rows_lo st.rows_hi in
+        st.total.(i) <- plus_inputs prog i st.total own;
+        own
+    end
+  in
+  if Array.length st.chosen_total > 0 then chosen_node prog st i ~own
+
+let run prog st =
+  for i = 0 to prog.n - 1 do
+    if live st i then step prog st i
+  done
+
+let stats st =
+  { nodes_evaluated = st.nodes_evaluated;
+    cost_evaluations = st.cost_evaluations;
+    choose_decisions = st.choose_decisions }
+
+(* --- the program memo -------------------------------------------------------- *)
+
+(* Programs are memoized per (plan, catalog) in a bounded weak table,
+   but only from a plan's second activation: the first leaves a marker.
+   A plan activated once and then dropped (every request of a churning
+   plan cache) so never carries a program. *)
+type entry = Seen | Compiled of program
+
+let programs : (Plan.t, Catalog.t, entry) Weak_memo.t = Weak_memo.create 256
+
+let memoized env (plan : Plan.t) =
+  match Weak_memo.find programs ~hash:plan.Plan.pid plan (Env.catalog env) with
+  | Some (Compiled prog) when prog.device == Env.device env -> Some prog
+  | Some (Compiled _ | Seen) | None -> None
+
+let retained env plan = Option.is_some (memoized env plan)
+
+let program env plan =
+  match memoized env plan with Some prog -> prog | None -> compile env plan
+
+let activated env (plan : Plan.t) =
+  let hash = plan.Plan.pid and catalog = Env.catalog env in
+  match Weak_memo.find programs ~hash plan catalog with
+  | Some (Compiled prog) when prog.device == Env.device env -> prog
+  | Some (Compiled _) -> compile env plan
+  | Some Seen ->
+    let prog = compile env plan in
+    Weak_memo.replace programs ~hash plan catalog (Compiled prog);
+    prog
+  | None ->
+    Weak_memo.replace programs ~hash plan catalog Seen;
+    compile env plan
+
+(* --- entry points ------------------------------------------------------------ *)
+
+let evaluated ?(chosen = false) ~risk ~overrides ~excluded env prog =
+  let st = activation ~chosen ~risk ~overrides ~excluded env prog in
+  run prog st;
+  st
 
 let evaluate ?(risk = Risk.Expected) ?(overrides = []) ?(excluded = []) env
     plan =
-  let st =
-    { env; risk; overrides; excluded; memo = Hashtbl.create 256;
-      cost_evaluations = 0; choose_decisions = 0 }
-  in
-  let v, cpu_seconds = Timer.cpu (fun () -> eval_node st plan) in
-  ( v.total,
-    { nodes_evaluated = Hashtbl.length st.memo;
-      cost_evaluations = st.cost_evaluations;
-      choose_decisions = st.choose_decisions;
-      cpu_seconds } )
+  let prog = program env plan in
+  let st = evaluated ~risk ~overrides ~excluded env prog in
+  (st.total.(prog.n - 1), stats st)
 
-type evaluator = eval_state
+(* The optimizer prices many plans sharing DAG nodes under one
+   environment: one program grows by each plan's unseen nodes, and only
+   those are evaluated. *)
+type evaluator = {
+  prog : program;
+  local : int Plan.Pid_tbl.t;
+  join_factor : Predicate.equi list -> float;
+  st : state;
+}
 
-let evaluator ?(risk = Risk.Expected) ?(overrides = []) ?(excluded = []) env =
-  { env; risk; overrides; excluded; memo = Hashtbl.create 1024;
-    cost_evaluations = 0; choose_decisions = 0 }
+let evaluator ?(risk = Risk.Expected) env =
+  let prog = sized env ~nodes:[||] ~edges:0 in
+  { prog; local = Plan.Pid_tbl.create 1024; join_factor = join_factors env;
+    st = activation ~risk ~overrides:[] ~excluded:[] env prog }
 
-let evaluate_with st plan = (eval_node st plan).total
+let evaluate_with { prog; local; join_factor; st } plan =
+  let from = prog.n in
+  let root, order = collect local ~from plan in
+  List.iter (fun (p, ins) -> add_node prog st.env ~join_factor p ins) order;
+  if prog.n > from then begin
+    let vars = prog.n_vars in
+    st.var_lo <- grow st.var_lo vars Float.nan;
+    st.var_hi <- grow st.var_hi vars Float.nan;
+    st.rows_lo <- grow st.rows_lo prog.n 0.;
+    st.rows_hi <- grow st.rows_hi prog.n 0.;
+    st.total <- grow st.total prog.n 0.;
+    st.choice <- grow st.choice prog.n (-1);
+    for i = from to prog.n - 1 do
+      step prog st i
+    done
+  end;
+  st.total.(root)
 
 type decision = {
   choose_pid : int;
@@ -150,37 +558,36 @@ type decision = {
 
 let explain ?(risk = Risk.Expected) ?(overrides = []) ?(excluded = []) env
     plan =
-  let st =
-    { env; risk; overrides; excluded; memo = Hashtbl.create 256;
-      cost_evaluations = 0; choose_decisions = 0 }
-  in
-  ignore (eval_node st plan);
+  let prog = program env plan in
+  let st = evaluated ~risk ~overrides ~excluded env prog in
   let decisions = ref [] in
-  Plan.iter
-    (fun p ->
-      match p.Plan.op with
-      | Physical.Choose_plan when not (List.mem_assoc p.Plan.pid overrides) ->
-        let alternatives =
-          List.filter_map
-            (fun (alt : Plan.t) ->
-              if List.mem alt.Plan.pid excluded then None
-              else
-                Some
-                  ( alt.Plan.pid,
-                    Physical.name alt.Plan.op,
-                    (Hashtbl.find st.memo alt.Plan.pid).total ))
-            p.Plan.inputs
-        in
-        if alternatives = [] then raise (Exhausted p.Plan.pid);
-        let chosen_pid, _, _ =
-          List.fold_left
-            (fun ((_, _, best) as acc) ((_, _, c) as alt) ->
-              if c < best then alt else acc)
-            (List.hd alternatives) (List.tl alternatives)
-        in
-        decisions := { choose_pid = p.Plan.pid; alternatives; chosen_pid } :: !decisions
-      | _ -> ())
-    plan;
+  for c = 0 to prog.chooses - 1 do
+    let i = prog.choose_at.(c) in
+    let p = prog.nodes.(i) in
+    if not (overridden st i) then begin
+      let rec surviving x acc =
+        if x < prog.first_input.(i) then acc
+        else
+          let j = prog.inputs.(x) in
+          let alt = prog.nodes.(j) in
+          (* An alternative only an override reaches was never
+             evaluated: there is no cost to list. *)
+          surviving (x - 1)
+            (if is_excluded st j then acc
+             else if not (live st j) then raise Not_found
+             else (alt.Plan.pid, Physical.name alt.Plan.op, st.total.(j)) :: acc)
+      in
+      let alternatives = surviving (prog.first_input.(i + 1) - 1) [] in
+      if alternatives = [] then raise (Exhausted p.Plan.pid);
+      let chosen_pid, _, _ =
+        List.fold_left
+          (fun ((_, _, best) as acc) ((_, _, c) as alt) ->
+            if c < best then alt else acc)
+          (List.hd alternatives) (List.tl alternatives)
+      in
+      decisions := { choose_pid = p.Plan.pid; alternatives; chosen_pid } :: !decisions
+    end
+  done;
   List.rev !decisions
 
 let pp_decisions ppf decisions =
@@ -197,63 +604,48 @@ let pp_decisions ppf decisions =
     decisions
 
 let estimated_rows ?(overrides = []) env plan =
-  let st =
-    { env; risk = Risk.Expected; overrides; excluded = [];
-      memo = Hashtbl.create 64; cost_evaluations = 0; choose_decisions = 0 }
-  in
-  Interval.mid (eval_node st plan).rows
+  let prog = program env plan in
+  let st = evaluated ~risk:Risk.Expected ~overrides ~excluded:[] env prog in
+  let root = prog.n - 1 in
+  Interval.mid (Interval.unchecked ~lo:st.rows_lo.(root) ~hi:st.rows_hi.(root))
 
 type resolution = {
   plan : Plan.t;
   anticipated_cost : float;
   choices : (int * int) list;
+  choose_nodes : int;
   stats : stats;
 }
 
 let resolve ?(risk = Risk.Expected) ?(overrides = []) ?(excluded = []) env
     plan =
-  let st =
-    { env; risk; overrides; excluded; memo = Hashtbl.create 256;
-      cost_evaluations = 0; choose_decisions = 0 }
-  in
-  let (), cpu_seconds = Timer.cpu (fun () -> ignore (eval_node st plan)) in
-  (* Extraction is not part of the measured decision procedure; it is a
-     pointer walk comparable to reading the chosen plan.  Each reached
-     choose node keeps its cheapest surviving alternative (the first on
-     ties).  An overridden node stands for its materialized temporary;
-     it is kept verbatim (the executor splices the temp in by pid). *)
+  let prog = activated env plan in
+  let st = evaluated ~chosen:true ~risk ~overrides ~excluded env prog in
+  (* Each reached choose node keeps its cheapest surviving alternative.
+     An overridden node stands for its materialized temporary; it is
+     kept verbatim (the executor splices the temp in by pid). *)
   let choices = ref [] in
+  let rec choose_node (p : Plan.t) c =
+    let i = prog.choose_at.(c) in
+    if prog.nodes.(i).Plan.pid = p.Plan.pid then i else choose_node p (c + 1)
+  in
   let cheapest (p : Plan.t) =
-    let best =
-      List.fold_left
-        (fun acc (alt : Plan.t) ->
-          if List.mem alt.Plan.pid st.excluded then acc
-          else
-            let v = Hashtbl.find st.memo alt.Plan.pid in
-            match acc with
-            | Some (_, best_total) when best_total <= v.total -> acc
-            | _ -> Some (alt, v.total))
-        None p.Plan.inputs
-    in
-    match best with
-    | None -> raise (Exhausted p.Plan.pid)
-    | Some (alt, _) ->
-      choices := (p.Plan.pid, alt.Plan.pid) :: !choices;
-      [ alt ]
+    let j = st.choice.(choose_node p 0) in
+    if j < 0 then raise (Exhausted p.Plan.pid);
+    let alt = prog.nodes.(j) in
+    choices := (p.Plan.pid, alt.Plan.pid) :: !choices;
+    [ alt ]
   in
   let chosen =
-    Option.get
-      (Plan.rewrite env
-         ~verbatim:(fun (p : Plan.t) -> List.mem_assoc p.Plan.pid st.overrides)
-         ~keep:cheapest plan)
+    if prog.chooses = 0 then plan
+    else
+      Option.get
+        (Plan.rewrite env
+           ~verbatim:(fun (p : Plan.t) -> List.mem_assoc p.Plan.pid overrides)
+           ~keep:cheapest plan)
   in
-  (* Execution cost of the chosen plan, without decision overheads. *)
-  let exec_cost, _ = evaluate ~risk ~overrides env chosen in
   { plan = chosen;
-    anticipated_cost = exec_cost;
+    anticipated_cost = st.chosen_total.(prog.n - 1);
     choices = List.rev !choices;
-    stats =
-      { nodes_evaluated = Hashtbl.length st.memo;
-        cost_evaluations = st.cost_evaluations;
-        choose_decisions = st.choose_decisions;
-        cpu_seconds } }
+    choose_nodes = prog.chooses;
+    stats = stats st }

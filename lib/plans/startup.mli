@@ -4,8 +4,20 @@
     comparison of the plan alternatives with run-time bindings
     instantiated" (paper, Section 4): the original cost functions are
     re-evaluated bottom-up under a point environment built from the
-    actual bindings.  The plan is a DAG and "the cost of each subplan is
-    evaluated only once" — evaluation is memoized per node. *)
+    actual bindings, and "the cost of each subplan is evaluated only
+    once".
+
+    A plan is first compiled into a {!program}: its nodes in
+    children-first order under dense local indices, with every catalog
+    lookup and device constant of the cost and row formulas already
+    resolved ({!Dqep_cost.Cost_model.prepare}).  An activation then
+    looks up each host variable once and makes one pass over flat
+    arrays, computing rows, totals and the argmin at each choose node —
+    and, for {!resolve}, the chosen plan's own rows and cost along the
+    way.  Programs are memoized per (plan, catalog) from a plan's second
+    {!resolve}: a plan activated once compiles, runs and keeps nothing.
+    {!evaluate}, {!explain} and {!estimated_rows} run the same program,
+    the memoized one when there is one, but never store it. *)
 
 module Interval = Dqep_util.Interval
 
@@ -13,7 +25,6 @@ type stats = {
   nodes_evaluated : int;  (** distinct DAG nodes visited *)
   cost_evaluations : int;  (** cost-function invocations *)
   choose_decisions : int;  (** choose-plan comparisons performed *)
-  cpu_seconds : float;  (** measured CPU time of the evaluation *)
 }
 
 exception Exhausted of int
@@ -51,20 +62,15 @@ val evaluate :
     agrees. *)
 
 type evaluator
-(** A persistent evaluation state: the per-node memo survives across
+(** A persistent evaluation state: one program grows by each priced
+    plan's unseen nodes, and their values survive across
     {!evaluate_with} calls, so pricing many plans that share subplan
     DAG nodes (the optimizer's rank machinery prices every candidate
     under every scenario) costs only the nodes not seen before. *)
 
-val evaluator :
-  ?risk:Dqep_cost.Risk.t ->
-  ?overrides:(int * float) list ->
-  ?excluded:int list ->
-  Dqep_cost.Env.t ->
-  evaluator
-(** An evaluator for a fixed environment and decision parameters; the
-    cache is only valid for plans whose node pids are stable (one
-    builder). *)
+val evaluator : ?risk:Dqep_cost.Risk.t -> Dqep_cost.Env.t -> evaluator
+(** An evaluator for a fixed environment and risk posture; the cache is
+    only valid for plans whose node pids are stable (one builder). *)
 
 val evaluate_with : evaluator -> Plan.t -> float
 (** As the cost component of {!evaluate}, memoized across calls. *)
@@ -81,6 +87,7 @@ type resolution = {
           excluding choose-plan decision overheads *)
   choices : (int * int) list;
       (** (choose-plan pid, chosen alternative pid), for usage stats *)
+  choose_nodes : int;  (** choose-plan operators in the resolved dynamic plan *)
   stats : stats;
 }
 
@@ -118,3 +125,18 @@ val explain :
     @raise Exhausted as in {!resolve}. *)
 
 val pp_decisions : Format.formatter -> decision list -> unit
+
+(** {1 Programs} *)
+
+type program
+(** A plan compiled for one catalog and device. *)
+
+val compile : Dqep_cost.Env.t -> Plan.t -> program
+(** What a first activation pays on top of the pass itself: every node
+    appended with its prepared constants.  Only the environment's
+    catalog and device are read. *)
+
+val retained : Dqep_cost.Env.t -> Plan.t -> bool
+(** Whether the memo holds a program for the plan under the
+    environment's catalog and device, so that its next {!resolve}
+    skips compilation. *)

@@ -1,10 +1,12 @@
-(* Frozen copies of the code [Verify] and [Plan.rewrite] replaced, kept
-   as differential oracles: the old activation-time catalog check
-   ([Validate.check] / [Validate.prune_infeasible]), start-up
-   extraction ([Startup.resolve]'s [extract]) and plan shrinking
-   ([Adapt.shrink]).  Each rebuilt plans with its own walk; the suites
-   pin the unified rewrite to their answers.  Do not edit these to make
-   a test pass. *)
+(* Frozen copies of the code [Verify], [Plan.rewrite] and compiled
+   start-up programs replaced, kept as differential oracles: the old
+   activation-time catalog check ([Validate.check] /
+   [Validate.prune_infeasible]), the interpreted start-up evaluation
+   ([Startup]'s memoized per-node walk, with [evaluate], [explain] and
+   [estimated_rows] on it), start-up extraction ([Startup.resolve]'s
+   [extract]) and plan shrinking ([Adapt.shrink]).  Each computes its
+   answer with its own walk; the suites pin the replacements to those
+   answers.  Do not edit these to make a test pass. *)
 
 module D = Dqep
 module Physical = D.Physical
@@ -126,14 +128,159 @@ let activation env catalog plan =
       | Some pruned -> Pruned pruned
       | None -> Infeasible problems)
 
+(* --- interpreted start-up evaluation ---------------------------------------- *)
+
+module Interval = D.Interval
+module Env = D.Env
+module Estimate = D.Estimate
+module Cost_model = D.Cost_model
+module Risk = D.Risk
+
+type node_value = { rows : Interval.t; total : float }
+
+type eval_state = {
+  env : Env.t;
+  risk : Risk.t;
+  overrides : (int * float) list;
+  excluded : int list;
+  memo : (int, node_value) Hashtbl.t;
+  mutable cost_evaluations : int;
+  mutable choose_decisions : int;
+}
+
+let node_rows st (p : Plan.t) (input_values : node_value list) =
+  let env = st.env in
+  match (p.Plan.op, input_values) with
+  | Physical.File_scan rel, [] | Physical.Btree_scan { rel; _ }, [] ->
+    Estimate.base_rows env rel
+  | Physical.Filter pred, [ child ] -> Estimate.select_rows env pred child.rows
+  | Physical.Filter_btree_scan { rel; pred; _ }, [] ->
+    Estimate.select_rows env pred (Estimate.base_rows env rel)
+  | Physical.Hash_join preds, [ l; r ] | Physical.Merge_join preds, [ l; r ] ->
+    Estimate.join_rows env preds l.rows r.rows
+  | Physical.Index_join { preds; inner_rel; inner_filter; _ }, [ outer ] ->
+    let inner = Estimate.base_rows env inner_rel in
+    let inner =
+      match inner_filter with
+      | None -> inner
+      | Some pred -> Estimate.select_rows env pred inner
+    in
+    Estimate.join_rows env preds outer.rows inner
+  | Physical.Sort _, [ child ] -> child.rows
+  | Physical.Choose_plan, first :: _ -> first.rows
+  | ( ( Physical.File_scan _ | Physical.Btree_scan _ | Physical.Filter _
+      | Physical.Filter_btree_scan _ | Physical.Hash_join _
+      | Physical.Merge_join _ | Physical.Index_join _ | Physical.Sort _
+      | Physical.Choose_plan ),
+      _ ) ->
+    invalid_arg "Startup: operator arity mismatch"
+
+let temp_scan_cost env ~rows ~bytes_per_row =
+  let d = Env.device env in
+  let page = float_of_int (D.Catalog.page_bytes (Env.catalog env)) in
+  let pages = Float.max 1. (rows *. float_of_int bytes_per_row /. page) in
+  (pages *. d.D.Device.seq_page_io) +. (rows *. d.D.Device.cpu_per_tuple)
+
+let rec eval_node st (p : Plan.t) =
+  match Hashtbl.find_opt st.memo p.Plan.pid with
+  | Some v -> v
+  | None when List.mem_assoc p.Plan.pid st.overrides ->
+    let rows = List.assoc p.Plan.pid st.overrides in
+    let v =
+      { rows = Interval.point rows;
+        total = temp_scan_cost st.env ~rows ~bytes_per_row:p.Plan.bytes_per_row }
+    in
+    Hashtbl.add st.memo p.Plan.pid v;
+    v
+  | None ->
+    let input_values = List.map (eval_node st) p.Plan.inputs in
+    let rows = node_rows st p input_values in
+    let total =
+      match p.Plan.op with
+      | Physical.Choose_plan ->
+        st.choose_decisions <- st.choose_decisions + 1;
+        let best =
+          List.fold_left2
+            (fun acc (alt : Plan.t) v ->
+              if List.mem alt.Plan.pid st.excluded then acc
+              else Float.min acc v.total)
+            Float.infinity p.Plan.inputs input_values
+        in
+        best +. (Env.device st.env).D.Device.choose_plan_overhead
+      | _ ->
+        st.cost_evaluations <- st.cost_evaluations + 1;
+        let cm_inputs =
+          List.map2
+            (fun (child : Plan.t) v ->
+              { Cost_model.rows = v.rows;
+                bytes_per_row = child.Plan.bytes_per_row })
+            p.Plan.inputs input_values
+        in
+        let own = Cost_model.own_cost st.env p.Plan.op ~inputs:cm_inputs ~output_rows:rows in
+        List.fold_left
+          (fun acc v -> acc +. v.total)
+          (Risk.scalarize st.risk own) input_values
+    in
+    let v = { rows; total } in
+    Hashtbl.add st.memo p.Plan.pid v;
+    v
+
+let eval_state ?(risk = Risk.Expected) ?(overrides = []) ?(excluded = []) env =
+  { env; risk; overrides; excluded; memo = Hashtbl.create 256;
+    cost_evaluations = 0; choose_decisions = 0 }
+
+(* [Startup.evaluate]: total cost plus (nodes evaluated, cost
+   evaluations, choose decisions). *)
+let evaluate ?risk ?overrides ?excluded env plan =
+  let st = eval_state ?risk ?overrides ?excluded env in
+  let v = eval_node st plan in
+  (v.total, (Hashtbl.length st.memo, st.cost_evaluations, st.choose_decisions))
+
+(* [Startup.explain], as (choose pid, alternatives, chosen pid). *)
+let explain ?risk ?(overrides = []) ?(excluded = []) env plan =
+  let st = eval_state ?risk ~overrides ~excluded env in
+  ignore (eval_node st plan);
+  let decisions = ref [] in
+  Plan.iter
+    (fun p ->
+      match p.Plan.op with
+      | Physical.Choose_plan when not (List.mem_assoc p.Plan.pid overrides) ->
+        let alternatives =
+          List.filter_map
+            (fun (alt : Plan.t) ->
+              if List.mem alt.Plan.pid excluded then None
+              else
+                Some
+                  ( alt.Plan.pid,
+                    Physical.name alt.Plan.op,
+                    (Hashtbl.find st.memo alt.Plan.pid).total ))
+            p.Plan.inputs
+        in
+        if alternatives = [] then raise (D.Startup.Exhausted p.Plan.pid);
+        let chosen_pid, _, _ =
+          List.fold_left
+            (fun ((_, _, best) as acc) ((_, _, c) as alt) ->
+              if c < best then alt else acc)
+            (List.hd alternatives) (List.tl alternatives)
+        in
+        decisions := (p.Plan.pid, alternatives, chosen_pid) :: !decisions
+      | _ -> ())
+    plan;
+  List.rev !decisions
+
+let estimated_rows ?overrides env plan =
+  let st = eval_state ?overrides env in
+  Interval.mid (eval_node st plan).rows
+
 (* --- start-up extraction --------------------------------------------------- *)
 
 (* [Startup.resolve]'s extraction walk, over the same bottom-up costs
-   (read back through an evaluator sharing one memo). *)
+   (read back through one memo). *)
 let resolve ?(risk = D.Risk.Expected) ?(overrides = []) ?(excluded = []) env
     plan =
-  let ev = D.Startup.evaluator ~risk ~overrides ~excluded env in
-  ignore (D.Startup.evaluate_with ev plan);
+  let ev = eval_state ~risk ~overrides ~excluded env in
+  let evaluate_with plan = (eval_node ev plan).total in
+  ignore (evaluate_with plan);
   let builder = Plan.Builder.create env in
   let choices = ref [] in
   let rebuilt = Hashtbl.create 64 in
@@ -154,7 +301,7 @@ let resolve ?(risk = D.Risk.Expected) ?(overrides = []) ?(excluded = []) env
           let best =
             List.fold_left
               (fun acc (alt : Plan.t) ->
-                let total = D.Startup.evaluate_with ev alt in
+                let total = evaluate_with alt in
                 match acc with
                 | Some (_, best_total) when best_total <= total -> acc
                 | _ -> Some (alt, total))
@@ -179,7 +326,7 @@ let resolve ?(risk = D.Risk.Expected) ?(overrides = []) ?(excluded = []) env
       q
   in
   let chosen = extract plan in
-  let exec_cost, _ = D.Startup.evaluate ~risk ~overrides env chosen in
+  let exec_cost, _ = evaluate ~risk ~overrides env chosen in
   (chosen, exec_cost, List.rev !choices)
 
 (* --- plan shrinking -------------------------------------------------------- *)

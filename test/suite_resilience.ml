@@ -389,10 +389,44 @@ let prop_backoff_within_cap =
           && d <= base *. (2. ** float_of_int attempt))
         (List.init (attempts + 1) Fun.id))
 
+(* [run_stats.choose_nodes] counts the executed plan's choose-plan
+   operators — now read off the start-up program rather than a walk of
+   the plan — for dynamic and static plans alike, supervised or not. *)
+let test_run_stats_count_choose_nodes () =
+  List.iter
+    (fun seed ->
+      let inst = D.Plangen.generate ~seed in
+      let catalog = inst.D.Plangen.catalog in
+      let db = D.Database.build ~seed catalog in
+      let b = D.Plangen.bindings inst ~seed in
+      List.iter
+        (fun mode ->
+          let plan =
+            (Result.get_ok
+               (D.Optimizer.optimize ~mode catalog inst.D.Plangen.query))
+              .D.Optimizer.plan
+          in
+          let want = D.Plan.choose_count plan in
+          let name what = Printf.sprintf "seed %d: %s" seed what in
+          let _, stats = D.Executor.run db b plan in
+          Alcotest.(check int) (name "Executor.run") want
+            stats.D.Executor.choose_nodes;
+          match D.Resilience.run db b plan with
+          | Ok (_, stats), _ ->
+            Alcotest.(check int) (name "Resilience.run") want
+              stats.D.Executor.choose_nodes
+          | Error f, _ ->
+            Alcotest.failf "%s: %a" (name "Resilience.run")
+              D.Resilience.pp_failure f)
+        [ D.Optimizer.dynamic ~uncertain_memory:true (); D.Optimizer.static ])
+    (List.init 12 (fun i -> i + 1))
+
 let suite =
   ( "resilience",
     [ QCheck_alcotest.to_alcotest prop_backoff_within_cap; Alcotest.test_case "fault-free supervision is transparent" `Quick
         test_fault_free_transparency;
+      Alcotest.test_case "run stats count choose nodes" `Quick
+        test_run_stats_count_choose_nodes;
       Alcotest.test_case "broken index fails over to scan" `Quick
         test_broken_index_fails_over_to_scan;
       Alcotest.test_case "permanent fault skips retries" `Quick

@@ -224,14 +224,63 @@ let grid (inst : D.Plangen.instance) =
         [ 4; 16; 64 ])
     [ 0.05; 0.5; 0.95 ]
 
-(* [Startup.resolve] and [Adapt.shrink] on [Plan.rewrite] reproduce the
-   old extraction and shrinking walks bit for bit: Plangen seeds 1..120,
-   each optimized and resolved under the Expected, Worst_case and
-   Quantile 0.9 postures over a bindings grid — plain, with the first
-   choice excluded, and with the first chosen alternative overridden. *)
+(* Compiled start-up programs, [Startup.resolve] and [Adapt.shrink] on
+   [Plan.rewrite] reproduce the interpreted evaluator and the old
+   extraction and shrinking walks bit for bit: Plangen seeds 1..120, each
+   optimized and resolved under the Expected, Worst_case and Quantile
+   0.9 postures over a bindings grid, under the bound memory grant and
+   under an interval one, and once more with every selectivity unbound —
+   plain, with the first choice excluded, and with the first chosen
+   alternative overridden.  [evaluate] (cost and stats), [explain] and
+   [estimated_rows] are pinned alongside [resolve]. *)
 let test_rewrite_matches_legacy_walks () =
   Test_util.with_watchdog ~deadline:300. "rewrite oracle" @@ fun () ->
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception D.Startup.Exhausted pid -> Error (Printf.sprintf "exhausted %d" pid)
+    | exception Not_found -> Error "not found"
+  in
+  let evaluations_both name ?overrides ?excluded ~risk env plan =
+    let got =
+      outcome (fun () ->
+          let c, (st : D.Startup.stats) =
+            D.Startup.evaluate ~risk ?overrides ?excluded env plan
+          in
+          (bits c, (st.nodes_evaluated, st.cost_evaluations, st.choose_decisions)))
+    in
+    let want =
+      outcome (fun () ->
+          let c, st = Legacy_rewrites.evaluate ~risk ?overrides ?excluded env plan in
+          (bits c, st))
+    in
+    Alcotest.(check bool) (name ^ ": same evaluation") true (got = want);
+    let decisions l =
+      List.map
+        (fun (pid, alts, chosen) ->
+          (pid, List.map (fun (a, op, c) -> (a, op, bits c)) alts, chosen))
+        l
+    in
+    let got =
+      outcome (fun () ->
+          decisions
+            (List.map
+               (fun (d : D.Startup.decision) ->
+                 (d.choose_pid, d.alternatives, d.chosen_pid))
+               (D.Startup.explain ~risk ?overrides ?excluded env plan)))
+    in
+    let want =
+      outcome (fun () ->
+          decisions (Legacy_rewrites.explain ~risk ?overrides ?excluded env plan))
+    in
+    Alcotest.(check bool) (name ^ ": same decisions") true (got = want);
+    if excluded = None then
+      Alcotest.(check bool) (name ^ ": same estimated rows") true
+        (bits (D.Startup.estimated_rows ?overrides env plan)
+        = bits (Legacy_rewrites.estimated_rows ?overrides env plan))
+  in
   let resolve_both name ?overrides ?excluded ~risk env plan =
+    evaluations_both name ?overrides ?excluded ~risk env plan;
     let got =
       match D.Startup.resolve ~risk ?overrides ?excluded env plan with
       | r -> Ok r
@@ -256,6 +305,16 @@ let test_rewrite_matches_legacy_walks () =
         (bits cost = bits r.D.Startup.anticipated_cost)
     | _ -> Alcotest.failf "%s: only one side raised Exhausted" name
   in
+  (* Plain, with the first choice excluded, and with the first chosen
+     alternative overridden. *)
+  let check_cases name ~risk env plan =
+    resolve_both name ~risk env plan;
+    match (D.Startup.resolve ~risk env plan).D.Startup.choices with
+    | [] -> ()
+    | (_, alt) :: _ ->
+      resolve_both (name ^ ", excluded") ~excluded:[ alt ] ~risk env plan;
+      resolve_both (name ^ ", overridden") ~overrides:[ (alt, 7.) ] ~risk env plan
+  in
   List.iter
     (fun seed ->
       let inst = D.Plangen.generate ~seed in
@@ -277,20 +336,23 @@ let test_rewrite_matches_legacy_walks () =
                 Printf.sprintf "seed %d, %s, bindings %d" seed
                   (D.Risk.to_string risk) i
               in
-              let env = D.Env.of_bindings catalog b in
-              resolve_both name ~risk env plan;
-              let r = D.Startup.resolve ~risk env plan in
+              let point = D.Env.of_bindings catalog b in
+              let r = D.Startup.resolve ~risk point plan in
               (* Train on a third of the grid, so some choose nodes keep
                  every alternative for lack of statistics. *)
               if i mod 3 = 0 then D.Adapt.record adapt r;
-              match r.D.Startup.choices with
-              | [] -> ()
-              | (_, alt) :: _ ->
-                resolve_both (name ^ ", excluded") ~excluded:[ alt ] ~risk env
-                  plan;
-                resolve_both (name ^ ", overridden")
-                  ~overrides:[ (alt, 7.) ] ~risk env plan)
+              check_cases name ~risk point plan;
+              check_cases (name ^ ", interval memory") ~risk
+                (D.Env.with_memory_pages point (I.make 16. 112.))
+                plan)
             bindings;
+          (* Unbound selectivities too: interval rows reach the cost
+             formulas' two corners with different inputs. *)
+          check_cases
+            (Printf.sprintf "seed %d, %s, unbound" seed (D.Risk.to_string risk))
+            ~risk
+            (D.Env.dynamic ~memory:(I.make 16. 112.) catalog)
+            plan;
           let name = Printf.sprintf "seed %d, %s, shrink" seed (D.Risk.to_string risk) in
           let used =
             List.concat_map
@@ -319,6 +381,169 @@ let test_rewrite_matches_legacy_walks () =
         [ D.Risk.Expected; D.Risk.Worst_case; D.Risk.Quantile 0.9 ])
     (List.init 120 (fun i -> i + 1))
 
+(* --- the program memo ------------------------------------------------------ *)
+
+(* One resolution as the oracle computes it, in comparable form. *)
+let summary shape (plan, cost, choices) = (shape plan, choices, bits cost)
+
+let resolution_summary shape (r : D.Startup.resolution) =
+  summary shape (r.D.Startup.plan, r.D.Startup.anticipated_cost, r.D.Startup.choices)
+
+let rescaled catalog factor =
+  let module C = D.Catalog in
+  let module R = D.Relation in
+  C.create ~page_bytes:(C.page_bytes catalog)
+    ~relations:
+      (List.map
+         (fun (r : R.t) ->
+           R.make ~name:r.R.name ~cardinality:(r.R.cardinality * factor)
+             ~record_bytes:r.R.record_bytes ~attributes:r.R.attributes)
+         (C.relations catalog))
+    ~indexes:(C.indexes catalog) ()
+
+(* A program is memoized per (plan, catalog): resolving under catalog A,
+   then a rescaled catalog B, then A again answers each time as the
+   interpreted oracle does under that activation's own catalog — through
+   the uncached first activation, the compiling second and the memoized
+   third. *)
+let test_memo_follows_the_catalog () =
+  let q = query 3 in
+  let plan = dynamic_plan q in
+  let a = q.D.Queries.catalog in
+  let b = rescaled a 7 in
+  let shape = Test_util.shape () in
+  let differs = ref false in
+  List.iter
+    (fun bnd ->
+      let under catalog = D.Env.of_bindings catalog bnd in
+      let want catalog = summary shape (Legacy_rewrites.resolve (under catalog) plan) in
+      differs := !differs || want a <> want b;
+      List.iter
+        (fun (name, catalog) ->
+          let env = under catalog in
+          for activation = 1 to 3 do
+            Alcotest.(check bool)
+              (Printf.sprintf "catalog %s, activation %d" name activation)
+              true
+              (resolution_summary shape (D.Startup.resolve env plan) = want catalog)
+          done;
+          Alcotest.(check bool) (name ^ ": program kept") true
+            (D.Startup.retained env plan))
+        [ ("A", a); ("B", b); ("A again", a) ])
+    (bindings_for q 4);
+  Alcotest.(check bool) "the rescaled catalog changes some resolution" true
+    !differs
+
+(* Eight plans shaped like the hit_point workload's (2- to 5-way chains,
+   with and without an uncertain memory grant), resolved by four domains
+   at once while their programs are compiled, stored and shared: every
+   domain gets the sequential answer. *)
+let test_memo_shared_across_domains () =
+  let cases =
+    List.concat_map
+      (fun relations ->
+        let q = query relations in
+        List.concat_map
+          (fun uncertain_memory ->
+            let plan =
+              (Result.get_ok
+                 (D.Optimizer.optimize
+                    ~mode:(D.Optimizer.dynamic ~uncertain_memory ())
+                    q.D.Queries.catalog q.D.Queries.query))
+                .D.Optimizer.plan
+            in
+            List.map
+              (fun b -> (D.Env.of_bindings q.D.Queries.catalog b, plan))
+              (bindings_for q 4))
+          [ true; false ])
+      [ 2; 3; 4; 5 ]
+  in
+  let shape = Test_util.shape () in
+  let want =
+    List.map (fun (env, plan) -> summary shape (Legacy_rewrites.resolve env plan)) cases
+  in
+  let rounds = 25 in
+  let resolve_all start =
+    (* Each domain walks the cases from its own offset, so first and
+       second activations of a plan race across domains. *)
+    let n = List.length cases in
+    let arr = Array.of_list cases in
+    List.init (rounds * n) (fun k ->
+        let i = (start + k) mod n in
+        let env, plan = arr.(i) in
+        let r = D.Startup.resolve env plan in
+        (i, (r.D.Startup.plan, r.D.Startup.anticipated_cost, r.D.Startup.choices)))
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (fun () -> resolve_all (d * 5))) in
+  let want = Array.of_list want in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (i, got) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "case %d matches the sequential answer" i)
+            true
+            (summary shape got = want.(i)))
+        (Domain.join d))
+    domains
+
+(* The first activation of a plan compiles, runs and keeps nothing: N
+   fresh plans each resolved once leave only the memo's bounded markers
+   behind, while resolving them again keeps a program per plan. *)
+let test_memo_keeps_no_once_activated_program () =
+  let q = query 2 in
+  let env = D.Env.of_bindings q.D.Queries.catalog (List.hd (bindings_for q 1)) in
+  let n = 64 in
+  let plans = Array.init n (fun _ -> dynamic_plan q) in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  let resolve_all () = Array.iter (fun p -> ignore (D.Startup.resolve env p)) plans in
+  let before = live_words () in
+  resolve_all ();
+  let once = live_words () in
+  Alcotest.(check int) "no program kept after one activation" 0
+    (Array.fold_left
+       (fun acc p -> if D.Startup.retained env p then acc + 1 else acc)
+       0 plans);
+  resolve_all ();
+  let twice = live_words () in
+  let kept =
+    Array.fold_left
+      (fun acc p -> if D.Startup.retained env p then acc + 1 else acc)
+      0 plans
+  in
+  Alcotest.(check bool) "second activations keep programs" true (kept > n / 2);
+  (* A marker is one small ephemeron per memo slot; a program holds
+     arrays over all of a plan's nodes. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "once-activated plans add at most 16 words each (%d)"
+       (once - before))
+    true
+    (once - before <= 16 * n);
+  Alcotest.(check bool)
+    (Printf.sprintf "a kept program outweighs a marker (%d words for %d)"
+       (twice - once) kept)
+    true
+    (twice - once > 64 * kept);
+  ignore (Sys.opaque_identity plans)
+
+(* The serving soak's drifted shape borrows databases that lack an index
+   its cached plan uses; with programs memoized per (plan, catalog) its
+   requests still complete on a pruned plan or end infeasible, and none
+   is rejected as a corrupt plan. *)
+let test_memo_drifted_serve_soak () =
+  let t =
+    Test_util.with_watchdog ~deadline:120. "startup: drifted serve soak"
+      (fun () ->
+        D.Experiments.Chaos.serve_soak ~clients:2 ~requests:240 ~seed:3 ())
+  in
+  Alcotest.(check int) "no drifted request rejected" 0
+    t.D.Experiments.Chaos.drifted_rejected;
+  Alcotest.(check bool) "drifted requests reached activation" true
+    (t.D.Experiments.Chaos.drifted_ok + t.D.Experiments.Chaos.drifted_infeasible > 0)
+
 let suite =
   ( "startup",
     [ Alcotest.test_case "resolution removes choose" `Quick
@@ -341,4 +566,12 @@ let suite =
         test_shrink_without_stats_keeps_all;
       Alcotest.test_case "maybe_replace threshold" `Quick test_maybe_replace_threshold;
       Alcotest.test_case "rewrite matches the legacy walks" `Slow
-        test_rewrite_matches_legacy_walks ] )
+        test_rewrite_matches_legacy_walks;
+      Alcotest.test_case "program memo follows the catalog" `Quick
+        test_memo_follows_the_catalog;
+      Alcotest.test_case "program memo shared across domains" `Quick
+        test_memo_shared_across_domains;
+      Alcotest.test_case "program memo keeps no once-activated program" `Quick
+        test_memo_keeps_no_once_activated_program;
+      Alcotest.test_case "program memo: drifted serve soak" `Quick
+        test_memo_drifted_serve_soak ] )

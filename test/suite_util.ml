@@ -124,6 +124,29 @@ let test_timer () =
   Alcotest.(check int) "result" 42 v;
   Alcotest.(check bool) "per-run non-negative" true (per >= 0.)
 
+(* Two key pairs hashing to one set both stay; a third evicts the pair
+   used least recently, and a stored pair's own entry is overwritten in
+   place. *)
+let test_weak_memo_two_ways () =
+  let module M = Dqep_util.Weak_memo in
+  let t = M.create 4 in
+  let a = ref 1 and b = ref 2 and c = ref 3 and k = ref 0 in
+  let find x = M.find t ~hash:1 x k in
+  M.replace t ~hash:1 a k "a";
+  M.replace t ~hash:1 b k "b";
+  Alcotest.(check (option string)) "first pair kept" (Some "a") (find a);
+  Alcotest.(check (option string)) "second pair kept" (Some "b") (find b);
+  Alcotest.(check (option string)) "other set empty" None (M.find t ~hash:0 a k);
+  ignore (find a);
+  M.replace t ~hash:1 c k "c";
+  Alcotest.(check (option string)) "recently used pair kept" (Some "a") (find a);
+  Alcotest.(check (option string)) "least recently used pair evicted" None (find b);
+  M.replace t ~hash:1 c k "c'";
+  Alcotest.(check (option string)) "own entry overwritten" (Some "c'") (find c);
+  Alcotest.(check (option string)) "its neighbour untouched" (Some "a") (find a);
+  Alcotest.(check (option string)) "keys match physically" None
+    (M.find t ~hash:1 (ref 1) k)
+
 let suite =
   ( "util",
     [ Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -135,6 +158,8 @@ let suite =
       Alcotest.test_case "percentile nearest-rank edges" `Quick
         test_percentile_edges;
       Alcotest.test_case "timer" `Quick test_timer;
+      Alcotest.test_case "weak memo keeps two pairs per set" `Quick
+        test_weak_memo_two_ways;
       QCheck_alcotest.to_alcotest prop_percentile_is_sample;
       QCheck_alcotest.to_alcotest prop_float_range;
       QCheck_alcotest.to_alcotest prop_int_range;
