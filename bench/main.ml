@@ -163,6 +163,21 @@ let bench_tests () =
            let adapt = D.Adapt.create dyn3 in
            D.Adapt.record adapt (D.Startup.resolve env3 dyn3);
            ignore (D.Adapt.shrink (D.Env.dynamic q3.D.Queries.catalog) adapt)));
+    (* Buffer-pool replacement: one pin miss — an eviction and an
+       admission — while cycling over 17 pages on a 16-frame pool, where
+       LRU misses on every pin.  The pool first bulk-loads through 4096
+       frames and shrinks, as [Database.build] does. *)
+    (let pool = D.Buffer_pool.create ~frames:4096 (D.Disk.create ()) in
+     for _ = 1 to 4096 do
+       D.Buffer_pool.unpin pool (D.Buffer_pool.new_page pool).D.Page.id
+     done;
+     D.Buffer_pool.flush_all pool;
+     D.Buffer_pool.resize pool 16;
+     let next = ref 0 in
+     Test.make ~name:"pool_evict_cycle"
+       (Staged.stage (fun () ->
+            D.Buffer_pool.with_page pool !next ignore;
+            next := (!next + 1) mod 17)));
     (* Resilience: the supervisor's fault-free overhead over a plain run —
        validation, budget arming and the failover bookkeeping. *)
     (let q1 = D.Queries.chain ~relations:1 in

@@ -24,10 +24,12 @@
      cores additionally fan out radix join partitions and sort chunks as
      morsels on the same pool.
 
-   Shared storage is safe to use from concurrent morsels: the buffer
-   pool's latch is sharded per page-id bucket and the disk serializes
-   its own directory, so this engine takes no execution-wide storage
-   lock at all.
+   Shared storage is safe to use from concurrent morsels: a buffer-pool
+   pin hit takes only its page's shard mutex, a miss also the pool's
+   eviction mutex, and the disk serializes its own directory, so this
+   engine takes no execution-wide storage lock at all.  A job is never
+   wider than the pool has frames, since each participant may hold a
+   pin.
 
    Re-open contract: [open_] must fully rewind the operator — discard any
    buffered output from a previous consumption and reset every position —
@@ -645,8 +647,8 @@ and index_join ctx (plan : Plan.t) preds ~inner_rel ~inner_attr ~inner_filter =
     next =
       (fun () ->
         (* Probe the inner index for a whole outer batch at a time.  The
-           outer side may be a live parallel exchange; the sharded buffer
-           pool makes the consumer-side probes safe alongside it. *)
+           outer side may be a live parallel exchange; the buffer pool's
+           own locks make the consumer-side probes safe alongside it. *)
         let rec go () =
           match out_pop ob with
           | Some b -> Some b
@@ -712,8 +714,13 @@ and sort ctx (plan : Plan.t) cols =
 let make_ctx db env ~gov ~obs ~materialized ~checkpoint ~workers ~capacity =
   (* [Scheduler.create] binds to the process-wide persistent pool:
      worker domains are spawned once and reused across queries and
-     sessions, never per execution. *)
-  let scheduler = Scheduler.create ~workers in
+     sessions, never per execution.  A job holds up to one pin per
+     participant, so it is never wider than the buffer pool has frames:
+     more participants could find every frame pinned. *)
+  let scheduler =
+    Scheduler.create
+      ~workers:(Int.min workers (Buffer_pool.frames (Database.pool db)))
+  in
   { db;
     env;
     gov;

@@ -6,6 +6,7 @@ type frame = {
   mutable pins : int;
   mutable dirty : bool;
   mutable last_use : int;
+  mutable slot : int; (* index in [slots]; under the eviction mutex *)
 }
 
 type stats = {
@@ -26,22 +27,26 @@ let () =
            limit observed)
     | _ -> None)
 
-(* The latch is sharded so concurrent morsel scans stop contending on
-   one lock: residency is split over [shard_count] hashtables keyed by
-   [page_id mod shard_count], each behind its own mutex, and a pin hit —
-   the hot path — touches exactly one shard.  Replacement state stays
-   global so the observable policy is unchanged from the single-latch
-   pool: one atomic LRU clock, one atomic resident count, and eviction
-   takes every shard lock (always in ascending order, so two evictors
-   cannot deadlock) to pick the globally least-recently-used unpinned
-   victim.
+(* Two locks, each owning one thing.  A page's frame (pins, dirty bit,
+   LRU stamp) lives in one of [shard_count] hashtables keyed by
+   [page_id mod shard_count], each behind its own mutex: a pin hit —
+   the hot path of every scan morsel — [unpin] and [mark_dirty] take
+   only that one.  Residency belongs to the eviction mutex [emu]:
+   admission, eviction, the resident count, and [slots], a flat array
+   of the resident frames in which each frame records its index.
+   Tables change only under [emu] and their shard's mutex, so a holder
+   of [emu] may read any table.  Lock order is [emu], then shards
+   ascending.  A miss checks for room and admits its page in one hold
+   of [emu], so the pool never holds more than [capacity] pages.
 
-   Victim selection folds over every bucket of every shard table, so
-   the tables track the current capacity rather than the largest one
-   the pool has held: a pool bulk-loaded through thousands of frames
-   and then shrunk to a small grant rebuilds its tables in [resize],
-   keeping eviction O(capacity).  LRU clock values are unique, so the
-   rebuild cannot change which frame a later eviction picks.
+   The policy is exact LRU over unpinned frames.  An atomic clock
+   stamps every use uniquely; eviction scans [slots] for the unpinned
+   frame with the smallest stamp without shard locks, then re-checks
+   pins and stamp under the victim's shard lock and scans again if
+   either changed.  Only [resize], [flush_all] and the snapshots take
+   every lock.  A [resize] that shrinks the pool far rebuilds [slots]
+   and the tables, so a bulk load through thousands of frames leaves
+   nothing that size behind.
 
    I/O accounting lives on an owned observation trace: the pool's
    counters are ordinary [Dqep_obs.Counter]s, and a per-run trace can be
@@ -53,19 +58,17 @@ let shard_count = 16
 
 type shard = {
   smu : Mutex.t;
-  mutable table : (int, frame) Hashtbl.t; (* replaced only under all shard locks *)
+  mutable table : (int, frame) Hashtbl.t; (* replaced only under [with_all] *)
 }
 
 type t = {
   disk : Disk.t;
-  mutable capacity : int; (* written only under all shard locks *)
-  mutable sized_for : int;
-      (* largest capacity since the shard tables were built; the tables
-         hold at most that many frames, so their bucket count is bounded
-         by it.  Written only under all shard locks. *)
+  mutable capacity : int; (* written only under [with_all] *)
   shards : shard array;
+  emu : Mutex.t;
+  mutable slots : frame array; (* resident frames in [0, count); under [emu] *)
+  mutable count : int; (* written only under [emu] *)
   clock : int Atomic.t;
-  resident_n : int Atomic.t;
   obs : Trace.t;
   obs_extra : Trace.t option Atomic.t;
   mutable base : stats;
@@ -85,16 +88,22 @@ let zero_stats =
    [Hashtbl.create] never allocates fewer than 16. *)
 let table_size capacity = Int.max 16 (2 * (1 + (capacity / shard_count)))
 
+(* Fills the unused tail of [slots]; its stamp loses every comparison. *)
+let no_frame =
+  { page = { Page.id = -1; payload = Page.Free }; pins = 0; dirty = false;
+    last_use = max_int; slot = -1 }
+
 let create ?(frames = 64) disk =
   if frames <= 0 then invalid_arg "Buffer_pool.create: frames <= 0";
   { disk;
     capacity = frames;
-    sized_for = frames;
     shards =
       Array.init shard_count (fun _ ->
           { smu = Mutex.create (); table = Hashtbl.create (table_size frames) });
+    emu = Mutex.create ();
+    slots = Array.make frames no_frame;
+    count = 0;
     clock = Atomic.make 0;
-    resident_n = Atomic.make 0;
     obs = Trace.create ();
     obs_extra = Atomic.make None;
     base = zero_stats;
@@ -122,15 +131,14 @@ let stats_of_trace tr =
 
 let raw_stats t = stats_of_trace t.obs
 
-let stats t =
-  let raw = raw_stats t in
-  {
-    logical_reads = raw.logical_reads - t.base.logical_reads;
-    physical_reads = raw.physical_reads - t.base.physical_reads;
-    physical_writes = raw.physical_writes - t.base.physical_writes;
-    read_faults = raw.read_faults - t.base.read_faults;
-    write_faults = raw.write_faults - t.base.write_faults;
-  }
+let diff ~(before : stats) ~(after : stats) =
+  { logical_reads = after.logical_reads - before.logical_reads;
+    physical_reads = after.physical_reads - before.physical_reads;
+    physical_writes = after.physical_writes - before.physical_writes;
+    read_faults = after.read_faults - before.read_faults;
+    write_faults = after.write_faults - before.write_faults }
+
+let stats t = diff ~before:t.base ~after:(raw_stats t)
 
 let reset_stats t = t.base <- raw_stats t
 
@@ -154,67 +162,71 @@ let with_shard t id f =
   Mutex.lock s.smu;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.smu) f
 
-let lock_all t =
-  for i = 0 to shard_count - 1 do
-    Mutex.lock t.shards.(i).smu
-  done
-
-let unlock_all t =
-  for i = shard_count - 1 downto 0 do
-    Mutex.unlock t.shards.(i).smu
-  done
-
 let with_all t f =
-  lock_all t;
-  Fun.protect ~finally:(fun () -> unlock_all t) f
+  Mutex.lock t.emu;
+  Array.iter (fun s -> Mutex.lock s.smu) t.shards;
+  Fun.protect f ~finally:(fun () ->
+      Array.iter (fun s -> Mutex.unlock s.smu) t.shards;
+      Mutex.unlock t.emu)
 
-(* Requires all shard locks.  Folds over every resident frame. *)
-let fold_locked t f init =
-  Array.fold_left (fun acc s -> Hashtbl.fold f s.table acc) init t.shards
+let resident_frames t = Array.to_list (Array.sub t.slots 0 t.count)
 
-(* Requires all shard locks.  Globally least-recently-used unpinned
-   victim, exactly as the single-latch pool chose it. *)
-let evict_one_locked t =
-  let victim =
-    fold_locked t
-      (fun id f best ->
-        if f.pins > 0 then best
-        else
-          match best with
-          | Some (_, bf) when bf.last_use <= f.last_use -> best
-          | _ -> Some (id, f))
-      None
-  in
-  match victim with
-  | None -> failwith "Buffer_pool: all frames pinned"
-  | Some (id, f) ->
-    if f.dirty then begin
-      (* A faulted write leaves the frame resident and dirty: nothing was
-         evicted, the retry sees a consistent pool. *)
-      (try Disk.write t.disk id
-       with Fault.Io_fault _ as e ->
-         bump t Counter.Write_faults;
-         raise e);
-      bump t Counter.Physical_writes
-    end;
-    Hashtbl.remove (shard_of t id).table id;
-    Atomic.decr t.resident_n;
-    if f.dirty then check_io_limit t
+(* Requires [emu].  The unpinned frame with the smallest stamp. *)
+let lru_victim t =
+  let best = ref no_frame in
+  for i = 0 to t.count - 1 do
+    let f = t.slots.(i) in
+    if f.pins = 0 && f.last_use < !best.last_use then best := f
+  done;
+  if !best == no_frame then failwith "Buffer_pool: all frames pinned";
+  !best
 
-let ensure_room t =
-  while Atomic.get t.resident_n >= t.capacity do
-    with_all t (fun () ->
-        if Atomic.get t.resident_n >= t.capacity then evict_one_locked t)
-  done
+let write t f =
+  (try Disk.write t.disk f.page.Page.id
+   with Fault.Io_fault _ as e ->
+     bump t Counter.Write_faults;
+     raise e);
+  bump t Counter.Physical_writes
+
+(* Requires [emu] and the victim's shard lock.  A faulted write leaves
+   the frame resident and dirty: nothing was evicted, the retry sees a
+   consistent pool. *)
+let remove_locked t f =
+  let id = f.page.Page.id in
+  if f.dirty then write t f;
+  Hashtbl.remove (shard_of t id).table id;
+  let last = t.slots.(t.count - 1) in
+  t.slots.(f.slot) <- last;
+  last.slot <- f.slot;
+  t.slots.(t.count - 1) <- no_frame;
+  t.count <- t.count - 1;
+  if f.dirty then check_io_limit t
+
+(* Requires [emu] only.  Evicts until there is room for one more page. *)
+let rec make_room t =
+  if t.count >= t.capacity then begin
+    let f = lru_victim t in
+    let stamp = f.last_use in
+    with_shard t f.page.Page.id (fun () ->
+        if f.pins = 0 && f.last_use = stamp then remove_locked t f);
+    make_room t
+  end
+
+(* Requires [emu], room, and the shard lock of [page]. *)
+let admit_locked t page ~pins ~dirty =
+  let f = { page; pins; dirty; last_use = tick t; slot = t.count } in
+  Hashtbl.add (shard_of t page.Page.id).table page.Page.id f;
+  t.slots.(t.count) <- f;
+  t.count <- t.count + 1;
+  f
 
 let pinned_pages_locked t =
-  fold_locked t (fun id f acc -> if f.pins > 0 then (id, f.pins) :: acc else acc) []
+  List.filter_map
+    (fun f -> if f.pins > 0 then Some (f.page.Page.id, f.pins) else None)
+    (resident_frames t)
   |> List.sort compare
 
-let pinned_count_locked t =
-  fold_locked t (fun _ f n -> if f.pins > 0 then n + 1 else n) 0
-
-let pinned_count t = with_all t (fun () -> pinned_count_locked t)
+let pinned_count t = with_all t (fun () -> List.length (pinned_pages_locked t))
 let pinned_pages t = with_all t (fun () -> pinned_pages_locked t)
 
 let leak_check t =
@@ -231,23 +243,25 @@ let leak_check t =
 let resize t capacity =
   if capacity <= 0 then invalid_arg "Buffer_pool.resize: capacity <= 0";
   with_all t (fun () ->
-      if capacity < pinned_count_locked t then
+      if capacity < List.length (pinned_pages_locked t) then
         invalid_arg "Buffer_pool.resize: smaller than pinned pages";
       t.capacity <- capacity;
-      t.sized_for <- Int.max t.sized_for capacity;
-      while Atomic.get t.resident_n > t.capacity do
-        evict_one_locked t
+      while t.count > capacity do
+        remove_locked t (lru_victim t)
       done;
-      (* [Hashtbl.reset] only shrinks back to the creation size, so a
-         table sized for a much larger pool is copied into a fresh one. *)
-      if table_size t.sized_for > 4 * table_size capacity then begin
+      (* [slots] and the tables were last built for this capacity. *)
+      let sized = Array.length t.slots in
+      if capacity > sized || table_size sized > 4 * table_size capacity then begin
+        t.slots <-
+          Array.init capacity (fun i -> if i < t.count then t.slots.(i) else no_frame);
+        (* [Hashtbl.reset] only shrinks back to the creation size, so a
+           table sized for a much larger pool is copied into a fresh one. *)
         Array.iter
           (fun s ->
             let table = Hashtbl.create (table_size capacity) in
             Hashtbl.iter (Hashtbl.add table) s.table;
             s.table <- table)
-          t.shards;
-        t.sized_for <- capacity
+          t.shards
       end)
 
 let pin t id =
@@ -272,28 +286,27 @@ let pin t id =
         bump t Counter.Read_faults;
         raise e
     in
-    ensure_room t;
-    bump t Counter.Physical_reads;
-    with_shard t id (fun () ->
+    Mutex.protect t.emu (fun () ->
         let table = (shard_of t id).table in
-        match Hashtbl.find_opt table id with
-        | Some f ->
-          (* Another domain raced the same miss and inserted first; both
-             physical reads really happened and both are counted. *)
-          f.last_use <- tick t;
-          check_io_limit t;
-          f.pins <- f.pins + 1;
-          f.page
-        | None ->
-          (* Pin only after the budget check: if the limit fires here,
-             the page is resident but unpinned, so an aborted run leaks
-             no pins. *)
-          let f = { page; pins = 0; dirty = false; last_use = tick t } in
-          Hashtbl.add table id f;
-          Atomic.incr t.resident_n;
-          check_io_limit t;
-          f.pins <- 1;
-          page)
+        if not (Hashtbl.mem table id) then make_room t;
+        bump t Counter.Physical_reads;
+        with_shard t id (fun () ->
+            let f =
+              match Hashtbl.find_opt table id with
+              | Some f ->
+                (* Another domain raced the same miss and admitted the
+                   page first; both physical reads really happened and
+                   both are counted. *)
+                f.last_use <- tick t;
+                f
+              | None -> admit_locked t page ~pins:0 ~dirty:false
+            in
+            (* Pin only after the budget check: if the limit fires here,
+               the page is resident but unpinned, so an aborted run leaks
+               no pins. *)
+            check_io_limit t;
+            f.pins <- f.pins + 1;
+            f.page))
 
 let unpin t id =
   with_shard t id (fun () ->
@@ -314,41 +327,28 @@ let with_page t id f =
   Fun.protect ~finally:(fun () -> unpin t id) (fun () -> f page)
 
 let new_page t =
-  ensure_room t;
-  let page = Disk.allocate t.disk in
-  with_shard t page.Page.id (fun () ->
-      let f = { page; pins = 1; dirty = true; last_use = tick t } in
-      Hashtbl.add (shard_of t page.Page.id).table page.Page.id f;
-      Atomic.incr t.resident_n);
-  page
+  Mutex.protect t.emu (fun () ->
+      make_room t;
+      let page = Disk.allocate t.disk in
+      with_shard t page.Page.id (fun () ->
+          ignore (admit_locked t page ~pins:1 ~dirty:true));
+      page)
 
+(* Writes in page-id order, so which pages a fault or an exhausted
+   budget leaves dirty does not depend on residency order. *)
 let flush_all t =
   with_all t (fun () ->
-      Array.iter
-        (fun s ->
-          Hashtbl.iter
-            (fun id f ->
-              if f.dirty then begin
-                (try Disk.write t.disk id
-                 with Fault.Io_fault _ as e ->
-                   bump t Counter.Write_faults;
-                   raise e);
-                bump t Counter.Physical_writes;
-                f.dirty <- false;
-                check_io_limit t
-              end)
-            s.table)
-        t.shards)
+      resident_frames t
+      |> List.sort (fun a b -> Int.compare a.page.Page.id b.page.Page.id)
+      |> List.iter (fun f ->
+             if f.dirty then begin
+               write t f;
+               f.dirty <- false;
+               check_io_limit t
+             end))
 
-let diff ~(before : stats) ~(after : stats) =
-  { logical_reads = after.logical_reads - before.logical_reads;
-    physical_reads = after.physical_reads - before.physical_reads;
-    physical_writes = after.physical_writes - before.physical_writes;
-    read_faults = after.read_faults - before.read_faults;
-    write_faults = after.write_faults - before.write_faults }
-
-let resident t = Atomic.get t.resident_n
+let resident t = t.count
 
 let resident_pages t =
-  with_all t (fun () -> fold_locked t (fun id _ acc -> id :: acc) [])
+  with_all t (fun () -> List.map (fun f -> f.page.Page.id) (resident_frames t))
   |> List.sort Int.compare

@@ -9,7 +9,16 @@
     {!Fault.Io_fault} (counted in {!stats}) and leaves the pool
     unchanged, and when an I/O limit is set with {!set_io_limit}, the
     physical access that exceeds it raises {!Io_budget_exceeded} — the
-    mechanism behind the execution supervisor's cost-budget guard. *)
+    mechanism behind the execution supervisor's cost-budget guard.
+
+    The pool never holds more than {!frames} pages: [resident t <=
+    frames t] after every {!pin} and {!new_page}, also when several
+    domains miss at once, because a miss checks for room and admits its
+    page in one critical section.  (A {!resize} whose eviction faults or
+    trips the I/O budget can leave more pages than the new budget; the
+    next admission evicts down to it first.)  Pages stay resident until
+    evicted by exact LRU over unpinned frames.  {!pin}, {!unpin},
+    {!mark_dirty} and {!new_page} may run from concurrent domains. *)
 
 type t
 
@@ -32,6 +41,9 @@ val create : ?frames:int -> Disk.t -> t
 
 val disk : t -> Disk.t
 val frames : t -> int
+(** The frame budget: the most pages the pool holds, and so the most
+    pages that can be pinned at once. *)
+
 val resize : t -> int -> unit
 (** Change the frame budget (evicting as needed); used when a run-time
     memory binding differs from the default.  Pinned pages are never
@@ -53,7 +65,11 @@ val pin : t -> int -> Page.t
     and pins it.
     @raise Fault.Io_fault if the disk fails the read (no I/O is counted,
     the pool is unchanged, the page is not pinned).
-    @raise Io_budget_exceeded per {!set_io_limit}. *)
+    @raise Io_budget_exceeded per {!set_io_limit}.  If the miss's own
+    read trips it, the page is left resident but not pinned; if the
+    write of a dirty victim trips it, the victim is already evicted and
+    the page not yet admitted.
+    @raise Failure on a miss when every frame is pinned. *)
 
 val unpin : t -> int -> unit
 (** @raise Invalid_argument if the page is not resident or not pinned. *)
@@ -69,7 +85,7 @@ val new_page : t -> Page.t
     until evicted dirty). *)
 
 val flush_all : t -> unit
-(** Write out all dirty pages.
+(** Write out all dirty pages, in page-id order.
     @raise Fault.Io_fault if the disk fails one of the writes; pages
     flushed before the fault stay clean, the faulted one stays dirty. *)
 

@@ -3,9 +3,9 @@ module Counter = Dqep_obs.Counter
 
 (* One mutex serializes the page directory and the (stateful) fault
    schedule: [allocate] grows the array, and [Fault.on_read]/[on_write]
-   advance a seeded RNG even on success, so concurrent buffer-pool
-   shards must not race them.  Simulated I/O holds the lock for a few
-   array reads only. *)
+   advance a seeded RNG even on success, so concurrent pool misses (read
+   outside the pool's eviction mutex) and evictions must not race them.
+   Simulated I/O holds the lock for a few array reads only. *)
 type t = {
   mu : Mutex.t;
   mutable pages : Page.t array;

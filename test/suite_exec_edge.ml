@@ -121,6 +121,62 @@ let test_grace_partitioning_correct () =
     (D.Reference.multiset_equal expected got);
   Alcotest.(check bool) "grace join spilled" true (after > before)
 
+let test_exchange_width_capped_by_frames () =
+  (* A parallel job holds up to one pin per participant.  On a pool with
+     fewer frames than workers, the job must run narrower — as wide as
+     the pool has frames — instead of failing with "all frames pinned". *)
+  Test_util.with_watchdog "exchange width capped by frames" @@ fun () ->
+  let catalog = edge_catalog ~cardinality:240 ~domain:30 in
+  let db = D.Database.build ~seed:11 catalog in
+  let pool = D.Database.pool db in
+  List.iter
+    (fun frames ->
+      let env, b, scan = builder_bits catalog frames in
+      let bindings = D.Bindings.make ~selectivities:[] ~memory_pages:frames in
+      let scan_expected =
+        let schema, tuples = D.Reference.eval db bindings (D.Logical.Get_set "A") in
+        D.Reference.normalize schema tuples
+      in
+      let join =
+        D.Plan.Builder.operator b (D.Physical.Hash_join [ join_pred ])
+          ~inputs:[ scan "A"; scan "B" ] ~rels:[ "A"; "B" ]
+          ~rows:
+            (D.Estimate.join_rows env [ join_pred ] (D.Estimate.base_rows env "A")
+               (D.Estimate.base_rows env "B"))
+          ~bytes_per_row:512 ~props:D.Props.unordered
+      in
+      let plans =
+        [ ("scan", scan "A", scan_expected);
+          ("spilling join", join, reference db catalog frames) ]
+      in
+      List.iter
+        (fun workers ->
+          List.iter
+            (fun (what, plan, expected) ->
+              let label = Printf.sprintf "%s, %d frames, %d workers" what frames workers in
+              let writes_before = (D.Buffer_pool.stats pool).D.Buffer_pool.physical_writes in
+              for _ = 1 to 200 do
+                D.Buffer_pool.resize pool frames;
+                let tuples, profile = D.Batch_exec.run_plan db env ~workers plan in
+                if
+                  not
+                    (D.Reference.multiset_equal expected
+                       (D.Reference.normalize (D.Plan.schema catalog plan) tuples))
+                then Alcotest.failf "%s: rows differ from the reference" label;
+                (match D.Buffer_pool.leak_check pool with
+                | Ok () -> ()
+                | Error msg -> Alcotest.failf "%s: %s" label msg);
+                if profile.D.Exec_common.workers <> Int.min workers frames then
+                  Alcotest.failf "%s: profile reports %d workers" label
+                    profile.D.Exec_common.workers
+              done;
+              let writes = (D.Buffer_pool.stats pool).D.Buffer_pool.physical_writes in
+              if what <> "scan" && writes = writes_before then
+                Alcotest.failf "%s: the join did not spill" label)
+            plans)
+        [ 4; 8 ])
+    [ 2; 3 ]
+
 let test_external_sort_many_runs () =
   let catalog = edge_catalog ~cardinality:3000 ~domain:750 in
   let db = D.Database.build ~seed:8 catalog in
@@ -165,6 +221,8 @@ let suite =
   ( "exec-edge",
     [ Alcotest.test_case "duplicate join keys" `Quick test_duplicate_join_keys;
       Alcotest.test_case "grace partitioning" `Quick test_grace_partitioning_correct;
+      Alcotest.test_case "exchange width capped by frames" `Quick
+        test_exchange_width_capped_by_frames;
       Alcotest.test_case "external sort, many runs" `Quick
         test_external_sort_many_runs;
       Alcotest.test_case "choose-plan re-decides per run" `Quick

@@ -1,12 +1,16 @@
 (* Model-based test of the buffer pool.
 
    Random command sequences — pin, unpin, new page, mark dirty, resize,
-   flush, and a bulk load of unpinned dirty pages — run against the
-   sharded pool and against a pure single-table LRU model.  After every
-   command both must agree on the outcome (including the exception
-   raised), the resident set, the pinned count and the logical,
-   physical-read and physical-write counters.  Resident sets agree
-   before and after each command, so the two evict the same victims.
+   flush, a bulk load of unpinned dirty pages, and arming or disarming
+   the I/O budget — run against the pool (sharded frames, one flat
+   eviction array) and against a pure single-table LRU model.  After
+   every command both must agree on the outcome (including the
+   exception raised), the resident set, the pinned count and the
+   logical, physical-read and physical-write counters.  Resident sets
+   agree before and after each command, so the two evict the same
+   victims.  Where the budget trips, the model says what has already
+   happened: a pin that trips it leaves its page resident and unpinned,
+   and a dirty eviction that trips it has already removed the frame.
 
    Half the cases start the way [Database.build] does: a bulk load
    through a 4096-frame pool, a flush, and a shrink to 4-16 frames; the
@@ -30,18 +34,28 @@ type model = {
   logical : int;
   reads : int;
   writes : int;
+  limit : int option;  (* the armed I/O budget *)
 }
 
 let empty cap =
   { cap; frames = M.empty; clock = 0; next_id = 0; logical = 0; reads = 0;
-    writes = 0 }
+    writes = 0; limit = None }
 
 let all_pinned = Printexc.to_string (Failure "Buffer_pool: all frames pinned")
 
 let below_pinned =
   Printexc.to_string (Invalid_argument "Buffer_pool.resize: smaller than pinned pages")
 
-exception Refused of string
+(* A command stopped by an error, in the state it had reached: an
+   eviction or two may already have happened. *)
+exception Stopped of model * string
+
+let check_budget m =
+  match m.limit with
+  | Some limit when m.reads + m.writes > limit ->
+    let observed = m.reads + m.writes in
+    raise (Stopped (m, Printexc.to_string (Pool.Io_budget_exceeded { limit; observed })))
+  | _ -> ()
 
 (* The globally least-recently-used unpinned frame. *)
 let evict m =
@@ -56,11 +70,15 @@ let evict m =
       m.frames None
   in
   match victim with
-  | None -> raise (Refused all_pinned)
+  | None -> raise (Stopped (m, all_pinned))
   | Some (id, f) ->
-    { m with
-      frames = M.remove id m.frames;
-      writes = (m.writes + if f.dirty then 1 else 0) }
+    let m =
+      { m with
+        frames = M.remove id m.frames;
+        writes = (m.writes + if f.dirty then 1 else 0) }
+    in
+    if f.dirty then check_budget m;
+    m
 
 let rec make_room m = if M.cardinal m.frames >= m.cap then make_room (evict m) else m
 
@@ -82,6 +100,7 @@ type cmd =
   | Resize of int
   | Flush
   | Bulk of int
+  | Set_io_limit of int option  (* headroom over the I/O done so far *)
 
 let show_cmd = function
   | Pin i -> Printf.sprintf "Pin %d" i
@@ -91,6 +110,8 @@ let show_cmd = function
   | Resize n -> Printf.sprintf "Resize %d" n
   | Flush -> "Flush"
   | Bulk n -> Printf.sprintf "Bulk %d" n
+  | Set_io_limit None -> "Set_io_limit None"
+  | Set_io_limit (Some k) -> Printf.sprintf "Set_io_limit (+%d)" k
 
 let nth_mod l i = List.nth l (i mod List.length l)
 
@@ -98,8 +119,7 @@ let nth_mod l i = List.nth l (i mod List.length l)
    command raised (the model says what the pool must raise). *)
 let step pool m cmd =
   let real f = match f () with () -> Ok () | exception e -> Error (Printexc.to_string e) in
-  (* A refused command leaves the model as it was before [f]. *)
-  let expect m f = match f m with m' -> (m', Ok ()) | exception Refused e -> (m, Error e) in
+  let expect m f = match f m with m' -> (m', Ok ()) | exception Stopped (m', e) -> (m', Error e) in
   match cmd with
   | Pin _ when m.next_id = 0 -> (m, Ok (), Ok ())
   | Pin i ->
@@ -113,7 +133,9 @@ let step pool m cmd =
             { m with frames = M.add id { f with pins = f.pins + 1; used = m.clock } m.frames }
           | None ->
             let m = make_room m in
-            admit { m with reads = m.reads + 1 } id ~pins:1 ~dirty:false)
+            let m = admit { m with reads = m.reads + 1 } id ~pins:0 ~dirty:false in
+            check_budget m;
+            { m with frames = M.add id { (M.find id m.frames) with pins = 1 } m.frames })
     in
     (m', want, real (fun () -> ignore (Pool.pin pool id)))
   | Unpin _ when pinned m = [] -> (m, Ok (), Ok ())
@@ -146,18 +168,29 @@ let step pool m cmd =
   | Resize n ->
     let m', want =
       expect m (fun m ->
-          if n < List.length (pinned m) then raise (Refused below_pinned);
+          if n < List.length (pinned m) then raise (Stopped (m, below_pinned));
           let rec shrink m = if M.cardinal m.frames > n then shrink (evict m) else m in
           shrink { m with cap = n })
     in
     (m', want, real (fun () -> Pool.resize pool n))
   | Flush ->
-    let dirty = M.filter (fun _ f -> f.dirty) m.frames in
-    ( { m with
-        frames = M.map (fun f -> { f with dirty = false }) m.frames;
-        writes = m.writes + M.cardinal dirty },
-      Ok (),
-      real (fun () -> Pool.flush_all pool) )
+    (* Page-id order, one budget check per write. *)
+    let m', want =
+      expect m (fun m ->
+          M.fold
+            (fun id f m ->
+              if not f.dirty then m
+              else
+                let m =
+                  { m with
+                    frames = M.add id { f with dirty = false } m.frames;
+                    writes = m.writes + 1 }
+                in
+                check_budget m;
+                m)
+            m.frames m)
+    in
+    (m', want, real (fun () -> Pool.flush_all pool))
   | Bulk k ->
     (* [k] fresh pages, each written and released — how a table load
        fills the pool. *)
@@ -165,7 +198,7 @@ let step pool m cmd =
       if j = 0 then (m, Ok ())
       else
         match expect m make_room with
-        | m, (Error _ as refused) -> (m, refused)
+        | m, (Error _ as failed) -> (m, failed)
         | m, Ok () ->
           load (admit { m with next_id = m.next_id + 1 } m.next_id ~pins:0 ~dirty:true) (j - 1)
     in
@@ -177,6 +210,9 @@ let step pool m cmd =
           done)
     in
     (m', want, got)
+  | Set_io_limit k ->
+    let limit = Option.map (fun k -> m.reads + m.writes + k) k in
+    ({ m with limit }, Ok (), real (fun () -> Pool.set_io_limit pool limit))
 
 (* --- the property --------------------------------------------------------- *)
 
@@ -195,7 +231,9 @@ let cmd_gen =
       (2, map (fun n -> Resize n) (int_range 1 24));
       (1, map (fun n -> Resize n) (oneofl [ 64; 4096 ]));
       (1, return Flush);
-      (1, map (fun n -> Bulk n) (int_range 1 40)) ]
+      (1, map (fun n -> Bulk n) (int_range 1 40));
+      (1, map (fun k -> Set_io_limit (Some k)) (int_range 0 8));
+      (1, return (Set_io_limit None)) ]
 
 let case_gen =
   let open QCheck.Gen in
@@ -208,7 +246,7 @@ let case_gen =
         (int_range 16 400) (int_range 4 16) tail ]
 
 let prop_pool_matches_model =
-  QCheck.Test.make ~name:"sharded pool = pure LRU model" ~count:150
+  QCheck.Test.make ~name:"pool = LRU model, with I/O budget" ~count:150
     (QCheck.make ~print:show_case case_gen) (fun c ->
       let pool = Pool.create ~frames:c.initial (D.Disk.create ()) in
       let check m i cmd want got =
@@ -237,4 +275,78 @@ let prop_pool_matches_model =
            (empty c.initial, 0) c.cmds);
       true)
 
-let suite = ("pool model", [ QCheck_alcotest.to_alcotest prop_pool_matches_model ])
+(* --- concurrent domains ----------------------------------------------------- *)
+
+(* Four domains run random pin / unpin / new page / mark dirty commands
+   on one small pool over shared pages.  No domain holds more than a
+   quarter of the frames, so a miss always finds an unpinned victim.
+   After every command a domain samples the resident count, which must
+   never exceed the frames: a miss checks for room and admits in one
+   critical section.  At the end nothing is pinned, every pin is one
+   logical read, and the pool's physical reads and writes equal the
+   reads and writes the disk served — one per miss and per dirty
+   eviction. *)
+let test_concurrent_domains () =
+  List.iter
+    (fun frames ->
+      let disk = D.Disk.create () in
+      let pool = Pool.create ~frames disk in
+      let shared =
+        Array.init 24 (fun _ ->
+            let page = Pool.new_page pool in
+            Pool.unpin pool page.D.Page.id;
+            page.D.Page.id)
+      in
+      let disk_stats () = Pool.stats_of_trace (D.Disk.obs disk) in
+      let before = Pool.stats pool and disk_before = disk_stats () in
+      let hold = Int.max 1 (frames / 4) in
+      let overshoots = Atomic.make 0 in
+      let domain seed () =
+        let rng = Random.State.make [| seed |] in
+        let held = ref [] and pins = ref 0 in
+        let release id =
+          Pool.unpin pool id;
+          held := List.filter (( <> ) id) !held
+        in
+        for _ = 1 to 3000 do
+          (match Random.State.int rng 10 with
+          | 0 | 1 | 2 | 3 | 4 when List.length !held < hold ->
+            let id = shared.(Random.State.int rng (Array.length shared)) in
+            if not (List.mem id !held) then begin
+              ignore (Pool.pin pool id);
+              incr pins;
+              held := id :: !held
+            end
+          | 5 | 6 | 7 when !held <> [] ->
+            release (List.nth !held (Random.State.int rng (List.length !held)))
+          | 8 when List.length !held < hold ->
+            held := (Pool.new_page pool).D.Page.id :: !held
+          | 9 when !held <> [] ->
+            Pool.mark_dirty pool (List.nth !held (Random.State.int rng (List.length !held)))
+          | _ -> ());
+          if Pool.resident pool > frames then Atomic.incr overshoots
+        done;
+        List.iter release !held;
+        !pins
+      in
+      let pins =
+        List.init 4 (fun i -> Domain.spawn (domain (frames * 10 + i)))
+        |> List.fold_left (fun n d -> n + Domain.join d) 0
+      in
+      let s = Pool.diff ~before ~after:(Pool.stats pool) in
+      let served = Pool.diff ~before:disk_before ~after:(disk_stats ()) in
+      let label what = Printf.sprintf "%d frames: %s" frames what in
+      Alcotest.(check int) (label "resident never above frames") 0 (Atomic.get overshoots);
+      Alcotest.(check (result unit string)) (label "leak check") (Ok ()) (Pool.leak_check pool);
+      Alcotest.(check int) (label "logical reads = pins") pins s.Pool.logical_reads;
+      Alcotest.(check int) (label "physical reads = disk reads") served.Pool.physical_reads
+        s.Pool.physical_reads;
+      Alcotest.(check int) (label "physical writes = disk writes")
+        served.Pool.physical_writes s.Pool.physical_writes)
+    [ 4; 6; 8 ]
+
+let suite =
+  ( "pool model",
+    [ QCheck_alcotest.to_alcotest prop_pool_matches_model;
+      Alcotest.test_case "concurrent domains never overshoot" `Quick
+        test_concurrent_domains ] )
