@@ -8,10 +8,10 @@
    working-set bytes, physical I/O pages) are derived from the same
    traversal.  Three kinds of facts come out:
 
-   - {e region values} ([eval] under a [region]-restricted environment):
-     what every node's rows and total cost look like anywhere in a box of
-     the parameter space — the basis for coverage and dominance analysis
-     of choose-plan nodes (Analyses);
+   - {e region values} ([evaluator], one [region] of the parameter space
+     at a time): what every node's rows and total cost look like
+     anywhere in a box of the parameter space — the basis for coverage
+     and dominance analysis of choose-plan nodes (Analyses);
 
    - {e certificates} ([certificate]): a sound worst-case bound on the
      bytes a run can ever hold against its governor, derived from
@@ -211,9 +211,7 @@ let node_rows env (p : Plan.t) (inputs : value list) =
   in
   try exact () with Not_found -> p.Plan.rows
 
-(* Evaluate every node of [plan] under [env], bottom-up with one visit
-   per DAG node.  The returned lookup answers for any node of [plan] (by
-   pid) and raises [Not_found] for foreign nodes.
+(* Node [p]'s value from its inputs' values.
 
    The invariant connecting this to startup: a [Startup] program
    evaluates the same formulas at a point of the environment, taking the
@@ -221,50 +219,38 @@ let node_rows env (p : Plan.t) (inputs : value list) =
    choose node — both of which lie inside the corresponding interval
    combination here.  So for any point env inside the region this env
    abstracts, the point totals lie inside these interval totals. *)
-let eval env (plan : Plan.t) =
-  let memo : value Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
-  let rec go (p : Plan.t) =
-    match Plan.Pid_tbl.find_opt memo p.Plan.pid with
-    | Some v -> v
-    | None ->
-      let inputs = List.map go p.Plan.inputs in
-      let rows = node_rows env p inputs in
-      let total =
-        match p.Plan.op with
-        | Physical.Choose_plan ->
-          Cost_model.choose_plan_cost env (List.map (fun v -> v.total) inputs)
-        | _ ->
-          let cm_inputs =
-            List.map2
-              (fun (child : Plan.t) v ->
-                { Cost_model.rows = v.rows;
-                  bytes_per_row = child.Plan.bytes_per_row })
-              p.Plan.inputs inputs
-          in
-          let own =
-            Cost_model.own_cost env p.Plan.op ~inputs:cm_inputs
-              ~output_rows:rows
-          in
-          List.fold_left (fun acc v -> Interval.add acc v.total) own inputs
+let node_value env (p : Plan.t) inputs =
+  let rows = node_rows env p inputs in
+  let total =
+    match p.Plan.op with
+    | Physical.Choose_plan ->
+      Cost_model.choose_plan_cost env (List.map (fun v -> v.total) inputs)
+    | _ ->
+      let cm_inputs =
+        List.map2
+          (fun (child : Plan.t) v ->
+            { Cost_model.rows = v.rows; bytes_per_row = child.Plan.bytes_per_row })
+          p.Plan.inputs inputs
       in
-      let v = { rows; total } in
-      Plan.Pid_tbl.add memo p.Plan.pid v;
-      v
+      let own =
+        Cost_model.own_cost env p.Plan.op ~inputs:cm_inputs ~output_rows:rows
+      in
+      List.fold_left (fun acc v -> Interval.add acc v.total) own inputs
   in
-  ignore (go plan);
-  fun (p : Plan.t) -> Plan.Pid_tbl.find memo p.Plan.pid
+  { rows; total }
 
 (* Many-region evaluation with cross-region sharing.  A node's value
    depends on the environment only through the memory interval and the
    selectivity intervals of host variables occurring in its own subtree
    (rows come from its own predicates and children; own costs consult at
    most those rows and the memory grant).  Keying the memo by
-   (pid, those intervals) lets regions that agree on a node's dimensions
-   share its value — on a deep plan most nodes are insensitive to most
-   cut dimensions.  [work] counts node evaluations performed (memo
-   misses), the currency of the analyses' work budgets. *)
+   (index, those intervals) lets regions that agree on a node's
+   dimensions share its value — on a deep plan most nodes are
+   insensitive to most cut dimensions.  [work] counts node evaluations
+   performed (memo misses), the currency of the analyses' work
+   budgets. *)
 type evaluator = {
-  value : region -> Plan.t -> value;
+  value : region -> int -> value;
   work : unit -> int;
 }
 
@@ -299,69 +285,43 @@ let union a b =
     go 0 0 0
   end
 
-(* [a] with room for index [n]. *)
-let ensure a n fill =
-  if n < Array.length a then a
-  else begin
-    let b = Array.make (Int.max (n + 1) (2 * Array.length a)) fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
 (* Filler for result slots not yet written. *)
 let unseen = { rows = Interval.point 0.; total = Interval.point 0. }
 
-let evaluator env (plan : Plan.t) =
-  (* Nodes are numbered densely on first sight (children first), and
-     host variables once; each node records its children's numbers and
-     the numbers of the variables occurring in its subtree.  Nodes
-     outside [plan] are numbered when first asked for. *)
+let evaluator env (dag : Plan.Dag.t) =
+  (* Host variables are numbered once; each node records the numbers of
+     the variables occurring in its subtree. *)
+  let n = dag.Plan.Dag.length in
   let var_index : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let var_names = ref [||] in
+  let var_list = ref [] in
   let index_of v =
     match Hashtbl.find_opt var_index v with
     | Some i -> i
     | None ->
       let i = Hashtbl.length var_index in
       Hashtbl.add var_index v i;
-      var_names := ensure !var_names i v;
-      !var_names.(i) <- v;
+      var_list := v :: !var_list;
       i
   in
-  let slot : int Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
-  let count = ref 0 in
-  let nodes = ref [||] and kids = ref [||] and vars = ref [||] in
-  let rec number (p : Plan.t) =
-    match Plan.Pid_tbl.find_opt slot p.Plan.pid with
-    | Some i -> i
-    | None ->
-      let ks = Array.of_list (List.map number p.Plan.inputs) in
-      let own =
-        match p.Plan.op with
-        | Physical.Filter pr | Physical.Filter_btree_scan { pred = pr; _ }
-        | Physical.Index_join { inner_filter = Some pr; _ } -> (
-          match Predicate.host_var pr with
-          | Some v -> [| index_of v |]
-          | None -> [||])
-        | Physical.Index_join { inner_filter = None; _ }
-        | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
-        | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan -> [||]
-      in
-      let vs = Array.fold_left (fun acc k -> union acc !vars.(k)) own ks in
-      let i = !count in
-      nodes := ensure !nodes i p;
-      kids := ensure !kids i [||];
-      vars := ensure !vars i [||];
-      !nodes.(i) <- p;
-      !kids.(i) <- ks;
-      !vars.(i) <- vs;
-      incr count;
-      Plan.Pid_tbl.add slot p.Plan.pid i;
-      i
-  in
-  ignore (number plan);
+  let vars = Array.make n [||] in
+  for i = 0 to n - 1 do
+    let own =
+      match dag.Plan.Dag.nodes.(i).Plan.op with
+      | Physical.Filter pr | Physical.Filter_btree_scan { pred = pr; _ }
+      | Physical.Index_join { inner_filter = Some pr; _ } -> (
+        match Predicate.host_var pr with
+        | Some v -> [| index_of v |]
+        | None -> [||])
+      | Physical.Index_join { inner_filter = None; _ }
+      | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
+      | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan -> [||]
+    in
+    vars.(i) <-
+      List.fold_left (fun acc k -> union acc vars.(k)) own (Plan.Dag.inputs dag i)
+  done;
+  let var_names = Array.of_list (List.rev !var_list) in
   let misses = ref 0 in
-  (* Memo keys are compact byte strings — node number plus one small
+  (* Memo keys are compact byte strings — node index plus one small
      interned id per dimension the node depends on.  Interval ids are interned per
      (dimension, box) so a grid sweep reuses a handful of ids per
      dimension; string keys hash fully (the generic hash on float lists
@@ -378,12 +338,12 @@ let evaluator env (plan : Plan.t) =
       Hashtbl.add intern k id;
       id
   in
-  let memo : value String_tbl.t = String_tbl.create (4 * !count) in
-  (* Per-region results by node number, valid where [stamp] holds the
-     region's generation, so a region allocates nothing per node.
-     Interleaving two regions' lookups stays correct (the memo is keyed
-     by intervals) and only costs re-lookups. *)
-  let results = ref (Array.make !count unseen) and stamp = ref (Array.make !count 0) in
+  let memo : value String_tbl.t = String_tbl.create (4 * n) in
+  (* Per-region results by index, valid where [stamp] holds the region's
+     generation, so a region allocates nothing per node.  Interleaving
+     two regions' lookups stays correct (the memo is keyed by intervals)
+     and only costs re-lookups. *)
+  let results = Array.make n unseen and stamp = Array.make n 0 in
   let generation = ref 0 in
   let value (region : region) =
     incr generation;
@@ -391,20 +351,19 @@ let evaluator env (plan : Plan.t) =
     let renv = restrict env region in
     (* Interned box of each variable in this region, filled on first
        use; a variable foreign to the region takes the unit interval. *)
-    let dim_ids = ref (Array.make (Hashtbl.length var_index) (-1)) in
+    let dim_ids = Array.make (Array.length var_names) (-1) in
     let dim_id v =
-      dim_ids := ensure !dim_ids v (-1);
-      if !dim_ids.(v) < 0 then begin
-        let name = !var_names.(v) in
-        !dim_ids.(v) <-
+      if dim_ids.(v) < 0 then begin
+        let name = var_names.(v) in
+        dim_ids.(v) <-
           id_of name
             (Option.value ~default:unit_interval (List.assoc_opt name region.sels))
       end;
-      !dim_ids.(v)
+      dim_ids.(v)
     in
     let mem_id = id_of "" region.memory in
     let key_of i =
-      let vs = !vars.(i) in
+      let vs = vars.(i) in
       let b = Bytes.create (5 + (2 * Array.length vs)) in
       Bytes.set b 0 (Char.unsafe_chr (i land 0xff));
       Bytes.set b 1 (Char.unsafe_chr ((i lsr 8) land 0xff));
@@ -419,15 +378,13 @@ let evaluator env (plan : Plan.t) =
         vs;
       Bytes.unsafe_to_string b
     in
-    (* Within one region a node's value depends only on its number. *)
+    (* Within one region a node's value depends only on its index. *)
     let rec go i =
-      results := ensure !results i unseen;
-      stamp := ensure !stamp i 0;
-      if !stamp.(i) = gen then !results.(i)
+      if stamp.(i) = gen then results.(i)
       else begin
         let v = shared i in
-        !results.(i) <- v;
-        !stamp.(i) <- gen;
+        results.(i) <- v;
+        stamp.(i) <- gen;
         v
       end
     and shared i =
@@ -436,32 +393,14 @@ let evaluator env (plan : Plan.t) =
       | Some v -> v
       | None ->
         incr misses;
-        let p = !nodes.(i) in
-        let inputs = List.map go (Array.to_list !kids.(i)) in
-        let rows = node_rows renv p inputs in
-        let total =
-          match p.Plan.op with
-          | Physical.Choose_plan ->
-            Cost_model.choose_plan_cost renv (List.map (fun v -> v.total) inputs)
-          | _ ->
-            let cm_inputs =
-              List.map2
-                (fun (child : Plan.t) v ->
-                  { Cost_model.rows = v.rows;
-                    bytes_per_row = child.Plan.bytes_per_row })
-                p.Plan.inputs inputs
-            in
-            let own =
-              Cost_model.own_cost renv p.Plan.op ~inputs:cm_inputs
-                ~output_rows:rows
-            in
-            List.fold_left (fun acc v -> Interval.add acc v.total) own inputs
+        let v =
+          node_value renv dag.Plan.Dag.nodes.(i)
+            (List.map go (Plan.Dag.inputs dag i))
         in
-        let v = { rows; total } in
         String_tbl.add memo key v;
         v
     in
-    fun p -> go (number p)
+    go
   in
   { value; work = (fun () -> !misses) }
 
@@ -474,8 +413,7 @@ let evaluator env (plan : Plan.t) =
    selectivity-modelled estimates are narrower but can be wrong about
    real data (threshold rounding, duplicate join values), so certificates
    must not use them. *)
-let sound_rows env (plan : Plan.t) =
-  let memo : Interval.t Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
+let sound_rows env (dag : Plan.Dag.t) =
   let catalog = Env.catalog env in
   let from0 hi = Interval.make 0. (Float.max 0. hi) in
   let base rel fallback =
@@ -483,32 +421,26 @@ let sound_rows env (plan : Plan.t) =
     | Some r -> Interval.point (float_of_int r.Dqep_catalog.Relation.cardinality)
     | None -> from0 fallback.Interval.hi
   in
-  let rec go (p : Plan.t) =
-    match Plan.Pid_tbl.find_opt memo p.Plan.pid with
-    | Some v -> v
-    | None ->
-      let inputs = List.map go p.Plan.inputs in
-      let rows =
-        match (p.Plan.op, inputs) with
-        | Physical.File_scan rel, [] | Physical.Btree_scan { rel; _ }, [] ->
-          base rel p.Plan.rows
-        | Physical.Filter _, [ c ] -> from0 c.Interval.hi
-        | Physical.Filter_btree_scan { rel; _ }, [] ->
-          from0 (base rel p.Plan.rows).Interval.hi
-        | Physical.Hash_join _, [ l; r ] | Physical.Merge_join _, [ l; r ] ->
-          from0 (l.Interval.hi *. r.Interval.hi)
-        | Physical.Index_join { inner_rel; _ }, [ outer ] ->
-          from0 (outer.Interval.hi *. (base inner_rel p.Plan.rows).Interval.hi)
-        | Physical.Sort _, [ c ] -> c
-        | Physical.Choose_plan, first :: rest ->
-          List.fold_left Interval.union first rest
-        | _, _ -> from0 p.Plan.rows.Interval.hi
-      in
-      Plan.Pid_tbl.add memo p.Plan.pid rows;
-      rows
-  in
-  ignore (go plan);
-  fun (p : Plan.t) -> Plan.Pid_tbl.find memo p.Plan.pid
+  let rows = Array.make dag.Plan.Dag.length unit_interval in
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    let p = dag.Plan.Dag.nodes.(i) in
+    rows.(i) <-
+      (match (p.Plan.op, List.map (Array.get rows) (Plan.Dag.inputs dag i)) with
+      | Physical.File_scan rel, [] | Physical.Btree_scan { rel; _ }, [] ->
+        base rel p.Plan.rows
+      | Physical.Filter _, [ c ] -> from0 c.Interval.hi
+      | Physical.Filter_btree_scan { rel; _ }, [] ->
+        from0 (base rel p.Plan.rows).Interval.hi
+      | Physical.Hash_join _, [ l; r ] | Physical.Merge_join _, [ l; r ] ->
+        from0 (l.Interval.hi *. r.Interval.hi)
+      | Physical.Index_join { inner_rel; _ }, [ outer ] ->
+        from0 (outer.Interval.hi *. (base inner_rel p.Plan.rows).Interval.hi)
+      | Physical.Sort _, [ c ] -> c
+      | Physical.Choose_plan, first :: rest ->
+        List.fold_left Interval.union first rest
+      | _, _ -> from0 p.Plan.rows.Interval.hi)
+  done;
+  rows
 
 (* --- resource bounds ------------------------------------------------------ *)
 
@@ -541,44 +473,37 @@ type cert = {
    while its left subtree executes; checkpoints are held to the end), so
    the bound *sums* every operator's worst charge — at a choose node
    only one alternative runs, so alternatives combine by max. *)
-let worst_bytes_of ~checkpoints env (plan : Plan.t) =
-  let rows = sound_rows env plan in
-  let bytes_hi (p : Plan.t) =
-    ceil_rows (rows p) *. float_of_int (Int.max 1 p.Plan.bytes_per_row)
+let worst_bytes_of ~checkpoints (dag : Plan.Dag.t) rows =
+  let bytes_hi i =
+    ceil_rows rows.(i)
+    *. float_of_int (Int.max 1 dag.Plan.Dag.nodes.(i).Plan.bytes_per_row)
   in
-  let memo : float Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
-  let rec go (p : Plan.t) =
-    match Plan.Pid_tbl.find_opt memo p.Plan.pid with
-    | Some v -> v
-    | None ->
-      let v =
-        match (p.Plan.op, p.Plan.inputs) with
-        | Physical.Choose_plan, alts ->
-          List.fold_left (fun acc a -> Float.max acc (go a)) 0. alts
-        | Physical.Hash_join _, [ l; r ] ->
-          let build = bytes_hi l in
-          go l +. go r +. build +. (if checkpoints then build else 0.)
-        | Physical.Merge_join _, [ l; r ] -> go l +. go r +. bytes_hi r
-        | Physical.Sort _, [ c ] ->
-          go c +. bytes_hi c +. (if checkpoints then bytes_hi p else 0.)
-        | _, inputs -> List.fold_left (fun acc c -> acc +. go c) 0. inputs
-      in
-      Plan.Pid_tbl.add memo p.Plan.pid v;
-      v
-  in
-  go plan
+  let worst = Array.make dag.Plan.Dag.length 0. in
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    worst.(i) <-
+      (match (dag.Plan.Dag.nodes.(i).Plan.op, Plan.Dag.inputs dag i) with
+      | Physical.Choose_plan, alts ->
+        List.fold_left (fun acc a -> Float.max acc worst.(a)) 0. alts
+      | Physical.Hash_join _, [ l; r ] ->
+        let build = bytes_hi l in
+        worst.(l) +. worst.(r) +. build +. (if checkpoints then build else 0.)
+      | Physical.Merge_join _, [ l; r ] -> worst.(l) +. worst.(r) +. bytes_hi r
+      | Physical.Sort _, [ c ] ->
+        worst.(c) +. bytes_hi c +. (if checkpoints then bytes_hi i else 0.)
+      | _, inputs -> List.fold_left (fun acc c -> acc +. worst.(c)) 0. inputs)
+  done;
+  worst.(dag.Plan.Dag.length - 1)
 
 (* Modelled worst-case physical I/O in pages: base pages per scan, index
    descents, spill traffic (both Grace sides written and re-read per
    recursion level, sorted runs written and re-read once).  Unlike
    [worst_bytes_of] this is a cost-model statement, not a guarantee —
    reported on the certificate for sizing, never for admission. *)
-let worst_io_of env (plan : Plan.t) =
+let worst_io_of env (dag : Plan.Dag.t) rows =
   let catalog = Env.catalog env in
-  let rows = sound_rows env plan in
-  let pages_of (p : Plan.t) =
-    Cost_model.pages_for env ~rows:(ceil_rows (rows p))
-      ~bytes_per_row:(Int.max 1 p.Plan.bytes_per_row)
+  let pages_of i =
+    Cost_model.pages_for env ~rows:(ceil_rows rows.(i))
+      ~bytes_per_row:(Int.max 1 dag.Plan.Dag.nodes.(i).Plan.bytes_per_row)
   in
   let rel_pages rel =
     match Catalog.relation catalog rel with
@@ -590,47 +515,35 @@ let worst_io_of env (plan : Plan.t) =
     | Some _ -> float_of_int (Cost_model.index_depth env rel)
     | None -> 0.
   in
-  let memo : float Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
-  let rec go (p : Plan.t) =
-    match Plan.Pid_tbl.find_opt memo p.Plan.pid with
-    | Some v -> v
-    | None ->
-      let own =
-        match p.Plan.op with
-        | Physical.File_scan rel -> rel_pages rel
-        | Physical.Btree_scan { rel; _ } | Physical.Filter_btree_scan { rel; _ }
-          ->
-          rel_pages rel +. depth rel
-        | Physical.Filter _ -> 0.
-        | Physical.Hash_join _ -> (
-          match p.Plan.inputs with
-          | [ l; r ] -> 3. *. 2. *. (pages_of l +. pages_of r)
-          | _ -> 0.)
-        | Physical.Merge_join _ -> 0.
-        | Physical.Sort _ -> (
-          match p.Plan.inputs with [ c ] -> 2. *. pages_of c | _ -> 0.)
-        | Physical.Index_join { inner_rel; _ } -> (
-          match p.Plan.inputs with
-          | [ outer ] -> ceil_rows (rows outer) *. (depth inner_rel +. 1.)
-          | _ -> 0.)
-        | Physical.Choose_plan -> 0.
-      in
-      let v =
-        match p.Plan.op with
-        | Physical.Choose_plan ->
-          List.fold_left (fun acc a -> Float.max acc (go a)) 0. p.Plan.inputs
-        | _ -> List.fold_left (fun acc c -> acc +. go c) own p.Plan.inputs
-      in
-      Plan.Pid_tbl.add memo p.Plan.pid v;
-      v
-  in
-  go plan
+  let worst = Array.make dag.Plan.Dag.length 0. in
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    let inputs = Plan.Dag.inputs dag i in
+    let own =
+      match (dag.Plan.Dag.nodes.(i).Plan.op, inputs) with
+      | Physical.File_scan rel, _ -> rel_pages rel
+      | (Physical.Btree_scan { rel; _ } | Physical.Filter_btree_scan { rel; _ }), _
+        ->
+        rel_pages rel +. depth rel
+      | Physical.Hash_join _, [ l; r ] -> 3. *. 2. *. (pages_of l +. pages_of r)
+      | Physical.Sort _, [ c ] -> 2. *. pages_of c
+      | Physical.Index_join { inner_rel; _ }, [ outer ] ->
+        ceil_rows rows.(outer) *. (depth inner_rel +. 1.)
+      | _, _ -> 0.
+    in
+    worst.(i) <-
+      (match dag.Plan.Dag.nodes.(i).Plan.op with
+      | Physical.Choose_plan ->
+        List.fold_left (fun acc a -> Float.max acc worst.(a)) 0. inputs
+      | _ -> List.fold_left (fun acc c -> acc +. worst.(c)) own inputs)
+  done;
+  worst.(dag.Plan.Dag.length - 1)
 
 let certificate ?(checkpoints = false) env (plan : Plan.t) =
-  { worst_bytes = to_bytes (worst_bytes_of ~checkpoints env plan);
-    worst_io_pages = worst_io_of env plan;
-    rows = sound_rows env plan plan }
-
+  let dag = Plan.Dag.of_plan plan in
+  let rows = sound_rows env dag in
+  { worst_bytes = to_bytes (worst_bytes_of ~checkpoints dag rows);
+    worst_io_pages = worst_io_of env dag rows;
+    rows = rows.(dag.Plan.Dag.length - 1) }
 (* Sound lower bound on the largest single governor charge every
    execution of [plan] must make, under a governor budget of
    [budget_bytes].
@@ -655,7 +568,7 @@ let certificate ?(checkpoints = false) env (plan : Plan.t) =
    Returns a lazy memoized lookup: each queried node's subtree is walked
    once, so per-alternative queries (the coverage analysis asks for
    choose alternatives per region) share all common subtrees. *)
-let floors env ~budget_bytes ~rows_of =
+let floors env ~budget_bytes ~rows_of (dag : Plan.Dag.t) =
   let catalog = Env.catalog env in
   let page_bytes = Catalog.page_bytes catalog in
   let mem_cap =
@@ -665,16 +578,16 @@ let floors env ~budget_bytes ~rows_of =
          (budget_bytes / Int.max 1 page_bytes))
   in
   let fanout = float_of_int (Int.max 2 (mem_cap - 1)) in
-  let bytes_lo (p : Plan.t) =
-    floor_rows (rows_of p) *. float_of_int (Int.max 1 p.Plan.bytes_per_row)
+  let width i =
+    float_of_int (Int.max 1 dag.Plan.Dag.nodes.(i).Plan.bytes_per_row)
   in
-  let memo : float Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
-  let rec go (p : Plan.t) =
-    match Plan.Pid_tbl.find_opt memo p.Plan.pid with
-    | Some v -> v
-    | None ->
+  let bytes_lo i = floor_rows (rows_of i) *. width i in
+  let memo = Array.make dag.Plan.Dag.length Float.nan in
+  let rec go i =
+    if Float.is_nan memo.(i) then begin
+      let inputs = Plan.Dag.inputs dag i in
       let own =
-        match (p.Plan.op, p.Plan.inputs) with
+        match (dag.Plan.Dag.nodes.(i).Plan.op, inputs) with
         | Physical.Merge_join _, [ _; r ] -> bytes_lo r
         | Physical.Sort _, [ c ] ->
           if floor_rows (rows_of c) < 1. then 0.
@@ -682,35 +595,22 @@ let floors env ~budget_bytes ~rows_of =
         | Physical.Hash_join _, [ l; _ ] ->
           let n = floor_rows (rows_of l) in
           if n < 1. then 0.
-          else
-            Float.ceil (n /. (fanout *. fanout *. fanout))
-            *. float_of_int (Int.max 1 l.Plan.bytes_per_row)
+          else Float.ceil (n /. (fanout *. fanout *. fanout)) *. width l
         | _, _ -> 0.
       in
-      let v =
-        match p.Plan.op with
+      memo.(i) <-
+        (match dag.Plan.Dag.nodes.(i).Plan.op with
         | Physical.Choose_plan ->
-          List.fold_left
-            (fun acc a -> Float.min acc (go a))
-            infinity p.Plan.inputs
-        | _ -> List.fold_left (fun acc c -> Float.max acc (go c)) own p.Plan.inputs
-      in
-      Plan.Pid_tbl.add memo p.Plan.pid v;
-      v
+          List.fold_left (fun acc a -> Float.min acc (go a)) infinity inputs
+        | _ -> List.fold_left (fun acc c -> Float.max acc (go c)) own inputs)
+    end;
+    memo.(i)
   in
-  fun (p : Plan.t) ->
-    let v = go p in
+  fun i ->
+    let v = go i in
     if Float.is_finite v then to_bytes v else 0
 
 let guaranteed_bytes env ~budget_bytes (plan : Plan.t) =
-  floors env ~budget_bytes ~rows_of:(sound_rows env plan) plan
-
-(* Per-region, model-based variant of the floor, used by the coverage
-   analysis to ask: could this alternative run within the budget for
-   *some* data the model considers possible in this region?  Uses the
-   modelled (optimistic) row lower bounds from [eval] instead of the
-   data-sound ones — planning-level viability, not a runtime
-   guarantee. *)
-let modelled_floor env ~budget_bytes (values : Plan.t -> value) (plan : Plan.t)
-    =
-  floors env ~budget_bytes ~rows_of:(fun p -> (values p).rows) plan
+  let dag = Plan.Dag.of_plan plan in
+  let rows = sound_rows env dag in
+  floors env ~budget_bytes ~rows_of:(Array.get rows) dag (dag.Plan.Dag.length - 1)

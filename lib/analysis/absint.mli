@@ -58,36 +58,30 @@ val restrict : Env.t -> region -> Env.t
 
 val pp_region : Format.formatter -> region -> unit
 
-val eval : Env.t -> Plan.t -> Plan.t -> value
-(** [eval env plan] evaluates every node of [plan] bottom-up (one visit
-    per DAG node) and returns a lookup over [plan]'s nodes.  For any
-    point environment inside the box [env] abstracts, the point rows and
-    totals computed by [Startup.resolve]'s decision procedure lie inside
-    the returned intervals — the containment that makes dominance and
-    coverage verdicts transfer to startup's actual decisions.
-    @raise Not_found when looking up a node not in [plan]. *)
-
 type evaluator = {
-  value : region -> Plan.t -> value;
+  value : region -> int -> value;
   work : unit -> int;
       (** node evaluations performed so far (memo misses) — the currency
           of the analyses' work budgets *)
 }
 
-val evaluator : Env.t -> Plan.t -> evaluator
-(** [evaluator env plan] prepares a many-region evaluation of [plan]:
-    [(evaluator env plan).value region node] agrees with
-    [eval (restrict env region) plan node], but results are shared
+val evaluator : Env.t -> Plan.Dag.t -> evaluator
+(** [evaluator env dag] prepares a many-region evaluation of a plan's
+    numbering: [(evaluator env dag).value region i] is node [i]'s rows
+    and total cost evaluated bottom-up under [restrict env region].  For
+    any point environment inside the region, the point rows and totals
+    computed by [Startup.resolve]'s decision procedure lie inside these
+    intervals — the containment that makes dominance and coverage
+    verdicts transfer to startup's actual decisions.  Results are shared
     across regions through a memo keyed by the intervals of the host
-    variables in each node's own subtree — on a deep plan most nodes
-    are insensitive to most cut dimensions, so a grid sweep costs far
-    less than regions x nodes.  The analyses' region loops use this;
-    {!eval} remains the one-environment entry point. *)
+    variables in each node's own subtree — on a deep plan most nodes are
+    insensitive to most cut dimensions, so a grid sweep costs far less
+    than regions x nodes. *)
 
-val sound_rows : Env.t -> Plan.t -> Plan.t -> Interval.t
-(** Data-sound cardinality bounds, same lookup shape as {!eval}: bounds
-    that hold for whatever the stored data is, independent of the
-    selectivity model. *)
+val sound_rows : Env.t -> Plan.Dag.t -> Interval.t array
+(** Data-sound cardinality bounds by index: bounds that hold for
+    whatever the stored data is, independent of the selectivity
+    model. *)
 
 type cert = {
   worst_bytes : int;
@@ -104,22 +98,19 @@ val certificate : ?checkpoints:bool -> Env.t -> Plan.t -> cert
 val floors :
   Env.t ->
   budget_bytes:int ->
-  rows_of:(Plan.t -> Interval.t) ->
-  Plan.t ->
+  rows_of:(int -> Interval.t) ->
+  Plan.Dag.t ->
+  int ->
   int
-(** [floors env ~budget_bytes ~rows_of] is a lazy memoized per-node
-    lookup of the demand floor (see {!guaranteed_bytes}) computed from
-    [rows_of] cardinalities — the shared core of {!guaranteed_bytes} and
-    {!modelled_floor}; repeated queries share all common subtrees. *)
+(** [floors env ~budget_bytes ~rows_of dag] is a lazy memoized lookup,
+    by index, of the demand floor (see {!guaranteed_bytes}) computed from
+    [rows_of] cardinalities; repeated queries share all common subtrees.
+    With modelled per-region rows instead of data-sound ones it is the
+    coverage analysis's planning-level admissibility test, not a runtime
+    guarantee. *)
 
 val guaranteed_bytes : Env.t -> budget_bytes:int -> Plan.t -> int
 (** Sound lower bound on the largest single governor charge every
     execution of the plan must make under the given budget (the budget
     caps the governed memory grant, hence the Grace fanout).  Strictly
     above [budget_bytes] means statically doomed. *)
-
-val modelled_floor : Env.t -> budget_bytes:int -> (Plan.t -> value) -> Plan.t -> int
-(** {!guaranteed_bytes} computed from modelled per-region cardinalities
-    (a {!eval} lookup) instead of data-sound ones — the coverage
-    analysis's planning-level admissibility test, not a runtime
-    guarantee. *)

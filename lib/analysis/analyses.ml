@@ -26,16 +26,9 @@ let default_max_regions = 64
    plan, with a floor so small plans always sweep exhaustively — and on
    exhaustion simply stops reporting the unsettled verdicts (never a
    false finding, never an unsound prune). *)
-let work_budget (plan : Plan.t) = (6 * Plan.node_count plan) + 2048
+let work_budget (dag : Plan.Dag.t) = (6 * dag.Plan.Dag.length) + 2048
 
 exception Out_of_work
-
-(* Distinct nodes, children before parents. *)
-let all_nodes plan = List.rev (Plan.fold (fun acc n -> n :: acc) [] plan)
-
-let choose_nodes plan =
-  List.filter (fun (n : Plan.t) -> n.Plan.op = Physical.Choose_plan)
-    (all_nodes plan)
 
 (* Inlined so the fingerprint lint's pair loop compares unboxed floats. *)
 let[@inline] close a b =
@@ -92,15 +85,22 @@ let dominated_in_region totals =
      from lower rows at the highest grant from below — classifying most
      alternatives as admissible everywhere or nowhere without touching
      individual regions. *)
-let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
-    env (plan : Plan.t) =
-  let chooses = choose_nodes plan in
+let choose_space_of ?(max_regions = default_max_regions) ?budget_bytes ~catalog
+    env (dag : Plan.Dag.t) =
+  let n = dag.Plan.Dag.length in
+  let node i = dag.Plan.Dag.nodes.(i) in
+  let chooses =
+    List.filter
+      (fun i -> (node i).Plan.op = Physical.Choose_plan)
+      (List.init n Fun.id)
+  in
   if chooses = [] then []
   else begin
+    let plan = node (n - 1) in
     let full = Absint.full_region env plan in
-    let evaluate = Absint.evaluator env plan in
+    let evaluate = Absint.evaluator env dag in
     let full_values = evaluate.Absint.value full in
-    let max_work = work_budget plan in
+    let max_work = work_budget dag in
     (* One whole-plan catalog-resolution pass, then bottom-up
        propagation: feasibility diagnostics (missing relation /
        attribute / index) are node-local, so an alternative is feasible
@@ -109,24 +109,19 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
        alternative's subtree separately re-walks shared structure
        quadratically. *)
     let feasible =
-      let drifted = Verify.drifted (Verify.feasibility ~catalog plan) in
-      let memo = Plan.Pid_tbl.create 64 in
-      let rec ok (p : Plan.t) =
-        match Plan.Pid_tbl.find_opt memo p.Plan.pid with
-        | Some b -> b
-        | None ->
-          let b =
-            (not (drifted p))
-            &&
-            match p.Plan.op with
-            | Physical.Choose_plan ->
-              p.Plan.inputs = [] || List.exists ok p.Plan.inputs
-            | _ -> List.for_all ok p.Plan.inputs
-          in
-          Plan.Pid_tbl.add memo p.Plan.pid b;
-          b
-      in
-      ok
+      let drifted = Verify.drifted dag (Verify.feasibility ~catalog plan) in
+      let ok = Array.make n false in
+      for i = 0 to n - 1 do
+        let inputs = Plan.Dag.inputs dag i in
+        ok.(i) <-
+          (not (drifted i))
+          &&
+          match (node i).Plan.op with
+          | Physical.Choose_plan ->
+            inputs = [] || List.exists (Array.get ok) inputs
+          | _ -> List.for_all (Array.get ok) inputs
+      done;
+      Array.get ok
     in
     (* Budget admissibility of one alternative across regions: [`Always]
        / [`Never] from the full-region floor envelope, [`Depends] when
@@ -141,14 +136,17 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
         and env_hi =
           Env.with_memory_pages env (Interval.point mem.Interval.hi)
         in
+        let rows i = (full_values i).Absint.rows in
         let pess =
-          Absint.floors env_lo ~budget_bytes:b ~rows_of:(fun p ->
-              Interval.point (full_values p).Absint.rows.Interval.hi)
+          Absint.floors env_lo ~budget_bytes:b
+            ~rows_of:(fun i -> Interval.point (rows i).Interval.hi)
+            dag
         and opt =
-          Absint.floors env_hi ~budget_bytes:b ~rows_of:(fun p ->
-              Interval.point (full_values p).Absint.rows.Interval.lo)
+          Absint.floors env_hi ~budget_bytes:b
+            ~rows_of:(fun i -> Interval.point (rows i).Interval.lo)
+            dag
         in
-        fun (alt : Plan.t) ->
+        fun alt ->
           if pess alt <= b then `Always
           else if opt alt > b then `Never
           else `Depends
@@ -160,9 +158,10 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
        (a missing relation has no cost-model entry). *)
     let state =
       List.map
-        (fun (c : Plan.t) ->
-          let feas = List.map feasible c.Plan.inputs in
-          let n_alts = List.length c.Plan.inputs in
+        (fun c ->
+          let alts = Plan.Dag.inputs dag c in
+          let feas = List.map feasible alts in
+          let n_alts = List.length alts in
           let n_feas =
             List.fold_left (fun n f -> if f then n + 1 else n) 0 feas
           in
@@ -172,9 +171,8 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
               let totals =
                 List.concat
                   (List.map2
-                     (fun f (a : Plan.t) ->
-                       if f then [ (values a).Absint.total ] else [])
-                     feas c.Plan.inputs)
+                     (fun f a -> if f then [ (values a).Absint.total ] else [])
+                     feas alts)
               in
               let dom = dominated_in_region totals in
               let out = Array.make n_alts false in
@@ -203,9 +201,8 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
             feas;
           let classes =
             List.map2
-              (fun f (alt : Plan.t) ->
-                if not f then `Never else budget_class alt)
-              feas c.Plan.inputs
+              (fun f alt -> if not f then `Never else budget_class alt)
+              feas alts
           in
           let coverage =
             if List.exists (fun cl -> cl = `Always) classes then `Covered
@@ -214,6 +211,7 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
             else `Per_region (ref [])
           in
           ( c,
+            alts,
             dominated_of,
             dominated_full,
             still_dead,
@@ -224,7 +222,7 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
     in
     let needs_regions =
       List.exists
-        (fun (_, _, _, _, pending, _, coverage) ->
+        (fun (_, _, _, _, _, pending, _, coverage) ->
           !pending > 0
           || match coverage with `Per_region _ -> true | _ -> false)
         state
@@ -244,11 +242,11 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
                  | None -> fun _ -> 0
                  | Some b ->
                    Absint.floors (Absint.restrict env region) ~budget_bytes:b
-                     ~rows_of:(fun p ->
-                       ((Lazy.force values) p).Absint.rows))
+                     ~rows_of:(fun i -> ((Lazy.force values) i).Absint.rows)
+                     dag)
              in
              List.iter
-               (fun ((c : Plan.t), dominated_of, dominated_full, still_dead,
+               (fun (_, alts, dominated_of, dominated_full, still_dead,
                      pending, classes, coverage) ->
                  if !pending > 0 then begin
                    let dominated = dominated_of (Lazy.force values) in
@@ -263,14 +261,14 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
                  end;
                  match coverage with
                  | `Per_region bad ->
-                   let selectable (alt : Plan.t) cl =
+                   let selectable alt cl =
                      match cl with
                      | `Always -> true
                      | `Never -> false
                      | `Depends ->
                        (Lazy.force floor) alt <= Option.get budget_bytes
                    in
-                   if not (List.exists2 selectable c.Plan.inputs classes) then
+                   if not (List.exists2 selectable alts classes) then
                      bad := region :: !bad
                  | `Covered | `Uncovered_everywhere -> ())
                state)
@@ -280,7 +278,7 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
             sound direction (a dead verdict needs evidence from every
             region). *)
          List.iter
-           (fun (_, _, dominated_full, still_dead, pending, _, _) ->
+           (fun (_, _, _, dominated_full, still_dead, pending, _, _) ->
              if !pending > 0 then begin
                Array.iteri
                  (fun i d ->
@@ -291,7 +289,8 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
            state)
     end;
     List.concat_map
-      (fun ((c : Plan.t), _, _, still_dead, _, _, coverage) ->
+      (fun (c, alts, _, _, still_dead, _, _, coverage) ->
+        let c = node c in
         let coverage_diags =
           let report bad_count example =
             [ diag ~site:(node_site c) Diagnostic.Choose_uncovered
@@ -313,7 +312,8 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
         let dead_diags =
           List.concat
             (List.mapi
-               (fun i (alt : Plan.t) ->
+               (fun i alt ->
+                 let alt = node alt in
                  if still_dead.(i) then
                    [ diag ~site:(node_site c)
                        Diagnostic.Choose_dead_alternative
@@ -324,11 +324,14 @@ let choose_space ?(max_regions = default_max_regions) ?budget_bytes ~catalog
                        (Physical.name alt.Plan.op)
                        !total_regions ]
                  else [])
-               c.Plan.inputs)
+               alts)
         in
         coverage_diags @ dead_diags)
       state
   end
+
+let choose_space ?max_regions ?budget_bytes ~catalog env plan =
+  choose_space_of ?max_regions ?budget_bytes ~catalog env (Plan.Dag.of_plan plan)
 
 (* --- dead-alternative pruning --------------------------------------------- *)
 
@@ -352,17 +355,15 @@ let survivors ?(max_regions = default_max_regions) env (alts : Plan.t list) =
         { Absint.sels = []; memory = Env.memory_pages env }
         alts
     in
-    let evaluators =
-      List.map (fun (alt : Plan.t) -> Absint.evaluator env alt) alts
-    in
+    let dags = List.map Plan.Dag.of_plan alts in
+    let evaluators = List.map (Absint.evaluator env) dags in
     let totals_in rg =
       List.map2
-        (fun ev (alt : Plan.t) -> (ev.Absint.value rg alt).Absint.total)
-        evaluators alts
+        (fun ev (d : Plan.Dag.t) ->
+          (ev.Absint.value rg (d.Plan.Dag.length - 1)).Absint.total)
+        evaluators dags
     in
-    let max_work =
-      List.fold_left (fun n alt -> n + work_budget alt) 0 alts
-    in
+    let max_work = List.fold_left (fun n d -> n + work_budget d) 0 dags in
     let work () =
       List.fold_left (fun n ev -> n + ev.Absint.work ()) 0 evaluators
     in
@@ -468,9 +469,9 @@ let interned ~merge =
 (* The per-node selection-string sets are shared bottom-up: a node's set
    is the sorted-unique union of its children's sets plus its own
    predicate, so fingerprinting every node of a DAG is one pass instead
-   of one subtree walk per node.  [sel_sets ()] numbers each node's set
-   and returns the numbering with the set behind each number. *)
-let sel_sets () =
+   of one subtree walk per node.  [sel_sets dag] numbers each node's set
+   and returns the numbers by index with the set behind each number. *)
+let sel_sets (dag : Plan.Dag.t) =
   let pred_str = Hashtbl.create 16 in
   let render p =
     match Hashtbl.find_opt pred_str p with
@@ -490,32 +491,32 @@ let sel_sets () =
       else y :: merge a ys
   in
   let sets = interned ~merge in
-  let ids : int Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
-  let rec go (node : Plan.t) =
-    match Plan.Pid_tbl.find_opt ids node.Plan.pid with
-    | Some s -> s
-    | None ->
-      let own =
-        match node.Plan.op with
-        | Physical.Filter p | Physical.Filter_btree_scan { pred = p; _ }
-        | Physical.Index_join { inner_filter = Some p; _ } ->
-          sets.intern [ render p ]
-        | Physical.Index_join { inner_filter = None; _ }
-        | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
-        | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan ->
-          sets.empty
-      in
-      let s = List.fold_left (fun acc c -> sets.union acc (go c)) own node.Plan.inputs in
-      Plan.Pid_tbl.add ids node.Plan.pid s;
-      s
-  in
-  (go, sets.list_of)
+  let ids = Array.make dag.Plan.Dag.length sets.empty in
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    let own =
+      match dag.Plan.Dag.nodes.(i).Plan.op with
+      | Physical.Filter p | Physical.Filter_btree_scan { pred = p; _ }
+      | Physical.Index_join { inner_filter = Some p; _ } ->
+        sets.intern [ render p ]
+      | Physical.Index_join { inner_filter = None; _ }
+      | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
+      | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan ->
+        sets.empty
+    in
+    ids.(i) <-
+      List.fold_left
+        (fun acc c -> sets.union acc ids.(c))
+        own (Plan.Dag.inputs dag i)
+  done;
+  (ids, sets.list_of)
 
 let fingerprint_of ~rels_key sels = rels_key ^ "?" ^ String.concat "&" sels
 
 let fingerprint (plan : Plan.t) =
-  let id, list_of = sel_sets () in
-  fingerprint_of ~rels_key:(Plan.rels_key plan) (list_of (id plan))
+  let dag = Plan.Dag.of_plan plan in
+  let ids, list_of = sel_sets dag in
+  fingerprint_of ~rels_key:(Plan.rels_key plan)
+    (list_of ids.(dag.Plan.Dag.length - 1))
 
 (* Distinct nodes sharing a fingerprint are *expected* (choose
    alternatives, a sort and its child): the registry is keyed by logical
@@ -525,7 +526,7 @@ let fingerprint (plan : Plan.t) =
    splice one node's tuples into the other's slot (error); if the
    fingerprint collides without even a remappable schema, the entry is
    dead weight that can shadow a real checkpoint (warning). *)
-(* Column multisets, numbered bottom-up by pid (one pass over the DAG
+(* Column multisets, numbered bottom-up by index (one pass over the DAG
    where a [Plan.schema] call per node would re-walk each subtree).  The
    combination rules mirror [Plan.schema]; [None] marks a subtree the
    catalog cannot resolve.  Columns are qualified by their relation, so
@@ -534,9 +535,9 @@ let fingerprint (plan : Plan.t) =
    they have equal relation multisets (a relation without attributes
    contributes no column and is left out).  Equal multisets get equal
    numbers. *)
-let col_sets catalog =
+let col_sets catalog (dag : Plan.Dag.t) =
   let sets = interned ~merge:(List.merge String.compare) in
-  let ids : int option Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
+  let ids = Array.make dag.Plan.Dag.length None in
   let of_rel rel =
     match Catalog.relation catalog rel with
     | Some r ->
@@ -545,37 +546,31 @@ let col_sets catalog =
            (if r.Dqep_catalog.Relation.attributes = [] then [] else [ r.name ]))
     | None -> None
   in
-  let rec go (n : Plan.t) =
-    match Plan.Pid_tbl.find_opt ids n.Plan.pid with
-    | Some c -> c
-    | None ->
-      let c =
-        match (n.Plan.op, n.Plan.inputs) with
-        | ( ( Physical.File_scan rel
-            | Physical.Btree_scan { rel; _ }
-            | Physical.Filter_btree_scan { rel; _ } ),
-            [] ) ->
-          of_rel rel
-        | (Physical.Filter _ | Physical.Sort _), [ child ] -> go child
-        | (Physical.Hash_join _ | Physical.Merge_join _), [ l; r ] -> (
-          match (go l, go r) with
-          | Some a, Some b -> Some (sets.union a b)
-          | _ -> None)
-        | Physical.Index_join { inner_rel; _ }, [ outer ] -> (
-          match (go outer, of_rel inner_rel) with
-          | Some a, Some b -> Some (sets.union a b)
-          | _ -> None)
-        | Physical.Choose_plan, first :: _ -> go first
-        | _, _ -> None
-      in
-      Plan.Pid_tbl.add ids n.Plan.pid c;
-      c
-  in
-  go
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    ids.(i) <-
+      (match (dag.Plan.Dag.nodes.(i).Plan.op, Plan.Dag.inputs dag i) with
+      | ( ( Physical.File_scan rel
+          | Physical.Btree_scan { rel; _ }
+          | Physical.Filter_btree_scan { rel; _ } ),
+          [] ) ->
+        of_rel rel
+      | (Physical.Filter _ | Physical.Sort _), [ child ] -> ids.(child)
+      | (Physical.Hash_join _ | Physical.Merge_join _), [ l; r ] -> (
+        match (ids.(l), ids.(r)) with
+        | Some a, Some b -> Some (sets.union a b)
+        | _ -> None)
+      | Physical.Index_join { inner_rel; _ }, [ outer ] -> (
+        match (ids.(outer), of_rel inner_rel) with
+        | Some a, Some b -> Some (sets.union a b)
+        | _ -> None)
+      | Physical.Choose_plan, first :: _ -> ids.(first)
+      | _, _ -> None)
+  done;
+  ids
 
-let fingerprints ~catalog (plan : Plan.t) =
-  let sel_id, sels_of = sel_sets () in
-  let cols_of = col_sets catalog in
+let fingerprints_of ~catalog (dag : Plan.Dag.t) =
+  let sel_ids, sels_of = sel_sets dag in
+  let cols = col_sets catalog dag in
   (* Nodes of one memo group share their [rels] list, so relation keys
      are cached by physical list; each distinct (relations, selections)
      pair then builds its fingerprint and finds its group once. *)
@@ -594,9 +589,9 @@ let fingerprints ~catalog (plan : Plan.t) =
   let groups : (string, (Plan.t * Interval.t * int option) list ref) Hashtbl.t =
     Hashtbl.create 32
   in
-  List.iter
-    (fun (n : Plan.t) ->
-      let rels_key = rels_key_of n and sid = sel_id n in
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    let n = dag.Plan.Dag.nodes.(i) in
+    let rels_key = rels_key_of n and sid = sel_ids.(i) in
       let r =
         match Hashtbl.find_opt group_of (rels_key, sid) with
         | Some r -> r
@@ -613,8 +608,8 @@ let fingerprints ~catalog (plan : Plan.t) =
           Hashtbl.add group_of (rels_key, sid) r;
           r
       in
-      r := (n, n.Plan.rows, cols_of n) :: !r)
-    (all_nodes plan);
+    r := (n, n.Plan.rows, cols.(i)) :: !r
+  done;
   Hashtbl.fold
     (fun fp members acc ->
       let members = Array.of_list (List.rev !members) in
@@ -669,18 +664,19 @@ let default_pipeline_threshold = 3
    under a sort and under a hash join's build child, the two
    [Checkpoint.take] sites (a merge join materializes its right side but
    takes no checkpoint). *)
-let pipeline ?(threshold = default_pipeline_threshold) (plan : Plan.t) =
-  let best : int Plan.Pid_tbl.t = Plan.Pid_tbl.create 64 in
+let pipeline_of ?(threshold = default_pipeline_threshold) (dag : Plan.Dag.t) =
+  (* The longest streak each index was walked with so far, -1 if none. *)
+  let best = Array.make dag.Plan.Dag.length (-1) in
   let findings = ref [] in
-  let flagged : unit Plan.Pid_tbl.t = Plan.Pid_tbl.create 8 in
-  let rec walk streak (p : Plan.t) =
-    let seen = Plan.Pid_tbl.find_opt best p.Plan.pid in
-    if seen = None || Option.get seen < streak then begin
-      Plan.Pid_tbl.replace best p.Plan.pid streak;
+  let flagged = Bytes.make dag.Plan.Dag.length '\000' in
+  let rec walk streak i =
+    let p = dag.Plan.Dag.nodes.(i) in
+    if best.(i) < streak then begin
+      best.(i) <- streak;
       (match p.Plan.op with
       | Physical.Choose_plan when streak >= threshold ->
-        if not (Plan.Pid_tbl.mem flagged p.Plan.pid) then begin
-          Plan.Pid_tbl.replace flagged p.Plan.pid ();
+        if Bytes.get flagged i = '\000' then begin
+          Bytes.set flagged i '\001';
           (* [Printf], not [diag]'s [Format]: a big plan reports dozens
              of these. *)
           findings :=
@@ -693,7 +689,7 @@ let pipeline ?(threshold = default_pipeline_threshold) (plan : Plan.t) =
             :: !findings
         end
       | _ -> ());
-      match (p.Plan.op, p.Plan.inputs) with
+      match (p.Plan.op, Plan.Dag.inputs dag i) with
       | Physical.Sort _, [ c ] -> walk 0 c
       | Physical.Hash_join _, [ build; probe ] ->
         walk 0 build;
@@ -702,16 +698,20 @@ let pipeline ?(threshold = default_pipeline_threshold) (plan : Plan.t) =
       | _, inputs -> List.iter (walk (streak + 1)) inputs
     end
   in
-  walk 0 plan;
+  walk 0 (dag.Plan.Dag.length - 1);
   List.rev !findings
+
+let fingerprints ~catalog plan = fingerprints_of ~catalog (Plan.Dag.of_plan plan)
+let pipeline ?threshold plan = pipeline_of ?threshold (Plan.Dag.of_plan plan)
 
 (* --- aggregate ------------------------------------------------------------ *)
 
 let plan ?max_regions ?budget_bytes ?pipeline_threshold ~catalog env
     (p : Plan.t) =
-  choose_space ?max_regions ?budget_bytes ~catalog env p
+  let dag = Plan.Dag.of_plan p in
+  choose_space_of ?max_regions ?budget_bytes ~catalog env dag
   @ (match budget_bytes with
     | None -> []
     | Some budget_bytes -> budget_check env ~budget_bytes p)
-  @ fingerprints ~catalog p
-  @ pipeline ?threshold:pipeline_threshold p
+  @ fingerprints_of ~catalog dag
+  @ pipeline_of ?threshold:pipeline_threshold dag

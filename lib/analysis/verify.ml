@@ -37,22 +37,10 @@ let rels_string rels = "{" ^ String.concat ", " (rel_set rels) ^ "}"
 
 let same_rel_set a b = rel_set a = rel_set b
 
-(* Every node of the DAG, children before parents.  Unlike {!Plan.iter},
-   de-duplication is by physical identity, not by pid: a corrupt plan in
-   which one pid names two different nodes must expose both. *)
-let all_nodes plan =
-  let by_pid : (int, Plan.t list) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  let rec go (p : Plan.t) =
-    let known = Option.value ~default:[] (Hashtbl.find_opt by_pid p.Plan.pid) in
-    if not (List.memq p known) then begin
-      Hashtbl.replace by_pid p.Plan.pid (p :: known);
-      List.iter go p.Plan.inputs;
-      order := p :: !order
-    end
-  in
-  go plan;
-  (List.rev !order, by_pid)
+let iter_nodes f (dag : Plan.Dag.t) =
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    f dag.Plan.Dag.nodes.(i)
+  done
 
 (* --- structure ---------------------------------------------------------- *)
 
@@ -74,61 +62,31 @@ let arity_diags (p : Plan.t) =
     [ diag ~site:(node_site p) Diagnostic.Operator_arity
         "%s has %d input(s), expects %d" (Physical.name p.Plan.op) k expected ]
 
-(* A node whose pid reappears among its descendants: either a cycle or
-   pid aliasing.  Impossible to build through [Plan.Builder] (pids are
-   globally unique and OCaml values are immutable), kept as a guard for
-   deserializers and future builders. *)
-let cycle_diags plan =
-  let gray = Hashtbl.create 16 in
-  let black = Hashtbl.create 64 in
-  let diags = ref [] in
-  let rec go (p : Plan.t) =
-    if Hashtbl.mem gray p.Plan.pid then
-      diags :=
-        diag ~site:(node_site p) Diagnostic.Pid_aliasing
-          "node #%d is its own ancestor" p.Plan.pid
-        :: !diags
-    else if not (Hashtbl.mem black p.Plan.pid) then begin
-      Hashtbl.add gray p.Plan.pid ();
-      List.iter go p.Plan.inputs;
-      Hashtbl.remove gray p.Plan.pid;
-      Hashtbl.add black p.Plan.pid ()
-    end
-  in
-  go plan;
-  !diags
-
 let structural_key (p : Plan.t) =
   (p.Plan.op, List.map (fun (c : Plan.t) -> c.Plan.pid) p.Plan.inputs)
 
-let structure plan =
-  let nodes, by_pid = all_nodes plan in
+(* Nodes are immutable and built bottom-up, so a plan has no cycle;
+   what a deserializer or a future builder could still break is pid
+   identity, which the numbering reports as it meets it. *)
+let structure_of (dag : Plan.Dag.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  List.iter (fun p -> List.iter add (arity_diags p)) nodes;
-  List.iter add (cycle_diags plan);
-  (* One pid, several structures: DAG identity is corrupt. *)
-  Hashtbl.iter
-    (fun pid ps ->
-      match ps with
-      | [] | [ _ ] -> ()
-      | ps ->
-        if List.length (List.sort_uniq compare (List.map structural_key ps)) > 1
-        then
-          add
-            (diag ~site:(Diagnostic.Node pid) Diagnostic.Pid_aliasing
-               "pid %d names %d structurally different nodes" pid
-               (List.length ps)))
-    by_pid;
+  iter_nodes (fun p -> List.iter add (arity_diags p)) dag;
+  (* One pid, several nodes: DAG identity is corrupt. *)
+  List.iter
+    (fun (p : Plan.t) ->
+      add
+        (diag ~site:(node_site p) Diagnostic.Pid_aliasing
+           "pid %d names more than one node" p.Plan.pid))
+    (List.rev dag.Plan.Dag.aliased);
   (* One structure, several pids: hash-consed sharing was lost. *)
   let by_structure = Hashtbl.create 64 in
-  List.iter
+  iter_nodes
     (fun (p : Plan.t) ->
       let key = structural_key p in
       let pids = Option.value ~default:[] (Hashtbl.find_opt by_structure key) in
-      if not (List.mem p.Plan.pid pids) then
-        Hashtbl.replace by_structure key (p.Plan.pid :: pids))
-    nodes;
+      Hashtbl.replace by_structure key (p.Plan.pid :: pids))
+    dag;
   Hashtbl.iter
     (fun _ pids ->
       match pids with
@@ -263,9 +221,10 @@ let cost_node_diags (p : Plan.t) =
     end
   end
 
-let cost plan =
-  let nodes, _ = all_nodes plan in
-  List.concat_map cost_node_diags nodes
+let cost_of dag =
+  let diags = ref [] in
+  iter_nodes (fun p -> diags := List.rev_append (cost_node_diags p) !diags) dag;
+  List.rev !diags
 
 (* --- schema and semantics ------------------------------------------------ *)
 
@@ -328,22 +287,21 @@ let collector () =
 
 let feasibility ~catalog plan =
   let diags, add = collector () in
-  let nodes, _ = all_nodes plan in
-  List.iter (resolve_node ~catalog ~add) nodes;
+  Plan.iter (resolve_node ~catalog ~add) plan;
   List.rev !diags
 
-let drifted diags =
-  let flagged = Plan.Pid_tbl.create 16 in
+let drifted (dag : Plan.Dag.t) diags =
+  let flagged = Bytes.make dag.Plan.Dag.length '\000' in
   List.iter
     (fun (d : Diagnostic.t) ->
       match d.Diagnostic.site with
       | Diagnostic.Node pid when Diagnostic.is_feasibility d.Diagnostic.code ->
-        Plan.Pid_tbl.replace flagged pid ()
+        Option.iter (fun i -> Bytes.set flagged i '\001') (Plan.Dag.find dag pid)
       | Diagnostic.Node _ | Diagnostic.Query | Diagnostic.Group _ -> ())
     diags;
-  fun (p : Plan.t) -> Plan.Pid_tbl.mem flagged p.Plan.pid
+  fun i -> Bytes.get flagged i <> '\000'
 
-let semantics ~catalog plan =
+let semantics_of ~catalog (dag : Plan.Dag.t) =
   let diags, add = collector () in
   let rel_known r = Catalog.relation catalog r <> None in
   (* A column whose attribute the catalog no longer has is drift, not
@@ -374,13 +332,9 @@ let semantics ~catalog plan =
       || (not (in_catalog e.Predicate.left))
       || not (in_catalog e.Predicate.right))
   in
-  (* Bottom-up schema and relation-set computation, memoized by physical
-     node so shared subplans are checked once. *)
-  let schemas : (int, Schema.t option) Hashtbl.t = Hashtbl.create 64 in
-  let nodes, _ = all_nodes plan in
-  let schema_of (p : Plan.t) =
-    Option.join (Hashtbl.find_opt schemas p.Plan.pid)
-  in
+  (* Bottom-up schema and relation-set computation, one slot per index
+     so shared subplans are checked once. *)
+  let schemas = Array.make dag.Plan.Dag.length None in
   let derived_rels (p : Plan.t) =
     match (p.Plan.op, p.Plan.inputs) with
     | (Physical.File_scan r | Physical.Btree_scan { rel = r; _ }
@@ -395,7 +349,9 @@ let semantics ~catalog plan =
     | Physical.Choose_plan, first :: _ -> Some first.Plan.rels
     | _ -> None  (* wrong arity: reported by the structure layer *)
   in
-  let check_node (p : Plan.t) =
+  let check_node i =
+    let p = dag.Plan.Dag.nodes.(i) in
+    let schema_of k = schemas.(Plan.Dag.input dag i k) in
     let site = node_site p in
     resolve_node ~catalog ~add p;
     (match p.Plan.op with
@@ -407,19 +363,19 @@ let semantics ~catalog plan =
           pred.Predicate.target
     | Physical.Filter pred ->
       (match p.Plan.inputs with
-      | [ child ] -> in_scope site "filter" (schema_of child) pred.Predicate.target
+      | [ _ ] -> in_scope site "filter" (schema_of 0) pred.Predicate.target
       | _ -> ())
     | Physical.Sort cols ->
       (match p.Plan.inputs with
-      | [ child ] ->
-        List.iter (fun c -> in_scope site "sort" (schema_of child) c) cols
+      | [ _ ] ->
+        List.iter (fun c -> in_scope site "sort" (schema_of 0) c) cols
       | _ -> ())
     | Physical.Hash_join preds | Physical.Merge_join preds ->
       (match p.Plan.inputs with
-      | [ l; r ] ->
+      | [ _; _ ] ->
         List.iter
           (fun (e : Predicate.equi) ->
-            match (schema_of l, schema_of r) with
+            match (schema_of 0, schema_of 1) with
             | Some ls, Some rs ->
               if misses_span e ls rs then
                 add
@@ -439,10 +395,10 @@ let semantics ~catalog plan =
       | Some pred -> in_scope site "inner filter" inner_schema pred.Predicate.target
       | None -> ());
       (match p.Plan.inputs with
-      | [ outer ] ->
+      | [ _ ] ->
         List.iter
           (fun (e : Predicate.equi) ->
-            match (schema_of outer, inner_schema) with
+            match (schema_of 0, inner_schema) with
             | Some os, Some is ->
               if misses_span e os is then
                 add
@@ -498,18 +454,18 @@ let semantics ~catalog plan =
             Some (Schema.of_relation (Catalog.relation_exn catalog r))
           else None
         | Physical.Filter _ | Physical.Sort _ ->
-          (match p.Plan.inputs with [ c ] -> schema_of c | _ -> None)
+          (match p.Plan.inputs with [ _ ] -> schema_of 0 | _ -> None)
         | Physical.Hash_join _ | Physical.Merge_join _ ->
           (match p.Plan.inputs with
-          | [ l; r ] -> (
-            match (schema_of l, schema_of r) with
+          | [ _; _ ] -> (
+            match (schema_of 0, schema_of 1) with
             | Some ls, Some rs -> Some (Schema.concat ls rs)
             | _ -> None)
           | _ -> None)
         | Physical.Index_join { inner_rel; _ } ->
           (match p.Plan.inputs with
-          | [ outer ] -> (
-            match schema_of outer with
+          | [ _ ] -> (
+            match schema_of 0 with
             | Some os when rel_known inner_rel ->
               Some
                 (Schema.concat os
@@ -517,17 +473,25 @@ let semantics ~catalog plan =
             | _ -> None)
           | _ -> None)
         | Physical.Choose_plan ->
-          (match p.Plan.inputs with first :: _ -> schema_of first | [] -> None)
+          (match p.Plan.inputs with _ :: _ -> schema_of 0 | [] -> None)
       with _ -> None
     in
-    Hashtbl.replace schemas p.Plan.pid s
+    schemas.(i) <- s
   in
-  List.iter check_node nodes;
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    check_node i
+  done;
   List.rev !diags
 
 (* --- whole plans --------------------------------------------------------- *)
 
-let plan ~catalog p = structure p @ cost p @ semantics ~catalog p
+let structure p = structure_of (Plan.Dag.of_plan p)
+let cost p = cost_of (Plan.Dag.of_plan p)
+let semantics ~catalog p = semantics_of ~catalog (Plan.Dag.of_plan p)
+
+let plan ~catalog p =
+  let dag = Plan.Dag.of_plan p in
+  structure_of dag @ cost_of dag @ semantics_of ~catalog dag
 
 let check_exn ~catalog p =
   match Diagnostic.errors (plan ~catalog p) with

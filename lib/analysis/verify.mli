@@ -10,8 +10,8 @@
     {!Dqep_util.Diagnostic.t} values with stable codes.
 
     Checks are layered; each layer can be run alone:
-    - {!structure} — arity, DAG identity (acyclicity / pid aliasing),
-      hash-consing consistency (DQEP1xx);
+    - {!structure} — arity, DAG identity (pid aliasing, found while
+      numbering the plan), hash-consing consistency (DQEP1xx);
     - {!cost} — interval well-formedness, total-cost bookkeeping with
       min-combination at choose nodes, row-estimate sanity, Pareto
       incomparability of alternatives (DQEP2xx);
@@ -64,11 +64,12 @@ val feasibility : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
     relations, attributes and indexes), in the same order, without the
     schema walk. *)
 
-val drifted : Diagnostic.t list -> Plan.t -> bool
-(** [drifted diags] holds for the nodes at which [diags] has a
-    feasibility diagnostic: the nodes that name a catalog object that
-    no longer exists.  Those nodes cannot run, and every plan through
-    them is infeasible; the rest of the DAG is untouched by drift. *)
+val drifted : Plan.Dag.t -> Diagnostic.t list -> int -> bool
+(** [drifted dag diags] holds for the indices of [dag] at which [diags]
+    has a feasibility diagnostic: the nodes that name a catalog object
+    that no longer exists.  Those nodes cannot run, and every plan
+    through them is infeasible; the rest of the DAG is untouched by
+    drift. *)
 
 val plan : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
 (** All three plan layers: [structure @ cost @ semantics]. *)

@@ -73,7 +73,6 @@ type ctx = {
   ckpt : Checkpoint.t;
   scheduler : Scheduler.t;
   capacity : int;
-  log : Exec_common.work_log; (* morsel/serial work units for this run *)
   mutable partitions : int;   (* morsels of the widest exchange *)
 }
 
@@ -133,11 +132,8 @@ let read_page_tuples ctx page =
       | Page.Free | Page.Btree _ -> invalid_arg "Batch_exec: corrupt heap page");
   !tuples
 
-(* Scan a stripe of pages into batches, fusing the filter.  Returns the
-   work performed in deterministic units (tuples materialized plus a
-   per-page weight) for the schedule model. *)
+(* Scan a stripe of pages into batches, fusing the filter. *)
 let scan_stripe ctx schema fused pages ~emit =
-  let units = ref 0 in
   let current = ref (Batch.create ~capacity:ctx.capacity schema) in
   let flush () =
     if Batch.physical_length !current > 0 then begin
@@ -153,19 +149,17 @@ let scan_stripe ctx schema fused pages ~emit =
          and the raised exception surfaces as the job's fault. *)
       Governor.check ctx.gov;
       let tuples = read_page_tuples ctx page in
-      units := !units + 8 + List.length tuples;
       List.iter
         (fun t ->
           if Batch.is_full !current then flush ();
           Batch.push !current t)
         tuples)
     pages;
-  flush ();
-  !units
+  flush ()
 
 (* Pages per scan morsel.  Fixed — decoupled from the worker count — so
-   work-stealing balances the tail and the schedule model's cost list is
-   a property of the query, not of the configuration. *)
+   work-stealing balances the tail and a query's morsels do not depend
+   on the configuration. *)
 let morsel_pages = 4
 
 (* Per-stripe output staging: each slot is written by exactly the one
@@ -202,16 +196,13 @@ let exchange_scan ctx schema fused heap =
     let tasks =
       Array.init n (fun i () ->
           let slot = (!slots).(i) in
-          let units =
-            scan_stripe ctx schema fused arr.(i) ~emit:(fun b ->
-                let rec push () =
-                  let cur = Atomic.get slot.staged in
-                  if not (Atomic.compare_and_set slot.staged cur (b :: cur))
-                  then push ()
-                in
-                push ())
-          in
-          Exec_common.log_morsel (Some ctx.log) units;
+          scan_stripe ctx schema fused arr.(i) ~emit:(fun b ->
+              let rec push () =
+                let cur = Atomic.get slot.staged in
+                if not (Atomic.compare_and_set slot.staged cur (b :: cur))
+                then push ()
+              in
+              push ());
           Atomic.set slot.eos true)
     in
     job :=
@@ -295,11 +286,8 @@ let exchange_scan ctx schema fused heap =
               | stripe :: rest ->
                 stripes := rest;
                 let acc = ref [] in
-                let units =
-                  scan_stripe ctx schema fused stripe ~emit:(fun b ->
-                      acc := b :: !acc)
-                in
-                Exec_common.log_serial (Some ctx.log) units;
+                scan_stripe ctx schema fused stripe ~emit:(fun b ->
+                    acc := b :: !acc);
                 buffered := List.rev !acc;
                 go ())
           in
@@ -331,7 +319,6 @@ let btree_scan ctx schema ~rel ~attr ~hi =
             (Database.index ctx.db ~rel ~attr)
             ~lo:None ~hi:hi_key
             (fun _ rid -> acc := rid :: !acc);
-        Exec_common.log_serial (Some ctx.log) (List.length !acc);
         rids := List.rev !acc);
     next =
       (fun () ->
@@ -543,7 +530,7 @@ and hash_join ctx (plan : Plan.t) preds =
         | _ -> ());
         let probe = consume right_it in
         Exec_common.hash_join_core ~gov:ctx.gov ~obs:ctx.obs
-          ~sched:ctx.scheduler ~log:ctx.log ctx.db ctx.env
+          ~sched:ctx.scheduler ctx.db ctx.env
           ~left_schema
           ~right_schema
           ~left_width ~right_width ~preds
@@ -579,8 +566,6 @@ and merge_join ctx (plan : Plan.t) preds =
         out_reset ob;
         let left = consume left_it in
         let right = Array.of_list (consume right_it) in
-        Exec_common.log_serial (Some ctx.log)
-          (List.length left + Array.length right);
         (* The materialized right side is the operator's working set;
            charge it for the duration of the merge pass. *)
         Governor.with_charge ctx.gov
@@ -658,7 +643,6 @@ and index_join ctx (plan : Plan.t) preds ~inner_rel ~inner_attr ~inner_filter =
             | Some outer_batch ->
               Governor.check ctx.gov;
               let n = Batch.length outer_batch in
-              Exec_common.log_serial (Some ctx.log) n;
               for i = 0 to n - 1 do
                 let outer = Batch.tuple outer_batch i in
                 let rids =
@@ -694,7 +678,7 @@ and sort ctx (plan : Plan.t) cols =
         let tuples = consume child in
         let sorted =
           Exec_common.sort_core ~gov:ctx.gov ~obs:ctx.obs ~sched:ctx.scheduler
-            ~log:ctx.log ctx.db ctx.env ~width ~compare_tuples tuples
+            ctx.db ctx.env ~width ~compare_tuples tuples
         in
         (* The sort's output is fully materialized here — the other
            blocking point — and carries the node's order property. *)
@@ -729,7 +713,6 @@ let make_ctx db env ~gov ~obs ~materialized ~checkpoint ~workers ~capacity =
     ckpt = checkpoint;
     scheduler;
     capacity;
-    log = Exec_common.work_log ();
     partitions = 0 }
 
 let compile_with db env ?(gov = Governor.none) ?(obs = Trace.null)
@@ -778,8 +761,6 @@ let run_plan db env ?(gov = Governor.none) ?(obs = Trace.null)
         (if !batches = 0 then 0.
          else float_of_int !total_rows /. float_of_int !batches);
       partitions = ctx.partitions;
-      workers = Scheduler.workers ctx.scheduler;
-      serial_units = ctx.log.Exec_common.serial_units;
-      morsel_units_ = Exec_common.morsel_units ctx.log }
+      workers = Scheduler.workers ctx.scheduler }
   in
   (tuples, profile)

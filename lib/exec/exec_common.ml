@@ -43,45 +43,6 @@ let default_workers () =
 
 (* --- morsel work accounting ---------------------------------------------- *)
 
-(* Every morsel reports the work it performed in abstract, deterministic
-   units (tuples touched, weighted page reads, comparison passes).  The
-   decomposition into morsels is fixed-size — independent of the worker
-   count — so the same query always yields the same cost list, and the
-   benchmark can derive a host-independent scaling curve from it: the
-   simulated completion time at [k] workers is the serial units plus a
-   greedy longest-processing-time makespan of the morsel costs over [k]
-   bins.  (On a host with fewer cores than workers, wall-clock time
-   cannot show parallel speedup at all, so the gate in `bench exec
-   --check` runs against this schedule model; real timings are recorded
-   alongside it.) *)
-type work_log = {
-  mutable serial_units : int; (* consumer-thread work; single-writer *)
-  morsels : int list Atomic.t; (* per-morsel units, lock-free prepend *)
-}
-
-let work_log () = { serial_units = 0; morsels = Atomic.make [] }
-
-let log_serial log u =
-  match log with None -> () | Some l -> l.serial_units <- l.serial_units + u
-
-let log_morsel log u =
-  match log with
-  | None -> ()
-  | Some l ->
-    let rec go () =
-      let cur = Atomic.get l.morsels in
-      if not (Atomic.compare_and_set l.morsels cur (u :: cur)) then go ()
-    in
-    go ()
-
-let morsel_units l = Array.of_list (Atomic.get l.morsels)
-
-(* ceil(log2 n), at least 1: the comparison-pass weight of sorting or
-   merging [n] tuples. *)
-let ilog2 n =
-  let rec go acc v = if v <= 1 then Int.max 1 acc else go (acc + 1) ((v + 1) / 2) in
-  go 0 n
-
 (* Per-run execution profile, surfaced through Executor.run_stats, the
    CLI and the benchmark harness. *)
 type exec_profile = {
@@ -90,8 +51,6 @@ type exec_profile = {
   rows_per_batch : float; (* mean selected rows per delivered batch *)
   partitions : int;       (* morsels of the widest exchange, 0 if none *)
   workers : int;          (* scheduler workers available to exchanges *)
-  serial_units : int;     (* work performed on the consumer thread *)
-  morsel_units_ : int array; (* work per morsel, for the schedule model *)
 }
 
 let pp_profile ppf p =
@@ -172,7 +131,7 @@ let run_morsels sched ~gov tasks =
    exceeds the governed grant); per-partition outputs are drained in
    partition order on the caller. *)
 let hash_join_core ?(gov = Governor.none) ?(obs = Trace.null)
-    ?(sched = Scheduler.sequential) ?log db env ~left_schema ~right_schema
+    ?(sched = Scheduler.sequential) db env ~left_schema ~right_schema
     ~left_width ~right_width ~preds ~emit build probe =
   let page_bytes = Catalog.page_bytes (Database.catalog db) in
   let build_key = join_key ~left_schema preds `Left in
@@ -223,10 +182,8 @@ let hash_join_core ?(gov = Governor.none) ?(obs = Trace.null)
     end
   in
   let nb = List.length build and np = List.length probe in
-  if (not (Scheduler.is_parallel sched)) || nb + np < parallel_threshold then begin
-    log_serial log (nb + np);
+  if (not (Scheduler.is_parallel sched)) || nb + np < parallel_threshold then
     join_partition ~emit 0 build probe
-  end
   else begin
     (* Radix partition both sides in one serial pass (cheap: one hash and
        one cons per tuple), then join each partition as a morsel. *)
@@ -241,34 +198,18 @@ let hash_join_core ?(gov = Governor.none) ?(obs = Trace.null)
     in
     scatter build_key bparts build;
     scatter probe_key pparts probe;
-    log_serial log (nb + np);
     let outs = Array.make radix_fanout [] in
     let tasks =
       Array.init radix_fanout (fun i () ->
           let b = List.rev bparts.(i) and p = List.rev pparts.(i) in
           let pairs = ref [] in
-          let matched = ref 0 in
-          join_partition
-            ~emit:(fun l r ->
-              incr matched;
-              pairs := (l, r) :: !pairs)
-            1 b p;
-          outs.(i) <- List.rev !pairs;
-          log_morsel log (List.length b + List.length p + !matched))
+          join_partition ~emit:(fun l r -> pairs := (l, r) :: !pairs) 1 b p;
+          outs.(i) <- List.rev !pairs)
     in
     run_morsels sched ~gov tasks;
     (* Drain in partition order on the caller: [emit] stays a plain
        consumer-thread callback, exactly as in the sequential path. *)
-    let emitted = ref 0 in
-    Array.iter
-      (fun pairs ->
-        List.iter
-          (fun (l, r) ->
-            incr emitted;
-            emit l r)
-          pairs)
-      outs;
-    log_serial log !emitted
+    Array.iter (List.iter (fun (l, r) -> emit l r)) outs
   end
 
 (* --- sort core (external runs under low memory) -------------------------- *)
@@ -311,7 +252,7 @@ let rec merge_runs compare_tuples = function
    sorts as morsels and merges on the consumer — same charge, same
    output order as the sequential stable sort. *)
 let sort_core ?(gov = Governor.none) ?(obs = Trace.null)
-    ?(sched = Scheduler.sequential) ?log db env ~width ~compare_tuples tuples =
+    ?(sched = Scheduler.sequential) db env ~width ~compare_tuples tuples =
   let page_bytes = Catalog.page_bytes (Database.catalog db) in
   let mem = governed_memory_pages env gov ~page_bytes in
   let n = List.length tuples in
@@ -324,18 +265,12 @@ let sort_core ?(gov = Governor.none) ?(obs = Trace.null)
           let outs = Array.make (Array.length chunks) [] in
           let tasks =
             Array.init (Array.length chunks) (fun i () ->
-                let c = chunks.(i) in
-                outs.(i) <- List.stable_sort compare_tuples c;
-                log_morsel log (List.length c * ilog2 (List.length c)))
+                outs.(i) <- List.stable_sort compare_tuples chunks.(i))
           in
           run_morsels sched ~gov tasks;
-          log_serial log (n * ilog2 (Array.length chunks));
           merge_runs compare_tuples (Array.to_list outs)
         end
-        else begin
-          log_serial log (n * ilog2 n);
-          List.stable_sort compare_tuples tuples
-        end)
+        else List.stable_sort compare_tuples tuples)
   else begin
     let per_run = Int.max 1 (mem * page_bytes / Int.max 1 width) in
     let rec runs acc = function
@@ -356,6 +291,5 @@ let sort_core ?(gov = Governor.none) ?(obs = Trace.null)
     in
     let run_files = runs [] tuples in
     let sorted_runs = List.map (fun h -> unspill db h) run_files in
-    log_serial log (n * ilog2 n + (n * ilog2 (List.length run_files)));
     merge_runs compare_tuples sorted_runs
   end

@@ -56,7 +56,8 @@ let verify_activation db env plan =
   if corrupt <> [] then raise (Invalid_plan corrupt);
   if drift = [] then plan
   else
-    match Plan.rewrite env ~dead:(Dqep_analysis.Verify.drifted drift) plan with
+    let dag = Plan.Dag.of_plan plan in
+    match Plan.rewrite env ~dead:(Dqep_analysis.Verify.drifted dag drift) dag with
     | Some pruned -> pruned
     | None -> raise (Infeasible drift)
 

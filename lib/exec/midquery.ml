@@ -17,53 +17,41 @@ type stats = {
   run : Executor.run_stats;
 }
 
-let pid_map plan =
-  let map = Hashtbl.create 64 in
-  Plan.iter (fun p -> Hashtbl.replace map p.Plan.pid p) plan;
-  map
-
 let shared_subplan (plan : Plan.t) =
   match plan.Plan.op with
-  | Physical.Choose_plan -> (
-    match plan.Plan.inputs with
-    | [] | [ _ ] -> None
-    | alternatives ->
-      (* Score every subplan occurring in at least two alternatives by
-         (cardinality uncertainty x alternatives informed): observing the
-         most uncertain, most widely shared input buys the decision
-         procedure the most.  Nested choose operators are allowed —
-         materialization resolves them with the estimates at hand. *)
-      let maps = List.map pid_map alternatives in
-      let nodes = Hashtbl.create 64 in
-      let counts = Hashtbl.create 64 in
-      List.iter
-        (fun m ->
-          Hashtbl.iter
-            (fun pid node ->
-              Hashtbl.replace nodes pid node;
-              Hashtbl.replace counts pid
-                (1 + Option.value ~default:0 (Hashtbl.find_opt counts pid)))
-            m)
-        maps;
-      let score pid (node : Plan.t) =
-        let count = Hashtbl.find counts pid in
-        if count < 2 || pid = plan.Plan.pid then None
-        else begin
-          let width = Dqep_util.Interval.width node.Plan.rows in
-          if width <= 0. then None
-          else Some (width *. float_of_int count, Plan.node_count node)
-        end
-      in
-      Hashtbl.fold
-        (fun pid node best ->
-          match score pid node with
-          | None -> best
-          | Some s -> (
-            match best with
-            | Some (bs, _) when bs >= s -> best
-            | _ -> Some (s, node)))
-        nodes None
-      |> Option.map snd)
+  | Physical.Choose_plan when List.compare_length_with plan.Plan.inputs 2 >= 0 ->
+    (* Score every subplan occurring in at least two alternatives by
+       (cardinality uncertainty x alternatives informed): observing the
+       most uncertain, most widely shared input buys the decision
+       procedure the most; exact ties go to the first in the plan's
+       numbering.  Nested choose operators are allowed — materialization
+       resolves them with the estimates at hand. *)
+    let dag = Plan.Dag.of_plan plan in
+    let root = dag.Plan.Dag.length - 1 in
+    let counts = Array.make root 0 and last = Array.make root (-1) in
+    List.iteri
+      (fun a alt ->
+        let rec mark i =
+          if last.(i) <> a then begin
+            last.(i) <- a;
+            counts.(i) <- counts.(i) + 1;
+            List.iter mark (Plan.Dag.inputs dag i)
+          end
+        in
+        mark alt)
+      (Plan.Dag.inputs dag root);
+    let best = ref None in
+    for i = 0 to root - 1 do
+      let node = dag.Plan.Dag.nodes.(i) in
+      let width = Dqep_util.Interval.width node.Plan.rows in
+      if counts.(i) >= 2 && width > 0. then begin
+        let s = (width *. float_of_int counts.(i), Plan.node_count node) in
+        match !best with
+        | Some (bs, _) when bs >= s -> ()
+        | _ -> best := Some (s, node)
+      end
+    done;
+    Option.map snd !best
   | _ -> None
 
 let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers

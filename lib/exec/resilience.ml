@@ -221,8 +221,8 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
        skips the observation. *)
     let try_observe () =
       (* Observe the plan the next resolution will actually use: after a
-         re-plan, [plan]'s pids belong to an abandoned builder and
-         materializing against them would splice the wrong subtrees. *)
+         re-plan, [plan] is the abandoned plan, and a subplan observed
+         there may not occur in the new one at all. *)
       if config.observe_on_failover && not !failover_observed then begin
         failover_observed := true;
         match Midquery.shared_subplan !current_plan with
@@ -342,12 +342,16 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
           | new_plan ->
             Trace.incr rt Counter.Replans;
             current_plan := new_plan;
-            (* Every pid-keyed artifact of the abandoned plan is void: the
-               replanned plan's pids come from a fresh builder and collide
-               numerically, so a stale override, exclusion or materialized
-               subtree would apply to an unrelated node.  Checkpoint
-               splices and overrides are fingerprint-matched against the
-               new plan instead, so nothing that still matters is lost. *)
+            (* The abandoned plan's overrides, exclusions and
+               materialized subtrees go with it.  Pids are process-unique,
+               so none of them could land on an unrelated node, but they
+               were decided for the old plan — alternatives that failed
+               there, a subplan observed to steer its choices — while the
+               new one was costed from the observed cardinalities and is
+               resolved afresh; a kept temporary would also hold its
+               tuples for the rest of the run.  What still applies comes
+               back through the checkpoint registry, whose splices and
+               overrides are fingerprint-matched against the new plan. *)
             materialized := [];
             overrides := [];
             excluded := [];

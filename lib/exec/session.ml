@@ -247,12 +247,13 @@ let record_feedback t rt (bindings : Bindings.t) resolved_plan =
   List.iter
     (fun (var, v) -> Feedback.observe_selectivity t.feedback var v)
     bindings.Bindings.selectivities;
-  let nodes = Hashtbl.create 32 in
-  Plan.iter (fun node -> Hashtbl.replace nodes node.Plan.pid node) resolved_plan;
+  let dag = Plan.Dag.of_plan resolved_plan in
   List.iter
     (fun (pid, _op, rows, _batches) ->
-      match Hashtbl.find_opt nodes pid with
-      | Some node -> Feedback.observe_rows t.feedback ~key:(Plan.rels_key node) rows
+      match Plan.Dag.find dag pid with
+      | Some i ->
+        Feedback.observe_rows t.feedback
+          ~key:(Plan.rels_key dag.Plan.Dag.nodes.(i)) rows
       | None -> ())
     (Trace.taps rt)
 

@@ -93,34 +93,30 @@ let order_tok (props : Props.t) =
 let encode plan =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "dqep-access-module 1\n";
-  (* Nodes are renumbered canonically (topological order), so the output
-     is independent of process-global plan identifiers and re-encoding a
-     decoded module is the identity. *)
-  let numbering = Hashtbl.create 64 in
-  Plan.iter
-    (fun p -> Hashtbl.add numbering p.Plan.pid (Hashtbl.length numbering))
-    plan;
-  let num (p : Plan.t) = Hashtbl.find numbering p.Plan.pid in
-  Plan.iter
-    (fun p ->
-      let fields =
-        [ "node"; string_of_int (num p) ]
-        @ op_toks p.Plan.op
-        @ [ "in="
-            ^ (match p.Plan.inputs with
-              | [] -> "-"
-              | l -> String.concat "," (List.map (fun (c : Plan.t) -> string_of_int (num c)) l));
-            "rels=" ^ String.concat "," (List.map escape p.Plan.rels);
-            "rows=" ^ interval_tok p.Plan.rows;
-            "width=" ^ string_of_int p.Plan.bytes_per_row;
-            "own=" ^ interval_tok p.Plan.own_cost;
-            "total=" ^ interval_tok p.Plan.total_cost;
-            "order=" ^ order_tok p.Plan.props ]
-      in
-      Buffer.add_string buf (String.concat " " fields);
-      Buffer.add_char buf '\n')
-    plan;
-  Buffer.add_string buf (Printf.sprintf "root %d\n" (num plan));
+  (* Nodes are written under their index in the plan's numbering, so
+     the output is independent of process-global plan identifiers and
+     re-encoding a decoded module is the identity. *)
+  let dag = Plan.Dag.of_plan plan in
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    let p = dag.Plan.Dag.nodes.(i) in
+    let fields =
+      [ "node"; string_of_int i ]
+      @ op_toks p.Plan.op
+      @ [ "in="
+          ^ (match Plan.Dag.inputs dag i with
+            | [] -> "-"
+            | l -> String.concat "," (List.map string_of_int l));
+          "rels=" ^ String.concat "," (List.map escape p.Plan.rels);
+          "rows=" ^ interval_tok p.Plan.rows;
+          "width=" ^ string_of_int p.Plan.bytes_per_row;
+          "own=" ^ interval_tok p.Plan.own_cost;
+          "total=" ^ interval_tok p.Plan.total_cost;
+          "order=" ^ order_tok p.Plan.props ]
+    in
+    Buffer.add_string buf (String.concat " " fields);
+    Buffer.add_char buf '\n'
+  done;
+  Buffer.add_string buf (Printf.sprintf "root %d\n" (dag.Plan.Dag.length - 1));
   Buffer.contents buf
 
 (* --- decoding ----------------------------------------------------------- *)

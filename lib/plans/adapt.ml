@@ -17,16 +17,15 @@ let record t (r : Startup.resolution) =
     r.Startup.choices
 
 let shrink env t =
-  let used (p : Plan.t) =
-    match
-      List.filter
-        (fun (alt : Plan.t) -> Hashtbl.mem t.counts (p.Plan.pid, alt.Plan.pid))
-        p.Plan.inputs
-    with
-    | [] -> p.Plan.inputs  (* no statistics: keep every alternative *)
+  let dag = Plan.Dag.of_plan t.plan in
+  let pid i = dag.Plan.Dag.nodes.(i).Plan.pid in
+  let used c =
+    let alts = Plan.Dag.inputs dag c in
+    match List.filter (fun a -> Hashtbl.mem t.counts (pid c, pid a)) alts with
+    | [] -> alts  (* no statistics: keep every alternative *)
     | used -> used
   in
-  Option.get (Plan.rewrite env ~keep:used t.plan)
+  Option.get (Plan.rewrite env ~keep:used dag)
 
 let maybe_replace ~threshold env t =
   if t.invocations >= threshold then begin

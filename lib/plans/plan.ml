@@ -41,9 +41,10 @@ module Builder = struct
   }
 
   (* Pids are globally unique, not per builder: resolved or shrunk plans
-     mix rebuilt nodes with nodes reused from the original builder, and
-     every DAG traversal keys on the pid.  Domains build nodes
-     concurrently (server clients on cache misses, every start-up
+     mix rebuilt nodes with nodes reused from the original builder, a
+     run's operator taps name nodes of several such plans by pid, and a
+     numbering ([Dag]) finds a node's index by its pid.  Domains build
+     nodes concurrently (server clients on cache misses, every start-up
      resolution), so the counter is atomic. *)
   let next_pid = Atomic.make 0
 
@@ -158,73 +159,181 @@ module Builder = struct
   let created b = b.count
 end
 
-module Pid_tbl = Hashtbl.Make (struct
-  type t = int
+module Dag = struct
+  type plan = t
 
-  let equal = Int.equal
-  let hash pid = pid land max_int
-end)
+  (* Pid -> index, by open addressing: [keys] holds pids (-1 where
+     free), [vals] the index at the same slot.  Pids are issued
+     sequentially, so they hash as themselves. *)
+  type ids = {
+    mutable keys : int array;
+    mutable vals : int array;
+    mutable count : int;
+  }
+
+  type t = {
+    mutable length : int;
+    mutable nodes : plan array;
+    mutable first_input : int array;
+    mutable inputs : int array;
+    ids : ids;
+    mutable aliased : plan list;
+  }
+
+  (* The slot holding [pid], or the free slot where it belongs. *)
+  let rec probe keys pid s =
+    let k = keys.(s) in
+    if k = pid || k < 0 then s
+    else probe keys pid ((s + 1) land (Array.length keys - 1))
+
+  let slot ids pid = probe ids.keys pid (pid land (Array.length ids.keys - 1))
+
+  let rec bind ids pid i =
+    if 2 * (ids.count + 1) > Array.length ids.keys then begin
+      let keys = ids.keys and vals = ids.vals in
+      ids.keys <- Array.make (2 * Array.length keys) (-1);
+      ids.vals <- Array.make (2 * Array.length keys) 0;
+      ids.count <- 0;
+      Array.iteri (fun s k -> if k >= 0 then bind ids k vals.(s)) keys
+    end;
+    let s = slot ids pid in
+    ids.keys.(s) <- pid;
+    ids.vals.(s) <- i;
+    ids.count <- ids.count + 1
+
+  let create () =
+    { length = 0; nodes = [||]; first_input = Array.make 16 0; inputs = [||];
+      ids = { keys = Array.make 32 (-1); vals = Array.make 32 0; count = 0 };
+      aliased = [] }
+
+  (* [a], twice as long. *)
+  let grow a fill =
+    let b = Array.make (Int.max 16 (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* Children first, inputs left to right: a node is numbered after all
+     of its inputs, so every input index is below its node's.  Input
+     indices wait on [stack] until their node is numbered. *)
+  let add d plan =
+    let stack = ref (Array.make 16 0) and top = ref 0 in
+    let rec visit p =
+      let s = slot d.ids p.pid in
+      if d.ids.keys.(s) = p.pid then begin
+        let i = d.ids.vals.(s) in
+        if d.nodes.(i) != p && not (List.memq p d.aliased) then
+          d.aliased <- p :: d.aliased;
+        i
+      end
+      else begin
+        let arity = push p.inputs 0 in
+        let i = d.length and first = d.first_input.(d.length) in
+        if i = Array.length d.nodes then d.nodes <- grow d.nodes p;
+        if i + 1 = Array.length d.first_input then
+          d.first_input <- grow d.first_input 0;
+        while first + arity > Array.length d.inputs do
+          d.inputs <- grow d.inputs 0
+        done;
+        d.nodes.(i) <- p;
+        top := !top - arity;
+        for k = 0 to arity - 1 do
+          d.inputs.(first + k) <- !stack.(!top + k)
+        done;
+        d.first_input.(i + 1) <- first + arity;
+        d.length <- i + 1;
+        bind d.ids p.pid i;
+        i
+      end
+    and push inputs arity =
+      match inputs with
+      | [] -> arity
+      | c :: rest ->
+        let j = visit c in
+        if !top = Array.length !stack then stack := grow !stack 0;
+        !stack.(!top) <- j;
+        incr top;
+        push rest (arity + 1)
+    in
+    visit plan
+
+  let of_plan plan =
+    let d = create () in
+    ignore (add d plan);
+    d
+
+  let find d pid =
+    let s = slot d.ids pid in
+    if pid >= 0 && d.ids.keys.(s) = pid then Some d.ids.vals.(s) else None
+  let input d i k = d.inputs.(d.first_input.(i) + k)
+
+  let inputs d i =
+    List.init (d.first_input.(i + 1) - d.first_input.(i)) (input d i)
+end
 
 let iter f plan =
-  let seen = Pid_tbl.create 64 in
-  let rec go p =
-    if not (Pid_tbl.mem seen p.pid) then begin
-      Pid_tbl.add seen p.pid ();
-      List.iter go p.inputs;
-      f p
-    end
-  in
-  go plan
+  let d = Dag.of_plan plan in
+  for i = 0 to d.Dag.length - 1 do
+    f d.Dag.nodes.(i)
+  done
 
 let fold f init plan =
   let acc = ref init in
   iter (fun p -> acc := f !acc p) plan;
   !acc
 
+type slot = Unvisited | Dropped | Kept of t
+
 (* The one choose-plan rewrite behind start-up extraction, plan
-   shrinking and activation-time pruning.  Top-down, memoized per pid;
-   [keep] sees a choose node's original alternatives before any of them
-   is rewritten, so callbacks that record decisions see them in
-   pre-order.  Nodes are only rebuilt when an input changed. *)
-let rewrite env ?(dead = fun _ -> false) ?(verbatim = fun _ -> false)
-    ?(keep = fun p -> p.inputs) plan =
+   shrinking and activation-time pruning.  Top-down from the root, one
+   memo slot per index; [keep] sees a choose node's original
+   alternatives before any of them is rewritten, so callbacks that
+   record decisions see them in pre-order.  Nodes are only rebuilt when
+   an input changed. *)
+let rewrite env ?(dead = fun _ -> false) ?(verbatim = fun _ -> false) ?keep
+    (dag : Dag.t) =
   (* A rewrite rebuilds few nodes, once per resolving activation: a
      small table keeps its builder off the major heap. *)
   let builder = lazy { Builder.env; table = Hashtbl.create 16; count = 0 } in
-  let memo = Pid_tbl.create 64 in
-  let rec go p =
-    match Pid_tbl.find_opt memo p.pid with
-    | Some r -> r
-    | None ->
+  let memo = Array.make dag.Dag.length Unvisited in
+  let rec go i =
+    match memo.(i) with
+    | Kept q -> Some q
+    | Dropped -> None
+    | Unvisited ->
+      let p = dag.Dag.nodes.(i) in
       let r =
-        if dead p then None
-        else if verbatim p then Some p
+        if dead i then None
+        else if verbatim i then Some p
         else
           match p.op with
           | Physical.Choose_plan -> (
-            match List.filter_map go (keep p) with
+            let alts =
+              match keep with Some k -> k i | None -> Dag.inputs dag i
+            in
+            match List.filter_map go alts with
             | [] -> None
             | [ only ] -> Some only
             | alts when List.equal ( == ) alts p.inputs -> Some p
             | alts -> Some (Builder.choose (Lazy.force builder) alts))
           | _ -> (
-            match all p.inputs with
+            match all dag.Dag.first_input.(i) dag.Dag.first_input.(i + 1) with
             | None -> None
             | Some inputs when List.equal ( == ) inputs p.inputs -> Some p
             | Some inputs ->
               Some (Builder.copy_node (Lazy.force builder) p ~inputs))
       in
-      Pid_tbl.add memo p.pid r;
+      memo.(i) <- (match r with None -> Dropped | Some q -> Kept q);
       r
-  (* Left to right, stopping at the first dead input. *)
-  and all = function
-    | [] -> Some []
-    | p :: rest -> (
-      match go p with
+  (* Inputs [x] to [stop - 1], left to right, stopping at the first
+     dead one. *)
+  and all x stop =
+    if x = stop then Some []
+    else
+      match go dag.Dag.inputs.(x) with
       | None -> None
-      | Some q -> Option.map (List.cons q) (all rest))
+      | Some q -> Option.map (List.cons q) (all (x + 1) stop)
   in
-  go plan
+  go (dag.Dag.length - 1)
 
 (* Stable identity of a node's relation set, e.g. "R|S|T" — the key the
    observation cache files cardinality observations under, so a later
@@ -234,16 +343,14 @@ let rels_key node = String.concat "|" node.rels
 let node_count plan = fold (fun n _ -> n + 1) 0 plan
 
 let expanded_count plan =
-  let memo = Hashtbl.create 64 in
-  let rec go p =
-    match Hashtbl.find_opt memo p.pid with
-    | Some v -> v
-    | None ->
-      let v = List.fold_left (fun acc c -> acc +. go c) 1. p.inputs in
-      Hashtbl.add memo p.pid v;
-      v
-  in
-  go plan
+  let d = Dag.of_plan plan in
+  let sizes = Array.make d.Dag.length 1. in
+  for i = 0 to d.Dag.length - 1 do
+    for x = d.Dag.first_input.(i) to d.Dag.first_input.(i + 1) - 1 do
+      sizes.(i) <- sizes.(i) +. sizes.(d.Dag.inputs.(x))
+    done
+  done;
+  sizes.(d.Dag.length - 1)
 
 let choose_count plan =
   fold
@@ -317,16 +424,20 @@ let to_dot plan =
   Buffer.contents buf
 
 let pp ppf plan =
-  let seen = Hashtbl.create 64 in
-  let rec go ppf p =
-    if Hashtbl.mem seen p.pid then
+  let d = Dag.of_plan plan in
+  let seen = Bytes.make d.Dag.length '\000' in
+  let rec go ppf i =
+    let p = d.Dag.nodes.(i) in
+    if Bytes.get seen i <> '\000' then
       Format.fprintf ppf "@[<h>#%d (shared %s)@]" p.pid (Physical.name p.op)
     else begin
-      Hashtbl.add seen p.pid ();
+      Bytes.set seen i '\001';
       Format.fprintf ppf "@[<v 2>#%d %a  rows=%a cost=%a" p.pid Physical.pp p.op
         Interval.pp p.rows Interval.pp p.total_cost;
-      List.iter (fun c -> Format.fprintf ppf "@,%a" go c) p.inputs;
+      for x = d.Dag.first_input.(i) to d.Dag.first_input.(i + 1) - 1 do
+        Format.fprintf ppf "@,%a" go d.Dag.inputs.(x)
+      done;
       Format.fprintf ppf "@]"
     end
   in
-  go ppf plan
+  go ppf (d.Dag.length - 1)

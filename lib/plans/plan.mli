@@ -5,7 +5,8 @@
     subexpressions" (paper, Section 3) — sharing is what keeps dynamic
     plans to a reasonable size even though the number of possible plans
     grows exponentially.  Sharing is obtained structurally through the
-    hash-consing {!Builder}; node identity is the [pid].
+    hash-consing {!Builder}; node identity is the [pid], and a pass over
+    one plan works on its {!Dag} numbering.
 
     A [Choose_plan] node's inputs are equivalent alternative plans; every
     other node's inputs are its operational data-flow children. *)
@@ -93,26 +94,72 @@ val expanded_count : t -> float
     because it grows exponentially.  Quantifies how much DAG sharing
     saves (paper, Section 3). *)
 
-module Pid_tbl : Hashtbl.S with type key = int
-(** Tables keyed by pid.  Pids are issued sequentially, so they hash as
-    themselves. *)
+(** One numbering of a plan's distinct nodes: every per-plan pass is a
+    loop over its indices, with arrays where it would otherwise key a
+    table by pid.  Nodes are numbered children first, inputs left to
+    right, root last ({!iter}'s order), so every input index is below
+    its node's.  A numbering can grow by further plans: {!Dag.add}
+    numbers only the nodes it has not seen, on the same arrays. *)
+module Dag : sig
+  type plan := t
+
+  type ids
+  (** pid -> index *)
+
+  type t = private {
+    mutable length : int;  (** nodes numbered so far *)
+    mutable nodes : plan array;  (** index -> node, below [length] *)
+    mutable first_input : int array;
+        (** node [i]'s inputs are [inputs.(first_input.(i))] up to
+            [inputs.(first_input.(i + 1) - 1)], as indices *)
+    mutable inputs : int array;
+    ids : ids;
+    mutable aliased : plan list;
+        (** nodes met under a pid already numbered for a different
+            physical node (pid aliasing; impossible through {!Builder}) *)
+  }
+
+  val create : unit -> t
+  (** An empty numbering. *)
+
+  val add : t -> plan -> int
+  (** Number the plan's unseen nodes after the ones already numbered and
+      return the plan's index.  A node is identified by its pid: one met
+      again under a numbered pid is not numbered twice (nor descended
+      into), and lands in [aliased] if it is a different physical
+      node. *)
+
+  val of_plan : plan -> t
+  (** The plan's own numbering; its root is the last index. *)
+
+  val find : t -> int -> int option
+  (** The index of the node with this pid, in O(1). *)
+
+  val input : t -> int -> int -> int
+  (** [input d i k] is the index of node [i]'s [k]th input. *)
+
+  val inputs : t -> int -> int list
+  (** Node [i]'s input indices, in order. *)
+end
 
 val iter : (t -> unit) -> t -> unit
-(** Visit every node exactly once, children before parents. *)
+(** Visit every node exactly once, children before parents: the order of
+    {!Dag.of_plan}. *)
 
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 
 val rewrite :
   Dqep_cost.Env.t ->
-  ?dead:(t -> bool) ->
-  ?verbatim:(t -> bool) ->
-  ?keep:(t -> t list) ->
-  t ->
+  ?dead:(int -> bool) ->
+  ?verbatim:(int -> bool) ->
+  ?keep:(int -> int list) ->
+  Dag.t ->
   t option
-(** Rewrite the plan top-down, keeping a subset of every choose-plan
-    node's alternatives — the one rewrite behind start-up extraction
-    ({!Startup.resolve}), plan shrinking ({!Adapt.shrink}) and
-    activation-time pruning of infeasible alternatives.
+(** Rewrite the plan at a numbering's last index top-down, keeping a
+    subset of every choose-plan node's alternatives — the one rewrite
+    behind start-up extraction ({!Startup.resolve}), plan shrinking
+    ({!Adapt.shrink}) and activation-time pruning of infeasible
+    alternatives.  Callbacks name nodes by their index in the numbering.
 
     - [keep c] (default: all of them) picks which of choose node [c]'s
       original alternatives survive, in order.  It is called once per
@@ -124,12 +171,11 @@ val rewrite :
     - [verbatim n] (default: none) keeps [n] as it is without visiting
       its inputs.
 
-    Every node is rewritten once (memoized by pid).  A node whose inputs
-    all came back unchanged is returned physically unchanged, with its
-    pid; otherwise it is rebuilt in a fresh {!Builder} under the given
-    environment, keeping its operator, rows and own cost.  A choose node
-    left with one alternative collapses to it.  [None] when nothing
-    survives. *)
+    Every node is rewritten once.  A node whose inputs all came back
+    unchanged is returned physically unchanged, with its pid; otherwise
+    it is rebuilt in a fresh {!Builder} under the given environment,
+    keeping its operator, rows and own cost.  A choose node left with one
+    alternative collapses to it.  [None] when nothing survives. *)
 
 val choose_count : t -> int
 (** Number of choose-plan nodes in the DAG. *)

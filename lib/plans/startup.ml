@@ -50,27 +50,28 @@ let sel_hi = 3
 let cost_at = 4
 let stride = cost_at + Cost_model.stage_width
 
-(* A plan's nodes in children-first order ([Plan.iter]'s), under dense
-   local indices; the root is the last.  Everything the catalog and the
-   device decide is resolved here, once: an activation only binds the
-   host variables and the memory grant. *)
+(* A plan's numbering ([Plan.Dag]: children first, root last) and, per
+   index, everything the catalog and the device decide, resolved once:
+   an activation only binds the host variables and the memory grant. *)
 type program = {
   device : Device.t;
-  mutable n : int;
+  dag : Plan.Dag.t;
+  (* The numbering's own arrays, taken whenever it grows: the loops
+     below read them as directly as the program's. *)
   mutable nodes : Plan.t array;
+  mutable first_input : int array;
+      (* node [i]'s inputs are [inputs.(first_input.(i))] up to
+         [inputs.(first_input.(i + 1) - 1)] *)
+  mutable inputs : int array;
   mutable rows_op : rows_op array;
   mutable cost_op : Cost_model.opcode array;
   mutable slot : int array;
       (* host-variable slot of the node's selection; -1 for a bound
          predicate (its selectivity is a constant) or none *)
-  mutable first_input : int array;
-      (* node [i]'s inputs are [inputs.(first_input.(i))] up to
-         [inputs.(first_input.(i + 1) - 1)] *)
-  mutable inputs : int array;
   mutable consts : float array;
   mutable vars : string array;  (* slot -> host variable *)
   mutable n_vars : int;
-  mutable choose_at : int array;  (* local indices of the choose nodes *)
+  mutable choose_at : int array;  (* indices of the choose nodes *)
   mutable chooses : int;
 }
 
@@ -82,13 +83,13 @@ let grow a len fill =
     b
   end
 
-(* A program with room for [nodes] and [edges] input references. *)
-let sized env ~nodes ~edges =
-  let n = Array.length nodes in
-  { device = Env.device env; n = 0; nodes;
+(* A program over [dag] with room for its nodes so far. *)
+let sized env (dag : Plan.Dag.t) =
+  let n = dag.Plan.Dag.length in
+  { device = Env.device env; dag; nodes = dag.Plan.Dag.nodes;
+    first_input = dag.Plan.Dag.first_input; inputs = dag.Plan.Dag.inputs;
     rows_op = Array.make n Base; cost_op = Array.make n Cost_model.Const;
-    slot = Array.make n (-1); first_input = Array.make (n + 1) 0;
-    inputs = Array.make edges 0; consts = Array.make (n * stride) 0.;
+    slot = Array.make n (-1); consts = Array.make (n * stride) 0.;
     vars = [||]; n_vars = 0; choose_at = [||]; chooses = 0 }
 
 (* Plans bind a handful of host variables: a scan beats a table. *)
@@ -117,11 +118,10 @@ let join_factors env =
     end;
     !value
 
-(* Append one node whose inputs are already in the program, at local
-   indices [ins]. *)
-let add_node prog env ~join_factor (p : Plan.t) ins =
-  let i = prog.n in
-  let arity = List.length ins in
+(* Compile numbered node [i]. *)
+let add_node prog env ~join_factor i =
+  let p = prog.nodes.(i) in
+  let arity = prog.first_input.(i + 1) - prog.first_input.(i) in
   let rows_op, pred =
     match (p.Plan.op, arity) with
     | (Physical.File_scan _ | Physical.Btree_scan _), 0 -> (Base, None)
@@ -135,14 +135,11 @@ let add_node prog env ~join_factor (p : Plan.t) ins =
     | Physical.Choose_plan, n when n > 0 -> (Choose, None)
     | _ -> invalid_arg "Startup: operator arity mismatch"
   in
-  prog.nodes <- grow prog.nodes (i + 1) p;
   prog.rows_op <- grow prog.rows_op (i + 1) Base;
   prog.cost_op <- grow prog.cost_op (i + 1) Cost_model.Const;
   prog.slot <- grow prog.slot (i + 1) (-1);
-  prog.first_input <- grow prog.first_input (i + 2) 0;
   prog.consts <- grow prog.consts ((i + 1) * stride) 0.;
   let at = i * stride and k = prog.consts in
-  prog.nodes.(i) <- p;
   prog.rows_op.(i) <- rows_op;
   (match p.Plan.op with
   | Physical.File_scan rel | Physical.Btree_scan { rel; _ }
@@ -163,7 +160,7 @@ let add_node prog env ~join_factor (p : Plan.t) ins =
     k.(at + sel_lo) <- s.Interval.lo;
     k.(at + sel_hi) <- s.Interval.hi
   | None -> ());
-  (match rows_op with
+  match rows_op with
   | Choose ->
     prog.choose_at <- grow prog.choose_at (prog.chooses + 1) i;
     prog.choose_at.(prog.chooses) <- i;
@@ -176,51 +173,17 @@ let add_node prog env ~join_factor (p : Plan.t) ins =
     in
     prog.cost_op.(i) <-
       Cost_model.prepare env p.Plan.op ~arity ~width0:(width 0)
-        ~width1:(width 1) k (at + cost_at));
-  let first = prog.first_input.(i) in
-  prog.inputs <- grow prog.inputs (first + arity) 0;
-  List.iteri (fun j c -> prog.inputs.(first + j) <- c) ins;
-  prog.first_input.(i + 1) <- first + arity;
-  prog.n <- i + 1
+        ~width1:(width 1) k (at + cost_at)
 
-(* The nodes of [plan] not yet in [local], children first, each with
-   its inputs' local indices; [local] is extended to them, numbering on
-   from [from].  Returns the root's index too. *)
-let collect local ~from plan =
-  let order = ref [] and next = ref from in
-  let rec visit (p : Plan.t) =
-    match Plan.Pid_tbl.find_opt local p.Plan.pid with
-    | Some i -> i
-    | None ->
-      let ins = List.map visit p.Plan.inputs in
-      let i = !next in
-      Plan.Pid_tbl.add local p.Plan.pid i;
-      incr next;
-      order := (p, ins) :: !order;
-      i
-  in
-  let root = visit plan in
-  (root, List.rev !order)
-
-(* The order is found first, so the arrays are allocated once, at their
-   final size. *)
+(* The numbering is found first, so the arrays are allocated once, at
+   their final size. *)
 let compile env plan =
-  let _, order = collect (Plan.Pid_tbl.create 64) ~from:0 plan in
-  let edges = List.fold_left (fun acc (_, ins) -> acc + List.length ins) 0 order in
-  let prog = sized env ~nodes:(Array.make (List.length order) plan) ~edges in
+  let prog = sized env (Plan.Dag.of_plan plan) in
   let join_factor = join_factors env in
-  List.iter (fun (p, ins) -> add_node prog env ~join_factor p ins) order;
+  for i = 0 to prog.dag.Plan.Dag.length - 1 do
+    add_node prog env ~join_factor i
+  done;
   prog
-
-(* Overrides and exclusions name nodes by pid; they are rare enough for
-   a scan. *)
-let find_local prog pid =
-  let rec go i =
-    if i = prog.n then None
-    else if prog.nodes.(i).Plan.pid = pid then Some i
-    else go (i + 1)
-  in
-  go 0
 
 (* --- activations ----------------------------------------------------------- *)
 
@@ -258,8 +221,8 @@ let is_excluded st i = Bytes.length st.excluded > 0 && Bytes.get st.excluded i <
 let live st i = Bytes.length st.live = 0 || Bytes.get st.live i <> '\000'
 
 let activation ?(chosen = false) ~risk ~overrides ~excluded env prog =
-  let n = prog.n in
-  let index = find_local prog in
+  let n = prog.dag.Plan.Dag.length in
+  let index = Plan.Dag.find prog.dag in
   let temp =
     match overrides with
     | [] -> [||]
@@ -461,8 +424,10 @@ let step prog st i =
   in
   if Array.length st.chosen_total > 0 then chosen_node prog st i ~own
 
+let root prog = prog.dag.Plan.Dag.length - 1
+
 let run prog st =
-  for i = 0 to prog.n - 1 do
+  for i = 0 to root prog do
     if live st i then step prog st i
   done
 
@@ -515,36 +480,42 @@ let evaluate ?(risk = Risk.Expected) ?(overrides = []) ?(excluded = []) env
     plan =
   let prog = program env plan in
   let st = evaluated ~risk ~overrides ~excluded env prog in
-  (st.total.(prog.n - 1), stats st)
+  (st.total.(root prog), stats st)
 
 (* The optimizer prices many plans sharing DAG nodes under one
-   environment: one program grows by each plan's unseen nodes, and only
-   those are evaluated. *)
+   environment: one numbering grows by each plan's unseen nodes, and
+   only those are compiled and evaluated. *)
 type evaluator = {
   prog : program;
-  local : int Plan.Pid_tbl.t;
   join_factor : Predicate.equi list -> float;
   st : state;
 }
 
 let evaluator ?(risk = Risk.Expected) env =
-  let prog = sized env ~nodes:[||] ~edges:0 in
-  { prog; local = Plan.Pid_tbl.create 1024; join_factor = join_factors env;
+  let prog = sized env (Plan.Dag.create ()) in
+  { prog; join_factor = join_factors env;
     st = activation ~risk ~overrides:[] ~excluded:[] env prog }
 
-let evaluate_with { prog; local; join_factor; st } plan =
-  let from = prog.n in
-  let root, order = collect local ~from plan in
-  List.iter (fun (p, ins) -> add_node prog st.env ~join_factor p ins) order;
-  if prog.n > from then begin
+let evaluate_with { prog; join_factor; st } plan =
+  let dag = prog.dag in
+  let from = dag.Plan.Dag.length in
+  let root = Plan.Dag.add dag plan in
+  let n = dag.Plan.Dag.length in
+  if n > from then begin
+    prog.nodes <- dag.Plan.Dag.nodes;
+    prog.first_input <- dag.Plan.Dag.first_input;
+    prog.inputs <- dag.Plan.Dag.inputs;
+    for i = from to n - 1 do
+      add_node prog st.env ~join_factor i
+    done;
     let vars = prog.n_vars in
     st.var_lo <- grow st.var_lo vars Float.nan;
     st.var_hi <- grow st.var_hi vars Float.nan;
-    st.rows_lo <- grow st.rows_lo prog.n 0.;
-    st.rows_hi <- grow st.rows_hi prog.n 0.;
-    st.total <- grow st.total prog.n 0.;
-    st.choice <- grow st.choice prog.n (-1);
-    for i = from to prog.n - 1 do
+    st.rows_lo <- grow st.rows_lo n 0.;
+    st.rows_hi <- grow st.rows_hi n 0.;
+    st.total <- grow st.total n 0.;
+    st.choice <- grow st.choice n (-1);
+    for i = from to n - 1 do
       step prog st i
     done
   end;
@@ -606,7 +577,7 @@ let pp_decisions ppf decisions =
 let estimated_rows ?(overrides = []) env plan =
   let prog = program env plan in
   let st = evaluated ~risk:Risk.Expected ~overrides ~excluded:[] env prog in
-  let root = prog.n - 1 in
+  let root = root prog in
   Interval.mid (Interval.unchecked ~lo:st.rows_lo.(root) ~hi:st.rows_hi.(root))
 
 type resolution = {
@@ -625,27 +596,20 @@ let resolve ?(risk = Risk.Expected) ?(overrides = []) ?(excluded = []) env
      An overridden node stands for its materialized temporary; it is
      kept verbatim (the executor splices the temp in by pid). *)
   let choices = ref [] in
-  let rec choose_node (p : Plan.t) c =
-    let i = prog.choose_at.(c) in
-    if prog.nodes.(i).Plan.pid = p.Plan.pid then i else choose_node p (c + 1)
-  in
-  let cheapest (p : Plan.t) =
-    let j = st.choice.(choose_node p 0) in
-    if j < 0 then raise (Exhausted p.Plan.pid);
-    let alt = prog.nodes.(j) in
-    choices := (p.Plan.pid, alt.Plan.pid) :: !choices;
-    [ alt ]
+  let cheapest i =
+    let j = st.choice.(i) in
+    if j < 0 then raise (Exhausted prog.nodes.(i).Plan.pid);
+    choices := (prog.nodes.(i).Plan.pid, prog.nodes.(j).Plan.pid) :: !choices;
+    [ j ]
   in
   let chosen =
     if prog.chooses = 0 then plan
     else
       Option.get
-        (Plan.rewrite env
-           ~verbatim:(fun (p : Plan.t) -> List.mem_assoc p.Plan.pid overrides)
-           ~keep:cheapest plan)
+        (Plan.rewrite env ~verbatim:(overridden st) ~keep:cheapest prog.dag)
   in
   { plan = chosen;
-    anticipated_cost = st.chosen_total.(prog.n - 1);
+    anticipated_cost = st.chosen_total.(root prog);
     choices = List.rev !choices;
     choose_nodes = prog.chooses;
     stats = stats st }

@@ -7,14 +7,15 @@
     actual bindings, and "the cost of each subplan is evaluated only
     once".
 
-    A plan is first compiled into a {!program}: its nodes in
-    children-first order under dense local indices, with every catalog
-    lookup and device constant of the cost and row formulas already
-    resolved ({!Dqep_cost.Cost_model.prepare}).  An activation then
-    looks up each host variable once and makes one pass over flat
-    arrays, computing rows, totals and the argmin at each choose node —
-    and, for {!resolve}, the chosen plan's own rows and cost along the
-    way.  Programs are memoized per (plan, catalog) from a plan's second
+    A plan is first compiled into a {!program} over its numbering
+    ({!Plan.Dag}), with every catalog lookup and device constant of the
+    cost and row formulas already resolved
+    ({!Dqep_cost.Cost_model.prepare}).  An activation then looks up each
+    host variable once and makes one pass over flat arrays, computing
+    rows, totals and the argmin at each choose node — and, for
+    {!resolve}, the chosen plan's own rows and cost along the way, after
+    which {!Plan.rewrite} extracts the chosen plan over the same
+    numbering.  Programs are memoized per (plan, catalog) from a plan's second
     {!resolve}: a plan activated once compiles, runs and keeps nothing.
     {!evaluate}, {!explain} and {!estimated_rows} run the same program,
     the memoized one when there is one, but never store it. *)
@@ -62,15 +63,15 @@ val evaluate :
     agrees. *)
 
 type evaluator
-(** A persistent evaluation state: one program grows by each priced
-    plan's unseen nodes, and their values survive across
+(** A persistent evaluation state: one numbering, and the program over
+    it, grow by each priced plan's unseen nodes, and their values
+    survive across
     {!evaluate_with} calls, so pricing many plans that share subplan
     DAG nodes (the optimizer's rank machinery prices every candidate
     under every scenario) costs only the nodes not seen before. *)
 
 val evaluator : ?risk:Dqep_cost.Risk.t -> Dqep_cost.Env.t -> evaluator
-(** An evaluator for a fixed environment and risk posture; the cache is
-    only valid for plans whose node pids are stable (one builder). *)
+(** An evaluator for a fixed environment and risk posture. *)
 
 val evaluate_with : evaluator -> Plan.t -> float
 (** As the cost component of {!evaluate}, memoized across calls. *)

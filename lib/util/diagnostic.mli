@@ -39,8 +39,8 @@ type code =
   | Choose_arity  (** DQEP101: choose-plan with fewer than 2 alternatives *)
   | Operator_arity  (** DQEP102: wrong number of inputs for the operator *)
   | Pid_aliasing
-      (** DQEP103: one [pid] names structurally different nodes, or a node
-          is its own ancestor — DAG identity is corrupt *)
+      (** DQEP103: one [pid] names two different nodes — DAG identity is
+          corrupt *)
   | Sharing_lost
       (** DQEP104 (warning): structurally equal nodes with different
           [pid]s — hash-consed sharing was lost *)

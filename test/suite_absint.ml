@@ -259,12 +259,16 @@ let test_prune_dead_seeded () =
     (not (List.memq sorted kept));
   Alcotest.(check bool) "bare scan survives" true (List.memq scan kept);
   let dropped = ref 0 in
-  let keep (c : D.Plan.t) =
+  let dag = D.Plan.Dag.of_plan choose in
+  let keep i =
+    let c = dag.D.Plan.Dag.nodes.(i) in
     let kept = D.Analyses.survivors env c.D.Plan.inputs in
     dropped := !dropped + List.length c.D.Plan.inputs - List.length kept;
-    kept
+    List.map
+      (fun (p : D.Plan.t) -> Option.get (D.Plan.Dag.find dag p.D.Plan.pid))
+      kept
   in
-  let pruned = Option.get (D.Plan.rewrite env ~keep choose) in
+  let pruned = Option.get (D.Plan.rewrite env ~keep dag) in
   Alcotest.(check bool) "at least the dominated one dropped" true
     (!dropped >= 1);
   let db = D.Database.build ~seed:3 c in

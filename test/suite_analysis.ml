@@ -111,6 +111,20 @@ let test_sharing_lost_is_warning () =
     diags;
   no_errors "sharing loss alone" diags
 
+let test_pid_aliasing () =
+  (* No builder makes this: a copy of a node under the original's pid,
+     as a faulty deserializer might produce.  The numbering meets the
+     pid twice and reports the second node. *)
+  let c, b = builder () in
+  let s = scan b "R" in
+  let alias : D.Plan.t = Obj.obj (Obj.dup (Obj.repr s)) in
+  let p = raw_choose b [ s; alias ] in
+  Alcotest.(check bool) "numbering lists the alias" true
+    (match (D.Plan.Dag.of_plan p).D.Plan.Dag.aliased with
+    | [ a ] -> a == alias
+    | _ -> false);
+  fires "aliased pid" Dg.Pid_aliasing (D.Verify.plan ~catalog:c p)
+
 (* --- interval costs ------------------------------------------------------- *)
 
 let test_rows_and_width_invalid () =
@@ -413,7 +427,8 @@ let reference_activation db env plan =
       if corrupt <> [] then raise (D.Executor.Invalid_plan corrupt);
       if drift = [] then plan
       else
-        match D.Plan.rewrite env ~dead:(D.Verify.drifted drift) plan with
+        let dag = D.Plan.Dag.of_plan plan in
+        match D.Plan.rewrite env ~dead:(D.Verify.drifted dag drift) dag with
         | Some pruned -> pruned
         | None -> raise (D.Executor.Infeasible drift))
 
@@ -773,6 +788,7 @@ let suite =
       Alcotest.test_case "operator arity (DQEP102)" `Quick test_operator_arity;
       Alcotest.test_case "sharing lost is a warning (DQEP104)" `Quick
         test_sharing_lost_is_warning;
+      Alcotest.test_case "pid aliasing (DQEP103)" `Quick test_pid_aliasing;
       Alcotest.test_case "rows and width invalid (DQEP201/202)" `Quick
         test_rows_and_width_invalid;
       Alcotest.test_case "total cost mismatch (DQEP204)" `Quick

@@ -174,6 +174,111 @@ let test_pids_distinct_across_domains () =
     Alcotest.(check int) (Printf.sprintf "round %d: duplicate pids" r) 0 (round ())
   done
 
+(* --- the numbering ------------------------------------------------------- *)
+
+(* Children first, inputs left to right, each pid once: an independent
+   walk, numbering on after the pids in [seen]. *)
+let reference_order ?(seen = Hashtbl.create 64) plan =
+  let order = ref [] in
+  let rec go (p : D.Plan.t) =
+    if not (Hashtbl.mem seen p.D.Plan.pid) then begin
+      Hashtbl.add seen p.D.Plan.pid ();
+      List.iter go p.D.Plan.inputs;
+      order := p.D.Plan.pid :: !order
+    end
+  in
+  go plan;
+  List.rev !order
+
+let dag_pids (d : D.Plan.Dag.t) ~from =
+  List.init (d.D.Plan.Dag.length - from) (fun i ->
+      d.D.Plan.Dag.nodes.(from + i).D.Plan.pid)
+
+(* Every property of one numbering, for the indices from [from] on. *)
+let check_numbering (d : D.Plan.Dag.t) ~from =
+  let ok = ref true in
+  for i = from to d.D.Plan.Dag.length - 1 do
+    let p = d.D.Plan.Dag.nodes.(i) in
+    let ins = D.Plan.Dag.inputs d i in
+    ok :=
+      !ok
+      && D.Plan.Dag.find d p.D.Plan.pid = Some i
+      && List.for_all (fun j -> j < i) ins
+      && List.compare_lengths ins p.D.Plan.inputs = 0
+      && List.for_all2
+           (fun j (c : D.Plan.t) -> d.D.Plan.Dag.nodes.(j) == c)
+           ins p.D.Plan.inputs
+  done;
+  !ok && d.D.Plan.Dag.aliased = []
+
+type source = Plangen of int | Corpus of (string * D.Queries.t)
+
+let postures = [| D.Risk.Expected; D.Risk.Worst_case; D.Risk.Quantile 0.9 |]
+
+(* Plangen seeds and the query corpus, under the worst-case, expected
+   and q90 postures. *)
+let numbering_instance =
+  let corpus = Array.of_list (D.Queries.corpus ()) in
+  QCheck.make
+    ~print:(fun (src, k) ->
+      Printf.sprintf "%s, %s"
+        (match src with
+        | Plangen seed -> Printf.sprintf "plangen seed %d" seed
+        | Corpus (name, _) -> name)
+        (D.Risk.to_string postures.(k)))
+    QCheck.Gen.(
+      pair
+        (oneof
+           [ map (fun s -> Plangen s) (int_range 1 200);
+             map
+               (fun i -> Corpus corpus.(i))
+               (int_bound (Array.length corpus - 1)) ])
+        (int_bound 2))
+
+let prop_numbering =
+  QCheck.Test.make ~name:"numbering: order, inputs, lookup, extension" ~count:60
+    numbering_instance (fun (src, k) ->
+      let catalog, query =
+        match src with
+        | Plangen seed ->
+          let inst = D.Plangen.generate ~seed in
+          (inst.D.Plangen.catalog, inst.D.Plangen.query)
+        | Corpus (_, q) -> (q.D.Queries.catalog, q.D.Queries.query)
+      in
+      let options = { D.Optimizer.default_options with risk = postures.(k) } in
+      let plan =
+        (Result.get_ok
+           (D.Optimizer.optimize ~options ~mode:(D.Optimizer.dynamic ()) catalog
+              query))
+          .D.Optimizer.plan
+      in
+      let d = D.Plan.Dag.of_plan plan in
+      let n = d.D.Plan.Dag.length in
+      let iter_order = ref [] in
+      D.Plan.iter (fun p -> iter_order := p.D.Plan.pid :: !iter_order) plan;
+      let first = reference_order plan in
+      let own =
+        dag_pids d ~from:0 = first
+        && List.rev !iter_order = first
+        && d.D.Plan.Dag.nodes.(n - 1) == plan
+        && check_numbering d ~from:0
+      in
+      (* A resolved plan shares most of its nodes with the dynamic one
+         and rebuilds the rest: only those are numbered, after [n]. *)
+      let before = Array.sub d.D.Plan.Dag.nodes 0 n in
+      let resolved =
+        (D.Startup.resolve (D.Env.dynamic catalog) plan).D.Startup.plan
+      in
+      let seen = Hashtbl.create 64 in
+      List.iter (fun pid -> Hashtbl.replace seen pid ()) first;
+      let unseen = reference_order ~seen resolved in
+      let root = D.Plan.Dag.add d resolved in
+      own
+      && Array.for_all2 ( == ) before (Array.sub d.D.Plan.Dag.nodes 0 n)
+      && dag_pids d ~from:n = unseen
+      && d.D.Plan.Dag.nodes.(root) == resolved
+      && check_numbering d ~from:n)
+
 let suite =
   ( "plan",
     [ Alcotest.test_case "hash-consing" `Quick test_hash_consing;
@@ -184,4 +289,5 @@ let suite =
       Alcotest.test_case "schema" `Quick test_schema;
       Alcotest.test_case "copy_node" `Quick test_copy_node;
       Alcotest.test_case "pids distinct across domains" `Quick
-        test_pids_distinct_across_domains ] )
+        test_pids_distinct_across_domains;
+      QCheck_alcotest.to_alcotest prop_numbering ] )

@@ -305,15 +305,35 @@ let test_rewrite_matches_legacy_walks () =
         (bits cost = bits r.D.Startup.anticipated_cost)
     | _ -> Alcotest.failf "%s: only one side raised Exhausted" name
   in
-  (* Plain, with the first choice excluded, and with the first chosen
-     alternative overridden. *)
+  (* Plain, with the first choice excluded, with the first chosen
+     alternative overridden, with it overridden twice (the first binding
+     wins), with overrides and exclusions naming pids outside the plan
+     (ignored), and with an override below the excluded alternative. *)
   let check_cases name ~risk env plan =
     resolve_both name ~risk env plan;
     match (D.Startup.resolve ~risk env plan).D.Startup.choices with
     | [] -> ()
     | (_, alt) :: _ ->
       resolve_both (name ^ ", excluded") ~excluded:[ alt ] ~risk env plan;
-      resolve_both (name ^ ", overridden") ~overrides:[ (alt, 7.) ] ~risk env plan
+      resolve_both (name ^ ", overridden") ~overrides:[ (alt, 7.) ] ~risk env plan;
+      resolve_both (name ^ ", overridden twice")
+        ~overrides:[ (alt, 7.); (alt, 11.) ] ~risk env plan;
+      resolve_both (name ^ ", foreign pids")
+        ~overrides:[ (-1, 3.); (alt, 7.) ] ~excluded:[ -2; max_int ] ~risk env
+        plan;
+      let below = ref None in
+      D.Plan.iter
+        (fun (p : D.Plan.t) ->
+          match p.D.Plan.inputs with
+          | (c : D.Plan.t) :: _ when p.D.Plan.pid = alt ->
+            below := Some c.D.Plan.pid
+          | _ -> ())
+        plan;
+      Option.iter
+        (fun child ->
+          resolve_both (name ^ ", overridden below the exclusion")
+            ~overrides:[ (child, 5.) ] ~excluded:[ alt ] ~risk env plan)
+        !below
   in
   List.iter
     (fun seed ->

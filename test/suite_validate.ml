@@ -23,9 +23,10 @@ let catalog_without_relation = without_relation base_query.D.Queries.catalog
 (* Activation-time pruning as the executor does it: the nodes naming a
    dropped object are dead. *)
 let prune env catalog plan =
+  let dag = D.Plan.Dag.of_plan plan in
   D.Plan.rewrite env
-    ~dead:(D.Verify.drifted (D.Verify.feasibility ~catalog plan))
-    plan
+    ~dead:(D.Verify.drifted dag (D.Verify.feasibility ~catalog plan))
+    dag
 
 let test_valid_plan_checks () =
   let r = optimize_exn ~mode:(D.Optimizer.dynamic ()) base_query in
