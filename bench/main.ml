@@ -100,7 +100,8 @@ let bench_tests () =
   let q4 = D.Queries.chain ~relations:6 in
   let q5 = D.Queries.chain ~relations:10 in
   let dyn3 = (optimize_exn ~mode:(D.Optimizer.dynamic ~uncertain_memory:true ()) q3).D.Optimizer.plan in
-  let dyn5 = (optimize_exn ~mode:(D.Optimizer.dynamic ~uncertain_memory:true ()) q5).D.Optimizer.plan in
+  let opt5 = optimize_exn ~mode:(D.Optimizer.dynamic ~uncertain_memory:true ()) q5 in
+  let dyn5 = opt5.D.Optimizer.plan in
   let binding (q : D.Queries.t) =
     List.hd
       (D.Paramgen.bindings ~seed:3 ~trials:1 ~host_vars:q.D.Queries.host_vars
@@ -151,6 +152,14 @@ let bench_tests () =
     Test.make ~name:"verify_plan_10way"
       (Staged.stage (fun () ->
            ignore (D.Verify.plan ~catalog:q5.D.Queries.catalog dyn5)));
+    (* Static analysis: choose coverage and dead alternatives over the
+       parameter-space boxes of the largest dynamic plan — start-up
+       programs evaluated over regions. *)
+    Test.make ~name:"absint_regions_10way"
+      (Staged.stage (fun () ->
+           ignore
+             (D.Analyses.choose_space ~catalog:q5.D.Queries.catalog
+                opt5.D.Optimizer.env dyn5)));
     (* Break-even: one complete dynamic-plan invocation (activation
        decision + execution-cost evaluation). *)
     Test.make ~name:"breakeven_dynamic_invocation"

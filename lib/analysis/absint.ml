@@ -3,15 +3,17 @@
    The optimizer already costs plans with intervals, but only at the one
    environment it searched under.  This module makes the interval domain
    a reusable *analysis* domain: plan values (cardinality, cost) are
-   propagated bottom-up through the DAG under any region of the
+   evaluated bottom-up through the DAG under any region of the
    choose-plan parameter space, and resource demands (governor-accounted
-   working-set bytes, physical I/O pages) are derived from the same
-   traversal.  Three kinds of facts come out:
+   working-set bytes, physical I/O pages) are derived over the same
+   numbering.  Three kinds of facts come out:
 
    - {e region values} ([evaluator], one [region] of the parameter space
      at a time): what every node's rows and total cost look like
-     anywhere in a box of the parameter space — the basis for coverage
-     and dominance analysis of choose-plan nodes (Analyses);
+     anywhere in a box of the parameter space — the plan's start-up
+     program ([Startup.box_step]) evaluated over the box, so activation
+     and analysis run one layout of the formulas.  The basis for
+     coverage and dominance analysis of choose-plan nodes (Analyses);
 
    - {e certificates} ([certificate]): a sound worst-case bound on the
      bytes a run can ever hold against its governor, derived from
@@ -36,12 +38,11 @@
 
 module Interval = Dqep_util.Interval
 module Physical = Dqep_algebra.Physical
-module Predicate = Dqep_algebra.Predicate
 module Catalog = Dqep_catalog.Catalog
 module Env = Dqep_cost.Env
-module Estimate = Dqep_cost.Estimate
 module Cost_model = Dqep_cost.Cost_model
 module Plan = Dqep_plans.Plan
+module Startup = Dqep_plans.Startup
 
 (* --- abstract values ------------------------------------------------------ *)
 
@@ -61,34 +62,6 @@ type region = {
 }
 
 let unit_interval = Interval.make 0. 1.
-
-(* Every host variable of the plan, with one predicate mentioning it —
-   the predicate is how the base environment is asked for the variable's
-   prior interval (Env.selectivity is keyed by predicate, not name). *)
-let host_var_preds (plan : Plan.t) =
-  let acc = ref [] in
-  let add (p : Predicate.select) =
-    match Predicate.host_var p with
-    | None -> ()
-    | Some v -> if not (List.mem_assoc v !acc) then acc := (v, p) :: !acc
-  in
-  Plan.iter
-    (fun node ->
-      match node.Plan.op with
-      | Physical.Filter p | Physical.Filter_btree_scan { pred = p; _ } -> add p
-      | Physical.Index_join { inner_filter = Some p; _ } -> add p
-      | Physical.Index_join { inner_filter = None; _ }
-      | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
-      | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan -> ())
-    plan;
-  List.rev !acc
-
-let full_region env (plan : Plan.t) =
-  { sels =
-      List.map
-        (fun (v, pred) -> (v, Env.selectivity env pred))
-        (host_var_preds plan);
-    memory = Env.memory_pages env }
 
 let is_point (iv : Interval.t) = Interval.width iv <= 1e-12
 
@@ -179,77 +152,31 @@ let pp_region ppf r =
 
 (* --- bottom-up interval evaluation ---------------------------------------- *)
 
-(* Modelled rows of one operator, mirroring start-up's row formulas but over
-   whatever interval environment it is given.  Falls back to the node's
-   compile-time estimate when the catalog cannot resolve the operator
-   (feasibility diagnostics are Verify's job, not this pass's). *)
-let node_rows env (p : Plan.t) (inputs : value list) =
-  let exact () =
-    match (p.Plan.op, inputs) with
-    | Physical.File_scan rel, [] | Physical.Btree_scan { rel; _ }, [] ->
-      Estimate.base_rows env rel
-    | Physical.Filter pred, [ c ] -> Estimate.select_rows env pred c.rows
-    | Physical.Filter_btree_scan { rel; pred; _ }, [] ->
-      Estimate.select_rows env pred (Estimate.base_rows env rel)
-    | Physical.Hash_join preds, [ l; r ] | Physical.Merge_join preds, [ l; r ]
-      ->
-      Estimate.join_rows env preds l.rows r.rows
-    | Physical.Index_join { preds; inner_rel; inner_filter; _ }, [ outer ] ->
-      let inner = Estimate.base_rows env inner_rel in
-      let inner =
-        match inner_filter with
-        | None -> inner
-        | Some pred -> Estimate.select_rows env pred inner
-      in
-      Estimate.join_rows env preds outer.rows inner
-    | Physical.Sort _, [ c ] -> c.rows
-    | Physical.Choose_plan, first :: rest ->
-      (* Alternatives are logically equivalent; the hull covers whichever
-         one startup picks. *)
-      List.fold_left (fun acc v -> Interval.union acc v.rows) first.rows rest
-    | _, _ -> p.Plan.rows
-  in
-  try exact () with Not_found -> p.Plan.rows
+(* Region values come from the plan's start-up program ([Startup]'s
+   box evaluation): the same row and cost formulas start-up evaluates at
+   a point, evaluated at a region's corners.
 
-(* Node [p]'s value from its inputs' values.
+   The invariant connecting this to start-up: an activation at a point
+   of the region takes each node's own cost at that point, which the
+   formulas' monotonicity puts between the cheap and the dear corner,
+   and at a choose node the first alternative's rows (inside the hull)
+   and the cheapest alternative's total (inside the pointwise minimum).
+   So for any point environment inside the region, the point rows and
+   totals lie inside these intervals (the point-in-box property of
+   [suite_absint]).
 
-   The invariant connecting this to startup: a [Startup] program
-   evaluates the same formulas at a point of the environment, taking the
-   midpoint of each own-cost interval and the minimum alternative at each
-   choose node — both of which lie inside the corresponding interval
-   combination here.  So for any point env inside the region this env
-   abstracts, the point totals lie inside these interval totals. *)
-let node_value env (p : Plan.t) inputs =
-  let rows = node_rows env p inputs in
-  let total =
-    match p.Plan.op with
-    | Physical.Choose_plan ->
-      Cost_model.choose_plan_cost env (List.map (fun v -> v.total) inputs)
-    | _ ->
-      let cm_inputs =
-        List.map2
-          (fun (child : Plan.t) v ->
-            { Cost_model.rows = v.rows; bytes_per_row = child.Plan.bytes_per_row })
-          p.Plan.inputs inputs
-      in
-      let own =
-        Cost_model.own_cost env p.Plan.op ~inputs:cm_inputs ~output_rows:rows
-      in
-      List.fold_left (fun acc v -> Interval.add acc v.total) own inputs
-  in
-  { rows; total }
-
-(* Many-region evaluation with cross-region sharing.  A node's value
-   depends on the environment only through the memory interval and the
-   selectivity intervals of host variables occurring in its own subtree
-   (rows come from its own predicates and children; own costs consult at
-   most those rows and the memory grant).  Keying the memo by
+   Many-region evaluation shares results across regions.  A node's
+   value depends on the environment only through the memory interval and
+   the selectivity intervals of host variables occurring in its own
+   subtree (rows come from its own predicates and children; own costs
+   consult at most those rows and the memory grant).  Keying the memo by
    (index, those intervals) lets regions that agree on a node's
    dimensions share its value — on a deep plan most nodes are
    insensitive to most cut dimensions.  [work] counts node evaluations
    performed (memo misses), the currency of the analyses' work
    budgets. *)
 type evaluator = {
+  full : region;
   value : region -> int -> value;
   work : unit -> int;
 }
@@ -289,37 +216,25 @@ let union a b =
 let unseen = { rows = Interval.point 0.; total = Interval.point 0. }
 
 let evaluator env (dag : Plan.Dag.t) =
-  (* Host variables are numbered once; each node records the numbers of
-     the variables occurring in its subtree. *)
+  let prog = Startup.box_program env dag in
+  let names = Startup.vars prog in
   let n = dag.Plan.Dag.length in
-  let var_index : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let var_list = ref [] in
-  let index_of v =
-    match Hashtbl.find_opt var_index v with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length var_index in
-      Hashtbl.add var_index v i;
-      var_list := v :: !var_list;
-      i
-  in
+  (* The program's host-variable slots occurring in each node's
+     subtree. *)
   let vars = Array.make n [||] in
   for i = 0 to n - 1 do
-    let own =
-      match dag.Plan.Dag.nodes.(i).Plan.op with
-      | Physical.Filter pr | Physical.Filter_btree_scan { pred = pr; _ }
-      | Physical.Index_join { inner_filter = Some pr; _ } -> (
-        match Predicate.host_var pr with
-        | Some v -> [| index_of v |]
-        | None -> [||])
-      | Physical.Index_join { inner_filter = None; _ }
-      | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
-      | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan -> [||]
-    in
+    let s = Startup.slot prog i in
     vars.(i) <-
-      List.fold_left (fun acc k -> union acc vars.(k)) own (Plan.Dag.inputs dag i)
+      List.fold_left
+        (fun acc k -> union acc vars.(k))
+        (if s >= 0 then [| s |] else [||])
+        (Plan.Dag.inputs dag i)
   done;
-  let var_names = Array.of_list (List.rev !var_list) in
+  let full =
+    { sels =
+        Array.to_list (Array.map (fun v -> (v, Env.host_selectivity env v)) names);
+      memory = Env.memory_pages env }
+  in
   let misses = ref 0 in
   (* Memo keys are compact byte strings — node index plus one small
      interned id per dimension the node depends on.  Interval ids are interned per
@@ -341,20 +256,22 @@ let evaluator env (dag : Plan.Dag.t) =
   let memo : value String_tbl.t = String_tbl.create (4 * n) in
   (* Per-region results by index, valid where [stamp] holds the region's
      generation, so a region allocates nothing per node.  Interleaving
-     two regions' lookups stays correct (the memo is keyed by intervals)
+     two regions' lookups stays correct (the memo is keyed by intervals,
+     and a miss loads its own region's bounds and inputs into the box)
      and only costs re-lookups. *)
   let results = Array.make n unseen and stamp = Array.make n 0 in
   let generation = ref 0 in
+  let box = Startup.box prog and loaded = ref 0 in
   let value (region : region) =
     incr generation;
     let gen = !generation in
     let renv = restrict env region in
     (* Interned box of each variable in this region, filled on first
        use; a variable foreign to the region takes the unit interval. *)
-    let dim_ids = Array.make (Array.length var_names) (-1) in
+    let dim_ids = Array.make (Array.length names) (-1) in
     let dim_id v =
       if dim_ids.(v) < 0 then begin
-        let name = var_names.(v) in
+        let name = names.(v) in
         dim_ids.(v) <-
           id_of name
             (Option.value ~default:unit_interval (List.assoc_opt name region.sels))
@@ -378,6 +295,20 @@ let evaluator env (dag : Plan.Dag.t) =
         vs;
       Bytes.unsafe_to_string b
     in
+    let load () =
+      if !loaded <> gen then begin
+        loaded := gen;
+        Array.iteri
+          (fun s v ->
+            let iv = Env.host_selectivity renv v in
+            box.Startup.sel_lo.(s) <- iv.Interval.lo;
+            box.Startup.sel_hi.(s) <- iv.Interval.hi)
+          names;
+        let mem = Env.memory_pages renv in
+        box.Startup.mem_lo <- mem.Interval.lo;
+        box.Startup.mem_hi <- mem.Interval.hi
+      end
+    in
     (* Within one region a node's value depends only on its index. *)
     let rec go i =
       if stamp.(i) = gen then results.(i)
@@ -393,16 +324,31 @@ let evaluator env (dag : Plan.Dag.t) =
       | Some v -> v
       | None ->
         incr misses;
+        let first = dag.Plan.Dag.first_input in
+        for x = first.(i) to first.(i + 1) - 1 do
+          let j = dag.Plan.Dag.inputs.(x) in
+          let v = go j in
+          box.Startup.rows_lo.(j) <- v.rows.Interval.lo;
+          box.Startup.rows_hi.(j) <- v.rows.Interval.hi;
+          box.Startup.total_lo.(j) <- v.total.Interval.lo;
+          box.Startup.total_hi.(j) <- v.total.Interval.hi
+        done;
+        load ();
+        Startup.box_step prog box i;
         let v =
-          node_value renv dag.Plan.Dag.nodes.(i)
-            (List.map go (Plan.Dag.inputs dag i))
+          { rows =
+              Interval.unchecked ~lo:box.Startup.rows_lo.(i)
+                ~hi:box.Startup.rows_hi.(i);
+            total =
+              Interval.unchecked ~lo:box.Startup.total_lo.(i)
+                ~hi:box.Startup.total_hi.(i) }
         in
         String_tbl.add memo key v;
         v
     in
     go
   in
-  { value; work = (fun () -> !misses) }
+  { full; value; work = (fun () -> !misses) }
 
 (* --- data-sound cardinalities --------------------------------------------- *)
 

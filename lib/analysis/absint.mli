@@ -40,15 +40,6 @@ type region = {
   memory : Interval.t;
 }
 
-val host_var_preds :
-  Plan.t -> (string * Dqep_algebra.Predicate.select) list
-(** Every host variable appearing in the plan, each with one predicate
-    that mentions it (the handle for querying an environment's prior). *)
-
-val full_region : Env.t -> Plan.t -> region
-(** The whole parameter space of [plan] as seen by [env]: each host
-    variable's prior selectivity interval and the memory interval. *)
-
 val subdivide : region -> max_regions:int -> region list
 (** Grid subdivision into at most [max_regions] boxes; point dimensions
     are never cut.  The boxes cover the input region exactly. *)
@@ -59,6 +50,10 @@ val restrict : Env.t -> region -> Env.t
 val pp_region : Format.formatter -> region -> unit
 
 type evaluator = {
+  full : region;
+      (** the whole parameter space of the plan as seen by the
+          environment: each host variable's selectivity interval and the
+          memory interval *)
   value : region -> int -> value;
   work : unit -> int;
       (** node evaluations performed so far (memo misses) — the currency
@@ -68,15 +63,18 @@ type evaluator = {
 val evaluator : Env.t -> Plan.Dag.t -> evaluator
 (** [evaluator env dag] prepares a many-region evaluation of a plan's
     numbering: [(evaluator env dag).value region i] is node [i]'s rows
-    and total cost evaluated bottom-up under [restrict env region].  For
-    any point environment inside the region, the point rows and totals
-    computed by [Startup.resolve]'s decision procedure lie inside these
+    and total cost over the region, computed by the plan's start-up
+    program ({!Dqep_plans.Startup.box_step}) under [restrict env region].
+    For any point environment inside the region, the point rows and
+    totals [Startup]'s decision procedure computes lie inside these
     intervals — the containment that makes dominance and coverage
-    verdicts transfer to startup's actual decisions.  Results are shared
-    across regions through a memo keyed by the intervals of the host
-    variables in each node's own subtree — on a deep plan most nodes are
-    insensitive to most cut dimensions, so a grid sweep costs far less
-    than regions x nodes. *)
+    verdicts transfer to start-up's actual decisions.  Results are
+    shared across regions through a memo keyed by the intervals of the
+    host variables in each node's own subtree — on a deep plan most nodes
+    are insensitive to most cut dimensions, so a grid sweep costs far
+    less than regions x nodes.  Plans the catalog cannot resolve are
+    accepted: such a node's value keeps its recorded rows, or raises if
+    its cost cannot be formed. *)
 
 val sound_rows : Env.t -> Plan.Dag.t -> Interval.t array
 (** Data-sound cardinality bounds by index: bounds that hold for

@@ -97,8 +97,8 @@ let choose_space_of ?(max_regions = default_max_regions) ?budget_bytes ~catalog
   if chooses = [] then []
   else begin
     let plan = node (n - 1) in
-    let full = Absint.full_region env plan in
     let evaluate = Absint.evaluator env dag in
+    let full = evaluate.Absint.full in
     let full_values = evaluate.Absint.value full in
     let max_work = work_budget dag in
     (* One whole-plan catalog-resolution pass, then bottom-up
@@ -342,21 +342,20 @@ let choose_space ?max_regions ?budget_bytes ~catalog env plan =
 let survivors ?(max_regions = default_max_regions) env (alts : Plan.t list) =
   if List.length alts < 2 then alts
   else begin
+    let dags = List.map Plan.Dag.of_plan alts in
+    let evaluators = List.map (Absint.evaluator env) dags in
     let region =
       List.fold_left
-        (fun acc (alt : Plan.t) ->
-          let r = Absint.full_region env alt in
+        (fun acc (ev : Absint.evaluator) ->
           { acc with
             Absint.sels =
               acc.Absint.sels
               @ List.filter
                   (fun (v, _) -> not (List.mem_assoc v acc.Absint.sels))
-                  r.Absint.sels })
+                  ev.Absint.full.Absint.sels })
         { Absint.sels = []; memory = Env.memory_pages env }
-        alts
+        evaluators
     in
-    let dags = List.map Plan.Dag.of_plan alts in
-    let evaluators = List.map (Absint.evaluator env) dags in
     let totals_in rg =
       List.map2
         (fun ev (d : Plan.Dag.t) ->

@@ -4,7 +4,6 @@ module Relation = Dqep_catalog.Relation
 module Physical = Dqep_algebra.Physical
 
 type input = { rows : Interval.t; bytes_per_row : int }
-type dist_input = { drows : Dist.t; dbytes_per_row : int }
 
 (* Fractional page count of [rows] tuples [width] bytes wide. *)
 let pages ~page ~width rows = Float.max 1. (rows *. width /. page)
@@ -48,11 +47,11 @@ let arity_error op =
    per-probe costs, page sizes — and leaves constants in [k]; [apply]
    is the formula at one concrete parameter point, float arithmetic in
    the original evaluation order.  [own_cost] applies it at the interval
-   corners, [own_cost_dist] over the scenario grid, and start-up
-   resolution keeps the prepared constants of every plan node: one
-   body, three uses.  Monotone non-decreasing in every row count and
-   non-increasing in [mem], which is what makes the views agree on the
-   hull. *)
+   corners for the optimizer, and start-up programs keep the prepared
+   constants of every plan node and apply them at a point (activation)
+   or at a box's two corners (static analysis): one body, two layouts.
+   Monotone non-decreasing in every row count and non-increasing in
+   [mem], which is what keeps a point's cost between the corners'. *)
 type opcode = Const | Filter | Index_range | Hash | Merge | Probe | Sort
 
 let stage_width = 5
@@ -187,28 +186,6 @@ let own_cost env op ~inputs ~output_rows =
   (* Guard against float noise breaking the interval invariant. *)
   Interval.make (Float.min lo hi) (Float.max lo hi)
 
-let no_dist_input = { drows = Dist.point 0.; dbytes_per_row = 0 }
-
-let own_cost_dist env op ~inputs ~output_rows =
-  (* Comonotone scenario evaluation: at grid level [q] every cardinality
-     sits at its [q]-quantile and memory at its [(1-q)]-quantile, so the
-     extreme levels are exactly [own_cost]'s two corners and the hull of
-     the result equals the interval cost. *)
-  let mem = Env.memory_pages_dist env in
-  let a, b = first_two no_dist_input inputs in
-  let k = Array.make stage_width 0. in
-  let code =
-    prepare env op ~arity:(List.length inputs) ~width0:a.dbytes_per_row
-      ~width1:b.dbytes_per_row k 0
-  in
-  let scenario q =
-    apply code k 0 ~in0:(Dist.quantile a.drows q) ~in1:(Dist.quantile b.drows q)
-      ~out:(Dist.quantile output_rows q)
-      ~mem:(Dist.quantile mem (1. -. q))
-  in
-  Dist.make
-    (List.map (fun q -> (scenario q, 1.)) (Dist.scenario_levels ()))
-
 let choose_plan_cost env alternatives =
   match alternatives with
   | [] -> invalid_arg "Cost_model.choose_plan_cost: no alternatives"
@@ -216,15 +193,4 @@ let choose_plan_cost env alternatives =
     let combined = List.fold_left Interval.combine_min first rest in
     Interval.add
       (Interval.point (Env.device env).Device.choose_plan_overhead)
-      combined
-
-let choose_plan_cost_dist env alternatives =
-  match alternatives with
-  | [] -> invalid_arg "Cost_model.choose_plan_cost_dist: no alternatives"
-  | first :: rest ->
-    (* Comonotone minimum: hull is [min lo, min hi] — exactly
-       [Interval.combine_min] of the hulls. *)
-    let combined = List.fold_left (Dist.lift2 Float.min) first rest in
-    Dist.add
-      (Dist.point (Env.device env).Device.choose_plan_overhead)
       combined

@@ -15,7 +15,6 @@
 module Interval = Dqep_util.Interval
 
 type input = { rows : Interval.t; bytes_per_row : int }
-type dist_input = { drows : Dist.t; dbytes_per_row : int }
 
 val own_cost :
   Env.t ->
@@ -28,23 +27,12 @@ val own_cost :
     @raise Invalid_argument if the inputs don't match the operator's
     arity. *)
 
-val own_cost_dist :
-  Env.t ->
-  Dqep_algebra.Physical.op ->
-  inputs:dist_input list ->
-  output_rows:Dist.t ->
-  Dist.t
-(** Distribution view of {!own_cost}: the same cost formula evaluated
-    comonotonically over the scenario grid (cardinalities at the
-    [q]-quantile, memory at the [(1-q)]-quantile).  The extreme grid
-    levels are exactly [own_cost]'s two corners, so the result's hull
-    equals the interval cost. *)
-
 (** {1 Staged formulas}
 
-    {!own_cost} and {!own_cost_dist} are [prepare] followed by [apply].
-    Start-up resolution keeps each plan node's prepared constants and
-    re-runs only [apply] under each activation's bindings. *)
+    {!own_cost} is [prepare] followed by [apply] at two corners.
+    Start-up programs keep each plan node's prepared constants and
+    re-run only [apply]: at each activation's bindings, and at the
+    corners of a static analysis's boxes. *)
 
 type opcode = Const | Filter | Index_range | Hash | Merge | Probe | Sort
 (** Which formula [apply] evaluates. *)
@@ -78,9 +66,6 @@ val choose_plan_cost : Env.t -> Interval.t list -> Interval.t
 (** Cost of a whole choose-plan subplan over alternatives' total costs:
     the element-wise minimum of the alternatives plus the decision
     overhead (paper, Section 5's [\[0.01, 1.01\]] example). *)
-
-val choose_plan_cost_dist : Env.t -> Dist.t list -> Dist.t
-(** Distribution view of {!choose_plan_cost}; hulls agree. *)
 
 val index_depth : Env.t -> string -> int
 (** Modelled depth of a B-tree on the given relation (levels). *)

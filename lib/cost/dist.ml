@@ -14,8 +14,6 @@ let support d = Array.to_list (Array.mapi (fun i x -> (x, d.ws.(i))) d.xs)
 let buckets d = Array.length d.xs
 
 let hull d = Interval.make d.xs.(0) d.xs.(Array.length d.xs - 1)
-let min_support d = d.xs.(0)
-let max_support d = d.xs.(Array.length d.xs - 1)
 let is_point d = Array.length d.xs = 1
 
 (* Merge the closest adjacent interior pair until the support fits.
@@ -132,29 +130,6 @@ let scenario_levels ?(levels = default_levels) () =
   if levels < 2 then invalid_arg "Dist.scenario_levels: levels < 2";
   List.init levels (fun j -> float_of_int j /. float_of_int (levels - 1))
 
-(* Comonotone lifting of a monotone (non-decreasing in every argument)
-   function: pair off quantiles on the shared grid.  Monotonicity keeps
-   the result support sorted; the extreme levels map hull endpoints to
-   hull endpoints. *)
-let lift2 f a b =
-  if is_point a && is_point b then point (f a.xs.(0) b.xs.(0))
-  else
-    let qs = scenario_levels () in
-    make (List.map (fun q -> (f (quantile a q) (quantile b q), 1.)) qs)
-
-let lift f a =
-  if is_point a then point (f a.xs.(0))
-  else
-    let qs = scenario_levels () in
-    make (List.map (fun q -> (f (quantile a q), 1.)) qs)
-
-let add = lift2 ( +. )
-let mul = lift2 ( *. )
-
-let scale k d =
-  if k < 0. then invalid_arg "Dist.scale: negative factor";
-  lift (fun x -> k *. x) d
-
 (* Refinement mirrors [Interval.refine] on the hull and reshapes the
    support from the observation, clamped into the refined hull.  The
    endpoint analysis: when the observation overlaps the prior the
@@ -164,11 +139,6 @@ let scale k d =
 let refine prior obs =
   let h = Interval.refine (hull prior) (hull obs) in
   make (List.map (fun (x, w) -> (Interval.clamp h x, w)) (support obs))
-
-let equal a b =
-  Array.length a.xs = Array.length b.xs
-  && Array.for_all2 ( = ) a.xs b.xs
-  && Array.for_all2 ( = ) a.ws b.ws
 
 let pp ppf d =
   if is_point d then Format.fprintf ppf "%.4g" d.xs.(0)

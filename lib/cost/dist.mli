@@ -9,14 +9,13 @@
     point value has one ({!point}).
 
     Laws (property-tested in [suite_dist]):
-    - embedding round-trips: [hull (of_interval i) = i];
-    - hull exactness: [hull (add a b) = Interval.add (hull a) (hull b)]
-      and likewise for [mul] — arithmetic is a comonotone lifting over
-      the shared quantile grid, so the extreme grid levels reproduce
-      interval arithmetic's corners;
+    - embedding round-trips: [hull (of_interval i) = i], and the mean
+      of the embedding is [Interval.mid i];
+    - compaction never moves the hull;
     - [mean] and [quantile] lie within the hull, and [quantile] is
       monotone in its level with [quantile d 0. = (hull d).lo] and
-      [quantile d 1. = (hull d).hi];
+      [quantile d 1. = (hull d).hi] — so the scenario grid's extreme
+      levels ({!scenario_levels}) are the hull's endpoints;
     - refinement only narrows: [hull (refine p o) =
       Interval.refine (hull p) (hull o)]. *)
 
@@ -47,12 +46,7 @@ val hull : t -> Interval.t
 (** Convex hull of the support — the interval this distribution presents
     to interval-based consumers (dominance tests, certificates). *)
 
-val support : t -> (float * float) list
-(** Sorted [(value, weight)] pairs; weights sum to 1. *)
-
 val buckets : t -> int
-val min_support : t -> float
-val max_support : t -> float
 val is_point : t -> bool
 
 val mean : t -> float
@@ -61,28 +55,11 @@ val mean : t -> float
 
 val quantile : t -> float -> float
 (** Interpolated inverse CDF (midpoint rule), clamped to the exact hull
-    endpoints: [quantile d 0. = min_support d],
-    [quantile d 1. = max_support d], monotone in the level. *)
+    endpoints: [quantile d 0. = (hull d).lo],
+    [quantile d 1. = (hull d).hi], monotone in the level. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val equal : t -> t -> bool
-
-val add : t -> t -> t
-val mul : t -> t -> t
-
-val scale : float -> t -> t
-(** [scale k d] with [k >= 0]. *)
-
-val lift : (float -> float) -> t -> t
-(** Lift a monotone non-decreasing scalar function over the quantile
-    grid. *)
-
-val lift2 : (float -> float -> float) -> t -> t -> t
-(** Comonotone lifting of a function monotone non-decreasing in both
-    arguments: quantiles are paired off on the shared grid
-    ({!scenario_levels}), so hull endpoints map to hull endpoints. *)
-
 val refine : t -> t -> t
 (** [refine prior obs] reshapes the belief from the observation while
     clamping its support into [Interval.refine (hull prior) (hull obs)]

@@ -10,8 +10,8 @@ let cardinality env rel =
 let base_rows env rel = Interval.point (cardinality env rel)
 
 (* The row formulas at one bound: what [select_rows] and [join_rows]
-   apply to each end of an interval, and start-up resolution to the
-   bounds it keeps in flat arrays. *)
+   apply to each end of an interval, and start-up programs to the
+   bounds they keep in flat arrays. *)
 let selected ~sel rows = sel *. rows
 let joined ~factor l r = factor *. (l *. r)
 
@@ -44,26 +44,6 @@ let rec logical_rows env = function
   | Logical.Select (e, p) -> select_rows env p (logical_rows env e)
   | Logical.Join (l, r, preds) ->
     join_rows env preds (logical_rows env l) (logical_rows env r)
-
-(* Distribution view of the same estimates.  Base cardinalities and join
-   selectivities are catalog knowledge (points), so only selections
-   inject uncertainty — shaped by the environment's per-predicate
-   distribution instead of flattened to its bounds.  Hulls agree with
-   the interval estimates by [Dist.mul]'s comonotone-lifting law. *)
-let base_rows_dist env rel = Dist.point (cardinality env rel)
-
-let select_rows_dist env pred rows =
-  Dist.mul (Env.selectivity_dist env pred) rows
-
-let join_rows_dist env preds rows_l rows_r =
-  Dist.scale (join_factor env preds) (Dist.mul rows_l rows_r)
-
-let rec logical_rows_dist env = function
-  | Logical.Get_set r -> base_rows_dist env r
-  | Logical.Select (e, p) -> select_rows_dist env p (logical_rows_dist env e)
-  | Logical.Join (l, r, preds) ->
-    join_rows_dist env preds (logical_rows_dist env l)
-      (logical_rows_dist env r)
 
 let rel_row_bytes env rels =
   List.fold_left

@@ -27,8 +27,10 @@ val logical_rows : Env.t -> Dqep_algebra.Logical.t -> Interval.t
 
     The estimates above split into what the catalog fixes
     ({!cardinality}, {!join_factor}) and the arithmetic applied to each
-    bound ({!selected}, {!joined}).  Start-up resolution prepares the
-    former once per plan and applies the latter per activation. *)
+    bound ({!selected}, {!joined}).  A start-up program prepares the
+    former once per plan and applies the latter to each bound it keeps:
+    at an activation's point, and at each end of a static analysis's
+    box. *)
 
 val cardinality : Env.t -> string -> float
 
@@ -40,23 +42,6 @@ val selected : sel:float -> float -> float
 
 val joined : factor:float -> float -> float -> float
 (** One bound of {!join_rows}: [joined ~factor l r]. *)
-
-(** {1 Distribution view}
-
-    The same estimates over the environment's selectivity distributions.
-    The hull of each result equals the corresponding interval estimate
-    (comonotone-lifting law of [Dist]), so these refine — never
-    contradict — the bounds above. *)
-
-val base_rows_dist : Env.t -> string -> Dist.t
-
-val select_rows_dist :
-  Env.t -> Dqep_algebra.Predicate.select -> Dist.t -> Dist.t
-
-val join_rows_dist :
-  Env.t -> Dqep_algebra.Predicate.equi list -> Dist.t -> Dist.t -> Dist.t
-
-val logical_rows_dist : Env.t -> Dqep_algebra.Logical.t -> Dist.t
 
 val row_bytes : Env.t -> Dqep_algebra.Logical.t -> int
 (** Width of result tuples: the sum of the record widths of all

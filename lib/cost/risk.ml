@@ -35,12 +35,6 @@ let scalarize_bounds t ~lo ~hi =
 let scalarize t (i : Interval.t) =
   scalarize_bounds t ~lo:i.Interval.lo ~hi:i.Interval.hi
 
-let scalarize_dist t d =
-  match t with
-  | Expected -> Dist.mean d
-  | Worst_case -> Dist.max_support d
-  | Quantile p -> Dist.quantile d p
-
 (* Aggregate per-scenario costs (equally weighted scenarios) into the
    policy's rank. *)
 let aggregate t costs =

@@ -40,9 +40,6 @@ val scalarize : t -> Interval.t -> float
 val scalarize_bounds : t -> lo:float -> hi:float -> float
 (** {!scalarize} of the interval [\[lo, hi\]], without building it. *)
 
-val scalarize_dist : t -> Dist.t -> float
-(** Collapse a distribution: mean, max support, or quantile. *)
-
 val aggregate : t -> float array -> float
 (** Collapse equally weighted per-scenario costs into the rank: mean,
     max, or interpolated order statistic.

@@ -39,10 +39,13 @@ type rows_op =
   | Probe_select  (* ... against the inner relation's selection *)
   | Pass  (* the first input's rows *)
   | Choose  (* the first alternative's rows; the cheapest total *)
+  | Recorded
+      (* the rows the plan recorded: a box program's node whose row
+         formula the catalog cannot resolve *)
 
 (* Each node owns [stride] constants: its relation's cardinality, its
-   join factor, a bound predicate's selectivity, then the prepared
-   own-cost formula. *)
+   join factor, a bound predicate's selectivity (a [Recorded] node's
+   rows in its place), then the prepared own-cost formula. *)
 let card = 0
 let factor = 1
 let sel_lo = 2
@@ -73,6 +76,9 @@ type program = {
   mutable n_vars : int;
   mutable choose_at : int array;  (* indices of the choose nodes *)
   mutable chooses : int;
+  mutable unresolved : (int * exn) list;
+      (* a box program's nodes whose formulas could not be prepared, with
+         what preparing them raised *)
 }
 
 let grow a len fill =
@@ -90,7 +96,7 @@ let sized env (dag : Plan.Dag.t) =
     first_input = dag.Plan.Dag.first_input; inputs = dag.Plan.Dag.inputs;
     rows_op = Array.make n Base; cost_op = Array.make n Cost_model.Const;
     slot = Array.make n (-1); consts = Array.make (n * stride) 0.;
-    vars = [||]; n_vars = 0; choose_at = [||]; chooses = 0 }
+    vars = [||]; n_vars = 0; choose_at = [||]; chooses = 0; unresolved = [] }
 
 (* Plans bind a handful of host variables: a scan beats a table. *)
 let var_slot prog var =
@@ -108,39 +114,29 @@ let var_slot prog var =
 
 (* [Estimate.join_factor], remembering the last predicate list: a join's
    alternatives share it, and children-first order visits them close
-   together. *)
+   together.  The list is remembered only once its factor is known: a box
+   program's compilation carries on past a factor that raised. *)
 let join_factors env =
   let last = ref [] and value = ref 1. in
   fun preds ->
     if preds != !last then begin
-      last := preds;
-      value := Estimate.join_factor env preds
+      value := Estimate.join_factor env preds;
+      last := preds
     end;
     !value
 
-(* Compile numbered node [i]. *)
-let add_node prog env ~join_factor i =
-  let p = prog.nodes.(i) in
-  let arity = prog.first_input.(i + 1) - prog.first_input.(i) in
-  let rows_op, pred =
-    match (p.Plan.op, arity) with
-    | (Physical.File_scan _ | Physical.Btree_scan _), 0 -> (Base, None)
-    | Physical.Filter pred, 1 -> (Select, Some pred)
-    | Physical.Filter_btree_scan { pred; _ }, 0 -> (Select_base, Some pred)
-    | (Physical.Hash_join _ | Physical.Merge_join _), 2 -> (Join, None)
-    | Physical.Index_join { inner_filter = None; _ }, 1 -> (Probe, None)
-    | Physical.Index_join { inner_filter = Some pred; _ }, 1 ->
-      (Probe_select, Some pred)
-    | Physical.Sort _, 1 -> (Pass, None)
-    | Physical.Choose_plan, n when n > 0 -> (Choose, None)
-    | _ -> invalid_arg "Startup: operator arity mismatch"
-  in
-  prog.rows_op <- grow prog.rows_op (i + 1) Base;
-  prog.cost_op <- grow prog.cost_op (i + 1) Cost_model.Const;
-  prog.slot <- grow prog.slot (i + 1) (-1);
-  prog.consts <- grow prog.consts ((i + 1) * stride) 0.;
+(* The selection a node's rows apply, if any. *)
+let selection (op : Physical.op) =
+  match op with
+  | Physical.Filter pred
+  | Physical.Filter_btree_scan { pred; _ }
+  | Physical.Index_join { inner_filter = Some pred; _ } ->
+    Some pred
+  | _ -> None
+
+(* The catalog's constants of node [i]'s rows. *)
+let resolve_rows prog env ~join_factor i (p : Plan.t) pred =
   let at = i * stride and k = prog.consts in
-  prog.rows_op.(i) <- rows_op;
   (match p.Plan.op with
   | Physical.File_scan rel | Physical.Btree_scan { rel; _ }
   | Physical.Filter_btree_scan { rel; _ }
@@ -152,38 +148,90 @@ let add_node prog env ~join_factor i =
   | Physical.Index_join { preds; _ } ->
     k.(at + factor) <- join_factor preds
   | _ -> ());
-  (match pred with
-  | Some { Predicate.selectivity = Predicate.Host_var v; _ } ->
-    prog.slot.(i) <- var_slot prog v
+  match pred with
+  | Some { Predicate.selectivity = Predicate.Host_var _; _ } | None -> ()
   | Some pred ->
     let s = Env.selectivity env pred in
     k.(at + sel_lo) <- s.Interval.lo;
     k.(at + sel_hi) <- s.Interval.hi
-  | None -> ());
+
+let recorded prog i (p : Plan.t) =
+  let at = i * stride in
+  prog.rows_op.(i) <- Recorded;
+  prog.consts.(at + sel_lo) <- p.Plan.rows.Interval.lo;
+  prog.consts.(at + sel_hi) <- p.Plan.rows.Interval.hi
+
+(* The first failure recorded for a node is the one its box raises. *)
+let unresolved prog i e = prog.unresolved <- prog.unresolved @ [ (i, e) ]
+
+(* Compile numbered node [i].  A [lenient] compilation (a box program)
+   raises nothing: a node whose rows the catalog cannot resolve, or whose
+   arity does not fit its operator, keeps its recorded rows, and one
+   whose formulas cannot be prepared keeps what preparing them raised. *)
+let add_node ?(lenient = false) prog env ~join_factor i =
+  let p = prog.nodes.(i) in
+  let arity = prog.first_input.(i + 1) - prog.first_input.(i) in
+  let rows_op =
+    match (p.Plan.op, arity) with
+    | (Physical.File_scan _ | Physical.Btree_scan _), 0 -> Base
+    | Physical.Filter _, 1 -> Select
+    | Physical.Filter_btree_scan _, 0 -> Select_base
+    | (Physical.Hash_join _ | Physical.Merge_join _), 2 -> Join
+    | Physical.Index_join { inner_filter = None; _ }, 1 -> Probe
+    | Physical.Index_join { inner_filter = Some _; _ }, 1 -> Probe_select
+    | Physical.Sort _, 1 -> Pass
+    | Physical.Choose_plan, n when n > 0 -> Choose
+    | _ ->
+      if lenient then Recorded
+      else invalid_arg "Startup: operator arity mismatch"
+  in
+  prog.rows_op <- grow prog.rows_op (i + 1) Base;
+  prog.cost_op <- grow prog.cost_op (i + 1) Cost_model.Const;
+  prog.slot <- grow prog.slot (i + 1) (-1);
+  prog.consts <- grow prog.consts ((i + 1) * stride) 0.;
+  prog.rows_op.(i) <- rows_op;
+  (* A variable gets its slot even where the rows are recorded: a box
+     ranges over every variable the plan names. *)
+  let pred = selection p.Plan.op in
+  (match pred with
+  | Some { Predicate.selectivity = Predicate.Host_var v; _ } ->
+    prog.slot.(i) <- var_slot prog v
+  | Some _ | None -> ());
+  (match rows_op with
+  | Recorded -> recorded prog i p
+  | _ -> (
+    try resolve_rows prog env ~join_factor i p pred with
+    | Not_found when lenient -> recorded prog i p
+    | e when lenient -> unresolved prog i e));
   match rows_op with
   | Choose ->
     prog.choose_at <- grow prog.choose_at (prog.chooses + 1) i;
     prog.choose_at.(prog.chooses) <- i;
     prog.chooses <- prog.chooses + 1
-  | _ ->
+  | _ -> (
     let width j =
       match List.nth_opt p.Plan.inputs j with
       | Some (c : Plan.t) -> c.Plan.bytes_per_row
       | None -> 0
     in
-    prog.cost_op.(i) <-
+    match
       Cost_model.prepare env p.Plan.op ~arity ~width0:(width 0)
-        ~width1:(width 1) k (at + cost_at)
+        ~width1:(width 1) prog.consts ((i * stride) + cost_at)
+    with
+    | code -> prog.cost_op.(i) <- code
+    | exception e when lenient -> unresolved prog i e)
 
 (* The numbering is found first, so the arrays are allocated once, at
    their final size. *)
-let compile env plan =
-  let prog = sized env (Plan.Dag.of_plan plan) in
+let compile_dag ?lenient env dag =
+  let prog = sized env dag in
   let join_factor = join_factors env in
-  for i = 0 to prog.dag.Plan.Dag.length - 1 do
-    add_node prog env ~join_factor i
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    add_node ?lenient prog env ~join_factor i
   done;
   prog
+
+let compile env plan = compile_dag env (Plan.Dag.of_plan plan)
 
 (* --- activations ----------------------------------------------------------- *)
 
@@ -297,6 +345,10 @@ let rows_bound prog i rows sel =
     Estimate.joined ~factor:k.(at + factor) rows.(input prog i 0)
       (Estimate.selected ~sel k.(at + card))
   | Pass | Choose -> rows.(input prog i 0)
+  | Recorded ->
+    (* Only box programs hold these, and [box_step] reads them itself:
+       compiling a point program raised instead. *)
+    raise Not_found
 
 (* Node [i]'s rows from its inputs' rows in [lo]/[hi], into the same
    arrays.  Each host variable is looked up once per activation. *)
@@ -436,6 +488,73 @@ let stats st =
     cost_evaluations = st.cost_evaluations;
     choose_decisions = st.choose_decisions }
 
+(* --- boxes ----------------------------------------------------------------- *)
+
+type box = {
+  sel_lo : float array;
+  sel_hi : float array;
+  mutable mem_lo : float;
+  mutable mem_hi : float;
+  rows_lo : float array;
+  rows_hi : float array;
+  total_lo : float array;
+  total_hi : float array;
+}
+
+let box_program env dag = compile_dag ~lenient:true env dag
+let vars prog = Array.sub prog.vars 0 prog.n_vars
+let slot prog i = prog.slot.(i)
+
+let box prog =
+  let n = prog.dag.Plan.Dag.length and vars = prog.n_vars in
+  { sel_lo = Array.make vars 0.; sel_hi = Array.make vars 0.; mem_lo = 0.;
+    mem_hi = 0.; rows_lo = Array.make n 0.; rows_hi = Array.make n 0.;
+    total_lo = Array.make n 0.; total_hi = Array.make n 0. }
+
+(* Node [i]'s bounds over the box: each row bound from the inputs' rows
+   and the selectivity at that bound, the own cost's cheap corner (low
+   rows, high memory) and dear corner, then their minimum and maximum.
+   A choose node's rows are the hull of its alternatives' — whichever one
+   start-up picks — and its total their pointwise minimum plus the
+   decision overhead. *)
+let box_step prog b i =
+  (match prog.unresolved with
+  | [] -> ()
+  | failed -> Option.iter raise (List.assoc_opt i failed));
+  let a = prog.first_input.(i) and z = prog.first_input.(i + 1) in
+  let k = prog.consts and at = i * stride in
+  match prog.rows_op.(i) with
+  | Choose ->
+    let j = prog.inputs.(a) in
+    let rows_lo = ref b.rows_lo.(j) and rows_hi = ref b.rows_hi.(j) in
+    let total_lo = ref b.total_lo.(j) and total_hi = ref b.total_hi.(j) in
+    for x = a + 1 to z - 1 do
+      let j = prog.inputs.(x) in
+      rows_lo := Float.min !rows_lo b.rows_lo.(j);
+      rows_hi := Float.max !rows_hi b.rows_hi.(j);
+      total_lo := Float.min !total_lo b.total_lo.(j);
+      total_hi := Float.min !total_hi b.total_hi.(j)
+    done;
+    b.rows_lo.(i) <- !rows_lo;
+    b.rows_hi.(i) <- !rows_hi;
+    b.total_lo.(i) <- overhead prog +. !total_lo;
+    b.total_hi.(i) <- overhead prog +. !total_hi
+  | rows_op ->
+    (match rows_op with
+    | Recorded ->
+      b.rows_lo.(i) <- k.(at + sel_lo);
+      b.rows_hi.(i) <- k.(at + sel_hi)
+    | _ ->
+      let s = prog.slot.(i) in
+      let lo = if s >= 0 then b.sel_lo.(s) else k.(at + sel_lo)
+      and hi = if s >= 0 then b.sel_hi.(s) else k.(at + sel_hi) in
+      b.rows_lo.(i) <- rows_bound prog i b.rows_lo lo;
+      b.rows_hi.(i) <- rows_bound prog i b.rows_hi hi);
+    let cheap = cost_bound prog i b.rows_lo ~mem:b.mem_hi in
+    let dear = cost_bound prog i b.rows_hi ~mem:b.mem_lo in
+    b.total_lo.(i) <- plus_inputs prog i b.total_lo (Float.min cheap dear);
+    b.total_hi.(i) <- plus_inputs prog i b.total_hi (Float.max cheap dear)
+
 (* --- the program memo -------------------------------------------------------- *)
 
 (* Programs are memoized per (plan, catalog) in a bounded weak table,
@@ -535,17 +654,16 @@ let explain ?(risk = Risk.Expected) ?(overrides = []) ?(excluded = []) env
   for c = 0 to prog.chooses - 1 do
     let i = prog.choose_at.(c) in
     let p = prog.nodes.(i) in
-    if not (overridden st i) then begin
+    (* A choose node only an override reaches was never evaluated, and
+       neither were its alternatives: it made no decision. *)
+    if live st i && not (overridden st i) then begin
       let rec surviving x acc =
         if x < prog.first_input.(i) then acc
         else
           let j = prog.inputs.(x) in
           let alt = prog.nodes.(j) in
-          (* An alternative only an override reaches was never
-             evaluated: there is no cost to list. *)
           surviving (x - 1)
             (if is_excluded st j then acc
-             else if not (live st j) then raise Not_found
              else (alt.Plan.pid, Physical.name alt.Plan.op, st.total.(j)) :: acc)
       in
       let alternatives = surviving (prog.first_input.(i + 1) - 1) [] in

@@ -122,7 +122,9 @@ val explain :
   decision list
 (** Every choose-plan operator's decision under the environment, in
     bottom-up order — the human-readable version of what {!resolve}
-    does.  Excluded alternatives are omitted from the listing.
+    does.  Excluded alternatives are omitted from the listing.  An
+    overridden choose node, and one only overridden subplans reach, made
+    no decision and is not listed.
     @raise Exhausted as in {!resolve}. *)
 
 val pp_decisions : Format.formatter -> decision list -> unit
@@ -141,3 +143,45 @@ val retained : Dqep_cost.Env.t -> Plan.t -> bool
 (** Whether the memo holds a program for the plan under the
     environment's catalog and device, so that its next {!resolve}
     skips compilation. *)
+
+(** {1 Boxes}
+
+    The same program evaluated over a box of the parameter space: each
+    host variable's selectivity and the memory grant range over an
+    interval.  Rows are bounded at each end of the selectivity
+    intervals, own costs at the cheap corner (low rows, high memory) and
+    the dear one, and a choose node's rows are the hull of its
+    alternatives'.  The formulas are monotone, so wherever in the box
+    {!evaluate} runs (without overrides or exclusions), its rows and
+    totals lie within these bounds. *)
+
+type box = {
+  sel_lo : float array;  (** by host-variable slot *)
+  sel_hi : float array;
+  mutable mem_lo : float;
+  mutable mem_hi : float;
+  rows_lo : float array;  (** by index of the numbering *)
+  rows_hi : float array;
+  total_lo : float array;
+  total_hi : float array;
+}
+
+val box_program : Dqep_cost.Env.t -> Plan.Dag.t -> program
+(** {!compile} over a numbering, for plans the catalog may not resolve:
+    a node whose rows it cannot resolve, or whose operator does not fit
+    its arity, keeps the rows the plan recorded, and a node whose
+    formulas cannot be prepared raises what preparing them raised when
+    {!box_step} reaches it. *)
+
+val vars : program -> string array
+(** The host variables by slot, in order of first appearance. *)
+
+val slot : program -> int -> int
+(** The host-variable slot of node [i]'s selection, or -1. *)
+
+val box : program -> box
+(** Zeroed bounds for the program. *)
+
+val box_step : program -> box -> int -> unit
+(** Node [i]'s bounds, from its inputs' bounds and the box's
+    selectivity and memory bounds, all already in the box. *)

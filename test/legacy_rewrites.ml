@@ -4,9 +4,11 @@
    [Validate.prune_infeasible]), the interpreted start-up evaluation
    ([Startup]'s memoized per-node walk, with [evaluate], [explain] and
    [estimated_rows] on it), start-up extraction ([Startup.resolve]'s
-   [extract]) and plan shrinking ([Adapt.shrink]).  Each computes its
-   answer with its own walk; the suites pin the replacements to those
-   answers.  Do not edit these to make a test pass. *)
+   [extract]), plan shrinking ([Adapt.shrink]) and the region evaluator
+   [Absint] had before it ran start-up programs over boxes ([Region]).
+   Each computes its answer with its own walk; the suites pin the
+   replacements to those answers.  Do not edit these to make a test
+   pass. *)
 
 module D = Dqep
 module Physical = D.Physical
@@ -244,7 +246,11 @@ let explain ?risk ?(overrides = []) ?(excluded = []) env plan =
   Plan.iter
     (fun p ->
       match p.Plan.op with
-      | Physical.Choose_plan when not (List.mem_assoc p.Plan.pid overrides) ->
+      (* A choose node only overridden subplans reach was never
+         evaluated: it made no decision. *)
+      | Physical.Choose_plan
+        when (not (List.mem_assoc p.Plan.pid overrides))
+             && Hashtbl.mem st.memo p.Plan.pid ->
         let alternatives =
           List.filter_map
             (fun (alt : Plan.t) ->
@@ -360,3 +366,274 @@ let shrink env ~used plan =
       q
   in
   go plan
+
+(* --- region evaluation ------------------------------------------------------ *)
+
+(* [Absint.evaluator] as it was: the per-operator row and cost formulas
+   re-derived over interval environments, with its own numbering of the
+   host variables, and the same cross-region memo and miss count. *)
+module Region = struct
+  module Absint = D.Absint
+
+  type value = Absint.value = { rows : Interval.t; total : Interval.t }
+  type region = Absint.region = {
+    sels : (string * Interval.t) list;
+    memory : Interval.t;
+  }
+
+  let unit_interval = Interval.make 0. 1.
+  let restrict = Absint.restrict
+
+  (* Every host variable of the plan, with one predicate mentioning it —
+     the predicate is how the base environment is asked for the variable's
+     prior interval (Env.selectivity is keyed by predicate, not name). *)
+  let host_var_preds (plan : Plan.t) =
+    let acc = ref [] in
+    let add (p : Predicate.select) =
+      match Predicate.host_var p with
+      | None -> ()
+      | Some v -> if not (List.mem_assoc v !acc) then acc := (v, p) :: !acc
+    in
+    Plan.iter
+      (fun node ->
+        match node.Plan.op with
+        | Physical.Filter p | Physical.Filter_btree_scan { pred = p; _ } -> add p
+        | Physical.Index_join { inner_filter = Some p; _ } -> add p
+        | Physical.Index_join { inner_filter = None; _ }
+        | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
+        | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan -> ())
+      plan;
+    List.rev !acc
+
+  let full_region env (plan : Plan.t) =
+    { sels =
+        List.map
+          (fun (v, pred) -> (v, Env.selectivity env pred))
+          (host_var_preds plan);
+      memory = Env.memory_pages env }
+
+  (* Modelled rows of one operator, mirroring start-up's row formulas but over
+     whatever interval environment it is given.  Falls back to the node's
+     compile-time estimate when the catalog cannot resolve the operator
+     (feasibility diagnostics are Verify's job, not this pass's). *)
+  let node_rows env (p : Plan.t) (inputs : value list) =
+    let exact () =
+      match (p.Plan.op, inputs) with
+      | Physical.File_scan rel, [] | Physical.Btree_scan { rel; _ }, [] ->
+        Estimate.base_rows env rel
+      | Physical.Filter pred, [ c ] -> Estimate.select_rows env pred c.rows
+      | Physical.Filter_btree_scan { rel; pred; _ }, [] ->
+        Estimate.select_rows env pred (Estimate.base_rows env rel)
+      | Physical.Hash_join preds, [ l; r ] | Physical.Merge_join preds, [ l; r ]
+        ->
+        Estimate.join_rows env preds l.rows r.rows
+      | Physical.Index_join { preds; inner_rel; inner_filter; _ }, [ outer ] ->
+        let inner = Estimate.base_rows env inner_rel in
+        let inner =
+          match inner_filter with
+          | None -> inner
+          | Some pred -> Estimate.select_rows env pred inner
+        in
+        Estimate.join_rows env preds outer.rows inner
+      | Physical.Sort _, [ c ] -> c.rows
+      | Physical.Choose_plan, first :: rest ->
+        (* Alternatives are logically equivalent; the hull covers whichever
+           one startup picks. *)
+        List.fold_left (fun acc v -> Interval.union acc v.rows) first.rows rest
+      | _, _ -> p.Plan.rows
+    in
+    try exact () with Not_found -> p.Plan.rows
+
+  (* Node [p]'s value from its inputs' values.
+
+     The invariant connecting this to startup: a [Startup] program
+     evaluates the same formulas at a point of the environment, taking the
+     midpoint of each own-cost interval and the minimum alternative at each
+     choose node — both of which lie inside the corresponding interval
+     combination here.  So for any point env inside the region this env
+     abstracts, the point totals lie inside these interval totals. *)
+  let node_value env (p : Plan.t) inputs =
+    let rows = node_rows env p inputs in
+    let total =
+      match p.Plan.op with
+      | Physical.Choose_plan ->
+        Cost_model.choose_plan_cost env (List.map (fun v -> v.total) inputs)
+      | _ ->
+        let cm_inputs =
+          List.map2
+            (fun (child : Plan.t) v ->
+              { Cost_model.rows = v.rows; bytes_per_row = child.Plan.bytes_per_row })
+            p.Plan.inputs inputs
+        in
+        let own =
+          Cost_model.own_cost env p.Plan.op ~inputs:cm_inputs ~output_rows:rows
+        in
+        List.fold_left (fun acc v -> Interval.add acc v.total) own inputs
+    in
+    { rows; total }
+
+  (* Many-region evaluation with cross-region sharing.  A node's value
+     depends on the environment only through the memory interval and the
+     selectivity intervals of host variables occurring in its own subtree
+     (rows come from its own predicates and children; own costs consult at
+     most those rows and the memory grant).  Keying the memo by
+     (index, those intervals) lets regions that agree on a node's
+     dimensions share its value — on a deep plan most nodes are
+     insensitive to most cut dimensions.  [work] counts node evaluations
+     performed (memo misses), the currency of the analyses' work
+     budgets. *)
+  type evaluator = {
+    value : region -> int -> value;
+    work : unit -> int;
+  }
+
+  (* The memo's keys are strings; compare them as such. *)
+  module String_tbl = Hashtbl.Make (struct
+    include String
+
+    let hash = Hashtbl.hash
+  end)
+
+  (* Sorted union of two sorted, duplicate-free arrays; an input that
+     already holds the union is returned itself, so the many nodes over
+     the same variables share one array. *)
+  let union a b =
+    let na = Array.length a and nb = Array.length b in
+    if na = 0 then b
+    else if nb = 0 then a
+    else begin
+      let out = Array.make (na + nb) 0 in
+      let rec go i j k =
+        if i = na && j = nb then
+          if k = na then a else if k = nb then b else Array.sub out 0 k
+        else if j = nb || (i < na && a.(i) < b.(j)) then begin
+          out.(k) <- a.(i);
+          go (i + 1) j (k + 1)
+        end
+        else begin
+          out.(k) <- b.(j);
+          go (if i < na && a.(i) = b.(j) then i + 1 else i) (j + 1) (k + 1)
+        end
+      in
+      go 0 0 0
+    end
+
+  (* Filler for result slots not yet written. *)
+  let unseen = { rows = Interval.point 0.; total = Interval.point 0. }
+
+  let evaluator env (dag : Plan.Dag.t) =
+    (* Host variables are numbered once; each node records the numbers of
+       the variables occurring in its subtree. *)
+    let n = dag.Plan.Dag.length in
+    let var_index : (string, int) Hashtbl.t = Hashtbl.create 16 in
+    let var_list = ref [] in
+    let index_of v =
+      match Hashtbl.find_opt var_index v with
+      | Some i -> i
+      | None ->
+        let i = Hashtbl.length var_index in
+        Hashtbl.add var_index v i;
+        var_list := v :: !var_list;
+        i
+    in
+    let vars = Array.make n [||] in
+    for i = 0 to n - 1 do
+      let own =
+        match dag.Plan.Dag.nodes.(i).Plan.op with
+        | Physical.Filter pr | Physical.Filter_btree_scan { pred = pr; _ }
+        | Physical.Index_join { inner_filter = Some pr; _ } -> (
+          match Predicate.host_var pr with
+          | Some v -> [| index_of v |]
+          | None -> [||])
+        | Physical.Index_join { inner_filter = None; _ }
+        | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
+        | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan -> [||]
+      in
+      vars.(i) <-
+        List.fold_left (fun acc k -> union acc vars.(k)) own (Plan.Dag.inputs dag i)
+    done;
+    let var_names = Array.of_list (List.rev !var_list) in
+    let misses = ref 0 in
+    (* Memo keys are compact byte strings — node index plus one small
+       interned id per dimension the node depends on.  Interval ids are interned per
+       (dimension, box) so a grid sweep reuses a handful of ids per
+       dimension; string keys hash fully (the generic hash on float lists
+       truncates and collides catastrophically here). *)
+    let intern : (string * float * float, int) Hashtbl.t = Hashtbl.create 64 in
+    let next_id = ref 0 in
+    let id_of v (iv : Interval.t) =
+      let k = (v, iv.Interval.lo, iv.Interval.hi) in
+      match Hashtbl.find_opt intern k with
+      | Some id -> id
+      | None ->
+        let id = !next_id in
+        incr next_id;
+        Hashtbl.add intern k id;
+        id
+    in
+    let memo : value String_tbl.t = String_tbl.create (4 * n) in
+    (* Per-region results by index, valid where [stamp] holds the region's
+       generation, so a region allocates nothing per node.  Interleaving
+       two regions' lookups stays correct (the memo is keyed by intervals)
+       and only costs re-lookups. *)
+    let results = Array.make n unseen and stamp = Array.make n 0 in
+    let generation = ref 0 in
+    let value (region : region) =
+      incr generation;
+      let gen = !generation in
+      let renv = restrict env region in
+      (* Interned box of each variable in this region, filled on first
+         use; a variable foreign to the region takes the unit interval. *)
+      let dim_ids = Array.make (Array.length var_names) (-1) in
+      let dim_id v =
+        if dim_ids.(v) < 0 then begin
+          let name = var_names.(v) in
+          dim_ids.(v) <-
+            id_of name
+              (Option.value ~default:unit_interval (List.assoc_opt name region.sels))
+        end;
+        dim_ids.(v)
+      in
+      let mem_id = id_of "" region.memory in
+      let key_of i =
+        let vs = vars.(i) in
+        let b = Bytes.create (5 + (2 * Array.length vs)) in
+        Bytes.set b 0 (Char.unsafe_chr (i land 0xff));
+        Bytes.set b 1 (Char.unsafe_chr ((i lsr 8) land 0xff));
+        Bytes.set b 2 (Char.unsafe_chr ((i lsr 16) land 0xff));
+        Bytes.set b 3 (Char.unsafe_chr (mem_id land 0xff));
+        Bytes.set b 4 (Char.unsafe_chr ((mem_id lsr 8) land 0xff));
+        Array.iteri
+          (fun j v ->
+            let id = dim_id v in
+            Bytes.set b (5 + (2 * j)) (Char.unsafe_chr (id land 0xff));
+            Bytes.set b (6 + (2 * j)) (Char.unsafe_chr ((id lsr 8) land 0xff)))
+          vs;
+        Bytes.unsafe_to_string b
+      in
+      (* Within one region a node's value depends only on its index. *)
+      let rec go i =
+        if stamp.(i) = gen then results.(i)
+        else begin
+          let v = shared i in
+          results.(i) <- v;
+          stamp.(i) <- gen;
+          v
+        end
+      and shared i =
+        let key = key_of i in
+        match String_tbl.find_opt memo key with
+        | Some v -> v
+        | None ->
+          incr misses;
+          let v =
+            node_value renv dag.Plan.Dag.nodes.(i)
+              (List.map go (Plan.Dag.inputs dag i))
+          in
+          String_tbl.add memo key v;
+          v
+      in
+      go
+    in
+    { value; work = (fun () -> !misses) }
+end

@@ -17,7 +17,13 @@
       submission dies at run time instead.
    6. Fingerprint lockstep: [Analyses.fingerprint] (analysis layer) and
       [Checkpoint.fingerprint] (execution layer) agree on every node of
-      every optimized Plangen plan. *)
+      every optimized Plangen plan.
+   7. Region values: the start-up program evaluated over boxes
+      reproduces the region evaluator it replaced, value and miss count
+      alike, on every box an analysis sweeps.
+   8. Point in box (qcheck over Plangen and the corpus): start-up's
+      point total and rows at any point of a box lie within the box's
+      values. *)
 
 module D = Dqep
 module I = D.Interval
@@ -403,6 +409,220 @@ let test_fingerprint_lockstep () =
       modes
   done
 
+(* --- 7. region values against the evaluator they replaced ----------------- *)
+
+(* Plangen seeds and the corpus, each optimized with uncertain memory
+   under the three postures: the plans `dqep analyze` sweeps. *)
+let analyzed_plans ~seeds =
+  let targets =
+    List.map
+      (fun seed ->
+        let inst = D.Plangen.generate ~seed in
+        ( Printf.sprintf "plangen-%d" seed,
+          inst.D.Plangen.catalog,
+          inst.D.Plangen.query ))
+      seeds
+    @ List.map
+        (fun (name, (q : D.Queries.t)) ->
+          (name, q.D.Queries.catalog, q.D.Queries.query))
+        (D.Queries.corpus ())
+  in
+  List.concat_map
+    (fun (name, catalog, query) ->
+      List.map
+        (fun risk ->
+          let options = { D.Optimizer.default_options with risk } in
+          let r =
+            Result.get_ok
+              (D.Optimizer.optimize ~options
+                 ~mode:(D.Optimizer.dynamic ~uncertain_memory:true ())
+                 catalog query)
+          in
+          ( Printf.sprintf "%s, %s" name (D.Risk.to_string risk),
+            r.D.Optimizer.env,
+            r.D.Optimizer.plan ))
+        [ D.Risk.Worst_case; D.Risk.Expected; D.Risk.Quantile 0.9 ])
+    targets
+
+let bits = Int64.bits_of_float
+let interval_bits (i : I.t) = (bits i.I.lo, bits i.I.hi)
+
+let value_bits (v : D.Absint.value) =
+  (interval_bits v.D.Absint.rows, interval_bits v.D.Absint.total)
+
+let region_bits (r : D.Absint.region) =
+  ( List.map (fun (v, iv) -> (v, interval_bits iv)) r.D.Absint.sels,
+    interval_bits r.D.Absint.memory )
+
+(* Every node's rows and total, compared as bits, on the full region and
+   every box of its subdivision, in the analyses' order: full region
+   first, then box by box.  The miss counts must agree after every
+   region, since the analyses' work budgets are counted in them.  Then
+   two fresh evaluators answer two regions' lookups interleaved, root
+   first. *)
+let test_region_values_match_legacy () =
+  Test_util.with_watchdog ~deadline:300. "region value oracle" @@ fun () ->
+  List.iter
+    (fun (name, env, plan) ->
+      let dag = D.Plan.Dag.of_plan plan in
+      let n = dag.D.Plan.Dag.length in
+      let got = D.Absint.evaluator env dag in
+      let want = Legacy_rewrites.Region.evaluator env dag in
+      let full = got.D.Absint.full in
+      Alcotest.(check bool) (name ^ ": same full region") true
+        (region_bits full = region_bits (Legacy_rewrites.Region.full_region env plan));
+      let regions = full :: D.Absint.subdivide full ~max_regions:64 in
+      List.iteri
+        (fun r region ->
+          let g = got.D.Absint.value region
+          and w = want.Legacy_rewrites.Region.value region in
+          for i = 0 to n - 1 do
+            if value_bits (g i) <> value_bits (w i) then
+              Alcotest.failf "%s: region %d (%a), node %d: %s/%s, want %s/%s"
+                name r D.Absint.pp_region region i
+                (I.to_string (g i).D.Absint.rows)
+                (I.to_string (g i).D.Absint.total)
+                (I.to_string (w i).D.Absint.rows)
+                (I.to_string (w i).D.Absint.total)
+          done;
+          Alcotest.(check int)
+            (Printf.sprintf "%s: work after region %d" name r)
+            (want.Legacy_rewrites.Region.work ())
+            (got.D.Absint.work ()))
+        regions;
+      match regions with
+      | _ :: a :: b :: _ ->
+        let got = D.Absint.evaluator env dag in
+        let want = Legacy_rewrites.Region.evaluator env dag in
+        let ga = got.D.Absint.value a and gb = got.D.Absint.value b in
+        let wa = want.Legacy_rewrites.Region.value a
+        and wb = want.Legacy_rewrites.Region.value b in
+        for i = n - 1 downto 0 do
+          if
+            value_bits (ga i) <> value_bits (wa i)
+            || value_bits (gb i) <> value_bits (wb i)
+          then Alcotest.failf "%s: interleaved regions, node %d" name i
+        done;
+        Alcotest.(check int) (name ^ ": interleaved work")
+          (want.Legacy_rewrites.Region.work ())
+          (got.D.Absint.work ())
+      | _ -> ())
+    (analyzed_plans ~seeds:(List.init 120 (fun i -> i + 1)))
+
+(* The same comparison against catalogs that drifted after optimization
+   (an attribute dropped, or a whole relation): nodes the catalog cannot
+   resolve keep their recorded rows, and a node whose cost cannot be
+   formed raises, on both sides, at the same lookups and miss counts. *)
+let test_region_values_match_legacy_drifted () =
+  let outcome f =
+    match f () with
+    | v -> Ok (value_bits v)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  for seed = 1 to 30 do
+    let inst = D.Plangen.generate ~seed in
+    let catalog = inst.D.Plangen.catalog in
+    let plan =
+      (optimize_exn
+         ~mode:(D.Optimizer.dynamic ~uncertain_memory:true ())
+         catalog inst.D.Plangen.query)
+        .D.Optimizer.plan
+    in
+    let dag = D.Plan.Dag.of_plan plan in
+    let drifts =
+      match D.Catalog.relations catalog with
+      | (r : D.Relation.t) :: rest ->
+        let module C = D.Catalog in
+        (match r.D.Relation.attributes with
+        | a :: _ ->
+          [ Test_util.without_attribute catalog ~rel:r.D.Relation.name
+              ~attr:a.D.Attribute.name ]
+        | [] -> [])
+        @ [ C.create ~page_bytes:(C.page_bytes catalog) ~relations:rest
+              ~indexes:
+                (List.filter
+                   (fun (i : D.Index.t) ->
+                     i.D.Index.relation <> r.D.Relation.name)
+                   (C.indexes catalog))
+              () ]
+      | [] -> []
+    in
+    List.iteri
+      (fun d drifted ->
+        let name = Printf.sprintf "seed %d, drift %d" seed d in
+        let env = D.Env.dynamic ~memory:(I.make 16. 112.) drifted in
+        let got = D.Absint.evaluator env dag in
+        let want = Legacy_rewrites.Region.evaluator env dag in
+        let full = got.D.Absint.full in
+        List.iteri
+          (fun r region ->
+            let g = got.D.Absint.value region
+            and w = want.Legacy_rewrites.Region.value region in
+            for i = dag.D.Plan.Dag.length - 1 downto 0 do
+              if outcome (fun () -> g i) <> outcome (fun () -> w i) then
+                Alcotest.failf "%s: region %d, node %d differs" name r i
+            done;
+            Alcotest.(check int)
+              (Printf.sprintf "%s: work after region %d" name r)
+              (want.Legacy_rewrites.Region.work ())
+              (got.D.Absint.work ()))
+          (full :: D.Absint.subdivide full ~max_regions:8))
+      drifts
+  done
+
+(* --- 8. start-up's point values lie in the box values --------------------- *)
+
+(* A box of [full] with random bounds inside each dimension, and a
+   random point inside the box. *)
+let box_and_point rand (full : D.Absint.region) =
+  let draw (iv : I.t) =
+    let at u = iv.I.lo +. (u *. (iv.I.hi -. iv.I.lo)) in
+    let a = at (Random.State.float rand 1.)
+    and b = at (Random.State.float rand 1.) in
+    let box = I.make (Float.min a b) (Float.max a b) in
+    let x = at (Random.State.float rand 1.) in
+    (box, Float.max box.I.lo (Float.min box.I.hi x))
+  in
+  let sels = List.map (fun (v, iv) -> (v, draw iv)) full.D.Absint.sels in
+  let memory, mem = draw full.D.Absint.memory in
+  ( { D.Absint.sels = List.map (fun (v, (box, _)) -> (v, box)) sels; memory },
+    List.map (fun (v, (_, x)) -> (v, x)) sels,
+    mem )
+
+let prop_point_in_box =
+  let cases =
+    lazy
+      (Array.of_list
+         (List.map
+            (fun (name, env, plan) ->
+              let dag = D.Plan.Dag.of_plan plan in
+              (name, env, plan, dag.D.Plan.Dag.length - 1, D.Absint.evaluator env dag))
+            (analyzed_plans ~seeds:(List.init 40 (fun i -> i + 1)))))
+  in
+  QCheck.Test.make ~name:"start-up's point values lie within the box values"
+    ~count:400
+    QCheck.(pair small_nat int)
+    (fun (c, seed) ->
+      let cases = Lazy.force cases in
+      let name, env, plan, root, ev = cases.(c mod Array.length cases) in
+      let rand = Random.State.make [| seed |] in
+      let region, sels, mem = box_and_point rand ev.D.Absint.full in
+      let point =
+        D.Env.make ~catalog:(D.Env.catalog env) ~device:(D.Env.device env)
+          ~selectivity:(fun v ->
+            I.point (Option.value ~default:0.5 (List.assoc_opt v sels)))
+          ~memory_pages:(I.point mem) ()
+      in
+      let total, _ = D.Startup.evaluate point plan in
+      let rows = D.Startup.estimated_rows point plan in
+      let v = ev.D.Absint.value region root in
+      let inside (iv : I.t) x = iv.I.lo <= x && x <= iv.I.hi in
+      inside v.D.Absint.total total && inside v.D.Absint.rows rows
+      || QCheck.Test.fail_reportf
+           "%s: box %a, point mem=%g: total %h in %a, rows %h in %a" name
+           D.Absint.pp_region region mem total I.pp v.D.Absint.total rows I.pp
+           v.D.Absint.rows)
+
 let suite =
   ( "absint",
     [ QCheck_alcotest.to_alcotest prop_certificate_sound;
@@ -421,4 +641,9 @@ let suite =
       Alcotest.test_case "precheck off: same plan dies at run time" `Quick
         test_session_precheck_off_dies_at_runtime;
       Alcotest.test_case "fingerprints: analysis == execution" `Quick
-        test_fingerprint_lockstep ] )
+        test_fingerprint_lockstep;
+      Alcotest.test_case "region values match the legacy evaluator" `Slow
+        test_region_values_match_legacy;
+      Alcotest.test_case "region values match it under catalog drift" `Quick
+        test_region_values_match_legacy_drifted;
+      QCheck_alcotest.to_alcotest prop_point_in_box ] )

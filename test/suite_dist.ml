@@ -1,9 +1,8 @@
 (* The discrete-distribution uncertainty domain: embedding round-trips,
-   hull-exact arithmetic, quantile/mean laws, refinement narrowing, and
-   the hull-exactness of the distribution-valued cost model.  These are
-   the algebraic laws that make interval mode the degenerate 2-point
-   case of distribution mode — every existing interval consumer keeps
-   seeing exactly the bounds it saw before the refactor. *)
+   compaction, quantile/mean laws and refinement narrowing.  These are
+   the laws that make interval mode the degenerate 2-point case of
+   distribution mode — every existing interval consumer keeps seeing
+   exactly the bounds it saw before the refactor. *)
 
 module D = Dqep
 module I = D.Interval
@@ -88,31 +87,6 @@ let prop_compaction_bound_and_hull =
       Dist.buckets d <= Dist.max_buckets
       && I.equal (Dist.hull d) (I.make lo hi))
 
-(* --- hull-exact arithmetic ------------------------------------------------ *)
-
-let prop_add_hull_exact =
-  QCheck.Test.make ~name:"hull (add a b) = interval addition exactly"
-    ~count:500 (QCheck.pair arb_dist arb_dist) (fun (a, b) ->
-      let ha = Dist.hull a and hb = Dist.hull b in
-      I.equal (Dist.hull (Dist.add a b)) (I.add ha hb))
-
-let prop_mul_hull_exact =
-  QCheck.Test.make ~name:"hull (mul a b) = interval product exactly"
-    ~count:500 (QCheck.pair arb_dist arb_dist) (fun (a, b) ->
-      let ha = Dist.hull a and hb = Dist.hull b in
-      (* Non-negative supports: the interval product's corners are the
-         pairwise products of the endpoints. *)
-      I.equal (Dist.hull (Dist.mul a b)) (I.mul ha hb))
-
-let prop_lift2_min_hull_exact =
-  QCheck.Test.make
-    ~name:"hull (lift2 min a b) = pointwise min of hulls (choose-plan)"
-    ~count:500 (QCheck.pair arb_dist arb_dist) (fun (a, b) ->
-      let ha = Dist.hull a and hb = Dist.hull b in
-      I.equal
-        (Dist.hull (Dist.lift2 Float.min a b))
-        (I.make (Float.min ha.I.lo hb.I.lo) (Float.min ha.I.hi hb.I.hi)))
-
 (* --- refinement ----------------------------------------------------------- *)
 
 let prop_refine_hull_exact =
@@ -140,63 +114,6 @@ let test_scenario_levels () =
     (List.nth levels (List.length levels - 1));
   Alcotest.(check bool) "monotone" true
     (List.sort Float.compare levels = levels)
-
-(* --- the distribution-valued cost model ----------------------------------- *)
-
-let env_mem mem =
-  D.Env.of_bindings
-    (D.Paper_catalog.make ~relations:2)
-    (D.Bindings.make ~selectivities:[] ~memory_pages:mem)
-
-let prop_own_cost_dist_hull_exact =
-  (* The cost formula evaluated over the scenario grid has the interval
-     cost (the two-corner evaluation) as its exact hull. *)
-  QCheck.Test.make ~name:"hull (own_cost_dist) = own_cost exactly" ~count:200
-    (QCheck.pair arb_interval arb_interval) (fun (rows_in, rows_out) ->
-      let env = env_mem 16 in
-      let ops =
-        [ D.Physical.Sort [ D.Col.make ~rel:"R1" ~attr:"a" ];
-          D.Physical.Hash_join
-            [ D.Predicate.equi
-                ~left:(D.Col.make ~rel:"R1" ~attr:"jr")
-                ~right:(D.Col.make ~rel:"R2" ~attr:"jl") ] ]
-      in
-      List.for_all
-        (fun op ->
-          let arity =
-            match op with D.Physical.Hash_join _ -> 2 | _ -> 1
-          in
-          let inputs =
-            List.init arity (fun _ ->
-                { D.Cost_model.rows = rows_in; bytes_per_row = 128 })
-          in
-          let dinputs =
-            List.init arity (fun _ ->
-                { D.Cost_model.drows = Dist.of_interval rows_in;
-                  dbytes_per_row = 128 })
-          in
-          let interval =
-            D.Cost_model.own_cost env op ~inputs ~output_rows:rows_out
-          in
-          let dist =
-            D.Cost_model.own_cost_dist env op ~inputs:dinputs
-              ~output_rows:(Dist.of_interval rows_out)
-          in
-          I.equal (Dist.hull dist) interval)
-        ops)
-
-let prop_choose_plan_cost_dist_hull_exact =
-  QCheck.Test.make ~name:"hull (choose_plan_cost_dist) = choose_plan_cost"
-    ~count:300
-    (QCheck.pair arb_interval (QCheck.pair arb_interval arb_interval))
-    (fun (a, (b, c)) ->
-      let env = env_mem 64 in
-      let intervals = [ a; b; c ] in
-      I.equal
-        (Dist.hull
-           (D.Cost_model.choose_plan_cost_dist env
-              (List.map Dist.of_interval intervals)))
-        (D.Cost_model.choose_plan_cost env intervals))
 
 (* --- certificates come from hulls, never expectations --------------------- *)
 
@@ -264,11 +181,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_quantile_in_hull_and_monotone;
       QCheck_alcotest.to_alcotest prop_quantile_extremes_exact;
       QCheck_alcotest.to_alcotest prop_compaction_bound_and_hull;
-      QCheck_alcotest.to_alcotest prop_add_hull_exact;
-      QCheck_alcotest.to_alcotest prop_mul_hull_exact;
-      QCheck_alcotest.to_alcotest prop_lift2_min_hull_exact;
       QCheck_alcotest.to_alcotest prop_refine_hull_exact;
       QCheck_alcotest.to_alcotest prop_refine_never_widens;
-      QCheck_alcotest.to_alcotest prop_own_cost_dist_hull_exact;
-      QCheck_alcotest.to_alcotest prop_choose_plan_cost_dist_hull_exact;
       QCheck_alcotest.to_alcotest prop_certificates_tail_sound ] )

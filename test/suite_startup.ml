@@ -401,6 +401,69 @@ let test_rewrite_matches_legacy_walks () =
         [ D.Risk.Expected; D.Risk.Worst_case; D.Risk.Quantile 0.9 ])
     (List.init 120 (fun i -> i + 1))
 
+(* [explain] with one override on each node that has a choose node
+   below it, on the 3- to 5-way chains.  A choose node only that
+   override reaches was never evaluated: it made no decision and is not
+   listed (it used to raise [Not_found] while [evaluate] and [resolve]
+   succeeded).  Every listing matches the interpreted oracle's. *)
+let test_explain_skips_unevaluated_chooses () =
+  let skipped = ref 0 in
+  List.iter
+    (fun relations ->
+      let q = query relations in
+      let plan = dynamic_plan q in
+      let env = D.Env.of_bindings q.D.Queries.catalog (List.hd (bindings_for q 1)) in
+      let is_choose (p : D.Plan.t) = p.D.Plan.op = D.Physical.Choose_plan in
+      let below = Hashtbl.create 64 in
+      let rec choose_below (p : D.Plan.t) =
+        match Hashtbl.find_opt below p.D.Plan.pid with
+        | Some b -> b
+        | None ->
+          let b =
+            List.exists (fun c -> is_choose c || choose_below c) p.D.Plan.inputs
+          in
+          Hashtbl.add below p.D.Plan.pid b;
+          b
+      in
+      let decided l =
+        List.map (fun (d : D.Startup.decision) -> d.D.Startup.choose_pid) l
+      in
+      let everywhere = decided (D.Startup.explain env plan) in
+      D.Plan.iter
+        (fun (p : D.Plan.t) ->
+          if choose_below p then begin
+            let overrides = [ (p.D.Plan.pid, 10.) ] in
+            let name = Printf.sprintf "%d-way, override #%d" relations p.D.Plan.pid in
+            let got = D.Startup.explain ~overrides env plan in
+            let want = Legacy_rewrites.explain ~overrides env plan in
+            let listing (pid, alts, chosen) =
+              (pid, List.map (fun (a, op, c) -> (a, op, bits c)) alts, chosen)
+            in
+            Alcotest.(check bool) (name ^ ": same decisions as the oracle") true
+              (List.map
+                 (fun (d : D.Startup.decision) ->
+                   listing
+                     ( d.D.Startup.choose_pid,
+                       d.D.Startup.alternatives,
+                       d.D.Startup.chosen_pid ))
+                 got
+              = List.map listing want);
+            Alcotest.(check bool) (name ^ ": the override decides nothing") false
+              (List.mem p.D.Plan.pid (decided got));
+            let listed = decided got in
+            skipped :=
+              !skipped
+              + List.length
+                  (List.filter
+                     (fun pid -> pid <> p.D.Plan.pid && not (List.mem pid listed))
+                     everywhere);
+            ignore (D.Startup.evaluate ~overrides env plan);
+            ignore (D.Startup.resolve ~overrides env plan)
+          end)
+        plan)
+    [ 3; 4; 5 ];
+  Alcotest.(check bool) "some overrides hide a choose node" true (!skipped > 0)
+
 (* --- the program memo ------------------------------------------------------ *)
 
 (* One resolution as the oracle computes it, in comparable form. *)
@@ -587,6 +650,8 @@ let suite =
       Alcotest.test_case "maybe_replace threshold" `Quick test_maybe_replace_threshold;
       Alcotest.test_case "rewrite matches the legacy walks" `Slow
         test_rewrite_matches_legacy_walks;
+      Alcotest.test_case "explain skips choose nodes an override hides" `Quick
+        test_explain_skips_unevaluated_chooses;
       Alcotest.test_case "program memo follows the catalog" `Quick
         test_memo_follows_the_catalog;
       Alcotest.test_case "program memo shared across domains" `Quick
