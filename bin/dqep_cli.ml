@@ -434,7 +434,7 @@ let run_cmd =
               D.Reoptimize.prepare ?options:opt_options ~mode
                 q.D.Queries.catalog q.D.Queries.query
             with
-            | Ok (rt, _) -> Some (D.Reoptimize.replanner rt)
+            | Ok (rt, _) -> Some (D.Reoptimize.replan rt)
             | Error _ -> None
           else None
         in

@@ -215,7 +215,7 @@ let union a b =
 (* Filler for result slots not yet written. *)
 let unseen = { rows = Interval.point 0.; total = Interval.point 0. }
 
-let evaluator env (dag : Plan.Dag.t) =
+let evaluator ~infeasible env (dag : Plan.Dag.t) =
   let prog = Startup.box_program env dag in
   let names = Startup.vars prog in
   let n = dag.Plan.Dag.length in
@@ -325,13 +325,35 @@ let evaluator env (dag : Plan.Dag.t) =
       | None ->
         incr misses;
         let first = dag.Plan.Dag.first_input in
+        (* A choose node's alternatives start-up can never pick (they
+           name objects the catalog lacks) drop out of its hull and
+           minimum, unless every alternative is such. *)
+        let skip =
+          match dag.Plan.Dag.nodes.(i).Plan.op with
+          | Physical.Choose_plan ->
+            let rec any_feasible x =
+              x < first.(i + 1)
+              && ((not (infeasible dag.Plan.Dag.inputs.(x)))
+                 || any_feasible (x + 1))
+            in
+            if any_feasible first.(i) then infeasible else fun _ -> false
+          | _ -> fun _ -> false
+        in
         for x = first.(i) to first.(i + 1) - 1 do
           let j = dag.Plan.Dag.inputs.(x) in
-          let v = go j in
-          box.Startup.rows_lo.(j) <- v.rows.Interval.lo;
-          box.Startup.rows_hi.(j) <- v.rows.Interval.hi;
-          box.Startup.total_lo.(j) <- v.total.Interval.lo;
-          box.Startup.total_hi.(j) <- v.total.Interval.hi
+          if skip j then begin
+            box.Startup.rows_lo.(j) <- Float.infinity;
+            box.Startup.rows_hi.(j) <- Float.neg_infinity;
+            box.Startup.total_lo.(j) <- Float.infinity;
+            box.Startup.total_hi.(j) <- Float.infinity
+          end
+          else begin
+            let v = go j in
+            box.Startup.rows_lo.(j) <- v.rows.Interval.lo;
+            box.Startup.rows_hi.(j) <- v.rows.Interval.hi;
+            box.Startup.total_lo.(j) <- v.total.Interval.lo;
+            box.Startup.total_hi.(j) <- v.total.Interval.hi
+          end
         done;
         load ();
         Startup.box_step prog box i;

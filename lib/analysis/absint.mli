@@ -60,9 +60,10 @@ type evaluator = {
           of the analyses' work budgets *)
 }
 
-val evaluator : Env.t -> Plan.Dag.t -> evaluator
-(** [evaluator env dag] prepares a many-region evaluation of a plan's
-    numbering: [(evaluator env dag).value region i] is node [i]'s rows
+val evaluator : infeasible:(int -> bool) -> Env.t -> Plan.Dag.t -> evaluator
+(** [evaluator ~infeasible env dag] prepares a many-region evaluation of
+    a plan's numbering: [(evaluator ~infeasible env dag).value region i]
+    is node [i]'s rows
     and total cost over the region, computed by the plan's start-up
     program ({!Dqep_plans.Startup.box_step}) under [restrict env region].
     For any point environment inside the region, the point rows and
@@ -74,7 +75,9 @@ val evaluator : Env.t -> Plan.Dag.t -> evaluator
     are insensitive to most cut dimensions, so a grid sweep costs far
     less than regions x nodes.  Plans the catalog cannot resolve are
     accepted: such a node's value keeps its recorded rows, or raises if
-    its cost cannot be formed. *)
+    its cost cannot be formed.  A choose node's alternatives for which
+    [infeasible] holds are left out of its rows and total, unless all of
+    them are — start-up never picks an alternative activation pruned. *)
 
 val sound_rows : Env.t -> Plan.Dag.t -> Interval.t array
 (** Data-sound cardinality bounds by index: bounds that hold for

@@ -7,7 +7,6 @@
 module Interval = Dqep_util.Interval
 module Diagnostic = Dqep_util.Diagnostic
 module Physical = Dqep_algebra.Physical
-module Predicate = Dqep_algebra.Predicate
 module Catalog = Dqep_catalog.Catalog
 module Env = Dqep_cost.Env
 module Plan = Dqep_plans.Plan
@@ -25,7 +24,7 @@ let default_max_regions = 64
    under a work budget measured in node evaluations — proportional to the
    plan, with a floor so small plans always sweep exhaustively — and on
    exhaustion simply stops reporting the unsettled verdicts (never a
-   false finding, never an unsound prune). *)
+   false finding). *)
 let work_budget (dag : Plan.Dag.t) = (6 * dag.Plan.Dag.length) + 2048
 
 exception Out_of_work
@@ -97,10 +96,6 @@ let choose_space_of ?(max_regions = default_max_regions) ?budget_bytes ~catalog
   if chooses = [] then []
   else begin
     let plan = node (n - 1) in
-    let evaluate = Absint.evaluator env dag in
-    let full = evaluate.Absint.full in
-    let full_values = evaluate.Absint.value full in
-    let max_work = work_budget dag in
     (* One whole-plan catalog-resolution pass, then bottom-up
        propagation: feasibility diagnostics (missing relation /
        attribute / index) are node-local, so an alternative is feasible
@@ -123,6 +118,15 @@ let choose_space_of ?(max_regions = default_max_regions) ?budget_bytes ~catalog
       done;
       Array.get ok
     in
+    (* Infeasible alternatives are left out of their choose node's
+       values: start-up never picks them, and costing one may be
+       impossible (a missing relation has no cost-model entry). *)
+    let evaluate =
+      Absint.evaluator ~infeasible:(fun i -> not (feasible i)) env dag
+    in
+    let full = evaluate.Absint.full in
+    let full_values = evaluate.Absint.value full in
+    let max_work = work_budget dag in
     (* Budget admissibility of one alternative across regions: [`Always]
        / [`Never] from the full-region floor envelope, [`Depends] when
        only region-level floors can tell. *)
@@ -333,82 +337,6 @@ let choose_space_of ?(max_regions = default_max_regions) ?budget_bytes ~catalog
 let choose_space ?max_regions ?budget_bytes ~catalog env plan =
   choose_space_of ?max_regions ?budget_bytes ~catalog env (Plan.Dag.of_plan plan)
 
-(* --- dead-alternative pruning --------------------------------------------- *)
-
-(* Which of [alts] (sibling alternatives of one choose node, or
-   candidates about to become one) can a startup decision ever select?
-   Alternatives are costed bottom-up, so their totals are context-free
-   and the analysis needs no enclosing plan. *)
-let survivors ?(max_regions = default_max_regions) env (alts : Plan.t list) =
-  if List.length alts < 2 then alts
-  else begin
-    let dags = List.map Plan.Dag.of_plan alts in
-    let evaluators = List.map (Absint.evaluator env) dags in
-    let region =
-      List.fold_left
-        (fun acc (ev : Absint.evaluator) ->
-          { acc with
-            Absint.sels =
-              acc.Absint.sels
-              @ List.filter
-                  (fun (v, _) -> not (List.mem_assoc v acc.Absint.sels))
-                  ev.Absint.full.Absint.sels })
-        { Absint.sels = []; memory = Env.memory_pages env }
-        evaluators
-    in
-    let totals_in rg =
-      List.map2
-        (fun ev (d : Plan.Dag.t) ->
-          (ev.Absint.value rg (d.Plan.Dag.length - 1)).Absint.total)
-        evaluators dags
-    in
-    let max_work = List.fold_left (fun n d -> n + work_budget d) 0 dags in
-    let work () =
-      List.fold_left (fun n ev -> n + ev.Absint.work ()) 0 evaluators
-    in
-    (* Full-region classification first: domination there transfers to
-       every subregion, and the region loop only has to clear the
-       remaining candidates — it stops as soon as each has shown one
-       region of non-domination. *)
-    let dominated_full = dominated_in_region (totals_in region) in
-    let still_dead = Array.copy dominated_full in
-    let pending =
-      ref
-        (Array.fold_left (fun n d -> if d then n else n + 1) 0 dominated_full)
-    in
-    Array.iteri
-      (fun i d -> if not d then still_dead.(i) <- true)
-      dominated_full;
-    if !pending > 0 then begin
-      try
-        List.iter
-          (fun rg ->
-            if !pending = 0 || work () > max_work then raise Out_of_work;
-            Array.iteri
-              (fun i d ->
-                if (not d) && (not dominated_full.(i)) && still_dead.(i)
-                then begin
-                  still_dead.(i) <- false;
-                  decr pending
-                end)
-              (dominated_in_region (totals_in rg)))
-          (Absint.subdivide region ~max_regions)
-      with Out_of_work ->
-        (* Candidates not yet refuted in every region are kept, never
-           pruned — the sound direction. *)
-        Array.iteri
-          (fun i d -> if (not d) && still_dead.(i) then still_dead.(i) <- false)
-          dominated_full
-    end;
-    let kept =
-      List.filteri (fun i _ -> not still_dead.(i)) alts
-    in
-    (* In any single region the alternative with the least lower bound is
-       never dominated, so at least one always survives; the guard is
-       belt and braces. *)
-    if kept = [] then alts else kept
-  end
-
 (* --- static budget admission ---------------------------------------------- *)
 
 let budget_check env ~budget_bytes (plan : Plan.t) =
@@ -421,101 +349,6 @@ let budget_check env ~budget_bytes (plan : Plan.t) =
   else []
 
 (* --- checkpoint-fingerprint collisions ------------------------------------ *)
-
-(* Hash-consed sorted string lists: equal lists get one id, so the
-   per-node sets of a DAG cost an int each and every distinct union is
-   merged once.  [merge] combines two sorted lists (a set or a multiset
-   union); it must be commutative and associative. *)
-type interned = {
-  empty : int;
-  intern : string list -> int;
-  union : int -> int -> int;
-  list_of : int -> string list;
-}
-
-let interned ~merge =
-  let ids : (string list, int) Hashtbl.t = Hashtbl.create 64 in
-  let lists : (int, string list) Hashtbl.t = Hashtbl.create 64 in
-  let intern l =
-    match Hashtbl.find_opt ids l with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids in
-      Hashtbl.add ids l i;
-      Hashtbl.add lists i l;
-      i
-  in
-  let empty = intern [] in
-  let unions : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let union a b =
-    if a = empty then b
-    else if b = empty then a
-    else begin
-      let key = (Int.min a b lsl 24) lor Int.max a b in
-      match Hashtbl.find_opt unions key with
-      | Some i -> i
-      | None ->
-        let i = intern (merge (Hashtbl.find lists a) (Hashtbl.find lists b)) in
-        Hashtbl.add unions key i;
-        i
-    end
-  in
-  { empty; intern; union; list_of = Hashtbl.find lists }
-
-(* [Checkpoint.fingerprint], replicated: the analysis layer cannot depend
-   on the execution layer (which depends on it).  The differential test
-   in suite_absint pins the two implementations together. *)
-(* The per-node selection-string sets are shared bottom-up: a node's set
-   is the sorted-unique union of its children's sets plus its own
-   predicate, so fingerprinting every node of a DAG is one pass instead
-   of one subtree walk per node.  [sel_sets dag] numbers each node's set
-   and returns the numbers by index with the set behind each number. *)
-let sel_sets (dag : Plan.Dag.t) =
-  let pred_str = Hashtbl.create 16 in
-  let render p =
-    match Hashtbl.find_opt pred_str p with
-    | Some s -> s
-    | None ->
-      let s = Format.asprintf "%a" Predicate.pp_select p in
-      Hashtbl.add pred_str p s;
-      s
-  in
-  let rec merge a b =
-    match (a, b) with
-    | [], l | l, [] -> l
-    | x :: xs, y :: ys ->
-      let c = String.compare x y in
-      if c = 0 then x :: merge xs ys
-      else if c < 0 then x :: merge xs b
-      else y :: merge a ys
-  in
-  let sets = interned ~merge in
-  let ids = Array.make dag.Plan.Dag.length sets.empty in
-  for i = 0 to dag.Plan.Dag.length - 1 do
-    let own =
-      match dag.Plan.Dag.nodes.(i).Plan.op with
-      | Physical.Filter p | Physical.Filter_btree_scan { pred = p; _ }
-      | Physical.Index_join { inner_filter = Some p; _ } ->
-        sets.intern [ render p ]
-      | Physical.Index_join { inner_filter = None; _ }
-      | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
-      | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan ->
-        sets.empty
-    in
-    ids.(i) <-
-      List.fold_left
-        (fun acc c -> sets.union acc ids.(c))
-        own (Plan.Dag.inputs dag i)
-  done;
-  (ids, sets.list_of)
-
-let fingerprint_of ~rels_key sels = rels_key ^ "?" ^ String.concat "&" sels
-
-let fingerprint (plan : Plan.t) =
-  let dag = Plan.Dag.of_plan plan in
-  let ids, list_of = sel_sets dag in
-  fingerprint_of ~rels_key:(Plan.rels_key plan)
-    (list_of ids.(dag.Plan.Dag.length - 1))
 
 (* Distinct nodes sharing a fingerprint are *expected* (choose
    alternatives, a sort and its child): the registry is keyed by logical
@@ -535,13 +368,44 @@ let fingerprint (plan : Plan.t) =
    contributes no column and is left out).  Equal multisets get equal
    numbers. *)
 let col_sets catalog (dag : Plan.Dag.t) =
-  let sets = interned ~merge:(List.merge String.compare) in
+  (* Hash-consed sorted lists: equal multisets get one number, and every
+     distinct union is merged once. *)
+  let numbers : (string list, int) Hashtbl.t = Hashtbl.create 64 in
+  let lists : (int, string list) Hashtbl.t = Hashtbl.create 64 in
+  let intern l =
+    match Hashtbl.find_opt numbers l with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length numbers in
+      Hashtbl.add numbers l i;
+      Hashtbl.add lists i l;
+      i
+  in
+  let empty = intern [] in
+  let unions : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let union a b =
+    if a = empty then b
+    else if b = empty then a
+    else begin
+      let key = (Int.min a b lsl 24) lor Int.max a b in
+      match Hashtbl.find_opt unions key with
+      | Some i -> i
+      | None ->
+        let i =
+          intern
+            (List.merge String.compare (Hashtbl.find lists a)
+               (Hashtbl.find lists b))
+        in
+        Hashtbl.add unions key i;
+        i
+    end
+  in
   let ids = Array.make dag.Plan.Dag.length None in
   let of_rel rel =
     match Catalog.relation catalog rel with
     | Some r ->
       Some
-        (sets.intern
+        (intern
            (if r.Dqep_catalog.Relation.attributes = [] then [] else [ r.name ]))
     | None -> None
   in
@@ -556,11 +420,11 @@ let col_sets catalog (dag : Plan.Dag.t) =
       | (Physical.Filter _ | Physical.Sort _), [ child ] -> ids.(child)
       | (Physical.Hash_join _ | Physical.Merge_join _), [ l; r ] -> (
         match (ids.(l), ids.(r)) with
-        | Some a, Some b -> Some (sets.union a b)
+        | Some a, Some b -> Some (union a b)
         | _ -> None)
       | Physical.Index_join { inner_rel; _ }, [ outer ] -> (
         match (ids.(outer), of_rel inner_rel) with
-        | Some a, Some b -> Some (sets.union a b)
+        | Some a, Some b -> Some (union a b)
         | _ -> None)
       | Physical.Choose_plan, first :: _ -> ids.(first)
       | _, _ -> None)
@@ -568,45 +432,21 @@ let col_sets catalog (dag : Plan.Dag.t) =
   ids
 
 let fingerprints_of ~catalog (dag : Plan.Dag.t) =
-  let sel_ids, sels_of = sel_sets dag in
+  let fps = Plan.fingerprints dag in
   let cols = col_sets catalog dag in
-  (* Nodes of one memo group share their [rels] list, so relation keys
-     are cached by physical list; each distinct (relations, selections)
-     pair then builds its fingerprint and finds its group once. *)
-  let rels_keys = ref [] in
-  let rels_key_of (n : Plan.t) =
-    match List.assq_opt n.Plan.rels !rels_keys with
-    | Some k -> k
-    | None ->
-      let k = Plan.rels_key n in
-      rels_keys := (n.Plan.rels, k) :: !rels_keys;
-      k
-  in
-  let group_of : (string * int, (Plan.t * Interval.t * int option) list ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
   let groups : (string, (Plan.t * Interval.t * int option) list ref) Hashtbl.t =
     Hashtbl.create 32
   in
   for i = 0 to dag.Plan.Dag.length - 1 do
     let n = dag.Plan.Dag.nodes.(i) in
-    let rels_key = rels_key_of n and sid = sel_ids.(i) in
-      let r =
-        match Hashtbl.find_opt group_of (rels_key, sid) with
-        | Some r -> r
-        | None ->
-          let fp = fingerprint_of ~rels_key (sels_of sid) in
-          let r =
-            match Hashtbl.find_opt groups fp with
-            | Some r -> r
-            | None ->
-              let r = ref [] in
-              Hashtbl.add groups fp r;
-              r
-          in
-          Hashtbl.add group_of (rels_key, sid) r;
-          r
-      in
+    let r =
+      match Hashtbl.find_opt groups fps.(i) with
+      | Some r -> r
+      | None ->
+        let r = ref [] in
+        Hashtbl.add groups fps.(i) r;
+        r
+    in
     r := (n, n.Plan.rows, cols.(i)) :: !r
   done;
   Hashtbl.fold

@@ -4,13 +4,12 @@
     - {!choose_space} — parameter-space coverage (DQEP501) and dead,
       everywhere-dominated alternatives (DQEP502) for every choose-plan
       node;
-    - {!survivors} — the pruning side of the dominance analysis, used
-      by the optimizer's memoized-winner hook ([Search] keeps only the
-      survivors when it builds a choose node);
     - {!budget_check} — static admission against a governor budget
       (DQEP503), the precheck behind [Session] and [dqep analyze
       --budget-kb];
-    - {!fingerprints} — checkpoint-fingerprint collision lint (DQEP504);
+    - {!fingerprints} — checkpoint-fingerprint collision lint (DQEP504),
+      grouping nodes by {!Dqep_plans.Plan.fingerprints}, the key the
+      checkpoint registry files entries under;
     - {!pipeline} — unchecked streaming pipelines between a choose
       resolution and the nearest blocking point (DQEP505).
 
@@ -37,22 +36,11 @@ val choose_space :
     cost-dominated by a sibling in every region — startup can never
     select it. *)
 
-val survivors : ?max_regions:int -> Env.t -> Plan.t list -> Plan.t list
-(** The subset of sibling alternatives a startup decision could ever
-    select (non-dead under region-wise dominance).  Never empty for a
-    non-empty input; order is preserved. *)
-
 val budget_check :
   Env.t -> budget_bytes:int -> Plan.t -> Diagnostic.t list
 (** DQEP503 when {!Absint.guaranteed_bytes} exceeds the budget: every
     execution would abort with [Memory_exceeded], so admission should
     refuse the plan statically. *)
-
-val fingerprint : Plan.t -> string
-(** The checkpoint registry's logical fingerprint (relation set plus
-    deduplicated selection predicates), replicated here because the
-    analysis layer cannot depend on the execution layer.  Kept in
-    lockstep with [Checkpoint] by a differential test. *)
 
 val fingerprints :
   catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list

@@ -418,7 +418,8 @@ let rec compile_node ctx (plan : Plan.t) : iterator =
 and compile_op ctx (plan : Plan.t) : iterator =
   match materialized_tuples ctx plan with
   | Some tuples ->
-    (* The subplan was already materialized (mid-query adaptation). *)
+    (* The subplan was already materialized: a registry entry spliced
+       in by pid. *)
     of_tuples ~capacity:ctx.capacity (schema_of ctx plan) tuples
   | None -> (
     match plan.Plan.op with
@@ -526,7 +527,7 @@ and hash_join ctx (plan : Plan.t) preds =
            consumed build side before any probe work. *)
         (match plan.Plan.inputs with
         | [ l; _ ] ->
-          Checkpoint.take ctx.ckpt ctx.db ctx.env l ~schema:left_schema build
+          Checkpoint.take ctx.ckpt ctx.env l ~schema:left_schema build
         | _ -> ());
         let probe = consume right_it in
         Exec_common.hash_join_core ~gov:ctx.gov ~obs:ctx.obs
@@ -682,7 +683,7 @@ and sort ctx (plan : Plan.t) cols =
         in
         (* The sort's output is fully materialized here — the other
            blocking point — and carries the node's order property. *)
-        Checkpoint.take ctx.ckpt ctx.db ctx.env plan ~schema sorted;
+        Checkpoint.take ctx.ckpt ctx.env plan ~schema sorted;
         pending := Batch.of_tuples ~capacity:ctx.capacity schema sorted);
     next =
       (fun () ->
@@ -724,12 +725,10 @@ let compile_with db env ?(gov = Governor.none) ?(obs = Trace.null)
   (ctx, compile_node ctx plan)
 
 (* Execute a plan and return its tuples plus the run's execution profile.
-   Per-batch accounting happens at the plan root: [on_batch] (when given)
-   observes every root batch's selected row count as it is delivered —
-   Midquery uses this to accumulate cardinalities batch by batch. *)
+   Per-batch accounting happens at the plan root. *)
 let run_plan db env ?(gov = Governor.none) ?(obs = Trace.null)
     ?(materialized = []) ?(checkpoint = Checkpoint.disabled) ?(workers = 1)
-    ?(capacity = Batch.default_capacity) ?on_batch plan =
+    ?(capacity = Batch.default_capacity) plan =
   let ctx, it =
     compile_with db env ~gov ~obs ~materialized ~checkpoint ~workers ~capacity
       plan
@@ -750,7 +749,6 @@ let run_plan db env ?(gov = Governor.none) ?(obs = Trace.null)
             incr batches;
             max_rows := Int.max !max_rows n;
             total_rows := !total_rows + n;
-            Option.iter (fun f -> f n) on_batch;
             Some b) }
   in
   let tuples = consume counting in

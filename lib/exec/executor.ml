@@ -86,12 +86,11 @@ let check_feasible db env (plan : Plan.t) =
 
 let compile db env plan = snd (Batch_exec.compile_with db env plan)
 
-let execute db env ?gov ?obs ?materialized ?checkpoint ?workers ?on_batch plan =
+let execute db env ?gov ?obs ?materialized ?checkpoint ?workers plan =
   let workers =
     match workers with Some w -> w | None -> Exec_common.default_workers ()
   in
-  Batch_exec.run_plan db env ?gov ?obs ?materialized ?checkpoint ~workers
-    ?on_batch plan
+  Batch_exec.run_plan db env ?gov ?obs ?materialized ?checkpoint ~workers plan
 
 let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     ?(risk = Dqep_cost.Risk.Expected) bindings plan =

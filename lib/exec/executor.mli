@@ -89,14 +89,13 @@ val execute :
   ?materialized:(int * Exec_common.tuple list) list ->
   ?checkpoint:Checkpoint.t ->
   ?workers:int ->
-  ?on_batch:(int -> unit) ->
   Dqep_plans.Plan.t ->
   Exec_common.tuple list * Exec_common.exec_profile
 (** Drain the plan and report the run's execution profile.  [workers]
     (default [DQEP_WORKERS], else 1) arms the exchange scans, radix joins
     and chunked sorts.  Nodes whose pid appears in [materialized] are
     served from the given temporary results instead of being executed —
-    the execution half of mid-query adaptation ({!Midquery}).  When a
+    the splices {!Checkpoint.resume_for} hands out.  When a
     [gov] is given, every batch is a cancellation point, the plan root
     counts delivered rows against its row limit, and the spilling
     operators charge their working sets against its memory budget
@@ -107,10 +106,7 @@ val execute :
     {!Checkpoint.disabled}) captures fully materialized intermediates at
     blocking points — a hash join's completed build side, a sort's output
     — and may raise {!Checkpoint.Estimate_busted} when an observation
-    escapes the plan's validity band.  [on_batch] observes the selected
-    row count of every batch delivered at the plan root as it is
-    produced — {!Midquery} accumulates observed cardinalities through
-    it. *)
+    escapes the plan's validity band. *)
 
 val run :
   Dqep_storage.Database.t ->

@@ -1,4 +1,3 @@
-module Timer = Dqep_util.Timer
 module Physical = Dqep_algebra.Physical
 module Env = Dqep_cost.Env
 module Plan = Dqep_plans.Plan
@@ -68,71 +67,12 @@ let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
       switched = false;
       run } )
 
-type observation = {
-  observed_rows : int;
-  batches : int;
-  overrides : (int * float) list;
-  materialized : (int * Exec_common.tuple list) list;
-}
-
 let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?workers
-    plan ~sub =
-  (* Evaluate the shared subplan into a temporary and propagate the
-     observation to every subplan computing the same logical result (same
-     relations and selections — witnessed by an identical compile-time
-     cardinality interval): alternatives that access the observed input
-     through a different physical path are costed against reality too.
-
-     The observation itself runs under a taps-enabled trace — the
-     caller's when it has taps, a private one otherwise — so the observed
-     cardinality is read back off the root operator's tap: the same
-     channel feedback re-optimization consumes, rather than a separate
-     caller-side accumulator.  The root-batch count ([on_batch]) is kept
-     as the fallback for materialized roots, which bypass operator
-     compilation entirely. *)
-  let ot =
-    if Trace.taps_enabled obs then obs else Trace.create ~taps:true ()
-  in
-  let delivered = ref 0 in
-  let tapped_before = Option.value ~default:0 (Trace.tap_rows ot sub.Plan.pid) in
-  let temp, profile =
-    Executor.execute db env ~gov ~obs:ot ?workers
-      ~on_batch:(fun n -> delivered := !delivered + n)
-      sub
-  in
-  let observed =
-    match Trace.tap_rows ot sub.Plan.pid with
-    | Some rows when rows - tapped_before > 0 || !delivered = 0 ->
-      rows - tapped_before
-    | Some _ | None -> !delivered
-  in
-  let equivalent =
-    Plan.fold
-      (fun acc (node : Plan.t) ->
-        if
-          node.Plan.rels = sub.Plan.rels
-          && Dqep_util.Interval.equal node.Plan.rows sub.Plan.rows
-        then node :: acc
-        else acc)
-      [] plan
-  in
-  let overrides =
-    List.map (fun (n : Plan.t) -> (n.Plan.pid, float_of_int observed)) equivalent
-  in
-  (* The temporary is unordered: only splice it in where no sort order
-     is promised; ordered equivalents re-execute their own path. *)
-  let materialized =
-    List.filter_map
-      (fun (n : Plan.t) ->
-        match n.Plan.props.Dqep_algebra.Props.order with
-        | Dqep_algebra.Props.Unordered -> Some (n.Plan.pid, temp)
-        | Dqep_algebra.Props.Ordered _ -> None)
-      equivalent
-  in
-  { observed_rows = observed;
-    batches = profile.Exec_common.batches;
-    overrides;
-    materialized }
+    registry ~sub =
+  let tuples, _ = Executor.execute db env ~gov ~obs ?workers sub in
+  Checkpoint.file registry sub ~schema:(Plan.schema (Database.catalog db) sub)
+    tuples;
+  List.length tuples
 
 let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     bindings plan =
@@ -146,14 +86,21 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     let rt = if Trace.enabled obs then obs else Trace.create () in
     let before = Buffer_pool.stats_of_trace rt in
     Buffer_pool.attach_obs pool rt;
-    Fun.protect ~finally:(fun () -> Buffer_pool.detach_obs pool) @@ fun () ->
+    let registry = Checkpoint.create ~gov ~obs:rt () in
+    Fun.protect
+      ~finally:(fun () ->
+        Checkpoint.release registry;
+        Buffer_pool.detach_obs pool)
+    @@ fun () ->
     let start = Sys.time () in
-    (* Phase 1: evaluate the shared subplan into a temporary. *)
-    let { observed_rows = observed; batches = _; overrides; materialized } =
+    (* Phase 1: evaluate the shared subplan into a registry entry. *)
+    let observed =
       Trace.span rt "observe" (fun () ->
-          observe db env ~gov ~obs:rt ?workers plan ~sub)
+          observe db env ~gov ~obs:rt ?workers registry ~sub)
     in
-    (* Phase 2: decide with the observation, execute with the temporary. *)
+    (* Phase 2: decide with the observation, execute with the entry
+       spliced in wherever it serves. *)
+    let overrides = Checkpoint.overrides_for registry db plan in
     let default_resolution = Startup.resolve env plan in
     (* Cost the start-up-time choice under the observation too, so both
        costs are comparable statements about reality. *)
@@ -162,8 +109,9 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     in
     let adapted = Startup.resolve ~overrides env plan in
     let tuples, profile =
-      Executor.execute db env ~gov ~obs:rt ~materialized ?workers
-        adapted.Startup.plan
+      Executor.execute db env ~gov ~obs:rt
+        ~materialized:(Checkpoint.resume_for registry db adapted.Startup.plan)
+        ?workers adapted.Startup.plan
     in
     let cpu_seconds = Sys.time () -. start in
     let after = Buffer_pool.stats_of_trace rt in

@@ -9,11 +9,14 @@
     its {e observed} cardinality then replaces the estimate in the
     decision procedure.
 
-    The strategy here: if the plan's root is a choose-plan operator, find
-    the largest choose-free subplan common to every alternative,
-    materialize it, re-run the decision procedure with the observed
-    cardinality (see {!Dqep_plans.Startup.evaluate}'s [overrides]), and
-    execute the winner with the temporary spliced in. *)
+    The strategy here: if the plan's root is a choose-plan operator, pick
+    the most informative subplan its alternatives share, evaluate it into
+    a {!Checkpoint} registry entry, re-run the decision procedure with
+    the registry's overrides (see {!Dqep_plans.Startup.evaluate}'s
+    [overrides]), and execute the winner with the registry's splices.
+    The observation is a checkpoint like any other: matched to nodes by
+    logical fingerprint, charged to the governor and released when the
+    run ends. *)
 
 type stats = {
   materialized : Dqep_plans.Plan.t option;
@@ -28,19 +31,11 @@ type stats = {
 }
 
 val shared_subplan : Dqep_plans.Plan.t -> Dqep_plans.Plan.t option
-(** The largest choose-free subplan common to all alternatives of the
-    root choose-plan operator; [None] if the root is not a choose-plan
-    or nothing is shared. *)
-
-type observation = {
-  observed_rows : int;  (** actual cardinality of the shared subplan *)
-  batches : int;
-      (** batches delivered at the subplan's root *)
-  overrides : (int * float) list;
-      (** pid -> observed cardinality, for {!Dqep_plans.Startup.resolve} *)
-  materialized : (int * Exec_common.tuple list) list;
-      (** pid -> temporary result, for {!Executor.execute} *)
-}
+(** The most informative subplan that at least two alternatives of the
+    root choose-plan operator share: the widest cardinality interval
+    times the number of alternatives sharing it, ties to the larger
+    subplan, then to the first numbered.  [None] if the root is not a
+    choose-plan or no shared subplan has an uncertain cardinality. *)
 
 val observe :
   Dqep_storage.Database.t ->
@@ -48,19 +43,17 @@ val observe :
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
   ?workers:int ->
-  Dqep_plans.Plan.t ->
+  Checkpoint.t ->
   sub:Dqep_plans.Plan.t ->
-  observation
-(** Materialize [sub] (a subplan of the plan, typically from
-    {!shared_subplan}) and translate its observed cardinality into
-    decision-procedure overrides and execution-time splices for every
-    equivalent node of the plan.  The subplan runs under a taps-enabled
-    trace ([obs] when it has taps, a private one otherwise), and the
-    observed cardinality is read off the root operator's tap — the same
-    observation channel feedback re-optimization consumes; the root
-    delivery count is the fallback for materialized roots.  Also used by
-    {!Resilience} to carry observed cardinalities into failover
-    re-resolution. *)
+  int
+(** Evaluate [sub] (a subplan of the plan, typically from
+    {!shared_subplan}) and {!Checkpoint.file} its result in the
+    registry; returns its observed cardinality.  From there the registry
+    serves the observation like any checkpoint: {!Checkpoint.overrides_for}
+    hands its cardinality to every fingerprint-equal node of a plan and
+    {!Checkpoint.resume_for} splices its tuples into the same nodes.
+    Also used by {!Resilience} to carry observed cardinalities into
+    failover re-resolution. *)
 
 val run :
   Dqep_storage.Database.t ->
@@ -74,4 +67,5 @@ val run :
     resolution when there is nothing to observe.  [gov]/[workers]
     as in {!Executor.execute}: the observation phase and the final
     execution run under the same governor, so deadlines and memory
-    budgets span the whole adapted query. *)
+    budgets span the whole adapted query, and the observation's bytes
+    are charged to [gov] until the run ends. *)

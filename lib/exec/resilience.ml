@@ -2,6 +2,8 @@ module Env = Dqep_cost.Env
 module Device = Dqep_cost.Device
 module Interval = Dqep_util.Interval
 module Rng = Dqep_util.Rng
+module Physical = Dqep_algebra.Physical
+module Plan = Dqep_plans.Plan
 module Startup = Dqep_plans.Startup
 module Database = Dqep_storage.Database
 module Buffer_pool = Dqep_storage.Buffer_pool
@@ -17,7 +19,6 @@ type config = {
   backoff_seed : int;
   io_budget_factor : float option;
   max_failovers : int;
-  observe_on_failover : bool;
   workers : int option;
   checkpoints : bool;
   checkpoint_tolerance : float;
@@ -36,7 +37,7 @@ let default_checkpoints () =
 
 let config ?(max_retries = 2) ?(backoff_base = 0.01) ?(backoff_cap = 1.)
     ?(backoff_seed = 0x5eed) ?io_budget_factor ?(max_failovers = 8)
-    ?(observe_on_failover = true) ?workers ?checkpoints
+    ?workers ?checkpoints
     ?(checkpoint_tolerance = Checkpoint.default_tolerance) ?(max_replans = 2)
     ?replan ?(risk = Dqep_cost.Risk.Expected) () =
   if max_retries < 0 then invalid_arg "Resilience.config: max_retries < 0";
@@ -52,8 +53,7 @@ let config ?(max_retries = 2) ?(backoff_base = 0.01) ?(backoff_cap = 1.)
     match checkpoints with Some c -> c | None -> default_checkpoints ()
   in
   { max_retries; backoff_base; backoff_cap; backoff_seed; io_budget_factor;
-    max_failovers;
-    observe_on_failover; workers; checkpoints; checkpoint_tolerance;
+    max_failovers; workers; checkpoints; checkpoint_tolerance;
     max_replans; replan; risk }
 
 let default = config ()
@@ -132,6 +132,26 @@ let budget_pages env ~factor ~anticipated_cost =
     Some (Int.max 16 (int_of_float (Float.ceil pages)))
   end
 
+(* [holds_working_set plan pid]: whether [plan]'s node [pid] holds a
+   working set anywhere in its subtree — a hash join's build, a merge
+   join's right side or a sort, the operators that charge the governor's
+   memory budget.  A pid foreign to [plan] is assumed to. *)
+let holds_working_set plan =
+  let dag = Plan.Dag.of_plan plan in
+  let holds = Array.make dag.Plan.Dag.length false in
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    holds.(i) <-
+      (match dag.Plan.Dag.nodes.(i).Plan.op with
+      | Physical.Hash_join _ | Physical.Merge_join _ | Physical.Sort _ -> true
+      | Physical.File_scan _ | Physical.Btree_scan _
+      | Physical.Filter_btree_scan _ | Physical.Filter _
+      | Physical.Index_join _ | Physical.Choose_plan ->
+        false)
+      || List.exists (Array.get holds) (Plan.Dag.inputs dag i)
+  done;
+  fun pid ->
+    match Plan.Dag.find dag pid with Some i -> holds.(i) | None -> true
+
 let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
     bindings plan =
   let env = Env.of_bindings (Database.catalog db) bindings in
@@ -181,18 +201,16 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
       | None -> Env.io_budget_factor env
     in
     let excluded = ref [] in
-    let overrides = ref [] in
-    let materialized = ref [] in
     let failover_observed = ref false in
-    (* The checkpoint registry spans the whole supervised run: entries
-       taken by a failed attempt are what the next attempt — same plan or
-       replanned — resumes from. *)
-    let ckpt =
-      if config.checkpoints then
-        Checkpoint.create ~tolerance:config.checkpoint_tolerance ~gov ~obs:rt
-          ()
-      else Checkpoint.disabled
+    (* One registry spans the whole supervised run: checkpoints taken by
+       a failed attempt and the failover observation are what the next
+       attempt — same plan or replanned — resumes from.  Attempts take
+       checkpoints at blocking points only when [config.checkpoints] is
+       on. *)
+    let registry =
+      Checkpoint.create ~tolerance:config.checkpoint_tolerance ~gov ~obs:rt ()
     in
+    let takes = if config.checkpoints then registry else Checkpoint.disabled in
     (* The plan the remaining attempts resolve; an incremental re-plan
        after a busted estimate swaps it wholesale. *)
     let current_plan = ref plan in
@@ -223,7 +241,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
       (* Observe the plan the next resolution will actually use: after a
          re-plan, [plan] is the abandoned plan, and a subplan observed
          there may not occur in the new one at all. *)
-      if config.observe_on_failover && not !failover_observed then begin
+      if not !failover_observed then begin
         failover_observed := true;
         match Midquery.shared_subplan !current_plan with
         | None -> ()
@@ -231,12 +249,9 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
           match
             Trace.span rt "observe" (fun () ->
                 Midquery.observe db !mem_env ~gov ~obs:rt
-                  ?workers:config.workers !current_plan
-                  ~sub)
+                  ?workers:config.workers registry ~sub)
           with
-          | obs ->
-            overrides := obs.Midquery.overrides;
-            materialized := obs.Midquery.materialized
+          | _ -> ()
           | exception
               ( Fault.Io_fault _ | Buffer_pool.Io_budget_exceeded _
               | Governor.Memory_exceeded _ ) ->
@@ -263,18 +278,15 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
            (budget_pages !mem_env ~factor
               ~anticipated_cost:resolution.Startup.anticipated_cost));
       Trace.incr rt Counter.Attempts;
-      (* Blocking points already passed are served from their
-         checkpoints: a retry or replanned attempt re-reads strictly
-         fewer base pages than a cold restart.  Checkpoint splices come
-         first so they win over a stale failover observation of the same
-         node. *)
-      let resume = Checkpoint.resume_for ckpt db resolution.Startup.plan in
+      (* Blocking points already passed and observed subplans are served
+         from the registry: a retry, failover or replanned attempt
+         re-reads strictly fewer base pages than a cold restart. *)
+      let resume = Checkpoint.resume_for registry db resolution.Startup.plan in
       match
         Timer.cpu (fun () ->
           Trace.span rt "attempt" (fun () ->
-            Executor.execute db !mem_env ~gov ~obs:rt
-              ~materialized:(resume @ !materialized) ~checkpoint:ckpt
-              ?workers:config.workers
+            Executor.execute db !mem_env ~gov ~obs:rt ~materialized:resume
+              ~checkpoint:takes ?workers:config.workers
               resolution.Startup.plan))
       with
       | (tuples, profile), cpu_seconds ->
@@ -335,25 +347,19 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
       | Some replan when budget_left -> (
         match
           Trace.span rt "replan" (fun () ->
-              replan ~rels_rows:(Checkpoint.rels_observations ckpt))
+              replan ~rels_rows:(Checkpoint.rels_observations registry))
         with
         | Some new_plan -> (
           match Executor.check_feasible db !mem_env new_plan with
           | new_plan ->
             Trace.incr rt Counter.Replans;
             current_plan := new_plan;
-            (* The abandoned plan's overrides, exclusions and
-               materialized subtrees go with it.  Pids are process-unique,
-               so none of them could land on an unrelated node, but they
-               were decided for the old plan — alternatives that failed
-               there, a subplan observed to steer its choices — while the
-               new one was costed from the observed cardinalities and is
-               resolved afresh; a kept temporary would also hold its
-               tuples for the rest of the run.  What still applies comes
-               back through the checkpoint registry, whose splices and
-               overrides are fingerprint-matched against the new plan. *)
-            materialized := [];
-            overrides := [];
+            (* The abandoned plan's exclusions go with it: they name
+               alternatives that failed there, while the new plan was
+               costed from the observed cardinalities and is resolved
+               afresh.  Observations stay in the registry, whose splices
+               and overrides are fingerprint-matched against the new
+               plan. *)
             excluded := [];
             failover_observed := false;
             resolve_and_attempt ()
@@ -375,16 +381,27 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
       then exhausted error
       else begin
         Trace.incr rt Counter.Failovers;
-        excluded :=
-          List.map snd resolution.Startup.choices @ !excluded;
+        let chosen = List.map snd resolution.Startup.choices in
+        let failed =
+          match error with
+          | Governor.Memory_exceeded _ -> (
+            (* Only a working set charges the memory budget, so an
+               alternative that merely streams cannot have caused the
+               abort: it stays available to the lower-memory
+               re-resolution. *)
+            match List.filter (holds_working_set !current_plan) chosen with
+            | [] -> chosen
+            | holding -> holding)
+          | _ -> chosen
+        in
+        excluded := failed @ !excluded;
         try_observe ();
         resolve_and_attempt ~last:error ()
       end
     and resolve_and_attempt ?last () =
       match
         Startup.resolve ~risk:config.risk
-          ~overrides:
-            (Checkpoint.overrides_for ckpt db !current_plan @ !overrides)
+          ~overrides:(Checkpoint.overrides_for registry db !current_plan)
           ~excluded:!excluded !mem_env !current_plan
       with
       | resolution -> attempt resolution 0
@@ -401,7 +418,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
       Buffer_pool.attach_obs pool rt;
       Fun.protect
         ~finally:(fun () ->
-          Checkpoint.release ckpt;
+          Checkpoint.release registry;
           Buffer_pool.detach_obs pool;
           Buffer_pool.set_io_limit pool None)
         (fun () ->

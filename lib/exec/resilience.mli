@@ -9,11 +9,17 @@
     broken, the run's physical I/O blows past its anticipated cost, or
     its working set cannot fit the memory budget even after maximal
     spilling — the supervisor re-enters the decision procedure with the
-    failed alternative excluded and carries any observed cardinalities
-    along ({!Midquery.observe}), falling back through the plan DAG until
-    an alternative completes or all are exhausted.  A memory-budget
+    failed alternative excluded, falling back through the plan DAG until
+    an alternative completes or all are exhausted.  On the first
+    failover it evaluates the plan's shared subplan into the run's
+    {!Checkpoint} registry ({!Midquery.observe}; best-effort, an
+    observation that faults is skipped), so the re-resolutions decide
+    with its observed cardinality and splice its tuples.  A memory-budget
     abort additionally lowers the memory grant for the re-resolution, so
-    the decision procedure prefers a lower-memory alternative.
+    the decision procedure prefers a lower-memory alternative, and
+    excludes only the failed choices that hold a working set (a hash
+    join's build, a merge join's right side, a sort): a choice that
+    merely streams charges no memory and stays available.
 
     Governor violations that no alternative can repair are their own
     typed outcomes: a deadline or cancellation ends the run immediately
@@ -49,11 +55,6 @@ type config = {
           guard *)
   max_failovers : int;
       (** bound on re-resolutions onto other alternatives (default 8) *)
-  observe_on_failover : bool;
-      (** materialize the plan's shared subplan on first failover so the
-          re-resolution decides with observed cardinalities
-          (default true; best-effort — observation failures are
-          swallowed) *)
   workers : int option;
       (** exchange workers for every attempt; [None] defers to
           [DQEP_WORKERS] (see {!Executor.execute}).  Faults raised inside
@@ -77,8 +78,8 @@ type config = {
           checkpointed observation (keyed by relation set); returns the
           replacement plan, or [None] to decline.  [None] (the default)
           turns a busted estimate into the typed {!Estimate_busted}
-          failure instead.  {!Dqep_optimizer}'s [Reoptimize.replanner]
-          is the intended callback — the supervisor itself stays free of
+          failure instead.  {!Dqep_optimizer}'s [Reoptimize.replan],
+          applied to a retained search, is the intended callback — the supervisor itself stays free of
           an optimizer dependency. *)
   risk : Dqep_cost.Risk.t;
       (** risk posture handed to every start-up re-resolution
@@ -95,7 +96,6 @@ val config :
   ?backoff_seed:int ->
   ?io_budget_factor:float ->
   ?max_failovers:int ->
-  ?observe_on_failover:bool ->
   ?workers:int ->
   ?checkpoints:bool ->
   ?checkpoint_tolerance:float ->
@@ -184,9 +184,11 @@ val run :
     observation and re-planning run inside "attempt"/"observe"/"replan"
     spans, and [stats] is computed as a view over the trace's deltas.
 
-    With [config.checkpoints] on, every attempt materializes
-    checkpoints at its blocking points; later attempts — bounded retries
-    after transient faults, failovers, and replanned runs — resume from
-    them instead of redoing completed sort/build work, and checkpoint
+    One {!Checkpoint} registry spans the run.  With [config.checkpoints]
+    on, every attempt materializes checkpoints at its blocking points;
+    the failover observation is filed there too, checkpoints or not.
+    Later attempts — bounded retries after transient faults, failovers,
+    and replanned runs — take their overrides and splices from it by
+    logical fingerprint instead of redoing completed work, and entry
     bytes are charged to [gov] for the duration of the supervised run
     and always rolled back at the end. *)

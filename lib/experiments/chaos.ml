@@ -164,7 +164,7 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
         match
           Reoptimize.prepare ~mode inst.Plangen.catalog inst.Plangen.query
         with
-        | Ok (rt, _) -> Some (Reoptimize.replanner rt)
+        | Ok (rt, _) -> Some (Reoptimize.replan rt)
         | Error _ -> None
       in
       Resilience.config ~workers ~backoff_seed:(seed + job)
@@ -186,13 +186,14 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
         (Printf.sprintf "job %d (%s, %d workers): %s" job
            (scenario_name scenario) workers msg)
   in
+  (* Every scenario: a failover observation is charged to the job's
+     governor whether or not checkpoints are on. *)
   let ckpt_leak =
-    match scenario with
-    | (Busted | Faulty_resume) when Governor.charged_bytes gov <> 0 ->
+    if Governor.charged_bytes gov <> 0 then
       Some
         (Printf.sprintf "job %d (%s, %d workers): %d bytes still charged"
            job (scenario_name scenario) workers (Governor.charged_bytes gov))
-    | _ -> None
+    else None
   in
   (scenario, outcome, leak, ckpt_leak)
 

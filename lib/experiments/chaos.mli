@@ -6,10 +6,11 @@
     parallel exchange — through one shared {!Dqep_exec.Session}.  The
     harness checks the governed-session contract: every job gets exactly
     one typed outcome ({!tally.escaped} empty), no outcome leaks a
-    buffer-pool pin ({!tally.leaks} empty), and no checkpointed
-    intermediate leaks memory-governor bytes ({!tally.checkpoint_leaks}
-    empty) — the busted and faulty-resume scenarios run with
-    checkpointed recovery enabled.  Hang-freedom is the caller's
+    buffer-pool pin ({!tally.leaks} empty), and no job of any scenario
+    ends with memory-governor bytes still charged
+    ({!tally.checkpoint_leaks} empty) — the busted and faulty-resume
+    scenarios run with checkpointed recovery enabled, and every
+    scenario's failovers file their observation in the same registry.  Hang-freedom is the caller's
     watchdog's job.
 
     Deterministic in [seed] up to domain scheduling: the job set is
@@ -41,7 +42,8 @@ type tally = {
       (** busted-scenario jobs that completed after at least one replan *)
   leaks : string list;  (** pin-leak reports; the contract demands [] *)
   checkpoint_leaks : string list;
-      (** checkpoint bytes still charged after an outcome; must be [] *)
+      (** bytes still charged to a job's governor after its outcome,
+          every scenario; must be [] *)
   escaped : string list;  (** exceptions escaping submit; must be [] *)
   session : Dqep_exec.Session.stats;
 }

@@ -115,7 +115,6 @@ let selectivity_bounds t = locked t (fun () -> bands t.selectivities)
 let cardinality_bounds t = locked t (fun () -> bands t.cardinalities)
 
 let selectivity_dists t = locked t (fun () -> dists t.selectivities)
-let cardinality_dists t = locked t (fun () -> dists t.cardinalities)
 
 let observations t =
   locked t (fun () ->

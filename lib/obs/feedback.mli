@@ -54,10 +54,6 @@ val selectivity_dists : t -> (string * Dqep_cost.Dist.t) list
 (** Every selectivity histogram, sorted by variable name; hulls equal
     {!selectivity_bounds}.  Feed to [Dqep_cost.Env.refine_dists]. *)
 
-val cardinality_dists : t -> (string * Dqep_cost.Dist.t) list
-(** Every cardinality histogram, keyed by relation set; hulls feed
-    [Dqep_optimizer.Reoptimize.replan_bands]. *)
-
 val observations : t -> int
 (** Total number of recorded observations (not bands). *)
 

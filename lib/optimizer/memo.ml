@@ -191,24 +191,20 @@ let to_view t : Dqep_analysis.Verify.memo_view =
    rows stay within the contract every already-memoized winner was costed
    under — which is what makes reusing unmoved groups sound.  Returns the
    ids of groups whose interval actually moved. *)
-let refine_rows_interval t observations =
+let refine_rows t observations =
   let moved = ref [] in
   for id = 0 to t.used - 1 do
     let g = t.groups.(id) in
     match List.assoc_opt (String.concat "|" g.rels) observations with
     | None -> ()
     | Some obs ->
-      let refined = Interval.refine g.rows obs in
+      let refined = Interval.refine g.rows (Interval.point obs) in
       if not (Interval.equal refined g.rows) then begin
         g.rows <- refined;
         moved := id :: !moved
       end
   done;
   List.rev !moved
-
-let refine_rows t observations =
-  refine_rows_interval t
-    (List.map (fun (k, v) -> (k, Interval.point v)) observations)
 
 let logical_tree_count t root =
   let memo = Hashtbl.create 32 in

@@ -59,14 +59,6 @@ val refine_rows : t -> (string * float) list -> int list
     under.  Returns the ids of the groups whose interval moved; groups
     with point priors (base relations) never move. *)
 
-val refine_rows_interval :
-  t -> (string * Dqep_util.Interval.t) list -> int list
-(** Band-shaped {!refine_rows}: each observation is an interval rather
-    than an exact count — the hull of a feedback histogram
-    ([Dqep_obs.Feedback]) filed under the same relation-set key.  Same
-    never-leave-the-prior contract, same moved-group accounting;
-    {!refine_rows} is the point special case. *)
-
 val to_view : t -> Dqep_analysis.Verify.memo_view
 (** Plain-data projection of all groups for the static verifier
     ({!Dqep_analysis.Verify.memo}). *)

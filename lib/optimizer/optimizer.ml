@@ -24,7 +24,6 @@ type options = {
   sample_domination : int option;
   sample_seed : int;
   verify : bool;
-  prune_dead : bool;
   risk : Dqep_cost.Risk.t;
   risk_margin : float;
 }
@@ -40,7 +39,6 @@ let default_options =
     sample_domination = None;
     sample_seed = 42;
     verify = false;
-    prune_dead = false;
     risk = Dqep_cost.Risk.default;
     risk_margin = 0.1 }
 
@@ -76,7 +74,7 @@ let env_of_mode options catalog = function
       ~device:options.device catalog
   | Run_time bindings -> Env.of_bindings ~device:options.device catalog bindings
 
-let optimize ?(options = default_options) ?refine ~mode catalog query =
+let search_config ?(options = default_options) ?refine ~mode catalog query =
   match Logical.validate catalog query with
   | Error diags -> Error (Dqep_util.Diagnostic.list_to_string diags)
   | Ok () ->
@@ -90,15 +88,20 @@ let optimize ?(options = default_options) ?refine ~mode catalog query =
       | Dynamic _ -> true
       | Static _ | Run_time _ -> false
     in
-    let config =
-      Search.config ~keep_equal_alternatives ~prune:options.prune
-        ~use_index_join:options.use_index_join ~left_deep_only:options.left_deep
-        ~force_incomparable:options.exhaustive
-        ~sample_domination:options.sample_domination
-        ~sample_seed:options.sample_seed ~verify_winners:options.verify
-        ~prune_dead:options.prune_dead ~risk:options.risk
-        ~risk_margin:options.risk_margin env
-    in
+    Ok
+      ( env,
+        Search.config ~keep_equal_alternatives ~prune:options.prune
+          ~use_index_join:options.use_index_join
+          ~left_deep_only:options.left_deep
+          ~force_incomparable:options.exhaustive
+          ~sample_domination:options.sample_domination
+          ~sample_seed:options.sample_seed ~verify_winners:options.verify
+          ~risk:options.risk ~risk_margin:options.risk_margin env )
+
+let optimize ?(options = default_options) ?refine ~mode catalog query =
+  match search_config ~options ?refine ~mode catalog query with
+  | Error _ as e -> e
+  | Ok (env, config) ->
     let memo = Memo.create env in
     let search_result, cpu_seconds =
       Timer.cpu (fun () ->

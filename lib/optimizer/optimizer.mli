@@ -48,10 +48,6 @@ type options = {
           winner is verified as it is memoized (raising
           {!Dqep_analysis.Verify.Failed} on corruption), and the final
           plan and memo are re-checked into {!result.diagnostics} *)
-  prune_dead : bool;
-      (** drop choose alternatives no startup decision can ever select
-          ({!Dqep_analysis.Analyses.survivors}) as winners are memoized —
-          smaller dynamic plans, fewer run-time failover spares *)
   risk : Dqep_cost.Risk.t;
       (** ranking posture ({!Dqep_cost.Risk}): [Worst_case] (default)
           is the paper's interval search bit-for-bit; [Expected] ranks
@@ -76,8 +72,8 @@ type stats = {
   pruned : int;
   sample_evaluations : int;
   alternatives_pruned : int;
-      (** choose alternatives dropped as dead under [prune_dead] or
-          collapsed as rank near-misses under a ranked [risk] posture *)
+      (** choose alternatives collapsed as rank near-misses under a
+          ranked [risk] posture *)
   plan_nodes : int;  (** size of the produced plan DAG *)
   choose_nodes : int;  (** choose-plan operators in the produced plan *)
 }
@@ -91,10 +87,17 @@ type result = {
           unless {!options.verify} is set *)
 }
 
-val env_of_mode :
-  options -> Dqep_catalog.Catalog.t -> mode -> Dqep_cost.Env.t
-(** The parameter environment a mode optimizes under — exposed so
-    {!Reoptimize} can rebuild the same search state it re-enters. *)
+val search_config :
+  ?options:options ->
+  ?refine:(Dqep_cost.Env.t -> Dqep_cost.Env.t) ->
+  mode:mode ->
+  Dqep_catalog.Catalog.t ->
+  Dqep_algebra.Logical.t ->
+  (Dqep_cost.Env.t * Search.config, string) Result.t
+(** Validate the query and build the environment and search
+    configuration {!optimize} searches under ([refine] as there) —
+    shared with {!Reoptimize.prepare}, so a retained search is
+    configured exactly like a one-shot one. *)
 
 val optimize :
   ?options:options ->

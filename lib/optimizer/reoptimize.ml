@@ -18,7 +18,6 @@
    fixpoint. *)
 
 module Props = Dqep_algebra.Props
-module Logical = Dqep_algebra.Logical
 module Plan = Dqep_plans.Plan
 
 type stats = {
@@ -35,26 +34,10 @@ type t = {
   mutable last : stats option;
 }
 
-let prepare ?(options = Optimizer.default_options) ~mode catalog query =
-  match Logical.validate catalog query with
-  | Error diags -> Error (Dqep_util.Diagnostic.list_to_string diags)
-  | Ok () ->
-    let env = Optimizer.env_of_mode options catalog mode in
-    let keep_equal_alternatives =
-      match mode with
-      | Optimizer.Dynamic _ -> true
-      | Optimizer.Static _ | Optimizer.Run_time _ -> false
-    in
-    let config =
-      Search.config ~keep_equal_alternatives ~prune:options.Optimizer.prune
-        ~use_index_join:options.Optimizer.use_index_join
-        ~left_deep_only:options.Optimizer.left_deep
-        ~force_incomparable:options.Optimizer.exhaustive
-        ~sample_domination:options.Optimizer.sample_domination
-        ~sample_seed:options.Optimizer.sample_seed
-        ~verify_winners:options.Optimizer.verify ~risk:options.Optimizer.risk
-        ~risk_margin:options.Optimizer.risk_margin env
-    in
+let prepare ?options ~mode catalog query =
+  match Optimizer.search_config ?options ~mode catalog query with
+  | Error _ as e -> e
+  | Ok (env, config) ->
     let memo = Memo.create env in
     let root = Memo.ingest memo query in
     let search = Search.create config memo in
@@ -62,7 +45,10 @@ let prepare ?(options = Optimizer.default_options) ~mode catalog query =
     | None -> Error "optimization produced no plan"
     | Some plan -> Ok ({ memo; search; root; last = None }, plan))
 
-let replan_moved t moved =
+let replan t ~rels_rows =
+  match Memo.refine_rows t.memo rels_rows with
+  | [] -> None
+  | moved ->
     let n = Memo.group_count t.memo in
     let dirty = Array.make n false in
     List.iter (fun id -> dirty.(id) <- true) moved;
@@ -94,24 +80,4 @@ let replan_moved t moved =
           reused_winners = reused };
     plan
 
-let replan t ~rels_rows =
-  match Memo.refine_rows t.memo rels_rows with
-  | [] -> None
-  | moved -> replan_moved t moved
-
-(* Feedback-histogram replanning: the observations are bands (hulls of
-   per-relation-set histograms accumulated by [Dqep_obs.Feedback]), not
-   exact counts — the session may have seen several executions of the
-   shape, each refining the band a little.  Same dirty-closure re-entry
-   as [replan]. *)
-let replan_bands t ~rels_bands =
-  match Memo.refine_rows_interval t.memo rels_bands with
-  | [] -> None
-  | moved -> replan_moved t moved
-
 let last_stats t = t.last
-
-(* The adapter [Resilience.config ~replan] expects: observations in, new
-   plan out.  A [None] (observations refined nothing, or the re-search
-   found no plan) tells the supervisor to surface the typed failure. *)
-let replanner t ~rels_rows = replan t ~rels_rows

@@ -42,19 +42,8 @@ val replan :
     moved (the observations were already inside every prior) or the
     re-search produced no plan; otherwise the replanned plan, which may
     share structure with the original wherever clean winners were
-    reused. *)
-
-val replan_bands :
-  t -> rels_bands:(string * Dqep_util.Interval.t) list -> Dqep_plans.Plan.t option
-(** {!replan} with band-shaped observations: each entry is the hull of a
-    feedback histogram for a relation set ({!Dqep_obs.Feedback}), so a
-    session's accumulated evidence — not just a single busted count —
-    re-costs the dirty groups.  [None] under the same conditions as
-    {!replan}. *)
+    reused.  [replan t] is the callback [Resilience.config ~replan]
+    expects. *)
 
 val last_stats : t -> stats option
 (** Accounting of the most recent {!replan}, [None] before the first. *)
-
-val replanner :
-  t -> rels_rows:(string * float) list -> Dqep_plans.Plan.t option
-(** {!replan} in the shape [Resilience.config ~replan] expects. *)

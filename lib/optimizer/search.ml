@@ -27,7 +27,6 @@ type config = {
   sample_domination : int option;
   sample_seed : int;
   verify_winners : bool;
-  prune_dead : bool;
   risk : Risk.t;
   risk_margin : float;
 }
@@ -35,11 +34,11 @@ type config = {
 let config ?(keep_equal_alternatives = true) ?(prune = true)
     ?(use_index_join = true) ?(left_deep_only = false)
     ?(force_incomparable = false) ?(sample_domination = None)
-    ?(sample_seed = 42) ?(verify_winners = false) ?(prune_dead = false)
+    ?(sample_seed = 42) ?(verify_winners = false)
     ?(risk = Risk.default) ?(risk_margin = 0.1) env =
   { env; keep_equal_alternatives; prune; use_index_join; left_deep_only;
     force_incomparable; sample_domination; sample_seed; verify_winners;
-    prune_dead; risk; risk_margin }
+    risk; risk_margin }
 
 type stats = {
   goals : int;
@@ -353,25 +352,7 @@ let rec goal t gid required ~limit =
       match !pareto with
       | [] -> None
       | [ p ] -> Some p
-      | alts ->
-        (* Dead-alternative pruning (opt-in): drop alternatives a startup
-           decision can never select — dominated region-wise across the
-           whole parameter space, a strictly finer test than the Pareto
-           set's whole-interval comparison.  The trade-off is failover
-           resilience: a dead alternative still serves as a fallback when
-           siblings are excluded at run time, hence the flag. *)
-        let alts =
-          if t.config.prune_dead then begin
-            let kept = Dqep_analysis.Analyses.survivors t.config.env alts in
-            t.alternatives_pruned <-
-              t.alternatives_pruned + (List.length alts - List.length kept);
-            kept
-          end
-          else alts
-        in
-        (match alts with
-        | [ p ] -> Some p
-        | alts -> Some (Plan.Builder.choose t.builder alts))
+      | alts -> Some (Plan.Builder.choose t.builder alts)
     in
     Log.debug (fun m ->
         m "goal (group %d, %a): %d surviving plan(s), best %a" gid

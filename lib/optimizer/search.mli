@@ -37,11 +37,6 @@ type config = {
       (** debug: run the static verifier ({!Dqep_analysis.Verify.winner})
           on every winner before memoizing it, raising
           {!Dqep_analysis.Verify.Failed} on error-severity diagnostics *)
-  prune_dead : bool;
-      (** drop choose alternatives that are strictly cost-dominated over
-          the whole parameter space ({!Dqep_analysis.Analyses.survivors})
-          before memoizing a winner — smaller dynamic plans at the cost
-          of run-time failover spares *)
   risk : Dqep_cost.Risk.t;
       (** ranking posture.  [Worst_case] (the default) is the paper's
           pure interval search, bit-for-bit; [Expected] / [Quantile _]
@@ -65,7 +60,6 @@ val config :
   ?sample_domination:int option ->
   ?sample_seed:int ->
   ?verify_winners:bool ->
-  ?prune_dead:bool ->
   ?risk:Dqep_cost.Risk.t ->
   ?risk_margin:float ->
   Dqep_cost.Env.t ->
@@ -78,8 +72,7 @@ type stats = {
   sample_evaluations : int;
       (** plan evaluations for sampled domination and risk ranking *)
   alternatives_pruned : int;
-      (** choose alternatives dropped as dead under [prune_dead], plus
-          interval-incomparable plans collapsed by the risk posture's
+      (** interval-incomparable plans collapsed by the risk posture's
           rank filter *)
 }
 

@@ -340,6 +340,53 @@ let rewrite env ?(dead = fun _ -> false) ?(verbatim = fun _ -> false) ?keep
    query's node covering the same relations finds them. *)
 let rels_key node = String.concat "|" node.rels
 
+(* A node's selections are the sorted-unique union of its inputs' plus
+   its own predicate, so one pass shares them bottom-up instead of
+   re-collecting each subtree.  Alternatives of one logical group render
+   the same selections through different operators (Filter,
+   Filter_btree_scan, an index join's inner filter); the union makes the
+   fingerprint alternative-invariant. *)
+let fingerprints (dag : Dag.t) =
+  let rendered = Hashtbl.create 16 in
+  let render p =
+    match Hashtbl.find_opt rendered p with
+    | Some s -> s
+    | None ->
+      let s = Format.asprintf "%a" Dqep_algebra.Predicate.pp_select p in
+      Hashtbl.add rendered p s;
+      s
+  in
+  let rec union a b =
+    match (a, b) with
+    | [], l | l, [] -> l
+    | _ when a == b -> a
+    | x :: xs, y :: ys ->
+      let c = String.compare x y in
+      if c = 0 then x :: union xs ys
+      else if c < 0 then x :: union xs b
+      else y :: union a ys
+  in
+  let sels = Array.make dag.Dag.length [] in
+  Array.init dag.Dag.length (fun i ->
+      let node = dag.Dag.nodes.(i) in
+      let own =
+        match node.op with
+        | Physical.Filter p | Physical.Filter_btree_scan { pred = p; _ }
+        | Physical.Index_join { inner_filter = Some p; _ } ->
+          [ render p ]
+        | Physical.Index_join { inner_filter = None; _ }
+        | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
+        | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan ->
+          []
+      in
+      sels.(i) <-
+        List.fold_left (fun acc c -> union acc sels.(c)) own (Dag.inputs dag i);
+      rels_key node ^ "?" ^ String.concat "&" sels.(i))
+
+let fingerprint plan =
+  let d = Dag.of_plan plan in
+  (fingerprints d).(d.Dag.length - 1)
+
 let node_count plan = fold (fun n _ -> n + 1) 0 plan
 
 let expanded_count plan =

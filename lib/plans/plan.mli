@@ -148,6 +148,17 @@ val iter : (t -> unit) -> t -> unit
 
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 
+val fingerprints : Dag.t -> string array
+(** The logical fingerprint of every numbered node, by index, in one
+    pass: the relation set ({!rels_key}), ["?"], then the sorted,
+    deduplicated selection predicates applied anywhere in the subtree,
+    joined with ["&"].  Equal for every alternative of one logical
+    group, whatever operator applies a selection.  Checkpoint entries
+    are keyed by it, and the DQEP504 lint groups nodes by it. *)
+
+val fingerprint : t -> string
+(** The plan root's entry of {!fingerprints}. *)
+
 val rewrite :
   Dqep_cost.Env.t ->
   ?dead:(int -> bool) ->

@@ -4,8 +4,10 @@
    [Validate.prune_infeasible]), the interpreted start-up evaluation
    ([Startup]'s memoized per-node walk, with [evaluate], [explain] and
    [estimated_rows] on it), start-up extraction ([Startup.resolve]'s
-   [extract]), plan shrinking ([Adapt.shrink]) and the region evaluator
-   [Absint] had before it ran start-up programs over boxes ([Region]).
+   [extract]), plan shrinking ([Adapt.shrink]), the region evaluator
+   [Absint] had before it ran start-up programs over boxes ([Region]),
+   and the checkpoint registry's logical fingerprint as one subtree walk
+   per node ([fingerprint]).
    Each computes its answer with its own walk; the suites pin the
    replacements to those answers.  Do not edit these to make a test
    pass. *)
@@ -637,3 +639,25 @@ module Region = struct
     in
     { value; work = (fun () -> !misses) }
 end
+
+(* --- logical fingerprint ----------------------------------------------------- *)
+
+(* [Checkpoint.fingerprint] as it was: the relation set plus the
+   deduplicated selection predicates collected by walking the node's own
+   subtree. *)
+let fingerprint (plan : Plan.t) =
+  let sels = ref [] in
+  let add p = sels := Format.asprintf "%a" Predicate.pp_select p :: !sels in
+  Plan.iter
+    (fun node ->
+      match node.Plan.op with
+      | Physical.Filter p | Physical.Filter_btree_scan { pred = p; _ } -> add p
+      | Physical.Index_join { inner_filter = Some p; _ } -> add p
+      | Physical.Index_join { inner_filter = None; _ }
+      | Physical.File_scan _ | Physical.Btree_scan _ | Physical.Hash_join _
+      | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan ->
+        ())
+    plan;
+  Plan.rels_key plan
+  ^ "?"
+  ^ String.concat "&" (List.sort_uniq String.compare !sels)

@@ -9,19 +9,16 @@
       (the lower bound is a bound on every execution, not a guess).
    3. Checkpointed variant: with the registry holding materializations,
       the [~checkpoints:true] certificate still rules out memory death.
-   4. Dead-alternative pruning: a seeded plan with a dominated
-      alternative is pruned, and the pruned plan is result-equivalent
-      across a grid of bindings; survivors never returns an empty set.
-   5. Session admission precheck: a statically doomed plan is rejected
+   4. Session admission precheck: a statically doomed plan is rejected
       (DQEP503) without executing; with [precheck:false] the same
       submission dies at run time instead.
-   6. Fingerprint lockstep: [Analyses.fingerprint] (analysis layer) and
-      [Checkpoint.fingerprint] (execution layer) agree on every node of
-      every optimized Plangen plan.
-   7. Region values: the start-up program evaluated over boxes
+   5. Fingerprint oracle: [Plan.fingerprints]' one pass equals the
+      subtree walk it replaced on every node of Plangen, corpus and
+      two-selection plans.
+   6. Region values: the start-up program evaluated over boxes
       reproduces the region evaluator it replaced, value and miss count
       alike, on every box an analysis sweeps.
-   8. Point in box (qcheck over Plangen and the corpus): start-up's
+   7. Point in box (qcheck over Plangen and the corpus): start-up's
       point total and rows at any point of a box lie within the box's
       values. *)
 
@@ -217,122 +214,7 @@ let test_checkpointed_certificate () =
         D.Resilience.pp_failure f
   done
 
-(* --- 4. dead-alternative pruning ------------------------------------------ *)
-
-let pruning_catalog () =
-  D.Catalog.create
-    ~relations:
-      [ D.Relation.make ~name:"S" ~cardinality:50 ~record_bytes:64
-          ~attributes:
-            [ D.Attribute.make ~name:"a" ~domain_size:10;
-              D.Attribute.make ~name:"j" ~domain_size:10 ] ]
-    ~indexes:[] ()
-
-(* A choose between a bare scan and the same scan behind a redundant
-   sort: the analysis costs alternatives through the cost model, so the
-   sort's strictly positive own cost makes that alternative dominated in
-   every region — it must be pruned, and pruning cannot change the
-   delivered multiset, checked over a binding grid. *)
-let seeded_choose () =
-  let c = pruning_catalog () in
-  let b = D.Plan.Builder.create (D.Env.dynamic c) in
-  let scan =
-    D.Plan.Builder.operator b (D.Physical.File_scan "S") ~inputs:[]
-      ~rels:[ "S" ] ~rows:(I.point 50.) ~bytes_per_row:64
-      ~props:D.Props.unordered
-  in
-  let col = D.Col.make ~rel:"S" ~attr:"a" in
-  let sorted =
-    D.Plan.Builder.operator b (D.Physical.Sort [ col ]) ~inputs:[ scan ]
-      ~rels:[ "S" ] ~rows:(I.point 50.) ~bytes_per_row:64
-      ~props:(D.Props.ordered [ col ])
-  in
-  let choose =
-    D.Plan.Builder.raw b ~op:D.Physical.Choose_plan ~inputs:[ scan; sorted ]
-      ~rels:[ "S" ] ~rows:(I.point 50.) ~bytes_per_row:64
-      ~own_cost:(I.point 0.)
-      ~total_cost:
-        (I.combine_min scan.D.Plan.total_cost sorted.D.Plan.total_cost)
-      ~props:D.Props.unordered
-  in
-  (c, choose, scan, sorted)
-
-let test_prune_dead_seeded () =
-  let c, choose, scan, sorted = seeded_choose () in
-  let env = D.Env.dynamic c in
-  let kept = D.Analyses.survivors env choose.D.Plan.inputs in
-  Alcotest.(check bool) "redundant sort dies" true
-    (not (List.memq sorted kept));
-  Alcotest.(check bool) "bare scan survives" true (List.memq scan kept);
-  let dropped = ref 0 in
-  let dag = D.Plan.Dag.of_plan choose in
-  let keep i =
-    let c = dag.D.Plan.Dag.nodes.(i) in
-    let kept = D.Analyses.survivors env c.D.Plan.inputs in
-    dropped := !dropped + List.length c.D.Plan.inputs - List.length kept;
-    List.map
-      (fun (p : D.Plan.t) -> Option.get (D.Plan.Dag.find dag p.D.Plan.pid))
-      kept
-  in
-  let pruned = Option.get (D.Plan.rewrite env ~keep dag) in
-  Alcotest.(check bool) "at least the dominated one dropped" true
-    (!dropped >= 1);
-  let db = D.Database.build ~seed:3 c in
-  List.iter
-    (fun pages ->
-      let b = D.Bindings.make ~selectivities:[] ~memory_pages:pages in
-      let reference, _ = D.Executor.run db b choose in
-      let got, _ = D.Executor.run db b pruned in
-      Alcotest.(check bool)
-        (Printf.sprintf "equivalent at %d pages" pages)
-        true
-        (D.Reference.multiset_equal reference got))
-    [ 16; 64; 112 ]
-
-(* Alternatives with identical modelled costs dominate nothing: both
-   sort orders survive, and a singleton input survives trivially. *)
-let test_survivors_never_empty () =
-  let c, choose, _, _ = seeded_choose () in
-  let env = D.Env.dynamic c in
-  let b = D.Plan.Builder.create env in
-  let scan =
-    D.Plan.Builder.operator b (D.Physical.File_scan "S") ~inputs:[]
-      ~rels:[ "S" ] ~rows:(I.point 50.) ~bytes_per_row:64
-      ~props:D.Props.unordered
-  in
-  let sort_on attr =
-    let col = D.Col.make ~rel:"S" ~attr in
-    D.Plan.Builder.operator b (D.Physical.Sort [ col ]) ~inputs:[ scan ]
-      ~rels:[ "S" ] ~rows:(I.point 50.) ~bytes_per_row:64
-      ~props:(D.Props.ordered [ col ])
-  in
-  let twins = [ sort_on "a"; sort_on "j" ] in
-  Alcotest.(check int) "equal costs: both survive" 2
-    (List.length (D.Analyses.survivors env twins));
-  List.iter
-    (fun alts ->
-      Alcotest.(check bool) "non-empty" true
-        (D.Analyses.survivors env alts <> []))
-    [ choose.D.Plan.inputs; [ List.hd choose.D.Plan.inputs ] ]
-
-(* The optimizer-side hook: [prune_dead] threads through search and the
-   stats report what it dropped; the pruned plan still verifies clean. *)
-let test_optimizer_prune_hook () =
-  let q = D.Queries.chain ~relations:4 in
-  let options = { D.Optimizer.default_options with prune_dead = true } in
-  let r =
-    Result.get_ok
-      (D.Optimizer.optimize ~options
-         ~mode:(D.Optimizer.dynamic ~uncertain_memory:true ())
-         q.D.Queries.catalog q.D.Queries.query)
-  in
-  Alcotest.(check bool) "pruned count is reported" true
-    (r.D.Optimizer.stats.D.Optimizer.alternatives_pruned >= 0);
-  Alcotest.(check bool) "pruned plan verifies clean" true
-    (Dg.errors (D.Verify.plan ~catalog:q.D.Queries.catalog r.D.Optimizer.plan)
-    = [])
-
-(* --- 5. session admission precheck ---------------------------------------- *)
+(* --- 4. session admission precheck ---------------------------------------- *)
 
 let doomed_submission () =
   let catalog, query = unfiltered_join () in
@@ -389,27 +271,44 @@ let test_session_precheck_off_dies_at_runtime () =
   | D.Session.Completed _ -> Alcotest.fail "a doomed plan completed"
   | D.Session.Shed _ -> Alcotest.fail "an idle session must admit"
 
-(* --- 6. fingerprint lockstep ---------------------------------------------- *)
+(* --- 5. fingerprint oracle -------------------------------------------------- *)
 
-let test_fingerprint_lockstep () =
-  for seed = 1 to 20 do
-    let inst = D.Plangen.generate ~seed in
-    List.iter
-      (fun (_, mode) ->
-        let r = optimize_exn ~mode inst.D.Plangen.catalog inst.D.Plangen.query in
-        D.Plan.iter
-          (fun node ->
-            let a = D.Analyses.fingerprint node in
-            let e = D.Checkpoint.fingerprint node in
-            if a <> e then
-              Alcotest.failf
-                "seed %d pid %d: analysis %S vs execution %S" seed
-                node.D.Plan.pid a e)
-          r.D.Optimizer.plan)
-      modes
-  done
+(* The one-pass fingerprints equal a subtree walk per node on every node
+   of the Plangen plans, the corpus and the two-selection query, static
+   and dynamic. *)
+let test_fingerprint_oracle () =
+  let two_catalog, two_query, _ = Test_util.two_selection_query () in
+  let targets =
+    List.init 20 (fun i ->
+        let inst = D.Plangen.generate ~seed:(i + 1) in
+        ( Printf.sprintf "plangen-%d" (i + 1),
+          inst.D.Plangen.catalog,
+          inst.D.Plangen.query ))
+    @ List.map
+        (fun (name, (q : D.Queries.t)) ->
+          (name, q.D.Queries.catalog, q.D.Queries.query))
+        (D.Queries.corpus ())
+    @ [ ("two selections", two_catalog, two_query) ]
+  in
+  List.iter
+    (fun (name, catalog, query) ->
+      List.iter
+        (fun (_, mode) ->
+          let dag =
+            D.Plan.Dag.of_plan (optimize_exn ~mode catalog query).D.Optimizer.plan
+          in
+          Array.iteri
+            (fun i got ->
+              let node = dag.D.Plan.Dag.nodes.(i) in
+              let want = Legacy_rewrites.fingerprint node in
+              if got <> want then
+                Alcotest.failf "%s pid %d: one pass %S vs subtree walk %S" name
+                  node.D.Plan.pid got want)
+            (D.Plan.fingerprints dag))
+        modes)
+    targets
 
-(* --- 7. region values against the evaluator they replaced ----------------- *)
+(* --- 6. region values against the evaluator they replaced ----------------- *)
 
 (* Plangen seeds and the corpus, each optimized with uncertain memory
    under the three postures: the plans `dqep analyze` sweeps. *)
@@ -466,7 +365,7 @@ let test_region_values_match_legacy () =
     (fun (name, env, plan) ->
       let dag = D.Plan.Dag.of_plan plan in
       let n = dag.D.Plan.Dag.length in
-      let got = D.Absint.evaluator env dag in
+      let got = D.Absint.evaluator ~infeasible:(fun _ -> false) env dag in
       let want = Legacy_rewrites.Region.evaluator env dag in
       let full = got.D.Absint.full in
       Alcotest.(check bool) (name ^ ": same full region") true
@@ -492,7 +391,7 @@ let test_region_values_match_legacy () =
         regions;
       match regions with
       | _ :: a :: b :: _ ->
-        let got = D.Absint.evaluator env dag in
+        let got = D.Absint.evaluator ~infeasible:(fun _ -> false) env dag in
         let want = Legacy_rewrites.Region.evaluator env dag in
         let ga = got.D.Absint.value a and gb = got.D.Absint.value b in
         let wa = want.Legacy_rewrites.Region.value a
@@ -551,7 +450,7 @@ let test_region_values_match_legacy_drifted () =
       (fun d drifted ->
         let name = Printf.sprintf "seed %d, drift %d" seed d in
         let env = D.Env.dynamic ~memory:(I.make 16. 112.) drifted in
-        let got = D.Absint.evaluator env dag in
+        let got = D.Absint.evaluator ~infeasible:(fun _ -> false) env dag in
         let want = Legacy_rewrites.Region.evaluator env dag in
         let full = got.D.Absint.full in
         List.iteri
@@ -570,7 +469,7 @@ let test_region_values_match_legacy_drifted () =
       drifts
   done
 
-(* --- 8. start-up's point values lie in the box values --------------------- *)
+(* --- 7. start-up's point values lie in the box values --------------------- *)
 
 (* A box of [full] with random bounds inside each dimension, and a
    random point inside the box. *)
@@ -596,7 +495,11 @@ let prop_point_in_box =
          (List.map
             (fun (name, env, plan) ->
               let dag = D.Plan.Dag.of_plan plan in
-              (name, env, plan, dag.D.Plan.Dag.length - 1, D.Absint.evaluator env dag))
+              ( name,
+                env,
+                plan,
+                dag.D.Plan.Dag.length - 1,
+                D.Absint.evaluator ~infeasible:(fun _ -> false) env dag ))
             (analyzed_plans ~seeds:(List.init 40 (fun i -> i + 1)))))
   in
   QCheck.Test.make ~name:"start-up's point values lie within the box values"
@@ -630,18 +533,12 @@ let suite =
         test_doomed_floor_kills;
       Alcotest.test_case "checkpointed certificate holds" `Slow
         test_checkpointed_certificate;
-      Alcotest.test_case "seeded plan: dead alternative pruned, results kept"
-        `Quick test_prune_dead_seeded;
-      Alcotest.test_case "survivors never empty" `Quick
-        test_survivors_never_empty;
-      Alcotest.test_case "optimizer prune hook" `Quick
-        test_optimizer_prune_hook;
       Alcotest.test_case "session precheck rejects doomed plans" `Quick
         test_session_precheck_rejects;
       Alcotest.test_case "precheck off: same plan dies at run time" `Quick
         test_session_precheck_off_dies_at_runtime;
-      Alcotest.test_case "fingerprints: analysis == execution" `Quick
-        test_fingerprint_lockstep;
+      Alcotest.test_case "fingerprints: one pass == subtree walk" `Quick
+        test_fingerprint_oracle;
       Alcotest.test_case "region values match the legacy evaluator" `Slow
         test_region_values_match_legacy;
       Alcotest.test_case "region values match it under catalog drift" `Quick

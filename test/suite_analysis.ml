@@ -618,6 +618,44 @@ let test_choose_uncovered () =
   fires "all-infeasible choose" Dg.Choose_uncovered
     (D.Analyses.choose_space ~catalog:c (D.Env.dynamic c) p)
 
+(* A drifted plan whose feasible alternative nests a choose with a scan
+   of a relation the catalog lacks: the analyses report it instead of
+   raising.  The Ghost alternative is infeasible, so the inner choose is
+   covered by its R scan, no choose is uncovered, and no dead verdict
+   names the Ghost scan. *)
+let test_nested_choose_over_dropped_relation () =
+  let c, b = builder () in
+  let ghost =
+    D.Plan.Builder.raw b ~op:(D.Physical.File_scan "Ghost") ~inputs:[]
+      ~rels:[ "Ghost" ] ~rows:(I.point 100.) ~bytes_per_row:512
+      ~own_cost:(I.point 10.) ~total_cost:(I.point 10.)
+      ~props:D.Props.unordered
+  in
+  let r = scan b "R" in
+  let p = raw_choose b [ raw_choose b [ ghost; r ]; r ] in
+  let env = D.Env.dynamic c in
+  let check name diags =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: no uncovered choose (%s)" name
+         (Dg.list_to_string diags))
+      false
+      (List.exists (fun d -> d.Dg.code = Dg.Choose_uncovered) diags);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: the Ghost scan is never called dead" name)
+      false
+      (List.exists
+         (fun d ->
+           d.Dg.code = Dg.Choose_dead_alternative
+           && contains d.Dg.message (Printf.sprintf "#%d " ghost.D.Plan.pid))
+         diags)
+  in
+  check "choose_space" (D.Analyses.choose_space ~catalog:c env p);
+  check "plan" (D.Analyses.plan ~catalog:c env p);
+  check "plan under a budget"
+    (D.Analyses.plan ~budget_bytes:(1 lsl 20) ~catalog:c env p);
+  fires "the Ghost scan is infeasible" Dg.Missing_relation
+    (D.Verify.plan ~catalog:c p)
+
 (* DQEP502: a redundant sort makes one alternative strictly dearer than
    its sibling in every region. *)
 let test_choose_dead_alternative () =
@@ -838,6 +876,8 @@ let suite =
       Alcotest.test_case "JSON rendering" `Quick test_json_rendering;
       Alcotest.test_case "uncovered choose space (DQEP501)" `Quick
         test_choose_uncovered;
+      Alcotest.test_case "nested choose over a dropped relation" `Quick
+        test_nested_choose_over_dropped_relation;
       Alcotest.test_case "dead alternative (DQEP502)" `Quick
         test_choose_dead_alternative;
       Alcotest.test_case "budget unsatisfiable (DQEP503)" `Quick

@@ -77,7 +77,7 @@ let test_busted_estimate_replans_incrementally () =
   let config =
     D.Resilience.config ~checkpoints:true ~checkpoint_tolerance:1.2
       ~max_replans:4
-      ~replan:(D.Reoptimize.replanner rt)
+      ~replan:(D.Reoptimize.replan rt)
       ()
   in
   match D.Resilience.run ~config db b r.D.Optimizer.plan with
@@ -217,7 +217,7 @@ let test_differential_replanned_vs_reference () =
         match
           D.Reoptimize.prepare ~mode inst.D.Plangen.catalog inst.D.Plangen.query
         with
-        | Ok (rt, _) -> Some (D.Reoptimize.replanner rt)
+        | Ok (rt, _) -> Some (D.Reoptimize.replan rt)
         | Error _ -> None
       in
       let config =

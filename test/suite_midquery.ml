@@ -2,6 +2,7 @@
    overrides, shared-subplan discovery, and end-to-end adaptive runs. *)
 
 module D = Dqep
+module I = D.Interval
 
 let test_actual_selectivity () =
   Alcotest.(check (float 1e-9)) "uniform" 0.3
@@ -66,30 +67,6 @@ let test_shared_subplan_none_for_static () =
   Alcotest.(check bool) "static plan has no shared subplan" true
     (D.Midquery.shared_subplan st.D.Optimizer.plan = None)
 
-let test_adaptive_run_correct_results () =
-  (* Adaptation must never change the result, only the plan. *)
-  let q = D.Queries.chain ~relations:2 in
-  let db = D.Database.build ~seed:5 ~skew:3.0 q.D.Queries.catalog in
-  let dyn =
-    Result.get_ok
-      (D.Optimizer.optimize
-         ~mode:(D.Optimizer.dynamic ~uncertain_memory:true ())
-         q.D.Queries.catalog q.D.Queries.query)
-  in
-  List.iter
-    (fun b ->
-      let tuples, stats = D.Midquery.run db b dyn.D.Optimizer.plan in
-      let schema =
-        D.Plan.schema q.D.Queries.catalog stats.D.Midquery.run.D.Executor.resolved_plan
-      in
-      let ref_schema, expected = D.Reference.eval db b q.D.Queries.query in
-      Alcotest.(check bool) "adaptive result matches reference" true
-        (D.Reference.multiset_equal
-           (D.Reference.normalize ref_schema expected)
-           (D.Reference.normalize schema tuples)))
-    (D.Paramgen.bindings ~seed:13 ~trials:5 ~host_vars:q.D.Queries.host_vars
-       ~uncertain_memory:true ())
-
 let test_adaptation_observes_skew () =
   (* On skewed data the observed cardinality diverges from the estimate,
      and across a spread of bindings adaptation switches plans at least
@@ -141,6 +118,237 @@ let test_plain_fallback () =
     (stats.D.Midquery.materialized = None);
   Alcotest.(check bool) "no switch" false stats.D.Midquery.switched
 
+(* --- the unified observe -> decide -> splice path ------------------------- *)
+
+(* Adaptation must never change the result, only the plan: the adapted
+   run against the reference evaluator on Plangen instances, chains of
+   2-5 relations and the two-selection query (whose R1 nodes share a
+   relation set but not a result), all over skewed data. *)
+let test_adaptive_run_correct_results () =
+  Test_util.with_watchdog ~deadline:300. "midquery differential" @@ fun () ->
+  let mode = D.Optimizer.dynamic ~uncertain_memory:true () in
+  let check name catalog query db bindings =
+    let plan =
+      (Result.get_ok (D.Optimizer.optimize ~mode catalog query)).D.Optimizer.plan
+    in
+    List.iter
+      (fun b ->
+        let tuples, stats = D.Midquery.run db b plan in
+        let schema =
+          D.Plan.schema catalog stats.D.Midquery.run.D.Executor.resolved_plan
+        in
+        let ref_schema, expected = D.Reference.eval db b query in
+        if
+          not
+            (D.Reference.multiset_equal
+               (D.Reference.normalize ref_schema expected)
+               (D.Reference.normalize schema tuples))
+        then Alcotest.failf "%s: adapted result diverges from the reference" name)
+      bindings
+  in
+  let at sels host_vars =
+    List.map
+      (fun sel ->
+        D.Bindings.make
+          ~selectivities:(List.map (fun hv -> (hv, sel)) host_vars)
+          ~memory_pages:32)
+      sels
+  in
+  let q2 = D.Queries.chain ~relations:2 in
+  check "chain 2, random bindings" q2.D.Queries.catalog q2.D.Queries.query
+    (D.Database.build ~seed:5 ~skew:3.0 q2.D.Queries.catalog)
+    (D.Paramgen.bindings ~seed:13 ~trials:5 ~host_vars:q2.D.Queries.host_vars
+       ~uncertain_memory:true ());
+  for seed = 1 to 12 do
+    let inst = D.Plangen.generate ~seed in
+    check
+      (Printf.sprintf "plangen %d" seed)
+      inst.D.Plangen.catalog inst.D.Plangen.query
+      (D.Database.build ~seed:(seed + 100) ~skew:3.0 inst.D.Plangen.catalog)
+      [ D.Plangen.bindings inst ~seed:(seed * 7) ]
+  done;
+  List.iter
+    (fun n ->
+      let q = D.Queries.chain ~relations:n in
+      check (Printf.sprintf "chain %d" n) q.D.Queries.catalog q.D.Queries.query
+        (D.Database.build ~seed:5 ~skew:3.0 q.D.Queries.catalog)
+        (* The reference joins by nested loops: keep the 5-way join's
+           intermediate results small. *)
+        (at (if n = 5 then [ 0.05 ] else [ 0.05; 0.15 ]) q.D.Queries.host_vars))
+    [ 2; 3; 4; 5 ];
+  let catalog, query, host_vars = Test_util.two_selection_query () in
+  check "two selections" catalog query
+    (D.Database.build ~seed:5 ~skew:3.0 catalog)
+    (at [ 0.05; 0.15 ] host_vars)
+
+(* The registry's view of one observation of [plan]'s shared subplan:
+   every override of [plan] that survives into [resolved] must be one
+   of the splices served into [resolved].  Returns how many survived. *)
+let overrides_spliced name db env plan resolved =
+  match D.Midquery.shared_subplan plan with
+  | None -> 0
+  | Some sub ->
+    let registry = D.Checkpoint.create () in
+    ignore (D.Midquery.observe db env registry ~sub);
+    let overrides = D.Checkpoint.overrides_for registry db plan in
+    let splices = D.Checkpoint.resume_for registry db resolved in
+    D.Checkpoint.release registry;
+    let in_plan =
+      D.Plan.fold (fun acc (n : D.Plan.t) -> n.D.Plan.pid :: acc) [] resolved
+    in
+    List.fold_left
+      (fun kept (pid, _) ->
+        if not (List.mem pid in_plan) then kept
+        else if List.mem_assoc pid splices then kept + 1
+        else Alcotest.failf "%s: overridden node #%d is never spliced" name pid)
+      0 overrides
+
+(* Startup keeps an overridden node's subtree verbatim, so the executor
+   must be handed its tuples: an override never outruns the splice.
+   Checked on [dqep report midquery]'s setting, and on failovers forced
+   by breaking every B-tree page, whose re-resolution decides with the
+   failover observation. *)
+let test_every_override_is_spliced () =
+  let q = D.Queries.chain ~relations:2 in
+  let db = D.Database.build ~seed:66 ~skew:4.0 q.D.Queries.catalog in
+  let plan =
+    (Result.get_ok
+       (D.Optimizer.optimize ~mode:(D.Optimizer.dynamic ()) q.D.Queries.catalog
+          q.D.Queries.query))
+      .D.Optimizer.plan
+  in
+  let kept = ref 0 in
+  List.iteri
+    (fun i b ->
+      let _, stats = D.Midquery.run db b plan in
+      kept :=
+        !kept
+        + overrides_spliced
+            (Printf.sprintf "midquery binding %d" i)
+            db
+            (D.Env.of_bindings q.D.Queries.catalog b)
+            plan stats.D.Midquery.run.D.Executor.resolved_plan)
+    (D.Paramgen.bindings ~seed:67 ~trials:40 ~host_vars:q.D.Queries.host_vars
+       ~uncertain_memory:false ());
+  Alcotest.(check bool) "adapted plans keep overridden nodes" true (!kept > 0);
+  let failover_kept = ref 0 in
+  List.iter
+    (fun (n, sel) ->
+      let q = D.Queries.chain ~relations:n in
+      let plan =
+        (Result.get_ok
+           (D.Optimizer.optimize ~mode:(D.Optimizer.dynamic ())
+              q.D.Queries.catalog q.D.Queries.query))
+          .D.Optimizer.plan
+      in
+      let b =
+        D.Bindings.make
+          ~selectivities:(List.map (fun hv -> (hv, sel)) q.D.Queries.host_vars)
+          ~memory_pages:64
+      in
+      let db = D.Database.build ~seed:11 q.D.Queries.catalog in
+      let pool = D.Database.pool db in
+      D.Buffer_pool.resize pool 1;
+      D.Buffer_pool.resize pool 64;
+      D.Disk.set_faults (D.Buffer_pool.disk pool)
+        (Some
+           (D.Fault.create
+              (D.Fault.config
+                 ~broken_pages:
+                   (List.map (fun id -> (id, D.Fault.Permanent))
+                      (Test_util.btree_page_ids db))
+                 ~seed:1 ())));
+      match D.Resilience.run db b plan with
+      | Error f, _ ->
+        Alcotest.failf "chain %d at %g: %a" n sel D.Resilience.pp_failure f
+      | Ok (_, stats), rstats ->
+        Alcotest.(check bool)
+          (Printf.sprintf "chain %d at %g failed over" n sel)
+          true
+          (rstats.D.Resilience.failovers >= 1);
+        let clean = D.Database.build ~seed:11 q.D.Queries.catalog in
+        failover_kept :=
+          !failover_kept
+          + overrides_spliced
+              (Printf.sprintf "failover, chain %d at %g" n sel)
+              clean
+              (D.Env.of_bindings q.D.Queries.catalog b)
+              plan stats.D.Executor.resolved_plan)
+    [ (2, 0.01); (2, 0.02); (2, 0.1); (3, 0.05); (3, 0.1) ];
+  Alcotest.(check bool) "failover plans keep overridden nodes" true
+    (!failover_kept > 0)
+
+(* An observation filed unordered serves a fingerprint-equal ordered
+   node by sorting it: the merge join above reads it in order and
+   computes the same answer as the unspliced plan. *)
+let test_sorted_splice_feeds_merge_join () =
+  let q = D.Queries.chain ~relations:2 in
+  let catalog = q.D.Queries.catalog in
+  let b =
+    D.Bindings.make
+      ~selectivities:(List.map (fun hv -> (hv, 0.6)) q.D.Queries.host_vars)
+      ~memory_pages:64
+  in
+  let env = D.Env.of_bindings catalog b in
+  let builder = D.Plan.Builder.create env in
+  let op = D.Plan.Builder.operator builder in
+  (* [Filter (scan rel)], and the same filter over the scan sorted on
+     [key]: one logical result, unordered and ordered. *)
+  let filtered rel hv key =
+    let r = D.Catalog.relation_exn catalog rel in
+    let card = float_of_int r.D.Relation.cardinality in
+    let bytes_per_row = r.D.Relation.record_bytes in
+    let pred = D.Predicate.select ~rel ~attr:"a" (D.Predicate.Host_var hv) in
+    let col = D.Col.make ~rel ~attr:key in
+    let scan =
+      op (D.Physical.File_scan rel) ~inputs:[] ~rels:[ rel ]
+        ~rows:(I.point card) ~bytes_per_row ~props:D.Props.unordered
+    in
+    let sorted =
+      op (D.Physical.Sort [ col ]) ~inputs:[ scan ] ~rels:[ rel ]
+        ~rows:(I.point card) ~bytes_per_row ~props:(D.Props.ordered [ col ])
+    in
+    let filter input props =
+      op (D.Physical.Filter pred) ~inputs:[ input ] ~rels:[ rel ]
+        ~rows:(I.make 0. card) ~bytes_per_row ~props
+    in
+    (filter scan D.Props.unordered, filter sorted (D.Props.ordered [ col ]), col)
+  in
+  let source, left, left_col = filtered "R1" "hv1" "jr" in
+  let _, right, right_col = filtered "R2" "hv2" "jl" in
+  let merge =
+    op
+      (D.Physical.Merge_join [ D.Predicate.equi ~left:left_col ~right:right_col ])
+      ~inputs:[ left; right ] ~rels:[ "R1"; "R2" ] ~rows:(I.make 0. 1e6)
+      ~bytes_per_row:(left.D.Plan.bytes_per_row + right.D.Plan.bytes_per_row)
+      ~props:(D.Props.ordered [ left_col ])
+  in
+  let db = D.Database.build ~seed:9 catalog in
+  let registry = D.Checkpoint.create () in
+  ignore (D.Midquery.observe db env registry ~sub:source);
+  let splices = D.Checkpoint.resume_for registry db merge in
+  let served =
+    match List.assoc_opt left.D.Plan.pid splices with
+    | Some tuples -> tuples
+    | None -> Alcotest.fail "the ordered input is not served"
+  in
+  let position = D.Schema.position_exn (D.Plan.schema catalog left) left_col in
+  let rec sorted = function
+    | a :: (b :: _ as rest) ->
+      D.Exec_common.compare_on [ position ] a b <= 0 && sorted rest
+    | [ _ ] | [] -> true
+  in
+  Alcotest.(check bool) "served in the promised order" true (sorted served);
+  let stored, _ = D.Executor.execute db env source in
+  Alcotest.(check bool) "premise: the stored tuples are not in that order"
+    false (sorted stored);
+  let expected, _ = D.Executor.execute db env merge in
+  let got, _ = D.Executor.execute db env ~materialized:splices merge in
+  D.Checkpoint.release registry;
+  Alcotest.(check bool) "premise: the join is not empty" true (expected <> []);
+  Alcotest.(check bool) "same answer as the unspliced merge join" true
+    (D.Reference.multiset_equal expected got)
+
 let suite =
   ( "midquery",
     [ Alcotest.test_case "actual selectivity model" `Quick test_actual_selectivity;
@@ -153,4 +361,8 @@ let suite =
         test_adaptive_run_correct_results;
       Alcotest.test_case "adaptation observes skew and switches" `Quick
         test_adaptation_observes_skew;
-      Alcotest.test_case "plain fallback" `Quick test_plain_fallback ] )
+      Alcotest.test_case "plain fallback" `Quick test_plain_fallback;
+      Alcotest.test_case "every override is spliced" `Quick
+        test_every_override_is_spliced;
+      Alcotest.test_case "sorted splice feeds a merge join" `Quick
+        test_sorted_splice_feeds_merge_join ] )

@@ -32,18 +32,6 @@ let set_faults db faults =
 
 let install db config = set_faults db (Some (D.Fault.create config))
 
-(* Every B-tree page on disk — breaking them all kills the index access
-   paths while leaving heap scans untouched. *)
-let btree_page_ids db =
-  let disk = D.Buffer_pool.disk (D.Database.pool db) in
-  let ids = ref [] in
-  for id = 0 to D.Disk.page_count disk - 1 do
-    match (D.Disk.get disk id).D.Page.payload with
-    | D.Page.Btree _ -> ids := id :: !ids
-    | D.Page.Heap _ | D.Page.Free -> ()
-  done;
-  !ids
-
 let normalized db (stats : D.Executor.run_stats) tuples =
   let schema = D.Plan.schema (D.Database.catalog db) stats.D.Executor.resolved_plan in
   D.Reference.normalize schema tuples
@@ -88,7 +76,7 @@ let test_broken_index_fails_over_to_scan () =
   let d = List.hd decisions in
   let db = D.Database.build ~seed:11 q1.D.Queries.catalog in
   let broken =
-    List.map (fun id -> (id, D.Fault.Transient)) (btree_page_ids db)
+    List.map (fun id -> (id, D.Fault.Transient)) (Test_util.btree_page_ids db)
   in
   Alcotest.(check bool) "database has index pages" true (broken <> []);
   drain_pool db;
@@ -128,7 +116,7 @@ let test_permanent_fault_fails_over_without_retry () =
   let b = bindings1 0.02 in
   let db = D.Database.build ~seed:11 q1.D.Queries.catalog in
   let broken =
-    List.map (fun id -> (id, D.Fault.Permanent)) (btree_page_ids db)
+    List.map (fun id -> (id, D.Fault.Permanent)) (Test_util.btree_page_ids db)
   in
   drain_pool db;
   install db (D.Fault.config ~broken_pages:broken ~seed:1 ());

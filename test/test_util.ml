@@ -97,3 +97,39 @@ let shape () =
       i
   in
   id
+
+(* A 2-way chain whose R1 carries two selections, [R1.a <= :v1] and
+   [R1.jl <= :v2]: the plan holds nodes over R1 alone with either
+   selection and with both, which agree on their relation set but not on
+   their logical result. *)
+let two_selection_query () =
+  let module D = Dqep in
+  let q = D.Queries.chain ~relations:2 in
+  let sel attr hv =
+    D.Predicate.select ~rel:"R1" ~attr (D.Predicate.Host_var hv)
+  in
+  let r1 =
+    D.Logical.Select (D.Logical.Select (D.Logical.Get_set "R1", sel "a" "v1"),
+                      sel "jl" "v2")
+  in
+  let join =
+    D.Predicate.equi
+      ~left:(D.Col.make ~rel:"R1" ~attr:"jr")
+      ~right:(D.Col.make ~rel:"R2" ~attr:"jl")
+  in
+  ( q.D.Queries.catalog,
+    D.Logical.Join (r1, D.Logical.Get_set "R2", [ join ]),
+    [ "v1"; "v2" ] )
+
+(* Every B-tree page on disk — breaking them all kills the index access
+   paths while leaving heap scans untouched. *)
+let btree_page_ids db =
+  let module D = Dqep in
+  let disk = D.Buffer_pool.disk (D.Database.pool db) in
+  let ids = ref [] in
+  for id = 0 to D.Disk.page_count disk - 1 do
+    match (D.Disk.get disk id).D.Page.payload with
+    | D.Page.Btree _ -> ids := id :: !ids
+    | D.Page.Heap _ | D.Page.Free -> ()
+  done;
+  !ids
