@@ -965,7 +965,7 @@ let serve_bench ~check () =
       exit 1
   end
 
-(* --- expected-cost vs interval branch-and-bound -------------------------- *)
+(* --- expected-cost vs interval search ------------------------------------ *)
 
 (* The distribution domain's payoff, measured head to head: least-
    expected-cost ranking collapses choose alternatives that interval
@@ -988,7 +988,7 @@ let serve_bench ~check () =
    join staying within 3x interval-mode optimization time. *)
 
 let opt_bench ~check () =
-  Format.printf "=== expected-cost vs interval branch-and-bound ===@.";
+  Format.printf "=== expected-cost vs interval search ===@.";
   let workload =
     List.map
       (fun (q : D.Queries.t) -> (Printf.sprintf "paper%d" q.D.Queries.id, q))

@@ -79,11 +79,6 @@ val evaluator : infeasible:(int -> bool) -> Env.t -> Plan.Dag.t -> evaluator
     [infeasible] holds are left out of its rows and total, unless all of
     them are — start-up never picks an alternative activation pruned. *)
 
-val sound_rows : Env.t -> Plan.Dag.t -> Interval.t array
-(** Data-sound cardinality bounds by index: bounds that hold for
-    whatever the stored data is, independent of the selectivity
-    model. *)
-
 type cert = {
   worst_bytes : int;
       (** sound upper bound on bytes simultaneously charged *)

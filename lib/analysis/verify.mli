@@ -28,7 +28,11 @@
     activation-time hook ({!Dqep_exec.Executor.check_feasible}), which
     runs {!plan} once per plan and catalog and splits its errors into
     corruption and catalog drift ({!drifted}); failures and pruned
-    results are re-checked every time. *)
+    results are re-checked every time.  A plan the optimizer certified
+    for the activating catalog ({!Dqep_optimizer.Optimizer.certificate},
+    handed over by {!Dqep_exec.Executor.admit}) gets {!feasibility}
+    alone: its structure, costs and choose equivalence hold by
+    construction.  Every other plan gets {!plan}. *)
 
 module Diagnostic = Dqep_util.Diagnostic
 module Plan = Dqep_plans.Plan

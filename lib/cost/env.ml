@@ -75,7 +75,6 @@ let of_bindings ?(device = Device.default)
 let catalog t = t.catalog
 let device t = t.device
 let memory_pages t = Dist.hull t.memory_dist
-let memory_pages_dist t = t.memory_dist
 let io_budget_factor t = t.io_budget_factor
 
 (* Same bindings, different memory grant: the resilient executor

@@ -112,9 +112,6 @@ val selectivity_dist : t -> Dqep_algebra.Predicate.select -> Dist.t
 (** The distribution behind {!selectivity}: a point mass for a bound
     predicate, the environment's belief for a host variable. *)
 
-val memory_pages_dist : t -> Dist.t
-(** The distribution behind {!memory_pages} (its hull). *)
-
 val is_point : t -> bool
 (** Whether all parameters this environment ever returned or can return
     are points (memory is a point and host variables map to points);

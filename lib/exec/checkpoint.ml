@@ -152,11 +152,10 @@ let take t env (plan : Plan.t) ~schema tuples =
    a band check — the caller evaluated [plan] precisely to re-decide
    with what it delivers. *)
 let file t (plan : Plan.t) ~schema tuples =
-  if t.enabled then begin
-    let fp = Plan.fingerprint plan in
-    if not (List.mem_assoc fp t.entries) then
-      ignore (store t plan fp ~schema tuples)
-  end
+  t.enabled
+  &&
+  let fp = Plan.fingerprint plan in
+  List.mem_assoc fp t.entries || Option.is_some (store t plan fp ~schema tuples)
 
 (* Column remap from the stored schema into [target]; [None] when the
    column sets differ (not the same logical row layout after all). *)

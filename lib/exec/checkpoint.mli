@@ -73,12 +73,14 @@ val take :
 
 val file :
   t -> Dqep_plans.Plan.t -> schema:Dqep_algebra.Schema.t ->
-  Exec_common.tuple list -> unit
+  Exec_common.tuple list -> bool
 (** [file t plan ~schema tuples] stores an observation of [plan]: the
     entry {!take} would store, with no band check and no take counted.
     Its observed cardinality is [List.length tuples].  Idempotent per
     logical fingerprint, and skipped when it does not fit the
-    governor's budget. *)
+    governor's budget.  Whether the registry holds an observation of
+    [plan]'s fingerprint afterwards: [false] when the entry was refused
+    (or the registry is {!disabled}). *)
 
 val resume_for :
   t -> Dqep_storage.Database.t -> Dqep_plans.Plan.t -> (int * Exec_common.tuple list) list

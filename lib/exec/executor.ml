@@ -45,10 +45,13 @@ let memory_pages = Exec_common.memory_pages
    survivable: the nodes naming dropped objects are dead, and a plan
    that loses only some choose-plan alternatives to them runs pruned.
    A plan with nothing left raises [Infeasible] instead of an arbitrary
-   [Invalid_argument] mid-iteration. *)
-let verify_activation db env plan =
+   [Invalid_argument] mid-iteration.  A [certified] plan cannot be
+   corrupt, so only the feasibility subset is run. *)
+let verify_activation ~certified db env plan =
+  let catalog = Database.catalog db in
   let drift, corrupt =
-    Dqep_analysis.Verify.plan ~catalog:(Database.catalog db) plan
+    (if certified then Dqep_analysis.Verify.feasibility ~catalog plan
+     else Dqep_analysis.Verify.plan ~catalog plan)
     |> Dqep_util.Diagnostic.errors
     |> List.partition (fun (d : Dqep_util.Diagnostic.t) ->
            Dqep_util.Diagnostic.is_feasibility d.Dqep_util.Diagnostic.code)
@@ -62,26 +65,38 @@ let verify_activation db env plan =
     | None -> raise (Infeasible drift)
 
 (* The check is a pure function of the immutable plan and catalog, so
-   [check_feasible] runs it once per plan and catalog; failures and
-   pruned results are re-checked every time.  Only the verdict "plan
-   returned unchanged" is remembered: a pruned plan depends on [env]
-   (the builder re-costs it), and keeping failures on the uncached path
-   means the memo can only skip work that would have succeeded.  The
-   memo is keyed on the root pid and weak in both keys
-   ({!Dqep_util.Weak_memo}): a collision costs one re-verification. *)
+   [check_feasible] runs it once per plan and catalog; failures and pruned
+   results are re-checked every time.  Only the verdict "plan returned
+   unchanged" is remembered: a pruned plan depends on [env] (the builder
+   re-costs it), and keeping failures on the uncached path means the memo
+   can only skip work that would have succeeded.  The same memo holds the
+   optimizer's certificates ([admit]): a [Certified] plan is checked once
+   with the feasibility subset, then remembered as [Verified].  The memo
+   is keyed on the root pid and weak in both keys
+   ({!Dqep_util.Weak_memo}): a collision costs one re-verification, an
+   evicted certificate one full verification. *)
 let verdict_slots = 256
 
-let verdicts : (Plan.t, Dqep_catalog.Catalog.t, unit) Dqep_util.Weak_memo.t =
+type verdict = Certified | Verified
+
+let verdicts : (Plan.t, Dqep_catalog.Catalog.t, verdict) Dqep_util.Weak_memo.t =
   Dqep_util.Weak_memo.create verdict_slots
+
+let admit cert =
+  let plan = Dqep_optimizer.Optimizer.certified_plan cert in
+  Dqep_util.Weak_memo.replace verdicts ~hash:plan.Plan.pid plan
+    (Dqep_optimizer.Optimizer.certified_catalog cert)
+    Certified
 
 let check_feasible db env (plan : Plan.t) =
   let catalog = Database.catalog db and hash = plan.Plan.pid in
   match Dqep_util.Weak_memo.find verdicts ~hash plan catalog with
-  | Some () -> plan
-  | None ->
-    let checked = verify_activation db env plan in
+  | Some Verified -> plan
+  | found ->
+    let certified = found = Some Certified in
+    let checked = verify_activation ~certified db env plan in
     if checked == plan then
-      Dqep_util.Weak_memo.replace verdicts ~hash plan catalog ();
+      Dqep_util.Weak_memo.replace verdicts ~hash plan catalog Verified;
     checked
 
 let compile db env plan = snd (Batch_exec.compile_with db env plan)

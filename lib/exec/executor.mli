@@ -48,7 +48,9 @@ val check_feasible :
   Dqep_plans.Plan.t ->
   Dqep_plans.Plan.t
 (** Activation-time validation, the executor's pre-activation hook into
-    the static analysis pass: one run of {!Dqep_analysis.Verify.plan}.
+    the static analysis pass: one run of {!Dqep_analysis.Verify.plan},
+    or only of {!Dqep_analysis.Verify.feasibility} for a plan {!admit}ted
+    with the optimizer's certificate against this same catalog.
     Errors outside the feasibility subset reject the plan as corrupt.
     Catalog drift marks the nodes naming dropped objects dead
     ({!Dqep_analysis.Verify.drifted}): the plan is returned unchanged
@@ -64,6 +66,16 @@ val check_feasible :
     @raise Invalid_plan on error-severity diagnostics outside the
     feasibility subset.
     @raise Infeasible when nothing feasible remains. *)
+
+val admit : Dqep_optimizer.Optimizer.certificate -> unit
+(** Record that {!Dqep_optimizer.Optimizer.optimize} built this plan
+    against this catalog: {!check_feasible} then verifies it, once, with
+    only the feasibility subset — structure, costs and choose
+    equivalence hold by construction.  Activated against any other
+    catalog (after DDL, say) the plan still gets the full verifier.
+    The certificate is held weakly in {!check_feasible}'s memo, in the
+    entry its verdict will take; evicted, it costs a full
+    verification. *)
 
 val verdict_slots : int
 (** Size of {!check_feasible}'s memo.  It is two-way set-associative on

@@ -222,28 +222,3 @@ let count_rows t n =
     | _ -> ()
   end
 
-let rows_produced t = Atomic.get t.rows
-
-(* --- budget derivation from anticipated cost ----------------------------- *)
-
-(* Derive default budgets from the environment and a plan's anticipated
-   cost interval: memory is the environment's upper memory bound in
-   bytes; a deadline is armed only when DQEP_DEADLINE_FACTOR is set — the
-   cost model's seconds scaled by the factor, floored so near-zero cost
-   estimates cannot produce an instantly-expired deadline. *)
-let derived_limits env ~cost =
-  let catalog = Env.catalog env in
-  let page_bytes = Dqep_catalog.Catalog.page_bytes catalog in
-  let memory_bytes =
-    Int.max page_bytes
-      (int_of_float (Env.memory_pages env).Interval.hi * page_bytes)
-  in
-  let deadline =
-    match
-      Option.bind (Sys.getenv_opt "DQEP_DEADLINE_FACTOR") float_of_string_opt
-    with
-    | Some factor when factor > 0. ->
-      Some (Float.max 0.01 (factor *. cost.Interval.hi))
-    | Some _ | None -> None
-  in
-  (deadline, memory_bytes)

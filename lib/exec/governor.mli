@@ -113,11 +113,3 @@ val count_rows : t -> int -> unit
 (** Account rows delivered at the plan root.
     @raise Cancelled when the row limit is exceeded. *)
 
-val rows_produced : t -> int
-
-val derived_limits : Dqep_cost.Env.t -> cost:Dqep_util.Interval.t -> float option * int
-(** Budgets derived from the environment and a plan's anticipated cost
-    interval: [(deadline, memory_bytes)].  Memory is the environment's
-    upper memory bound in bytes.  The deadline is armed only when
-    [DQEP_DEADLINE_FACTOR] is set: factor × the cost interval's upper
-    bound (cost-model seconds), floored at 10ms. *)

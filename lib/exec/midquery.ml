@@ -10,6 +10,7 @@ type stats = {
   materialized : Plan.t option;
   estimated_rows : float;
   observed_rows : int;
+  refused : bool;
   default_cost : float;
   adapted_cost : float;
   switched : bool;
@@ -62,6 +63,7 @@ let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     { materialized = None;
       estimated_rows = 0.;
       observed_rows = 0;
+      refused = false;
       default_cost = cost;
       adapted_cost = cost;
       switched = false;
@@ -70,9 +72,12 @@ let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
 let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     registry ~sub =
   let tuples, _ = Executor.execute db env ~gov ~obs ?workers sub in
-  Checkpoint.file registry sub ~schema:(Plan.schema (Database.catalog db) sub)
-    tuples;
-  List.length tuples
+  let filed =
+    Checkpoint.file registry sub
+      ~schema:(Plan.schema (Database.catalog db) sub)
+      tuples
+  in
+  (List.length tuples, filed)
 
 let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     bindings plan =
@@ -94,7 +99,7 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     @@ fun () ->
     let start = Sys.time () in
     (* Phase 1: evaluate the shared subplan into a registry entry. *)
-    let observed =
+    let observed, filed =
       Trace.span rt "observe" (fun () ->
           observe db env ~gov ~obs:rt ?workers registry ~sub)
     in
@@ -119,6 +124,7 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
       { materialized = Some sub;
         estimated_rows = Startup.estimated_rows env sub;
         observed_rows = observed;
+        refused = not filed;
         default_cost;
         adapted_cost = adapted.Startup.anticipated_cost;
         switched =

@@ -23,6 +23,10 @@ type stats = {
       (** the shared subplan evaluated first, if any *)
   estimated_rows : float;  (** the cost model's estimate for it *)
   observed_rows : int;  (** its actual cardinality *)
+  refused : bool;
+      (** the registry refused the observation: it did not fit the
+          governor's memory budget, so the adapted decision is the
+          start-up-time one and nothing was spliced *)
   default_cost : float;  (** anticipated cost of the start-up-time choice *)
   adapted_cost : float;  (** anticipated cost of the adapted choice *)
   switched : bool;
@@ -45,11 +49,12 @@ val observe :
   ?workers:int ->
   Checkpoint.t ->
   sub:Dqep_plans.Plan.t ->
-  int
+  int * bool
 (** Evaluate [sub] (a subplan of the plan, typically from
     {!shared_subplan}) and {!Checkpoint.file} its result in the
-    registry; returns its observed cardinality.  From there the registry
-    serves the observation like any checkpoint: {!Checkpoint.overrides_for}
+    registry; returns its observed cardinality and whether the registry
+    kept it.  From there the registry serves the observation like any
+    checkpoint: {!Checkpoint.overrides_for}
     hands its cardinality to every fingerprint-equal node of a plan and
     {!Checkpoint.resume_for} splices its tuples into the same nodes.
     Also used by {!Resilience} to carry observed cardinalities into

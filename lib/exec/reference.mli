@@ -1,6 +1,7 @@
-(** Naive reference evaluator for logical queries: nested loops over the
-    stored data, no indexes, no optimization.  The test oracle every
-    physical plan's output is compared against. *)
+(** Naive reference evaluator for logical queries: whole-input scans of
+    the stored data, no indexes, no optimization; joins hash one input on
+    the equi-predicate columns and check every predicate on each match.
+    The test oracle every physical plan's output is compared against. *)
 
 val eval :
   Dqep_storage.Database.t ->
@@ -16,3 +17,10 @@ val normalize :
   Dqep_algebra.Schema.t -> Exec_common.tuple list -> Exec_common.tuple list
 (** Reorder each tuple's columns into canonical (sorted column) order, so
     results of plans with different join orders become comparable. *)
+
+val same_rows :
+  Dqep_algebra.Schema.t * Exec_common.tuple list ->
+  Dqep_algebra.Schema.t * Exec_common.tuple list ->
+  bool
+(** [multiset_equal] of the two results {!normalize}d, without copying
+    a tuple: for results too large to hold twice. *)

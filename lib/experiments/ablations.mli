@@ -32,6 +32,8 @@ val exhaustive : ?relations:int -> ?trials:int -> ?seed:int -> unit -> Report.t
 
 val midquery :
   ?relations:int -> ?skew:float -> ?trials:int -> ?seed:int -> unit -> Report.t
+(** Run ungoverned and again under a 100 000-byte memory budget, where
+    an observation that does not fit is refused and counted. *)
 
 val bounds : ?relations:int -> ?trials:int -> ?seed:int -> unit -> Report.t
 

@@ -42,31 +42,31 @@ type measurement = {
 
 let mean = Stats.mean
 
-let optimize_exn ?options ~mode catalog query =
-  match Optimizer.optimize ?options ~mode catalog query with
+let optimize_exn ~options ~mode catalog query =
+  match Optimizer.optimize ~options ~mode catalog query with
   | Ok r -> r
   | Error e -> invalid_arg ("Experiments: optimization failed: " ^ e)
 
-let measure ?(trials = 100) ?seed ?(cpu_scale = 2000.) ?options (q : Queries.t)
-    uncertainty =
+let paper_options = { Optimizer.default_options with Optimizer.prune = true }
+
+let measure ?(trials = 100) ?seed ?(cpu_scale = 2000.) ?(options = paper_options)
+    (q : Queries.t) uncertainty =
   let seed = Option.value seed ~default:(20240 + q.Queries.id) in
   let uncertain_memory =
     match uncertainty with Sel_only -> false | Sel_and_memory -> true
   in
-  let device =
-    (Option.value options ~default:Optimizer.default_options).Optimizer.device
-  in
+  let device = options.Optimizer.device in
   let static_mode = Optimizer.static in
   let dynamic_mode = Optimizer.dynamic ~uncertain_memory () in
   (* Optimization times: re-run enough times to defeat clock granularity;
      a fresh memo is built on every run, like the real compile path. *)
   let static_res, static_opt_time =
     Timer.cpu_auto (fun () ->
-        optimize_exn ?options ~mode:static_mode q.Queries.catalog q.Queries.query)
+        optimize_exn ~options ~mode:static_mode q.Queries.catalog q.Queries.query)
   in
   let dynamic_res, dynamic_opt_time =
     Timer.cpu_auto (fun () ->
-        optimize_exn ?options ~mode:dynamic_mode q.Queries.catalog q.Queries.query)
+        optimize_exn ~options ~mode:dynamic_mode q.Queries.catalog q.Queries.query)
   in
   let bindings =
     Paramgen.bindings ~seed ~trials ~host_vars:q.Queries.host_vars
@@ -94,7 +94,7 @@ let measure ?(trials = 100) ?seed ?(cpu_scale = 2000.) ?options (q : Queries.t)
       (* Run-time optimization: full optimization per invocation. *)
       let rt, rt_time =
         Timer.cpu_auto ~min_seconds:0.005 (fun () ->
-            optimize_exn ?options ~mode:(Optimizer.Run_time b) q.Queries.catalog
+            optimize_exn ~options ~mode:(Optimizer.Run_time b) q.Queries.catalog
               q.Queries.query)
       in
       runtime_opt_times := rt_time :: !runtime_opt_times;

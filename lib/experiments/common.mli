@@ -50,6 +50,11 @@ type measurement = {
   choose_decisions : int;  (** decisions per start-up in the dynamic plan *)
 }
 
+val paper_options : Dqep_optimizer.Optimizer.options
+(** The default options with branch-and-bound on, as in the paper's
+    optimizer: Figure 5's pruned counters show how little it cuts under
+    interval costs (Section 5). *)
+
 val measure :
   ?trials:int ->
   ?seed:int ->
@@ -60,7 +65,7 @@ val measure :
   measurement
 (** Defaults: 100 trials (the paper's N), seed 20240 + query id,
     [cpu_scale] 2000 (a modern core is roughly three orders of magnitude
-    faster than a 25 MHz R3000). *)
+    faster than a 25 MHz R3000), [options] {!paper_options}. *)
 
 val scaled_static_opt : measurement -> float
 (** a, in reference-machine seconds. *)

@@ -31,7 +31,7 @@ type options = {
 let default_options =
   { device = Dqep_cost.Device.default;
     memory_interval = Interval.make 16. 112.;
-    prune = true;
+    prune = false;
     use_index_join = true;
     left_deep = false;
     exhaustive = false;
@@ -56,11 +56,17 @@ type stats = {
   choose_nodes : int;
 }
 
+type certificate = { plan : Plan.t; catalog : Dqep_catalog.Catalog.t }
+
+let certified_plan c = c.plan
+let certified_catalog c = c.catalog
+
 type result = {
   plan : Plan.t;
   env : Env.t;
   stats : stats;
   diagnostics : Dqep_util.Diagnostic.t list;
+  certificate : certificate;
 }
 
 let env_of_mode options catalog = function
@@ -124,6 +130,7 @@ let optimize ?(options = default_options) ?refine ~mode catalog query =
         { plan;
           env;
           diagnostics;
+          certificate = { plan; catalog };
           stats =
             { cpu_seconds;
               groups = Memo.group_count memo;

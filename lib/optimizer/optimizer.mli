@@ -30,6 +30,16 @@ type options = {
   memory_interval : Interval.t;
       (** run-time memory range when uncertain (paper: [\[16, 112\]]) *)
   prune : bool;
+      (** branch-and-bound (paper, Section 5); default [false].  A goal
+          asked again under a larger limit is searched again from
+          scratch, so the pruned search considers more candidates than
+          the unpruned one on every corpus query that joins; without a
+          limit every goal is searched exactly once.  Both return the
+          same plan bit for bit on the corpus; on some generated queries
+          the pruned one keeps an extra alternative that start-up never
+          picks (built over a child answer the limit cut short).  The
+          paper's figures and the [pruning] ablation turn it on to show
+          the Section 5 effect *)
   use_index_join : bool;
   left_deep : bool;
       (** restrict join shapes to left-deep trees — the traditional
@@ -78,6 +88,20 @@ type stats = {
   choose_nodes : int;  (** choose-plan operators in the produced plan *)
 }
 
+type certificate
+(** Provenance of a plan {!optimize} built against a catalog, which no
+    other code can forge.  Its structure (DAG identity) and interval
+    costs are invariants of {!Dqep_plans.Plan.Builder}, and its choose
+    alternatives are equivalent because each goal's alternatives come
+    from one memo group; the optimizer only names catalog objects it
+    found there.  So the plan passes {!Dqep_analysis.Verify.plan} against
+    that catalog with no diagnostic (pinned by a QCheck property), and
+    activation needs only the feasibility subset
+    ({!Dqep_exec.Executor.admit}). *)
+
+val certified_plan : certificate -> Plan.t
+val certified_catalog : certificate -> Dqep_catalog.Catalog.t
+
 type result = {
   plan : Plan.t;
   env : Dqep_cost.Env.t;  (** environment the plan was optimized under *)
@@ -85,6 +109,7 @@ type result = {
   diagnostics : Dqep_util.Diagnostic.t list;
       (** static-analysis findings over the plan and memo; always empty
           unless {!options.verify} is set *)
+  certificate : certificate;  (** [plan] and the catalog it was built against *)
 }
 
 val search_config :

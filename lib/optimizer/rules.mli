@@ -15,7 +15,6 @@ type rule = {
 
 val join_commutativity : rule
 val join_associativity : rule
-val default_rules : rule list
 
 val explore : ?rules:rule list -> Memo.t -> int -> unit
 (** Apply the rules to a group (recursively exploring children) until no

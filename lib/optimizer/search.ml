@@ -31,7 +31,7 @@ type config = {
   risk_margin : float;
 }
 
-let config ?(keep_equal_alternatives = true) ?(prune = true)
+let config ?(keep_equal_alternatives = true) ?(prune = false)
     ?(use_index_join = true) ?(left_deep_only = false)
     ?(force_incomparable = false) ?(sample_domination = None)
     ?(sample_seed = 42) ?(verify_winners = false)

@@ -7,10 +7,13 @@
     another.  A goal's result is a single plan: the lone survivor, or a
     choose-plan operator linking all incomparable survivors.
 
-    Branch-and-bound maintains a scalar upper limit per goal; because
-    only a cost's lower bound can safely be subtracted when descending
-    into inputs (Section 5), pruning is much less effective with interval
-    costs than with points — reproduced deliberately. *)
+    Branch-and-bound, when enabled, maintains a scalar upper limit per
+    goal; because only a cost's lower bound can safely be subtracted
+    when descending into inputs (Section 5), pruning is much less
+    effective with interval costs than with points — reproduced
+    deliberately.  A goal asked again under a larger limit is searched
+    again, so the default search runs without limits and evaluates every
+    goal once. *)
 
 module Plan = Dqep_plans.Plan
 module Props = Dqep_algebra.Props
@@ -19,7 +22,7 @@ type config = {
   env : Dqep_cost.Env.t;
   keep_equal_alternatives : bool;
       (** keep both plans on exactly equal cost (dynamic mode) *)
-  prune : bool;  (** enable branch-and-bound *)
+  prune : bool;  (** enable branch-and-bound (default [false]) *)
   use_index_join : bool;
   left_deep_only : bool;
       (** restrict join implementations to left-deep shapes (inner input

@@ -263,11 +263,6 @@ let shape_feedback t ~key =
         Hashtbl.add t.feedback key fb;
         fb)
 
-let absorb_feedback t ~key src =
-  Feedback.absorb ~into:(shape_feedback t ~key) src
-
-let feedback_shapes t = locked t (fun () -> Hashtbl.length t.feedback)
-
 let stats t =
   locked t (fun () ->
       { size = Hashtbl.length t.entries; hits = t.s_hits; misses = t.s_misses;

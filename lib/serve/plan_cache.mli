@@ -90,14 +90,7 @@ val mem : t -> key:string -> bool
 val shape_feedback : t -> key:string -> Dqep_obs.Feedback.t
 (** The shape's accumulated feedback, created empty on first use.
     The returned cache is live (and itself thread-safe): observe into it
-    directly, or merge a whole run's cache with {!absorb_feedback}. *)
-
-val absorb_feedback : t -> key:string -> Dqep_obs.Feedback.t -> unit
-(** Fold an entire feedback cache (for example a completed run's) into
-    the shape's side-table entry via {!Dqep_obs.Feedback.absorb}. *)
-
-val feedback_shapes : t -> int
-(** Number of shapes holding accumulated feedback (never shrinks). *)
+    directly. *)
 
 type stats = {
   size : int;

@@ -7,7 +7,8 @@
 
      parse -> shape key -> breaker admit -> cache find
        (miss: optimize the generalized shape under the session's
-        feedback-refined env, store)
+        feedback-refined env, admit the optimizer's certificate so
+        activation verifies only feasibility, store)
      -> bind parameters -> governor (request deadline, created BEFORE
         admission so the budget covers queueing) -> Session.submit
      -> classify the typed outcome, feed the breaker and the cache's
@@ -288,6 +289,7 @@ let handle_run t (run : Protocol.run) =
             with
             | Error e -> Error (`Shape ("optimize", e))
             | Ok r ->
+              Executor.admit r.Optimizer.certificate;
               store_plan t ~key r.Optimizer.plan;
               Ok (r.Optimizer.plan, Protocol.Miss)))
       in

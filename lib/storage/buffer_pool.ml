@@ -143,7 +143,6 @@ let stats t = diff ~before:t.base ~after:(raw_stats t)
 let reset_stats t = t.base <- raw_stats t
 
 let set_io_limit t limit = t.io_limit <- limit
-let io_limit t = t.io_limit
 
 let check_io_limit t =
   match t.io_limit with

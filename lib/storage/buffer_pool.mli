@@ -58,8 +58,6 @@ val set_io_limit : t -> int option -> unit
     {!Io_budget_exceeded}.  The limit is against the absolute counters
     (compare with {!stats} taken when arming). *)
 
-val io_limit : t -> int option
-
 val pin : t -> int -> Page.t
 (** [pin t id] fetches page [id], counting a physical read on a miss,
     and pins it.

@@ -18,12 +18,3 @@ let cpu_auto ?(min_seconds = 0.02) f =
   in
   go 1
 
-let cpu_n n f =
-  if n <= 0 then invalid_arg "Timer.cpu_n: n <= 0";
-  let t0 = Sys.time () in
-  let r = ref (f ()) in
-  for _ = 2 to n do
-    r := f ()
-  done;
-  let t1 = Sys.time () in
-  (!r, (t1 -. t0) /. float_of_int n)

@@ -7,10 +7,6 @@
 val cpu : (unit -> 'a) -> 'a * float
 (** [cpu f] runs [f ()] and returns its result with elapsed CPU seconds. *)
 
-val cpu_n : int -> (unit -> 'a) -> 'a * float
-(** [cpu_n n f] runs [f] [n] times and returns the last result with the
-    {e per-run} CPU seconds.  Useful when one run is too fast to time. *)
-
 val cpu_auto : ?min_seconds:float -> (unit -> 'a) -> 'a * float
 (** [cpu_auto f] measures per-run CPU seconds, repeating [f] (doubling)
     until at least [min_seconds] (default 0.02) of CPU time accumulates,

@@ -661,3 +661,39 @@ let fingerprint (plan : Plan.t) =
   Plan.rels_key plan
   ^ "?"
   ^ String.concat "&" (List.sort_uniq String.compare !sels)
+
+(* --- reference evaluation ---------------------------------------------------- *)
+
+(* [Reference.eval] as it was: joins by nested loops over whole tuple
+   lists, every pair checked against the predicates. *)
+let reference_eval db bindings query =
+  let module Schema = D.Schema in
+  let module Logical = D.Logical in
+  let env = D.Env.of_bindings (D.Database.catalog db) bindings in
+  let rec go = function
+    | Logical.Get_set rel ->
+      let schema =
+        Schema.of_relation (Catalog.relation_exn (D.Database.catalog db) rel)
+      in
+      let acc = ref [] in
+      D.Heap_file.scan (D.Database.pool db) (D.Database.heap db rel) (fun _ t ->
+          acc := t :: !acc);
+      (schema, List.rev !acc)
+    | Logical.Select (e, pred) ->
+      let schema, tuples = go e in
+      (schema, List.filter (D.Pred_eval.select_matches env schema pred) tuples)
+    | Logical.Join (l, r, preds) ->
+      let ls, lt = go l in
+      let rs, rt = go r in
+      let matches = D.Pred_eval.equi_matches ~left:ls ~right:rs preds in
+      let out =
+        List.concat_map
+          (fun a ->
+            List.filter_map
+              (fun b -> if matches a b then Some (Array.append a b) else None)
+              rt)
+          lt
+      in
+      (Schema.concat ls rs, out)
+  in
+  go query

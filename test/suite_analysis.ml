@@ -468,6 +468,45 @@ let test_memo_keyed_on_catalog () =
       (activate (name "drifted") drifted plan)
   done
 
+(* A plan the optimizer certified skips the full verifier only against
+   the catalog it was built for; after DDL it is verified in full, and
+   drift prunes it or makes it infeasible exactly as for any plan. *)
+let test_certified_plan_meets_drift () =
+  let q = D.Queries.chain ~relations:2 in
+  let catalog = q.D.Queries.catalog in
+  let r =
+    Result.get_ok
+      (D.Optimizer.optimize ~mode:(D.Optimizer.dynamic ()) catalog
+         q.D.Queries.query)
+  in
+  D.Executor.admit r.D.Optimizer.certificate;
+  let plan = r.D.Optimizer.plan in
+  Alcotest.(check bool) "certificate names the plan" true
+    (D.Optimizer.certified_plan r.D.Optimizer.certificate == plan);
+  Alcotest.(check bool) "certificate names the catalog" true
+    (D.Optimizer.certified_catalog r.D.Optimizer.certificate == catalog);
+  let no_index =
+    D.Database.build ~seed:7 (Test_util.without_index catalog ~rel:"R1" ~attr:"a")
+  in
+  let no_relation =
+    D.Database.build ~seed:7
+      (D.Catalog.create ~page_bytes:(D.Catalog.page_bytes catalog)
+         ~relations:
+           (List.filter
+              (fun (r : D.Relation.t) -> r.D.Relation.name <> "R2")
+              (D.Catalog.relations catalog))
+         ~indexes:
+           (List.filter
+              (fun (i : D.Index.t) -> i.D.Index.relation <> "R2")
+              (D.Catalog.indexes catalog))
+         ())
+  in
+  expect "index dropped" "pruned" (activate "index dropped" no_index plan);
+  expect "relation dropped" "infeasible"
+    (activate "relation dropped" no_relation plan);
+  expect "served catalog" "unchanged"
+    (activate "served catalog" (D.Database.build ~seed:7 catalog) plan)
+
 let test_memo_rechecks_corrupt_plans () =
   let c, b = builder () in
   let bad = I.unchecked ~lo:5. ~hi:1. in
@@ -815,6 +854,53 @@ let prop_hash_consing_shares =
       let s1 = mk () and s2 = mk () in
       s1.D.Plan.pid = s2.D.Plan.pid && D.Plan.Builder.created b = 1)
 
+(* Verification by construction: what the optimizer builds passes the
+   full verifier with no diagnostic at all, under every mode and risk
+   posture — the proof behind [Executor.admit]'s feasibility-only
+   activation. *)
+type source = Plangen of int | Corpus of (string * D.Queries.t)
+
+let prop_optimizer_output_verifies =
+  let corpus = Array.of_list (D.Queries.corpus ()) in
+  let postures = [| D.Risk.Worst_case; D.Risk.Expected; D.Risk.Quantile 0.9 |] in
+  QCheck.Test.make ~name:"optimizer output verifies clean" ~count:150
+    (QCheck.make
+       ~print:(fun (src, m, k) ->
+         Printf.sprintf "%s, mode %d, %s"
+           (match src with
+           | Plangen seed -> Printf.sprintf "plangen seed %d" seed
+           | Corpus (name, _) -> name)
+           m
+           (D.Risk.to_string postures.(k)))
+       QCheck.Gen.(
+         triple
+           (oneof
+              [ map (fun s -> Plangen s) (int_range 1 200);
+                map (fun i -> Corpus corpus.(i)) (int_bound (Array.length corpus - 1)) ])
+           (int_bound 3) (int_bound 2)))
+    (fun (src, m, k) ->
+      let catalog, query, host_vars =
+        match src with
+        | Plangen seed ->
+          let inst = D.Plangen.generate ~seed in
+          (inst.D.Plangen.catalog, inst.D.Plangen.query, inst.D.Plangen.host_vars)
+        | Corpus (_, q) -> (q.D.Queries.catalog, q.D.Queries.query, q.D.Queries.host_vars)
+      in
+      let mode =
+        match m with
+        | 0 -> D.Optimizer.static
+        | 1 -> D.Optimizer.dynamic ()
+        | 2 -> D.Optimizer.dynamic ~uncertain_memory:true ()
+        | _ ->
+          D.Optimizer.Run_time
+            (List.hd
+               (D.Paramgen.bindings ~seed:5 ~trials:1 ~host_vars
+                  ~uncertain_memory:true ()))
+      in
+      let options = { D.Optimizer.default_options with risk = postures.(k) } in
+      let r = Result.get_ok (D.Optimizer.optimize ~options ~mode catalog query) in
+      D.Verify.plan ~catalog r.D.Optimizer.plan = [])
+
 let suite =
   ( "analysis",
     [ Alcotest.test_case "inverted cost interval (DQEP203)" `Quick
@@ -890,4 +976,7 @@ let suite =
         test_dqep5_json_roundtrip;
       QCheck_alcotest.to_alcotest prop_interval_ops_stay_valid;
       QCheck_alcotest.to_alcotest prop_scale_stays_valid;
-      QCheck_alcotest.to_alcotest prop_hash_consing_shares ] )
+      QCheck_alcotest.to_alcotest prop_hash_consing_shares;
+      QCheck_alcotest.to_alcotest prop_optimizer_output_verifies;
+      Alcotest.test_case "certified plan meets drift" `Quick
+        test_certified_plan_meets_drift ] )

@@ -249,6 +249,32 @@ let test_reference_multiset () =
   Alcotest.(check bool) "missing dup" false
     (D.Reference.multiset_equal [ [| 1 |]; [| 1 |] ] [ [| 1 |] ])
 
+(* The oracle's oracle: the hashing reference evaluator agrees, as a
+   multiset, with the nested-loop one it replaced, on Plangen queries
+   over their small relations; [same_rows] agrees with
+   [multiset_equal] and sees a changed value. *)
+let prop_reference_matches_nested_loops =
+  QCheck.Test.make ~name:"hash-join reference = nested-loop reference" ~count:40
+    QCheck.(pair (int_range 1 200) small_nat)
+    (fun (seed, bseed) ->
+      let inst = D.Plangen.generate ~seed in
+      let db = D.Database.build ~seed:(seed + bseed) inst.D.Plangen.catalog in
+      let b = D.Plangen.bindings inst ~seed:bseed in
+      let hs, hashed = D.Reference.eval db b inst.D.Plangen.query in
+      let ns, nested = Legacy_rewrites.reference_eval db b inst.D.Plangen.query in
+      let bumped =
+        match nested with
+        | t :: rest ->
+          let t = Array.copy t in
+          t.(0) <- t.(0) + 1_000_000;
+          t :: rest
+        | [] -> []
+      in
+      D.Schema.columns hs = D.Schema.columns ns
+      && D.Reference.multiset_equal hashed nested
+      && D.Reference.same_rows (hs, hashed) (ns, List.rev nested)
+      && (nested = [] || not (D.Reference.same_rows (hs, hashed) (ns, bumped))))
+
 let suite =
   ( "exec",
     [ Alcotest.test_case "all strategies match reference" `Slow
@@ -260,4 +286,5 @@ let suite =
         test_spilling_happens_under_low_memory;
       Alcotest.test_case "iterator of_list protocol" `Quick test_iterator_of_list;
       Alcotest.test_case "empty results" `Quick test_empty_results;
-      Alcotest.test_case "reference multiset equality" `Quick test_reference_multiset ] )
+      Alcotest.test_case "reference multiset equality" `Quick test_reference_multiset;
+      QCheck_alcotest.to_alcotest prop_reference_matches_nested_loops ] )

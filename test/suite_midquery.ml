@@ -137,12 +137,7 @@ let test_adaptive_run_correct_results () =
         let schema =
           D.Plan.schema catalog stats.D.Midquery.run.D.Executor.resolved_plan
         in
-        let ref_schema, expected = D.Reference.eval db b query in
-        if
-          not
-            (D.Reference.multiset_equal
-               (D.Reference.normalize ref_schema expected)
-               (D.Reference.normalize schema tuples))
+        if not (D.Reference.same_rows (D.Reference.eval db b query) (schema, tuples))
         then Alcotest.failf "%s: adapted result diverges from the reference" name)
       bindings
   in
@@ -172,9 +167,10 @@ let test_adaptive_run_correct_results () =
       let q = D.Queries.chain ~relations:n in
       check (Printf.sprintf "chain %d" n) q.D.Queries.catalog q.D.Queries.query
         (D.Database.build ~seed:5 ~skew:3.0 q.D.Queries.catalog)
-        (* The reference joins by nested loops: keep the 5-way join's
-           intermediate results small. *)
-        (at (if n = 5 then [ 0.05 ] else [ 0.05; 0.15 ]) q.D.Queries.host_vars))
+        (* The 5-way join skips 0.15 to bound the suite's time: at 0.3
+           it already returns 930 636 rows. *)
+        (at (if n = 5 then [ 0.05; 0.3 ] else [ 0.05; 0.15; 0.3 ])
+           q.D.Queries.host_vars))
     [ 2; 3; 4; 5 ];
   let catalog, query, host_vars = Test_util.two_selection_query () in
   check "two selections" catalog query
@@ -349,6 +345,37 @@ let test_sorted_splice_feeds_merge_join () =
   Alcotest.(check bool) "same answer as the unspliced merge join" true
     (D.Reference.multiset_equal expected got)
 
+(* An observation the governor's memory budget cannot hold is refused:
+   the run says so, and decides as at start-up.  [dqep report
+   midquery]'s first binding reads 628 rows; ungoverned they switch the
+   plan, under a 100 000-byte budget they do not fit. *)
+let test_refused_observation_is_reported () =
+  let q = D.Queries.chain ~relations:2 in
+  let db = D.Database.build ~seed:66 ~skew:4.0 q.D.Queries.catalog in
+  let plan =
+    (Result.get_ok
+       (D.Optimizer.optimize ~mode:(D.Optimizer.dynamic ()) q.D.Queries.catalog
+          q.D.Queries.query))
+      .D.Optimizer.plan
+  in
+  let b =
+    List.hd
+      (D.Paramgen.bindings ~seed:67 ~trials:40 ~host_vars:q.D.Queries.host_vars
+         ~uncertain_memory:false ())
+  in
+  let _, free = D.Midquery.run db b plan in
+  let _, tight =
+    D.Midquery.run db ~gov:(D.Governor.create ~memory_bytes:100_000 ()) b plan
+  in
+  Alcotest.(check int) "ungoverned: rows observed" 628 free.D.Midquery.observed_rows;
+  Alcotest.(check bool) "ungoverned: kept" false free.D.Midquery.refused;
+  Alcotest.(check bool) "ungoverned: switched" true free.D.Midquery.switched;
+  Alcotest.(check int) "governed: rows observed" 628 tight.D.Midquery.observed_rows;
+  Alcotest.(check bool) "governed: refused" true tight.D.Midquery.refused;
+  Alcotest.(check bool) "governed: not switched" false tight.D.Midquery.switched;
+  Alcotest.(check (float 0.)) "governed: the start-up decision"
+    tight.D.Midquery.default_cost tight.D.Midquery.adapted_cost
+
 let suite =
   ( "midquery",
     [ Alcotest.test_case "actual selectivity model" `Quick test_actual_selectivity;
@@ -365,4 +392,6 @@ let suite =
       Alcotest.test_case "every override is spliced" `Quick
         test_every_override_is_spliced;
       Alcotest.test_case "sorted splice feeds a merge join" `Quick
-        test_sorted_splice_feeds_merge_join ] )
+        test_sorted_splice_feeds_merge_join;
+      Alcotest.test_case "refused observation is reported" `Quick
+        test_refused_observation_is_reported ] )

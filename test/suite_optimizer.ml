@@ -347,29 +347,132 @@ let test_static_and_runtime_plans_have_no_choose () =
   Alcotest.(check int) "runtime has no choose" 0
     (D.Plan.choose_count r.D.Optimizer.plan)
 
-let test_pruning_is_safe () =
-  (* Disabling branch-and-bound must not change the chosen plan's cost in
-     any mode. *)
-  let q = D.Queries.chain ~relations:4 in
-  let check mode label =
-    let on = optimize_exn ~mode q in
-    let off =
-      optimize_exn
-        ~options:{ D.Optimizer.default_options with D.Optimizer.prune = false }
-        ~mode q
-    in
-    Alcotest.(check bool)
-      (label ^ ": same cost interval")
-      true
-      (I.equal on.D.Optimizer.plan.D.Plan.total_cost
-         off.D.Optimizer.plan.D.Plan.total_cost);
-    Alcotest.(check bool)
-      (label ^ ": pruning reduced work")
-      true
-      (on.D.Optimizer.stats.D.Optimizer.pruned >= 0)
+(* Branch-and-bound is sound: switching it on never changes the plan.
+   The four modes of the paper's comparisons, under each risk posture. *)
+let modes ~host_vars =
+  let b =
+    List.hd
+      (D.Paramgen.bindings ~seed:3 ~trials:1 ~host_vars ~uncertain_memory:false ())
   in
-  check D.Optimizer.static "static";
-  check (D.Optimizer.dynamic ~uncertain_memory:true ()) "dynamic"
+  [ ("static", D.Optimizer.static);
+    ("dynamic", D.Optimizer.dynamic ());
+    ("dynamic-memory", D.Optimizer.dynamic ~uncertain_memory:true ());
+    ("run-time", D.Optimizer.Run_time b) ]
+
+let postures = [ D.Risk.Worst_case; D.Risk.Expected; D.Risk.Quantile 0.9 ]
+
+let optimize_pruned ~prune ~risk ~mode catalog query =
+  Result.get_ok
+    (D.Optimizer.optimize
+       ~options:{ D.Optimizer.default_options with D.Optimizer.prune; risk }
+       ~mode catalog query)
+
+let prune_agrees ~risk ~mode catalog query =
+  let on = optimize_pruned ~prune:true ~risk ~mode catalog query in
+  let off = optimize_pruned ~prune:false ~risk ~mode catalog query in
+  Test_util.same_plan on.D.Optimizer.plan off.D.Optimizer.plan
+
+(* The corpus and chains of 2-10 (the paper queries are the chains of
+   1, 2, 4, 6 and 10). *)
+let pruning_queries () =
+  D.Queries.corpus ()
+  @ List.map
+      (fun n -> (Printf.sprintf "chain%d" n, D.Queries.chain ~relations:n))
+      [ 3; 5; 7; 8; 9 ]
+
+let test_pruning_is_safe () =
+  List.iter
+    (fun (name, (q : D.Queries.t)) ->
+      List.iter
+        (fun (mode_name, mode) ->
+          List.iter
+            (fun risk ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, %s, %s: same plan" name mode_name
+                   (D.Risk.to_string risk))
+                true
+                (prune_agrees ~risk ~mode q.D.Queries.catalog q.D.Queries.query))
+            postures)
+        (modes ~host_vars:q.D.Queries.host_vars))
+    (pruning_queries ())
+
+(* On generated queries the pruned search may keep more than the full
+   one, never anything different: a candidate built over a child answer
+   the limit cut short (one plan, cheaper than the full answer's
+   choose-plan) can survive beside plans the full search finds
+   dominating it.  Such an alternative is never chosen: the root cost
+   is the same bit for bit and start-up resolves both plans to the same
+   plan.  Seen under interval costs only (Plangen seeds 3, 79, 176 and
+   183 of 1-200, dynamic modes, worst case). *)
+let plangen_plans (seed, m, k) =
+  let inst = D.Plangen.generate ~seed in
+  let catalog = inst.D.Plangen.catalog and query = inst.D.Plangen.query in
+  let _, mode = List.nth (modes ~host_vars:inst.D.Plangen.host_vars) m in
+  let risk = List.nth postures k in
+  let plan prune = (optimize_pruned ~prune ~risk ~mode catalog query).D.Optimizer.plan in
+  (inst, risk, plan true, plan false)
+
+let plangen_prune_agrees instance =
+  let inst, risk, on, off = plangen_plans instance in
+  let resolves_alike bseed =
+    let env =
+      D.Env.of_bindings inst.D.Plangen.catalog (D.Plangen.bindings inst ~seed:bseed)
+    in
+    Test_util.same_plan (D.Startup.resolve ~risk env on).D.Startup.plan
+      (D.Startup.resolve ~risk env off).D.Startup.plan
+  in
+  Test_util.same_plan on off
+  || I.equal on.D.Plan.total_cost off.D.Plan.total_cost
+     && D.Plan.node_count off < D.Plan.node_count on
+     && List.for_all resolves_alike [ 1; 2; 3; 4; 5 ]
+
+let prop_pruning_is_safe =
+  QCheck.Test.make ~name:"branch-and-bound is safe on plangen queries" ~count:80
+    QCheck.(triple (int_range 1 200) (int_bound 3) (int_bound 2))
+    plangen_prune_agrees
+
+(* Where the pruned search keeps an extra alternative: (seed, mode)
+   under the worst case. *)
+let test_pruning_extras () =
+  List.iter
+    (fun (seed, m) ->
+      let name = Printf.sprintf "plangen seed %d, mode %d" seed m in
+      let _, _, on, off = plangen_plans (seed, m, 0) in
+      Alcotest.(check bool) (name ^ ": pruned plan is larger") true
+        (D.Plan.node_count off < D.Plan.node_count on);
+      Alcotest.(check bool) (name ^ ": extras never chosen") true
+        (plangen_prune_agrees (seed, m, 0)))
+    [ (3, 1); (3, 2); (79, 1); (176, 1); (183, 1) ]
+
+(* A goal asked again under a larger limit is searched again, so on a
+   query that joins, pruning costs candidates rather than saving them:
+   the default (unpruned) search never considers more.  A one-relation
+   query has no goal to search twice; there a limit only stops a
+   child's answer from becoming a candidate (q1-chain1: 24 unpruned
+   candidates against 21, fig1-selection: 8 against 7), so those two
+   are left out. *)
+let test_default_search_no_larger () =
+  List.iter
+    (fun (name, (q : D.Queries.t)) ->
+      List.iter
+        (fun (mode_name, mode) ->
+          let candidates prune =
+            (optimize_pruned ~prune ~risk:D.Risk.Worst_case ~mode
+               q.D.Queries.catalog q.D.Queries.query)
+              .D.Optimizer.stats.D.Optimizer.candidates
+          in
+          let r = optimize_exn ~mode q in
+          let default = r.D.Optimizer.stats.D.Optimizer.candidates in
+          Alcotest.(check int) (name ^ ": default is unpruned") (candidates false)
+            default;
+          if List.length r.D.Optimizer.plan.D.Plan.rels > 1 then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s, %s: %d candidates <= pruned %d" name
+                 mode_name default (candidates true))
+              true
+              (default <= candidates true))
+        (modes ~host_vars:q.D.Queries.host_vars))
+    (D.Queries.corpus ())
 
 let test_uncertain_memory_superset () =
   (* Making memory uncertain can only preserve or enlarge the dynamic
@@ -438,4 +541,9 @@ let suite =
         test_sampled_domination_shrinks_plans;
       Alcotest.test_case "static plans have point costs" `Quick
         test_static_plan_is_point_cost;
-      Alcotest.test_case "invalid queries rejected" `Quick test_invalid_query_rejected ] )
+      Alcotest.test_case "invalid queries rejected" `Quick test_invalid_query_rejected;
+      QCheck_alcotest.to_alcotest prop_pruning_is_safe;
+      Alcotest.test_case "pruned extras are never chosen" `Quick
+        test_pruning_extras;
+      Alcotest.test_case "default search considers no more candidates" `Quick
+        test_default_search_no_larger ] )

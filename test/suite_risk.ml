@@ -36,11 +36,14 @@ let with_risk risk = { D.Optimizer.default_options with risk }
 (* [Worst_case] is the pre-refactor search; the ranked postures are
    pinned too, so a search-engine change that claims to leave answers
    alone is checked under all three. *)
-let check_fixture_plangen risk fixture () =
+let check_fixture_plangen ?(options = D.Optimizer.default_options) risk fixture
+    () =
   List.iter
     (fun (seed, digest, chooses) ->
       let q = queries_of_instance (D.Plangen.generate ~seed) in
-      let r = optimize_exn ~options:(with_risk risk) ~mode:(D.Optimizer.dynamic ()) q in
+      let r =
+        optimize_exn ~options:{ options with risk } ~mode:(D.Optimizer.dynamic ()) q
+      in
       Alcotest.(check string)
         (Printf.sprintf "plangen seed %d digest" seed)
         digest (digest_plan r.D.Optimizer.plan);
@@ -69,6 +72,21 @@ let check_fixture_paper risk fixture () =
         chooses
         (D.Plan.choose_count r.D.Optimizer.plan))
     (D.Queries.paper_queries ())
+
+(* Branch-and-bound, now off by default, still reproduces the plans it
+   was pinned by.  On seeds 3 and 79 it keeps a Merge-Join alternative
+   built over a child answer the limit had cut short (a single plan,
+   cheaper than the full answer's choose-plan); the full search
+   dominates it, and the analyzer reports it dead in every region
+   (DQEP502).  Those two are the pruned search's digests. *)
+let pruned_plangen_dynamic =
+  List.map
+    (fun ((seed, _, _) as pin) ->
+      match seed with
+      | 3 -> (3, "168e3d7ed6205bf675b366500a19da1c", 10)
+      | 79 -> (79, "7a018571267934fe2b1baa4193f6c2b8", 13)
+      | _ -> pin)
+    Fixture_worstcase.plangen_dynamic
 
 let test_worstcase_options_identical () =
   (* Passing Worst_case explicitly is the same search as the default
@@ -199,4 +217,8 @@ let suite =
       Alcotest.test_case "expected-cost emits fewer choose nodes" `Slow
         test_expected_emits_fewer_chooses;
       Alcotest.test_case "resolution respects the posture" `Quick
-        test_resolution_respects_posture ] )
+        test_resolution_respects_posture;
+      Alcotest.test_case "worst-case fixture: pruned search" `Slow
+        (check_fixture_plangen
+           ~options:{ D.Optimizer.default_options with D.Optimizer.prune = true }
+           D.Risk.Worst_case pruned_plangen_dynamic) ] )

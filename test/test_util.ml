@@ -133,3 +133,30 @@ let btree_page_ids db =
     | D.Page.Heap _ | D.Page.Free -> ()
   done;
   !ids
+
+(* Whether two plans are the same plan up to pids: the same operators,
+   relations, properties and row sizes, rows and own and total costs
+   equal bit for bit, and the same sharing — a bijection between the
+   two plans' nodes. *)
+let same_plan (a : Dqep.Plan.t) (b : Dqep.Plan.t) =
+  let module P = Dqep.Plan in
+  let fwd = Hashtbl.create 256 and bwd = Hashtbl.create 256 in
+  let bits (i : Dqep.Interval.t) =
+    (Int64.bits_of_float i.Dqep.Interval.lo, Int64.bits_of_float i.Dqep.Interval.hi)
+  in
+  let rec same (a : P.t) (b : P.t) =
+    match (Hashtbl.find_opt fwd a.P.pid, Hashtbl.find_opt bwd b.P.pid) with
+    | Some b', Some a' -> b' = b.P.pid && a' = a.P.pid
+    | Some _, None | None, Some _ -> false
+    | None, None ->
+      Hashtbl.add fwd a.P.pid b.P.pid;
+      Hashtbl.add bwd b.P.pid a.P.pid;
+      a.P.op = b.P.op && a.P.rels = b.P.rels && a.P.props = b.P.props
+      && a.P.bytes_per_row = b.P.bytes_per_row
+      && bits a.P.rows = bits b.P.rows
+      && bits a.P.own_cost = bits b.P.own_cost
+      && bits a.P.total_cost = bits b.P.total_cost
+      && List.length a.P.inputs = List.length b.P.inputs
+      && List.for_all2 same a.P.inputs b.P.inputs
+  in
+  same a b
