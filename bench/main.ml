@@ -240,21 +240,17 @@ let run_benchmarks () =
     merged;
   Format.printf "@."
 
-(* --- part 3: execution scaling ------------------------------------------- *)
+(* --- part 3: execution ---------------------------------------------------- *)
 
-(* Three workloads where the morsel pool matters: a table scan + filter
-   (the predicate is fused into the scan morsels), a two-way hash join
-   (radix-partitioned into per-partition morsels) and a full-table sort
-   (parallel chunk sorts merged on the consumer).  No indexes, so the
-   optimizer has a single access path per relation.
+(* Three execution workloads: a table scan + filter (the predicate is
+   fused into the scan), a two-way hash join and a full-table sort.  No
+   indexes, so the optimizer has a single access path per relation.
 
-   The timings are CPU seconds per run ([Timer.cpu_auto] sums CPU
-   across domains), recorded at 1, 2, 4 and 8 workers.  They are not
-   gated: on a host with fewer cores than workers they cannot show a
-   speed-up.  Results go to BENCH_exec.json; `exec --check` gates CI on
-   every worker width returning the same rows and on every run wider
-   than one worker going through an exchange. *)
-
+   Each is timed by the wall clock over [exec_repeats] runs after one
+   warm-up run, and reported as the median with its interquartile range.
+   Results go to BENCH_exec.json; `exec --check` gates CI on every
+   workload returning as many rows as [Reference.eval] over its logical
+   query. *)
 let exec_scan_instance () =
   let rel =
     D.Relation.make ~name:"S" ~cardinality:20000 ~record_bytes:64
@@ -273,7 +269,7 @@ let exec_scan_instance () =
     (Result.get_ok (D.Optimizer.optimize ~mode:D.Optimizer.static catalog query))
       .D.Optimizer.plan
   in
-  ("scan_filter", catalog, plan, bindings)
+  ("scan_filter", catalog, query, plan, bindings)
 
 let exec_join_instance () =
   let mk name =
@@ -304,12 +300,12 @@ let exec_join_instance () =
     (Result.get_ok (D.Optimizer.optimize ~mode:D.Optimizer.static catalog query))
       .D.Optimizer.plan
   in
-  ("hash_join", catalog, plan, bindings)
+  ("hash_join", catalog, query, plan, bindings)
 
 (* The optimizer only inserts Sort as an enforcer, so the sort workload
    is a hand-built plan: full scan of U, sorted on a non-key column.
    The memory grant (1024 pages) holds the whole input, so the sort runs
-   the in-memory parallel chunk path rather than spilling runs. *)
+   in memory rather than spilling runs. *)
 let exec_sort_instance () =
   let rel =
     D.Relation.make ~name:"U" ~cardinality:20000 ~record_bytes:64
@@ -336,115 +332,90 @@ let exec_sort_instance () =
       ~inputs:[ scan ] ~rels:[ "U" ] ~rows:scan.D.Plan.rows ~bytes_per_row:64
       ~props:(D.Props.ordered [ col ])
   in
-  ("sort", catalog, plan, bindings)
+  ("sort", catalog, D.Logical.Get_set "U", plan, bindings)
 
-type exec_point = {
-  point_workers : int;
-  cpu_seconds : float;
+let exec_repeats = 15
+
+type exec_result = {
+  name : string;
+  wall_seconds : float list;  (* one per timed run *)
   rows : int;
+  expected_rows : int;  (* [Reference.eval] over the logical query *)
   batches : int;
-  partitions : int;
 }
 
-let curve_workers = [ 1; 2; 4; 8 ]
-
-let exec_series (name, catalog, plan, bindings) =
+let exec_series (name, catalog, query, plan, bindings) =
   let db = D.Database.build ~frames:1024 ~seed:7 catalog in
   let env = D.Env.of_bindings catalog bindings in
-  ignore catalog;
-  let measure workers =
-    let run () = D.Executor.execute db env ~workers plan in
-    ignore (run ());
-    (* warm the buffer pool *)
-    let best = ref infinity in
-    let last = ref None in
-    for _ = 1 to 3 do
-      let result, per_run = D.Timer.cpu_auto ~min_seconds:0.05 run in
-      if per_run < !best then best := per_run;
-      last := Some result
-    done;
-    let tuples, profile = Option.get !last in
-    { point_workers = workers;
-      cpu_seconds = !best;
-      rows = List.length tuples;
-      batches = profile.D.Exec_common.batches;
-      partitions = profile.D.Exec_common.partitions }
+  let run () = D.Executor.execute db env plan in
+  (* The warm-up run fills the buffer pool. *)
+  let tuples, profile = run () in
+  let wall_seconds =
+    List.init exec_repeats (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (run ());
+        Unix.gettimeofday () -. t0)
   in
-  let points = List.map measure curve_workers in
-  List.iter
-    (fun p ->
-      Format.printf
-        "%-12s workers=%d: %8.2f ms cpu  (%d rows, %d batches, %d partitions)@."
-        name p.point_workers (p.cpu_seconds *. 1e3) p.rows p.batches
-        p.partitions)
-    points;
-  (name, points)
+  let _, expected = D.Reference.eval db bindings query in
+  { name;
+    wall_seconds;
+    rows = List.length tuples;
+    expected_rows = List.length expected;
+    batches = profile.D.Exec_common.batches }
 
-let exec_json benchmarks =
+let median xs = D.Stats.percentile 50. xs
+let quartiles xs = (D.Stats.percentile 25. xs, D.Stats.percentile 75. xs)
+
+let exec_json series =
   let open D.Json in
-  let point p =
+  let one s =
+    let q1, q3 = quartiles s.wall_seconds in
     Obj
-      [ ("workers", Int p.point_workers);
-        ("cpu_seconds", Float p.cpu_seconds);
-        ("rows", Int p.rows);
-        ("batches", Int p.batches);
-        ("partitions", Int p.partitions) ]
+      [ ("name", String s.name);
+        ("runs", Int (List.length s.wall_seconds));
+        ("median_seconds", Float (median s.wall_seconds));
+        ("q1_seconds", Float q1);
+        ("q3_seconds", Float q3);
+        ("rows", Int s.rows);
+        ("reference_rows", Int s.expected_rows);
+        ("batches", Int s.batches) ]
   in
   to_string_pretty
     (Obj
-       [ ("benchmark", String "dqep exec scaling");
-         ("unit", String "cpu_seconds_per_run");
-         ( "results",
-           List
-             (List.map
-                (fun (name, points) ->
-                  Obj
-                    [ ("name", String name);
-                      ("series", List (List.map point points)) ])
-                benchmarks) ) ])
+       [ ("benchmark", String "dqep exec");
+         ("unit", String "wall_seconds_per_run");
+         ("results", List (List.map one series)) ])
 
 let exec_bench ~check () =
-  Format.printf "=== execution: worker scaling ===@.";
-  let scan = exec_series (exec_scan_instance ()) in
-  let join = exec_series (exec_join_instance ()) in
-  let sort = exec_series (exec_sort_instance ()) in
-  let benchmarks = [ scan; join; sort ] in
+  Format.printf "=== execution ===@.";
+  let series =
+    List.map exec_series
+      [ exec_scan_instance (); exec_join_instance (); exec_sort_instance () ]
+  in
+  List.iter
+    (fun s ->
+      let q1, q3 = quartiles s.wall_seconds in
+      Format.printf
+        "%-12s %8.3f ms/run median (IQR %.3f-%.3f ms, %d runs; %d rows, \
+         %d batches)@."
+        s.name (median s.wall_seconds *. 1e3) (q1 *. 1e3) (q3 *. 1e3)
+        (List.length s.wall_seconds) s.rows s.batches)
+    series;
   let path = "BENCH_exec.json" in
   let oc = open_out path in
-  output_string oc (exec_json benchmarks);
+  output_string oc (exec_json series);
   close_out oc;
   Format.printf "wrote %s@." path;
-  if check then begin
-    if not (Sys.file_exists path) then begin
-      prerr_endline "exec --check: BENCH_exec.json missing";
+  if check then
+    match List.filter (fun s -> s.rows <> s.expected_rows) series with
+    | [] -> Format.printf "exec --check: ok (rows agree with the reference)@."
+    | bad ->
+      List.iter
+        (fun s ->
+          Printf.eprintf "exec --check: %s returned %d rows, reference %d\n"
+            s.name s.rows s.expected_rows)
+        bad;
       exit 1
-    end;
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    List.iter
-      (fun (name, points) ->
-        (* Every worker width must agree on the answer, and a wide run
-           must have taken the parallel path. *)
-        let rows = (List.hd points).rows in
-        List.iter
-          (fun p ->
-            if p.rows <> rows then
-              fail "%s: %d workers returned %d rows, expected %d" name
-                p.point_workers p.rows rows;
-            if p.point_workers > 1 && p.partitions = 0 then
-              fail "%s: %d workers ran no exchange: the parallel path \
-                    never ran"
-                name p.point_workers)
-          points)
-      benchmarks;
-    match !failures with
-    | [] ->
-      Format.printf "exec --check: ok (rows agree at %s workers)@."
-        (String.concat "/" (List.map string_of_int curve_workers))
-    | fs ->
-      List.iter (Printf.eprintf "exec --check: %s\n") (List.rev fs);
-      exit 1
-  end
 
 (* --- part 4: resource governance ----------------------------------------- *)
 
@@ -618,7 +589,7 @@ let obs_epsilon_s = 5e-4
 
 let obs_bench ~check () =
   Format.printf "=== observation pipeline: tracing overhead ===@.";
-  let _, catalog, plan, bindings = exec_scan_instance () in
+  let _, catalog, _, plan, bindings = exec_scan_instance () in
   let db = D.Database.build ~frames:1024 ~seed:7 catalog in
   let env = D.Env.of_bindings catalog bindings in
   let measure name run =

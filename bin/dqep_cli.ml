@@ -254,12 +254,6 @@ let run_cmd =
                  by this factor and fail over to another alternative. \
                  Default: guard off.")
   in
-  let workers =
-    Arg.(value & opt (some int) None & info [ "workers" ]
-           ~doc:"Worker domains for exchange scans, radix joins and \
-                 chunked sorts. Default: \\$DQEP_WORKERS, else 1 \
-                 (sequential).")
-  in
   let deadline_ms =
     Arg.(value & opt (some float) None
          & info [ "deadline-ms" ]
@@ -313,7 +307,7 @@ let run_cmd =
                    with `dqep trace validate`.")
   in
   let run relations seed memory sels fault_rate fault_seed retries
-      io_budget_factor workers deadline_ms memory_kb checkpoints
+      io_budget_factor deadline_ms memory_kb checkpoints
       replan_tolerance max_replans json trace risk =
     let q = D.Queries.chain ~relations in
     (* --risk steers both ends: the optimizer ranks plans under the
@@ -355,11 +349,6 @@ let run_cmd =
            (D.Fault.create
               (D.Fault.config ~read_fault_rate:fault_rate
                  ~write_fault_rate:fault_rate ~seed:fault_seed ())));
-    (match workers with
-    | Some w when w < 1 ->
-      Printf.eprintf "dqep: --workers must be >= 1 (got %d)\n" w;
-      exit 2
-    | _ -> ());
     if replan_tolerance <= 1. then begin
       Printf.eprintf "dqep: --replan-tolerance must be > 1 (got %g)\n"
         replan_tolerance;
@@ -375,7 +364,6 @@ let run_cmd =
          config's env-var default unless --checkpoints forces it on. *)
       D.Resilience.config ~max_retries:retries
         ~io_budget_factor:(Option.value ~default:0. io_budget_factor)
-        ?workers
         ?checkpoints:(if checkpoints then Some true else None)
         ~checkpoint_tolerance:replan_tolerance ~max_replans ?risk ?replan ()
     in
@@ -565,7 +553,7 @@ let run_cmd =
              deadline exceeded, 14 memory exceeded, 15 cancelled, 17 \
              estimate busted (16 is reserved for session shedding).")
     Term.(const run $ relations_arg $ seed $ memory $ sels $ fault_rate
-          $ fault_seed $ retries $ io_budget_factor $ workers
+          $ fault_seed $ retries $ io_budget_factor
           $ deadline_ms $ memory_kb $ checkpoints $ replan_tolerance
           $ max_replans $ json $ trace $ risk_arg)
 

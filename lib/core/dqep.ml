@@ -112,7 +112,6 @@ module Executor = Dqep_exec.Executor
 module Exec_common = Dqep_exec.Exec_common
 module Batch = Dqep_exec.Batch
 module Batch_exec = Dqep_exec.Batch_exec
-module Scheduler = Dqep_exec.Scheduler
 module Reference = Dqep_exec.Reference
 module Midquery = Dqep_exec.Midquery
 module Resilience = Dqep_exec.Resilience

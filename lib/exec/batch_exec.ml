@@ -10,26 +10,14 @@
      tuple arrays (no copy), and a selection predicate on a base
      relation is fused into the scan: the filter refines the selection
      vector of each block as it is filled;
-   - base-relation file scans are morsel-driven: the heap file is split
-     into fixed-size contiguous page stripes — the morsel size never
-     depends on the worker count — and the stripes run as tasks on the
-     persistent work-stealing Scheduler pool.  Each stripe stages its
-     batches into a lock-free per-stripe output slot (an atomic list,
-     written by exactly one worker); the consumer drains the slots in
-     stripe order, helping execute pending morsels instead of blocking,
-     and re-raises the job's first fault (workers never block on the
-     consumer, so a faulted stripe can never deadlock the drain);
+   - base-relation file scans stream the heap file in fixed-size
+     contiguous page stripes, in file order, one stripe per refill;
    - joins and sort delegate to the algorithmic cores in Exec_common
-     (Grace hash partitioning, external sort runs).  With workers > 1 the
-     cores additionally fan out radix join partitions and sort chunks as
-     morsels on the same pool.
+     (Grace hash partitioning, external sort runs).
 
-   Shared storage is safe to use from concurrent morsels: a buffer-pool
-   pin hit takes only its page's shard mutex, a miss also the pool's
-   eviction mutex, and the disk serializes its own directory, so this
-   engine takes no execution-wide storage lock at all.  A job is never
-   wider than the pool has frames, since each participant may hold a
-   pin.
+   The engine is sequential: a plan runs on the thread that drains it.
+   Concurrent queries (session submitter domains) share the buffer pool
+   through its own shard locks and the governor through its atomics.
 
    Re-open contract: [open_] must fully rewind the operator — discard any
    buffered output from a previous consumption and reset every position —
@@ -71,9 +59,7 @@ type ctx = {
   obs : Trace.t;
   mat : (int * tuple list) list;
   ckpt : Checkpoint.t;
-  scheduler : Scheduler.t;
   capacity : int;
-  mutable partitions : int;   (* morsels of the widest exchange *)
 }
 
 let consume it =
@@ -144,9 +130,8 @@ let scan_stripe ctx schema fused pages ~emit =
   in
   List.iter
     (fun page ->
-      (* One cancellation point per page (on top of the scheduler's
-         per-morsel poll): a cancelled governor stops a stripe mid-scan,
-         and the raised exception surfaces as the job's fault. *)
+      (* One cancellation point per page: a cancelled governor stops a
+         stripe mid-scan. *)
       Governor.check ctx.gov;
       let tuples = read_page_tuples ctx page in
       List.iter
@@ -157,147 +142,42 @@ let scan_stripe ctx schema fused pages ~emit =
     pages;
   flush ()
 
-(* Pages per scan morsel.  Fixed — decoupled from the worker count — so
-   work-stealing balances the tail and a query's morsels do not depend
-   on the configuration. *)
-let morsel_pages = 4
+(* Pages per scan stripe. *)
+let stripe_pages = 4
 
-(* Per-stripe output staging: each slot is written by exactly the one
-   worker that claimed the stripe (lock-free atomic prepend), and the
-   consumer drains slots in stripe order with [Atomic.exchange]. *)
-type stage = {
-  staged : Batch.t list Atomic.t; (* newest first; consumer re-reverses *)
-  eos : bool Atomic.t;            (* stripe fully produced *)
-}
-
-let exchange_scan ctx schema fused heap =
-  (* Sequential state: stream the stripes in file order, lazily. *)
+let file_scan ctx schema fused heap =
   let stripes = ref [] in
   let buffered = ref [] in
-  (* Parallel state. *)
-  let job = ref None in
-  let slots = ref [||] in
-  let drain_pos = ref 0 in
-  let quiesce () =
-    match !job with
-    | None -> ()
-    | Some j ->
-      (* Help-drain every remaining morsel (faulted jobs claim-skip, so
-         this is quick); afterwards no worker touches the slots. *)
-      Scheduler.wait j;
-      job := None
-  in
-  let start_parallel parts =
-    let arr = Array.of_list parts in
-    let n = Array.length arr in
-    slots :=
-      Array.init n (fun _ -> { staged = Atomic.make []; eos = Atomic.make false });
-    drain_pos := 0;
-    let tasks =
-      Array.init n (fun i () ->
-          let slot = (!slots).(i) in
-          scan_stripe ctx schema fused arr.(i) ~emit:(fun b ->
-              let rec push () =
-                let cur = Atomic.get slot.staged in
-                if not (Atomic.compare_and_set slot.staged cur (b :: cur))
-                then push ()
-              in
-              push ());
-          Atomic.set slot.eos true)
-    in
-    job :=
-      Some
-        (Scheduler.submit ctx.scheduler
-           ~poll:(fun () -> Governor.check ctx.gov)
-           tasks)
-  in
   { schema;
     open_ =
       (fun () ->
-        let parts =
+        stripes :=
           Heap_file.partition heap
             ~parts:
               (Int.max 1
-                 ((Heap_file.page_count heap + morsel_pages - 1) / morsel_pages))
-        in
-        ctx.partitions <- Int.max ctx.partitions (List.length parts);
-        buffered := [];
-        if Scheduler.is_parallel ctx.scheduler then begin
-          quiesce ();
-          start_parallel parts
-        end
-        else stripes := parts);
+                 ((Heap_file.page_count heap + stripe_pages - 1) / stripe_pages));
+        buffered := []);
     next =
       (fun () ->
-        if Scheduler.is_parallel ctx.scheduler then begin
-          let rec pop () =
-            match !buffered with
-            | b :: rest ->
-              buffered := rest;
-              Some b
-            | [] -> (
-              match !job with
-              | None -> None
-              | Some j ->
-                (match Scheduler.fault j with Some e -> raise e | None -> ());
-                if !drain_pos >= Array.length !slots then None
-                else begin
-                  let slot = (!slots).(!drain_pos) in
-                  (* Read [eos] before draining: the worker sets it after
-                     its last push, so a stripe already finished here
-                     has staged everything the exchange below takes.
-                     Read after, a push landing in between would be
-                     skipped. *)
-                  let finished = Atomic.get slot.eos in
-                  let got = Atomic.exchange slot.staged [] in
-                  if got <> [] then begin
-                    (* Chunks arrive newest-first; re-reversing each
-                       chunk preserves emission order across chunks. *)
-                    buffered := List.rev got;
-                    pop ()
-                  end
-                  else if finished then begin
-                    incr drain_pos;
-                    pop ()
-                  end
-                  else begin
-                    (* Help run pending morsels; sleep only when there is
-                       neither staged output nor claimable work. *)
-                    Scheduler.wait_for j (fun () ->
-                        Atomic.get slot.eos
-                        || Atomic.get slot.staged <> []
-                        || Scheduler.fault j <> None);
-                    pop ()
-                  end
-                end)
-          in
-          pop ()
-        end
-        else begin
-          (* Sequential: stream the stripes in file order. *)
-          let rec go () =
-            match !buffered with
-            | b :: rest ->
-              buffered := rest;
-              Some b
-            | [] -> (
-              match !stripes with
-              | [] -> None
-              | stripe :: rest ->
-                stripes := rest;
-                let acc = ref [] in
-                scan_stripe ctx schema fused stripe ~emit:(fun b ->
-                    acc := b :: !acc);
-                buffered := List.rev !acc;
-                go ())
-          in
-          go ()
-        end);
+        let rec go () =
+          match !buffered with
+          | b :: rest ->
+            buffered := rest;
+            Some b
+          | [] -> (
+            match !stripes with
+            | [] -> None
+            | stripe :: rest ->
+              stripes := rest;
+              let acc = ref [] in
+              scan_stripe ctx schema fused stripe ~emit:(fun b ->
+                  acc := b :: !acc);
+              buffered := List.rev !acc;
+              go ())
+        in
+        go ());
     close =
       (fun () ->
-        quiesce ();
-        slots := [||];
-        drain_pos := 0;
         stripes := [];
         buffered := []) }
 
@@ -424,7 +304,7 @@ and compile_op ctx (plan : Plan.t) : iterator =
   | None -> (
     match plan.Plan.op with
     | Physical.File_scan rel ->
-      exchange_scan ctx
+      file_scan ctx
         (Exec_common.base_schema ctx.db rel)
         None (Database.heap ctx.db rel)
     | Physical.Btree_scan { rel; attr } ->
@@ -468,7 +348,7 @@ and compile_children ctx (plan : Plan.t) =
   | _ -> invalid_arg "Batch_exec: expected binary operator"
 
 (* Filter.  When the input is a base-relation file scan the predicate is
-   fused into the (possibly parallel) scan itself; otherwise a standalone
+   fused into the scan itself; otherwise a standalone
    vectorized filter refines each batch's selection vector in place. *)
 and filter ctx (plan : Plan.t) pred =
   let fusable =
@@ -483,7 +363,7 @@ and filter ctx (plan : Plan.t) pred =
     let schema = Exec_common.base_schema ctx.db rel in
     let pos = Schema.position_exn schema pred.Predicate.target in
     let cutoff = Pred_eval.threshold ctx.env pred in
-    exchange_scan ctx schema (Some { pos; cutoff }) (Database.heap ctx.db rel)
+    file_scan ctx schema (Some { pos; cutoff }) (Database.heap ctx.db rel)
   | None ->
     let child = compile_child ctx plan in
     let pos = Schema.position_exn child.schema pred.Predicate.target in
@@ -519,9 +399,6 @@ and hash_join ctx (plan : Plan.t) preds =
     open_ =
       (fun () ->
         out_reset ob;
-        (* Children are drained one at a time, so at most one exchange
-           subtree is live at once; its domains are joined by [consume]'s
-           close before the next starts. *)
         let build = consume left_it in
         (* Build completion is a blocking point: checkpoint the fully
            consumed build side before any probe work. *)
@@ -530,8 +407,7 @@ and hash_join ctx (plan : Plan.t) preds =
           Checkpoint.take ctx.ckpt ctx.env l ~schema:left_schema build
         | _ -> ());
         let probe = consume right_it in
-        Exec_common.hash_join_core ~gov:ctx.gov ~obs:ctx.obs
-          ~sched:ctx.scheduler ctx.db ctx.env
+        Exec_common.hash_join_core ~gov:ctx.gov ~obs:ctx.obs ctx.db ctx.env
           ~left_schema
           ~right_schema
           ~left_width ~right_width ~preds
@@ -632,9 +508,7 @@ and index_join ctx (plan : Plan.t) preds ~inner_rel ~inner_attr ~inner_filter =
         outer_it.open_ ());
     next =
       (fun () ->
-        (* Probe the inner index for a whole outer batch at a time.  The
-           outer side may be a live parallel exchange; the buffer pool's
-           own locks make the consumer-side probes safe alongside it. *)
+        (* Probe the inner index for a whole outer batch at a time. *)
         let rec go () =
           match out_pop ob with
           | Some b -> Some b
@@ -678,8 +552,8 @@ and sort ctx (plan : Plan.t) cols =
       (fun () ->
         let tuples = consume child in
         let sorted =
-          Exec_common.sort_core ~gov:ctx.gov ~obs:ctx.obs ~sched:ctx.scheduler
-            ctx.db ctx.env ~width ~compare_tuples tuples
+          Exec_common.sort_core ~gov:ctx.gov ~obs:ctx.obs ctx.db ctx.env
+            ~width ~compare_tuples tuples
         in
         (* The sort's output is fully materialized here — the other
            blocking point — and carries the node's order property. *)
@@ -696,42 +570,20 @@ and sort ctx (plan : Plan.t) cols =
 
 (* --- entry points -------------------------------------------------------- *)
 
-let make_ctx db env ~gov ~obs ~materialized ~checkpoint ~workers ~capacity =
-  (* [Scheduler.create] binds to the process-wide persistent pool:
-     worker domains are spawned once and reused across queries and
-     sessions, never per execution.  A job holds up to one pin per
-     participant, so it is never wider than the buffer pool has frames:
-     more participants could find every frame pinned. *)
-  let scheduler =
-    Scheduler.create
-      ~workers:(Int.min workers (Buffer_pool.frames (Database.pool db)))
-  in
-  { db;
-    env;
-    gov;
-    obs;
-    mat = materialized;
-    ckpt = checkpoint;
-    scheduler;
-    capacity;
-    partitions = 0 }
-
 let compile_with db env ?(gov = Governor.none) ?(obs = Trace.null)
-    ?(materialized = []) ?(checkpoint = Checkpoint.disabled) ?(workers = 1)
+    ?(materialized = []) ?(checkpoint = Checkpoint.disabled)
     ?(capacity = Batch.default_capacity) plan =
-  let ctx =
-    make_ctx db env ~gov ~obs ~materialized ~checkpoint ~workers ~capacity
-  in
-  (ctx, compile_node ctx plan)
+  compile_node
+    { db; env; gov; obs; mat = materialized; ckpt = checkpoint; capacity }
+    plan
 
 (* Execute a plan and return its tuples plus the run's execution profile.
    Per-batch accounting happens at the plan root. *)
 let run_plan db env ?(gov = Governor.none) ?(obs = Trace.null)
-    ?(materialized = []) ?(checkpoint = Checkpoint.disabled) ?(workers = 1)
+    ?(materialized = []) ?(checkpoint = Checkpoint.disabled)
     ?(capacity = Batch.default_capacity) plan =
-  let ctx, it =
-    compile_with db env ~gov ~obs ~materialized ~checkpoint ~workers ~capacity
-      plan
+  let it =
+    compile_with db env ~gov ~obs ~materialized ~checkpoint ~capacity plan
   in
   let batches = ref 0 and max_rows = ref 0 and total_rows = ref 0 in
   let counting =
@@ -757,8 +609,6 @@ let run_plan db env ?(gov = Governor.none) ?(obs = Trace.null)
       max_batch_rows = !max_rows;
       rows_per_batch =
         (if !batches = 0 then 0.
-         else float_of_int !total_rows /. float_of_int !batches);
-      partitions = ctx.partitions;
-      workers = Scheduler.workers ctx.scheduler }
+         else float_of_int !total_rows /. float_of_int !batches) }
   in
   (tuples, profile)

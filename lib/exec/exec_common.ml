@@ -4,12 +4,7 @@
    The joining and sorting cores materialize their inputs and spill
    through the buffer pool under low memory (Grace hash join
    partitioning, external sort runs), so spilling is observable in the
-   I/O counters.  They optionally go wide on a [Scheduler] morsel pool:
-   a radix partition pass fans a hash join out to independent
-   per-partition build+probe morsels, and an in-memory sort fans out
-   fixed-size chunk sorts merged stably on the consumer.  The parallel
-   paths produce the same multiset (joins) or the identical stable order
-   (sorts) as the sequential ones. *)
+   I/O counters. *)
 
 module Interval = Dqep_util.Interval
 module Schema = Dqep_algebra.Schema
@@ -23,7 +18,7 @@ module Counter = Dqep_obs.Counter
 
 type tuple = int array
 
-(* --- engine name and worker default ------------------------------------ *)
+(* --- engine name and width ---------------------------------------------- *)
 
 (* There is one engine and nothing to select.  The one-constructor type
    and its two functions stay because the pinned benchmark harness
@@ -34,14 +29,12 @@ type engine = Batch
 let engine_name Batch = "batch"
 let default_engine () = Batch
 
-(* DQEP_WORKERS arms the exchange operator's scheduler process-wide, so
-   CI can push every existing suite through the morsel pool unchanged. *)
-let default_workers () =
-  match Option.bind (Sys.getenv_opt "DQEP_WORKERS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 1
+(* The engine is sequential.  This stays, always 1, for the same reason
+   as [engine_name]: perfbench prints [default_workers ()] in that header
+   line. *)
+let default_workers () = 1
 
-(* --- morsel work accounting ---------------------------------------------- *)
+(* --- run accounting ------------------------------------------------------ *)
 
 (* Per-run execution profile, surfaced through Executor.run_stats, the
    CLI and the benchmark harness. *)
@@ -49,13 +42,10 @@ type exec_profile = {
   batches : int;          (* batches delivered at the plan root *)
   max_batch_rows : int;
   rows_per_batch : float; (* mean selected rows per delivered batch *)
-  partitions : int;       (* morsels of the widest exchange, 0 if none *)
-  workers : int;          (* scheduler workers available to exchanges *)
 }
 
 let pp_profile ppf p =
-  Format.fprintf ppf "%d batches, %.1f rows/batch, %d partitions, %d workers"
-    p.batches p.rows_per_batch p.partitions p.workers
+  Format.fprintf ppf "%d batches, %.1f rows/batch" p.batches p.rows_per_batch
 
 (* --- small helpers ------------------------------------------------------- *)
 
@@ -102,41 +92,19 @@ let join_key ~left_schema preds side tuple =
       | `Right r_schema -> tuple.(Schema.position_exn r_schema p.Predicate.right))
     preds
 
-(* Below this many input tuples a parallel core runs sequentially: the
-   fan-out overhead would dominate.  Fixed, so morsel decomposition never
-   depends on the worker count. *)
-let parallel_threshold = 2048
-
-(* Radix fan-out of the parallel hash join's partition pass. *)
-let radix_fanout = 16
-
-(* Tuples per parallel sort chunk. *)
-let sort_chunk = 2048
-
-let run_morsels sched ~gov tasks =
-  let job = Scheduler.submit sched ~poll:(fun () -> Governor.check gov) tasks in
-  Scheduler.wait job;
-  match Scheduler.fault job with Some e -> raise e | None -> ()
-
 (* --- hash join core (Grace partitioning under low memory) ---------------- *)
 
 (* Join two fully materialized inputs.  If the build side fits in the
    memory grant, a single in-memory hash table; otherwise fan both sides
    out to temporary heap files and recurse per partition.  [emit] is
-   called once per joined pair, on the calling thread.
-
-   With a parallel [sched] and enough input, a radix partition pass
-   splits both sides [radix_fanout] ways first and each partition joins
-   as one morsel (recursing into the same Grace spilling if it still
-   exceeds the governed grant); per-partition outputs are drained in
-   partition order on the caller. *)
-let hash_join_core ?(gov = Governor.none) ?(obs = Trace.null)
-    ?(sched = Scheduler.sequential) db env ~left_schema ~right_schema
-    ~left_width ~right_width ~preds ~emit build probe =
+   called once per joined pair. *)
+let hash_join_core ?(gov = Governor.none) ?(obs = Trace.null) db env
+    ~left_schema ~right_schema ~left_width ~right_width ~preds ~emit build
+    probe =
   let page_bytes = Catalog.page_bytes (Database.catalog db) in
   let build_key = join_key ~left_schema preds `Left in
   let probe_key = join_key ~left_schema preds (`Right right_schema) in
-  let join_in_memory ~emit build probe =
+  let join_in_memory build probe =
     (* The hash table over the build side is the core's materialization:
        charge it against the memory budget for the duration of the probe.
        A partition that cannot fit even here (after maximal Grace
@@ -151,12 +119,12 @@ let hash_join_core ?(gov = Governor.none) ?(obs = Trace.null)
             List.iter (fun l -> emit l r) (Hashtbl.find_all table (probe_key r)))
           probe)
   in
-  let rec join_partition ~emit depth build probe =
+  let rec join_partition depth build probe =
     (* Re-read the grant per partition: governed headroom shrinks as
        sibling queries charge the shared pool. *)
     let mem = governed_memory_pages env gov ~page_bytes in
     let build_pages = List.length build * left_width / page_bytes in
-    if build_pages <= mem - 1 || depth >= 3 then join_in_memory ~emit build probe
+    if build_pages <= mem - 1 || depth >= 3 then join_in_memory build probe
     else begin
       (* Grace hash join: fan out both inputs to temporary files. *)
       let fanout = Int.max 2 (mem - 1) in
@@ -176,41 +144,12 @@ let hash_join_core ?(gov = Governor.none) ?(obs = Trace.null)
       let probe_parts = part probe_key probe right_width in
       Array.iteri
         (fun i bheap ->
-          join_partition ~emit (depth + 1) (unspill db bheap)
+          join_partition (depth + 1) (unspill db bheap)
             (unspill db probe_parts.(i)))
         build_parts
     end
   in
-  let nb = List.length build and np = List.length probe in
-  if (not (Scheduler.is_parallel sched)) || nb + np < parallel_threshold then
-    join_partition ~emit 0 build probe
-  else begin
-    (* Radix partition both sides in one serial pass (cheap: one hash and
-       one cons per tuple), then join each partition as a morsel. *)
-    let bparts = Array.make radix_fanout [] in
-    let pparts = Array.make radix_fanout [] in
-    let scatter key parts tuples =
-      List.iter
-        (fun t ->
-          let h = Hashtbl.hash (key t) land (radix_fanout - 1) in
-          parts.(h) <- t :: parts.(h))
-        tuples
-    in
-    scatter build_key bparts build;
-    scatter probe_key pparts probe;
-    let outs = Array.make radix_fanout [] in
-    let tasks =
-      Array.init radix_fanout (fun i () ->
-          let b = List.rev bparts.(i) and p = List.rev pparts.(i) in
-          let pairs = ref [] in
-          join_partition ~emit:(fun l r -> pairs := (l, r) :: !pairs) 1 b p;
-          outs.(i) <- List.rev !pairs)
-    in
-    run_morsels sched ~gov tasks;
-    (* Drain in partition order on the caller: [emit] stays a plain
-       consumer-thread callback, exactly as in the sequential path. *)
-    Array.iter (List.iter (fun (l, r) -> emit l r)) outs
-  end
+  join_partition 0 build probe
 
 (* --- sort core (external runs under low memory) -------------------------- *)
 
@@ -221,16 +160,6 @@ let compare_on positions (a : tuple) (b : tuple) =
       match Int.compare a.(p) b.(p) with 0 -> go rest | c -> c)
   in
   go positions
-
-(* Split a list into consecutive chunks of [size], preserving order. *)
-let chunk_list size l =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-      if k = size then go (List.rev cur :: acc) [ x ] 1 rest
-      else go acc (x :: cur) (k + 1) rest
-  in
-  go [] [] 0 l
 
 (* Stable multi-way merge by pairwise passes: [List.merge] keeps the
    left operand's elements first on ties and the run list is in input
@@ -246,13 +175,19 @@ let rec merge_runs compare_tuples = function
     in
     merge_runs compare_tuples (pass ls)
 
+(* The first [n] elements of [l] and the rest, in one pass over the
+   first [n]. *)
+let split_at n l =
+  let rec go acc k = function
+    | x :: rest when k > 0 -> go (x :: acc) (k - 1) rest
+    | rest -> (List.rev acc, rest)
+  in
+  go [] n l
+
 (* Stable sort, spilling sorted runs to temporary heap files when the
-   input exceeds the memory grant, then merging stably.  With a parallel
-   [sched], an in-memory sort of a large input fans out fixed-size chunk
-   sorts as morsels and merges on the consumer — same charge, same
-   output order as the sequential stable sort. *)
-let sort_core ?(gov = Governor.none) ?(obs = Trace.null)
-    ?(sched = Scheduler.sequential) db env ~width ~compare_tuples tuples =
+   input exceeds the memory grant, then merging stably. *)
+let sort_core ?(gov = Governor.none) ?(obs = Trace.null) db env ~width
+    ~compare_tuples tuples =
   let page_bytes = Catalog.page_bytes (Database.catalog db) in
   let mem = governed_memory_pages env gov ~page_bytes in
   let n = List.length tuples in
@@ -260,25 +195,14 @@ let sort_core ?(gov = Governor.none) ?(obs = Trace.null)
   if pages <= mem then
     (* In-memory sort: the whole input is the working set. *)
     Governor.with_charge gov (n * Int.max 1 width) (fun () ->
-        if Scheduler.is_parallel sched && n >= parallel_threshold then begin
-          let chunks = Array.of_list (chunk_list sort_chunk tuples) in
-          let outs = Array.make (Array.length chunks) [] in
-          let tasks =
-            Array.init (Array.length chunks) (fun i () ->
-                outs.(i) <- List.stable_sort compare_tuples chunks.(i))
-          in
-          run_morsels sched ~gov tasks;
-          merge_runs compare_tuples (Array.to_list outs)
-        end
-        else List.stable_sort compare_tuples tuples)
+        List.stable_sort compare_tuples tuples)
   else begin
     let per_run = Int.max 1 (mem * page_bytes / Int.max 1 width) in
     let rec runs acc = function
       | [] -> List.rev acc
       | rest ->
         Governor.check gov;
-        let run = List.filteri (fun i _ -> i < per_run) rest in
-        let remainder = List.filteri (fun i _ -> i >= per_run) rest in
+        let run, remainder = split_at per_run rest in
         let sorted =
           (* Each run is sized to the governed grant; charge it while
              sorting so a shrinking shared pool still surfaces. *)

@@ -99,15 +99,12 @@ let check_feasible db env (plan : Plan.t) =
       Dqep_util.Weak_memo.replace verdicts ~hash plan catalog Verified;
     checked
 
-let compile db env plan = snd (Batch_exec.compile_with db env plan)
+let compile db env plan = Batch_exec.compile_with db env plan
 
-let execute db env ?gov ?obs ?materialized ?checkpoint ?workers plan =
-  let workers =
-    match workers with Some w -> w | None -> Exec_common.default_workers ()
-  in
-  Batch_exec.run_plan db env ?gov ?obs ?materialized ?checkpoint ~workers plan
+let execute db env ?gov ?obs ?materialized ?checkpoint plan =
+  Batch_exec.run_plan db env ?gov ?obs ?materialized ?checkpoint plan
 
-let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
+let run db ?(gov = Governor.none) ?(obs = Trace.null)
     ?(risk = Dqep_cost.Risk.Expected) bindings plan =
   let env = Env.of_bindings (Database.catalog db) bindings in
   let resolution = Startup.resolve ~risk env (check_feasible db env plan) in
@@ -127,7 +124,7 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
       (fun () ->
         Timer.cpu (fun () ->
             Trace.span rt "run" (fun () ->
-                execute db env ~gov ~obs:rt ?workers resolved)))
+                execute db env ~gov ~obs:rt resolved)))
   in
   Trace.gauge rt "cpu_seconds" cpu_seconds;
   ( tuples,

@@ -25,7 +25,7 @@ type run_stats = {
   budget_aborts : int;  (** attempts aborted by the I/O budget guard *)
   failovers : int;  (** re-resolutions onto another choose-plan alternative *)
   replans : int;  (** incremental re-optimizations after a busted estimate *)
-  exec : Exec_common.exec_profile;  (** batch and exchange accounting *)
+  exec : Exec_common.exec_profile;  (** batch accounting *)
 }
 (** The resilience counters are zero for a plain {!run}; they are filled
     in by {!Resilience.run}. *)
@@ -100,12 +100,9 @@ val execute :
   ?obs:Dqep_obs.Trace.t ->
   ?materialized:(int * Exec_common.tuple list) list ->
   ?checkpoint:Checkpoint.t ->
-  ?workers:int ->
   Dqep_plans.Plan.t ->
   Exec_common.tuple list * Exec_common.exec_profile
-(** Drain the plan and report the run's execution profile.  [workers]
-    (default [DQEP_WORKERS], else 1) arms the exchange scans, radix joins
-    and chunked sorts.  Nodes whose pid appears in [materialized] are
+(** Drain the plan and report the run's execution profile.  Nodes whose pid appears in [materialized] are
     served from the given temporary results instead of being executed —
     the splices {!Checkpoint.resume_for} hands out.  When a
     [gov] is given, every batch is a cancellation point, the plan root
@@ -124,13 +121,12 @@ val run :
   Dqep_storage.Database.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?workers:int ->
   ?risk:Dqep_cost.Risk.t ->
   Dqep_cost.Bindings.t ->
   Dqep_plans.Plan.t ->
   Exec_common.tuple list * run_stats
 (** Resolve, execute and drain a plan, reporting I/O and CPU.
-    [gov]/[workers] as in {!execute}.  [risk] scalarizes any
+    [gov] as in {!execute}.  [risk] scalarizes any
     residual cost uncertainty during start-up resolution
     ({!Dqep_plans.Startup.resolve}); default [Expected], which is the
     historical behaviour.  The run records through [obs] when one is

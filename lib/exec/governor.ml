@@ -2,16 +2,16 @@
    deadline, a memory budget, and a row limit.
 
    One governor accompanies one query through the execution engine:
-   operators call [check] once per batch, exchange workers per partition
-   page, and the spilling cores in Exec_common charge their
+   operators call [check] once per batch, scans once per page, and the
+   spilling cores in Exec_common charge their
    materializations against the memory budget through
    [charge]/[with_charge].  Violations raise the typed exceptions
    below, which Resilience maps to typed failures (a memory violation
    triggers choose-plan failover onto a lower-memory alternative).
 
-   The governor is shared across domains — the exchange operator's
-   workers check the same token the consumer holds — so all mutable
-   state is in atomics.  [check] is engineered to be cheap enough for a
+   The governor is shared across domains — a caller on one domain may
+   cancel a query running on another, and session submitters share one
+   memory pool — so all mutable state is in atomics.  [check] is engineered to be cheap enough for a
    per-tuple call: one load and a branch when the governor is unlimited,
    and the (possibly syscalling) clock is consulted only every
    [check_every] ticks when a deadline is armed. *)
@@ -59,8 +59,8 @@ type t = {
   check_every : int;  (* clock poll interval, in check ticks *)
   cancelled : exn option Atomic.t;
       (* the first stop — [Cancelled] or [Deadline_exceeded] — which every
-         later check on any domain re-raises, so a parallel run reports
-         the same typed failure whichever domain gets there first *)
+         later check on any domain re-raises, so every checker reports
+         the same typed failure whichever gets there first *)
   charged : int Atomic.t;  (* bytes currently charged *)
   rows : int Atomic.t;
   ticks : int Atomic.t;
@@ -127,8 +127,6 @@ let cancelled_reason t =
 
 let is_cancelled t = Option.is_some (Atomic.get t.cancelled)
 
-let elapsed t = if t.limited then t.clock () -. t.started else 0.
-
 let check t =
   if t.limited then begin
     (match Atomic.get t.cancelled with Some e -> raise e | None -> ());
@@ -142,8 +140,8 @@ let check t =
     | Some budget when tick mod t.check_every = 0 ->
       let elapsed = t.clock () -. t.started in
       if elapsed > budget then begin
-        (* Record the violation so siblings (exchange workers) stop at
-           their next check without re-reading the clock.  First stop
+        (* Record the violation so later checks stop without re-reading
+           the clock.  First stop
            wins, here as on every other domain. *)
         let e = Deadline_exceeded { elapsed; budget } in
         ignore (Atomic.compare_and_set t.cancelled None (Some e) : bool);
@@ -153,7 +151,6 @@ let check t =
   end
 
 let checks t = Atomic.get t.ticks
-let check_every t = t.check_every
 
 (* --- memory accounting --------------------------------------------------- *)
 

@@ -2,11 +2,11 @@
     a deadline, a memory budget, and a row limit.
 
     One governor accompanies one query through the execution engine —
-    operators {!check} once per batch, exchange workers per partition
-    page — and the spilling join/sort cores ({!Exec_common}) account
-    their materializations against the memory budget with {!charge}.  The token is shared across domains
-    (all state is atomic), so cancelling from any thread stops a
-    parallel exchange as well as the consuming iterator.
+    operators {!check} once per batch, scans once per page — and the
+    spilling join/sort cores ({!Exec_common}) account their
+    materializations against the memory budget with {!charge}.  The
+    token is shared across domains (all state is atomic), so cancelling
+    from any thread stops the query at its next check.
 
     The graceful-degradation ladder: a shrinking memory {!headroom}
     first makes the cores spill {e earlier} (they size their in-memory
@@ -85,10 +85,6 @@ val check : t -> unit
 
 val checks : t -> int
 (** Check ticks consumed so far (for the benchmark's latency bound). *)
-
-val check_every : t -> int
-
-val elapsed : t -> float
 
 val charge : t -> int -> unit
 (** Account [bytes] of working memory.

@@ -54,9 +54,8 @@ let shared_subplan (plan : Plan.t) =
     Option.map snd !best
   | _ -> None
 
-let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
-    bindings plan =
-  let tuples, run = Executor.run db ~gov ~obs ?workers bindings plan in
+let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) bindings plan =
+  let tuples, run = Executor.run db ~gov ~obs bindings plan in
   let env = Env.of_bindings (Database.catalog db) bindings in
   let cost, _ = Startup.evaluate env run.Executor.resolved_plan in
   ( tuples,
@@ -69,9 +68,8 @@ let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
       switched = false;
       run } )
 
-let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?workers
-    registry ~sub =
-  let tuples, _ = Executor.execute db env ~gov ~obs ?workers sub in
+let observe db env ?(gov = Governor.none) ?(obs = Trace.null) registry ~sub =
+  let tuples, _ = Executor.execute db env ~gov ~obs sub in
   let filed =
     Checkpoint.file registry sub
       ~schema:(Plan.schema (Database.catalog db) sub)
@@ -79,12 +77,11 @@ let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?workers
   in
   (List.length tuples, filed)
 
-let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
-    bindings plan =
+let run db ?(gov = Governor.none) ?(obs = Trace.null) bindings plan =
   let env = Env.of_bindings (Database.catalog db) bindings in
   let plan = Executor.check_feasible db env plan in
   match shared_subplan plan with
-  | None -> plain_run db ~gov ~obs ?workers bindings plan
+  | None -> plain_run db ~gov ~obs bindings plan
   | Some sub ->
     let pool = Database.pool db in
     Buffer_pool.resize pool (Executor.memory_pages env);
@@ -101,7 +98,7 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     (* Phase 1: evaluate the shared subplan into a registry entry. *)
     let observed, filed =
       Trace.span rt "observe" (fun () ->
-          observe db env ~gov ~obs:rt ?workers registry ~sub)
+          observe db env ~gov ~obs:rt registry ~sub)
     in
     (* Phase 2: decide with the observation, execute with the entry
        spliced in wherever it serves. *)
@@ -116,7 +113,7 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?workers
     let tuples, profile =
       Executor.execute db env ~gov ~obs:rt
         ~materialized:(Checkpoint.resume_for registry db adapted.Startup.plan)
-        ?workers adapted.Startup.plan
+        adapted.Startup.plan
     in
     let cpu_seconds = Sys.time () -. start in
     let after = Buffer_pool.stats_of_trace rt in

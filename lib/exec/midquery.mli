@@ -46,7 +46,6 @@ val observe :
   Dqep_cost.Env.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?workers:int ->
   Checkpoint.t ->
   sub:Dqep_plans.Plan.t ->
   int * bool
@@ -64,13 +63,12 @@ val run :
   Dqep_storage.Database.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?workers:int ->
   Dqep_cost.Bindings.t ->
   Dqep_plans.Plan.t ->
   Exec_common.tuple list * stats
 (** Execute with mid-query adaptation; falls back to plain start-up
-    resolution when there is nothing to observe.  [gov]/[workers]
-    as in {!Executor.execute}: the observation phase and the final
+    resolution when there is nothing to observe.  [gov] as in
+    {!Executor.execute}: the observation phase and the final
     execution run under the same governor, so deadlines and memory
     budgets span the whole adapted query, and the observation's bytes
     are charged to [gov] until the run ends. *)

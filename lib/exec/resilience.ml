@@ -19,7 +19,6 @@ type config = {
   backoff_seed : int;
   io_budget_factor : float option;
   max_failovers : int;
-  workers : int option;
   checkpoints : bool;
   checkpoint_tolerance : float;
   max_replans : int;
@@ -37,7 +36,7 @@ let default_checkpoints () =
 
 let config ?(max_retries = 2) ?(backoff_base = 0.01) ?(backoff_cap = 1.)
     ?(backoff_seed = 0x5eed) ?io_budget_factor ?(max_failovers = 8)
-    ?workers ?checkpoints
+    ?checkpoints
     ?(checkpoint_tolerance = Checkpoint.default_tolerance) ?(max_replans = 2)
     ?replan ?(risk = Dqep_cost.Risk.Expected) () =
   if max_retries < 0 then invalid_arg "Resilience.config: max_retries < 0";
@@ -46,14 +45,11 @@ let config ?(max_retries = 2) ?(backoff_base = 0.01) ?(backoff_cap = 1.)
   if max_replans < 0 then invalid_arg "Resilience.config: max_replans < 0";
   if checkpoint_tolerance <= 1. then
     invalid_arg "Resilience.config: checkpoint_tolerance <= 1";
-  (match workers with
-  | Some w when w < 1 -> invalid_arg "Resilience.config: workers < 1"
-  | Some _ | None -> ());
   let checkpoints =
     match checkpoints with Some c -> c | None -> default_checkpoints ()
   in
   { max_retries; backoff_base; backoff_cap; backoff_seed; io_budget_factor;
-    max_failovers; workers; checkpoints; checkpoint_tolerance;
+    max_failovers; checkpoints; checkpoint_tolerance;
     max_replans; replan; risk }
 
 let default = config ()
@@ -248,8 +244,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
         | Some sub -> (
           match
             Trace.span rt "observe" (fun () ->
-                Midquery.observe db !mem_env ~gov ~obs:rt
-                  ?workers:config.workers registry ~sub)
+                Midquery.observe db !mem_env ~gov ~obs:rt registry ~sub)
           with
           | _ -> ()
           | exception
@@ -286,8 +281,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
         Timer.cpu (fun () ->
           Trace.span rt "attempt" (fun () ->
             Executor.execute db !mem_env ~gov ~obs:rt ~materialized:resume
-              ~checkpoint:takes ?workers:config.workers
-              resolution.Startup.plan))
+              ~checkpoint:takes resolution.Startup.plan))
       with
       | (tuples, profile), cpu_seconds ->
         let after = Buffer_pool.stats pool in

@@ -55,12 +55,6 @@ type config = {
           guard *)
   max_failovers : int;
       (** bound on re-resolutions onto other alternatives (default 8) *)
-  workers : int option;
-      (** exchange workers for every attempt; [None] defers to
-          [DQEP_WORKERS] (see {!Executor.execute}).  Faults raised inside
-          a parallel exchange partition surface as typed errors at the
-          merge and take the same retry/failover path as sequential
-          faults. *)
   checkpoints : bool;
       (** materialize checkpoints at blocking points ({!Checkpoint}) and
           validate observed cardinalities against the plan's validity
@@ -96,7 +90,6 @@ val config :
   ?backoff_seed:int ->
   ?io_budget_factor:float ->
   ?max_failovers:int ->
-  ?workers:int ->
   ?checkpoints:bool ->
   ?checkpoint_tolerance:float ->
   ?max_replans:int ->

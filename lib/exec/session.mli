@@ -19,11 +19,6 @@ type shed_reason =
 
 val shed_reason_name : shed_reason -> string
 
-val shed_counter : shed_reason -> Dqep_obs.Counter.t
-(** The taxonomy counter a shed of this reason increments
-    ([Shed_queue_full] / [Shed_queue_timeout]), so callers tallying
-    sheds attribute them by reason rather than as one lump. *)
-
 type outcome =
   | Completed of Exec_common.tuple list * Executor.run_stats
   | Failed of Resilience.failure
@@ -107,7 +102,8 @@ val submit :
     (a cancellation queued before admission surfaces as
     [Failed (Cancelled _)] on the first check).  [resilience] overrides
     the session's supervisor configuration for this one submission (the
-    chaos harness mixes worker widths per query this way).  [clock] is the
+    chaos harness mixes checkpoint and replan settings per query this
+    way).  [clock] is the
     queue clock, injectable for tests.
 
     [obs] is this submission's run trace (a taps-enabled private trace

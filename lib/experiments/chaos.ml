@@ -14,11 +14,6 @@
    - memory: a tight per-query memory budget (plus the shared pool);
    - faulty: an injected I/O fault schedule on the job's disk.
 
-   Every fourth job runs wide on the persistent work-stealing morsel
-   pool (at least 3 workers, or DQEP_WORKERS when larger), so
-   cancellation also lands mid-morsel on pool domains — with several
-   submitter domains contending for the one process-wide pool at once.
-
    The harness asserts the governed-session contract structurally: every
    job yields exactly one typed outcome (anything escaping
    Session.submit is recorded in [escaped], which must stay empty), and
@@ -29,7 +24,6 @@
 module Governor = Dqep_exec.Governor
 module Session = Dqep_exec.Session
 module Resilience = Dqep_exec.Resilience
-module Exec_common = Dqep_exec.Exec_common
 module Executor = Dqep_exec.Executor
 module Plangen = Dqep_workload.Plangen
 module Optimizer = Dqep_optimizer.Optimizer
@@ -151,12 +145,6 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
          (Fault.create
             (Fault.config ~read_fault_rate:0.02 ~seed:(seed + job) ())))
   | Clean | Deadline | Cancel | Memory | Busted -> ());
-  let workers =
-    (* Every fourth job goes wide on the shared morsel pool, so
-       cancellation and deadlines land on pool domains too; DQEP_WORKERS
-       widens it further (CI soaks the pool at 8). *)
-    if job mod 4 = 1 then Int.max 3 (Exec_common.default_workers ()) else 1
-  in
   let resilience =
     match scenario with
     | Busted | Faulty_resume ->
@@ -167,12 +155,12 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
         | Ok (rt, _) -> Some (Reoptimize.replan rt)
         | Error _ -> None
       in
-      Resilience.config ~workers ~backoff_seed:(seed + job)
+      Resilience.config ~backoff_seed:(seed + job)
         ~checkpoints:true
         ~checkpoint_tolerance:(if scenario = Busted then 1.5 else 4.0)
         ~max_replans:2 ?replan ()
     | Clean | Deadline | Cancel | Memory | Faulty ->
-      Resilience.config ~workers ~backoff_seed:(seed + job) ()
+      Resilience.config ~backoff_seed:(seed + job) ()
   in
   let outcome =
     try Ok (Session.submit session ~gov ~resilience db bindings plan)
@@ -183,16 +171,15 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
     | Ok () -> None
     | Error msg ->
       Some
-        (Printf.sprintf "job %d (%s, %d workers): %s" job
-           (scenario_name scenario) workers msg)
+        (Printf.sprintf "job %d (%s): %s" job (scenario_name scenario) msg)
   in
   (* Every scenario: a failover observation is charged to the job's
      governor whether or not checkpoints are on. *)
   let ckpt_leak =
     if Governor.charged_bytes gov <> 0 then
       Some
-        (Printf.sprintf "job %d (%s, %d workers): %d bytes still charged"
-           job (scenario_name scenario) workers (Governor.charged_bytes gov))
+        (Printf.sprintf "job %d (%s): %d bytes still charged" job
+           (scenario_name scenario) (Governor.charged_bytes gov))
     else None
   in
   (scenario, outcome, leak, ckpt_leak)

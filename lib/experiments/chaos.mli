@@ -117,6 +117,4 @@ val serve_soak :
 (** Defaults: 4 client domains, 256 requests, seed 1, 3 admission
     slots, queue bound 4 (8+ clients overload it, exercising door
     sheds), 3 relations (= 3 chain shapes, shape 0 poisoned, plus the
-    drifted shape).
-    Exchange width follows [DQEP_WORKERS], as everywhere.  Blocks until
-    every request has its response. *)
+    drifted shape).  Blocks until every request has its response. *)

@@ -17,7 +17,7 @@ let render format e =
   | Compact -> Format.asprintf "%a" Event.pp_compact e
 
 let channel ?(format = Jsonl) oc =
-  (* Serialize writers: exchange worker domains may emit concurrently. *)
+  (* Serialize writers: session domains may emit concurrently. *)
   let mu = Mutex.create () in
   {
     emit =

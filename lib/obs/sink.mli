@@ -1,7 +1,7 @@
 (** Event sinks: where a trace's events go.
 
-    Sinks are thread-safe — exchange worker domains emit through the
-    same sink as the coordinating thread. *)
+    Sinks are thread-safe — concurrent session domains may emit through
+    the same sink. *)
 
 type format =
   | Jsonl  (** one JSON object per line ({!Event.to_json}) *)

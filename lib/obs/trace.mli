@@ -7,7 +7,7 @@
     - {!null} is the disabled trace; every operation short-circuits on
       one boolean (the [Governor.none] pattern), so code threads a trace
       unconditionally.
-    - Counter increments are one atomic add, safe from exchange worker
+    - Counter increments are one atomic add, safe from concurrent
       domains.  Counter and tap {e totals} are emitted as events only at
       {!flush}, so trace files are bounded by the taxonomy size, not the
       tuple count.

@@ -246,7 +246,6 @@ let rec depth_of pool page_id =
       | Page.Internal node -> 1 + depth_of pool node.children.(0))
 
 let depth pool t = depth_of pool t.root
-let leaf_pages pool t = fold_leaves pool t.root (fun acc _ -> acc + 1) 0
 
 let check_invariants pool t =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in

@@ -27,8 +27,6 @@ val entry_count : Buffer_pool.t -> t -> int
 val depth : Buffer_pool.t -> t -> int
 (** Number of levels, 1 for a lone leaf. *)
 
-val leaf_pages : Buffer_pool.t -> t -> int
-
 val check_invariants : Buffer_pool.t -> t -> (unit, string) result
 (** Structural validation used by the test suite: sortedness within and
     across leaves, separator consistency, uniform leaf depth, capacity

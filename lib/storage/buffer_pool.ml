@@ -30,7 +30,7 @@ let () =
 (* Two locks, each owning one thing.  A page's frame (pins, dirty bit,
    LRU stamp) lives in one of [shard_count] hashtables keyed by
    [page_id mod shard_count], each behind its own mutex: a pin hit —
-   the hot path of every scan morsel — [unpin] and [mark_dirty] take
+   the hot path of every scan — [unpin] and [mark_dirty] take
    only that one.  Residency belongs to the eviction mutex [emu]:
    admission, eviction, the resident count, and [slots], a flat array
    of the resident frames in which each frame records its index.

@@ -125,10 +125,6 @@ val resident_pages : t -> int list
 val pinned_count : t -> int
 (** Number of resident pages with at least one pin. *)
 
-val pinned_pages : t -> (int * int) list
-(** [(page id, pin count)] for every currently pinned page, sorted by
-    id — the raw data behind {!leak_check}. *)
-
 val leak_check : t -> (unit, string) result
 (** [Ok ()] iff no page is pinned.  Between queries every pin should
     have been released ({!with_page} unpins on exceptions too), so the

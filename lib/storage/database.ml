@@ -75,10 +75,3 @@ let pool t = t.pool
 let heap t name = Hashtbl.find t.heaps name
 let index t ~rel ~attr = Hashtbl.find t.indexes (rel, attr)
 
-let attr_position t ~rel ~attr =
-  let r = Catalog.relation_exn t.catalog rel in
-  let rec find i = function
-    | [] -> raise Not_found
-    | (a : Attribute.t) :: rest -> if a.name = attr then i else find (i + 1) rest
-  in
-  find 0 r.attributes

@@ -31,7 +31,3 @@ val heap : t -> string -> Heap_file.t
 
 val index : t -> rel:string -> attr:string -> Btree.t
 (** @raise Not_found if no index exists on that attribute. *)
-
-val attr_position : t -> rel:string -> attr:string -> int
-(** Position of an attribute within the relation's tuples.
-    @raise Not_found on unknown names. *)

@@ -50,7 +50,6 @@ type t = {
 }
 
 let create config = { config; rng = Rng.create config.seed; ios = 0; injected = 0 }
-let get_config t = t.config
 let ios_attempted t = t.ios
 let injected t = t.injected
 

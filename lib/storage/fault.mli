@@ -21,9 +21,6 @@ type op = Read | Write
 
 exception Io_fault of { kind : kind; op : op; page : int }
 
-val pp_kind : Format.formatter -> kind -> unit
-val pp_op : Format.formatter -> op -> unit
-
 type config = {
   seed : int;  (** RNG seed for the probabilistic faults *)
   read_fault_rate : float;  (** transient-fault probability per physical read *)
@@ -53,8 +50,6 @@ type t
 
 val create : config -> t
 (** A fresh injector; its RNG stream starts at [config.seed]. *)
-
-val get_config : t -> config
 
 val ios_attempted : t -> int
 (** Physical I/Os submitted to the injector so far (faulted or not). *)

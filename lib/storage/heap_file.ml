@@ -78,7 +78,7 @@ let tuple_count t = t.count
 let page_ids t = List.rev t.pages
 
 (* Split the file into at most [parts] contiguous page stripes (in file
-   order) for exchange-style partitioned scans.  Every page appears in
+   order), the unit a file scan reads at a time.  Every page appears in
    exactly one stripe; empty stripes are dropped, so the result may be
    shorter than [parts] for small files. *)
 let partition t ~parts =

@@ -30,7 +30,7 @@ val page_ids : t -> int list
 
 val partition : t -> parts:int -> int list list
 (** Split the file into at most [parts] contiguous page stripes (in file
-    order) for exchange-style partitioned scans.  Every page appears in
+    order), the unit a file scan reads at a time.  Every page appears in
     exactly one stripe; empty stripes are dropped, so the result may be
     shorter than [parts] for small files.
     @raise Invalid_argument if [parts <= 0]. *)

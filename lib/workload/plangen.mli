@@ -4,8 +4,8 @@
     relations with random cardinalities, domain sizes and index subsets —
     and a query joining them along a random spanning tree with unbound
     selections on most relations.  [test/suite_batch.ml] optimizes each
-    instance and runs every plan through the executor, at several worker
-    widths and batch capacities, and through the naive reference
+    instance and runs every plan through the executor, at several batch
+    capacities, and through the naive reference
     evaluator, asserting multiset-equal results. *)
 
 type instance = {

@@ -58,7 +58,7 @@ let certificate_sound_for ~seed =
           match
             D.Executor.run db
               ~gov:(D.Governor.create ~memory_bytes:grant ())
-              ~workers:1 b r.D.Optimizer.plan
+              b r.D.Optimizer.plan
           with
           | tuples, _ ->
             let n = float_of_int (List.length tuples) in

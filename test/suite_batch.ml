@@ -2,19 +2,16 @@
 
    1. Randomized differential harness: seeded random catalogs and queries
       (Plangen), optimized in static and dynamic modes, every plan run
-      with the worker width swept over {1,2,4,8} (so the morsel pool,
-      work stealing and the staged exchange drain are all on the hot
-      path), at tiny batch capacities, and through the naive reference
-      evaluator, asserting multiset-equal results — and asserting the
-      buffer pool holds zero pins after every single run, so a morsel
-      that leaks a pin under parallelism fails here first.
+      through the executor, at tiny batch capacities, and through the
+      naive reference evaluator, asserting multiset-equal results — and
+      asserting the buffer pool holds zero pins after every single run.
    2. qcheck properties of Batch.t: selection-vector refinement keeps
       exactly the selected multiset, of_tuples/to_tuples round-trips the
       very arrays it was given, remap permutes columns by name, and
       capacity is never exceeded.
    3. Scans share their page's tuples: every tuple a file scan returns,
-      fused filter or not, sequential or parallel, is physically one of
-      the arrays on the relation's heap pages.
+      fused filter or not, is physically one of the arrays on the
+      relation's heap pages.
    4. Iterator re-open semantics: consuming twice — or closing
       half-drained and consuming again — yields the same result. *)
 
@@ -26,8 +23,6 @@ let optimize_exn ~mode catalog query =
 (* --- randomized differential harness ------------------------------------- *)
 
 let differential_seeds = 50
-
-let worker_sweep = [ 1; 2; 4; 8 ]
 
 let assert_no_leaks label db =
   match D.Buffer_pool.leak_check (D.Database.pool db) with
@@ -69,21 +64,13 @@ let run_differential () =
               if not (D.Reference.multiset_equal expected got) then
                 fail label got
             in
-            let check_run label workers =
-              let tuples, stats = D.Executor.run db ~workers b plan in
-              check label tuples
-                (D.Plan.schema catalog stats.D.Executor.resolved_plan);
-              assert_no_leaks
-                (Printf.sprintf "seed %d, %s: pin leak" seed label)
-                db
-            in
-            List.iter
-              (fun w -> check_run (Printf.sprintf "%d workers" w) w)
-              worker_sweep;
+            let tuples, stats = D.Executor.run db b plan in
+            check "executor" tuples
+              (D.Plan.schema catalog stats.D.Executor.resolved_plan);
+            assert_no_leaks (Printf.sprintf "seed %d: pin leak" seed) db;
             (* Resolve choose nodes up front so the result's column order
                is known, then drive Batch_exec directly: tiny capacities
-               exercise batch boundaries everywhere, parallel workers the
-               exchange merge. *)
+               exercise batch boundaries everywhere. *)
             let resolved =
               if D.Plan.contains_choose plan then
                 (D.Startup.resolve env plan).D.Startup.plan
@@ -96,14 +83,11 @@ let run_differential () =
             check "capacity 13" tuples resolved_schema;
             assert_no_leaks "capacity 13: pin leak" db;
             if seed mod 5 = 0 then begin
-              let tuples, profile =
-                D.Batch_exec.run_plan db env ~workers:3 ~capacity:64 resolved
+              let tuples, _ =
+                D.Batch_exec.run_plan db env ~capacity:64 resolved
               in
-              check "capacity 64, 3 workers" tuples resolved_schema;
-              assert_no_leaks "3 workers: pin leak" db;
-              Alcotest.(check bool)
-                "parallel profile reports workers" true
-                (profile.D.Exec_common.workers >= 2)
+              check "capacity 64" tuples resolved_schema;
+              assert_no_leaks "capacity 64: pin leak" db
             end)
           [ 1; 2 ])
       modes
@@ -269,7 +253,7 @@ let reopen_fixture () =
    stops the index join mid-stream with probe results still buffered. *)
 let test_tuple_at_a_time_reopen () =
   let db, env, plan = reopen_fixture () in
-  let _ctx, it = D.Batch_exec.compile_with db env ~capacity:1 plan in
+  let it = D.Batch_exec.compile_with db env ~capacity:1 plan in
   let first = D.Batch_exec.consume it in
   Alcotest.(check bool) "fixture produces rows" true (List.length first > 2);
   let second = D.Batch_exec.consume it in
@@ -285,7 +269,7 @@ let test_tuple_at_a_time_reopen () =
 
 let test_batch_reopen () =
   let db, env, plan = reopen_fixture () in
-  let _ctx, it = D.Batch_exec.compile_with db env ~capacity:4 plan in
+  let it = D.Batch_exec.compile_with db env ~capacity:4 plan in
   let first = D.Batch_exec.consume it in
   Alcotest.(check bool) "fixture produces rows" true (List.length first > 2);
   let second = D.Batch_exec.consume it in
@@ -298,18 +282,18 @@ let test_batch_reopen () =
   Alcotest.(check bool) "consume after partial drain equals first run" true
     (D.Reference.multiset_equal first third)
 
-(* Batch boundaries and worker width do not change the fixture's answer. *)
+(* Batch boundaries do not change the fixture's answer. *)
 let test_reopen_fixture_differential () =
   let db, env, plan = reopen_fixture () in
   let whole = D.Batch_exec.consume (D.Executor.compile db env plan) in
   List.iter
-    (fun (capacity, workers) ->
-      let got, _ = D.Batch_exec.run_plan db env ~capacity ~workers plan in
+    (fun capacity ->
+      let got, _ = D.Batch_exec.run_plan db env ~capacity plan in
       Alcotest.(check bool)
-        (Printf.sprintf "capacity %d, %d workers agree" capacity workers)
+        (Printf.sprintf "capacity %d agrees" capacity)
         true
         (D.Reference.multiset_equal whole got))
-    [ (1, 1); (4, 1); (4, 3) ]
+    [ 1; 4 ]
 
 (* --- scans share their page's tuples ------------------------------------ *)
 
@@ -344,20 +328,16 @@ let test_scans_share_page_tuples () =
   in
   List.iter
     (fun (label, plan, expect_all) ->
+      let got, _ = D.Batch_exec.run_plan db env plan in
+      Alcotest.(check bool) (label ^ ": rows returned") true
+        (got <> []
+        && (not expect_all || List.length got = List.length !on_pages));
       List.iter
-        (fun workers ->
-          let got, _ = D.Batch_exec.run_plan db env ~workers plan in
-          let label = Printf.sprintf "%s, %d workers" label workers in
-          Alcotest.(check bool) (label ^ ": rows returned") true
-            (got <> []
-            && (not expect_all || List.length got = List.length !on_pages));
-          List.iter
-            (fun t ->
-              if not (List.exists (fun p -> p == t) !on_pages) then
-                Alcotest.failf "%s: a returned tuple is a copy, not the page's"
-                  label)
-            got)
-        [ 1; 3 ])
+        (fun t ->
+          if not (List.exists (fun p -> p == t) !on_pages) then
+            Alcotest.failf "%s: a returned tuple is a copy, not the page's"
+              label)
+        got)
     [ ("file scan", scan, true); ("fused filter", filtered, false) ]
 
 let suite =

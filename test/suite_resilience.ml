@@ -138,11 +138,7 @@ let test_seeded_schedule_is_deterministic () =
     let db = D.Database.build ~seed:11 q1.D.Queries.catalog in
     drain_pool db;
     install db fault_config;
-    (* The seeded fault schedule advances per physical I/O, so its
-       determinism is only defined for a serial I/O order: pin one
-       worker even when the suite runs with DQEP_WORKERS > 1. *)
-    let config = D.Resilience.config ~workers:1 () in
-    let result, rstats = D.Resilience.run ~config db b plan in
+    let result, rstats = D.Resilience.run db b plan in
     let outcome =
       match result with
       | Ok (tuples, stats) -> Some (tuples, stats.D.Executor.failovers)
@@ -297,15 +293,14 @@ let test_partially_infeasible_plan_prunes_and_runs () =
        (D.Reference.normalize ref_schema expected)
        (normalized db stats tuples))
 
-(* A permanently broken heap page under a parallel exchange scan: the
-   fault fires inside one exchange partition's worker domain, must
-   surface as a typed [Io_fault] at the merge point, and must take the
-   normal failover path — never deadlock the merge queue.  A watchdog
-   thread turns a hang into a hard failure instead of a stuck CI job. *)
-let test_exchange_partition_fault_is_typed_and_terminates () =
+(* A permanently broken heap page in the middle of a file scan: the
+   fault must surface as a typed [Io_fault] and take the normal failover
+   path.  A watchdog thread turns a hang into a hard failure instead of
+   a stuck CI job. *)
+let test_mid_file_page_fault_is_typed_and_terminates () =
   let plan = dynamic_plan q1 in
   (* High selectivity makes the file-scan alternative the start-up-time
-     choice, so the exchange is what hits the broken page first.  The
+     choice, so the scan is what hits the broken page first.  The
      B-tree fallback fetches matching tuples from the same heap, so at
      this selectivity it trips over the page too: the run must end in a
      typed exhaustion, not a hang. *)
@@ -314,18 +309,15 @@ let test_exchange_partition_fault_is_typed_and_terminates () =
   let heap_pages = D.Heap_file.page_ids (D.Database.heap db "R1") in
   Alcotest.(check bool) "relation spans several pages" true
     (List.length heap_pages > 4);
-  (* Break one mid-file page: exactly one exchange partition faults while
-     its siblings keep producing into the merge queue. *)
+  (* Break one mid-file page: the scan has already produced the pages
+     before it. *)
   let broken = List.nth heap_pages (List.length heap_pages / 2) in
   drain_pool db;
   install db
     (D.Fault.config ~broken_pages:[ (broken, D.Fault.Permanent) ] ~seed:1 ());
-  let config =
-    D.Resilience.config ~workers:4 ()
-  in
   let result, rstats =
-    Test_util.with_watchdog "resilience: exchange-partition fault" (fun () ->
-        D.Resilience.run ~config db b plan)
+    Test_util.with_watchdog "resilience: mid-file page fault" (fun () ->
+        D.Resilience.run db b plan)
   in
   (match result with
   | Ok (_, stats) ->
@@ -344,7 +336,7 @@ let test_exchange_partition_fault_is_typed_and_terminates () =
         (Printexc.to_string e))
   | Error f ->
     Alcotest.failf "unexpected failure kind: %a" D.Resilience.pp_failure f);
-  Alcotest.(check bool) "the broken partition forced a failover" true
+  Alcotest.(check bool) "the broken page forced a failover" true
     (rstats.D.Resilience.failovers >= 1);
   Alcotest.(check bool) "faults were absorbed, not leaked" true
     (rstats.D.Resilience.faults_absorbed >= 1);
@@ -431,5 +423,5 @@ let suite =
         test_infeasible_plan_reports_problems;
       Alcotest.test_case "partially infeasible plan prunes and runs" `Quick
         test_partially_infeasible_plan_prunes_and_runs;
-      Alcotest.test_case "exchange partition fault is typed, never hangs"
-        `Quick test_exchange_partition_fault_is_typed_and_terminates ] )
+      Alcotest.test_case "mid-file page fault is typed, no hang"
+        `Quick test_mid_file_page_fault_is_typed_and_terminates ] )

@@ -200,7 +200,7 @@ let test_session_pool_bounds_admitted_queries () =
 let test_chaos_soak () =
   (* The acceptance soak: 32 jobs across 4 domains through one shared
      session — clean runs, deadlines, cancellations, memory pressure and
-     injected faults, sequential and through the parallel exchange.
+     injected faults.
      Contract: every job exactly one typed outcome, no pin leaks, no
      hangs (watchdog), no untyped failures. *)
   let t =

@@ -31,7 +31,6 @@ let () =
       Suite_analysis.suite;
       Suite_absint.suite;
       Suite_obs.suite;
-      Suite_scheduler.suite;
       Suite_serve.suite;
       Suite_dist.suite;
       Suite_risk.suite ]

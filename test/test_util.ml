@@ -3,8 +3,8 @@
    [with_watchdog] turns a hang into a hard failure: a daemon thread
    polls a completion flag and kills the whole process (exit 124, the
    conventional timeout status) if the wrapped case is still running at
-   the deadline.  Long-running cases — anything draining a parallel
-   exchange, the chaos/soak harnesses, the differential suites — wrap
+   the deadline.  Long-running cases — the chaos/soak harnesses, the
+   differential suites — wrap
    themselves in it so a deadlock fails CI in seconds instead of
    stalling the job until the runner's own timeout. *)
 
