@@ -242,9 +242,11 @@ let run_benchmarks () =
 
 (* --- part 3: execution ---------------------------------------------------- *)
 
-(* Three execution workloads: a table scan + filter (the predicate is
-   fused into the scan), a two-way hash join and a full-table sort.  No
-   indexes, so the optimizer has a single access path per relation.
+(* Four execution workloads: a table scan + filter (the predicate is
+   fused into the scan), a two-way hash join in memory, the same join
+   spilling through an 8-page grant on an 8-frame pool, and a full-table
+   sort.  No indexes, so the optimizer has a single access path per
+   relation.
 
    Each is timed by the wall clock over [exec_repeats] runs after one
    warm-up run, and reported as the median with its interquartile range.
@@ -271,7 +273,7 @@ let exec_scan_instance () =
   in
   ("scan_filter", catalog, query, plan, bindings)
 
-let exec_join_instance () =
+let exec_join_instance ?(name = "hash_join") ?(memory_pages = 256) () =
   let mk name =
     D.Relation.make ~name ~cardinality:4000 ~record_bytes:64
       ~attributes:
@@ -294,13 +296,13 @@ let exec_join_instance () =
             ~right:(D.Col.make ~rel:"T2" ~attr:"jl") ] )
   in
   let bindings =
-    D.Bindings.make ~selectivities:[ ("hv1", 0.5) ] ~memory_pages:256
+    D.Bindings.make ~selectivities:[ ("hv1", 0.5) ] ~memory_pages
   in
   let plan =
     (Result.get_ok (D.Optimizer.optimize ~mode:D.Optimizer.static catalog query))
       .D.Optimizer.plan
   in
-  ("hash_join", catalog, query, plan, bindings)
+  (name, catalog, query, plan, bindings)
 
 (* The optimizer only inserts Sort as an enforcer, so the sort workload
    is a hand-built plan: full scan of U, sorted on a non-key column.
@@ -344,8 +346,8 @@ type exec_result = {
   batches : int;
 }
 
-let exec_series (name, catalog, query, plan, bindings) =
-  let db = D.Database.build ~frames:1024 ~seed:7 catalog in
+let exec_series ?(frames = 1024) (name, catalog, query, plan, bindings) =
+  let db = D.Database.build ~frames ~seed:7 catalog in
   let env = D.Env.of_bindings catalog bindings in
   let run () = D.Executor.execute db env plan in
   (* The warm-up run fills the buffer pool. *)
@@ -389,14 +391,20 @@ let exec_json series =
 let exec_bench ~check () =
   Format.printf "=== execution ===@.";
   let series =
-    List.map exec_series
-      [ exec_scan_instance (); exec_join_instance (); exec_sort_instance () ]
+    [ exec_series (exec_scan_instance ());
+      exec_series (exec_join_instance ());
+      (* The build side (half of T1, 62 pages) is Grace-partitioned
+         seven ways, some partitions again, and spill pages are written
+         and read back through the pool. *)
+      exec_series ~frames:8
+        (exec_join_instance ~name:"hash_join_spill" ~memory_pages:8 ());
+      exec_series (exec_sort_instance ()) ]
   in
   List.iter
     (fun s ->
       let q1, q3 = quartiles s.wall_seconds in
       Format.printf
-        "%-12s %8.3f ms/run median (IQR %.3f-%.3f ms, %d runs; %d rows, \
+        "%-15s %8.3f ms/run median (IQR %.3f-%.3f ms, %d runs; %d rows, \
          %d batches)@."
         s.name (median s.wall_seconds *. 1e3) (q1 *. 1e3) (q3 *. 1e3)
         (List.length s.wall_seconds) s.rows s.batches)

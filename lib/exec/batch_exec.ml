@@ -391,9 +391,6 @@ and hash_join ctx (plan : Plan.t) preds =
     | [ l; r ] -> (l.Plan.bytes_per_row, r.Plan.bytes_per_row)
     | _ -> assert false
   in
-  let residual =
-    Pred_eval.equi_matches ~left:left_schema ~right:right_schema preds
-  in
   let ob = out_buffer ctx schema in
   { schema;
     open_ =
@@ -411,8 +408,7 @@ and hash_join ctx (plan : Plan.t) preds =
           ~left_schema
           ~right_schema
           ~left_width ~right_width ~preds
-          ~emit:(fun l r ->
-            if residual l r then out_push ob (Array.append l r))
+          ~emit:(fun l r -> out_push ob (Array.append l r))
           build probe);
     next = (fun () -> out_pop ob);
     close = (fun () -> out_reset ob) }

@@ -73,10 +73,9 @@ let tuples_per_page db width =
     ~record_bytes:(Int.max 1 width)
 
 let spill db width tuples =
-  let heap =
-    Heap_file.create (Database.pool db) ~tuples_per_page:(tuples_per_page db width)
-  in
-  List.iter (fun t -> ignore (Heap_file.append (Database.pool db) heap t)) tuples;
+  let pool = Database.pool db in
+  let heap = Heap_file.create pool ~tuples_per_page:(tuples_per_page db width) in
+  Heap_file.append_list pool heap tuples;
   heap
 
 let unspill db heap =
@@ -84,26 +83,33 @@ let unspill db heap =
   Heap_file.scan (Database.pool db) heap (fun _ t -> acc := t :: !acc);
   List.rev !acc
 
-let join_key ~left_schema preds side tuple =
-  List.map
-    (fun (p : Predicate.equi) ->
-      match side with
-      | `Left -> tuple.(Schema.position_exn left_schema p.Predicate.left)
-      | `Right r_schema -> tuple.(Schema.position_exn r_schema p.Predicate.right))
-    preds
+let rec values_at (tuple : tuple) = function
+  | [] -> []
+  | i :: rest -> tuple.(i) :: values_at tuple rest
+
+(* The hash key of a tuple: its values at [cols], in order.  Positions
+   are resolved once, when applied to the schema. *)
+let join_key schema cols =
+  let positions = List.map (Schema.position_exn schema) cols in
+  fun tuple -> values_at tuple positions
 
 (* --- hash join core (Grace partitioning under low memory) ---------------- *)
 
 (* Join two fully materialized inputs.  If the build side fits in the
    memory grant, a single in-memory hash table; otherwise fan both sides
    out to temporary heap files and recurse per partition.  [emit] is
-   called once per joined pair. *)
+   called once per joined pair.  The key holds every predicate's column,
+   so a pair that meets in the table satisfies all of [preds]. *)
 let hash_join_core ?(gov = Governor.none) ?(obs = Trace.null) db env
     ~left_schema ~right_schema ~left_width ~right_width ~preds ~emit build
     probe =
   let page_bytes = Catalog.page_bytes (Database.catalog db) in
-  let build_key = join_key ~left_schema preds `Left in
-  let probe_key = join_key ~left_schema preds (`Right right_schema) in
+  let build_key =
+    join_key left_schema (List.map (fun (p : Predicate.equi) -> p.left) preds)
+  in
+  let probe_key =
+    join_key right_schema (List.map (fun (p : Predicate.equi) -> p.right) preds)
+  in
   let join_in_memory build probe =
     (* The hash table over the build side is the core's materialization:
        charge it against the memory budget for the duration of the probe.

@@ -13,17 +13,26 @@ let threshold env (p : Predicate.select) =
   in
   int_of_float (Float.round (sel *. float_of_int dom))
 
-let select_matches env schema (p : Predicate.select) tuple =
+(* Both tests resolve column positions (and the selection's cutoff) when
+   applied to their schemas and predicates; the closures they return
+   only index tuple arrays. *)
+let select_matches env schema (p : Predicate.select) =
   let pos = Schema.position_exn schema p.Predicate.target in
-  tuple.(pos) < threshold env p
+  let cutoff = threshold env p in
+  fun (tuple : int array) -> tuple.(pos) < cutoff
 
-let equi_matches ~left ~right preds ltuple rtuple =
-  List.for_all
-    (fun (p : Predicate.equi) ->
-      let value (c : Col.t) =
-        match Schema.position left c with
-        | Some i -> ltuple.(i)
-        | None -> rtuple.(Schema.position_exn right c)
-      in
-      value p.left = value p.right)
-    preds
+let equi_matches ~left ~right preds =
+  let side (c : Col.t) =
+    match Schema.position left c with
+    | Some i -> `Left i
+    | None -> `Right (Schema.position_exn right c)
+  in
+  let test (p : Predicate.equi) : int array -> int array -> bool =
+    match (side p.left, side p.right) with
+    | `Left i, `Right j -> fun l r -> Int.equal l.(i) r.(j)
+    | `Right i, `Left j -> fun l r -> Int.equal r.(i) l.(j)
+    | `Left i, `Left j -> fun l _ -> Int.equal l.(i) l.(j)
+    | `Right i, `Right j -> fun _ r -> Int.equal r.(i) r.(j)
+  in
+  let tests = List.map test preds in
+  fun ltuple rtuple -> List.for_all (fun test -> test ltuple rtuple) tests

@@ -14,6 +14,9 @@ val select_matches :
   Dqep_algebra.Predicate.select ->
   Exec_common.tuple ->
   bool
+(** [select_matches env schema p] resolves [p]'s column position and
+    {!threshold} once and returns the test of one tuple.
+    @raise Not_found if [schema] lacks [p]'s column. *)
 
 val equi_matches :
   left:Dqep_algebra.Schema.t ->
@@ -23,4 +26,6 @@ val equi_matches :
   Exec_common.tuple ->
   bool
 (** Whether two tuples (from the left/right schemas) satisfy all join
-    predicates; predicates are located on either side automatically. *)
+    predicates; predicates are located on either side automatically,
+    once, when the function is applied to the schemas and predicates.
+    @raise Not_found if a predicate's column is in neither schema. *)

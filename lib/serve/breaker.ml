@@ -56,9 +56,7 @@ let create ?(clock = Unix.gettimeofday) ?(on_trip = Fun.id) ?(on_close = Fun.id)
   { cfg = config; clock; on_trip; on_close; mu = Mutex.create (); st = Closed;
     consecutive = 0; probing = 0; probe_successes = 0; trips = 0; closes = 0 }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let state t = locked t (fun () -> t.st)
 let trips t = locked t (fun () -> t.trips)

@@ -179,9 +179,7 @@ let create ?(capacity = 64) ?(replan_threshold = 3) () =
     entries = Hashtbl.create 64; feedback = Hashtbl.create 64; clock = 0;
     s_hits = 0; s_misses = 0; s_evictions = 0; s_drift = 0; s_replan = 0 }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 type lookup = Hit of Plan.t | Miss | Invalidated_drift
 

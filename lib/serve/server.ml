@@ -165,9 +165,7 @@ let create ?(config = config ()) ~acquire ~release catalog =
 let session t = t.session
 let cache t = t.cache
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let catalog t = locked t (fun () -> t.catalog)
 

@@ -156,17 +156,22 @@ let tick t = Atomic.fetch_and_add t.clock 1 + 1
 
 let shard_of t id = t.shards.(id mod shard_count)
 
-let with_shard t id f =
-  let s = shard_of t id in
-  Mutex.lock s.smu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.smu) f
+let with_shard t id f = Mutex.protect (shard_of t id).smu f
 
 let with_all t f =
   Mutex.lock t.emu;
   Array.iter (fun s -> Mutex.lock s.smu) t.shards;
-  Fun.protect f ~finally:(fun () ->
-      Array.iter (fun s -> Mutex.unlock s.smu) t.shards;
-      Mutex.unlock t.emu)
+  let release () =
+    Array.iter (fun s -> Mutex.unlock s.smu) t.shards;
+    Mutex.unlock t.emu
+  in
+  match f () with
+  | x ->
+    release ();
+    x
+  | exception e ->
+    release ();
+    raise e
 
 let resident_frames t = Array.to_list (Array.sub t.slots 0 t.count)
 
@@ -323,7 +328,13 @@ let mark_dirty t id =
 
 let with_page t id f =
   let page = pin t id in
-  Fun.protect ~finally:(fun () -> unpin t id) (fun () -> f page)
+  match f page with
+  | x ->
+    unpin t id;
+    x
+  | exception e ->
+    unpin t id;
+    raise e
 
 let new_page t =
   Mutex.protect t.emu (fun () ->

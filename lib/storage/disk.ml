@@ -23,9 +23,7 @@ let create () =
 
 let obs t = t.obs
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let allocate t =
   locked t (fun () ->

@@ -48,9 +48,35 @@ let append pool t tuple =
   t.count <- t.count + 1;
   rid
 
+(* Fill an empty file a page at a time: each page comes pinned and dirty
+   from [Buffer_pool.new_page] and is unpinned once, full.  The pages,
+   their contents and the pool's LRU order are those of repeated
+   [append]; only the re-pins of the page being filled are gone. *)
+let append_list pool t tuples =
+  if t.pages <> [] then invalid_arg "Heap_file.append_list: file not empty";
+  let rec fill = function
+    | [] -> ()
+    | tuples ->
+      let page = Buffer_pool.new_page pool in
+      let slots = Array.make t.tuples_per_page [||] in
+      let rec put n = function
+        | tuple :: rest when n < t.tuples_per_page ->
+          slots.(n) <- tuple;
+          put (n + 1) rest
+        | rest -> (n, rest)
+      in
+      let count, rest = put 0 tuples in
+      page.Page.payload <- Page.Heap { tuples = slots; count };
+      t.pages <- page.Page.id :: t.pages;
+      t.count <- t.count + count;
+      Buffer_pool.unpin pool page.Page.id;
+      fill rest
+  in
+  fill tuples
+
 let of_tuples pool ~tuples_per_page tuples =
   let t = create pool ~tuples_per_page in
-  Array.iter (fun tuple -> ignore (append pool t tuple)) tuples;
+  append_list pool t (Array.to_list tuples);
   t
 
 let scan pool t f =

@@ -16,6 +16,12 @@ val of_tuples : Buffer_pool.t -> tuples_per_page:int -> int array array -> t
 val append : Buffer_pool.t -> t -> int array -> Rid.t
 (** Append a tuple, allocating a new page when the last one is full. *)
 
+val append_list : Buffer_pool.t -> t -> int array list -> unit
+(** Fill an empty file with the tuples in order, a page at a time: the
+    same pages and contents as repeated {!append}, with one pin per page
+    instead of one per tuple.
+    @raise Invalid_argument if the file is not empty. *)
+
 val scan : Buffer_pool.t -> t -> (Rid.t -> int array -> unit) -> unit
 (** Full scan in page order, pinning one page at a time. *)
 

@@ -236,6 +236,46 @@ let test_heap_fetch_by_rid () =
       Alcotest.(check int) "fetched value" i t.(0))
     rids
 
+(* The bulk writer against repeated [append] on every length from the
+   empty file to three full pages and one more tuple, each through a
+   two-frame pool so filled pages are evicted (and written) as the file
+   grows. *)
+let test_heap_append_list () =
+  let per_page = 4 in
+  let contents pool heap =
+    let seen = ref [] in
+    D.Heap_file.scan pool heap (fun _ t -> seen := t :: !seen);
+    List.rev !seen
+  in
+  let build write n =
+    let _, pool = fresh ~frames:2 () in
+    let heap = D.Heap_file.create pool ~tuples_per_page:per_page in
+    write pool heap (List.init n (fun i -> [| i; 7 * i |]));
+    D.Buffer_pool.flush_all pool;
+    let writes = (D.Buffer_pool.stats pool).D.Buffer_pool.physical_writes in
+    (D.Heap_file.page_ids heap, D.Heap_file.tuple_count heap, writes,
+     contents pool heap)
+  in
+  for n = 0 to (3 * per_page) + 1 do
+    let ids, count, writes, tuples =
+      build (fun pool heap -> List.iter (fun t -> ignore (D.Heap_file.append pool heap t))) n
+    in
+    let ids', count', writes', tuples' = build D.Heap_file.append_list n in
+    let what = Printf.sprintf " (%d tuples)" n in
+    Alcotest.(check (list int)) ("pages" ^ what) ids ids';
+    Alcotest.(check int) ("page count" ^ what) ((n + per_page - 1) / per_page)
+      (List.length ids');
+    Alcotest.(check int) ("tuple count" ^ what) count count';
+    Alcotest.(check int) ("physical writes" ^ what) writes writes';
+    Alcotest.(check bool) ("tuples in file order" ^ what) true (tuples = tuples')
+  done;
+  let _, pool = fresh () in
+  let heap = D.Heap_file.create pool ~tuples_per_page:per_page in
+  ignore (D.Heap_file.append pool heap [| 1 |]);
+  Alcotest.check_raises "non-empty file"
+    (Invalid_argument "Heap_file.append_list: file not empty")
+    (fun () -> D.Heap_file.append_list pool heap [ [| 2 |] ])
+
 let test_heap_capacity_math () =
   Alcotest.(check int) "4 per page" 4
     (D.Heap_file.tuples_per_page ~page_bytes:2048 ~record_bytes:512);
@@ -297,6 +337,8 @@ let suite =
       Alcotest.test_case "I/O budget limit" `Quick test_io_budget_limit;
       Alcotest.test_case "heap round-trip" `Quick test_heap_roundtrip;
       Alcotest.test_case "heap fetch by rid" `Quick test_heap_fetch_by_rid;
+      Alcotest.test_case "heap bulk append equals repeated append" `Quick
+        test_heap_append_list;
       Alcotest.test_case "heap capacity math" `Quick test_heap_capacity_math;
       Alcotest.test_case "database build" `Quick test_database_build;
       Alcotest.test_case "database deterministic" `Quick test_database_deterministic ] )
