@@ -432,10 +432,15 @@ let exec_bench ~check () =
    - cancellation latency: how long after Governor.cancel a running
      query actually stops (raises through its next check).  Measured
      wall-clock across repeated runs, cancel issued from another domain
-     once the query is observably mid-flight.
+     while the query is parked mid-flight.
    - shed rate: the fraction of submissions a zero-queue session rejects
-     at the door while a slot is busy — admission control doing its job
-     under overload.
+     at the door while its one slot is busy — admission control doing
+     its job under overload.
+
+   Both follow from the construction, not from which domain the host
+   schedules first: a query parks on a latch inside its own governor
+   clock, which the governor reads at every check, and stays parked
+   until the measuring domain has done its part.
 
    Results go to BENCH_govern.json; `govern --check` gates on the p95
    cancellation latency staying under a generous scheduling bound, on
@@ -447,6 +452,50 @@ let govern_latency_bound_s = 0.1
    where no latency samples exist. *)
 let percentile samples p =
   match samples with [] -> 0. | l -> D.Stats.percentile p l
+
+(* A one-shot latch for a query's governor clock: the query's domain
+   parks in its clock until the latch opens, and the measuring domain
+   waits until the query is parked (or finished without parking). *)
+type latch = {
+  l_mu : Mutex.t;
+  l_cond : Condition.t;
+  mutable parked : bool;
+  mutable finished : bool;
+  mutable opened : bool;
+}
+
+let latch () =
+  { l_mu = Mutex.create (); l_cond = Condition.create (); parked = false;
+    finished = false; opened = false }
+
+let latch_update l f =
+  Mutex.lock l.l_mu;
+  f ();
+  Condition.broadcast l.l_cond;
+  Mutex.unlock l.l_mu
+
+let latch_wait l ready =
+  Mutex.lock l.l_mu;
+  while not (ready ()) do
+    Condition.wait l.l_cond l.l_mu
+  done;
+  Mutex.unlock l.l_mu
+
+(* A governor whose clock parks the query at its [park_at]-th reading
+   (the first is at creation).  With [check_every:1] and a deadline the
+   governor reads its clock at every check, so the query parks at its
+   [park_at - 1]-th check, mid-run. *)
+let latched_governor l ~park_at =
+  let reads = ref 0 in
+  let clock () =
+    incr reads;
+    if !reads = park_at then begin
+      latch_update l (fun () -> l.parked <- true);
+      latch_wait l (fun () -> l.opened)
+    end;
+    Unix.gettimeofday ()
+  in
+  D.Governor.create ~clock ~deadline:3600. ~check_every:1 ()
 
 let govern_bench ~check () =
   Format.printf "=== resource governance: cancellation and shedding ===@.";
@@ -470,15 +519,16 @@ let govern_bench ~check () =
       incr leaks;
       Printf.eprintf "govern: pin leak: %s\n" msg
   in
-  (* Cancellation latency: cancel mid-run from this domain, the worker
-     records when the cancellation surfaced. *)
+  (* Cancellation latency: the query parks at its 100th check; this
+     domain cancels it there and opens the latch, and the worker records
+     when the cancellation surfaced. *)
   let rounds = 30 in
   let samples = ref [] in
   let completed_early = ref 0 in
   for seed = 1 to rounds do
     let db = D.Database.build ~seed q.D.Queries.catalog in
-    let gov = D.Governor.create ~check_every:1 () in
-    let finished = Atomic.make false in
+    let l = latch () in
+    let gov = latched_governor l ~park_at:101 in
     let d =
       Domain.spawn (fun () ->
           let r =
@@ -487,14 +537,13 @@ let govern_bench ~check () =
               None
             with D.Governor.Cancelled _ -> Some (Unix.gettimeofday ())
           in
-          Atomic.set finished true;
+          latch_update l (fun () -> l.finished <- true);
           r)
     in
-    while D.Governor.checks gov < 200 && not (Atomic.get finished) do
-      Domain.cpu_relax ()
-    done;
+    latch_wait l (fun () -> l.parked || l.finished);
     let cancelled_at = Unix.gettimeofday () in
     D.Governor.cancel gov ~reason:"bench";
+    latch_update l (fun () -> l.opened <- true);
     (match Domain.join d with
     | Some observed_at -> samples := (observed_at -. cancelled_at) :: !samples
     | None -> incr completed_early);
@@ -507,32 +556,42 @@ let govern_bench ~check () =
      ms (bound %.0f ms)@."
     (List.length sorted) rounds (p50 *. 1e3) (p95 *. 1e3)
     (govern_latency_bound_s *. 1e3);
-  (* Shed rate: a zero-queue, single-slot session under three competing
-     submitters — overlapping submissions shed at the door. *)
+  (* Shed rate: a zero-queue, single-slot session.  In each round a
+     holder's query takes the slot and parks at its first check; three
+     submitter domains then submit while it holds the slot, and the
+     holder is released once they have all been answered. *)
   let session =
     D.Session.create
       ~config:(D.Session.config ~max_inflight:1 ~max_queue:0 ())
       ()
   in
-  let jobs = 24 in
-  let next = Atomic.make 0 in
-  let shed = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let j = Atomic.fetch_and_add next 1 in
-      if j < jobs then begin
-        let db = D.Database.build ~seed:(100 + j) q.D.Queries.catalog in
-        (match D.Session.submit session db bindings plan with
-        | D.Session.Shed _ -> ignore (Atomic.fetch_and_add shed 1 : int)
-        | D.Session.Completed _ | D.Session.Failed _ -> ());
-        note_leaks db;
-        loop ()
-      end
-    in
-    loop ()
+  let shed_rounds = 6 and submitters = 3 in
+  let jobs = shed_rounds * (1 + submitters) in
+  let holder_db = D.Database.build ~seed:100 q.D.Queries.catalog in
+  let submitter_dbs =
+    List.init submitters (fun i ->
+        D.Database.build ~seed:(101 + i) q.D.Queries.catalog)
   in
-  let domains = List.init 3 (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
+  let shed = Atomic.make 0 in
+  let submit ?gov db =
+    (match D.Session.submit session ?gov db bindings plan with
+    | D.Session.Shed _ -> ignore (Atomic.fetch_and_add shed 1 : int)
+    | D.Session.Completed _ | D.Session.Failed _ -> ());
+    note_leaks db
+  in
+  for _ = 1 to shed_rounds do
+    let l = latch () in
+    let holder =
+      Domain.spawn (fun () ->
+          submit ~gov:(latched_governor l ~park_at:2) holder_db;
+          latch_update l (fun () -> l.finished <- true))
+    in
+    latch_wait l (fun () -> l.parked || l.finished);
+    List.iter Domain.join
+      (List.map (fun db -> Domain.spawn (fun () -> submit db)) submitter_dbs);
+    latch_update l (fun () -> l.opened <- true);
+    Domain.join holder
+  done;
   let shed = Atomic.get shed in
   let shed_rate = float_of_int shed /. float_of_int jobs in
   Format.printf "shedding: %d/%d submissions shed at the door (rate %.2f)@."

@@ -105,11 +105,6 @@ let refine_dists t ~selectivities =
     in
     { t with selectivity_dist }
 
-let refine t ~selectivities =
-  refine_dists t
-    ~selectivities:
-      (List.map (fun (v, i) -> (v, Dist.of_interval i)) selectivities)
-
 let selectivity_dist t (p : Predicate.select) =
   match p.selectivity with
   | Predicate.Bound s -> Dist.point s

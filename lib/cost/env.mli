@@ -73,23 +73,16 @@ val with_memory_pages : t -> Interval.t -> t
     memory-budget abort: under the lowered grant the decision procedure
     prefers a lower-memory alternative. *)
 
-val refine : t -> selectivities:(string * Interval.t) list -> t
-(** [refine t ~selectivities] is [t] with each listed host variable's
-    prior interval narrowed by its observed band via [Interval.refine]
-    — the feedback step of the observation pipeline.  Narrowing never
-    steps outside the prior, so plans re-costed under the refined
-    environment stay comparable with plans costed under the original:
-    the refined upper bound of any cost is at most the original upper
-    bound.  Bands usually come from
-    [Dqep_obs.Feedback.selectivity_bounds]. *)
-
 val refine_dists : t -> selectivities:(string * Dist.t) list -> t
-(** Distribution-shaped refinement: like {!refine} but each observation
-    is a histogram ([Dqep_obs.Feedback.selectivity_dists]), so the
-    refined environment carries {e where} inside the narrowed band the
-    realized selectivities concentrate.  The hull of each refined
-    distribution equals what {!refine} would produce from the hulls, so
-    interval consumers (dominance, certificates) see the same bounds. *)
+(** [refine_dists t ~selectivities] is [t] with each listed host
+    variable's prior narrowed by its observation histogram
+    ([Dqep_obs.Feedback.selectivity_dists]) — the feedback step of the
+    observation pipeline.  The hull of each refined distribution is
+    [Interval.refine] of the prior's hull by the observation's hull, so
+    narrowing never steps outside the prior: plans re-costed under the
+    refined environment stay comparable with plans costed under the
+    original.  The refined environment also carries {e where} inside
+    the narrowed band the realized selectivities concentrate. *)
 
 val io_budget_factor : t -> float
 (** How far observed physical I/O may exceed the anticipated cost before
@@ -101,16 +94,12 @@ val default_io_budget_factor : float
 
 val selectivity : t -> Dqep_algebra.Predicate.select -> Interval.t
 (** Selectivity of a selection predicate: the bound value as a point, or
-    the environment's interval for its host variable.  Always the hull
-    of {!selectivity_dist}. *)
+    the environment's interval for its host variable: the hull of the
+    environment's belief about it. *)
 
 val host_selectivity : t -> string -> Interval.t
 (** {!selectivity} of a predicate on the named host variable.
     @raise Not_found as {!of_bindings} does for an unlisted variable. *)
-
-val selectivity_dist : t -> Dqep_algebra.Predicate.select -> Dist.t
-(** The distribution behind {!selectivity}: a point mass for a bound
-    predicate, the environment's belief for a host variable. *)
 
 val is_point : t -> bool
 (** Whether all parameters this environment ever returned or can return

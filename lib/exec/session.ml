@@ -23,7 +23,6 @@ module Counter = Dqep_obs.Counter
 module Feedback = Dqep_obs.Feedback
 module Env = Dqep_cost.Env
 module Bindings = Dqep_cost.Bindings
-module Plan = Dqep_plans.Plan
 module Database = Dqep_storage.Database
 module Analyses = Dqep_analysis.Analyses
 
@@ -87,9 +86,9 @@ type stats = {
 }
 
 (* Lifecycle accounting lives on a session-lifetime trace ([stats] is a
-   view over its counters), and completed runs deposit what they measured
-   — realized parameter bindings, per-operator cardinalities — into the
-   session's observation cache, the raw material of {!refined_env}. *)
+   view over its counters), and completed runs deposit their realized
+   parameter bindings into the session's observation cache, the raw
+   material of {!refined_env}. *)
 type t = {
   cfg : config;
   pool : Governor.pool option;
@@ -239,31 +238,12 @@ let release t ~outcome =
   Mutex.unlock t.mu
 
 (* Deposit what a completed run measured into the observation cache: the
-   realized parameter bindings (a bound selectivity is an exact
-   observation of its variable) and every tapped operator's cardinality,
-   keyed by relation set so a later query's node over the same relations
-   finds it. *)
-let record_feedback t rt (bindings : Bindings.t) resolved_plan =
+   realized parameter bindings, each an exact observation of its
+   variable.  Operator cardinalities are not filed: nothing reads them. *)
+let record_feedback t (bindings : Bindings.t) =
   List.iter
     (fun (var, v) -> Feedback.observe_selectivity t.feedback var v)
-    bindings.Bindings.selectivities;
-  let dag = Plan.Dag.of_plan resolved_plan in
-  List.iter
-    (fun (pid, _op, rows, _batches) ->
-      match Plan.Dag.find dag pid with
-      | Some i ->
-        Feedback.observe_rows t.feedback
-          ~key:(Plan.rels_key dag.Plan.Dag.nodes.(i)) rows
-      | None -> ())
-    (Trace.taps rt)
-
-(* Fold a finished run's counter deltas into the session-lifetime trace. *)
-let fold_counters t rt ~base =
-  List.iter
-    (fun c ->
-      let d = Trace.get rt c - base c in
-      if d <> 0 then Trace.add t.obs c d)
-    Counter.all
+    bindings.Bindings.selectivities
 
 let submit t ?(gov = Governor.none) ?obs ?resilience
     ?(clock = Unix.gettimeofday) db bindings plan =
@@ -300,19 +280,17 @@ let submit t ?(gov = Governor.none) ?obs ?resilience
           else None
       end
     in
-    (* Every admitted query runs under a taps-enabled trace (the caller's
-       when one was supplied), so its operator cardinalities can feed the
-       observation cache; its counters are folded into the session trace
-       when it finishes. *)
-    let rt =
+    (* The run records through the caller's trace when one was supplied,
+       else through a fresh one without taps.  Only a supplied trace can
+       hold counts from before this run, so only it is snapshotted; the
+       run's counter deltas are folded into the session trace when it
+       finishes. *)
+    let rt, since =
       match obs with
-      | Some tr when Trace.enabled tr -> tr
-      | Some _ | None -> Trace.create ~taps:true ()
+      | Some tr when Trace.enabled tr -> (tr, Some (Trace.snapshot tr))
+      | Some _ | None -> (Trace.create (), None)
     in
-    let base =
-      let snap = List.map (fun c -> (c, Trace.get rt c)) Counter.all in
-      fun c -> List.assoc c snap
-    in
+    let fold_counters () = Trace.fold_counts ~into:t.obs ?since rt in
     let outcome =
       match static_rejection with
       | Some diags ->
@@ -325,14 +303,14 @@ let submit t ?(gov = Governor.none) ?obs ?resilience
       | exception e ->
         (* Resilience.run types every expected error; anything else is a
            bug, but the slot must still be released. *)
-        fold_counters t rt ~base;
+        fold_counters ();
         release t ~outcome:`Failed;
         raise e
     in
-    fold_counters t rt ~base;
+    fold_counters ();
     (match outcome with
-    | Completed (_, stats) ->
-      record_feedback t rt bindings stats.Executor.resolved_plan;
+    | Completed _ ->
+      record_feedback t bindings;
       release t ~outcome:`Completed
     | Failed _ | Shed _ -> release t ~outcome:`Failed);
     outcome

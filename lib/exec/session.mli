@@ -75,13 +75,13 @@ val obs : t -> Dqep_obs.Trace.t
     {!stats} is a view over it. *)
 
 val feedback : t -> Dqep_obs.Feedback.t
-(** The session's observation cache: realized selectivity bindings and
-    per-operator cardinalities deposited by every completed run. *)
+(** The session's observation cache: the realized selectivity bindings
+    deposited by every completed run. *)
 
 val refined_env : t -> Dqep_cost.Env.t -> Dqep_cost.Env.t
 (** Narrow an environment's selectivity priors by the session's observed
-    bands ({!Dqep_cost.Env.refine} over
-    {!Dqep_obs.Feedback.selectivity_bounds}) — the environment to hand
+    histograms ({!Dqep_cost.Env.refine_dists} over
+    {!Dqep_obs.Feedback.selectivity_dists}) — the environment to hand
     the optimizer when re-optimizing within the session. *)
 
 val submit :
@@ -106,10 +106,10 @@ val submit :
     way).  [clock] is the
     queue clock, injectable for tests.
 
-    [obs] is this submission's run trace (a taps-enabled private trace
-    when omitted): the supervisor records through it, and when the run
-    completes its operator taps and the realized bindings are deposited
-    into {!feedback}, with its counter deltas folded into {!obs}. *)
+    [obs] is this submission's run trace (a private trace without
+    operator taps when omitted): the supervisor records through it, and
+    the run's counter deltas are folded into {!obs} when it finishes.  A
+    completed run's realized bindings are deposited into {!feedback}. *)
 
 type stats = {
   submitted : int;

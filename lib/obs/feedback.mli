@@ -10,9 +10,9 @@
     histogram upgrade:
 
     - {e selectivities}, keyed by selectivity variable name — fed by
-      start-up parameter bindings and realized operator selectivities;
+      the parameter bindings of completed runs;
     - {e cardinalities}, keyed by a plan node's relation-set key — fed
-      by operator taps.
+      only by callers of {!observe_rows}; the serve path files none.
 
     A band is an observation in the sense of [Interval.refine]: the
     cost layer narrows an env's prior interval for a variable to
@@ -37,30 +37,13 @@ val observe_rows : t -> key:string -> int -> unit
     relation set ([Plan.rels_key]). *)
 
 val selectivity_band : t -> string -> Dqep_util.Interval.t option
-val rows_band : t -> string -> Dqep_util.Interval.t option
-
-val selectivity_dist : t -> string -> Dqep_cost.Dist.t option
-(** The variable's observation histogram as a distribution.  Its hull
-    equals {!selectivity_band}. *)
-
-val rows_dist : t -> string -> Dqep_cost.Dist.t option
-
-val selectivity_bounds : t -> (string * Dqep_util.Interval.t) list
-(** Every selectivity band, sorted by variable name. *)
-
-val cardinality_bounds : t -> (string * Dqep_util.Interval.t) list
 
 val selectivity_dists : t -> (string * Dqep_cost.Dist.t) list
-(** Every selectivity histogram, sorted by variable name; hulls equal
-    {!selectivity_bounds}.  Feed to [Dqep_cost.Env.refine_dists]. *)
+(** Every selectivity histogram, sorted by variable name; each hull is
+    the variable's {!selectivity_band}.  Feed to
+    [Dqep_cost.Env.refine_dists]. *)
 
 val observations : t -> int
 (** Total number of recorded observations (not bands). *)
 
 val clear : t -> unit
-
-val absorb : into:t -> t -> unit
-(** [absorb ~into src] folds every histogram of [src] into [into]
-    (envelopes union, counts add, buckets merge and re-compact).  The
-    plan cache uses this to bank a shape's accumulated feedback into an
-    eviction-surviving side table. *)

@@ -65,6 +65,20 @@ let add t c n =
 let incr t c = add t c 1
 let get t c = Atomic.get t.counts.(Counter.index c)
 
+let snapshot t = Array.map Atomic.get t.counts
+
+let fold_counts ~into ?since t =
+  if into.enabled then
+    Array.iteri
+      (fun i cell ->
+        let d =
+          match since with
+          | None -> Atomic.get cell
+          | Some base -> Atomic.get cell - base.(i)
+        in
+        if d <> 0 then ignore (Atomic.fetch_and_add into.counts.(i) d))
+      t.counts
+
 let counts t =
   List.filter_map
     (fun c ->

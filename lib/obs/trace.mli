@@ -49,6 +49,14 @@ val get : t -> Counter.t -> int
 val counts : t -> (Counter.t * int) list
 (** Non-zero counters in taxonomy order. *)
 
+val snapshot : t -> int array
+(** Every counter's current value, indexed by {!Counter.index}. *)
+
+val fold_counts : into:t -> ?since:int array -> t -> unit
+(** Add each counter of the trace to [into] in one pass: its value less
+    [since] (a {!snapshot} of the same trace), or its whole value when
+    [since] is omitted. *)
+
 (** {1 Spans} *)
 
 val span : t -> string -> (unit -> 'a) -> 'a

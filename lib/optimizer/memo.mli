@@ -38,10 +38,6 @@ val lexpr_count : t -> int
 val add_lexpr : t -> int -> Lmexpr.t -> bool
 (** Add an expression to a group unless already present; [true] if new. *)
 
-val preds_between : t -> Group_key.t -> Group_key.t -> Dqep_algebra.Predicate.equi list
-(** All query join predicates spanning the two relation sets, oriented so
-    each predicate's left column belongs to the first key. *)
-
 val join_group : t -> int -> int -> int option
 (** Group representing the join of two groups, creating it (with its
     canonical [Join] expression) if needed.  [None] if no query predicate

@@ -55,8 +55,7 @@ let normalize (ast : Sql.ast) : Sql.ast =
   in
   { Sql.tables; selections; joins }
 
-let generalize ast =
-  let n = normalize ast in
+let generalize_normalized n =
   { n with
     Sql.selections =
       List.mapi
@@ -64,14 +63,25 @@ let generalize ast =
           (rel, attr, Sql.Host (Printf.sprintf "p%d" (i + 1))))
         n.Sql.selections }
 
-let key ast = Sql.render (generalize ast)
+let generalize ast = generalize_normalized (normalize ast)
+
+type statement = {
+  key : string;
+  selections : (string * string * Sql.value) list;
+}
+
+let statement ast =
+  let n = normalize ast in
+  { key = Sql.render (generalize_normalized n); selections = n.Sql.selections }
+
+let key ast = (statement ast).key
 
 let param_names ast =
   List.mapi
     (fun i _ -> Printf.sprintf "p%d" (i + 1))
     (normalize ast).Sql.selections
 
-let bind catalog ast ~bindings ~memory_pages =
+let bind_selections catalog selections ~bindings ~memory_pages =
   let exception Bind_error of string in
   let fail fmt = Printf.ksprintf (fun s -> raise (Bind_error s)) fmt in
   try
@@ -100,11 +110,16 @@ let bind catalog ast ~bindings ~memory_pages =
                 s)
           in
           (p, s))
-        (normalize ast).Sql.selections
+        selections
     in
     if memory_pages < 1 then fail "memory grant %d < 1 page" memory_pages;
     Ok (Bindings.make ~selectivities ~memory_pages)
   with Bind_error e -> Error e
+
+let bind catalog ast =
+  bind_selections catalog (normalize ast).Sql.selections
+
+let bind_statement catalog st = bind_selections catalog st.selections
 
 (* --- catalog fingerprint -------------------------------------------------- *)
 
@@ -135,11 +150,14 @@ let fingerprint catalog =
 (* --- the cache ------------------------------------------------------------ *)
 
 type entry = {
+  key : string;  (* the table's own key string, which memoized texts share *)
   plan : Plan.t;
   fp : string;  (* catalog fingerprint the plan was optimized under *)
   mutable hits : int;
   mutable replan_events : int;
   mutable tick : int;  (* LRU stamp *)
+  mutable text : (string * statement) option;
+      (* the statement text memoized against this entry, if any *)
 }
 
 type stats = {
@@ -149,17 +167,24 @@ type stats = {
   evictions : int;
   invalidated_drift : int;
   invalidated_replan : int;
+  texts : int;
 }
+
+module Texts = Hashtbl.Make (String)
 
 type t = {
   capacity : int;
   replan_threshold : int;
   mu : Mutex.t;
   entries : (string, entry) Hashtbl.t;
-  (* Per-shape run feedback (realized parameter selectivities, observed
-     cardinalities), deliberately NOT tied to plan entries: evicting or
-     invalidating a plan discards the plan, not what its runs measured,
-     so the re-optimization that follows an eviction still sees every
+  (* The statement memo: exact SQL text -> the entry it hit.  At most one
+     text per entry, dropped with the entry, so the memo never outgrows
+     the cache. *)
+  memo : entry Texts.t;
+  (* Per-shape run feedback (realized parameter selectivities),
+     deliberately NOT tied to plan entries: evicting or invalidating a
+     plan discards the plan, not what its runs measured, so the
+     re-optimization that follows an eviction still sees every
      observation accumulated against the shape.  Each Feedback.t carries
      its own lock; this table is only touched under [mu]. *)
   feedback : (string, Feedback.t) Hashtbl.t;
@@ -176,51 +201,97 @@ let create ?(capacity = 64) ?(replan_threshold = 3) () =
   if replan_threshold < 1 then
     invalid_arg "Plan_cache.create: replan_threshold < 1";
   { capacity; replan_threshold; mu = Mutex.create ();
-    entries = Hashtbl.create 64; feedback = Hashtbl.create 64; clock = 0;
-    s_hits = 0; s_misses = 0; s_evictions = 0; s_drift = 0; s_replan = 0 }
+    entries = Hashtbl.create 64; memo = Texts.create 64;
+    feedback = Hashtbl.create 64; clock = 0; s_hits = 0; s_misses = 0;
+    s_evictions = 0; s_drift = 0; s_replan = 0 }
 
 let locked t f = Mutex.protect t.mu f
 
 type lookup = Hit of Plan.t | Miss | Invalidated_drift
 
+(* The helpers below run under [mu]. *)
+
+let forget_text t e =
+  match e.text with
+  | Some (sql, _) ->
+    Texts.remove t.memo sql;
+    e.text <- None
+  | None -> ()
+
+let remove_entry t (e : entry) =
+  Hashtbl.remove t.entries e.key;
+  forget_text t e
+
+let hit t (e : entry) =
+  e.hits <- e.hits + 1;
+  t.clock <- t.clock + 1;
+  e.tick <- t.clock;
+  t.s_hits <- t.s_hits + 1
+
+let find_entry t ~fingerprint ~key =
+  match Hashtbl.find_opt t.entries key with
+  | None ->
+    t.s_misses <- t.s_misses + 1;
+    Error Miss
+  | Some e when not (String.equal e.fp fingerprint) ->
+    (* The catalog moved under the cached plan: its costs, access
+       modules and even referenced objects may be stale.  Evict and
+       force a re-optimization. *)
+    remove_entry t e;
+    t.s_drift <- t.s_drift + 1;
+    t.s_misses <- t.s_misses + 1;
+    Error Invalidated_drift
+  | Some e ->
+    hit t e;
+    Ok e
+
 let find t ~fingerprint ~key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.entries key with
-      | None ->
-        t.s_misses <- t.s_misses + 1;
-        Miss
-      | Some e when e.fp <> fingerprint ->
-        (* The catalog moved under the cached plan: its costs, access
-           modules and even referenced objects may be stale.  Evict and
-           force a re-optimization. *)
-        Hashtbl.remove t.entries key;
-        t.s_drift <- t.s_drift + 1;
-        t.s_misses <- t.s_misses + 1;
-        Invalidated_drift
-      | Some e ->
-        e.hits <- e.hits + 1;
-        t.clock <- t.clock + 1;
-        e.tick <- t.clock;
-        t.s_hits <- t.s_hits + 1;
-        Hit e.plan)
+      match find_entry t ~fingerprint ~key with
+      | Ok e -> Hit e.plan
+      | Error l -> l)
+
+let find_statement t ~fingerprint ~sql (st : statement) =
+  locked t (fun () ->
+      match find_entry t ~fingerprint ~key:st.key with
+      | Ok (e : entry) ->
+        (* A text enters the memo on a hit, never on the miss that
+           stores the plan, so texts seen once stay out of it.  Its
+           statement shares the entry's key string. *)
+        forget_text t e;
+        e.text <- Some (sql, { st with key = e.key });
+        Texts.replace t.memo sql e;
+        Hit e.plan
+      | Error l -> l)
+
+let find_text t ~fingerprint ~sql =
+  locked t (fun () ->
+      match Texts.find_opt t.memo sql with
+      | Some ({ text = Some (_, st); _ } as e)
+        when String.equal e.fp fingerprint ->
+        hit t e;
+        Some (st, e.plan)
+      | Some _ | None -> None)
 
 let store t ~fingerprint ~key plan =
   locked t (fun () ->
+      Option.iter (forget_text t) (Hashtbl.find_opt t.entries key);
       t.clock <- t.clock + 1;
       Hashtbl.replace t.entries key
-        { plan; fp = fingerprint; hits = 0; replan_events = 0; tick = t.clock };
+        { key; plan; fp = fingerprint; hits = 0; replan_events = 0;
+          tick = t.clock; text = None };
       while Hashtbl.length t.entries > t.capacity do
         let victim =
           Hashtbl.fold
-            (fun k e acc ->
+            (fun _ e acc ->
               match acc with
-              | Some (_, tick) when tick <= e.tick -> acc
-              | _ -> Some (k, e.tick))
+              | Some v when v.tick <= e.tick -> acc
+              | _ -> Some e)
             t.entries None
         in
         match victim with
-        | Some (k, _) ->
-          Hashtbl.remove t.entries k;
+        | Some e ->
+          remove_entry t e;
           t.s_evictions <- t.s_evictions + 1
         | None -> assert false
       done)
@@ -235,7 +306,7 @@ let note_replan t ~key =
           (* A replan storm: the cached plan's estimates keep busting
              against this shape's actual data.  Evict so the next
              request re-optimizes with the feedback-refined env. *)
-          Hashtbl.remove t.entries key;
+          remove_entry t e;
           t.s_replan <- t.s_replan + 1;
           true
         end
@@ -245,8 +316,8 @@ let invalidate t ~key =
   locked t (fun () ->
       match Hashtbl.find_opt t.entries key with
       | None -> false
-      | Some _ ->
-        Hashtbl.remove t.entries key;
+      | Some e ->
+        remove_entry t e;
         t.s_drift <- t.s_drift + 1;
         true)
 
@@ -265,4 +336,4 @@ let stats t =
   locked t (fun () ->
       { size = Hashtbl.length t.entries; hits = t.s_hits; misses = t.s_misses;
         evictions = t.s_evictions; invalidated_drift = t.s_drift;
-        invalidated_replan = t.s_replan })
+        invalidated_replan = t.s_replan; texts = Texts.length t.memo })

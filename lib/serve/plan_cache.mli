@@ -12,7 +12,11 @@
     Entries are invalidated on catalog drift (the fingerprint the plan
     was optimized under no longer matches), evicted after a replan
     storm ({!note_replan} reaching the threshold), and LRU-bounded.
-    All operations are thread-safe. *)
+
+    A statement memo maps the exact SQL text of a request that hit to
+    its {!statement}, so a repeated text is not parsed again
+    ({!find_text}).  It holds at most one text per entry and drops it
+    with the entry.  All operations are thread-safe. *)
 
 type t
 
@@ -20,17 +24,16 @@ val create : ?capacity:int -> ?replan_threshold:int -> unit -> t
 (** Defaults: capacity 64 entries, replan threshold 3.
     @raise Invalid_argument if either is non-positive. *)
 
-(** {1 Shape normalization} *)
+(** {1 Shape normalization}
 
-val normalize : Dqep_sql.Sql.ast -> Dqep_sql.Sql.ast
-(** Tables sorted and deduplicated, join pairs ordered then sorted,
-    selections stably sorted by (relation, attribute) — values
-    untouched. *)
+    A statement is normalized by sorting and deduplicating its tables,
+    ordering each join pair and sorting the pairs, and stably sorting
+    its selections by (relation, attribute), values untouched. *)
 
 val generalize : Dqep_sql.Sql.ast -> Dqep_sql.Sql.ast
-(** {!normalize}, then every selection value replaced by the host
-    variable [p<i>] in canonical order — the AST to optimize a shape
-    under (all selectivities uncertain, hence a dynamic plan). *)
+(** The normalized statement with every selection value replaced by
+    the host variable [p<i>] in canonical order — the AST to optimize a
+    shape under (all selectivities uncertain, hence a dynamic plan). *)
 
 val key : Dqep_sql.Sql.ast -> string
 (** The cache key: {!generalize} rendered back to SQL.  Equal for any
@@ -50,6 +53,23 @@ val bind :
     [lit / domain_size] (checked against the catalog), a host variable
     takes the client's binding (required, in [\[0, 1\]]). *)
 
+type statement = {
+  key : string;  (** {!key} of the statement *)
+  selections : (string * string * Dqep_sql.Sql.value) list;
+      (** the normalized selections, in canonical parameter order: all
+          {!bind_statement} needs of the statement *)
+}
+
+val statement : Dqep_sql.Sql.ast -> statement
+
+val bind_statement :
+  Dqep_catalog.Catalog.t ->
+  statement ->
+  bindings:(string * float) list ->
+  memory_pages:int ->
+  (Dqep_cost.Bindings.t, string) result
+(** {!bind} from a statement: equal to [bind] of the AST it came from. *)
+
 val fingerprint : Dqep_catalog.Catalog.t -> string
 (** A digest of everything the optimizer reads from the catalog:
     page size, relations (name, cardinality, record width, attribute
@@ -66,6 +86,21 @@ type lookup =
           fingerprint; it has been evicted — re-optimize *)
 
 val find : t -> fingerprint:string -> key:string -> lookup
+
+val find_text :
+  t -> fingerprint:string -> sql:string -> (statement * Dqep_plans.Plan.t) option
+(** The memoized statement of the text and its entry's plan, when the
+    text is memoized and its entry is fresh under [fingerprint]; the hit
+    is counted as {!find} counts one, in the same lock hold.  [None] has
+    no effect: parse the text and call {!find_statement}. *)
+
+val find_statement :
+  t -> fingerprint:string -> sql:string -> statement -> lookup
+(** {!find} on the statement's key.  A [Hit] memoizes [sql] against the
+    entry (replacing the entry's previous text); a miss never does, so a
+    text enters the memo on its first hit.  Parse errors never reach
+    here and so are never memoized. *)
+
 val store : t -> fingerprint:string -> key:string -> Dqep_plans.Plan.t -> unit
 
 val note_replan : t -> key:string -> bool
@@ -99,6 +134,7 @@ type stats = {
   evictions : int;  (** LRU capacity evictions *)
   invalidated_drift : int;
   invalidated_replan : int;
+  texts : int;  (** memoized statement texts, never more than [size] *)
 }
 
 val stats : t -> stats

@@ -116,7 +116,9 @@ let parse_run rest =
         Ok { r with memory_pages = Some m }
       | "deadline_ms" ->
         let* d = float_of_wire v in
-        Ok { r with deadline_ms = Some d }
+        if Float.is_nan d || d < 0. then
+          Error (Printf.sprintf "deadline_ms %S is not a budget >= 0" v)
+        else Ok { r with deadline_ms = Some d }
       | "retries" ->
         let* t = int_of_wire v in
         Ok { r with retries = Some t }

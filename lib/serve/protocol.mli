@@ -30,7 +30,9 @@ type run = {
   id : int option;  (** echoed in the response *)
   bindings : (string * float) list;  (** host variable -> selectivity *)
   memory_pages : int option;  (** start-up memory grant *)
-  deadline_ms : float option;  (** wall-clock budget, queueing included *)
+  deadline_ms : float option;
+      (** wall-clock budget, queueing included; a negative or NaN value
+          is a malformed field *)
   retries : int option;  (** per-request retry budget (server clamps) *)
   risk : Dqep_cost.Risk.t option;
       (** start-up resolution policy for this request; the server's

@@ -5,7 +5,9 @@
    memory pool), one plan cache, and one breaker per query shape.  The
    per-request path:
 
-     parse -> shape key -> breaker admit -> cache find
+     statement memo + cache find (a text that hit before is not
+       parsed; any other is parsed and its shape key rendered)
+     -> breaker admit
        (miss: optimize the generalized shape under the session's
         feedback-refined env, admit the optimizer's certificate so
         activation verifies only feasibility, store)
@@ -167,8 +169,6 @@ let cache t = t.cache
 
 let locked t f = Mutex.protect t.mu f
 
-let catalog t = locked t (fun () -> t.catalog)
-
 let swap_catalog t catalog =
   locked t (fun () ->
       t.catalog <- catalog;
@@ -241,14 +241,34 @@ let record_latency t ~cached ms =
       | Protocol.Hit -> record t.hit_lat_ms ms
       | Protocol.Miss -> record t.miss_lat_ms ms)
 
+(* The statement and its plan-cache lookup.  A text that hit before
+   comes from the statement memo within the lookup's own lock hold;
+   any other text is parsed, and a miss carries its AST to the
+   optimizer. *)
+let lookup t ~fp sql =
+  match Plan_cache.find_text t.cache ~fingerprint:fp ~sql with
+  | Some (st, plan) -> Ok (st, `Hit plan)
+  | None -> (
+    match Sql.parse sql with
+    | Error e -> Error e
+    | Ok ast -> (
+      let st = Plan_cache.statement ast in
+      match Plan_cache.find_statement t.cache ~fingerprint:fp ~sql st with
+      | Plan_cache.Hit plan -> Ok (st, `Hit plan)
+      | Plan_cache.Miss -> Ok (st, `Miss ast)
+      | Plan_cache.Invalidated_drift ->
+        Trace.incr (obs t) Counter.Cache_invalidated_drift;
+        Ok (st, `Miss ast)))
+
 let handle_run t (run : Protocol.run) =
   Atomic.incr t.requests;
   let id = run.Protocol.id in
   let t0 = t.cfg.clock () in
-  match Sql.parse run.Protocol.sql with
+  let catalog, fp = locked t (fun () -> (t.catalog, t.fp)) in
+  match lookup t ~fp run.Protocol.sql with
   | Error e -> err t ~id ~class_:"parse" e
-  | Ok ast -> (
-    let key = Plan_cache.key ast in
+  | Ok (st, found) -> (
+    let key = st.Plan_cache.key in
     let breaker = breaker_for t key in
     match Breaker.admit breaker with
     | Breaker.Reject _ ->
@@ -256,15 +276,12 @@ let handle_run t (run : Protocol.run) =
       Protocol.Shed_reply { id; reason = "breaker_open" }
     | Breaker.Admit -> (
       (* From here on every path must balance the admission. *)
-      let catalog, fp = locked t (fun () -> (t.catalog, t.fp)) in
       let plan =
-        match Plan_cache.find t.cache ~fingerprint:fp ~key with
-        | Plan_cache.Hit plan ->
+        match found with
+        | `Hit plan ->
           Trace.incr (obs t) Counter.Cache_hit;
           Ok (plan, Protocol.Hit)
-        | (Plan_cache.Miss | Plan_cache.Invalidated_drift) as l -> (
-          if l = Plan_cache.Invalidated_drift then
-            Trace.incr (obs t) Counter.Cache_invalidated_drift;
+        | `Miss ast -> (
           Trace.incr (obs t) Counter.Cache_miss;
           match Sql.to_logical catalog (Plan_cache.generalize ast) with
           | Error e -> Error (`Client ("semantic", e))
@@ -304,7 +321,7 @@ let handle_run t (run : Protocol.run) =
             ~default:t.cfg.default_memory_pages
         in
         match
-          Plan_cache.bind catalog ast ~bindings:run.Protocol.bindings
+          Plan_cache.bind_statement catalog st ~bindings:run.Protocol.bindings
             ~memory_pages
         with
         | Error e ->

@@ -84,7 +84,6 @@ val run_batch : t -> clients:int -> string array -> string array
 
 val session : t -> Dqep_exec.Session.t
 val cache : t -> Plan_cache.t
-val catalog : t -> Dqep_catalog.Catalog.t
 
 val swap_catalog : t -> Dqep_catalog.Catalog.t -> unit
 (** Replace the served catalog (DDL).  Cached plans optimized under the

@@ -27,10 +27,6 @@ let sub_lo limit used =
 
 let mul a b = { lo = a.lo *. b.lo; hi = a.hi *. b.hi }
 
-let div a b =
-  if b.lo <= 0. then invalid_arg "Interval.div: divisor lower bound <= 0";
-  { lo = a.lo /. b.hi; hi = a.hi /. b.lo }
-
 let scale k a =
   if k < 0. then invalid_arg "Interval.scale: negative factor";
   { lo = k *. a.lo; hi = k *. a.hi }

@@ -59,10 +59,6 @@ val sub_lo : t -> t -> t
     be 'used up'" (Section 5). *)
 
 val mul : t -> t -> t
-val div : t -> t -> t
-(** [div a b] assumes [b.lo > 0]; the result is widest-case
-    [\[a.lo / b.hi, a.hi / b.lo\]]. *)
-
 val scale : float -> t -> t
 (** [scale k a] multiplies both bounds by [k >= 0]. *)
 

@@ -693,6 +693,8 @@ let test_request_error_classes () =
     (class_of "RUN sql=SELEC * FORM R1");
   Alcotest.(check string) "unknown relation" "semantic"
     (class_of "RUN sql=SELECT * FROM R9");
+  Alcotest.(check string) "negative deadline" "protocol"
+    (class_of "RUN deadline_ms=-5 sql=SELECT * FROM R1");
   Alcotest.(check string) "missing binding" "bind"
     (class_of
        (Printf.sprintf "RUN sql=SELECT * FROM R1 WHERE R1.%s <= :u"
@@ -718,6 +720,400 @@ let test_request_error_classes () =
     | Ok (D.Json.Obj _) -> ()
     | _ -> Alcotest.fail "STATS payload is not a JSON object")
   | _ -> Alcotest.fail "STATS did not reply"
+
+(* --- the statement memo ------------------------------------------------- *)
+
+(* A random statement over a chain of the paper catalog's first three
+   relations: the tables in any order, each join written either way
+   round, some selections with literals and some with host variables,
+   and the WHERE clauses in any order.  [hvs] names the host variables
+   it uses.  A request may leave one of them unbound, and a literal may
+   fall outside its domain, so bind errors are compared too. *)
+type statement_case = { sql : string; hvs : string list }
+
+let statement_gen =
+  let open QCheck.Gen in
+  let rel = D.Paper_catalog.rel_name in
+  let* first = int_range 1 3 in
+  let* len = int_range 1 (4 - first) in
+  let rels = List.init len (fun k -> first + k) in
+  let* tables = shuffle_l (List.map rel rels) in
+  let* joins =
+    flatten_l
+      (List.init (len - 1) (fun k ->
+           let l =
+             Printf.sprintf "%s.%s" (rel (first + k)) D.Paper_catalog.join_right_attr
+           and r =
+             Printf.sprintf "%s.%s" (rel (first + k + 1))
+               D.Paper_catalog.join_left_attr
+           in
+           map (fun flip -> if flip then r ^ " = " ^ l else l ^ " = " ^ r) bool))
+  in
+  let* sels =
+    flatten_l
+      (List.map
+         (fun i ->
+           let col = Printf.sprintf "%s.%s" (rel i) D.Paper_catalog.select_attr in
+           frequency
+             [ (1, return None);
+               (2, map (fun v -> Some (`Lit v, col)) (int_range 0 20));
+               (1, return (Some (`Lit 100_000, col)));
+               (3, map (fun h -> Some (`Host (Printf.sprintf "h%d" h), col))
+                     (int_range 1 3)) ])
+         rels)
+  in
+  let sels = List.filter_map Fun.id sels in
+  let conds =
+    List.map
+      (fun (v, col) ->
+        match v with
+        | `Lit n -> Printf.sprintf "%s <= %d" col n
+        | `Host h -> Printf.sprintf "%s <= :%s" col h)
+      sels
+    @ joins
+  in
+  let* conds = shuffle_l conds in
+  let sql =
+    Printf.sprintf "SELECT * FROM %s%s" (String.concat ", " tables)
+      (match conds with
+      | [] -> ""
+      | cs -> " WHERE " ^ String.concat " AND " cs)
+  in
+  let hvs =
+    List.sort_uniq compare
+      (List.filter_map
+         (function `Host h, _ -> Some h | `Lit _, _ -> None)
+         sels)
+  in
+  return { sql; hvs }
+
+(* A request sequence over a few statements: each request picks a
+   statement and binds its host variables (one may stay unbound). *)
+let memo_case_gen =
+  let open QCheck.Gen in
+  let* statements = list_size (int_range 1 4) statement_gen in
+  let statements = Array.of_list statements in
+  let request =
+    let* i = int_range 0 (Array.length statements - 1) in
+    let st = statements.(i) in
+    let* bindings =
+      flatten_l
+        (List.map
+           (fun h -> map (fun v -> (h, v)) (float_range 0.001 0.2))
+           st.hvs)
+    in
+    let* drop = frequency [ (9, return false); (1, return true) ] in
+    let bindings =
+      match bindings with _ :: rest when drop -> rest | _ -> bindings
+    in
+    return (st.sql, bindings)
+  in
+  let* requests = list_size (int_range 2 10) request in
+  return (Array.to_list statements, requests)
+
+(* A reply without its latency, which no two servers share. *)
+let outcome line =
+  match P.parse_response line with
+  | Ok (P.Ok_reply r) ->
+    P.render_response (P.Ok_reply { r with latency_ms = 0. })
+  | Ok r -> P.render_response r
+  | Error e -> Alcotest.failf "unparseable reply %S: %s" line e
+
+let run_line ?(id = 0) ?deadline_ms ?retries ?risk ?memory_pages sql bindings =
+  P.render_request
+    (P.Run { P.id = Some id; bindings; memory_pages; deadline_ms; retries; risk; sql })
+
+let print_memo_case (statements, requests) =
+  String.concat "\n"
+    (List.map (fun st -> st.sql) statements
+    @ List.map
+        (fun (sql, bs) ->
+          Printf.sprintf "%s [%s]" sql
+            (String.concat ", " (List.map (fun (h, v) -> Printf.sprintf "%s=%g" h v) bs)))
+        requests)
+
+let prop_statement_memo =
+  QCheck.Test.make
+    ~name:"statement memo: same key, bindings and replies as parsing" ~count:40
+    (QCheck.make ~print:print_memo_case memo_case_gen)
+    (fun (statements, requests) ->
+      let catalog = D.Paper_catalog.make ~relations:3 in
+      let memo = make_server catalog and parsing = make_server catalog in
+      (* The parsing server sees each statement spelled with a different
+         run of blanks every time, so no text of it repeats and each of
+         its requests is parsed. *)
+      let respell id sql =
+        "SELECT" ^ String.make (id + 1) ' '
+        ^ String.sub sql 7 (String.length sql - 7)
+      in
+      List.iteri
+        (fun id (sql, bindings) ->
+          let line = run_line ~id ~memory_pages:64 sql bindings in
+          let a = outcome (S.Server.handle_line memo line)
+          and b =
+            outcome
+              (S.Server.handle_line parsing
+                 (run_line ~id ~memory_pages:64 (respell id sql) bindings))
+          in
+          if a <> b then
+            QCheck.Test.fail_reportf "%s\n memoizing: %s\n parsing:   %s" line a b)
+        requests;
+      let fingerprint = S.Plan_cache.fingerprint catalog in
+      List.iter
+        (fun st ->
+          let ast = parse_exn st.sql in
+          match
+            S.Plan_cache.find_text (S.Server.cache memo) ~fingerprint ~sql:st.sql
+          with
+          | None -> ()
+          | Some (m, _) ->
+            if m.S.Plan_cache.key <> S.Plan_cache.key ast then
+              QCheck.Test.fail_reportf "%s: memoized key %s" st.sql
+                m.S.Plan_cache.key;
+            let bindings = List.map (fun h -> (h, 0.01)) st.hvs in
+            if
+              S.Plan_cache.bind_statement catalog m ~bindings ~memory_pages:64
+              <> S.Plan_cache.bind catalog ast ~bindings ~memory_pages:64
+            then QCheck.Test.fail_reportf "%s: memoized bindings differ" st.sql)
+        statements;
+      true)
+
+let shape_plan catalog sql =
+  let q =
+    Result.get_ok
+      (D.Sql.to_logical catalog (S.Plan_cache.generalize (parse_exn sql)))
+  in
+  (Result.get_ok
+     (D.Optimizer.optimize
+        ~mode:(D.Optimizer.dynamic ~uncertain_memory:true ())
+        catalog q))
+    .D.Optimizer.plan
+
+let single_sql =
+  Printf.sprintf "SELECT * FROM R1 WHERE R1.%s <= :u" D.Paper_catalog.select_attr
+
+let test_memo_rules_in_the_server () =
+  let server = make_server (D.Paper_catalog.make ~relations:2) in
+  let cache = S.Server.cache server in
+  let texts () = (S.Plan_cache.stats cache).S.Plan_cache.texts in
+  let serve id sql expect =
+    match S.Server.handle server (run_request ~id sql) with
+    | P.Ok_reply { cache = c; _ } when c = expect -> ()
+    | r -> Alcotest.failf "request %d: %s" id (P.render_response r)
+  in
+  let sql = chain_sql 2 in
+  serve 1 sql P.Miss;
+  Alcotest.(check int) "the miss that stores the plan memoizes nothing" 0
+    (texts ());
+  serve 2 sql P.Hit;
+  Alcotest.(check int) "the first hit memoizes the text" 1 (texts ());
+  serve 3 sql P.Hit;
+  Alcotest.(check int) "a memoized hit adds no text" 1 (texts ());
+  Alcotest.(check int) "memoized hits are counted" 2
+    (counter server D.Obs.Counter.Cache_hit);
+  Alcotest.(check int) "in the plan cache too" 2
+    (S.Plan_cache.stats cache).S.Plan_cache.hits;
+  (* A respelling of the shape is another text of the same entry: it
+     takes the entry's one slot. *)
+  let respelled = "SELECT * FROM R2, R1 WHERE R2.jl = R1.jr AND R1.a <= :u" in
+  serve 4 respelled P.Hit;
+  Alcotest.(check int) "one text per entry" 1 (texts ());
+  serve 5 respelled P.Hit;
+  (* DDL moves the fingerprint: the memoized text still invalidates. *)
+  S.Server.swap_catalog server (D.Paper_catalog.make ~relations:3);
+  serve 6 respelled P.Miss;
+  Alcotest.(check int) "drift invalidation counted" 1
+    (S.Server.stats server).S.Server.cache_invalidated_drift;
+  Alcotest.(check int) "the drifted entry's text went with it" 0 (texts ());
+  serve 7 respelled P.Hit;
+  Alcotest.(check int) "re-memoized on the next hit" 1 (texts ())
+
+let test_memo_follows_entries () =
+  let catalog = D.Paper_catalog.make ~relations:2 in
+  let fingerprint = S.Plan_cache.fingerprint catalog in
+  let cache = S.Plan_cache.create ~capacity:1 () in
+  let texts () = (S.Plan_cache.stats cache).S.Plan_cache.texts in
+  let hits () = (S.Plan_cache.stats cache).S.Plan_cache.hits in
+  let a = chain_sql 2 and b = single_sql in
+  let st_a = S.Plan_cache.statement (parse_exn a)
+  and st_b = S.Plan_cache.statement (parse_exn b) in
+  (* A fresh copy of the key, stored: physical equality then shows whose
+     string the memo keeps. *)
+  let key_a = String.concat "" [ st_a.S.Plan_cache.key ] in
+  let plan_a = shape_plan catalog a and plan_b = shape_plan catalog b in
+  let is_hit = function S.Plan_cache.Hit _ -> true | _ -> false in
+  S.Plan_cache.store cache ~fingerprint ~key:key_a plan_a;
+  Alcotest.(check bool) "hit" true
+    (is_hit (S.Plan_cache.find_statement cache ~fingerprint ~sql:a st_a));
+  (match S.Plan_cache.find_text cache ~fingerprint ~sql:a with
+  | Some (st, plan) ->
+    Alcotest.(check bool) "the memo shares the entry's key string" true
+      (st.S.Plan_cache.key == key_a);
+    Alcotest.(check bool) "and serves its plan" true (plan == plan_a)
+  | None -> Alcotest.fail "memoized text not found");
+  Alcotest.(check int) "a memo hit is a cache hit" 2 (hits ());
+  Alcotest.(check bool) "another fingerprint: no memo hit" true
+    (S.Plan_cache.find_text cache ~fingerprint:"drifted" ~sql:a = None);
+  Alcotest.(check int) "and nothing counted" 2 (hits ());
+  Alcotest.(check int) "nor evicted" 1 (texts ());
+  (* LRU eviction takes the entry's text. *)
+  S.Plan_cache.store cache ~fingerprint ~key:st_b.S.Plan_cache.key plan_b;
+  Alcotest.(check int) "eviction drops the text" 0 (texts ());
+  Alcotest.(check bool) "evicted text not served" true
+    (S.Plan_cache.find_text cache ~fingerprint ~sql:a = None);
+  let memoize_b () =
+    ignore (S.Plan_cache.find_statement cache ~fingerprint ~sql:b st_b);
+    Alcotest.(check int) "memoized" 1 (texts ())
+  in
+  memoize_b ();
+  ignore (S.Plan_cache.invalidate cache ~key:st_b.S.Plan_cache.key);
+  Alcotest.(check int) "invalidation drops the text" 0 (texts ());
+  S.Plan_cache.store cache ~fingerprint ~key:st_b.S.Plan_cache.key plan_b;
+  memoize_b ();
+  S.Plan_cache.store cache ~fingerprint ~key:st_b.S.Plan_cache.key plan_b;
+  Alcotest.(check int) "re-storing a key drops its text" 0 (texts ());
+  memoize_b ();
+  for _ = 1 to 3 do
+    ignore (S.Plan_cache.note_replan cache ~key:st_b.S.Plan_cache.key)
+  done;
+  Alcotest.(check int) "a replan storm drops the text" 0 (texts ());
+  S.Plan_cache.store cache ~fingerprint ~key:st_b.S.Plan_cache.key plan_b;
+  memoize_b ();
+  (match
+     S.Plan_cache.find_statement cache ~fingerprint:"drifted" ~sql:b st_b
+   with
+  | S.Plan_cache.Invalidated_drift -> ()
+  | _ -> Alcotest.fail "drift not detected");
+  Alcotest.(check int) "drift drops the text" 0 (texts ());
+  (* Only hits memoize. *)
+  Alcotest.(check bool) "a miss" false
+    (is_hit (S.Plan_cache.find_statement cache ~fingerprint ~sql:b st_b));
+  Alcotest.(check int) "memoizes nothing" 0 (texts ())
+
+(* Random stores and lookups over six texts of three shapes through a
+   two-entry cache: the memo never holds more texts than the cache holds
+   entries, and a memoized text is served its own shape. *)
+let prop_memo_bounded_by_cache =
+  let catalog = D.Paper_catalog.make ~relations:2 in
+  let fingerprint = S.Plan_cache.fingerprint catalog in
+  let sqls =
+    [| chain_sql 2;
+       "SELECT * FROM R2, R1 WHERE R2.jl = R1.jr AND R1.a <= 3";
+       single_sql;
+       "SELECT * FROM R1 WHERE R1.a <= :v";
+       "SELECT * FROM R2 WHERE R2.a <= :u";
+       "SELECT * FROM R2 WHERE R2.a <= 7" |]
+  in
+  let statements = Array.map (fun sql -> S.Plan_cache.statement (parse_exn sql)) sqls in
+  let plans = lazy (Array.map (shape_plan catalog) sqls) in
+  QCheck.Test.make ~name:"statement memo never outgrows the cache" ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 40) (pair bool (int_range 0 5)))
+    (fun ops ->
+      let plans = Lazy.force plans in
+      let cache = S.Plan_cache.create ~capacity:2 () in
+      List.for_all
+        (fun (store, i) ->
+          let st = statements.(i) in
+          if store then
+            S.Plan_cache.store cache ~fingerprint ~key:st.S.Plan_cache.key
+              plans.(i)
+          else begin
+            match S.Plan_cache.find_text cache ~fingerprint ~sql:sqls.(i) with
+            | Some (m, _) ->
+              if m.S.Plan_cache.key <> st.S.Plan_cache.key then
+                QCheck.Test.fail_reportf "%s served shape %s" sqls.(i)
+                  m.S.Plan_cache.key
+            | None ->
+              ignore
+                (S.Plan_cache.find_statement cache ~fingerprint ~sql:sqls.(i) st)
+          end;
+          let s = S.Plan_cache.stats cache in
+          s.S.Plan_cache.texts <= s.S.Plan_cache.size
+          && s.S.Plan_cache.size <= 2)
+        ops)
+
+(* --- parsers and the one-reply contract under fuzz ----------------------- *)
+
+(* A valid RUN line (no memory= field: a client's memory grant sizes the
+   buffer pool, so a fuzzed digit there only measures the allocator). *)
+let valid_line_gen =
+  let open QCheck.Gen in
+  let* st = statement_gen in
+  let* id = int_range 0 999 in
+  let* deadline_ms = opt (float_range 1. 500.) in
+  let* retries = opt (int_range 0 9) in
+  let* risk = opt (oneofl [ D.Risk.Expected; D.Risk.Worst_case; D.Risk.Quantile 0.9 ]) in
+  let bindings = List.map (fun h -> (h, 0.02)) st.hvs in
+  return (run_line ~id ?deadline_ms ?retries ?risk st.sql bindings)
+
+(* One to three byte edits: delete, insert, replace, truncate, or a
+   minus sign after an '=' (a negative field value). *)
+let mutated_line_gen =
+  let open QCheck.Gen in
+  let edit s =
+    let n = String.length s in
+    let* pos = int_range 0 (Int.max 0 (n - 1)) in
+    let* c = char in
+    let* kind = int_range 0 4 in
+    let insert pos c = String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos) in
+    return
+      (match kind with
+      | 0 when n > 0 -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+      | 1 -> insert pos c
+      | 2 when n > 0 ->
+        String.sub s 0 pos ^ String.make 1 c ^ String.sub s (pos + 1) (n - pos - 1)
+      | 4 -> (
+        match String.index_from_opt s pos '=' with
+        | Some eq -> insert (eq + 1) '-'
+        | None -> s)
+      | _ -> String.sub s 0 pos)
+  in
+  let* line = valid_line_gen in
+  let* k = int_range 1 3 in
+  let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+  go k line
+
+let fuzz_input_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, string_size ~gen:char (int_range 0 80));
+        (1, map (fun s -> "RUN " ^ s) (string_size ~gen:char (int_range 0 80)));
+        (4, mutated_line_gen) ])
+
+let never_raises f x =
+  match f x with
+  | _ -> true
+  | exception e ->
+    QCheck.Test.fail_reportf "%S raised %s" x (Printexc.to_string e)
+
+let prop_parsers_never_raise =
+  QCheck.Test.make ~name:"protocol and SQL parsers never raise" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") fuzz_input_gen)
+    (fun s ->
+      never_raises P.parse_request s
+      && never_raises D.Sql.parse s
+      &&
+      match P.parse_request s with
+      | Ok (P.Run r) -> never_raises D.Sql.parse r.P.sql
+      | Ok _ | Error _ -> true)
+
+let fuzz_server =
+  lazy (make_server (D.Paper_catalog.make ~relations:3))
+
+let prop_one_typed_reply =
+  QCheck.Test.make ~name:"handle_line answers every line with one typed reply"
+    ~count:400
+    (QCheck.make ~print:(Printf.sprintf "%S") fuzz_input_gen)
+    (fun line ->
+      match S.Server.handle_line (Lazy.force fuzz_server) line with
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | reply ->
+        if String.contains reply '\n' || String.contains reply '\r' then
+          QCheck.Test.fail_reportf "reply spans lines: %S" reply;
+        (match P.parse_response reply with
+        | Ok _ -> true
+        | Error e -> QCheck.Test.fail_reportf "untyped reply %S: %s" reply e))
 
 let suite =
   ( "serve",
@@ -748,4 +1144,12 @@ let suite =
       Alcotest.test_case "overload sheds with typed responses" `Quick
         test_overload_sheds_typed;
       Alcotest.test_case "request-side error classes" `Quick
-        test_request_error_classes ] )
+        test_request_error_classes;
+      QCheck_alcotest.to_alcotest prop_statement_memo;
+      Alcotest.test_case "statement memo rules in the server" `Quick
+        test_memo_rules_in_the_server;
+      Alcotest.test_case "statement memo follows cache entries" `Quick
+        test_memo_follows_entries;
+      QCheck_alcotest.to_alcotest prop_memo_bounded_by_cache;
+      QCheck_alcotest.to_alcotest prop_parsers_never_raise;
+      QCheck_alcotest.to_alcotest prop_one_typed_reply ] )

@@ -240,6 +240,55 @@ let test_chaos_soak () =
   Alcotest.(check int) "nothing left in flight" 0
     (s.D.Session.admitted - s.D.Session.completed - s.D.Session.failed)
 
+(* Session.submit folds exactly a run's counter deltas into the session
+   trace, whether the run trace is its own or the caller's, and a
+   caller's trace that already holds counts keeps them (and its taps). *)
+let test_counters_fold_run_deltas () =
+  let module Trace = D.Obs.Trace in
+  let module Counter = D.Obs.Counter in
+  let session = D.Session.create () in
+  let lifecycle c =
+    match c with
+    | Counter.Submitted | Counter.Admitted | Counter.Completed -> 1
+    | _ -> 0
+  in
+  (* Its own trace: the session trace gains every count of the run. *)
+  let rows =
+    match submit_one session with
+    | D.Session.Completed (tuples, _) -> List.length tuples
+    | _ -> Alcotest.fail "first run did not complete"
+  in
+  Alcotest.(check bool) "the run produced rows" true (rows > 0);
+  Alcotest.(check int) "own trace: Rows_out folded" rows
+    (Trace.get (D.Session.obs session) Counter.Rows_out);
+  let first = Trace.snapshot (D.Session.obs session) in
+  (* The caller's trace, already holding counts of its own. *)
+  let obs = Trace.create ~taps:true () in
+  List.iter (fun c -> Trace.add obs c (1000 + Counter.index c)) Counter.all;
+  let since = Trace.snapshot obs in
+  let db = D.Database.build ~seed:11 q2.D.Queries.catalog in
+  (match D.Session.submit session ~obs db bindings2 (Lazy.force plan2) with
+  | D.Session.Completed (tuples, _) ->
+    Alcotest.(check int) "the same rows" rows (List.length tuples)
+  | _ -> Alcotest.fail "second run did not complete");
+  let after = Trace.snapshot obs in
+  let run = Array.mapi (fun i v -> v - since.(i)) after in
+  Alcotest.(check int) "caller trace: Rows_out delta" rows
+    run.(Counter.index Counter.Rows_out);
+  List.iter
+    (fun c ->
+      let i = Counter.index c in
+      Alcotest.(check int)
+        ("caller trace folds its delta: " ^ Counter.name c)
+        (first.(i) + run.(i) + lifecycle c)
+        (Trace.get (D.Session.obs session) c))
+    Counter.all;
+  Alcotest.(check bool) "the caller's taps are its own" true
+    (Trace.taps obs <> []);
+  Alcotest.(check int) "no cardinalities filed from them"
+    (2 * List.length bindings2.D.Bindings.selectivities)
+    (D.Obs.Feedback.observations (D.Session.feedback session))
+
 let suite =
   ( "session",
     [ Alcotest.test_case "config validation" `Quick test_config_validation;
@@ -254,4 +303,6 @@ let suite =
       Alcotest.test_case "session pool bounds admitted queries" `Quick
         test_session_pool_bounds_admitted_queries;
       Alcotest.test_case "chaos soak: 32 governed sessions" `Slow
-        test_chaos_soak ] )
+        test_chaos_soak;
+      Alcotest.test_case "counters fold each run's deltas" `Quick
+        test_counters_fold_run_deltas ] )
