@@ -447,14 +447,15 @@ let run_cmd =
                         D.Json.Int
                           stats.D.Executor.io.D.Buffer_pool.physical_writes );
                       ("cpu_seconds", D.Json.Float stats.D.Executor.cpu_seconds);
-                      ("retries", D.Json.Int stats.D.Executor.retries);
+                      ("retries", D.Json.Int rstats.D.Resilience.retries);
                       ( "faults_absorbed",
-                        D.Json.Int stats.D.Executor.faults_absorbed );
-                      ("budget_aborts", D.Json.Int stats.D.Executor.budget_aborts);
+                        D.Json.Int rstats.D.Resilience.faults_absorbed );
+                      ( "budget_aborts",
+                        D.Json.Int rstats.D.Resilience.budget_aborts );
                       ( "memory_aborts",
                         D.Json.Int rstats.D.Resilience.memory_aborts );
-                      ("failovers", D.Json.Int stats.D.Executor.failovers);
-                      ("replans", D.Json.Int stats.D.Executor.replans);
+                      ("failovers", D.Json.Int rstats.D.Resilience.failovers);
+                      ("replans", D.Json.Int rstats.D.Resilience.replans);
                       ( "checkpoints_taken",
                         D.Json.Int rstats.D.Resilience.checkpoints_taken );
                       ("resume_hits", D.Json.Int rstats.D.Resilience.resume_hits);
@@ -473,9 +474,10 @@ let run_cmd =
             Format.printf
               "  resilience: %d retries, %d faults absorbed, %d budget \
                aborts, %d memory aborts, %d failovers, %d replans@."
-              stats.D.Executor.retries stats.D.Executor.faults_absorbed
-              stats.D.Executor.budget_aborts rstats.D.Resilience.memory_aborts
-              stats.D.Executor.failovers stats.D.Executor.replans;
+              rstats.D.Resilience.retries rstats.D.Resilience.faults_absorbed
+              rstats.D.Resilience.budget_aborts
+              rstats.D.Resilience.memory_aborts rstats.D.Resilience.failovers
+              rstats.D.Resilience.replans;
             if rstats.D.Resilience.checkpoints_taken > 0 then
               Format.printf "  checkpoints: %d taken, %d resume hits@."
                 rstats.D.Resilience.checkpoints_taken

@@ -134,9 +134,7 @@ let subdivide region ~max_regions =
       [ region ] pieces
 
 let restrict env region =
-  Env.make
-    ~io_budget_factor:(Env.io_budget_factor env)
-    ~catalog:(Env.catalog env) ~device:(Env.device env)
+  Env.make ~catalog:(Env.catalog env) ~device:(Env.device env)
     ~selectivity:(fun v ->
       match List.assoc_opt v region.sels with
       | Some iv -> iv

@@ -20,7 +20,6 @@ val relation : t -> string -> Relation.t option
 val relation_exn : t -> string -> Relation.t
 (** @raise Not_found on unknown relation. *)
 
-val index_on : t -> rel:string -> attr:string -> Index.t option
 val has_index : t -> rel:string -> attr:string -> bool
 
 val indexes_of : t -> string -> Index.t list

@@ -12,32 +12,21 @@ type t = {
   selectivity_dist : string -> Dist.t;
   memory_dist : Dist.t;
   point : bool;
-  io_budget_factor : float;
 }
 
-(* The resilient executor aborts a run whose observed physical I/O
-   exceeds the anticipated cost by this factor.  Overridable per process
-   (DQEP_IO_BUDGET_FACTOR) or per environment; 0 disables the guard. *)
-let default_io_budget_factor =
-  match Sys.getenv_opt "DQEP_IO_BUDGET_FACTOR" with
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some f when f >= 0. -> f
-    | Some _ | None -> 4.)
-  | None -> 4.
+(* The resilient executor's default I/O guard factor; its only setting
+   is [Resilience.config.io_budget_factor]. *)
+let default_io_budget_factor = 4.
 
-let make ?(io_budget_factor = default_io_budget_factor) ~catalog ~device
-    ~selectivity ~memory_pages () =
+let make ~catalog ~device ~selectivity ~memory_pages () =
   { catalog;
     device;
     selectivity_dist = (fun v -> Dist.of_interval (selectivity v));
     memory_dist = Dist.of_interval memory_pages;
-    point = false;
-    io_budget_factor }
+    point = false }
 
 let dynamic ?(memory = Interval.point 64.) ?(selectivity_bounds = [])
-    ?(selectivity_dists = []) ?(device = Device.default)
-    ?(io_budget_factor = default_io_budget_factor) catalog =
+    ?(selectivity_dists = []) ?(device = Device.default) catalog =
   let selectivity_dist var =
     match List.assoc_opt var selectivity_dists with
     | Some d -> d
@@ -50,32 +39,27 @@ let dynamic ?(memory = Interval.point 64.) ?(selectivity_bounds = [])
     device;
     selectivity_dist;
     memory_dist = Dist.of_interval memory;
-    point = false;
-    io_budget_factor }
+    point = false }
 
 let static ?(default_selectivity = 0.05) ?(memory_pages = 64)
-    ?(device = Device.default)
-    ?(io_budget_factor = default_io_budget_factor) catalog =
+    ?(device = Device.default) catalog =
   { catalog;
     device;
     selectivity_dist = (fun _ -> Dist.point default_selectivity);
     memory_dist = Dist.point (float_of_int memory_pages);
-    point = true;
-    io_budget_factor }
+    point = true }
 
-let of_bindings ?(device = Device.default)
-    ?(io_budget_factor = default_io_budget_factor) catalog bindings =
+let of_bindings ?(device = Device.default) catalog bindings =
   { catalog;
     device;
     selectivity_dist = (fun v -> Dist.point (Bindings.selectivity bindings v));
     memory_dist = Dist.point (float_of_int bindings.Bindings.memory_pages);
-    point = true;
-    io_budget_factor }
+    point = true }
 
 let catalog t = t.catalog
 let device t = t.device
 let memory_pages t = Dist.hull t.memory_dist
-let io_budget_factor t = t.io_budget_factor
+let io_budget_factor _ = default_io_budget_factor
 
 (* Same bindings, different memory grant: the resilient executor
    re-resolves dynamic plans under a lowered memory environment after a

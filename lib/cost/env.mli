@@ -16,7 +16,6 @@ module Interval = Dqep_util.Interval
 type t
 
 val make :
-  ?io_budget_factor:float ->
   catalog:Dqep_catalog.Catalog.t ->
   device:Device.t ->
   selectivity:(string -> Interval.t) ->
@@ -29,7 +28,6 @@ val dynamic :
   ?selectivity_bounds:(string * Interval.t) list ->
   ?selectivity_dists:(string * Dist.t) list ->
   ?device:Device.t ->
-  ?io_budget_factor:float ->
   Dqep_catalog.Catalog.t ->
   t
 (** Unbound selectivities span [\[0, 1\]] unless [selectivity_bounds]
@@ -48,7 +46,6 @@ val static :
   ?default_selectivity:float ->
   ?memory_pages:int ->
   ?device:Device.t ->
-  ?io_budget_factor:float ->
   Dqep_catalog.Catalog.t ->
   t
 (** Expected-value environment: defaults 0.05 and 64 pages, per the
@@ -56,7 +53,6 @@ val static :
 
 val of_bindings :
   ?device:Device.t ->
-  ?io_budget_factor:float ->
   Dqep_catalog.Catalog.t ->
   Bindings.t ->
   t
@@ -84,13 +80,13 @@ val refine_dists : t -> selectivities:(string * Dist.t) list -> t
     original.  The refined environment also carries {e where} inside
     the narrowed band the realized selectivities concentrate. *)
 
-val io_budget_factor : t -> float
-(** How far observed physical I/O may exceed the anticipated cost before
-    the resilient executor aborts the run ({!Dqep_exec.Resilience}):
-    defaults to the [DQEP_IO_BUDGET_FACTOR] process variable, else 4.0;
-    [0.] disables the guard. *)
-
 val default_io_budget_factor : float
+(** 4.0: the default of the resilient executor's I/O guard factor, whose
+    only setting is [Dqep_exec.Resilience.config.io_budget_factor]. *)
+
+val io_budget_factor : t -> float
+(** {!default_io_budget_factor}, whatever the environment.  Only the
+    benchmark's request mirror reads it. *)
 
 val selectivity : t -> Dqep_algebra.Predicate.select -> Interval.t
 (** Selectivity of a selection predicate: the bound value as a point, or

@@ -12,11 +12,6 @@ type run_stats = {
   cpu_seconds : float;
   resolved_plan : Plan.t;
   choose_nodes : int;
-  retries : int;
-  faults_absorbed : int;
-  budget_aborts : int;
-  failovers : int;
-  replans : int;
   exec : Exec_common.exec_profile;
 }
 
@@ -104,10 +99,9 @@ let compile db env plan = Batch_exec.compile_with db env plan
 let execute db env ?gov ?obs ?materialized ?checkpoint plan =
   Batch_exec.run_plan db env ?gov ?obs ?materialized ?checkpoint plan
 
-let run db ?(gov = Governor.none) ?(obs = Trace.null)
-    ?(risk = Dqep_cost.Risk.Expected) bindings plan =
+let run db ?(gov = Governor.none) ?(obs = Trace.null) bindings plan =
   let env = Env.of_bindings (Database.catalog db) bindings in
-  let resolution = Startup.resolve ~risk env (check_feasible db env plan) in
+  let resolution = Startup.resolve env (check_feasible db env plan) in
   let resolved = resolution.Startup.plan in
   let pool = Database.pool db in
   Buffer_pool.resize pool (memory_pages env);
@@ -133,9 +127,4 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null)
       cpu_seconds;
       resolved_plan = resolved;
       choose_nodes = resolution.Startup.choose_nodes;
-      retries = 0;
-      faults_absorbed = 0;
-      budget_aborts = 0;
-      failovers = 0;
-      replans = 0;
       exec = profile } )

@@ -20,15 +20,11 @@ type run_stats = {
       (** choose-plan operators the submitted plan carried (0 for a
           static plan) — with [Optimizer.stats.alternatives_pruned],
           how risk postures compare from the shell *)
-  retries : int;  (** attempts repeated after a transient fault *)
-  faults_absorbed : int;  (** injected faults survived without failing the run *)
-  budget_aborts : int;  (** attempts aborted by the I/O budget guard *)
-  failovers : int;  (** re-resolutions onto another choose-plan alternative *)
-  replans : int;  (** incremental re-optimizations after a busted estimate *)
   exec : Exec_common.exec_profile;  (** batch accounting *)
 }
-(** The resilience counters are zero for a plain {!run}; they are filled
-    in by {!Resilience.run}. *)
+(** What one execution did.  The supervisor's counts (retries,
+    failovers, replans, ...) are not here: {!Resilience.stats} is their
+    one record. *)
 
 exception Infeasible of Dqep_util.Diagnostic.t list
 (** The plan references catalog objects that no longer exist and pruning
@@ -121,18 +117,17 @@ val run :
   Dqep_storage.Database.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?risk:Dqep_cost.Risk.t ->
   Dqep_cost.Bindings.t ->
   Dqep_plans.Plan.t ->
   Exec_common.tuple list * run_stats
 (** Resolve, execute and drain a plan, reporting I/O and CPU.
-    [gov] as in {!execute}.  [risk] scalarizes any
-    residual cost uncertainty during start-up resolution
-    ({!Dqep_plans.Startup.resolve}); default [Expected], which is the
-    historical behaviour.  The run records through [obs] when one is
-    supplied (the buffer pool is teed into it for the duration, a "run"
-    span brackets execution) and {!run_stats} is computed as a view over
-    the trace's counter deltas. *)
+    [gov] as in {!execute}.  Start-up resolution runs under
+    {!Dqep_cost.Env.of_bindings}, where every parameter is a point, so
+    it takes no risk posture: each would pick the same plan.  The run
+    records through [obs] when one is supplied (the buffer pool is teed
+    into it for the duration, a "run" span brackets execution) and
+    {!run_stats} is computed as a view over the trace's counter
+    deltas. *)
 
 val memory_pages : Dqep_cost.Env.t -> int
 (** The engine's working-memory budget under the environment. *)

@@ -135,9 +135,4 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) bindings plan =
             cpu_seconds;
             resolved_plan = adapted.Startup.plan;
             choose_nodes = adapted.Startup.choose_nodes;
-            retries = 0;
-            faults_absorbed = 0;
-            budget_aborts = 0;
-            failovers = 0;
-            replans = 0;
             exec = profile } } )

@@ -1,7 +1,6 @@
 module Env = Dqep_cost.Env
 module Device = Dqep_cost.Device
 module Interval = Dqep_util.Interval
-module Rng = Dqep_util.Rng
 module Physical = Dqep_algebra.Physical
 module Plan = Dqep_plans.Plan
 module Startup = Dqep_plans.Startup
@@ -14,10 +13,7 @@ module Counter = Dqep_obs.Counter
 
 type config = {
   max_retries : int;
-  backoff_base : float;
-  backoff_cap : float;
-  backoff_seed : int;
-  io_budget_factor : float option;
+  io_budget_factor : float;
   max_failovers : int;
   checkpoints : bool;
   checkpoint_tolerance : float;
@@ -34,13 +30,12 @@ let default_checkpoints () =
   | Some ("1" | "true" | "on") -> true
   | Some _ | None -> false
 
-let config ?(max_retries = 2) ?(backoff_base = 0.01) ?(backoff_cap = 1.)
-    ?(backoff_seed = 0x5eed) ?io_budget_factor ?(max_failovers = 8)
+let config ?(max_retries = 2)
+    ?(io_budget_factor = Env.default_io_budget_factor) ?(max_failovers = 8)
     ?checkpoints
     ?(checkpoint_tolerance = Checkpoint.default_tolerance) ?(max_replans = 2)
     ?replan ?(risk = Dqep_cost.Risk.Expected) () =
   if max_retries < 0 then invalid_arg "Resilience.config: max_retries < 0";
-  if backoff_cap <= 0. then invalid_arg "Resilience.config: backoff_cap <= 0";
   if max_failovers < 0 then invalid_arg "Resilience.config: max_failovers < 0";
   if max_replans < 0 then invalid_arg "Resilience.config: max_replans < 0";
   if checkpoint_tolerance <= 1. then
@@ -48,23 +43,10 @@ let config ?(max_retries = 2) ?(backoff_base = 0.01) ?(backoff_cap = 1.)
   let checkpoints =
     match checkpoints with Some c -> c | None -> default_checkpoints ()
   in
-  { max_retries; backoff_base; backoff_cap; backoff_seed; io_budget_factor;
-    max_failovers; checkpoints; checkpoint_tolerance;
-    max_replans; replan; risk }
+  { max_retries; io_budget_factor; max_failovers; checkpoints;
+    checkpoint_tolerance; max_replans; replan; risk }
 
 let default = config ()
-
-(* The modeled full-jitter delay before retry [attempt]: uniform over
-   [0, min (backoff_base * 2^attempt) backoff_cap).  Capping keeps late
-   retries from modeling unbounded waits — without it the exponential
-   envelope grows without limit in the attempt number. *)
-let backoff_delay config rng ~attempt =
-  if attempt < 0 then invalid_arg "Resilience.backoff_delay: attempt < 0";
-  let bound =
-    Float.min config.backoff_cap
-      (config.backoff_base *. (2. ** float_of_int attempt))
-  in
-  Rng.uniform rng 0. bound
 
 type failure =
   | Infeasible of Dqep_util.Diagnostic.t list
@@ -110,7 +92,6 @@ type stats = {
   budget_aborts : int;
   memory_aborts : int;
   failovers : int;
-  backoff_seconds : float;
   attempts : int;
   replans : int;
   checkpoints_taken : int;
@@ -152,50 +133,31 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
     bindings plan =
   let env = Env.of_bindings (Database.catalog db) bindings in
   let pool = Database.pool db in
-  let rng = Rng.create config.backoff_seed in
   (* The supervisor's counters live on a trace — the caller's when one
-     was supplied, a private one otherwise — and [stats] is a view over
-     the trace's deltas from the start of this run, so a session-lifetime
+     was supplied, a private one otherwise — and [stats] is their delta
+     from a snapshot taken as this run starts, so a session-lifetime
      trace can aggregate many runs while each run still reports its own
-     window.  Backoff is the one float, kept as a ref and exported as a
-     gauge. *)
+     window. *)
   let rt = if Trace.enabled obs then obs else Trace.create () in
-  let c0 c = Trace.get rt c in
-  let base_retries = c0 Counter.Retries in
-  let base_faults = c0 Counter.Faults_absorbed in
-  let base_budget = c0 Counter.Budget_aborts in
-  let base_memory = c0 Counter.Memory_aborts in
-  let base_failovers = c0 Counter.Failovers in
-  let base_attempts = c0 Counter.Attempts in
-  let base_replans = c0 Counter.Replans in
-  let base_checkpoints = c0 Counter.Checkpoints_taken in
-  let base_resumes = c0 Counter.Resume_hits in
-  let backoff = ref 0. in
-  let snapshot () =
-    if !backoff > 0. then Trace.gauge rt "backoff_seconds" !backoff;
-    { retries = Trace.get rt Counter.Retries - base_retries;
-      faults_absorbed = Trace.get rt Counter.Faults_absorbed - base_faults;
-      budget_aborts = Trace.get rt Counter.Budget_aborts - base_budget;
-      memory_aborts = Trace.get rt Counter.Memory_aborts - base_memory;
-      failovers = Trace.get rt Counter.Failovers - base_failovers;
-      backoff_seconds = !backoff;
-      attempts = Trace.get rt Counter.Attempts - base_attempts;
-      replans = Trace.get rt Counter.Replans - base_replans;
-      checkpoints_taken =
-        Trace.get rt Counter.Checkpoints_taken - base_checkpoints;
-      resume_hits = Trace.get rt Counter.Resume_hits - base_resumes }
+  let base = Trace.snapshot rt in
+  let delta c = Trace.get rt c - base.(Counter.index c) in
+  let stats () =
+    { retries = delta Counter.Retries;
+      faults_absorbed = delta Counter.Faults_absorbed;
+      budget_aborts = delta Counter.Budget_aborts;
+      memory_aborts = delta Counter.Memory_aborts;
+      failovers = delta Counter.Failovers;
+      attempts = delta Counter.Attempts;
+      replans = delta Counter.Replans;
+      checkpoints_taken = delta Counter.Checkpoints_taken;
+      resume_hits = delta Counter.Resume_hits }
   in
   match Executor.check_feasible db env plan with
   | exception Executor.Infeasible problems ->
-    (Error (Infeasible problems), snapshot ())
+    (Error (Infeasible problems), stats ())
   | exception Executor.Invalid_plan diags ->
-    (Error (Rejected diags), snapshot ())
+    (Error (Rejected diags), stats ())
   | plan ->
-    let factor =
-      match config.io_budget_factor with
-      | Some f -> f
-      | None -> Env.io_budget_factor env
-    in
     let excluded = ref [] in
     let failover_observed = ref false in
     (* One registry spans the whole supervised run: checkpoints taken by
@@ -270,7 +232,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
            (fun pages ->
              before.Buffer_pool.physical_reads
              + before.Buffer_pool.physical_writes + pages)
-           (budget_pages !mem_env ~factor
+           (budget_pages !mem_env ~factor:config.io_budget_factor
               ~anticipated_cost:resolution.Startup.anticipated_cost));
       Trace.incr rt Counter.Attempts;
       (* Blocking points already passed and observed subplans are served
@@ -292,23 +254,11 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
               cpu_seconds;
               resolved_plan = resolution.Startup.plan;
               choose_nodes = resolution.Startup.choose_nodes;
-              retries = Trace.get rt Counter.Retries - base_retries;
-              faults_absorbed =
-                Trace.get rt Counter.Faults_absorbed - base_faults;
-              budget_aborts = Trace.get rt Counter.Budget_aborts - base_budget;
-              failovers = Trace.get rt Counter.Failovers - base_failovers;
-              replans = Trace.get rt Counter.Replans - base_replans;
               exec = profile } )
       | exception Fault.Io_fault { kind = Fault.Transient; _ }
         when attempt_no < config.max_retries ->
         Trace.incr rt Counter.Retries;
         Trace.incr rt Counter.Faults_absorbed;
-        (* Full-jitter exponential backoff, modeled rather than slept:
-           the delay before retry [n] is uniform over
-           [0, min (backoff_base * 2^n) backoff_cap), drawn from a
-           generator seeded by the config so reruns reproduce the exact
-           schedule. *)
-        backoff := !backoff +. backoff_delay config rng ~attempt:attempt_no;
         attempt resolution (attempt_no + 1)
       | exception (Fault.Io_fault _ as error) ->
         Trace.incr rt Counter.Faults_absorbed;
@@ -334,9 +284,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
        never a silent mis-costed completion. *)
     and replan_or_fail ~pid ~observed ~lo ~hi =
       let fail () = Error (Estimate_busted { pid; observed; lo; hi }) in
-      let budget_left =
-        Trace.get rt Counter.Replans - base_replans < config.max_replans
-      in
+      let budget_left = delta Counter.Replans < config.max_replans in
       match config.replan with
       | Some replan when budget_left -> (
         match
@@ -370,8 +318,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
          back onto; likewise when the fallback budget is spent. *)
       if
         resolution.Startup.choices = []
-        || Trace.get rt Counter.Failovers - base_failovers
-           >= config.max_failovers
+        || delta Counter.Failovers >= config.max_failovers
       then exhausted error
       else begin
         Trace.incr rt Counter.Failovers;
@@ -443,4 +390,4 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
                failover resize): still a typed outcome, never an escape. *)
             Error (Exhausted { excluded = !excluded; last_error = error }))
     in
-    (result, snapshot ())
+    (result, stats ())

@@ -27,32 +27,20 @@
     wall-clock time — and a memory violation with no viable fallback
     reports {!Memory_exceeded}.
 
-    Backoff between retries is deterministic and {e modeled}, not slept:
-    full-jitter exponential delays drawn from a generator seeded by
-    {!config.backoff_seed}, accumulated into {!stats.backoff_seconds},
-    so tests and benchmarks stay fast and exactly reproducible. *)
+    A retry after a transient fault starts at once: there is no backoff.
+    Every supervisor count lives in one record, {!stats}, reported for
+    failed runs as well as completed ones; {!Executor.run_stats} carries
+    only what the successful attempt executed. *)
 
 type config = {
   max_retries : int;
       (** transient-fault retries per chosen plan before failing over
           (default 2) *)
-  backoff_base : float;
-      (** modeled delay before retry [n] is uniform over
-          [\[0, backoff_base *. 2. ** n)] seconds — full jitter
-          (default 0.01) *)
-  backoff_cap : float;
-      (** ceiling on the jitter envelope: the delay bound for any attempt
-          is [min (backoff_base *. 2. ** n) backoff_cap], so every
-          sampled delay lies in [\[0, backoff_cap\]] regardless of the
-          attempt number (default 1.0; must be positive) *)
-  backoff_seed : int;
-      (** seed of the jitter generator ({!Dqep_util.Rng}); the same seed
-          reproduces the same backoff schedule (default [0x5eed]) *)
-  io_budget_factor : float option;
+  io_budget_factor : float;
       (** observed physical I/O may exceed the anticipated cost by this
-          factor before the attempt is aborted; [None] defers to
-          {!Dqep_cost.Env.io_budget_factor}, [Some 0.] disables the
-          guard *)
+          factor before the attempt is aborted (default 4.0,
+          {!Dqep_cost.Env.default_io_budget_factor}); [0.] disables the
+          guard.  This is the guard's only setting. *)
   max_failovers : int;
       (** bound on re-resolutions onto other alternatives (default 8) *)
   checkpoints : bool;
@@ -77,17 +65,14 @@ type config = {
           an optimizer dependency. *)
   risk : Dqep_cost.Risk.t;
       (** risk posture handed to every start-up re-resolution
-          ({!Dqep_plans.Startup.resolve}): how residual cost uncertainty
-          (e.g. a lowered interval memory grant after a memory abort) is
-          scalarized when picking among choose-plan alternatives.
-          Default [Expected] — the historical midpoint behaviour *)
+          ({!Dqep_plans.Startup.resolve}); default [Expected].  The
+          supervisor resolves under {!Dqep_cost.Env.of_bindings}, and a
+          lowered grant after a memory abort is a point too, so every
+          parameter is a point and no posture changes a decision. *)
 }
 
 val config :
   ?max_retries:int ->
-  ?backoff_base:float ->
-  ?backoff_cap:float ->
-  ?backoff_seed:int ->
   ?io_budget_factor:float ->
   ?max_failovers:int ->
   ?checkpoints:bool ->
@@ -99,13 +84,6 @@ val config :
   config
 
 val default : config
-
-val backoff_delay : config -> Dqep_util.Rng.t -> attempt:int -> float
-(** The modeled full-jitter delay drawn before retry [attempt]: uniform
-    over [\[0, min (backoff_base *. 2. ** attempt) backoff_cap)].
-    Exposed so property tests can pin the [\[0, backoff_cap\]] envelope
-    for every attempt number.
-    @raise Invalid_argument if [attempt < 0]. *)
 
 type failure =
   | Infeasible of Dqep_util.Diagnostic.t list
@@ -143,7 +121,6 @@ type stats = {
       (** attempts aborted by the governor's memory budget (each one
           lowers the grant and fails over) *)
   failovers : int;  (** re-resolutions onto another alternative *)
-  backoff_seconds : float;  (** total modeled backoff delay *)
   attempts : int;  (** executions started, including the successful one *)
   replans : int;  (** incremental re-optimizations after busted estimates *)
   checkpoints_taken : int;  (** intermediates materialized at blocking points *)
@@ -159,9 +136,10 @@ val run :
   Dqep_plans.Plan.t ->
   (Exec_common.tuple list * Executor.run_stats, failure) result * stats
 (** Supervised execution.  On success the embedded
-    {!Executor.run_stats} has its resilience counters filled in and its
-    I/O window covers the final (successful) attempt.  [stats] is
-    reported in both arms, so failed runs are observable too.
+    {!Executor.run_stats} describes the final (successful) attempt: its
+    I/O window, resolved plan and execution profile.  [stats] is
+    reported in both arms, so failed runs are observable too, and is the
+    only record of the supervisor's counts.
 
     [gov] (default {!Governor.none}) governs every attempt {e and} the
     failover observation: deadlines, cancellation, memory budgets and
@@ -175,7 +153,9 @@ val run :
     [Checkpoint_bytes], [Resume_hits]) land there, the buffer pool is
     teed into it for the whole supervised run, attempts, the failover
     observation and re-planning run inside "attempt"/"observe"/"replan"
-    spans, and [stats] is computed as a view over the trace's deltas.
+    spans, and [stats] is the trace's counter deltas from a
+    {!Dqep_obs.Trace.snapshot} taken as the run starts: this run's
+    counts, whatever the trace held before.
 
     One {!Checkpoint} registry spans the run.  With [config.checkpoints]
     on, every attempt materializes checkpoints at its blocking points;

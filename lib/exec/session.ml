@@ -40,7 +40,7 @@ let shed_counter = function
   | Queue_timeout -> Counter.Shed_queue_timeout
 
 type outcome =
-  | Completed of Exec_common.tuple list * Executor.run_stats
+  | Completed of Exec_common.tuple list * Executor.run_stats * Resilience.stats
   | Failed of Resilience.failure
   | Shed of shed_reason
 
@@ -298,7 +298,7 @@ let submit t ?(gov = Governor.none) ?obs ?resilience
         Failed (Resilience.Rejected diags)
       | None ->
       match Resilience.run ~config:rconfig ~gov ~obs:rt db bindings plan with
-      | Ok (tuples, stats), _ -> Completed (tuples, stats)
+      | Ok (tuples, run), stats -> Completed (tuples, run, stats)
       | Error failure, _ -> Failed failure
       | exception e ->
         (* Resilience.run types every expected error; anything else is a

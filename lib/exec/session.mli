@@ -20,7 +20,9 @@ type shed_reason =
 val shed_reason_name : shed_reason -> string
 
 type outcome =
-  | Completed of Exec_common.tuple list * Executor.run_stats
+  | Completed of Exec_common.tuple list * Executor.run_stats * Resilience.stats
+      (** the rows, what the successful attempt executed, and the
+          supervisor's counts for the whole run *)
   | Failed of Resilience.failure
       (** every in-flight error, including governor violations, as the
           supervisor's typed failure *)

@@ -24,7 +24,6 @@
 module Governor = Dqep_exec.Governor
 module Session = Dqep_exec.Session
 module Resilience = Dqep_exec.Resilience
-module Executor = Dqep_exec.Executor
 module Plangen = Dqep_workload.Plangen
 module Optimizer = Dqep_optimizer.Optimizer
 module Reoptimize = Dqep_optimizer.Reoptimize
@@ -155,12 +154,11 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
         | Ok (rt, _) -> Some (Reoptimize.replan rt)
         | Error _ -> None
       in
-      Resilience.config ~backoff_seed:(seed + job)
-        ~checkpoints:true
+      Resilience.config ~checkpoints:true
         ~checkpoint_tolerance:(if scenario = Busted then 1.5 else 4.0)
         ~max_replans:2 ?replan ()
     | Clean | Deadline | Cancel | Memory | Faulty ->
-      Resilience.config ~backoff_seed:(seed + job) ()
+      Resilience.default
   in
   let outcome =
     try Ok (Session.submit session ~gov ~resilience db bindings plan)
@@ -269,14 +267,14 @@ let run ?(workers = 4) ?(jobs = 32) ?(seed = 1) ?(max_inflight = 3)
     failovers =
       List.fold_left
         (fun acc -> function
-          | _, Ok (Session.Completed (_, stats)), _, _ ->
-            acc + stats.Executor.failovers
+          | _, Ok (Session.Completed (_, _, stats)), _, _ ->
+            acc + stats.Resilience.failovers
           | _ -> acc)
         0 results;
     memory_aborts_recovered =
       count (function
-        | Memory, Ok (Session.Completed (_, stats)), _, _ ->
-          stats.Executor.failovers > 0
+        | Memory, Ok (Session.Completed (_, _, stats)), _, _ ->
+          stats.Resilience.failovers > 0
         | _ -> false);
     estimate_busted =
       count (function
@@ -285,14 +283,14 @@ let run ?(workers = 4) ?(jobs = 32) ?(seed = 1) ?(max_inflight = 3)
     replans =
       List.fold_left
         (fun acc -> function
-          | _, Ok (Session.Completed (_, stats)), _, _ ->
-            acc + stats.Executor.replans
+          | _, Ok (Session.Completed (_, _, stats)), _, _ ->
+            acc + stats.Resilience.replans
           | _ -> acc)
         0 results;
     replans_recovered =
       count (function
-        | Busted, Ok (Session.Completed (_, stats)), _, _ ->
-          stats.Executor.replans > 0
+        | Busted, Ok (Session.Completed (_, _, stats)), _, _ ->
+          stats.Resilience.replans > 0
         | _ -> false);
     leaks = List.filter_map (fun (_, _, leak, _) -> leak) results;
     checkpoint_leaks =
@@ -483,8 +481,8 @@ let serve_soak ?(clients = 4) ?(requests = 256) ?(seed = 1)
            ~memory_pool_bytes:(1 lsl 20) ~precheck:false ())
       ~breaker:(Breaker.config ~failure_threshold:3 ~cooldown:30. ())
       ~resilience:
-        (Resilience.config ~backoff_seed:seed ~checkpoints:true
-           ~max_retries:1 ~max_failovers:2 ())
+        (Resilience.config ~checkpoints:true ~max_retries:1 ~max_failovers:2
+           ())
       ()
   in
   let server = Server.create ~config ~acquire ~release catalog in

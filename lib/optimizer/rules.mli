@@ -13,9 +13,6 @@ type rule = {
           effect *)
 }
 
-val join_commutativity : rule
-val join_associativity : rule
-
 val explore : ?rules:rule list -> Memo.t -> int -> unit
 (** Apply the rules to a group (recursively exploring children) until no
     rule produces a new expression.  Idempotent. *)

@@ -81,6 +81,8 @@ let param_names ast =
     (fun i _ -> Printf.sprintf "p%d" (i + 1))
     (normalize ast).Sql.selections
 
+let max_memory_pages = 65_536
+
 let bind_selections catalog selections ~bindings ~memory_pages =
   let exception Bind_error of string in
   let fail fmt = Printf.ksprintf (fun s -> raise (Bind_error s)) fmt in
@@ -113,6 +115,8 @@ let bind_selections catalog selections ~bindings ~memory_pages =
         selections
     in
     if memory_pages < 1 then fail "memory grant %d < 1 page" memory_pages;
+    if memory_pages > max_memory_pages then
+      fail "memory grant %d > %d pages" memory_pages max_memory_pages;
     Ok (Bindings.make ~selectivities ~memory_pages)
   with Bind_error e -> Error e
 

@@ -42,6 +42,12 @@ val key : Dqep_sql.Sql.ast -> string
 val param_names : Dqep_sql.Sql.ast -> string list
 (** [p1..pn], one per selection of the normalized shape. *)
 
+val max_memory_pages : int
+(** 65 536: the largest memory grant {!bind} accepts.  A grant sizes the
+    executing buffer pool's frame array, so an unbounded one lets a
+    single request line allocate without limit (4 million pages took
+    about 100 MB).  The benchmarks' served grants are 8 to 64 pages. *)
+
 val bind :
   Dqep_catalog.Catalog.t ->
   Dqep_sql.Sql.ast ->
@@ -51,7 +57,8 @@ val bind :
 (** Point bindings for the shape's parameters, recovered from the
     request's own AST in canonical order: a literal becomes
     [lit / domain_size] (checked against the catalog), a host variable
-    takes the client's binding (required, in [\[0, 1\]]). *)
+    takes the client's binding (required, in [\[0, 1\]]).  A
+    [memory_pages] outside [\[1, max_memory_pages\]] is an error. *)
 
 type statement = {
   key : string;  (** {!key} of the statement *)

@@ -29,7 +29,9 @@
 type run = {
   id : int option;  (** echoed in the response *)
   bindings : (string * float) list;  (** host variable -> selectivity *)
-  memory_pages : int option;  (** start-up memory grant *)
+  memory_pages : int option;
+      (** start-up memory grant; the server refuses one above
+          [Plan_cache.max_memory_pages] *)
   deadline_ms : float option;
       (** wall-clock budget, queueing included; a negative or NaN value
           is a malformed field *)

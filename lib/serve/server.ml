@@ -377,7 +377,7 @@ let handle_run t (run : Protocol.run) =
                trip towards the breaker and report it typed anyway. *)
             Breaker.failure breaker;
             err t ~id ~class_:"internal" detail
-          | Ok (Session.Completed (tuples, stats)) ->
+          | Ok (Session.Completed (tuples, _, stats)) ->
             Breaker.success breaker;
             (* Deposit the realized parameter selectivities into the
                shape's eviction-surviving feedback: each bound parameter
@@ -387,7 +387,7 @@ let handle_run t (run : Protocol.run) =
             List.iter
               (fun (p, s) -> Feedback.observe_selectivity shape_fb p s)
               bindings.Bindings.selectivities;
-            if stats.Executor.replans > 0 then note_replan t ~key;
+            if stats.Resilience.replans > 0 then note_replan t ~key;
             let ms = (t.cfg.clock () -. t0) *. 1000. in
             record_latency t ~cached ms;
             Protocol.Ok_reply

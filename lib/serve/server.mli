@@ -14,7 +14,9 @@
     deadline is granted {e before} admission, so its budget covers
     queue wait and surfaces as a typed [deadline_exceeded]; in-flight
     faults ride the {!Dqep_exec.Resilience} supervisor with the
-    request's (clamped) retry budget and capped full-jitter backoff.
+    request's (clamped) retry budget.  A [memory=] grant above
+    {!Plan_cache.max_memory_pages} is refused as a [bind] error before
+    anything runs.
     Every request ends in exactly one typed response line.
 
     Databases are borrowed per request from the caller-supplied

@@ -68,7 +68,10 @@ let tokenize input =
         while !j < n && input.[!j] >= '0' && input.[!j] <= '9' do
           incr j
         done;
-        go !j (Int (int_of_string (String.sub input i (!j - i))) :: acc)
+        let digits = String.sub input i (!j - i) in
+        (match int_of_string_opt digits with
+        | Some v -> go !j (Int v :: acc)
+        | None -> fail "character %d: integer %s out of range" i digits)
       | c when is_ident_char c ->
         let j = ref i in
         while !j < n && is_ident_char input.[!j] do

@@ -111,11 +111,6 @@ type code =
 val id : code -> string
 (** Stable identifier, e.g. ["DQEP203"]. *)
 
-val slug : code -> string
-(** Short kebab-case name, e.g. ["cost-interval-inverted"]. *)
-
-val default_severity : code -> severity
-
 val is_feasibility : code -> bool
 (** Whether the code belongs to the feasibility subset (missing catalog
     objects) that activation-time pruning of choose-plan alternatives can
@@ -129,14 +124,14 @@ type t = {
 }
 
 val make : ?severity:severity -> site:site -> code -> string -> t
-(** [severity] defaults to {!default_severity} of the code. *)
+(** [severity] defaults to the code's own: the codes documented as
+    warnings above are [Warning], every other code is [Error]. *)
 
 val is_error : t -> bool
 val errors : t list -> t list
 val has_errors : t list -> bool
 
 val severity_string : severity -> string
-val pp_site : Format.formatter -> site -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val pp_list : Format.formatter -> t list -> unit

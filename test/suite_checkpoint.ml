@@ -86,8 +86,6 @@ let test_busted_estimate_replans_incrementally () =
   | Ok (tuples, stats), rstats ->
     Alcotest.(check bool) "at least one replan" true
       (rstats.D.Resilience.replans >= 1);
-    Alcotest.(check int) "replans surface in run stats"
-      rstats.D.Resilience.replans stats.D.Executor.replans;
     Alcotest.(check bool) "checkpoints were taken" true
       (rstats.D.Resilience.checkpoints_taken >= 1);
     (match D.Reoptimize.last_stats rt with
@@ -138,9 +136,9 @@ let test_checkpoints_off_by_default () =
   let db = D.Database.build ~skew:3.0 ~seed:11 q.D.Queries.catalog in
   let b = bindings_for q 0.3 64 in
   match D.Resilience.run db b r.D.Optimizer.plan with
-  | Ok (_, stats), rstats ->
+  | Ok _, rstats ->
     Alcotest.(check int) "no checkpoints" 0 rstats.D.Resilience.checkpoints_taken;
-    Alcotest.(check int) "no replans" 0 stats.D.Executor.replans
+    Alcotest.(check int) "no replans" 0 rstats.D.Resilience.replans
   | Error f, _ -> Alcotest.failf "failed: %a" D.Resilience.pp_failure f
 
 (* --- incremental re-entry mechanics ------------------------------------- *)

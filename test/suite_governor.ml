@@ -260,13 +260,11 @@ let test_memory_violation_fails_over_to_low_memory_alternative () =
   | Error f, _ ->
     Alcotest.failf "no low-memory alternative survived: %a"
       D.Resilience.pp_failure f
-  | Ok (tuples, stats), rstats ->
+  | Ok (tuples, _), rstats ->
     Alcotest.(check bool) "memory aborts happened" true
       (rstats.D.Resilience.memory_aborts >= 1);
     Alcotest.(check bool) "failed over at least once" true
       (rstats.D.Resilience.failovers >= 1);
-    Alcotest.(check int) "failover visible in run stats"
-      rstats.D.Resilience.failovers stats.D.Executor.failovers;
     Alcotest.(check int) "same answer as the ungoverned run"
       (List.length expected) (List.length tuples);
     Alcotest.(check int) "no pins leaked" 0

@@ -54,10 +54,7 @@ let test_fault_free_transparency () =
     Alcotest.(check int) "no faults" 0 rstats.D.Resilience.faults_absorbed;
     Alcotest.(check int) "no budget aborts" 0 rstats.D.Resilience.budget_aborts;
     Alcotest.(check int) "no failovers" 0 rstats.D.Resilience.failovers;
-    Alcotest.(check int) "one attempt" 1 rstats.D.Resilience.attempts;
-    Alcotest.(check int) "counters in run_stats" 0
-      (stats.D.Executor.retries + stats.D.Executor.faults_absorbed
-      + stats.D.Executor.budget_aborts + stats.D.Executor.failovers)
+    Alcotest.(check int) "one attempt" 1 rstats.D.Resilience.attempts
 
 let test_broken_index_fails_over_to_scan () =
   (* The acceptance demo: under a low selectivity the decision procedure
@@ -89,10 +86,6 @@ let test_broken_index_fails_over_to_scan () =
     Alcotest.(check int) "one failover" 1 rstats.D.Resilience.failovers;
     Alcotest.(check int) "retry budget spent first" 2 rstats.D.Resilience.retries;
     Alcotest.(check int) "faults absorbed" 3 rstats.D.Resilience.faults_absorbed;
-    Alcotest.(check bool) "modeled backoff accumulated" true
-      (rstats.D.Resilience.backoff_seconds > 0.);
-    Alcotest.(check int) "failover visible in run stats" 1
-      stats.D.Executor.failovers;
     (* The supervisor fell back exactly onto the alternative the decision
        procedure ranks next once the failed one is excluded. *)
     let fallback =
@@ -140,9 +133,7 @@ let test_seeded_schedule_is_deterministic () =
     install db fault_config;
     let result, rstats = D.Resilience.run db b plan in
     let outcome =
-      match result with
-      | Ok (tuples, stats) -> Some (tuples, stats.D.Executor.failovers)
-      | Error _ -> None
+      match result with Ok (tuples, _) -> Some tuples | Error _ -> None
     in
     (outcome, rstats)
   in
@@ -320,11 +311,11 @@ let test_mid_file_page_fault_is_typed_and_terminates () =
         D.Resilience.run db b plan)
   in
   (match result with
-  | Ok (_, stats) ->
+  | Ok _ ->
     (* Acceptable only if the supervisor actually routed around the
        fault via another alternative. *)
     Alcotest.(check bool) "success implies failover" true
-      (stats.D.Executor.failovers >= 1)
+      (rstats.D.Resilience.failovers >= 1)
   | Error (D.Resilience.Exhausted { last_error; excluded }) ->
     Alcotest.(check bool) "alternatives were excluded along the way" true
       (excluded <> []);
@@ -344,30 +335,51 @@ let test_mid_file_page_fault_is_typed_and_terminates () =
     rstats.D.Resilience.retries;
   set_faults db None
 
-(* The full-jitter backoff envelope: whatever the seed, attempt number
-   and exponential growth, every sampled delay stays inside
-   [0, min (base * 2^attempt, cap)] — the cap bounds worst-case added
-   latency for deadline math. *)
-let prop_backoff_within_cap =
-  QCheck.Test.make ~name:"backoff delay within [0, cap] for all attempts"
-    ~count:300
-    (QCheck.make
-       QCheck.Gen.(
-         tup4 (int_range 0 100000)
-           (float_range 1e-6 2.)
-           (float_range 1e-6 5.)
-           (int_range 0 80)))
-    (fun (seed, base, cap, attempts) ->
-      let config =
-        D.Resilience.config ~backoff_base:base ~backoff_cap:cap ()
-      in
-      let rng = D.Rng.create seed in
-      List.for_all
-        (fun attempt ->
-          let d = D.Resilience.backoff_delay config rng ~attempt in
-          d >= 0. && d <= cap
-          && d <= base *. (2. ** float_of_int attempt))
-        (List.init (attempts + 1) Fun.id))
+(* [stats] is this run's counts, not the trace's totals: two runs on one
+   caller-supplied trace, each over broken B-tree pages that force two
+   retries and a failover, report the same counts, and the second run's
+   equal its own deltas on the trace. *)
+let test_stats_are_this_runs_deltas () =
+  let module Trace = D.Obs.Trace in
+  let module Counter = D.Obs.Counter in
+  let plan = dynamic_plan q1 in
+  let b = bindings1 0.02 in
+  let obs = Trace.create () in
+  let faulted_run () =
+    let db = D.Database.build ~seed:11 q1.D.Queries.catalog in
+    let broken =
+      List.map (fun id -> (id, D.Fault.Transient)) (Test_util.btree_page_ids db)
+    in
+    drain_pool db;
+    install db (D.Fault.config ~broken_pages:broken ~seed:1 ());
+    let before = Trace.snapshot obs in
+    match D.Resilience.run ~obs db b plan with
+    | Error f, _ ->
+      Alcotest.failf "no alternative survived: %a" D.Resilience.pp_failure f
+    | Ok _, rstats ->
+      let delta c = Trace.get obs c - before.(Counter.index c) in
+      (rstats, delta)
+  in
+  let first, _ = faulted_run () in
+  Alcotest.(check int) "first run retried" 2 first.D.Resilience.retries;
+  Alcotest.(check int) "first run failed over" 1 first.D.Resilience.failovers;
+  let second, delta = faulted_run () in
+  Alcotest.(check bool) "second run reports the same counts" true
+    (first = second);
+  List.iter
+    (fun (c, n) ->
+      Alcotest.(check int) ("own delta: " ^ Counter.name c) (delta c) n)
+    [ (Counter.Retries, second.D.Resilience.retries);
+      (Counter.Faults_absorbed, second.D.Resilience.faults_absorbed);
+      (Counter.Budget_aborts, second.D.Resilience.budget_aborts);
+      (Counter.Memory_aborts, second.D.Resilience.memory_aborts);
+      (Counter.Failovers, second.D.Resilience.failovers);
+      (Counter.Attempts, second.D.Resilience.attempts);
+      (Counter.Replans, second.D.Resilience.replans);
+      (Counter.Checkpoints_taken, second.D.Resilience.checkpoints_taken);
+      (Counter.Resume_hits, second.D.Resilience.resume_hits) ];
+  Alcotest.(check int) "the trace holds both runs" 4
+    (Trace.get obs Counter.Retries)
 
 (* [run_stats.choose_nodes] counts the executed plan's choose-plan
    operators — now read off the start-up program rather than a walk of
@@ -403,8 +415,10 @@ let test_run_stats_count_choose_nodes () =
 
 let suite =
   ( "resilience",
-    [ QCheck_alcotest.to_alcotest prop_backoff_within_cap; Alcotest.test_case "fault-free supervision is transparent" `Quick
+    [ Alcotest.test_case "fault-free supervision is transparent" `Quick
         test_fault_free_transparency;
+      Alcotest.test_case "stats are this run's deltas" `Quick
+        test_stats_are_this_runs_deltas;
       Alcotest.test_case "run stats count choose nodes" `Quick
         test_run_stats_count_choose_nodes;
       Alcotest.test_case "broken index fails over to scan" `Quick

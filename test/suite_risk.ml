@@ -6,8 +6,10 @@
      seed-locked digests in [Fixture_worstcase] bit-for-bit, and so do
      the [Expected] and [Quantile 0.9] plans;
    - ranked postures only change WHICH plans are kept, never what they
-     compute: plans optimized and resolved under every posture execute
-     multiset-equal to the naive reference evaluator;
+     compute: plans optimized under every posture execute multiset-equal
+     to the naive reference evaluator;
+   - at run time a posture changes nothing: with every parameter bound
+     to a point, start-up resolution picks the same plan under each;
    - the expected-cost posture earns its keep: across the corpus it
      emits strictly fewer choose-plan alternatives than interval search
      while never emitting more on any single instance. *)
@@ -126,7 +128,7 @@ let test_differential_all_postures () =
           optimize_exn ~options:(with_risk risk)
             ~mode:(D.Optimizer.dynamic ()) q
         in
-        let tuples, stats = D.Executor.run db ~risk b r.D.Optimizer.plan in
+        let tuples, stats = D.Executor.run db b r.D.Optimizer.plan in
         let schema =
           D.Plan.schema q.D.Queries.catalog stats.D.Executor.resolved_plan
         in
@@ -196,6 +198,51 @@ let test_resolution_respects_posture () =
   Alcotest.(check bool) "optimist <= expected" true (optimist <= expected);
   Alcotest.(check bool) "expected <= worst" true (expected <= worst)
 
+(* --- at run time, every posture picks the same plan ------------------------ *)
+
+let resolution_postures =
+  [ D.Risk.Worst_case; D.Risk.Expected; D.Risk.Quantile 0.9;
+    D.Risk.Quantile 0.1 ]
+
+(* Under [Env.of_bindings] every cost is a point, so no posture can rank
+   two alternatives differently; the same holds after the supervisor
+   lowers the grant to another point.  This is why the executor and the
+   supervisor's resolutions need no posture of their own. *)
+let prop_postures_agree_at_run_time =
+  QCheck.Test.make ~name:"run-time resolution ignores the posture" ~count:100
+    (QCheck.make
+       ~print:(fun (seed, b, mem, um) ->
+         Printf.sprintf "plangen seed %d, bindings %d, lowered %d, mem %b"
+           seed b mem um)
+       QCheck.Gen.(
+         quad (int_range 1 200) (int_range 1 1000) (int_range 2 63) bool))
+    (fun (seed, bseed, lowered, uncertain_memory) ->
+      let inst = D.Plangen.generate ~seed in
+      let plan =
+        (optimize_exn
+           ~mode:(D.Optimizer.dynamic ~uncertain_memory ())
+           (queries_of_instance inst))
+          .D.Optimizer.plan
+      in
+      let env =
+        D.Env.of_bindings inst.D.Plangen.catalog
+          (D.Plangen.bindings inst ~seed:bseed)
+      in
+      let lowered =
+        D.Env.with_memory_pages env (D.Interval.point (float_of_int lowered))
+      in
+      let outcome env risk =
+        let r = D.Startup.resolve ~risk env plan in
+        ( D.Access_module.encode r.D.Startup.plan,
+          r.D.Startup.choices,
+          Int64.bits_of_float r.D.Startup.anticipated_cost )
+      in
+      List.for_all
+        (fun env ->
+          let base = outcome env D.Risk.Expected in
+          List.for_all (fun risk -> outcome env risk = base) resolution_postures)
+        [ env; lowered ])
+
 let suite =
   ( "risk",
     [ Alcotest.test_case "worst-case fixture: 120 plangen plans" `Slow
@@ -218,6 +265,7 @@ let suite =
         test_expected_emits_fewer_chooses;
       Alcotest.test_case "resolution respects the posture" `Quick
         test_resolution_respects_posture;
+      QCheck_alcotest.to_alcotest prop_postures_agree_at_run_time;
       Alcotest.test_case "worst-case fixture: pruned search" `Slow
         (check_fixture_plangen
            ~options:{ D.Optimizer.default_options with D.Optimizer.prune = true }

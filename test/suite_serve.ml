@@ -680,6 +680,33 @@ let test_overload_sheds_typed () =
 
 (* --- server: request-side error classes ----------------------------------- *)
 
+(* A memory grant sizes the executing pool's frame array, so grants
+   outside [1, max_memory_pages] are refused before anything runs. *)
+let test_memory_grant_bounded () =
+  let catalog = D.Paper_catalog.make ~relations:1 in
+  let ast = parse_exn "SELECT * FROM R1" in
+  let bind memory_pages =
+    Result.is_ok (S.Plan_cache.bind catalog ast ~bindings:[] ~memory_pages)
+  in
+  Alcotest.(check bool) "the ceiling is accepted" true
+    (bind S.Plan_cache.max_memory_pages);
+  Alcotest.(check bool) "one page more is refused" false
+    (bind (S.Plan_cache.max_memory_pages + 1));
+  Alcotest.(check bool) "zero pages are refused" false (bind 0);
+  let server = make_server catalog in
+  List.iter
+    (fun memory ->
+      match
+        P.parse_response
+          (S.Server.handle_line server
+             (Printf.sprintf "RUN memory=%d sql=SELECT * FROM R1" memory))
+      with
+      | Ok (P.Error_reply { class_; _ }) ->
+        Alcotest.(check string) (Printf.sprintf "memory=%d" memory) "bind" class_
+      | Ok r -> Alcotest.failf "memory=%d answered %s" memory (P.render_response r)
+      | Error e -> Alcotest.failf "unparseable response: %s" e)
+    [ 0; S.Plan_cache.max_memory_pages + 1; 4_000_000; max_int ]
+
 let test_request_error_classes () =
   let server = make_server (D.Paper_catalog.make ~relations:2) in
   let class_of line =
@@ -1034,17 +1061,20 @@ let prop_memo_bounded_by_cache =
 
 (* --- parsers and the one-reply contract under fuzz ----------------------- *)
 
-(* A valid RUN line (no memory= field: a client's memory grant sizes the
-   buffer pool, so a fuzzed digit there only measures the allocator). *)
+(* A valid RUN line.  Its memory= field is small or arbitrary: the
+   server refuses a grant above [Plan_cache.max_memory_pages] before it
+   sizes a buffer pool. *)
 let valid_line_gen =
   let open QCheck.Gen in
   let* st = statement_gen in
   let* id = int_range 0 999 in
+  let* memory_pages = opt (oneof [ int_range 1 128; int_range 1 max_int ]) in
   let* deadline_ms = opt (float_range 1. 500.) in
   let* retries = opt (int_range 0 9) in
   let* risk = opt (oneofl [ D.Risk.Expected; D.Risk.Worst_case; D.Risk.Quantile 0.9 ]) in
   let bindings = List.map (fun h -> (h, 0.02)) st.hvs in
-  return (run_line ~id ?deadline_ms ?retries ?risk st.sql bindings)
+  return
+    (run_line ~id ?deadline_ms ?retries ?risk ?memory_pages st.sql bindings)
 
 (* One to three byte edits: delete, insert, replace, truncate, or a
    minus sign after an '=' (a negative field value). *)
@@ -1129,6 +1159,8 @@ let suite =
         test_replan_storm_evicts;
       Alcotest.test_case "cache hit skips the optimizer" `Quick
         test_cache_hit_skips_optimizer;
+      Alcotest.test_case "memory grant is bounded" `Quick
+        test_memory_grant_bounded;
       Alcotest.test_case "latency percentiles keep a bounded window" `Quick
         test_latency_window;
       Alcotest.test_case "catalog drift invalidates cached plans" `Quick

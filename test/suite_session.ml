@@ -37,7 +37,7 @@ let test_config_validation () =
 let test_single_submission_completes () =
   let session = D.Session.create () in
   (match submit_one session with
-  | D.Session.Completed (tuples, _) ->
+  | D.Session.Completed (tuples, _, _) ->
     Alcotest.(check bool) "produced rows" true (List.length tuples > 0)
   | D.Session.Failed f ->
     Alcotest.failf "unexpected failure: %a" D.Resilience.pp_failure f
@@ -255,7 +255,7 @@ let test_counters_fold_run_deltas () =
   (* Its own trace: the session trace gains every count of the run. *)
   let rows =
     match submit_one session with
-    | D.Session.Completed (tuples, _) -> List.length tuples
+    | D.Session.Completed (tuples, _, _) -> List.length tuples
     | _ -> Alcotest.fail "first run did not complete"
   in
   Alcotest.(check bool) "the run produced rows" true (rows > 0);
@@ -268,7 +268,7 @@ let test_counters_fold_run_deltas () =
   let since = Trace.snapshot obs in
   let db = D.Database.build ~seed:11 q2.D.Queries.catalog in
   (match D.Session.submit session ~obs db bindings2 (Lazy.force plan2) with
-  | D.Session.Completed (tuples, _) ->
+  | D.Session.Completed (tuples, _, _) ->
     Alcotest.(check int) "the same rows" rows (List.length tuples)
   | _ -> Alcotest.fail "second run did not complete");
   let after = Trace.snapshot obs in

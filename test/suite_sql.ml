@@ -94,6 +94,7 @@ let test_errors () =
   expect_error "SELECT * FROM R1, R1 WHERE R1.a <= 1" "twice";
   expect_error "SELECT * FROM R1 WHERE R2.a <= 1" "not in FROM";
   expect_error "SELECT * FROM R1 WHERE R1.a <= 99999" "outside the domain";
+  expect_error "SELECT * FROM R1 WHERE R1.a <= 99999999999999999999" "out of range";
   expect_error "SELECT * FROM R1 WHERE R1.a <= 1 nonsense" "trailing"
 
 let test_end_to_end_execution () =
