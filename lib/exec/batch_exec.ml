@@ -16,8 +16,9 @@
      (Grace hash partitioning, external sort runs).
 
    The engine is sequential: a plan runs on the thread that drains it.
-   Concurrent queries (session submitter domains) share the buffer pool
-   through its own shard locks and the governor through its atomics.
+   A database serves one run at a time, so concurrent queries (session
+   submitter domains) each run against their own database and share
+   only the governor, through its atomics.
 
    Re-open contract: [open_] must fully rewind the operator — discard any
    buffered output from a previous consumption and reset every position —

@@ -7,10 +7,10 @@
 
    Concurrency model: session state is guarded by one mutex + condition;
    submitters on any number of domains take a ticket, wait FIFO for a
-   slot, run, release.  Storage is NOT shared — each submitter executes
-   against its own Database (the executor is not thread-safe across
-   concurrent executions); the session governs only admission and the
-   global memory pool, which are domain-safe by construction.
+   slot, run, release.  Storage is NOT shared — a database serves one
+   run at a time, so each submitter executes against its own Database;
+   the session governs only admission and the global memory pool, which
+   are domain-safe by construction.
 
    Waiters are only re-examined on wakeups (OCaml's Condition has no
    timed wait), so queue-deadline shedding is observed when a completion
@@ -49,7 +49,6 @@ type config = {
   max_queue : int;
   queue_deadline : float option;
   memory_pool_bytes : int option;
-  resilience : Resilience.config;
   precheck : bool;
 }
 
@@ -59,7 +58,7 @@ let default_max_inflight () =
   | Some _ | None -> 4
 
 let config ?max_inflight ?(max_queue = 16) ?queue_deadline ?memory_pool_bytes
-    ?(resilience = Resilience.default) ?(precheck = true) () =
+    ?(precheck = true) () =
   let max_inflight =
     match max_inflight with Some n -> n | None -> default_max_inflight ()
   in
@@ -71,8 +70,7 @@ let config ?max_inflight ?(max_queue = 16) ?queue_deadline ?memory_pool_bytes
   (match memory_pool_bytes with
   | Some b when b <= 0 -> invalid_arg "Session.config: memory_pool_bytes <= 0"
   | Some _ | None -> ());
-  { max_inflight; max_queue; queue_deadline; memory_pool_bytes; resilience;
-    precheck }
+  { max_inflight; max_queue; queue_deadline; memory_pool_bytes; precheck }
 
 type stats = {
   submitted : int;
@@ -245,7 +243,7 @@ let record_feedback t (bindings : Bindings.t) =
     (fun (var, v) -> Feedback.observe_selectivity t.feedback var v)
     bindings.Bindings.selectivities
 
-let submit t ?(gov = Governor.none) ?obs ?resilience
+let submit t ?(gov = Governor.none) ?obs ?(resilience = Resilience.default)
     ?(clock = Unix.gettimeofday) db bindings plan =
   match admit t ~clock with
   | Error reason -> Shed reason
@@ -253,7 +251,6 @@ let submit t ?(gov = Governor.none) ?obs ?resilience
     let gov =
       match t.pool with Some p -> Governor.with_pool gov p | None -> gov
     in
-    let rconfig = Option.value resilience ~default:t.cfg.resilience in
     (* Static admission precheck: a plan whose guaranteed working set
        cannot fit the memory budget would burn its slot only to abort
        with Memory_exceeded; reject it at the door with a diagnostic
@@ -297,7 +294,7 @@ let submit t ?(gov = Governor.none) ?obs ?resilience
         Trace.incr t.obs Counter.Rejected_precheck;
         Failed (Resilience.Rejected diags)
       | None ->
-      match Resilience.run ~config:rconfig ~gov ~obs:rt db bindings plan with
+      match Resilience.run ~config:resilience ~gov ~obs:rt db bindings plan with
       | Ok (tuples, run), stats -> Completed (tuples, run, stats)
       | Error failure, _ -> Failed failure
       | exception e ->

@@ -7,11 +7,12 @@
     {!Governor.pool} attached to every admitted query's governor).
 
     The session's own state is domain-safe; the {e storage} underneath
-    is not shared — each submitter runs against its own
-    {!Dqep_storage.Database}.  Queue-deadline shedding is observed on
-    wakeups (completions and other sheds broadcast), so a session whose
-    queries carry no deadlines of their own should bound the queue with
-    [max_queue] rather than rely on [queue_deadline] alone. *)
+    is not shared — a database serves one run at a time, so each
+    submitter runs against its own {!Dqep_storage.Database}.
+    Queue-deadline shedding is observed on wakeups (completions and
+    other sheds broadcast), so a session whose queries carry no
+    deadlines of their own should bound the queue with [max_queue]
+    rather than rely on [queue_deadline] alone. *)
 
 type shed_reason =
   | Queue_full  (** the bounded wait queue was full at submission *)
@@ -42,8 +43,6 @@ type config = {
       (** capacity of the session's shared memory pool; admitted
           queries' charges count against it in addition to their own
           budgets (default none) *)
-  resilience : Resilience.config;
-      (** supervisor configuration for every admitted query *)
   precheck : bool;
       (** statically reject admitted plans whose guaranteed working set
           ({!Dqep_analysis.Absint.guaranteed_bytes}) cannot fit the
@@ -57,7 +56,6 @@ val config :
   ?max_queue:int ->
   ?queue_deadline:float ->
   ?memory_pool_bytes:int ->
-  ?resilience:Resilience.config ->
   ?precheck:bool ->
   unit ->
   config
@@ -102,11 +100,11 @@ val submit :
     outcome.  [gov] carries the query's own deadline/budgets and remains
     cancellable by the caller while the query is queued or running
     (a cancellation queued before admission surfaces as
-    [Failed (Cancelled _)] on the first check).  [resilience] overrides
-    the session's supervisor configuration for this one submission (the
-    chaos harness mixes checkpoint and replan settings per query this
-    way).  [clock] is the
-    queue clock, injectable for tests.
+    [Failed (Cancelled _)] on the first check).  [resilience] is this
+    submission's supervisor configuration (default
+    {!Resilience.default}): the server passes its own, and the chaos
+    harness mixes checkpoint and replan settings per query.  [clock] is
+    the queue clock, injectable for tests.
 
     [obs] is this submission's run trace (a private trace without
     operator taps when omitted): the supervisor records through it, and

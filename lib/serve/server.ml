@@ -16,10 +16,11 @@
      -> classify the typed outcome, feed the breaker and the cache's
         invalidation hooks, record latency.
 
-   Storage is NOT thread-safe across concurrent executions, so the
-   server never shares a Database between in-flight requests: each
-   request borrows one from the caller-supplied acquire/release pair
-   ({!db_pool} is the default implementation).  The pair is keyed by
+   A database serves one run at a time (a run resizes its buffer pool,
+   arms the pool's I/O limit and tees the pool's counters into its own
+   trace), so the server never shares a Database between in-flight
+   requests: each request borrows one from the caller-supplied
+   acquire/release pair ({!db_pool} is the default implementation).  The pair is keyed by
    shape so harnesses can hand a poisoned (fault-injected) database to
    one shape while every other shape keeps serving healthy storage —
    exactly the isolation the breaker is meant to prove.

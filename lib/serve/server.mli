@@ -20,8 +20,8 @@
     Every request ends in exactly one typed response line.
 
     Databases are borrowed per request from the caller-supplied
-    [acquire]/[release] pair, keyed by shape (storage is not
-    thread-safe across concurrent executions); {!db_pool} is the stock
+    [acquire]/[release] pair, keyed by shape (a database serves one run
+    at a time; see {!Dqep_storage.Buffer_pool}); {!db_pool} is the stock
     implementation.  All entry points are thread-safe. *)
 
 type config = {

@@ -6,7 +6,7 @@ type frame = {
   mutable pins : int;
   mutable dirty : bool;
   mutable last_use : int;
-  mutable slot : int; (* index in [slots]; under the eviction mutex *)
+  mutable slot : int; (* index in [slots] *)
 }
 
 type stats = {
@@ -27,26 +27,21 @@ let () =
            limit observed)
     | _ -> None)
 
-(* Two locks, each owning one thing.  A page's frame (pins, dirty bit,
-   LRU stamp) lives in one of [shard_count] hashtables keyed by
-   [page_id mod shard_count], each behind its own mutex: a pin hit —
-   the hot path of every scan — [unpin] and [mark_dirty] take
-   only that one.  Residency belongs to the eviction mutex [emu]:
-   admission, eviction, the resident count, and [slots], a flat array
-   of the resident frames in which each frame records its index.
-   Tables change only under [emu] and their shard's mutex, so a holder
-   of [emu] may read any table.  Lock order is [emu], then shards
-   ascending.  A miss checks for room and admits its page in one hold
-   of [emu], so the pool never holds more than [capacity] pages.
+(* A database serves one run at a time, so the pool keeps one mutex and
+   holds it for the whole of every operation, a miss's disk read and
+   its eviction included; the mutex keeps the pool consistent if a
+   caller breaks that contract.  Every frame (pins, dirty bit, LRU
+   stamp) lives in one hashtable keyed by page id, and [slots] is a
+   flat array of the resident frames in which each frame records its
+   index, so removal is O(1).  A miss checks for room and admits its
+   page in one hold, so the pool never holds more than [capacity]
+   pages.
 
-   The policy is exact LRU over unpinned frames.  An atomic clock
-   stamps every use uniquely; eviction scans [slots] for the unpinned
-   frame with the smallest stamp without shard locks, then re-checks
-   pins and stamp under the victim's shard lock and scans again if
-   either changed.  Only [resize], [flush_all] and the snapshots take
-   every lock.  A [resize] that shrinks the pool far rebuilds [slots]
-   and the tables, so a bulk load through thousands of frames leaves
-   nothing that size behind.
+   The policy is exact LRU over unpinned frames: a counter stamps every
+   use uniquely, and eviction scans [slots] for the unpinned frame with
+   the smallest stamp.  A [resize] that shrinks the pool far rebuilds
+   [slots] and the table, so a bulk load through thousands of frames
+   leaves nothing that size behind.
 
    I/O accounting lives on an owned observation trace: the pool's
    counters are ordinary [Dqep_obs.Counter]s, and a per-run trace can be
@@ -54,23 +49,16 @@ let () =
    windowed before/after subtraction.  [base] implements [reset_stats]
    by snapshot, since traces are append-only. *)
 
-let shard_count = 16
-
-type shard = {
-  smu : Mutex.t;
-  mutable table : (int, frame) Hashtbl.t; (* replaced only under [with_all] *)
-}
-
 type t = {
   disk : Disk.t;
-  mutable capacity : int; (* written only under [with_all] *)
-  shards : shard array;
-  emu : Mutex.t;
-  mutable slots : frame array; (* resident frames in [0, count); under [emu] *)
-  mutable count : int; (* written only under [emu] *)
-  clock : int Atomic.t;
+  mu : Mutex.t;
+  mutable capacity : int;
+  mutable table : (int, frame) Hashtbl.t;
+  mutable slots : frame array; (* resident frames in [0, count) *)
+  mutable count : int;
+  mutable clock : int;
   obs : Trace.t;
-  obs_extra : Trace.t option Atomic.t;
+  mutable obs_extra : Trace.t option;
   mutable base : stats;
   mutable io_limit : int option;
 }
@@ -84,9 +72,9 @@ let zero_stats =
     write_faults = 0;
   }
 
-(* Initial bucket count of a shard table for [capacity] frames;
+(* Initial bucket count of the table for [capacity] frames;
    [Hashtbl.create] never allocates fewer than 16. *)
-let table_size capacity = Int.max 16 (2 * (1 + (capacity / shard_count)))
+let table_size capacity = Int.max 16 (2 * capacity)
 
 (* Fills the unused tail of [slots]; its stamp loses every comparison. *)
 let no_frame =
@@ -96,29 +84,26 @@ let no_frame =
 let create ?(frames = 64) disk =
   if frames <= 0 then invalid_arg "Buffer_pool.create: frames <= 0";
   { disk;
+    mu = Mutex.create ();
     capacity = frames;
-    shards =
-      Array.init shard_count (fun _ ->
-          { smu = Mutex.create (); table = Hashtbl.create (table_size frames) });
-    emu = Mutex.create ();
+    table = Hashtbl.create (table_size frames);
     slots = Array.make frames no_frame;
     count = 0;
-    clock = Atomic.make 0;
+    clock = 0;
     obs = Trace.create ();
-    obs_extra = Atomic.make None;
+    obs_extra = None;
     base = zero_stats;
     io_limit = None }
 
 let disk t = t.disk
 let frames t = t.capacity
 
-let obs t = t.obs
-let attach_obs t tr = Atomic.set t.obs_extra (Some tr)
-let detach_obs t = Atomic.set t.obs_extra None
+let attach_obs t tr = t.obs_extra <- Some tr
+let detach_obs t = t.obs_extra <- None
 
 let bump t c =
   Trace.incr t.obs c;
-  match Atomic.get t.obs_extra with Some tr -> Trace.incr tr c | None -> ()
+  match t.obs_extra with Some tr -> Trace.incr tr c | None -> ()
 
 let stats_of_trace tr =
   {
@@ -152,30 +137,15 @@ let check_io_limit t =
     if observed > limit then raise (Io_budget_exceeded { limit; observed })
   | None -> ()
 
-let tick t = Atomic.fetch_and_add t.clock 1 + 1
+(* Helpers up to [locked] require [mu]; the operations after it hold it. *)
 
-let shard_of t id = t.shards.(id mod shard_count)
-
-let with_shard t id f = Mutex.protect (shard_of t id).smu f
-
-let with_all t f =
-  Mutex.lock t.emu;
-  Array.iter (fun s -> Mutex.lock s.smu) t.shards;
-  let release () =
-    Array.iter (fun s -> Mutex.unlock s.smu) t.shards;
-    Mutex.unlock t.emu
-  in
-  match f () with
-  | x ->
-    release ();
-    x
-  | exception e ->
-    release ();
-    raise e
+let tick t =
+  t.clock <- t.clock + 1;
+  t.clock
 
 let resident_frames t = Array.to_list (Array.sub t.slots 0 t.count)
 
-(* Requires [emu].  The unpinned frame with the smallest stamp. *)
+(* The unpinned frame with the smallest stamp. *)
 let lru_victim t =
   let best = ref no_frame in
   for i = 0 to t.count - 1 do
@@ -192,13 +162,11 @@ let write t f =
      raise e);
   bump t Counter.Physical_writes
 
-(* Requires [emu] and the victim's shard lock.  A faulted write leaves
-   the frame resident and dirty: nothing was evicted, the retry sees a
-   consistent pool. *)
-let remove_locked t f =
-  let id = f.page.Page.id in
+(* A faulted write leaves the frame resident and dirty: nothing was
+   evicted, the retry sees a consistent pool. *)
+let remove t f =
   if f.dirty then write t f;
-  Hashtbl.remove (shard_of t id).table id;
+  Hashtbl.remove t.table f.page.Page.id;
   let last = t.slots.(t.count - 1) in
   t.slots.(f.slot) <- last;
   last.slot <- f.slot;
@@ -206,32 +174,31 @@ let remove_locked t f =
   t.count <- t.count - 1;
   if f.dirty then check_io_limit t
 
-(* Requires [emu] only.  Evicts until there is room for one more page. *)
+(* Evicts until there is room for one more page. *)
 let rec make_room t =
   if t.count >= t.capacity then begin
-    let f = lru_victim t in
-    let stamp = f.last_use in
-    with_shard t f.page.Page.id (fun () ->
-        if f.pins = 0 && f.last_use = stamp then remove_locked t f);
+    remove t (lru_victim t);
     make_room t
   end
 
-(* Requires [emu], room, and the shard lock of [page]. *)
-let admit_locked t page ~pins ~dirty =
+(* Requires room. *)
+let admit t page ~pins ~dirty =
   let f = { page; pins; dirty; last_use = tick t; slot = t.count } in
-  Hashtbl.add (shard_of t page.Page.id).table page.Page.id f;
+  Hashtbl.add t.table page.Page.id f;
   t.slots.(t.count) <- f;
   t.count <- t.count + 1;
   f
 
-let pinned_pages_locked t =
+let pinned t =
   List.filter_map
     (fun f -> if f.pins > 0 then Some (f.page.Page.id, f.pins) else None)
     (resident_frames t)
   |> List.sort compare
 
-let pinned_count t = with_all t (fun () -> List.length (pinned_pages_locked t))
-let pinned_pages t = with_all t (fun () -> pinned_pages_locked t)
+let locked t f = Mutex.protect t.mu f
+
+let pinned_count t = locked t (fun () -> List.length (pinned t))
+let pinned_pages t = locked t (fun () -> pinned t)
 
 let leak_check t =
   match pinned_pages t with
@@ -246,83 +213,63 @@ let leak_check t =
 
 let resize t capacity =
   if capacity <= 0 then invalid_arg "Buffer_pool.resize: capacity <= 0";
-  with_all t (fun () ->
-      if capacity < List.length (pinned_pages_locked t) then
+  locked t (fun () ->
+      if capacity < List.length (pinned t) then
         invalid_arg "Buffer_pool.resize: smaller than pinned pages";
       t.capacity <- capacity;
       while t.count > capacity do
-        remove_locked t (lru_victim t)
+        remove t (lru_victim t)
       done;
-      (* [slots] and the tables were last built for this capacity. *)
+      (* [slots] and the table were last built for this capacity. *)
       let sized = Array.length t.slots in
       if capacity > sized || table_size sized > 4 * table_size capacity then begin
         t.slots <-
           Array.init capacity (fun i -> if i < t.count then t.slots.(i) else no_frame);
         (* [Hashtbl.reset] only shrinks back to the creation size, so a
            table sized for a much larger pool is copied into a fresh one. *)
-        Array.iter
-          (fun s ->
-            let table = Hashtbl.create (table_size capacity) in
-            Hashtbl.iter (Hashtbl.add table) s.table;
-            s.table <- table)
-          t.shards
+        let table = Hashtbl.create (table_size capacity) in
+        Hashtbl.iter (Hashtbl.add table) t.table;
+        t.table <- table
       end)
 
 let pin t id =
-  bump t Counter.Logical_reads;
-  let hit =
-    with_shard t id (fun () ->
-        match Hashtbl.find_opt (shard_of t id).table id with
-        | Some f ->
-          f.pins <- f.pins + 1;
-          f.last_use <- tick t;
-          Some f.page
-        | None -> None)
-  in
-  match hit with
-  | Some page -> page
-  | None ->
-    (* Fault checks first: a failed read performs no I/O and leaves the
-       pool unchanged, so a supervisor can simply re-pin. *)
-    let page =
-      try Disk.read t.disk id
-      with Fault.Io_fault _ as e ->
-        bump t Counter.Read_faults;
-        raise e
-    in
-    Mutex.protect t.emu (fun () ->
-        let table = (shard_of t id).table in
-        if not (Hashtbl.mem table id) then make_room t;
+  locked t (fun () ->
+      bump t Counter.Logical_reads;
+      match Hashtbl.find_opt t.table id with
+      | Some f ->
+        f.pins <- f.pins + 1;
+        f.last_use <- tick t;
+        f.page
+      | None ->
+        (* Fault checks first: a failed read performs no I/O and leaves
+           the pool unchanged, so a supervisor can simply re-pin. *)
+        let page =
+          try Disk.read t.disk id
+          with Fault.Io_fault _ as e ->
+            bump t Counter.Read_faults;
+            raise e
+        in
+        make_room t;
         bump t Counter.Physical_reads;
-        with_shard t id (fun () ->
-            let f =
-              match Hashtbl.find_opt table id with
-              | Some f ->
-                (* Another domain raced the same miss and admitted the
-                   page first; both physical reads really happened and
-                   both are counted. *)
-                f.last_use <- tick t;
-                f
-              | None -> admit_locked t page ~pins:0 ~dirty:false
-            in
-            (* Pin only after the budget check: if the limit fires here,
-               the page is resident but unpinned, so an aborted run leaks
-               no pins. *)
-            check_io_limit t;
-            f.pins <- f.pins + 1;
-            f.page))
+        let f = admit t page ~pins:0 ~dirty:false in
+        (* Pin only after the budget check: if the limit fires here, the
+           page is resident but unpinned, so an aborted run leaks no
+           pins. *)
+        check_io_limit t;
+        f.pins <- 1;
+        page)
 
 let unpin t id =
-  with_shard t id (fun () ->
-      match Hashtbl.find_opt (shard_of t id).table id with
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table id with
       | None -> invalid_arg "Buffer_pool.unpin: page not resident"
       | Some f ->
         if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: page not pinned";
         f.pins <- f.pins - 1)
 
 let mark_dirty t id =
-  with_shard t id (fun () ->
-      match Hashtbl.find_opt (shard_of t id).table id with
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table id with
       | None -> invalid_arg "Buffer_pool.mark_dirty: page not resident"
       | Some f -> f.dirty <- true)
 
@@ -337,17 +284,16 @@ let with_page t id f =
     raise e
 
 let new_page t =
-  Mutex.protect t.emu (fun () ->
+  locked t (fun () ->
       make_room t;
       let page = Disk.allocate t.disk in
-      with_shard t page.Page.id (fun () ->
-          ignore (admit_locked t page ~pins:1 ~dirty:true));
+      ignore (admit t page ~pins:1 ~dirty:true);
       page)
 
 (* Writes in page-id order, so which pages a fault or an exhausted
    budget leaves dirty does not depend on residency order. *)
 let flush_all t =
-  with_all t (fun () ->
+  locked t (fun () ->
       resident_frames t
       |> List.sort (fun a b -> Int.compare a.page.Page.id b.page.Page.id)
       |> List.iter (fun f ->
@@ -360,5 +306,5 @@ let flush_all t =
 let resident t = t.count
 
 let resident_pages t =
-  with_all t (fun () -> List.map (fun f -> f.page.Page.id) (resident_frames t))
+  locked t (fun () -> List.map (fun f -> f.page.Page.id) (resident_frames t))
   |> List.sort Int.compare

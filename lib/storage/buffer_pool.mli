@@ -11,14 +11,18 @@
     physical access that exceeds it raises {!Io_budget_exceeded} — the
     mechanism behind the execution supervisor's cost-budget guard.
 
-    The pool never holds more than {!frames} pages: [resident t <=
-    frames t] after every {!pin} and {!new_page}, also when several
-    domains miss at once, because a miss checks for room and admits its
-    page in one critical section.  (A {!resize} whose eviction faults or
-    trips the I/O budget can leave more pages than the new budget; the
-    next admission evicts down to it first.)  Pages stay resident until
-    evicted by exact LRU over unpinned frames.  {!pin}, {!unpin},
-    {!mark_dirty} and {!new_page} may run from concurrent domains. *)
+    A database serves one run at a time, and so does its pool: a run
+    resizes it, arms its I/O limit and attaches its trace for its whole
+    length.  Every operation holds the pool's one mutex, so pins from
+    concurrent domains still leave the frames consistent if a caller
+    breaks that contract (the runs would share one size, one I/O limit
+    and one attached trace).  The pool never holds more than {!frames}
+    pages: [resident t <= frames t] after every {!pin} and {!new_page},
+    because a miss checks for room and admits its page in one hold of
+    the mutex.  (A {!resize} whose eviction faults or trips the I/O
+    budget can leave more pages than the new budget; the next admission
+    evicts down to it first.)  Pages stay resident until evicted by
+    exact LRU over unpinned frames. *)
 
 type t
 
@@ -89,7 +93,8 @@ val flush_all : t -> unit
 
 val stats : t -> stats
 (** Counter totals since creation (or the last {!reset_stats}) — a view
-    over the pool's observation trace ({!obs}). *)
+    over the pool's owned observation trace, where every I/O and fault
+    counter lands. *)
 
 val diff : before:stats -> after:stats -> stats
 (** Per-field difference, for windowed I/O accounting of one run. *)
@@ -102,11 +107,6 @@ val stats_of_trace : Dqep_obs.Trace.t -> stats
 val reset_stats : t -> unit
 (** Rebase {!stats} to zero.  The underlying observation trace is
     append-only; this only moves the view's baseline. *)
-
-val obs : t -> Dqep_obs.Trace.t
-(** The pool's owned observation trace, where every I/O and fault
-    counter lands ([Logical_reads], [Physical_reads], [Physical_writes],
-    [Read_faults], [Write_faults]). *)
 
 val attach_obs : t -> Dqep_obs.Trace.t -> unit
 (** Tee subsequent counter increments into a second trace — how an

@@ -3,9 +3,10 @@ module Counter = Dqep_obs.Counter
 
 (* One mutex serializes the page directory and the (stateful) fault
    schedule: [allocate] grows the array, and [Fault.on_read]/[on_write]
-   advance a seeded RNG even on success, so concurrent pool misses (read
-   outside the pool's eviction mutex) and evictions must not race them.
-   Simulated I/O holds the lock for a few array reads only. *)
+   advance a seeded RNG even on success.  The disk does not lean on a
+   pool's mutex: [get], [page_count] and [set_faults] reach it without
+   going through a pool, and nothing stops two pools from sharing one
+   disk.  Simulated I/O holds the lock for a few array reads only. *)
 type t = {
   mu : Mutex.t;
   mutable pages : Page.t array;
@@ -70,6 +71,5 @@ let write t id =
       ignore id)
 
 let set_faults t f = locked t (fun () -> t.faults <- f)
-let faults t = locked t (fun () -> t.faults)
 
 let page_count t = locked t (fun () -> t.used)

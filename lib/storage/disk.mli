@@ -38,6 +38,4 @@ val set_faults : t -> Fault.t option -> unit
 (** Install or remove a fault injector.  [None] restores the infallible
     disk. *)
 
-val faults : t -> Fault.t option
-
 val page_count : t -> int

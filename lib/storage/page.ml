@@ -15,14 +15,3 @@ type payload =
   | Btree of btree_node
 
 type t = { id : int; mutable payload : payload }
-
-let pp ppf p =
-  match p.payload with
-  | Free -> Format.fprintf ppf "page %d: free" p.id
-  | Heap h -> Format.fprintf ppf "page %d: heap(%d tuples)" p.id h.count
-  | Btree (Leaf l) ->
-    Format.fprintf ppf "page %d: leaf(%d keys, next=%d)" p.id
-      (Array.length l.keys) l.next
-  | Btree (Internal n) ->
-    Format.fprintf ppf "page %d: internal(%d children)" p.id
-      (Array.length n.children)

@@ -23,5 +23,3 @@ type payload =
   | Btree of btree_node
 
 type t = { id : int; mutable payload : payload }
-
-val pp : Format.formatter -> t -> unit

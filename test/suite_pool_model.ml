@@ -2,8 +2,8 @@
 
    Random command sequences — pin, unpin, new page, mark dirty, resize,
    flush, a bulk load of unpinned dirty pages, and arming or disarming
-   the I/O budget — run against the pool (sharded frames, one flat
-   eviction array) and against a pure single-table LRU model.  After
+   the I/O budget — run against the pool (one frame table behind one
+   mutex, one flat eviction array) and against a pure LRU model.  After
    every command both must agree on the outcome (including the
    exception raised), the resident set, the pinned count and the
    logical, physical-read and physical-write counters.  Resident sets
@@ -15,7 +15,7 @@
    Half the cases start the way [Database.build] does: a bulk load
    through a 4096-frame pool, a flush, and a shrink to 4-16 frames; the
    random tail then grows the pool again (up to 4096 frames) and shrinks
-   it, so shard tables sized for a large pool are exercised after every
+   it, so a frame table sized for a large pool is exercised after every
    kind of resize. *)
 
 module D = Dqep
@@ -277,8 +277,11 @@ let prop_pool_matches_model =
 
 (* --- concurrent domains ----------------------------------------------------- *)
 
-(* Four domains run random pin / unpin / new page / mark dirty commands
-   on one small pool over shared pages.  No domain holds more than a
+(* A database serves one run at a time, so no run pins a pool from two
+   domains; this checks that the pool's one mutex keeps it consistent
+   when a caller breaks that contract.  Four domains run random pin /
+   unpin / new page / mark dirty commands on one small pool over shared
+   pages.  No domain holds more than a
    quarter of the frames, so a miss always finds an unpinned victim.
    After every command a domain samples the resident count, which must
    never exceed the frames: a miss checks for room and admits in one

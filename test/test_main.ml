@@ -5,6 +5,7 @@ let () =
       Suite_catalog.suite;
       Suite_storage.suite;
       Suite_pool_model.suite;
+      Suite_breaker_model.suite;
       Suite_btree.suite;
       Suite_algebra.suite;
       Suite_cost.suite;
