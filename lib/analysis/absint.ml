@@ -170,7 +170,9 @@ let pp_region ppf r =
    consult at most those rows and the memory grant).  Keying the memo by
    (index, those intervals) lets regions that agree on a node's
    dimensions share its value — on a deep plan most nodes are
-   insensitive to most cut dimensions.  [work] counts node evaluations
+   insensitive to most cut dimensions.  Nodes over the same variables
+   share one projection of each region, so the memo's key is a node
+   index and a projection number.  [work] counts node evaluations
    performed (memo misses), the currency of the analyses' work
    budgets. *)
 type evaluator = {
@@ -179,16 +181,15 @@ type evaluator = {
   work : unit -> int;
 }
 
-(* The memo's keys are strings; compare them as such. *)
-module String_tbl = Hashtbl.Make (struct
-  include String
+(* Memo keys are small non-negative ints spread over their low bits. *)
+module Int_tbl = Hashtbl.Make (struct
+  include Int
 
-  let hash = Hashtbl.hash
+  let hash = Fun.id
 end)
 
 (* Sorted union of two sorted, duplicate-free arrays; an input that
-   already holds the union is returned itself, so the many nodes over
-   the same variables share one array. *)
+   already holds the union is returned itself. *)
 let union a b =
   let na = Array.length a and nb = Array.length b in
   if na = 0 then b
@@ -217,28 +218,55 @@ let evaluator ~infeasible env (dag : Plan.Dag.t) =
   let prog = Startup.box_program env dag in
   let names = Startup.vars prog in
   let n = dag.Plan.Dag.length in
+  let first = dag.Plan.Dag.first_input and inputs = dag.Plan.Dag.inputs in
   (* The program's host-variable slots occurring in each node's
-     subtree. *)
-  let vars = Array.make n [||] in
+     subtree, as the number of a distinct set; the union of two numbered
+     sets is computed once. *)
+  let sets : (int array, int) Hashtbl.t = Hashtbl.create 64 in
+  let vars = ref (Array.make 64 [||]) in
+  let number vs =
+    match Hashtbl.find_opt sets vs with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length sets in
+      Hashtbl.add sets vs k;
+      if k = Array.length !vars then
+        vars := Array.append !vars (Array.make k [||]);
+      !vars.(k) <- vs;
+      k
+  in
+  let empty = number [||] in
+  let unions = Int_tbl.create 64 in
+  let set_of = Array.make n empty in
   for i = 0 to n - 1 do
     let s = Startup.slot prog i in
-    vars.(i) <-
-      List.fold_left
-        (fun acc k -> union acc vars.(k))
-        (if s >= 0 then [| s |] else [||])
-        (Plan.Dag.inputs dag i)
+    let acc = ref (if s >= 0 then number [| s |] else empty) in
+    for x = first.(i) to first.(i + 1) - 1 do
+      let a = !acc and b = set_of.(inputs.(x)) in
+      if b <> empty && a <> b then
+        acc :=
+          if a = empty then b
+          else begin
+            let key = (Int.min a b lsl 24) lor Int.max a b in
+            match Int_tbl.find_opt unions key with
+            | Some k -> k
+            | None ->
+              let k = number (union !vars.(a) !vars.(b)) in
+              Int_tbl.add unions key k;
+              k
+          end
+    done;
+    set_of.(i) <- !acc
   done;
+  let vars = !vars in
   let full =
     { sels =
         Array.to_list (Array.map (fun v -> (v, Env.host_selectivity env v)) names);
       memory = Env.memory_pages env }
   in
   let misses = ref 0 in
-  (* Memo keys are compact byte strings — node index plus one small
-     interned id per dimension the node depends on.  Interval ids are interned per
-     (dimension, box) so a grid sweep reuses a handful of ids per
-     dimension; string keys hash fully (the generic hash on float lists
-     truncates and collides catastrophically here). *)
+  (* Intervals are interned per (dimension, box), so a grid sweep reuses
+     a handful of ids per dimension. *)
   let intern : (string * float * float, int) Hashtbl.t = Hashtbl.create 64 in
   let next_id = ref 0 in
   let id_of v (iv : Interval.t) =
@@ -251,7 +279,11 @@ let evaluator ~infeasible env (dag : Plan.Dag.t) =
       Hashtbl.add intern k id;
       id
   in
-  let memo : value String_tbl.t = String_tbl.create (4 * n) in
+  (* A region's projection on a variable set: the set, the memory box
+     and each variable's box, numbered by a compact byte string (the
+     generic hash on float lists truncates and collides). *)
+  let projections : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let memo : value Int_tbl.t = Int_tbl.create n in
   (* Per-region results by index, valid where [stamp] holds the region's
      generation, so a region allocates nothing per node.  Interleaving
      two regions' lookups stays correct (the memo is keyed by intervals,
@@ -277,21 +309,33 @@ let evaluator ~infeasible env (dag : Plan.Dag.t) =
       dim_ids.(v)
     in
     let mem_id = id_of "" region.memory in
+    let projection = Array.make (Hashtbl.length sets) (-1) in
     let key_of i =
-      let vs = vars.(i) in
-      let b = Bytes.create (5 + (2 * Array.length vs)) in
-      Bytes.set b 0 (Char.unsafe_chr (i land 0xff));
-      Bytes.set b 1 (Char.unsafe_chr ((i lsr 8) land 0xff));
-      Bytes.set b 2 (Char.unsafe_chr ((i lsr 16) land 0xff));
-      Bytes.set b 3 (Char.unsafe_chr (mem_id land 0xff));
-      Bytes.set b 4 (Char.unsafe_chr ((mem_id lsr 8) land 0xff));
-      Array.iteri
-        (fun j v ->
-          let id = dim_id v in
-          Bytes.set b (5 + (2 * j)) (Char.unsafe_chr (id land 0xff));
-          Bytes.set b (6 + (2 * j)) (Char.unsafe_chr ((id lsr 8) land 0xff)))
-        vs;
-      Bytes.unsafe_to_string b
+      let set = set_of.(i) in
+      if projection.(set) < 0 then begin
+        let vs = vars.(set) in
+        let b = Bytes.create (5 + (2 * Array.length vs)) in
+        Bytes.set b 0 (Char.unsafe_chr (set land 0xff));
+        Bytes.set b 1 (Char.unsafe_chr ((set lsr 8) land 0xff));
+        Bytes.set b 2 (Char.unsafe_chr ((set lsr 16) land 0xff));
+        Bytes.set b 3 (Char.unsafe_chr (mem_id land 0xff));
+        Bytes.set b 4 (Char.unsafe_chr ((mem_id lsr 8) land 0xff));
+        Array.iteri
+          (fun j v ->
+            let id = dim_id v in
+            Bytes.set b (5 + (2 * j)) (Char.unsafe_chr (id land 0xff));
+            Bytes.set b (6 + (2 * j)) (Char.unsafe_chr ((id lsr 8) land 0xff)))
+          vs;
+        let key = Bytes.unsafe_to_string b in
+        projection.(set) <-
+          (match Hashtbl.find_opt projections key with
+          | Some k -> k
+          | None ->
+            let k = Hashtbl.length projections in
+            Hashtbl.add projections key k;
+            k)
+      end;
+      (projection.(set) * n) + i
     in
     let load () =
       if !loaded <> gen then begin
@@ -318,7 +362,7 @@ let evaluator ~infeasible env (dag : Plan.Dag.t) =
       end
     and shared i =
       let key = key_of i in
-      match String_tbl.find_opt memo key with
+      match Int_tbl.find_opt memo key with
       | Some v -> v
       | None ->
         incr misses;
@@ -363,7 +407,7 @@ let evaluator ~infeasible env (dag : Plan.Dag.t) =
               Interval.unchecked ~lo:box.Startup.total_lo.(i)
                 ~hi:box.Startup.total_hi.(i) }
         in
-        String_tbl.add memo key v;
+        Int_tbl.add memo key v;
         v
     in
     go
@@ -575,6 +619,11 @@ let floors env ~budget_bytes ~rows_of (dag : Plan.Dag.t) =
   fun i ->
     let v = go i in
     if Float.is_finite v then to_bytes v else 0
+
+let guaranteed_bytes_of env ~budget_bytes (dag : Plan.Dag.t) =
+  let rows = sound_rows env dag in
+  floors env ~budget_bytes ~rows_of:(Array.get rows) dag
+    (dag.Plan.Dag.length - 1)
 
 let guaranteed_bytes env ~budget_bytes (plan : Plan.t) =
   let dag = Plan.Dag.of_plan plan in

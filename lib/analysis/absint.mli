@@ -110,3 +110,7 @@ val guaranteed_bytes : Env.t -> budget_bytes:int -> Plan.t -> int
     execution of the plan must make under the given budget (the budget
     caps the governed memory grant, hence the Grace fanout).  Strictly
     above [budget_bytes] means statically doomed. *)
+
+val guaranteed_bytes_of : Env.t -> budget_bytes:int -> Plan.Dag.t -> int
+(** {!guaranteed_bytes} of the plan at a numbering's last index, over
+    that numbering. *)

@@ -16,6 +16,8 @@ let diag ?severity ~site code fmt =
 
 let node_site (p : Plan.t) = Diagnostic.Node p.Plan.pid
 
+module Int_tbl = Hashtbl.Make (Int)
+
 let default_max_regions = 64
 
 (* Region evidence is an anytime refinement: verdicts already settled on
@@ -36,26 +38,6 @@ let[@inline] close a b =
 
 let[@inline] interval_close (a : Interval.t) (b : Interval.t) =
   close a.Interval.lo b.Interval.lo && close a.Interval.hi b.Interval.hi
-
-(* --- dominance ------------------------------------------------------------ *)
-
-(* Alternative [i] is dominated within one region iff some sibling's
-   total-cost upper bound is strictly below [i]'s lower bound there:
-   every point environment of the region then costs the sibling strictly
-   cheaper, and [Startup.resolve]'s argmin can never land on [i].  Dead
-   means dominated in every region of a partition of the full parameter
-   space — a startup decision in *any* environment avoids it. *)
-let dominated_in_region totals =
-  let arr = Array.of_list totals in
-  Array.mapi
-    (fun i (ti : Interval.t) ->
-      let dominated = ref false in
-      Array.iteri
-        (fun j (tj : Interval.t) ->
-          if i <> j && tj.Interval.hi < ti.Interval.lo then dominated := true)
-        arr;
-      !dominated)
-    arr
 
 (* --- choose-space analysis (coverage + dead alternatives) ----------------- *)
 
@@ -88,14 +70,16 @@ let choose_space_of ?(max_regions = default_max_regions) ?budget_bytes ~catalog
     env (dag : Plan.Dag.t) =
   let n = dag.Plan.Dag.length in
   let node i = dag.Plan.Dag.nodes.(i) in
-  let chooses =
-    List.filter
-      (fun i -> (node i).Plan.op = Physical.Choose_plan)
-      (List.init n Fun.id)
-  in
+  let first = dag.Plan.Dag.first_input and inputs = dag.Plan.Dag.inputs in
+  let chooses = ref [] in
+  for i = n - 1 downto 0 do
+    match (node i).Plan.op with
+    | Physical.Choose_plan -> chooses := i :: !chooses
+    | _ -> ()
+  done;
+  let chooses = !chooses in
   if chooses = [] then []
   else begin
-    let plan = node (n - 1) in
     (* One whole-plan catalog-resolution pass, then bottom-up
        propagation: feasibility diagnostics (missing relation /
        attribute / index) are node-local, so an alternative is feasible
@@ -104,17 +88,19 @@ let choose_space_of ?(max_regions = default_max_regions) ?budget_bytes ~catalog
        alternative's subtree separately re-walks shared structure
        quadratically. *)
     let feasible =
-      let drifted = Verify.drifted dag (Verify.feasibility ~catalog plan) in
+      let drifted = Verify.drifted dag (Verify.feasibility_of ~catalog dag) in
       let ok = Array.make n false in
       for i = 0 to n - 1 do
-        let inputs = Plan.Dag.inputs dag i in
+        let arity = first.(i + 1) - first.(i) and ok_inputs = ref 0 in
+        for x = first.(i) to first.(i + 1) - 1 do
+          if ok.(inputs.(x)) then incr ok_inputs
+        done;
         ok.(i) <-
           (not (drifted i))
           &&
           match (node i).Plan.op with
-          | Physical.Choose_plan ->
-            inputs = [] || List.exists (Array.get ok) inputs
-          | _ -> List.for_all (Array.get ok) inputs
+          | Physical.Choose_plan -> arity = 0 || !ok_inputs > 0
+          | _ -> !ok_inputs = arity
       done;
       Array.get ok
     in
@@ -169,27 +155,43 @@ let choose_space_of ?(max_regions = default_max_regions) ?budget_bytes ~catalog
           let n_feas =
             List.fold_left (fun n f -> if f then n + 1 else n) 0 feas
           in
+          (* A feasible alternative is dominated within a region iff a
+             feasible sibling's total-cost upper bound is strictly below
+             its lower bound there: every point environment of the
+             region then costs the sibling strictly cheaper, and
+             [Startup.resolve]'s argmin can never land on it.  Dead
+             means dominated in every region of a partition of the full
+             parameter space — a startup decision in *any* environment
+             avoids it.  The least upper bound among the siblings is the
+             least one overall, or the second least for the alternative
+             holding the least. *)
+          let alt_array = Array.of_list alts
+          and feas_array = Array.of_list feas in
           let dominated_of values =
-            if n_feas < 2 then Array.make n_alts false
-            else begin
-              let totals =
-                List.concat
-                  (List.map2
-                     (fun f a -> if f then [ (values a).Absint.total ] else [])
-                     feas alts)
-              in
-              let dom = dominated_in_region totals in
-              let out = Array.make n_alts false in
-              let j = ref 0 in
-              List.iteri
-                (fun i f ->
-                  if f then begin
-                    out.(i) <- dom.(!j);
-                    incr j
-                  end)
-                feas;
-              out
-            end
+            let out = Array.make n_alts false in
+            if n_feas >= 2 then begin
+              let total k = (values alt_array.(k)).Absint.total in
+              let least = ref Float.infinity and holder = ref (-1) in
+              let second = ref Float.infinity in
+              for k = 0 to n_alts - 1 do
+                if feas_array.(k) then begin
+                  let hi = (total k).Interval.hi in
+                  if hi < !least then begin
+                    second := !least;
+                    least := hi;
+                    holder := k
+                  end
+                  else if hi < !second then second := hi
+                end
+              done;
+              for k = 0 to n_alts - 1 do
+                if feas_array.(k) then
+                  out.(k) <-
+                    (if k = !holder then !second else !least)
+                    < (total k).Interval.lo
+              done
+            end;
+            out
           in
           (* Dominated over the full region: dead outright.  The rest are
              candidates — still dead pending a region of non-domination.
@@ -339,14 +341,17 @@ let choose_space ?max_regions ?budget_bytes ~catalog env plan =
 
 (* --- static budget admission ---------------------------------------------- *)
 
-let budget_check env ~budget_bytes (plan : Plan.t) =
-  let floor = Absint.guaranteed_bytes env ~budget_bytes plan in
+let budget_diags ~budget_bytes (plan : Plan.t) floor =
   if floor > budget_bytes then
     [ diag ~site:(node_site plan) Diagnostic.Budget_unsatisfiable
         "every execution must hold at least %d bytes against a budget of \
          %d bytes — statically doomed to Memory_exceeded"
         floor budget_bytes ]
   else []
+
+let budget_check env ~budget_bytes plan =
+  budget_diags ~budget_bytes plan
+    (Absint.guaranteed_bytes env ~budget_bytes plan)
 
 (* --- checkpoint-fingerprint collisions ------------------------------------ *)
 
@@ -382,13 +387,13 @@ let col_sets catalog (dag : Plan.Dag.t) =
       i
   in
   let empty = intern [] in
-  let unions : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let unions = Int_tbl.create 64 in
   let union a b =
     if a = empty then b
     else if b = empty then a
     else begin
       let key = (Int.min a b lsl 24) lor Int.max a b in
-      match Hashtbl.find_opt unions key with
+      match Int_tbl.find_opt unions key with
       | Some i -> i
       | None ->
         let i =
@@ -396,7 +401,7 @@ let col_sets catalog (dag : Plan.Dag.t) =
             (List.merge String.compare (Hashtbl.find lists a)
                (Hashtbl.find lists b))
         in
-        Hashtbl.add unions key i;
+        Int_tbl.add unions key i;
         i
     end
   in
@@ -410,23 +415,26 @@ let col_sets catalog (dag : Plan.Dag.t) =
     | None -> None
   in
   for i = 0 to dag.Plan.Dag.length - 1 do
+    let first = dag.Plan.Dag.first_input in
+    let arity = first.(i + 1) - first.(i) in
+    let input k = ids.(Plan.Dag.input dag i k) in
     ids.(i) <-
-      (match (dag.Plan.Dag.nodes.(i).Plan.op, Plan.Dag.inputs dag i) with
+      (match (dag.Plan.Dag.nodes.(i).Plan.op, arity) with
       | ( ( Physical.File_scan rel
           | Physical.Btree_scan { rel; _ }
           | Physical.Filter_btree_scan { rel; _ } ),
-          [] ) ->
+          0 ) ->
         of_rel rel
-      | (Physical.Filter _ | Physical.Sort _), [ child ] -> ids.(child)
-      | (Physical.Hash_join _ | Physical.Merge_join _), [ l; r ] -> (
-        match (ids.(l), ids.(r)) with
+      | (Physical.Filter _ | Physical.Sort _), 1 -> input 0
+      | (Physical.Hash_join _ | Physical.Merge_join _), 2 -> (
+        match (input 0, input 1) with
         | Some a, Some b -> Some (union a b)
         | _ -> None)
-      | Physical.Index_join { inner_rel; _ }, [ outer ] -> (
-        match (ids.(outer), of_rel inner_rel) with
+      | Physical.Index_join { inner_rel; _ }, 1 -> (
+        match (input 0, of_rel inner_rel) with
         | Some a, Some b -> Some (union a b)
         | _ -> None)
-      | Physical.Choose_plan, first :: _ -> ids.(first)
+      | Physical.Choose_plan, arity when arity > 0 -> input 0
       | _, _ -> None)
   done;
   ids
@@ -437,24 +445,41 @@ let fingerprints_of ~catalog (dag : Plan.Dag.t) =
   let groups : (string, (Plan.t * Interval.t * int option) list ref) Hashtbl.t =
     Hashtbl.create 32
   in
+  (* Neighbours mostly share one fingerprint string: skip the lookup. *)
+  let last = ref (ref []) in
   for i = 0 to dag.Plan.Dag.length - 1 do
     let n = dag.Plan.Dag.nodes.(i) in
     let r =
-      match Hashtbl.find_opt groups fps.(i) with
-      | Some r -> r
-      | None ->
-        let r = ref [] in
-        Hashtbl.add groups fps.(i) r;
-        r
+      if i > 0 && fps.(i) == fps.(i - 1) then !last
+      else
+        match Hashtbl.find_opt groups fps.(i) with
+        | Some r -> r
+        | None ->
+          let r = ref [] in
+          Hashtbl.add groups fps.(i) r;
+          r
     in
+    last := r;
     r := (n, n.Plan.rows, cols.(i)) :: !r
   done;
   Hashtbl.fold
     (fun fp members acc ->
       let members = Array.of_list (List.rev !members) in
       let acc = ref acc in
+      (* Members that all estimate the same rows over the same column
+         set (or all over unresolved ones) make no pair a finding. *)
+      let _, rows0, cols0 = members.(0) in
+      let uniform =
+        Array.for_all
+          (fun (_, (rows : Interval.t), cols) ->
+            rows.Interval.lo = rows0.Interval.lo
+            && rows.Interval.hi = rows0.Interval.hi
+            && Option.equal Int.equal cols cols0)
+          members
+      in
       (* Every pair i < j, visited last-first: the order the findings have
          always been reported in. *)
+      if not uniform then
       for i = Array.length members - 1 downto 0 do
         for j = Array.length members - 1 downto i + 1 do
           let (a : Plan.t), arows, acols = members.(i)
@@ -516,25 +541,32 @@ let pipeline_of ?(threshold = default_pipeline_threshold) (dag : Plan.Dag.t) =
       | Physical.Choose_plan when streak >= threshold ->
         if Bytes.get flagged i = '\000' then begin
           Bytes.set flagged i '\001';
-          (* [Printf], not [diag]'s [Format]: a big plan reports dozens
-             of these. *)
+          (* Concatenation, not [diag]'s [Format]: a big plan reports
+             dozens of these. *)
           findings :=
             Diagnostic.make ~site:(node_site p) Diagnostic.Unchecked_pipeline
-              (Printf.sprintf
-                 "choose-plan resolution streams through %d operators to the \
-                  nearest blocking point — its validity band is never \
-                  rechecked mid-pipeline"
-                 streak)
+              ("choose-plan resolution streams through " ^ string_of_int streak
+             ^ " operators to the nearest blocking point — its validity band \
+                is never rechecked mid-pipeline")
             :: !findings
         end
       | _ -> ());
-      match (p.Plan.op, Plan.Dag.inputs dag i) with
-      | Physical.Sort _, [ c ] -> walk 0 c
-      | Physical.Hash_join _, [ build; probe ] ->
-        walk 0 build;
-        walk (streak + 1) probe
-      | Physical.Choose_plan, alts -> List.iter (walk streak) alts
-      | _, inputs -> List.iter (walk (streak + 1)) inputs
+      let first = dag.Plan.Dag.first_input in
+      let a = first.(i) and z = first.(i + 1) in
+      let input k = dag.Plan.Dag.inputs.(a + k) in
+      match (p.Plan.op, z - a) with
+      | Physical.Sort _, 1 -> walk 0 (input 0)
+      | Physical.Hash_join _, 2 ->
+        walk 0 (input 0);
+        walk (streak + 1) (input 1)
+      | Physical.Choose_plan, _ ->
+        for x = a to z - 1 do
+          walk streak dag.Plan.Dag.inputs.(x)
+        done
+      | _, _ ->
+        for x = a to z - 1 do
+          walk (streak + 1) dag.Plan.Dag.inputs.(x)
+        done
     end
   in
   walk 0 (dag.Plan.Dag.length - 1);
@@ -551,6 +583,8 @@ let plan ?max_regions ?budget_bytes ?pipeline_threshold ~catalog env
   choose_space_of ?max_regions ?budget_bytes ~catalog env dag
   @ (match budget_bytes with
     | None -> []
-    | Some budget_bytes -> budget_check env ~budget_bytes p)
+    | Some budget_bytes ->
+      budget_diags ~budget_bytes p
+        (Absint.guaranteed_bytes_of env ~budget_bytes dag))
   @ fingerprints_of ~catalog dag
   @ pipeline_of ?threshold:pipeline_threshold dag

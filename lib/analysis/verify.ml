@@ -290,6 +290,13 @@ let feasibility ~catalog plan =
   Plan.iter (resolve_node ~catalog ~add) plan;
   List.rev !diags
 
+let feasibility_of ~catalog (dag : Plan.Dag.t) =
+  let diags, add = collector () in
+  for i = 0 to dag.Plan.Dag.length - 1 do
+    resolve_node ~catalog ~add dag.Plan.Dag.nodes.(i)
+  done;
+  List.rev !diags
+
 let drifted (dag : Plan.Dag.t) diags =
   let flagged = Bytes.make dag.Plan.Dag.length '\000' in
   List.iter

@@ -68,6 +68,11 @@ val feasibility : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
     relations, attributes and indexes), in the same order, without the
     schema walk. *)
 
+val feasibility_of :
+  catalog:Dqep_catalog.Catalog.t -> Plan.Dag.t -> Diagnostic.t list
+(** {!feasibility} of the plan at a numbering's last index, over that
+    numbering. *)
+
 val drifted : Plan.Dag.t -> Diagnostic.t list -> int -> bool
 (** [drifted dag diags] holds for the indices of [dag] at which [diags]
     has a feasibility diagnostic: the nodes that name a catalog object

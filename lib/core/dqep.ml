@@ -92,10 +92,8 @@ module Analyses = Dqep_analysis.Analyses
 
 (** {1 Optimizer} *)
 
-module Group_key = Dqep_optimizer.Group_key
 module Lmexpr = Dqep_optimizer.Lmexpr
 module Memo = Dqep_optimizer.Memo
-module Rules = Dqep_optimizer.Rules
 module Pareto = Dqep_optimizer.Pareto
 module Search = Dqep_optimizer.Search
 module Optimizer = Dqep_optimizer.Optimizer

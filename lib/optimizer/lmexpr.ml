@@ -1,27 +1,6 @@
-module Predicate = Dqep_algebra.Predicate
-module Col = Dqep_algebra.Col
-
 type op =
   | Get of string
   | Select of Dqep_algebra.Predicate.select
   | Join of Dqep_algebra.Predicate.equi list
 
 type t = { op : op; children : int array }
-
-let op_string = function
-  | Get r -> "get:" ^ r
-  | Select p -> "sel:" ^ Group_key.sel_string p
-  | Join ps ->
-    "join:"
-    ^ String.concat ","
-        (List.map
-           (fun (p : Predicate.equi) ->
-             Col.to_string p.left ^ "=" ^ Col.to_string p.right)
-           ps)
-
-let fingerprint t =
-  op_string t.op ^ "("
-  ^ String.concat "," (Array.to_list (Array.map string_of_int t.children))
-  ^ ")"
-
-let pp ppf t = Format.pp_print_string ppf (fingerprint t)

@@ -11,8 +11,3 @@ type op =
           the left child's relations, and predicates are sorted *)
 
 type t = { op : op; children : int array }
-
-val fingerprint : t -> string
-(** Canonical form for de-duplication within a group. *)
-
-val pp : Format.formatter -> t -> unit

@@ -83,6 +83,11 @@ let env_of_mode options catalog = function
 let search_config ?(options = default_options) ?refine ~mode catalog query =
   match Logical.validate catalog query with
   | Error diags -> Error (Dqep_util.Diagnostic.list_to_string diags)
+  | Ok ()
+    when List.length (Logical.relations query) > Memo.max_relations
+         || List.length (Logical.selections query) > Memo.max_relations ->
+    Error
+      (Printf.sprintf "more than %d relations or selections" Memo.max_relations)
   | Ok () ->
     let env = env_of_mode options catalog mode in
     (* Feedback re-optimization: the caller narrows the mode's priors
@@ -121,6 +126,14 @@ let optimize ?(options = default_options) ?refine ~mode catalog query =
     | None -> Error "optimization produced no plan"
     | Some plan ->
       let s = Search.stats search in
+      (* Both plan counts from one numbering. *)
+      let dag = Plan.Dag.of_plan plan in
+      let chooses = ref 0 in
+      for i = 0 to dag.Plan.Dag.length - 1 do
+        match dag.Plan.Dag.nodes.(i).Plan.op with
+        | Dqep_algebra.Physical.Choose_plan -> incr chooses
+        | _ -> ()
+      done;
       let diagnostics =
         if options.verify then
           Dqep_analysis.Verify.plan ~catalog plan @ Search.verify search
@@ -141,5 +154,5 @@ let optimize ?(options = default_options) ?refine ~mode catalog query =
               pruned = s.Search.pruned;
               sample_evaluations = s.Search.sample_evaluations;
               alternatives_pruned = s.Search.alternatives_pruned;
-              plan_nodes = Plan.node_count plan;
-              choose_nodes = Plan.choose_count plan } })
+              plan_nodes = dag.Plan.Dag.length;
+              choose_nodes = !chooses } })

@@ -47,45 +47,43 @@ let insert ~keep_equal ?(force_incomparable = false) ?sample_dominates ?rank
          incomparable (or a kept equal), so every rank drop is a plan
          interval mode would have retained — the callback lets the
          search count them. *)
-      let candidates = survivors @ [ plan ] in
-      let best =
-        List.fold_left (fun acc p -> Float.min acc (rk p)) Float.infinity
-          candidates
+      let candidates = Array.of_list (survivors @ [ plan ]) in
+      let ranks = Array.map rk candidates in
+      let cutoff =
+        (1. +. margin) *. Array.fold_left Float.min Float.infinity ranks
       in
-      let cutoff = (1. +. margin) *. best in
-      let kept = ref (List.filter (fun p -> rk p <= cutoff) candidates) in
+      let kept = Array.map (fun r -> r <= cutoff) ranks in
       (match scenario_costs with
       | None -> ()
       | Some vec ->
+        let vecs = Array.map vec candidates in
         let scenarios =
-          List.fold_left (fun acc p -> max acc (Array.length (vec p))) 0
-            candidates
+          Array.fold_left (fun acc v -> max acc (Array.length v)) 0 vecs
         in
         for j = 0 to scenarios - 1 do
-          let at p =
-            let v = vec p in
-            if j < Array.length v then v.(j) else Float.infinity
+          let at k =
+            if j < Array.length vecs.(k) then vecs.(k).(j) else Float.infinity
           in
-          let mj =
-            List.fold_left (fun acc p -> Float.min acc (at p)) Float.infinity
-              candidates
-          in
-          let kept_mj =
-            List.fold_left (fun acc p -> Float.min acc (at p)) Float.infinity
-              !kept
-          in
-          if kept_mj > (1. +. margin) *. mj then
-            match List.find_opt (fun p -> at p <= mj) candidates with
-            | Some p -> kept := !kept @ [ p ]
-            | None -> ()
+          let mj = ref Float.infinity and kept_mj = ref Float.infinity in
+          for k = 0 to Array.length vecs - 1 do
+            mj := Float.min !mj (at k);
+            if kept.(k) then kept_mj := Float.min !kept_mj (at k)
+          done;
+          if !kept_mj > (1. +. margin) *. !mj then begin
+            let k = ref 0 in
+            while !k < Array.length vecs && not (at !k <= !mj) do
+              incr k
+            done;
+            if !k < Array.length vecs then kept.(!k) <- true
+          end
         done);
-      let kept = !kept in
-      (* Restore candidate order: membership, not insertion order, was
-         what the retention pass decided. *)
-      let kept = List.filter (fun p -> List.memq p kept) candidates in
-      let dropped = List.filter (fun p -> not (List.memq p kept)) candidates in
-      (match on_rank_drop with
-      | None -> ()
-      | Some f -> List.iter f dropped);
-      (kept, List.memq plan kept)
+      (* Candidate order: membership, not insertion order, is what the
+         retention pass decided. *)
+      let survivors = ref [] and dropped = ref [] in
+      for k = Array.length candidates - 1 downto 0 do
+        if kept.(k) then survivors := candidates.(k) :: !survivors
+        else dropped := candidates.(k) :: !dropped
+      done;
+      Option.iter (fun f -> List.iter f !dropped) on_rank_drop;
+      (!survivors, kept.(Array.length candidates - 1))
   end

@@ -9,13 +9,14 @@
    leaves the prior, so winners of unmoved groups stay soundly costed),
    marks the transitive parents of every moved group dirty, drops only
    those groups' memoized goals ([Search.reseed]) and re-runs the search.
-   Clean groups answer from cache; the dirty closure is re-costed.
+   Clean groups answer from cache; the dirty closure is re-costed, and
+   the replanned plan is the one a fresh search of the refined memo
+   returns.
 
-   The dirty closure walks group ids in ascending order: groups are
-   interned children-first (a join group is created only after both
-   child groups exist), so every logical expression's child ids are
-   strictly below its own group's id and one ascending pass reaches the
-   fixpoint. *)
+   The dirty closure is a fixpoint of passes over the groups: ingest
+   interns children first, but exploration adds joins over groups it
+   creates later (associativity's [B join C]), so a child's id can be
+   above its parent's and one ascending pass can miss a parent. *)
 
 module Props = Dqep_algebra.Props
 module Plan = Dqep_plans.Plan
@@ -52,18 +53,20 @@ let replan t ~rels_rows =
     let n = Memo.group_count t.memo in
     let dirty = Array.make n false in
     List.iter (fun id -> dirty.(id) <- true) moved;
-    (* Ascending-id pass = transitive closure, by the children-first
-       intern invariant (child ids < parent id). *)
-    for id = 0 to n - 1 do
-      if not dirty.(id) then begin
-        let g = Memo.group t.memo id in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for id = 0 to n - 1 do
         if
-          List.exists
-            (fun e ->
-              Array.exists (fun c -> dirty.(c)) e.Lmexpr.children)
-            g.Memo.lexprs
-        then dirty.(id) <- true
-      end
+          (not dirty.(id))
+          && List.exists
+               (fun e -> Array.exists (fun c -> dirty.(c)) e.Lmexpr.children)
+               (Memo.lexprs (Memo.group t.memo id))
+        then begin
+          dirty.(id) <- true;
+          changed := true
+        end
+      done
     done;
     let reused =
       Search.reseed t.search ~dirty:(fun gid -> gid < n && dirty.(gid))

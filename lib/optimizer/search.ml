@@ -53,11 +53,11 @@ type entry = { bound : float; best : Plan.t option }
 type t = {
   config : config;
   memo : Memo.t;
-  builder : Plan.Builder.t;
+  mutable builder : Plan.Builder.t;
   winners : (int, (Props.required * entry) list) Hashtbl.t;
   sample_envs : Env.t list Lazy.t;
   sample_costs : (int * int, float) Hashtbl.t;
-  rank_envs : Startup.evaluator list Lazy.t;
+  rank_evaluator : Startup.evaluator Lazy.t;
   rank_vectors : (int, float array) Hashtbl.t;
   rank_costs : (int, float) Hashtbl.t;
   mutable goals : int;
@@ -97,13 +97,8 @@ let create config memo =
         | None -> []
         | Some n -> make_sample_envs config n);
     sample_costs = Hashtbl.create 256;
-    rank_envs =
-      lazy
-        (match config.risk with
-        | Risk.Worst_case -> []
-        | Risk.Expected | Risk.Quantile _ ->
-          List.map (fun (_, env) -> Startup.evaluator env)
-            (Env.scenarios config.env));
+    rank_evaluator =
+      lazy (Startup.evaluator (List.map snd (Env.scenarios config.env)));
     rank_vectors = Hashtbl.create 256;
     rank_costs = Hashtbl.create 256;
     goals = 0;
@@ -119,10 +114,13 @@ let memo t = t.memo
    infinity so [optimize] serves it as a pure cache hit — and drop the
    entries of dirty groups (and every goal whose cached answer was
    [None], which may become a plan under the fresh unlimited search).
-   Winners were built by this search's own builder, so plans retained
-   here and nodes built by the re-search share one pid space.  Returns
+   The builder starts afresh: it interns a node by operator and input
+   pids before costing it, so the old one would hand a dirty group's
+   rebuilt node back with its pre-refinement rows and cost.  Pids are
+   global, so retained plans and rebuilt nodes never collide.  Returns
    the number of goal entries kept. *)
 let reseed t ~dirty =
+  t.builder <- Plan.Builder.create t.config.env;
   let reused = ref 0 in
   let updates =
     Hashtbl.fold
@@ -176,14 +174,8 @@ let scenario_vector t (plan : Plan.t) =
   match Hashtbl.find_opt t.rank_vectors plan.Plan.pid with
   | Some v -> v
   | None ->
-    let v =
-      Array.of_list
-        (List.map
-           (fun ev ->
-             t.sample_evaluations <- t.sample_evaluations + 1;
-             Startup.evaluate_with ev plan)
-           (Lazy.force t.rank_envs))
-    in
+    let v = Startup.evaluate_with (Lazy.force t.rank_evaluator) plan in
+    t.sample_evaluations <- t.sample_evaluations + Array.length v;
     Hashtbl.add t.rank_vectors plan.Plan.pid v;
     v
 
@@ -232,7 +224,7 @@ let rec goal t gid required ~limit =
   match find_entry t gid required with
   | Some e when e.bound >= limit -> e
   | _ ->
-    Rules.explore t.memo gid;
+    Memo.explore t.memo gid;
     let g = Memo.group t.memo gid in
     let local_limit = ref limit in
     let sensitive = ref false in
@@ -327,24 +319,29 @@ let rec goal t gid required ~limit =
       Plan.Builder.operator t.builder op ~inputs ~rels:g.Memo.rels ~rows:g.Memo.rows
         ~bytes_per_row:g.Memo.bytes_per_row ~props
     in
-    let own_of op inputs =
-      Cost_model.own_cost t.config.env op ~inputs ~output_rows:g.Memo.rows
+    (* The limits of an operator's children: what is left of this
+       goal's after the operator's own cost and what earlier inputs
+       [spent].  Only branch-and-bound limits a child, so only it runs
+       the cost model here. *)
+    let child_limit op inputs =
+      if t.config.prune then begin
+        let own =
+          Cost_model.own_cost t.config.env op ~inputs ~output_rows:g.Memo.rows
+        in
+        fun ~spent -> !local_limit -. own.Interval.lo -. spent
+      end
+      else fun ~spent:_ -> Float.infinity
     in
-    let child_limit base = if t.config.prune then base else Float.infinity in
-    List.iter
-      (fun e ->
-        implementations t g e ~mk ~own_of ~child ~child_limit ~local_limit
-          ~consider)
-      g.Memo.lexprs;
+    for i = 0 to g.Memo.n_exprs - 1 do
+      implementations t g.Memo.exprs.(i) ~mk ~child ~child_limit ~consider
+    done;
     (* Sort enforcer for ordered goals. *)
     (match required with
     | Props.Any -> ()
     | Props.Sorted col ->
       let op = Physical.Sort [ col ] in
-      let own = own_of op [ group_input g ] in
       (match
-         child gid Props.Any
-           ~limit:(child_limit (!local_limit -. own.Interval.lo))
+         child gid Props.Any ~limit:(child_limit op [ group_input g ] ~spent:0.)
        with
       | None -> ()
       | Some child -> consider (mk op [ child ] (Props.ordered [ col ]))));
@@ -380,8 +377,7 @@ let rec goal t gid required ~limit =
     store_entry t gid required entry;
     entry
 
-and implementations t (_g : Memo.group) (e : Lmexpr.t) ~mk ~own_of ~child
-    ~child_limit ~local_limit ~consider =
+and implementations t (e : Lmexpr.t) ~mk ~child ~child_limit ~consider =
   let catalog = Env.catalog t.config.env in
   match e.Lmexpr.op with
   | Lmexpr.Get rel ->
@@ -409,46 +405,36 @@ and implementations t (_g : Memo.group) (e : Lmexpr.t) ~mk ~own_of ~child
          | _ -> [])
     in
     let op = Physical.Filter pred in
-    let own = own_of op [ group_input child_group ] in
+    let limit = child_limit op [ group_input child_group ] in
     List.iter
       (fun child_required ->
-        match
-          child child_gid child_required
-            ~limit:(child_limit (!local_limit -. own.Interval.lo))
-        with
+        match child child_gid child_required ~limit:(limit ~spent:0.) with
         | None -> ()
         | Some child -> consider (mk op [ child ] child.Plan.props))
       child_orders;
     (* Filter-B-tree-Scan directly over a base relation. *)
-    (match Group_key.single_item child_group.Memo.key with
-    | Some item
-      when item.Group_key.sels = []
-           && item.Group_key.rel = pred.Predicate.target.Col.rel
-           && Catalog.has_index catalog ~rel:item.Group_key.rel
+    (match (child_group.Memo.rels, child_group.Memo.sels) with
+    | [ rel ], []
+      when rel = pred.Predicate.target.Col.rel
+           && Catalog.has_index catalog ~rel
                 ~attr:pred.Predicate.target.Col.attr ->
-      let rel = item.Group_key.rel and attr = pred.Predicate.target.Col.attr in
+      let attr = pred.Predicate.target.Col.attr in
       consider
         (mk (Physical.Filter_btree_scan { rel; attr; pred }) []
            (Props.ordered [ pred.Predicate.target ]))
-    | Some _ | None -> ())
+    | _ -> ())
   | Lmexpr.Join preds ->
     let gl = e.Lmexpr.children.(0) and gr = e.Lmexpr.children.(1) in
     let lgroup = Memo.group t.memo gl and rgroup = Memo.group t.memo gr in
-    if t.config.left_deep_only && Group_key.cardinal rgroup.Memo.key <> 1 then ()
+    if t.config.left_deep_only && List.length rgroup.Memo.rels <> 1 then ()
     else begin
     let binary op lreq rreq props =
-      let own = own_of op [ group_input lgroup; group_input rgroup ] in
-      match
-        child gl lreq ~limit:(child_limit (!local_limit -. own.Interval.lo))
-      with
+      let limit = child_limit op [ group_input lgroup; group_input rgroup ] in
+      match child gl lreq ~limit:(limit ~spent:0.) with
       | None -> ()
       | Some left -> (
         match
-          child gr rreq
-            ~limit:
-              (child_limit
-                 (!local_limit -. own.Interval.lo
-                 -. left.Plan.total_cost.Interval.lo))
+          child gr rreq ~limit:(limit ~spent:left.Plan.total_cost.Interval.lo)
         with
         | None -> ()
         | Some right -> consider (mk op [ left; right ] props))
@@ -468,11 +454,11 @@ and implementations t (_g : Memo.group) (e : Lmexpr.t) ~mk ~own_of ~child
     (* Index join: inner must be a (possibly selected) base relation with
        an index on a join column. *)
     if t.config.use_index_join then
-      match Group_key.single_item rgroup.Memo.key with
-      | None -> ()
-      | Some item ->
+      match rgroup.Memo.rels with
+      | [] | _ :: _ :: _ -> ()
+      | [ inner_rel ] ->
         let inner_filter =
-          match item.Group_key.sels with
+          match rgroup.Memo.sels with
           | [] -> Some None
           | [ p ] -> Some (Some p)
           | _ :: _ :: _ -> None
@@ -483,20 +469,19 @@ and implementations t (_g : Memo.group) (e : Lmexpr.t) ~mk ~own_of ~child
           List.iter
             (fun (p : Predicate.equi) ->
               if
-                Catalog.has_index catalog ~rel:item.Group_key.rel
+                Catalog.has_index catalog ~rel:inner_rel
                   ~attr:p.Predicate.right.Col.attr
               then begin
                 let op =
                   Physical.Index_join
                     { preds;
-                      inner_rel = item.Group_key.rel;
+                      inner_rel;
                       inner_attr = p.Predicate.right.Col.attr;
                       inner_filter }
                 in
-                let own = own_of op [ group_input lgroup ] in
                 match
                   child gl Props.Any
-                    ~limit:(child_limit (!local_limit -. own.Interval.lo))
+                    ~limit:(child_limit op [ group_input lgroup ] ~spent:0.)
                 with
                 | None -> ()
                 | Some outer -> consider (mk op [ outer ] Props.unordered)

@@ -345,7 +345,10 @@ let rels_key node = String.concat "|" node.rels
    re-collecting each subtree.  Alternatives of one logical group render
    the same selections through different operators (Filter,
    Filter_btree_scan, an index join's inner filter); the union makes the
-   fingerprint alternative-invariant. *)
+   fingerprint alternative-invariant.  Neighbouring nodes are mostly
+   alternatives of one group, with one relation list and the same
+   rendered selections, so a node that has both physically equal to its
+   predecessor's takes its string. *)
 let fingerprints (dag : Dag.t) =
   let rendered = Hashtbl.create 16 in
   let render p =
@@ -367,6 +370,7 @@ let fingerprints (dag : Dag.t) =
       else y :: union a ys
   in
   let sels = Array.make dag.Dag.length [] in
+  let last = ref None in
   Array.init dag.Dag.length (fun i ->
       let node = dag.Dag.nodes.(i) in
       let own =
@@ -379,9 +383,19 @@ let fingerprints (dag : Dag.t) =
         | Physical.Merge_join _ | Physical.Sort _ | Physical.Choose_plan ->
           []
       in
-      sels.(i) <-
-        List.fold_left (fun acc c -> union acc sels.(c)) own (Dag.inputs dag i);
-      rels_key node ^ "?" ^ String.concat "&" sels.(i))
+      let acc = ref own in
+      for x = dag.Dag.first_input.(i) to dag.Dag.first_input.(i + 1) - 1 do
+        acc := union !acc sels.(dag.Dag.inputs.(x))
+      done;
+      sels.(i) <- !acc;
+      match !last with
+      | Some (rels, sels, fp)
+        when rels == node.rels && List.equal ( == ) sels !acc ->
+        fp
+      | Some _ | None ->
+        let fp = rels_key node ^ "?" ^ String.concat "&" !acc in
+        last := Some (node.rels, !acc, fp);
+        fp)
 
 let fingerprint plan =
   let d = Dag.of_plan plan in

@@ -601,21 +601,32 @@ let evaluate ?(risk = Risk.Expected) ?(overrides = []) ?(excluded = []) env
   let st = evaluated ~risk ~overrides ~excluded env prog in
   (st.total.(root prog), stats st)
 
-(* The optimizer prices many plans sharing DAG nodes under one
-   environment: one numbering grows by each plan's unseen nodes, and
-   only those are compiled and evaluated. *)
+(* The optimizer prices many plans sharing DAG nodes under several
+   environments of one catalog and device: one numbering grows by each
+   plan's unseen nodes, only those are compiled, once, and each
+   environment's state evaluates them. *)
 type evaluator = {
   prog : program;
+  env : Env.t;
   join_factor : Predicate.equi list -> float;
-  st : state;
+  states : state array;
 }
 
-let evaluator ?(risk = Risk.Expected) env =
-  let prog = sized env (Plan.Dag.create ()) in
-  { prog; join_factor = join_factors env;
-    st = activation ~risk ~overrides:[] ~excluded:[] env prog }
+let evaluator envs =
+  match envs with
+  | [] -> invalid_arg "Startup.evaluator: no environment"
+  | env :: _ ->
+    let prog = sized env (Plan.Dag.create ()) in
+    { prog; env; join_factor = join_factors env;
+      states =
+        Array.of_list
+          (List.map
+             (fun env ->
+               activation ~risk:Risk.Expected ~overrides:[] ~excluded:[] env
+                 prog)
+             envs) }
 
-let evaluate_with { prog; join_factor; st } plan =
+let evaluate_with { prog; env; join_factor; states } plan =
   let dag = prog.dag in
   let from = dag.Plan.Dag.length in
   let root = Plan.Dag.add dag plan in
@@ -625,20 +636,23 @@ let evaluate_with { prog; join_factor; st } plan =
     prog.first_input <- dag.Plan.Dag.first_input;
     prog.inputs <- dag.Plan.Dag.inputs;
     for i = from to n - 1 do
-      add_node prog st.env ~join_factor i
+      add_node prog env ~join_factor i
     done;
     let vars = prog.n_vars in
-    st.var_lo <- grow st.var_lo vars Float.nan;
-    st.var_hi <- grow st.var_hi vars Float.nan;
-    st.rows_lo <- grow st.rows_lo n 0.;
-    st.rows_hi <- grow st.rows_hi n 0.;
-    st.total <- grow st.total n 0.;
-    st.choice <- grow st.choice n (-1);
-    for i = from to n - 1 do
-      step prog st i
-    done
+    Array.iter
+      (fun st ->
+        st.var_lo <- grow st.var_lo vars Float.nan;
+        st.var_hi <- grow st.var_hi vars Float.nan;
+        st.rows_lo <- grow st.rows_lo n 0.;
+        st.rows_hi <- grow st.rows_hi n 0.;
+        st.total <- grow st.total n 0.;
+        st.choice <- grow st.choice n (-1);
+        for i = from to n - 1 do
+          step prog st i
+        done)
+      states
   end;
-  st.total.(root)
+  Array.map (fun st -> st.total.(root)) states
 
 type decision = {
   choose_pid : int;

@@ -63,18 +63,22 @@ val evaluate :
     agrees. *)
 
 type evaluator
-(** A persistent evaluation state: one numbering, and the program over
-    it, grow by each priced plan's unseen nodes, and their values
-    survive across
+(** A persistent evaluation state under several environments: one
+    numbering, and the one program over it, grow by each priced plan's
+    unseen nodes, and each environment's values survive across
     {!evaluate_with} calls, so pricing many plans that share subplan
     DAG nodes (the optimizer's rank machinery prices every candidate
-    under every scenario) costs only the nodes not seen before. *)
+    under every scenario) numbers and compiles only the nodes not seen
+    before, once, and evaluates only those. *)
 
-val evaluator : ?risk:Dqep_cost.Risk.t -> Dqep_cost.Env.t -> evaluator
-(** An evaluator for a fixed environment and risk posture. *)
+val evaluator : Dqep_cost.Env.t list -> evaluator
+(** An evaluator for fixed environments that share one catalog and one
+    device, as {!Dqep_cost.Env.scenarios} do.
+    @raise Invalid_argument on an empty list. *)
 
-val evaluate_with : evaluator -> Plan.t -> float
-(** As the cost component of {!evaluate}, memoized across calls. *)
+val evaluate_with : evaluator -> Plan.t -> float array
+(** As the cost component of {!evaluate} under each environment, in
+    order, memoized across calls. *)
 
 val estimated_rows :
   ?overrides:(int * float) list -> Dqep_cost.Env.t -> Plan.t -> float

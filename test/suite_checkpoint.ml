@@ -194,6 +194,79 @@ let test_refine_rows_converges () =
   Alcotest.(check bool) "repeating the same observation -> no replan" true
     (D.Reoptimize.replan rt ~rels_rows:obs = None)
 
+(* --- incremental re-entry = fresh search --------------------------------- *)
+
+let digest plan = Digest.to_hex (Digest.string (D.Access_module.encode plan))
+
+(* [Reoptimize.replan] returns the plan a fresh search of the same
+   refined memo returns.  Every group of chains, stars and cycles gets
+   one observation at four points of its row interval, in both memory
+   modes.  Stars matter: exploration adds joins whose child group was
+   created after the parent, so the dirty closure needs a fixpoint. *)
+let test_replan_equals_fresh_search () =
+  let queries =
+    [ D.Queries.chain ~relations:4; D.Queries.chain ~relations:5;
+      D.Queries.star ~relations:4; D.Queries.star ~relations:5;
+      D.Queries.star ~relations:6; D.Queries.cycle ~relations:4;
+      D.Queries.cycle ~relations:5 ]
+  in
+  let replans = ref 0 in
+  List.iter
+    (fun (q : D.Queries.t) ->
+      let catalog = q.D.Queries.catalog and query = q.D.Queries.query in
+      List.iter
+        (fun uncertain_memory ->
+          let mode = D.Optimizer.dynamic ~uncertain_memory () in
+          let env, config =
+            Result.get_ok (D.Optimizer.search_config ~mode catalog query)
+          in
+          (* A memo explored to its fixpoint before it is refined: the
+             retained one was, by its first search. *)
+          let explored () =
+            let memo = D.Memo.create env in
+            let root = D.Memo.ingest memo query in
+            D.Memo.explore memo root;
+            (memo, root)
+          in
+          let shape, _ = explored () in
+          for id = 0 to D.Memo.group_count shape - 1 do
+            let g = D.Memo.group shape id in
+            let key = String.concat "|" g.D.Memo.rels in
+            let lo = g.D.Memo.rows.D.Interval.lo
+            and hi = g.D.Memo.rows.D.Interval.hi in
+            List.iter
+              (fun f ->
+                let obs = [ (key, lo +. (f *. (hi -. lo))) ] in
+                let rt, _ =
+                  Result.get_ok (D.Reoptimize.prepare ~mode catalog query)
+                in
+                let replanned = D.Reoptimize.replan rt ~rels_rows:obs in
+                let memo, root = explored () in
+                let moved = D.Memo.refine_rows memo obs in
+                let fresh =
+                  D.Search.optimize (D.Search.create config memo) root
+                    D.Props.Any ~limit:Float.infinity
+                in
+                let name =
+                  Printf.sprintf "%d-way %s at %s=%g (memory %b)"
+                    q.D.Queries.relations
+                    (D.Plan.rels_key (Option.get fresh)) key
+                    (lo +. (f *. (hi -. lo))) uncertain_memory
+                in
+                incr replans;
+                match (replanned, moved) with
+                | None, [] -> ()
+                | Some p, _ :: _ ->
+                  Alcotest.(check string) name (digest (Option.get fresh))
+                    (digest p)
+                | None, _ :: _ | Some _, [] ->
+                  Alcotest.failf "%s: replanned iff a group moved" name)
+              [ 0.; 1. /. 3.; 2. /. 3.; 1. ]
+          done)
+        [ false; true ])
+    queries;
+  Alcotest.(check int) "replans" 1280 !replans
+
 (* --- differential: replanned execution == reference over Plangen -------- *)
 
 let test_differential_replanned_vs_reference () =
@@ -449,6 +522,8 @@ let suite =
         test_replan_requires_moved_groups;
       Alcotest.test_case "refinement converges: repeated observations are inert"
         `Quick test_refine_rows_converges;
+      Alcotest.test_case "replan equals a fresh search" `Slow
+        test_replan_equals_fresh_search;
       Alcotest.test_case "differential: replanned execution == reference"
         `Slow test_differential_replanned_vs_reference;
       Alcotest.test_case "resume reads strictly fewer pages than cold restart"

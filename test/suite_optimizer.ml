@@ -45,9 +45,9 @@ let test_rules_reach_fixpoint () =
   let env = D.Env.dynamic q.D.Queries.catalog in
   let memo = D.Memo.create env in
   let root = D.Memo.ingest memo q.D.Queries.query in
-  D.Rules.explore memo root;
+  D.Memo.explore memo root;
   let exprs = D.Memo.lexpr_count memo in
-  D.Rules.explore memo root;
+  D.Memo.explore memo root;
   Alcotest.(check int) "idempotent" exprs (D.Memo.lexpr_count memo);
   (* Chain of 4: groups = contiguous segments with selections: 4 base
      gets + 4 selects + 3 + 2 + 1 join segments = 14. *)
@@ -58,9 +58,9 @@ let test_commutativity_generates_mirror () =
   let env = D.Env.dynamic q.D.Queries.catalog in
   let memo = D.Memo.create env in
   let root = D.Memo.ingest memo q.D.Queries.query in
-  D.Rules.explore memo root;
+  D.Memo.explore memo root;
   let g = D.Memo.group memo root in
-  Alcotest.(check int) "two join orders" 2 (List.length g.D.Memo.lexprs)
+  Alcotest.(check int) "two join orders" 2 (List.length (D.Memo.lexprs g))
 
 let test_cross_products_rejected () =
   let q = D.Queries.chain ~relations:2 in
@@ -72,6 +72,86 @@ let test_cross_products_rejected () =
   Alcotest.check_raises "cross product"
     (Invalid_argument "Memo.ingest: cross product (no connecting predicate)")
     (fun () -> ignore (D.Memo.ingest memo cross))
+
+(* The memo's shape after exploration: a join group's join expressions
+   are exactly the ordered pairs that split its relations into two
+   connected halves joined by a predicate (connected-subgraph/complement
+   pairs, each in both operand orders), and no other group has one. *)
+let test_memo_shape () =
+  (* Every split of a relation list into two non-empty parts, each
+     ordered pair once. *)
+  let splits rels =
+    List.init ((1 lsl List.length rels) - 2) (fun m ->
+        let inside i = (m + 1) land (1 lsl i) <> 0 in
+        ( List.filteri (fun i _ -> inside i) rels,
+          List.filteri (fun i _ -> not (inside i)) rels ))
+  in
+  List.iter
+    (fun (name, (q : D.Queries.t), groups, joins) ->
+      let env = D.Env.dynamic q.D.Queries.catalog in
+      let memo = D.Memo.create env in
+      let root = D.Memo.ingest memo q.D.Queries.query in
+      D.Memo.explore memo root;
+      let edges =
+        List.map
+          (fun (p : D.Predicate.equi) -> (p.left.D.Col.rel, p.right.D.Col.rel))
+          (D.Logical.join_predicates q.D.Queries.query)
+      in
+      let joined a b =
+        List.exists
+          (fun (x, y) ->
+            (List.mem x a && List.mem y b) || (List.mem x b && List.mem y a))
+          edges
+      in
+      (* Grow a component from the first relation along the edges. *)
+      let connected rels =
+        let rec grow seen =
+          match
+            List.filter
+              (fun r -> (not (List.mem r seen)) && joined [ r ] seen)
+              rels
+          with
+          | [] -> seen
+          | more -> grow (more @ seen)
+        in
+        rels <> [] && List.length (grow [ List.hd rels ]) = List.length rels
+      in
+      let rels id = (D.Memo.group memo id).D.Memo.rels in
+      let total = ref 0 in
+      for id = 0 to D.Memo.group_count memo - 1 do
+        let g = D.Memo.group memo id in
+        let got =
+          List.filter_map
+            (fun (e : D.Lmexpr.t) ->
+              match e.D.Lmexpr.op with
+              | D.Lmexpr.Join _ ->
+                let c = e.D.Lmexpr.children in
+                Some (rels c.(0), rels c.(1))
+              | D.Lmexpr.Get _ | D.Lmexpr.Select _ -> None)
+            (D.Memo.lexprs g)
+        in
+        let want =
+          List.filter
+            (fun (a, b) -> connected a && connected b && joined a b)
+            (if List.length g.D.Memo.rels < 2 then [] else splits g.D.Memo.rels)
+        in
+        total := !total + List.length got;
+        Alcotest.(check (list (pair (list string) (list string))))
+          (Printf.sprintf "%s group %d joins" name id)
+          (List.sort compare want) (List.sort compare got)
+      done;
+      Alcotest.(check int) (name ^ " groups") groups (D.Memo.group_count memo);
+      Alcotest.(check int) (name ^ " join expressions") joins !total)
+    [ ("chain4", D.Queries.chain ~relations:4, 14, 20);
+      ("chain5", D.Queries.chain ~relations:5, 20, 40);
+      ("chain6", D.Queries.chain ~relations:6, 27, 70);
+      ("chain10", D.Queries.chain ~relations:10, 65, 330);
+      ("star4", D.Queries.star ~relations:4, 15, 24);
+      ("star5", D.Queries.star ~relations:5, 25, 64);
+      ("star6", D.Queries.star ~relations:6, 43, 160);
+      ("cycle4", D.Queries.cycle ~relations:4, 17, 36);
+      ("cycle5", D.Queries.cycle ~relations:5, 26, 80);
+      ("cycle6", D.Queries.cycle ~relations:6, 37, 150) ]
 
 (* --- pareto --------------------------------------------------------------- *)
 
@@ -518,6 +598,16 @@ let test_invalid_query_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted invalid query"
 
+(* The memo numbers relations and selections in an [int] bitset. *)
+let test_too_many_relations_rejected () =
+  let q = D.Queries.chain ~relations:(D.Memo.max_relations + 1) in
+  match
+    D.Optimizer.optimize ~mode:(D.Optimizer.dynamic ()) q.D.Queries.catalog
+      q.D.Queries.query
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted a query the memo cannot number"
+
 let suite =
   ( "optimizer",
     [ Alcotest.test_case "logical alternatives = chain formula" `Quick
@@ -526,6 +616,7 @@ let suite =
       Alcotest.test_case "commutativity mirror" `Quick
         test_commutativity_generates_mirror;
       Alcotest.test_case "cross products rejected" `Quick test_cross_products_rejected;
+      Alcotest.test_case "memo joins = connected splits" `Quick test_memo_shape;
       Alcotest.test_case "pareto sets" `Quick test_pareto;
       Alcotest.test_case "static = brute force (1-3 way)" `Slow
         test_static_matches_bruteforce;
@@ -542,6 +633,8 @@ let suite =
       Alcotest.test_case "static plans have point costs" `Quick
         test_static_plan_is_point_cost;
       Alcotest.test_case "invalid queries rejected" `Quick test_invalid_query_rejected;
+      Alcotest.test_case "too many relations rejected" `Quick
+        test_too_many_relations_rejected;
       QCheck_alcotest.to_alcotest prop_pruning_is_safe;
       Alcotest.test_case "pruned extras are never chosen" `Quick
         test_pruning_extras;
