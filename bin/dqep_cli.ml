@@ -273,14 +273,14 @@ let run_cmd =
   in
   let checkpoints =
     Arg.(value & flag
-         & info [ "checkpoints" ]
+         & info [ "checkpoints" ] ~env:(Cmd.Env.info "DQEP_CHECKPOINTS")
              ~doc:"Checkpoint intermediates at blocking points (hash-join \
                    builds, sort outputs). A cardinality observed there \
                    outside the plan's validity band becomes a typed \
                    estimate-busted fault: the query is replanned \
                    incrementally (reusing the optimizer's memo) and resumes \
                    from the checkpoints; with replans exhausted it fails \
-                   with exit code 17. Also honors \\$DQEP_CHECKPOINTS=1.")
+                   with exit code 17.")
   in
   let replan_tolerance =
     Arg.(value & opt float D.Checkpoint.default_tolerance
@@ -360,11 +360,10 @@ let run_cmd =
     end;
     let make_config ?replan () =
       (* The guard defaults off here so a plain `dqep run` matches the
-         unsupervised executor's behavior.  Checkpointing stays on the
-         config's env-var default unless --checkpoints forces it on. *)
+         unsupervised executor's behavior. *)
       D.Resilience.config ~max_retries:retries
         ~io_budget_factor:(Option.value ~default:0. io_budget_factor)
-        ?checkpoints:(if checkpoints then Some true else None)
+        ~checkpoints
         ~checkpoint_tolerance:replan_tolerance ~max_replans ?risk ?replan ()
     in
     (match deadline_ms with

@@ -19,9 +19,6 @@ module Diagnostic = Dqep_util.Diagnostic
 module Env = Dqep_cost.Env
 module Plan = Dqep_plans.Plan
 
-val default_max_regions : int
-(** Default grid budget for parameter-space subdivision (64). *)
-
 val choose_space :
   ?max_regions:int ->
   ?budget_bytes:int ->
@@ -29,7 +26,8 @@ val choose_space :
   Env.t ->
   Plan.t ->
   Diagnostic.t list
-(** One sweep over a partition of the plan's parameter space.  Per
+(** One sweep over a partition of the plan's parameter space into at
+    most [max_regions] regions (default 64).  Per
     choose node: DQEP501 when some region leaves no alternative that is
     catalog-feasible and (given [budget_bytes]) whose modelled demand
     floor fits the budget; DQEP502 for every alternative strictly
@@ -50,11 +48,9 @@ val fingerprints :
     intermediate), warning when the collision merely shadows a real
     checkpoint. *)
 
-val default_pipeline_threshold : int
-
 val pipeline : ?threshold:int -> Plan.t -> Diagnostic.t list
 (** DQEP505 for every choose node whose resolution streams through
-    [threshold] (default {!default_pipeline_threshold}) or more
+    [threshold] (default 3) or more
     operators without crossing a blocking point (a sort's output or a
     hash join's build side — the checkpoint sites), so its validity band
     is never rechecked mid-pipeline. *)

@@ -229,25 +229,27 @@ let cost_of dag =
 (* --- schema and semantics ------------------------------------------------ *)
 
 (* Catalog resolution: each check reports through [add] and says whether
-   the object exists.  These are the only sources of the feasibility
-   diagnostics ([Diagnostic.is_feasibility]). *)
+   the object exists ([need_rel] by returning the relation it found).
+   These are the only sources of the feasibility diagnostics
+   ([Diagnostic.is_feasibility]). *)
 let need_rel ~catalog ~add site r =
-  if Catalog.relation catalog r <> None then true
-  else begin
+  match Catalog.relation catalog r with
+  | Some _ as found -> found
+  | None ->
     add (diag ~site Diagnostic.Missing_relation "relation %s does not exist" r);
-    false
-  end
+    None
 
 let need_attr ~catalog ~add site r a =
-  if not (need_rel ~catalog ~add site r) then false
-  else
-    match Relation.attribute (Catalog.relation_exn catalog r) a with
+  match need_rel ~catalog ~add site r with
+  | None -> false
+  | Some rel -> (
+    match Relation.attribute rel a with
     | Some _ -> true
     | None ->
       add
         (diag ~site Diagnostic.Missing_attribute
            "attribute %s.%s does not exist" r a);
-      false
+      false)
 
 let need_index ~catalog ~add site r a =
   if need_attr ~catalog ~add site r a && not (Catalog.has_index catalog ~rel:r ~attr:a)

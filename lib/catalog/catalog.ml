@@ -1,22 +1,26 @@
+(* Relations by name, hashed and compared as strings rather than
+   through the polymorphic primitives. *)
+module Names = Hashtbl.Make (String)
+
 type t = {
   page_bytes : int;
   relations : Relation.t list;
   indexes : Index.t list;
-  by_name : (string, Relation.t) Hashtbl.t;
+  by_name : Relation.t Names.t;
 }
 
 let create ?(page_bytes = 2048) ~relations ~indexes () =
   if page_bytes <= 0 then invalid_arg "Catalog.create: page_bytes <= 0";
-  let by_name = Hashtbl.create 16 in
+  let by_name = Names.create 16 in
   List.iter
     (fun (r : Relation.t) ->
-      if Hashtbl.mem by_name r.name then
+      if Names.mem by_name r.name then
         invalid_arg ("Catalog.create: duplicate relation " ^ r.name);
-      Hashtbl.add by_name r.name r)
+      Names.add by_name r.name r)
     relations;
   List.iter
     (fun (i : Index.t) ->
-      match Hashtbl.find_opt by_name i.relation with
+      match Names.find_opt by_name i.relation with
       | None -> invalid_arg ("Catalog.create: index on unknown relation " ^ i.relation)
       | Some r ->
         if Relation.attribute r i.attribute = None then
@@ -29,7 +33,7 @@ let create ?(page_bytes = 2048) ~relations ~indexes () =
 let page_bytes t = t.page_bytes
 let relations t = t.relations
 let indexes t = t.indexes
-let relation t name = Hashtbl.find_opt t.by_name name
+let relation t name = Names.find_opt t.by_name name
 
 let relation_exn t name =
   match relation t name with

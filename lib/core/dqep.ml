@@ -111,7 +111,6 @@ module Exec_common = Dqep_exec.Exec_common
 module Batch = Dqep_exec.Batch
 module Batch_exec = Dqep_exec.Batch_exec
 module Reference = Dqep_exec.Reference
-module Midquery = Dqep_exec.Midquery
 module Resilience = Dqep_exec.Resilience
 module Governor = Dqep_exec.Governor
 module Checkpoint = Dqep_exec.Checkpoint

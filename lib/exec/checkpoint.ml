@@ -6,9 +6,9 @@
    output — and [take] captures those checkpoints, checked against the
    validity band the subplan was costed under: a busted estimate becomes
    a typed, recoverable fault ([Estimate_busted]) instead of a silent
-   cost-correctness failure.  Mid-query adaptation (Midquery) evaluates
-   a subplan its choose-plan alternatives share and [file]s the result
-   with no band check, to re-decide with it.  Either way the entry is
+   cost-correctness failure.  The observation step (Resilience.observe)
+   evaluates a subplan its choose-plan alternatives share and [file]s the
+   result with no band check, to re-decide with it.  Either way the entry is
    governor-accounted, durable-until-release state, and it serves the
    same two purposes: observed cardinalities for the decision procedure
    ([overrides_for]) and materialized inputs for the executor

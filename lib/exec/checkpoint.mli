@@ -5,21 +5,21 @@
     hash join's build completion and at a sort's output — the natural
     blocking points of the paper's operator tree.  {!take} captures
     those materializations, checked against the validity band the
-    subplan was costed under; mid-query adaptation ({!Midquery}) {!file}s
-    the result of a subplan it evaluated on purpose.  Both are the same
+    subplan was costed under; the observation step
+    ({!Resilience.observe}, the paper's Section 7) {!file}s the result of
+    a shared subplan it evaluated on purpose.  Both are the same
     entry: governor-accounted, durable until {!release}, and keyed by
     {!Dqep_plans.Plan.fingerprints}.
 
-    One registry serves every recovery role of {!Resilience} and
-    {!Midquery}:
+    One registry serves every recovery role of {!Resilience}:
 
     - {b fault detection}: {!take} raises {!Estimate_busted} when the
       observed cardinality at a blocking point escapes the plan's
       validity band — a busted estimate becomes a typed, recoverable
       fault instead of a silent cost-correctness failure;
     - {b re-decision}: {!overrides_for} hands the decision procedure the
-      observed cardinality of every node an entry serves — a mid-query
-      observation, a failover observation or a checkpoint;
+      observed cardinality of every node an entry serves — an
+      observation or a checkpoint;
     - {b splicing}: {!resume_for} matches entries to a plan's nodes by
       logical fingerprint, across re-plans and failovers, and hands back
       materialized inputs remapped into each node's schema;
@@ -109,5 +109,5 @@ val entry_count : t -> int
 
 val release : t -> unit
 (** Roll every entry's bytes back out of the governor and drop the
-    intermediates.  {!Resilience} and {!Midquery} call this when their
-    run ends, on both arms — entry bytes can never outlive the query. *)
+    intermediates.  {!Resilience} calls this when its run ends, on both
+    arms — entry bytes can never outlive the query. *)

@@ -22,17 +22,9 @@ type config = {
   risk : Dqep_cost.Risk.t;
 }
 
-(* Checkpointing is strictly opt-in (per config or DQEP_CHECKPOINTS=1):
-   with it off, the supervisor behaves exactly as before this layer
-   existed. *)
-let default_checkpoints () =
-  match Sys.getenv_opt "DQEP_CHECKPOINTS" with
-  | Some ("1" | "true" | "on") -> true
-  | Some _ | None -> false
-
 let config ?(max_retries = 2)
     ?(io_budget_factor = Env.default_io_budget_factor) ?(max_failovers = 8)
-    ?checkpoints
+    ?(checkpoints = false)
     ?(checkpoint_tolerance = Checkpoint.default_tolerance) ?(max_replans = 2)
     ?replan ?(risk = Dqep_cost.Risk.Expected) () =
   if max_retries < 0 then invalid_arg "Resilience.config: max_retries < 0";
@@ -40,9 +32,6 @@ let config ?(max_retries = 2)
   if max_replans < 0 then invalid_arg "Resilience.config: max_replans < 0";
   if checkpoint_tolerance <= 1. then
     invalid_arg "Resilience.config: checkpoint_tolerance <= 1";
-  let checkpoints =
-    match checkpoints with Some c -> c | None -> default_checkpoints ()
-  in
   { max_retries; io_budget_factor; max_failovers; checkpoints;
     checkpoint_tolerance; max_replans; replan; risk }
 
@@ -129,6 +118,60 @@ let holds_working_set plan =
   fun pid ->
     match Plan.Dag.find dag pid with Some i -> holds.(i) | None -> true
 
+(* --- the observation step (paper, Section 7) ----------------------------- *)
+
+type observation = { sub : Plan.t; rows : int; kept : bool }
+
+let shared_subplan (plan : Plan.t) =
+  match plan.Plan.op with
+  | Physical.Choose_plan when List.compare_length_with plan.Plan.inputs 2 >= 0 ->
+    (* Score every subplan occurring in at least two alternatives by
+       (cardinality uncertainty x alternatives informed): observing the
+       most uncertain, most widely shared input buys the decision
+       procedure the most; exact ties go to the first in the plan's
+       numbering.  Nested choose operators are allowed — materialization
+       resolves them with the estimates at hand. *)
+    let dag = Plan.Dag.of_plan plan in
+    let root = dag.Plan.Dag.length - 1 in
+    let counts = Array.make root 0 and last = Array.make root (-1) in
+    List.iteri
+      (fun a alt ->
+        let rec mark i =
+          if last.(i) <> a then begin
+            last.(i) <- a;
+            counts.(i) <- counts.(i) + 1;
+            List.iter mark (Plan.Dag.inputs dag i)
+          end
+        in
+        mark alt)
+      (Plan.Dag.inputs dag root);
+    let best = ref None in
+    for i = 0 to root - 1 do
+      let node = dag.Plan.Dag.nodes.(i) in
+      let width = Interval.width node.Plan.rows in
+      if counts.(i) >= 2 && width > 0. then begin
+        let s = (width *. float_of_int counts.(i), Plan.node_count node) in
+        match !best with
+        | Some (bs, _) when bs >= s -> ()
+        | _ -> best := Some (s, node)
+      end
+    done;
+    Option.map snd !best
+  | _ -> None
+
+let observe db env ?(gov = Governor.none) ?(obs = Trace.null) registry plan =
+  match shared_subplan plan with
+  | None -> None
+  | Some sub ->
+    Trace.span obs "observe" @@ fun () ->
+    let tuples, _ = Executor.execute db env ~gov ~obs sub in
+    let kept =
+      Checkpoint.file registry sub
+        ~schema:(Plan.schema (Database.catalog db) sub)
+        tuples
+    in
+    Some { sub; rows = List.length tuples; kept }
+
 let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
     bindings plan =
   let env = Env.of_bindings (Database.catalog db) bindings in
@@ -201,18 +244,12 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
          there may not occur in the new one at all. *)
       if not !failover_observed then begin
         failover_observed := true;
-        match Midquery.shared_subplan !current_plan with
-        | None -> ()
-        | Some sub -> (
-          match
-            Trace.span rt "observe" (fun () ->
-                Midquery.observe db !mem_env ~gov ~obs:rt registry ~sub)
-          with
-          | _ -> ()
-          | exception
-              ( Fault.Io_fault _ | Buffer_pool.Io_budget_exceeded _
-              | Governor.Memory_exceeded _ ) ->
-            ())
+        match observe db !mem_env ~gov ~obs:rt registry !current_plan with
+        | _ -> ()
+        | exception
+            ( Fault.Io_fault _ | Buffer_pool.Io_budget_exceeded _
+            | Governor.Memory_exceeded _ ) ->
+          ()
       end
     in
     let exhausted last_error =

@@ -12,9 +12,9 @@
     failed alternative excluded, falling back through the plan DAG until
     an alternative completes or all are exhausted.  On the first
     failover it evaluates the plan's shared subplan into the run's
-    {!Checkpoint} registry ({!Midquery.observe}; best-effort, an
-    observation that faults is skipped), so the re-resolutions decide
-    with its observed cardinality and splice its tuples.  A memory-budget
+    {!Checkpoint} registry ({!observe}; best-effort, an observation that
+    faults is skipped), so the re-resolutions decide with its observed
+    cardinality and splice its tuples.  A memory-budget
     abort additionally lowers the memory grant for the re-resolution, so
     the decision procedure prefers a lower-memory alternative, and
     excludes only the failed choices that hold a working set (a hash
@@ -46,8 +46,8 @@ type config = {
   checkpoints : bool;
       (** materialize checkpoints at blocking points ({!Checkpoint}) and
           validate observed cardinalities against the plan's validity
-          band; defaults to [DQEP_CHECKPOINTS=1] (off when unset), so
-          checkpointed recovery is strictly opt-in *)
+          band (default [false]: checkpointed recovery is strictly
+          opt-in) *)
   checkpoint_tolerance : float;
       (** width of the validity band around the point estimate [e]:
           [\[e / tolerance, (e + 1) * tolerance\]]
@@ -165,3 +165,46 @@ val run :
     logical fingerprint instead of redoing completed work, and entry
     bytes are charged to [gov] for the duration of the supervised run
     and always rolled back at the end. *)
+
+(** {1 The observation step}
+
+    The paper's Section 7 remedy for estimates that are wrong even with
+    every host variable bound: evaluate a subplan that the alternatives
+    of a choose-plan operator share, and decide with its {e observed}
+    cardinality.  {!observe} is that step and the only one: the
+    supervisor runs it on its first failover, and a caller that wants
+    the Section 7 decision on its own runs it, then
+    [Startup.resolve ~overrides:(Checkpoint.overrides_for registry db plan)]
+    to decide and [Executor.execute ~materialized:(Checkpoint.resume_for
+    registry db resolved)] to splice, the two calls each attempt makes. *)
+
+type observation = {
+  sub : Dqep_plans.Plan.t;
+      (** the most informative subplan that at least two alternatives of
+          the root choose-plan share: the widest cardinality interval
+          times the number of alternatives sharing it, ties to the larger
+          subplan, then to the first numbered *)
+  rows : int;  (** its observed cardinality *)
+  kept : bool;
+      (** whether the registry kept it: [false] when it did not fit the
+          governor's memory budget (or the registry is
+          {!Checkpoint.disabled}), and then nothing overrides or splices *)
+}
+
+val observe :
+  Dqep_storage.Database.t ->
+  Dqep_cost.Env.t ->
+  ?gov:Governor.t ->
+  ?obs:Dqep_obs.Trace.t ->
+  Checkpoint.t ->
+  Dqep_plans.Plan.t ->
+  observation option
+(** [observe db env registry plan] evaluates [plan]'s shared subplan
+    under [gov], inside an "observe" span on [obs], and
+    {!Checkpoint.file}s its result in [registry].  From there the
+    registry serves the observation like any checkpoint:
+    {!Checkpoint.overrides_for} hands its cardinality to every
+    fingerprint-equal node of a plan and {!Checkpoint.resume_for}
+    splices its tuples into the same nodes.  [None], evaluating
+    nothing, when [plan]'s root is not a choose-plan or no subplan its
+    alternatives share has an uncertain cardinality. *)

@@ -52,16 +52,8 @@ type config = {
   precheck : bool;
 }
 
-let default_max_inflight () =
-  match Option.bind (Sys.getenv_opt "DQEP_MAX_INFLIGHT") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 4
-
-let config ?max_inflight ?(max_queue = 16) ?queue_deadline ?memory_pool_bytes
-    ?(precheck = true) () =
-  let max_inflight =
-    match max_inflight with Some n -> n | None -> default_max_inflight ()
-  in
+let config ?(max_inflight = 4) ?(max_queue = 16) ?queue_deadline
+    ?memory_pool_bytes ?(precheck = true) () =
   if max_inflight < 1 then invalid_arg "Session.config: max_inflight < 1";
   if max_queue < 0 then invalid_arg "Session.config: max_queue < 0";
   (match queue_deadline with

@@ -31,8 +31,7 @@ type outcome =
 
 type config = {
   max_inflight : int;
-      (** admission slots — queries executing concurrently (default from
-          [DQEP_MAX_INFLIGHT], else 4) *)
+      (** admission slots — queries executing concurrently (default 4) *)
   max_queue : int;
       (** submissions allowed to wait for a slot; beyond it submissions
           are shed with {!Queue_full} (default 16) *)

@@ -5,6 +5,9 @@ module Startup = Dqep_plans.Startup
 module Adapt = Dqep_plans.Adapt
 module Access_module = Dqep_plans.Access_module
 module Env = Dqep_cost.Env
+module Checkpoint = Dqep_exec.Checkpoint
+module Governor = Dqep_exec.Governor
+module Resilience = Dqep_exec.Resilience
 module Queries = Dqep_workload.Queries
 module Paramgen = Dqep_workload.Paramgen
 module Timer = Dqep_util.Timer
@@ -240,28 +243,48 @@ let midquery ?(relations = 2) ?(skew = 4.0) ?(trials = 40) ?(seed = 66) () =
     Paramgen.bindings ~seed:(seed + 1) ~trials ~host_vars:q.Queries.host_vars
       ~uncertain_memory:false ()
   in
+  let plan = dyn.Optimizer.plan in
+  (* One decision per binding: observe the shared subplan, then resolve
+     with and without its cardinality.  The start-up choice is costed
+     under the observation too, so both costs are comparable statements
+     about reality. *)
+  let decide gov b =
+    let env = Env.of_bindings catalog b in
+    let registry = Checkpoint.create ~gov () in
+    Fun.protect ~finally:(fun () -> Checkpoint.release registry) @@ fun () ->
+    let refused =
+      match Resilience.observe db env ~gov registry plan with
+      | Some o -> not o.Resilience.kept
+      | None -> false
+    in
+    let overrides = Checkpoint.overrides_for registry db plan in
+    let default = (Startup.resolve env plan).Startup.plan
+    and adapted = Startup.resolve ~overrides env plan in
+    ( fst (Startup.evaluate ~overrides env default),
+      adapted.Startup.anticipated_cost,
+      (* Structural comparison via the canonical encoding: resolution
+         rebuilds nodes, so pids alone would differ spuriously. *)
+      Access_module.encode default <> Access_module.encode adapted.Startup.plan,
+      refused )
+  in
   (* Once ungoverned, once under a budget too small for most
      observations: a refused observation leaves the start-up decision. *)
   let column gov =
-    let runs =
-      List.map
-        (fun b -> snd (Dqep_exec.Midquery.run db ~gov:(gov ()) b dyn.Optimizer.plan))
-        bindings
-    in
+    let runs = List.map (fun b -> decide (gov ()) b) bindings in
     let count f = string_of_int (List.length (List.filter f runs)) in
     let mean f = Stats.mean (List.map f runs) in
-    let default = mean (fun s -> s.Dqep_exec.Midquery.default_cost)
-    and adapted = mean (fun s -> s.Dqep_exec.Midquery.adapted_cost) in
+    let default = mean (fun (d, _, _, _) -> d)
+    and adapted = mean (fun (_, a, _, _) -> a) in
     [ string_of_int trials;
-      count (fun s -> s.Dqep_exec.Midquery.switched);
-      count (fun s -> s.Dqep_exec.Midquery.refused);
+      count (fun (_, _, switched, _) -> switched);
+      count (fun (_, _, _, refused) -> refused);
       R.f2 default;
       R.f2 adapted;
       Printf.sprintf "%.1f%%" (100. *. (1. -. (adapted /. default))) ]
   in
   let budget = 100_000 in
-  let free = column (fun () -> Dqep_exec.Governor.none)
-  and tight = column (fun () -> Dqep_exec.Governor.create ~memory_bytes:budget ()) in
+  let free = column (fun () -> Governor.none)
+  and tight = column (fun () -> Governor.create ~memory_bytes:budget ()) in
   R.make ~id:"midquery"
     ~title:
       (Printf.sprintf

@@ -20,8 +20,6 @@
 
 type scenario = Clean | Deadline | Cancel | Memory | Faulty | Busted | Faulty_resume
 
-val scenario_name : scenario -> string
-
 type tally = {
   total : int;
   completed : int;

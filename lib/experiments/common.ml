@@ -137,5 +137,3 @@ let scaled_static_opt m = m.static_opt_time *. m.cpu_scale
 let scaled_dynamic_opt m = m.dynamic_opt_time *. m.cpu_scale
 let scaled_runtime_opt m = mean m.runtime_opt_times *. m.cpu_scale
 let scaled_startup_cpu m = m.startup_cpu_mean *. m.cpu_scale
-
-let default_queries () = Queries.paper_queries ()

@@ -50,11 +50,6 @@ type measurement = {
   choose_decisions : int;  (** decisions per start-up in the dynamic plan *)
 }
 
-val paper_options : Dqep_optimizer.Optimizer.options
-(** The default options with branch-and-bound on, as in the paper's
-    optimizer: Figure 5's pruned counters show how little it cuts under
-    interval costs (Section 5). *)
-
 val measure :
   ?trials:int ->
   ?seed:int ->
@@ -65,7 +60,9 @@ val measure :
   measurement
 (** Defaults: 100 trials (the paper's N), seed 20240 + query id,
     [cpu_scale] 2000 (a modern core is roughly three orders of magnitude
-    faster than a 25 MHz R3000), [options] {!paper_options}. *)
+    faster than a 25 MHz R3000), [options] the default options with
+    branch-and-bound on, as in the paper's optimizer: Figure 5's pruned
+    counters show how little it cuts under interval costs (Section 5). *)
 
 val scaled_static_opt : measurement -> float
 (** a, in reference-machine seconds. *)
@@ -81,5 +78,3 @@ val scaled_startup_cpu : measurement -> float
 (** mean choose-plan decision CPU, reference-machine seconds. *)
 
 val mean : float list -> float
-
-val default_queries : unit -> Dqep_workload.Queries.t list

@@ -37,7 +37,6 @@ val kind : payload -> string
 (** The ["kind"] discriminator: ["span_begin"], ["span_end"],
     ["count"], ["gauge"] or ["tap"]. *)
 
-val to_jsonv : t -> Dqep_util.Json.t
 val to_json : t -> string
 
 val validate_json : string -> (unit, string) result

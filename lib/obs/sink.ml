@@ -49,15 +49,3 @@ let buffer ?(format = Jsonl) buf =
 
 let emit t e = t.emit e
 let flush t = t.flush ()
-
-let tee a b =
-  {
-    emit =
-      (fun e ->
-        a.emit e;
-        b.emit e);
-    flush =
-      (fun () ->
-        a.flush ();
-        b.flush ());
-  }

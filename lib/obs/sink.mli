@@ -24,6 +24,3 @@ val buffer : ?format:format -> Buffer.t -> t
 
 val emit : t -> Event.t -> unit
 val flush : t -> unit
-
-val tee : t -> t -> t
-(** [tee a b] forwards every event (and flush) to both sinks. *)

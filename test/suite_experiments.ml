@@ -120,6 +120,22 @@ let test_domination_ablation_smoke () =
   let r = E.Ablations.domination ~relations:2 ~samples:[ 2 ] ~trials:5 () in
   non_empty_report r
 
+(* The Section 7 report, both columns, exactly as [dqep report midquery]
+   prints it: ungoverned, observation switches 38 of 40 decisions;
+   under the 100 000-byte budget every observation is refused and the
+   start-up decisions stand. *)
+let test_midquery_report () =
+  let r = E.Ablations.midquery () in
+  Alcotest.(check (list (list string)))
+    "midquery table"
+    [ [ "invocations"; "40"; "40" ];
+      [ "plan switches after observation"; "38"; "0" ];
+      [ "observations refused (over the memory budget)"; "0"; "40" ];
+      [ "avg cost, start-up decision only"; "2.79"; "2.07" ];
+      [ "avg cost, adapted decision"; "1.68"; "2.07" ];
+      [ "improvement"; "39.7%"; "0.0%" ] ]
+    r.E.Report.rows
+
 let suite =
   ( "experiments",
     [ Alcotest.test_case "paper queries structure" `Quick test_queries_structure;
@@ -129,4 +145,5 @@ let suite =
       Alcotest.test_case "report rendering and CSV" `Quick test_report_rendering;
       Alcotest.test_case "shrink ablation smoke" `Slow test_shrink_ablation_smoke;
       Alcotest.test_case "pruning ablation smoke" `Slow test_pruning_ablation_smoke;
-      Alcotest.test_case "domination ablation smoke" `Slow test_domination_ablation_smoke ] )
+      Alcotest.test_case "domination ablation smoke" `Slow test_domination_ablation_smoke;
+      Alcotest.test_case "midquery report table" `Quick test_midquery_report ] )

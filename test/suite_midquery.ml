@@ -4,6 +4,54 @@
 module D = Dqep
 module I = D.Interval
 
+(* The Section 7 decision as the supervisor's attempt makes it: observe
+   the shared subplan ([Resilience.observe]), resolve with and without
+   its cardinality, and execute the adapted resolution with the
+   observation spliced in.  The start-up choice is costed under the
+   observation too, so both costs are comparable statements about
+   reality. *)
+type adapted = {
+  observation : D.Resilience.observation option;
+  default_cost : float;
+  adapted_cost : float;
+  switched : bool;
+  resolved : D.Plan.t;
+  tuples : D.Exec_common.tuple list;
+}
+
+let adapt ?(gov = D.Governor.none) db b plan =
+  let env = D.Env.of_bindings (D.Database.catalog db) b in
+  D.Buffer_pool.resize (D.Database.pool db) (D.Executor.memory_pages env);
+  let registry = D.Checkpoint.create ~gov () in
+  Fun.protect ~finally:(fun () -> D.Checkpoint.release registry) @@ fun () ->
+  let observation = D.Resilience.observe db env ~gov registry plan in
+  let overrides = D.Checkpoint.overrides_for registry db plan in
+  let default = (D.Startup.resolve env plan).D.Startup.plan in
+  let adapted = D.Startup.resolve ~overrides env plan in
+  let resolved = adapted.D.Startup.plan in
+  let tuples, _ =
+    D.Executor.execute db env ~gov
+      ~materialized:(D.Checkpoint.resume_for registry db resolved)
+      resolved
+  in
+  { observation;
+    default_cost = fst (D.Startup.evaluate ~overrides env default);
+    adapted_cost = adapted.D.Startup.anticipated_cost;
+    switched =
+      D.Access_module.encode default <> D.Access_module.encode resolved;
+    resolved;
+    tuples }
+
+(* The observation of [plan] on a throwaway registry. *)
+let observe db b plan =
+  let registry = D.Checkpoint.create () in
+  let observation =
+    D.Resilience.observe db (D.Env.of_bindings (D.Database.catalog db) b)
+      registry plan
+  in
+  D.Checkpoint.release registry;
+  observation
+
 let test_actual_selectivity () =
   Alcotest.(check (float 1e-9)) "uniform" 0.3
     (D.Database.actual_selectivity ~skew:1.0 0.3);
@@ -44,9 +92,10 @@ let test_override_changes_costs () =
     D.Bindings.make ~selectivities:[ ("hv1", 0.05); ("hv2", 0.5) ] ~memory_pages:64
   in
   let env = D.Env.of_bindings q.D.Queries.catalog b in
-  match D.Midquery.shared_subplan dyn.D.Optimizer.plan with
+  let db = D.Database.build ~seed:5 q.D.Queries.catalog in
+  match observe db b dyn.D.Optimizer.plan with
   | None -> Alcotest.fail "expected a shared subplan"
-  | Some sub ->
+  | Some { D.Resilience.sub; _ } ->
     let base, _ = D.Startup.evaluate env dyn.D.Optimizer.plan in
     (* Pretend the subplan produced far more rows than estimated. *)
     let inflated, _ =
@@ -64,8 +113,12 @@ let test_shared_subplan_none_for_static () =
       (D.Optimizer.optimize ~mode:D.Optimizer.static q.D.Queries.catalog
          q.D.Queries.query)
   in
+  let db = D.Database.build ~seed:5 q.D.Queries.catalog in
+  let b =
+    D.Bindings.make ~selectivities:[ ("hv1", 0.05); ("hv2", 0.5) ] ~memory_pages:64
+  in
   Alcotest.(check bool) "static plan has no shared subplan" true
-    (D.Midquery.shared_subplan st.D.Optimizer.plan = None)
+    (observe db b st.D.Optimizer.plan = None)
 
 let test_adaptation_observes_skew () =
   (* On skewed data the observed cardinality diverges from the estimate,
@@ -88,13 +141,17 @@ let test_adaptation_observes_skew () =
           ~selectivities:[ ("hv1", s1); ("hv2", 0.3) ]
           ~memory_pages:64
       in
-      let _, stats = D.Midquery.run db b dyn.D.Optimizer.plan in
-      if stats.D.Midquery.switched then incr switched;
-      let est = stats.D.Midquery.estimated_rows in
-      if est > 0. && float_of_int stats.D.Midquery.observed_rows > 1.5 *. est then
-        incr observed_diverges;
+      let r = adapt db b dyn.D.Optimizer.plan in
+      if r.switched then incr switched;
+      (match r.observation with
+      | Some { D.Resilience.sub; rows; _ } ->
+        let est =
+          D.Startup.estimated_rows (D.Env.of_bindings q.D.Queries.catalog b) sub
+        in
+        if est > 0. && float_of_int rows > 1.5 *. est then incr observed_diverges
+      | None -> Alcotest.fail "expected a shared subplan");
       Alcotest.(check bool) "adapted cost never higher" true
-        (stats.D.Midquery.adapted_cost <= stats.D.Midquery.default_cost +. 1e-9))
+        (r.adapted_cost <= r.default_cost +. 1e-9))
     [ 0.01; 0.02; 0.05; 0.1; 0.2; 0.4 ];
   Alcotest.(check bool) "observation diverges from estimate on skewed data" true
     (!observed_diverges >= 1);
@@ -104,7 +161,7 @@ let test_adaptation_observes_skew () =
 
 let test_plain_fallback () =
   (* Without a choose-plan root there is nothing to observe; behaviour
-     degenerates to a plain run. *)
+     degenerates to a plain run: the start-up decision, the same rows. *)
   let q = D.Queries.chain ~relations:1 in
   let db = D.Database.build ~seed:5 q.D.Queries.catalog in
   let st =
@@ -113,10 +170,12 @@ let test_plain_fallback () =
          q.D.Queries.query)
   in
   let b = D.Bindings.make ~selectivities:[ ("hv1", 0.2) ] ~memory_pages:64 in
-  let _, stats = D.Midquery.run db b st.D.Optimizer.plan in
-  Alcotest.(check bool) "nothing materialized" true
-    (stats.D.Midquery.materialized = None);
-  Alcotest.(check bool) "no switch" false stats.D.Midquery.switched
+  let r = adapt db b st.D.Optimizer.plan in
+  Alcotest.(check bool) "nothing materialized" true (r.observation = None);
+  Alcotest.(check bool) "no switch" false r.switched;
+  let plain, _ = D.Executor.run db b st.D.Optimizer.plan in
+  Alcotest.(check bool) "the plain run's rows" true
+    (D.Reference.multiset_equal plain r.tuples)
 
 (* --- the unified observe -> decide -> splice path ------------------------- *)
 
@@ -133,11 +192,9 @@ let test_adaptive_run_correct_results () =
     in
     List.iter
       (fun b ->
-        let tuples, stats = D.Midquery.run db b plan in
-        let schema =
-          D.Plan.schema catalog stats.D.Midquery.run.D.Executor.resolved_plan
-        in
-        if not (D.Reference.same_rows (D.Reference.eval db b query) (schema, tuples))
+        let r = adapt db b plan in
+        let schema = D.Plan.schema catalog r.resolved in
+        if not (D.Reference.same_rows (D.Reference.eval db b query) (schema, r.tuples))
         then Alcotest.failf "%s: adapted result diverges from the reference" name)
       bindings
   in
@@ -181,23 +238,20 @@ let test_adaptive_run_correct_results () =
    every override of [plan] that survives into [resolved] must be one
    of the splices served into [resolved].  Returns how many survived. *)
 let overrides_spliced name db env plan resolved =
-  match D.Midquery.shared_subplan plan with
-  | None -> 0
-  | Some sub ->
-    let registry = D.Checkpoint.create () in
-    ignore (D.Midquery.observe db env registry ~sub);
-    let overrides = D.Checkpoint.overrides_for registry db plan in
-    let splices = D.Checkpoint.resume_for registry db resolved in
-    D.Checkpoint.release registry;
-    let in_plan =
-      D.Plan.fold (fun acc (n : D.Plan.t) -> n.D.Plan.pid :: acc) [] resolved
-    in
-    List.fold_left
-      (fun kept (pid, _) ->
-        if not (List.mem pid in_plan) then kept
-        else if List.mem_assoc pid splices then kept + 1
-        else Alcotest.failf "%s: overridden node #%d is never spliced" name pid)
-      0 overrides
+  let registry = D.Checkpoint.create () in
+  ignore (D.Resilience.observe db env registry plan);
+  let overrides = D.Checkpoint.overrides_for registry db plan in
+  let splices = D.Checkpoint.resume_for registry db resolved in
+  D.Checkpoint.release registry;
+  let in_plan =
+    D.Plan.fold (fun acc (n : D.Plan.t) -> n.D.Plan.pid :: acc) [] resolved
+  in
+  List.fold_left
+    (fun kept (pid, _) ->
+      if not (List.mem pid in_plan) then kept
+      else if List.mem_assoc pid splices then kept + 1
+      else Alcotest.failf "%s: overridden node #%d is never spliced" name pid)
+    0 overrides
 
 (* Startup keeps an overridden node's subtree verbatim, so the executor
    must be handed its tuples: an override never outruns the splice.
@@ -216,14 +270,14 @@ let test_every_override_is_spliced () =
   let kept = ref 0 in
   List.iteri
     (fun i b ->
-      let _, stats = D.Midquery.run db b plan in
+      let r = adapt db b plan in
       kept :=
         !kept
         + overrides_spliced
             (Printf.sprintf "midquery binding %d" i)
             db
             (D.Env.of_bindings q.D.Queries.catalog b)
-            plan stats.D.Midquery.run.D.Executor.resolved_plan)
+            plan r.resolved)
     (D.Paramgen.bindings ~seed:67 ~trials:40 ~host_vars:q.D.Queries.host_vars
        ~uncertain_memory:false ());
   Alcotest.(check bool) "adapted plans keep overridden nodes" true (!kept > 0);
@@ -321,7 +375,11 @@ let test_sorted_splice_feeds_merge_join () =
   in
   let db = D.Database.build ~seed:9 catalog in
   let registry = D.Checkpoint.create () in
-  ignore (D.Midquery.observe db env registry ~sub:source);
+  let stored, _ = D.Executor.execute db env source in
+  ignore
+    (D.Checkpoint.file registry source
+       ~schema:(D.Plan.schema catalog source)
+       stored);
   let splices = D.Checkpoint.resume_for registry db merge in
   let served =
     match List.assoc_opt left.D.Plan.pid splices with
@@ -335,7 +393,6 @@ let test_sorted_splice_feeds_merge_join () =
     | [ _ ] | [] -> true
   in
   Alcotest.(check bool) "served in the promised order" true (sorted served);
-  let stored, _ = D.Executor.execute db env source in
   Alcotest.(check bool) "premise: the stored tuples are not in that order"
     false (sorted stored);
   let expected, _ = D.Executor.execute db env merge in
@@ -363,18 +420,25 @@ let test_refused_observation_is_reported () =
       (D.Paramgen.bindings ~seed:67 ~trials:40 ~host_vars:q.D.Queries.host_vars
          ~uncertain_memory:false ())
   in
-  let _, free = D.Midquery.run db b plan in
-  let _, tight =
-    D.Midquery.run db ~gov:(D.Governor.create ~memory_bytes:100_000 ()) b plan
+  let free = adapt db b plan in
+  let tight =
+    adapt ~gov:(D.Governor.create ~memory_bytes:100_000 ()) db b plan
   in
-  Alcotest.(check int) "ungoverned: rows observed" 628 free.D.Midquery.observed_rows;
-  Alcotest.(check bool) "ungoverned: kept" false free.D.Midquery.refused;
-  Alcotest.(check bool) "ungoverned: switched" true free.D.Midquery.switched;
-  Alcotest.(check int) "governed: rows observed" 628 tight.D.Midquery.observed_rows;
-  Alcotest.(check bool) "governed: refused" true tight.D.Midquery.refused;
-  Alcotest.(check bool) "governed: not switched" false tight.D.Midquery.switched;
+  let observed name r =
+    match r.observation with
+    | Some o -> o
+    | None -> Alcotest.failf "%s: nothing observed" name
+  in
+  let free_o = observed "ungoverned" free
+  and tight_o = observed "governed" tight in
+  Alcotest.(check int) "ungoverned: rows observed" 628 free_o.D.Resilience.rows;
+  Alcotest.(check bool) "ungoverned: kept" true free_o.D.Resilience.kept;
+  Alcotest.(check bool) "ungoverned: switched" true free.switched;
+  Alcotest.(check int) "governed: rows observed" 628 tight_o.D.Resilience.rows;
+  Alcotest.(check bool) "governed: refused" false tight_o.D.Resilience.kept;
+  Alcotest.(check bool) "governed: not switched" false tight.switched;
   Alcotest.(check (float 0.)) "governed: the start-up decision"
-    tight.D.Midquery.default_cost tight.D.Midquery.adapted_cost
+    tight.default_cost tight.adapted_cost
 
 let suite =
   ( "midquery",

@@ -202,7 +202,7 @@ let scan_instance () =
 
 let test_executor_taps_observe_cardinality () =
   (* Operator taps on the run trace report the true root cardinality —
-     the raw material Midquery.observe and Session feedback consume. *)
+     the raw material Resilience.observe and Session feedback consume. *)
   let catalog, query = scan_instance () in
   let plan =
     (Result.get_ok (D.Optimizer.optimize ~mode:D.Optimizer.static catalog query))
@@ -238,7 +238,12 @@ let optimize_dynamic ?refine () =
        ~mode:(D.Optimizer.dynamic ())
        q2.D.Queries.catalog q2.D.Queries.query)
 
-let test_session_deposits_feedback () =
+(* The two session tests run once on the default supervisor and once
+   with checkpoints on, so the closed loop holds whichever way the
+   supervisor takes its observations. *)
+let checkpoints_on = D.Resilience.config ~checkpoints:true ()
+
+let test_session_deposits_feedback ?resilience () =
   let session = D.Session.create () in
   let plan = (optimize_dynamic ()).D.Optimizer.plan in
   let db = D.Database.build ~seed:11 q2.D.Queries.catalog in
@@ -247,8 +252,10 @@ let test_session_deposits_feedback () =
       ~selectivities:(List.map (fun hv -> (hv, 0.3)) q2.D.Queries.host_vars)
       ~memory_pages:64
   in
-  (match D.Session.submit session db bindings plan with
-  | D.Session.Completed _ -> ()
+  (match D.Session.submit session ?resilience db bindings plan with
+  | D.Session.Completed (_, _, rstats) ->
+    Alcotest.(check bool) "checkpoints taken iff on" (resilience <> None)
+      (rstats.D.Resilience.checkpoints_taken > 0)
   | D.Session.Failed f ->
     Alcotest.failf "unexpected failure: %a" D.Resilience.pp_failure f
   | D.Session.Shed _ -> Alcotest.fail "an idle session must admit");
@@ -276,7 +283,7 @@ let test_session_deposits_feedback () =
 
 (* --- acceptance: the closed loop -------------------------------------------- *)
 
-let test_feedback_refines_reoptimization () =
+let test_feedback_refines_reoptimization ?resilience () =
   (* Execute a query under a session, then re-optimize the same query
      with the session's refined environment: for the observed parameter
      values the refined plan's interval cost upper bound must not exceed
@@ -290,7 +297,7 @@ let test_feedback_refines_reoptimization () =
       ~selectivities:(List.map (fun hv -> (hv, 0.2)) q2.D.Queries.host_vars)
       ~memory_pages:64
   in
-  (match D.Session.submit session db bindings plan1 with
+  (match D.Session.submit session ?resilience db bindings plan1 with
   | D.Session.Completed _ -> ()
   | D.Session.Failed f ->
     Alcotest.failf "unexpected failure: %a" D.Resilience.pp_failure f
@@ -323,6 +330,11 @@ let suite =
       Alcotest.test_case "executor taps observe cardinality" `Quick
         test_executor_taps_observe_cardinality;
       Alcotest.test_case "session deposits feedback" `Quick
-        test_session_deposits_feedback;
+        (test_session_deposits_feedback ?resilience:None);
       Alcotest.test_case "feedback refines re-optimization (acceptance)"
-        `Quick test_feedback_refines_reoptimization ] )
+        `Quick (test_feedback_refines_reoptimization ?resilience:None);
+      Alcotest.test_case "session deposits feedback, checkpoints on" `Quick
+        (test_session_deposits_feedback ~resilience:checkpoints_on);
+      Alcotest.test_case "feedback refines re-optimization, checkpoints on"
+        `Quick (test_feedback_refines_reoptimization ~resilience:checkpoints_on)
+    ] )
