@@ -1,4 +1,3 @@
-module Timer = Dqep_util.Timer
 module Trace = Dqep_obs.Trace
 module Env = Dqep_cost.Env
 module Plan = Dqep_plans.Plan
@@ -9,7 +8,6 @@ module Buffer_pool = Dqep_storage.Buffer_pool
 type run_stats = {
   tuples : int;
   io : Buffer_pool.stats;
-  cpu_seconds : float;
   resolved_plan : Plan.t;
   choose_nodes : int;
   exec : Exec_common.exec_profile;
@@ -112,19 +110,15 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) bindings plan =
   let rt = if Trace.enabled obs then obs else Trace.create () in
   let before = Buffer_pool.stats_of_trace rt in
   Buffer_pool.attach_obs pool rt;
-  let (tuples, profile), cpu_seconds =
+  let tuples, profile =
     Fun.protect
       ~finally:(fun () -> Buffer_pool.detach_obs pool)
       (fun () ->
-        Timer.cpu (fun () ->
-            Trace.span rt "run" (fun () ->
-                execute db env ~gov ~obs:rt resolved)))
+        Trace.span rt "run" (fun () -> execute db env ~gov ~obs:rt resolved))
   in
-  Trace.gauge rt "cpu_seconds" cpu_seconds;
   ( tuples,
     { tuples = List.length tuples;
       io = Buffer_pool.diff ~before ~after:(Buffer_pool.stats_of_trace rt);
-      cpu_seconds;
       resolved_plan = resolved;
       choose_nodes = resolution.Startup.choose_nodes;
       exec = profile } )

@@ -14,7 +14,6 @@
 type run_stats = {
   tuples : int;
   io : Dqep_storage.Buffer_pool.stats;  (** physical I/O delta of the run *)
-  cpu_seconds : float;
   resolved_plan : Dqep_plans.Plan.t;  (** after choose-plan decisions *)
   choose_nodes : int;
       (** choose-plan operators the submitted plan carried (0 for a
@@ -120,7 +119,7 @@ val run :
   Dqep_cost.Bindings.t ->
   Dqep_plans.Plan.t ->
   Exec_common.tuple list * run_stats
-(** Resolve, execute and drain a plan, reporting I/O and CPU.
+(** Resolve, execute and drain a plan, reporting its I/O.
     [gov] as in {!execute}.  Start-up resolution runs under
     {!Dqep_cost.Env.of_bindings}, where every parameter is a point, so
     it takes no risk posture: each would pick the same plan.  The run

@@ -1,3 +1,11 @@
+(* The run supervisor: retries, the I/O budget guard, choose-plan
+   failover with the Section 7 observation step, and checkpointed
+   replanning, around one execution per attempt (see resilience.mli).
+
+   Every count is a counter on the run trace and [stats] is their delta
+   from a snapshot taken as the run starts.  An attempt reads no clock:
+   the one caller that reports CPU time, the CLI, times its own call. *)
+
 module Env = Dqep_cost.Env
 module Device = Dqep_cost.Device
 module Interval = Dqep_util.Interval
@@ -7,7 +15,6 @@ module Startup = Dqep_plans.Startup
 module Database = Dqep_storage.Database
 module Buffer_pool = Dqep_storage.Buffer_pool
 module Fault = Dqep_storage.Fault
-module Timer = Dqep_util.Timer
 module Trace = Dqep_obs.Trace
 module Counter = Dqep_obs.Counter
 
@@ -277,18 +284,16 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
          re-reads strictly fewer base pages than a cold restart. *)
       let resume = Checkpoint.resume_for registry db resolution.Startup.plan in
       match
-        Timer.cpu (fun () ->
-          Trace.span rt "attempt" (fun () ->
+        Trace.span rt "attempt" (fun () ->
             Executor.execute db !mem_env ~gov ~obs:rt ~materialized:resume
-              ~checkpoint:takes resolution.Startup.plan))
+              ~checkpoint:takes resolution.Startup.plan)
       with
-      | (tuples, profile), cpu_seconds ->
+      | tuples, profile ->
         let after = Buffer_pool.stats pool in
         Ok
           ( tuples,
             { Executor.tuples = List.length tuples;
               io = Buffer_pool.diff ~before ~after;
-              cpu_seconds;
               resolved_plan = resolution.Startup.plan;
               choose_nodes = resolution.Startup.choose_nodes;
               exec = profile } )

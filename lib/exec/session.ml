@@ -16,7 +16,14 @@
    timed wait), so queue-deadline shedding is observed when a completion
    or another shed broadcasts.  Governed queries carry their own
    deadlines, so slots turn over and the queue drains; a session used
-   without any per-query deadline should set max_queue instead. *)
+   without any per-query deadline should set max_queue instead.
+
+   What a submission costs beyond its run is kept small, since every
+   served request pays it: a run without a caller's trace records
+   through its domain's reused run trace (zeroed, not created), its
+   counts are folded into the session trace in one pass, and its
+   bindings are filed into the feedback histograms in place, under one
+   lock hold. *)
 
 module Trace = Dqep_obs.Trace
 module Counter = Dqep_obs.Counter
@@ -231,9 +238,29 @@ let release t ~outcome =
    realized parameter bindings, each an exact observation of its
    variable.  Operator cardinalities are not filed: nothing reads them. *)
 let record_feedback t (bindings : Bindings.t) =
-  List.iter
-    (fun (var, v) -> Feedback.observe_selectivity t.feedback var v)
-    bindings.Bindings.selectivities
+  Feedback.observe_selectivities t.feedback bindings.Bindings.selectivities
+
+(* One run trace per domain, without taps or sink, reused by every
+   submission on that domain that brings no trace of its own: creating
+   one (37 atomics, a mutex, two tables) per request cost as much as a
+   small run's resolution.  A submission takes the trace out of its
+   domain's slot for the whole run and gives it back after the fold, so
+   a run on another domain, or a submission nested inside this run,
+   never records into it; the slot is then empty and such a submission
+   creates its own.  [Trace.null] marks the empty slot. *)
+let run_trace_slot = Domain.DLS.new_key (fun () -> ref Trace.null)
+
+let take_run_trace () =
+  let slot = Domain.DLS.get run_trace_slot in
+  let tr = !slot in
+  if tr == Trace.null then Trace.create ()
+  else begin
+    slot := Trace.null;
+    Trace.reset tr;
+    tr
+  end
+
+let give_back_run_trace tr = Domain.DLS.get run_trace_slot := tr
 
 let submit t ?(gov = Governor.none) ?obs ?(resilience = Resilience.default)
     ?(clock = Unix.gettimeofday) db bindings plan =
@@ -270,16 +297,19 @@ let submit t ?(gov = Governor.none) ?obs ?(resilience = Resilience.default)
       end
     in
     (* The run records through the caller's trace when one was supplied,
-       else through a fresh one without taps.  Only a supplied trace can
-       hold counts from before this run, so only it is snapshotted; the
-       run's counter deltas are folded into the session trace when it
-       finishes. *)
-    let rt, since =
+       else through this domain's run trace, zeroed.  Only a supplied
+       trace can hold counts from before this run, so only it is
+       snapshotted; the run's counter deltas are folded into the session
+       trace when it finishes. *)
+    let rt, since, owned =
       match obs with
-      | Some tr when Trace.enabled tr -> (tr, Some (Trace.snapshot tr))
-      | Some _ | None -> (Trace.create (), None)
+      | Some tr when Trace.enabled tr -> (tr, Some (Trace.snapshot tr), false)
+      | Some _ | None -> (take_run_trace (), None, true)
     in
-    let fold_counters () = Trace.fold_counts ~into:t.obs ?since rt in
+    let fold_counters () =
+      Trace.fold_counts ~into:t.obs ?since rt;
+      if owned then give_back_run_trace rt
+    in
     let outcome =
       match static_rejection with
       | Some diags ->

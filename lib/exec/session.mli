@@ -105,10 +105,13 @@ val submit :
     harness mixes checkpoint and replan settings per query.  [clock] is
     the queue clock, injectable for tests.
 
-    [obs] is this submission's run trace (a private trace without
-    operator taps when omitted): the supervisor records through it, and
-    the run's counter deltas are folded into {!obs} when it finishes.  A
-    completed run's realized bindings are deposited into {!feedback}. *)
+    [obs] is this submission's run trace: the supervisor records
+    through it, and the run's counter deltas are folded into {!obs}
+    when it finishes.  When omitted, the run records through its
+    domain's run trace (no taps, no sink), zeroed and reused by every
+    such submission on that domain and never shared by two runs in
+    flight.  A completed run's realized bindings are deposited into
+    {!feedback}. *)
 
 type stats = {
   submitted : int;

@@ -32,6 +32,10 @@ val observe_selectivity : t -> string -> float -> unit
 (** Record one realized value of a selectivity variable.  NaN and
     negative values are ignored. *)
 
+val observe_selectivities : t -> (string * float) list -> unit
+(** {!observe_selectivity} of each [(variable, value)] in order, under
+    one hold of the lock: a run's realized bindings. *)
+
 val observe_rows : t -> key:string -> int -> unit
 (** Record one observed cardinality for an operator, keyed by its
     relation set ([Plan.rels_key]). *)

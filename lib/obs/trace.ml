@@ -16,11 +16,13 @@ type t = {
   gauges : (string, float) Hashtbl.t;
 }
 
+(* Only an emitting trace timestamps anything, so only it reads its
+   clock at creation: a run trace without a sink costs no clock read. *)
 let make ~enabled ~clock ~sink ~emitting ~taps_on =
   {
     enabled;
     clock;
-    started = (if enabled then clock () else 0.);
+    started = (if emitting then clock () else 0.);
     sink;
     emitting;
     taps_on;
@@ -93,6 +95,19 @@ let counts t =
       let v = get t c in
       if v = 0 then None else Some (c, v))
     Counter.all
+
+(* Zero every counter and drop taps and gauges, keeping the trace's
+   clock, sink and tap setting.  Only its owner may call this, with no
+   run recording through it. *)
+let reset t =
+  if t.enabled then begin
+    Array.iter (fun cell -> Atomic.set cell 0) t.counts;
+    Atomic.set t.seq 0;
+    Atomic.set t.span_ids 0;
+    Atomic.set t.current_span None;
+    if Hashtbl.length t.taps > 0 then Hashtbl.reset t.taps;
+    if Hashtbl.length t.gauges > 0 then Hashtbl.reset t.gauges
+  end
 
 (* --- spans ---------------------------------------------------------------- *)
 

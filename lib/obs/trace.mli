@@ -26,8 +26,9 @@ val create :
 (** A live trace.  [clock] (default [Sys.time]) is read relative to
     creation time for event timestamps; inject a fake for deterministic
     tests.  Without [sink], counters/taps/gauges still accumulate for
-    in-process reads but no events are emitted.  [taps] (default
-    [false]) enables per-operator cardinality taps. *)
+    in-process reads but no events are emitted, and the clock is not
+    read at creation.  [taps] (default [false]) enables per-operator
+    cardinality taps. *)
 
 val enabled : t -> bool
 (** [false] only for {!null}. *)
@@ -38,7 +39,8 @@ val emitting : t -> bool
 val taps_enabled : t -> bool
 
 val now : t -> float
-(** Seconds since the trace was created, on the trace's clock. *)
+(** Seconds since the trace was created, on the trace's clock, for a
+    trace with a sink; without one, the clock's own reading. *)
 
 (** {1 Counters} *)
 
@@ -51,6 +53,11 @@ val counts : t -> (Counter.t * int) list
 
 val snapshot : t -> int array
 (** Every counter's current value, indexed by {!Counter.index}. *)
+
+val reset : t -> unit
+(** Zero every counter and drop every tap and gauge, so one trace can
+    record run after run.  Only for a trace that nothing else records
+    through at the time; {!null} stays as it is. *)
 
 val fold_counts : into:t -> ?since:int array -> t -> unit
 (** Add each counter of the trace to [into] in one pass: its value less

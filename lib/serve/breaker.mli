@@ -7,11 +7,17 @@
     requests ([Half_open]); [probes] successes in a row close it, any
     probe failure re-opens it for a fresh cooldown.
 
-    {b Contract:} every [Admit] must be balanced by exactly one
-    {!success} or {!failure} call, or half-open probe slots leak.
-    Outcomes that should not count against the shape — client errors,
-    sheds, deadline/cancellation budget outcomes — balance the
-    admission with {!success}.
+    {b Contract:} every admission must be balanced by exactly one
+    outcome, or half-open probe slots leak.  Outcomes that should not
+    count against the shape — client errors, sheds,
+    deadline/cancellation budget outcomes — balance the admission as a
+    success.
+
+    {!enter} hands out a {!ticket} naming the admission's period: the
+    time between two transitions.  The outcome of a ticket from an
+    earlier period is counted while closed, but it neither frees a
+    probe slot nor closes or re-opens a half-open breaker, so at most
+    [probes] probes are ever in flight.
 
     Thread-safe; the clock is injectable for deterministic tests. *)
 
@@ -43,9 +49,25 @@ val create :
     Closed/Half_open -> Open and Half_open -> Closed transition — the
     server's hook for the [Breaker_opened]/[Breaker_closed] counters. *)
 
+type ticket
+(** One admission and the period that granted it. *)
+
+val enter : t -> (ticket, float) result
+(** Admit a request: [Ok ticket], or [Error retry_after] while open
+    (the cooldown left) or while every probe slot is taken ([0.]). *)
+
+val succeeded : ticket -> unit
+val failed : ticket -> unit
+(** The outcome of a ticket's request.
+    @raise Invalid_argument when the ticket was already settled. *)
+
 val admit : t -> admission
 val success : t -> unit
 val failure : t -> unit
+(** {!enter}, {!succeeded} and {!failed} for a caller that keeps no
+    ticket: an outcome is taken to be of the current period.  Exact
+    when no admission outlives its period. *)
+
 val state : t -> state
 
 val trips : t -> int

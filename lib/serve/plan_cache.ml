@@ -55,12 +55,20 @@ let normalize (ast : Sql.ast) : Sql.ast =
   in
   { Sql.tables; selections; joins }
 
+(* The name of positional parameter [i] (from 0): "p1", "p2", ...;
+   the first few are made once, since every bind names each
+   parameter. *)
+let param_names_made = Array.init 32 (fun i -> "p" ^ string_of_int (i + 1))
+
+let param_name i =
+  if i < Array.length param_names_made then param_names_made.(i)
+  else "p" ^ string_of_int (i + 1)
+
 let generalize_normalized n =
   { n with
     Sql.selections =
       List.mapi
-        (fun i (rel, attr, _) ->
-          (rel, attr, Sql.Host (Printf.sprintf "p%d" (i + 1))))
+        (fun i (rel, attr, _) -> (rel, attr, Sql.Host (param_name i)))
         n.Sql.selections }
 
 let generalize ast = generalize_normalized (normalize ast)
@@ -77,48 +85,51 @@ let statement ast =
 let key ast = (statement ast).key
 
 let param_names ast =
-  List.mapi
-    (fun i _ -> Printf.sprintf "p%d" (i + 1))
-    (normalize ast).Sql.selections
+  List.mapi (fun i _ -> param_name i) (normalize ast).Sql.selections
 
 let max_memory_pages = 65_536
 
+exception Bind_error of string
+
+let bind_fail fmt = Printf.ksprintf (fun s -> raise (Bind_error s)) fmt
+
+let selection_value catalog bindings (rel, attr, v) =
+  match v with
+  | Sql.Literal lit -> (
+    match Catalog.relation catalog rel with
+    | None -> bind_fail "unknown table %s" rel
+    | Some r -> (
+      match Relation.attribute r attr with
+      | None -> bind_fail "unknown column %s.%s" rel attr
+      | Some a ->
+        if lit < 0 || lit > a.Attribute.domain_size then
+          bind_fail "literal %d outside the domain of %s.%s" lit rel attr;
+        float_of_int lit /. float_of_int a.Attribute.domain_size))
+  | Sql.Host hv -> (
+    match List.assoc hv bindings with
+    | exception Not_found -> bind_fail "no binding for host variable :%s" hv
+    | s ->
+      if not (Float.is_finite s) || s < 0. || s > 1. then
+        bind_fail "binding %s=%g outside [0, 1]" hv s;
+      s)
+
 let bind_selections catalog selections ~bindings ~memory_pages =
-  let exception Bind_error of string in
-  let fail fmt = Printf.ksprintf (fun s -> raise (Bind_error s)) fmt in
-  try
-    let selectivities =
-      List.mapi
-        (fun i (rel, attr, v) ->
-          let p = Printf.sprintf "p%d" (i + 1) in
-          let s =
-            match v with
-            | Sql.Literal lit -> (
-              match Catalog.relation catalog rel with
-              | None -> fail "unknown table %s" rel
-              | Some r -> (
-                match Relation.attribute r attr with
-                | None -> fail "unknown column %s.%s" rel attr
-                | Some a ->
-                  if lit < 0 || lit > a.Attribute.domain_size then
-                    fail "literal %d outside the domain of %s.%s" lit rel attr;
-                  float_of_int lit /. float_of_int a.Attribute.domain_size))
-            | Sql.Host hv -> (
-              match List.assoc_opt hv bindings with
-              | None -> fail "no binding for host variable :%s" hv
-              | Some s ->
-                if not (Float.is_finite s) || s < 0. || s > 1. then
-                  fail "binding %s=%g outside [0, 1]" hv s;
-                s)
-          in
-          (p, s))
-        selections
-    in
-    if memory_pages < 1 then fail "memory grant %d < 1 page" memory_pages;
-    if memory_pages > max_memory_pages then
-      fail "memory grant %d > %d pages" memory_pages max_memory_pages;
-    Ok (Bindings.make ~selectivities ~memory_pages)
-  with Bind_error e -> Error e
+  let rec bind i = function
+    | [] -> []
+    | sel :: rest ->
+      let p = (param_name i, selection_value catalog bindings sel) in
+      p :: bind (i + 1) rest
+  in
+  match bind 0 selections with
+  | selectivities ->
+    if memory_pages < 1 then
+      Error (Printf.sprintf "memory grant %d < 1 page" memory_pages)
+    else if memory_pages > max_memory_pages then
+      Error
+        (Printf.sprintf "memory grant %d > %d pages" memory_pages
+           max_memory_pages)
+    else Ok (Bindings.make ~selectivities ~memory_pages)
+  | exception Bind_error e -> Error e
 
 let bind catalog ast =
   bind_selections catalog (normalize ast).Sql.selections

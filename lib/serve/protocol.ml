@@ -60,99 +60,137 @@ let ( let* ) = Result.bind
 
 (* --- requests ------------------------------------------------------------- *)
 
-let parse_bindings s =
-  if s = "" then Ok []
-  else
-    List.fold_left
-      (fun acc pair ->
-        let* acc = acc in
-        match String.index_opt pair ':' with
-        | None -> Error (Printf.sprintf "malformed binding %S (want hv:float)" pair)
-        | Some i ->
-          let name = String.sub pair 0 i in
-          let value = String.sub pair (i + 1) (String.length pair - i - 1) in
-          if name = "" then Error (Printf.sprintf "empty host var in %S" pair)
-          else
-            let* v = float_of_wire value in
-            Ok ((name, v) :: acc))
-      (Ok [])
-      (String.split_on_char ',' s)
-    |> Result.map List.rev
+(* A request line is scanned by index: nothing is copied but the field
+   values the request keeps or converts, and the statement text. *)
 
-let parse_run rest =
-  let n = String.length rest in
-  let rec skip i = if i < n && rest.[i] = ' ' then skip (i + 1) else i in
-  let rec fields i acc =
-    let i = skip i in
-    if i >= n then Error "missing sql= field"
-    else if i + 4 <= n && String.sub rest i 4 = "sql=" then
-      let sql = String.trim (String.sub rest (i + 4) (n - i - 4)) in
-      if sql = "" then Error "empty sql= field" else Ok (List.rev acc, sql)
-    else
-      let stop =
-        match String.index_from_opt rest i ' ' with Some j -> j | None -> n
-      in
-      let field = String.sub rest i (stop - i) in
-      match String.index_opt field '=' with
-      | None -> Error (Printf.sprintf "malformed field %S (want k=v)" field)
-      | Some eq ->
-        let k = String.sub field 0 eq in
-        let v = String.sub field (eq + 1) (String.length field - eq - 1) in
-        fields stop ((k, v) :: acc)
+exception Malformed of string
+
+let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
+
+(* [String.trim]'s blanks. *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* The first index in [\[i, j)] holding [c], or [j]. *)
+let rec index_in line c i j =
+  if i >= j || line.[i] = c then i else index_in line c (i + 1) j
+
+let rec skip_spaces line i j =
+  if i < j && line.[i] = ' ' then skip_spaces line (i + 1) j else i
+
+let rec same_from ~fold line i lit k =
+  k = String.length lit
+  || ((if fold then Char.uppercase_ascii line.[i + k] else line.[i + k])
+      = lit.[k]
+     && same_from ~fold line i lit (k + 1))
+
+(* Whether [line.[i..j)] is [lit], comparing letters case-blind when
+   [fold] is set. *)
+let span_is ?(fold = false) line i j lit =
+  j - i = String.length lit && same_from ~fold line i lit 0
+
+let sub line i j = String.sub line i (j - i)
+
+let wire_int line i j =
+  match int_of_wire (sub line i j) with
+  | Ok n -> n
+  | Error e -> raise (Malformed e)
+
+let wire_float line i j =
+  match float_of_wire (sub line i j) with
+  | Ok f -> f
+  | Error e -> raise (Malformed e)
+
+(* [hv:float] pairs separated by commas, in [\[i, j)]. *)
+let parse_bindings line i j =
+  let rec pairs i acc =
+    let stop = index_in line ',' i j in
+    let colon = index_in line ':' i stop in
+    if colon = stop then
+      malformed "malformed binding %S (want hv:float)" (sub line i stop);
+    if colon = i then malformed "empty host var in %S" (sub line i stop);
+    let acc = (sub line i colon, wire_float line (colon + 1) stop) :: acc in
+    if stop < j then pairs (stop + 1) acc else List.rev acc
   in
-  let* fields, sql = fields 0 [] in
-  List.fold_left
-    (fun acc (k, v) ->
-      let* r = acc in
-      match k with
-      | "id" ->
-        let* id = int_of_wire v in
-        Ok { r with id = Some id }
-      | "set" ->
-        let* bindings = parse_bindings v in
-        Ok { r with bindings }
-      | "memory" ->
-        let* m = int_of_wire v in
-        Ok { r with memory_pages = Some m }
-      | "deadline_ms" ->
-        let* d = float_of_wire v in
-        if Float.is_nan d || d < 0. then
-          Error (Printf.sprintf "deadline_ms %S is not a budget >= 0" v)
-        else Ok { r with deadline_ms = Some d }
-      | "retries" ->
-        let* t = int_of_wire v in
-        Ok { r with retries = Some t }
-      | "risk" -> (
-        match Risk.of_string v with
-        | Some rk -> Ok { r with risk = Some rk }
-        | None ->
-          Error
-            (Printf.sprintf "malformed risk %S (want expected|worst|quantile:P)"
-               v))
-      | _ -> Error (Printf.sprintf "unknown field %S" k))
-    (Ok
-       { id = None; bindings = []; memory_pages = None; deadline_ms = None;
-         retries = None; risk = None; sql })
-    fields
+  if i = j then [] else pairs i []
+
+(* The fields of a RUN line in [\[i, j)]: every field before [sql=] is
+   checked for its [k=v] form before any value is read, so the first
+   malformed field is reported ahead of a bad value in an earlier
+   one. *)
+let parse_run line i j =
+  let rec find_sql i =
+    let i = skip_spaces line i j in
+    if i >= j then raise (Malformed "missing sql= field")
+    else if i + 4 <= j && span_is line i (i + 4) "sql=" then i
+    else begin
+      let stop = index_in line ' ' i j in
+      if index_in line '=' i stop = stop then
+        malformed "malformed field %S (want k=v)" (sub line i stop);
+      find_sql stop
+    end
+  in
+  let sql_at = find_sql i in
+  let s = ref (sql_at + 4) and e = ref j in
+  while !s < !e && is_blank line.[!s] do incr s done;
+  while !e > !s && is_blank line.[!e - 1] do decr e done;
+  if !s = !e then raise (Malformed "empty sql= field");
+  let sql = sub line !s !e in
+  let id = ref None and bindings = ref [] and memory_pages = ref None in
+  let deadline_ms = ref None and retries = ref None and risk = ref None in
+  let i = ref (skip_spaces line i sql_at) in
+  while !i < sql_at do
+    let k = !i in
+    let stop = index_in line ' ' k sql_at in
+    let eq = index_in line '=' k stop in
+    let v = eq + 1 in
+    if span_is line k eq "id" then id := Some (wire_int line v stop)
+    else if span_is line k eq "set" then bindings := parse_bindings line v stop
+    else if span_is line k eq "memory" then
+      memory_pages := Some (wire_int line v stop)
+    else if span_is line k eq "deadline_ms" then begin
+      let d = wire_float line v stop in
+      if Float.is_nan d || d < 0. then
+        malformed "deadline_ms %S is not a budget >= 0" (sub line v stop);
+      deadline_ms := Some d
+    end
+    else if span_is line k eq "retries" then
+      retries := Some (wire_int line v stop)
+    else if span_is line k eq "risk" then begin
+      match Risk.of_string (sub line v stop) with
+      | Some rk -> risk := Some rk
+      | None ->
+        malformed "malformed risk %S (want expected|worst|quantile:P)"
+          (sub line v stop)
+    end
+    else malformed "unknown field %S" (sub line k eq);
+    i := skip_spaces line stop sql_at
+  done;
+  { id = !id; bindings = !bindings; memory_pages = !memory_pages;
+    deadline_ms = !deadline_ms; retries = !retries; risk = !risk; sql }
 
 let parse_request line =
-  let line = String.trim line in
-  match String.index_opt line ' ' with
-  | None -> (
-    match String.uppercase_ascii line with
-    | "STATS" -> Ok Stats
-    | "PING" -> Ok Ping
-    | "QUIT" -> Ok Quit
-    | "RUN" -> Error "missing sql= field"
-    | _ -> Error (Printf.sprintf "unknown request %S" line))
-  | Some sp -> (
-    let verb = String.uppercase_ascii (String.sub line 0 sp) in
-    let rest = String.sub line sp (String.length line - sp) in
-    match verb with
-    | "RUN" -> Result.map (fun r -> Run r) (parse_run rest)
-    | "STATS" | "PING" | "QUIT" ->
-      Error (Printf.sprintf "%s takes no arguments" verb)
-    | _ -> Error (Printf.sprintf "unknown request %S" verb))
+  let a = ref 0 and b = ref (String.length line) in
+  while !a < !b && is_blank line.[!a] do incr a done;
+  while !b > !a && is_blank line.[!b - 1] do decr b done;
+  let a = !a and b = !b in
+  let sp = index_in line ' ' a b in
+  let verb lit = span_is ~fold:true line a sp lit in
+  match
+    if sp = b then
+      if verb "STATS" then Stats
+      else if verb "PING" then Ping
+      else if verb "QUIT" then Quit
+      else if verb "RUN" then raise (Malformed "missing sql= field")
+      else malformed "unknown request %S" (sub line a b)
+    else if verb "RUN" then Run (parse_run line sp b)
+    else
+      let v = String.uppercase_ascii (sub line a sp) in
+      if verb "STATS" || verb "PING" || verb "QUIT" then
+        malformed "%s takes no arguments" v
+      else malformed "unknown request %S" v
+  with
+  | request -> Ok request
+  | exception Malformed e -> Error e
 
 let render_request = function
   | Stats -> "STATS"
@@ -189,17 +227,21 @@ let render_request = function
 let cache_role_name = function Hit -> "hit" | Miss -> "miss"
 
 let id_field = function
-  | Some id -> Printf.sprintf " id=%d" id
+  | Some id -> " id=" ^ string_of_int id
   | None -> ""
 
+(* Concatenated rather than formatted: only the float goes through
+   [Printf], for its exact %h. *)
 let render_response = function
   | Ok_reply { id; rows; cache; latency_ms } ->
-    Printf.sprintf "OK%s rows=%d cache=%s latency_ms=%s" (id_field id) rows
-      (cache_role_name cache) (float_to_wire latency_ms)
+    String.concat ""
+      [ "OK"; id_field id; " rows="; string_of_int rows; " cache=";
+        cache_role_name cache; " latency_ms="; float_to_wire latency_ms ]
   | Error_reply { id; class_; detail } ->
-    Printf.sprintf "ERR%s class=%s detail=%s" (id_field id) class_ detail
+    String.concat ""
+      [ "ERR"; id_field id; " class="; class_; " detail="; detail ]
   | Shed_reply { id; reason } ->
-    Printf.sprintf "SHED%s reason=%s" (id_field id) reason
+    String.concat "" [ "SHED"; id_field id; " reason="; reason ]
   | Pong -> "PONG"
   | Stats_reply json -> "STATS " ^ json
   | Bye -> "BYE"

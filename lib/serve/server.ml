@@ -25,9 +25,10 @@
    one shape while every other shape keeps serving healthy storage —
    exactly the isolation the breaker is meant to prove.
 
-   Every admitted breaker slot is balanced: server-side deaths count
-   as breaker failures; client errors, sheds and budget outcomes
-   (deadline, cancellation) balance with success.  See breaker.ml. *)
+   Every breaker admission is a ticket settled exactly once:
+   server-side deaths count as breaker failures; client errors, sheds
+   and budget outcomes (deadline, cancellation) settle as success.  See
+   breaker.ml. *)
 
 module Json = Dqep_util.Json
 module Stats_u = Dqep_util.Stats
@@ -271,12 +272,12 @@ let handle_run t (run : Protocol.run) =
   | Ok (st, found) -> (
     let key = st.Plan_cache.key in
     let breaker = breaker_for t key in
-    match Breaker.admit breaker with
-    | Breaker.Reject _ ->
+    match Breaker.enter breaker with
+    | Error _ ->
       Trace.incr (obs t) Counter.Shed_breaker_open;
       Protocol.Shed_reply { id; reason = "breaker_open" }
-    | Breaker.Admit -> (
-      (* From here on every path must balance the admission. *)
+    | Ok ticket -> (
+      (* From here on every path must settle the ticket, once. *)
       let plan =
         match found with
         | `Hit plan ->
@@ -311,10 +312,10 @@ let handle_run t (run : Protocol.run) =
       in
       match plan with
       | Error (`Client (class_, detail)) ->
-        Breaker.success breaker;
+        Breaker.succeeded ticket;
         err t ~id ~class_ detail
       | Error (`Shape (class_, detail)) ->
-        Breaker.failure breaker;
+        Breaker.failed ticket;
         err t ~id ~class_ detail
       | Ok (plan, cached) -> (
         let memory_pages =
@@ -326,7 +327,7 @@ let handle_run t (run : Protocol.run) =
             ~memory_pages
         with
         | Error e ->
-          Breaker.success breaker;
+          Breaker.succeeded ticket;
           err t ~id ~class_:"bind" e
         | Ok bindings -> (
           (* The governor clock starts NOW, before admission: a request
@@ -376,17 +377,16 @@ let handle_run t (run : Protocol.run) =
             (* Nothing may escape Session.submit; if something does, the
                shape is broken in a way the type system didn't expect —
                trip towards the breaker and report it typed anyway. *)
-            Breaker.failure breaker;
+            Breaker.failed ticket;
             err t ~id ~class_:"internal" detail
           | Ok (Session.Completed (tuples, _, stats)) ->
-            Breaker.success breaker;
+            Breaker.succeeded ticket;
             (* Deposit the realized parameter selectivities into the
                shape's eviction-surviving feedback: each bound parameter
                is an exact observation of where in [0, 1] this shape's
                traffic actually lands. *)
-            let shape_fb = Plan_cache.shape_feedback t.cache ~key in
-            List.iter
-              (fun (p, s) -> Feedback.observe_selectivity shape_fb p s)
+            Feedback.observe_selectivities
+              (Plan_cache.shape_feedback t.cache ~key)
               bindings.Bindings.selectivities;
             if stats.Resilience.replans > 0 then note_replan t ~key;
             let ms = (t.cfg.clock () -. t0) *. 1000. in
@@ -395,8 +395,8 @@ let handle_run t (run : Protocol.run) =
               { id; rows = List.length tuples; cache = cached;
                 latency_ms = ms }
           | Ok (Session.Failed failure) ->
-            if counts_against_shape failure then Breaker.failure breaker
-            else Breaker.success breaker;
+            if counts_against_shape failure then Breaker.failed ticket
+            else Breaker.succeeded ticket;
             (match failure with
             | Resilience.Estimate_busted _ -> note_replan t ~key
             | Resilience.Infeasible _ ->
@@ -409,7 +409,7 @@ let handle_run t (run : Protocol.run) =
             err t ~id ~class_:(failure_class failure)
               (Format.asprintf "%a" Resilience.pp_failure failure)
           | Ok (Session.Shed reason) ->
-            Breaker.success breaker;
+            Breaker.succeeded ticket;
             Protocol.Shed_reply
               { id; reason = Session.shed_reason_name reason }))))
 

@@ -195,9 +195,18 @@ let pinned t =
     (resident_frames t)
   |> List.sort compare
 
+(* Counted in place: every run resizes its pool, so this must not list
+   the resident frames. *)
+let count_pinned t =
+  let n = ref 0 in
+  for i = 0 to t.count - 1 do
+    if t.slots.(i).pins > 0 then incr n
+  done;
+  !n
+
 let locked t f = Mutex.protect t.mu f
 
-let pinned_count t = locked t (fun () -> List.length (pinned t))
+let pinned_count t = locked t (fun () -> count_pinned t)
 let pinned_pages t = locked t (fun () -> pinned t)
 
 let leak_check t =
@@ -214,7 +223,7 @@ let leak_check t =
 let resize t capacity =
   if capacity <= 0 then invalid_arg "Buffer_pool.resize: capacity <= 0";
   locked t (fun () ->
-      if capacity < List.length (pinned t) then
+      if capacity < count_pinned t then
         invalid_arg "Buffer_pool.resize: smaller than pinned pages";
       t.capacity <- capacity;
       while t.count > capacity do

@@ -183,6 +183,149 @@ let test_feedback_bands () =
   Feedback.clear f;
   Alcotest.(check bool) "cleared" true (Feedback.selectivity_band f "hv1" = None)
 
+(* The list-based histogram that [Feedback] kept before its buckets
+   moved into fixed arrays, copied here as the reference: the array
+   version must give bit-identical bands, distributions and counts. *)
+module List_feedback = struct
+  type band = {
+    mutable lo : float;
+    mutable hi : float;
+    mutable n : int;
+    mutable buckets : (float * int) list;
+  }
+
+  let rec insert_bucket (v : float) = function
+    | [] -> [ (v, 1) ]
+    | (bv, c) :: rest ->
+      if v = bv then (bv, c + 1) :: rest
+      else if v < bv then (v, 1) :: (bv, c) :: rest
+      else (bv, c) :: insert_bucket v rest
+
+  let compact_buckets buckets =
+    if List.compare_length_with buckets D.Dist.max_buckets <= 0 then buckets
+    else begin
+      let rec closest i best best_gap = function
+        | ((v0 : float), _) :: ((v1, _) :: _ as rest) ->
+          let gap = v1 -. v0 in
+          if gap < best_gap then closest (i + 1) i gap rest
+          else closest (i + 1) best best_gap rest
+        | [ _ ] | [] -> best
+      in
+      let best = closest 0 0 infinity buckets in
+      let last = List.length buckets - 2 in
+      let rec merge i = function
+        | (v0, c0) :: (v1, c1) :: rest when i = best ->
+          let merged =
+            if i = 0 then (v0, c0 + c1)
+            else if i = last then (v1, c0 + c1)
+            else
+              ( ((v0 *. float_of_int c0) +. (v1 *. float_of_int c1))
+                /. float_of_int (c0 + c1),
+                c0 + c1 )
+          in
+          merged :: rest
+        | b :: rest -> b :: merge (i + 1) rest
+        | [] -> []
+      in
+      merge 0 buckets
+    end
+
+  let observe table key v =
+    if not (Float.is_nan v) && v >= 0. then
+      match Hashtbl.find_opt table key with
+      | Some b ->
+        b.lo <- Float.min b.lo v;
+        b.hi <- Float.max b.hi v;
+        b.n <- b.n + 1;
+        b.buckets <- compact_buckets (insert_bucket v b.buckets)
+      | None -> Hashtbl.add table key { lo = v; hi = v; n = 1; buckets = [ (v, 1) ] }
+
+  let band table key =
+    Option.map (fun b -> D.Interval.make b.lo b.hi) (Hashtbl.find_opt table key)
+
+  let dists table =
+    Hashtbl.fold
+      (fun k b acc ->
+        (k, D.Dist.make (List.map (fun (v, c) -> (v, float_of_int c)) b.buckets))
+        :: acc)
+      table []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let observations sels rows =
+    let tally t = Hashtbl.fold (fun _ b acc -> acc + b.n) t 0 in
+    tally sels + tally rows
+end
+
+type fb_op =
+  | Sel of string * float
+  | Sels of (string * float) list
+  | Rows of string * int
+  | Read
+
+let show_fb_op = function
+  | Sel (var, v) -> Printf.sprintf "Sel %s %h" var v
+  | Sels l ->
+    Printf.sprintf "Sels [%s]"
+      (String.concat "; " (List.map (fun (var, v) -> Printf.sprintf "%s %h" var v) l))
+  | Rows (key, n) -> Printf.sprintf "Rows %s %d" key n
+  | Read -> "Read"
+
+let fb_vars = [ "p1"; "p2"; "p3" ]
+
+let fb_op_gen =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (3, oneofl [ Float.nan; -1.; -0.; 0.; 0.001; 0.25; 0.5; 1.; infinity ]);
+        (6, float_bound_inclusive 1.);
+        (1, map (fun i -> float_of_int i /. 16.) (int_bound 16)) ]
+  in
+  let var = oneofl fb_vars in
+  frequency
+    [ (8, map2 (fun var v -> Sel (var, v)) var value);
+      (2, map (fun l -> Sels l) (list_size (int_bound 4) (pair var value)));
+      (2, map2 (fun key n -> Rows (key, n))
+            (oneofl [ "R1"; "R1|R2" ]) (int_range (-3) 500));
+      (1, return Read) ]
+
+let prop_feedback_matches_list_reference =
+  QCheck.Test.make ~name:"feedback histograms = list reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_fb_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 0 150) fb_op_gen))
+    (fun ops ->
+      let f = Feedback.create () in
+      let sels = Hashtbl.create 7 and rows = Hashtbl.create 7 in
+      (* Marshalled, floats compare bit for bit (signed zeros too). *)
+      let bits v = Marshal.to_string v [] in
+      let agree () =
+        List.for_all
+          (fun var ->
+            bits (Feedback.selectivity_band f var)
+            = bits (List_feedback.band sels var))
+          fb_vars
+        && bits (Feedback.selectivity_dists f) = bits (List_feedback.dists sels)
+        && Feedback.observations f = List_feedback.observations sels rows
+      in
+      List.for_all
+        (function
+          | Sel (var, v) ->
+            Feedback.observe_selectivity f var v;
+            List_feedback.observe sels var v;
+            true
+          | Sels l ->
+            Feedback.observe_selectivities f l;
+            List.iter (fun (var, v) -> List_feedback.observe sels var v) l;
+            true
+          | Rows (key, n) ->
+            Feedback.observe_rows f ~key n;
+            List_feedback.observe rows key (float_of_int n);
+            true
+          | Read -> agree ())
+        ops
+      && agree ())
+
 (* --- observation through the executor --------------------------------------- *)
 
 let scan_instance () =
@@ -327,6 +470,7 @@ let suite =
       Alcotest.test_case "validator rejects malformed events" `Quick
         test_validate_rejects;
       Alcotest.test_case "feedback bands" `Quick test_feedback_bands;
+      QCheck_alcotest.to_alcotest prop_feedback_matches_list_reference;
       Alcotest.test_case "executor taps observe cardinality" `Quick
         test_executor_taps_observe_cardinality;
       Alcotest.test_case "session deposits feedback" `Quick

@@ -214,7 +214,33 @@ let test_breaker_state_machine () =
   S.Breaker.failure b;
   Alcotest.(check string) "probe failure re-opens" "open"
     (S.Breaker.state_name (S.Breaker.state b));
-  Alcotest.(check int) "three trips total" 3 (S.Breaker.trips b)
+  Alcotest.(check int) "three trips total" 3 (S.Breaker.trips b);
+  (* Tickets: an admission from before the trip is not a probe, and a
+     ticket settles once. *)
+  let b =
+    S.Breaker.create ~clock:(fun () -> !now)
+      (S.Breaker.config ~failure_threshold:1 ~cooldown:0. ~probes:1 ())
+  in
+  let enter () =
+    match S.Breaker.enter b with
+    | Ok ticket -> ticket
+    | Error _ -> Alcotest.fail "unexpected rejection"
+  in
+  let first = enter () in
+  let straggler = enter () in
+  S.Breaker.failed first;
+  let probe = enter () in
+  S.Breaker.succeeded straggler;
+  Alcotest.(check string) "a straggler does not close" "half_open"
+    (S.Breaker.state_name (S.Breaker.state b));
+  Alcotest.(check bool) "nor free the probe slot" true
+    (Result.is_error (S.Breaker.enter b));
+  S.Breaker.succeeded probe;
+  Alcotest.(check string) "the probe closes" "closed"
+    (S.Breaker.state_name (S.Breaker.state b));
+  Alcotest.check_raises "a ticket settles once"
+    (Invalid_argument "Breaker: an admission settled twice") (fun () ->
+      S.Breaker.succeeded probe)
 
 (* --- plan cache ---------------------------------------------------------- *)
 
@@ -404,6 +430,87 @@ let test_dropped_attribute_infeasible () =
   match serve 4 with
   | P.Ok_reply { cache = P.Miss; _ } -> ()
   | r -> Alcotest.failf "post-drift: %s" (P.render_response r)
+
+(* What a warm hit allocates beyond its run: minor words of
+   [Server.handle_line] less those of the bare run ([Startup.resolve]
+   and [Executor.execute]) on the same plan and bindings, the least
+   such difference over five requests.  The warm-up fills each
+   binding's histograms, so every measured request files three fresh
+   values twice into full ones.  A fresh trace per request costs 181
+   words and list-based histograms about 80 a filing, so the bound, set
+   about a hundred words above what a hit costs, catches either coming
+   back. *)
+let hit_overhead_words = 750.
+
+let test_hit_allocation () =
+  let catalog = D.Paper_catalog.make ~relations:3 in
+  let db = D.Database.build ~seed:11 catalog in
+  let server =
+    S.Server.create ~acquire:(fun ~shape:_ -> db)
+      ~release:(fun ~shape:_ _ -> ()) catalog
+  in
+  let rel = D.Paper_catalog.rel_name in
+  let sql =
+    Printf.sprintf
+      "SELECT * FROM %s, %s, %s WHERE %s.a <= :v1 AND %s.a <= :v2 AND %s.a \
+       <= :v3 AND %s.%s = %s.%s AND %s.%s = %s.%s"
+      (rel 1) (rel 2) (rel 3) (rel 1) (rel 2) (rel 3) (rel 1)
+      D.Paper_catalog.join_right_attr (rel 2) D.Paper_catalog.join_left_attr
+      (rel 2) D.Paper_catalog.join_right_attr (rel 3)
+      D.Paper_catalog.join_left_attr
+  in
+  let vars x = [ ("v1", x); ("v2", 2. *. x); ("v3", 3. *. x) ] in
+  let line x =
+    P.render_request
+      (P.Run
+         { P.id = Some 1; bindings = vars x; memory_pages = Some 64;
+           deadline_ms = None; retries = None; risk = None; sql })
+  in
+  for i = 0 to 24 do
+    let l = line (0.001 *. float_of_int (i + 1)) in
+    match P.parse_response (S.Server.handle_line server l) with
+    | Ok (P.Ok_reply _) -> ()
+    | _ -> Alcotest.fail "warm-up request failed"
+  done;
+  let ast = Result.get_ok (D.Sql.parse sql) in
+  let plan =
+    match
+      S.Plan_cache.find (S.Server.cache server)
+        ~fingerprint:(S.Plan_cache.fingerprint catalog)
+        ~key:(S.Plan_cache.key ast)
+    with
+    | S.Plan_cache.Hit plan -> plan
+    | S.Plan_cache.Miss | S.Plan_cache.Invalidated_drift ->
+      Alcotest.fail "the shape is not cached"
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let overhead =
+    List.fold_left Float.min infinity
+      (List.init 5 (fun i ->
+           let x = 0.0101 +. (0.0001 *. float_of_int i) in
+           let bindings =
+             Result.get_ok
+               (S.Plan_cache.bind catalog ast ~bindings:(vars x) ~memory_pages:64)
+           in
+           let l = line x in
+           let hit =
+             words (fun () -> ignore (S.Server.handle_line server l : string))
+           in
+           let run =
+             words (fun () ->
+                 let env = D.Env.of_bindings catalog bindings in
+                 let resolution = D.Startup.resolve env plan in
+                 ignore (D.Executor.execute db env resolution.D.Startup.plan))
+           in
+           hit -. run))
+  in
+  if overhead > hit_overhead_words then
+    Alcotest.failf "a hit allocates %.0f words beyond its run (bound %.0f)"
+      overhead hit_overhead_words
 
 let test_concurrent_hits_agree () =
   (* Four domains serve the same cached shapes at once; the verdict memo
@@ -1167,6 +1274,8 @@ let suite =
         test_drift_invalidation;
       Alcotest.test_case "dropped attribute answers infeasible" `Quick
         test_dropped_attribute_infeasible;
+      Alcotest.test_case "a hit allocates little beyond its run" `Quick
+        test_hit_allocation;
       Alcotest.test_case "concurrent cache hits agree" `Quick
         test_concurrent_hits_agree;
       Alcotest.test_case "cached plans match the reference evaluator" `Slow

@@ -289,6 +289,85 @@ let test_counters_fold_run_deltas () =
     (2 * List.length bindings2.D.Bindings.selectivities)
     (D.Obs.Feedback.observations (D.Session.feedback session))
 
+(* Submissions that bring no trace record through their domain's own
+   run trace.  Runs on three domains at once, one of them failing over
+   on every run (its B-tree pages are broken), must each report exactly
+   their own attempts, and the session trace must hold exactly the sum
+   of the runs. *)
+let test_run_traces_stay_apart () =
+  let module Trace = D.Obs.Trace in
+  let module Counter = D.Obs.Counter in
+  let q1 = D.Queries.chain ~relations:1 in
+  let plan1 =
+    (Result.get_ok
+       (D.Optimizer.optimize ~mode:(D.Optimizer.dynamic ()) q1.D.Queries.catalog
+          q1.D.Queries.query))
+      .D.Optimizer.plan
+  in
+  let session = D.Session.create () in
+  let runs = 12 in
+  let worker ~faulty () =
+    let db, bindings, plan =
+      if faulty then begin
+        let db = D.Database.build ~seed:11 q1.D.Queries.catalog in
+        let broken =
+          List.map (fun id -> (id, D.Fault.Permanent)) (Test_util.btree_page_ids db)
+        in
+        let pool = D.Database.pool db in
+        D.Buffer_pool.resize pool 1;
+        D.Buffer_pool.resize pool 64;
+        D.Disk.set_faults (D.Buffer_pool.disk pool)
+          (Some (D.Fault.create (D.Fault.config ~broken_pages:broken ~seed:1 ())));
+        (* 0.02: start-up resolution picks the B-tree alternative. *)
+        (db, D.Bindings.make ~selectivities:[ ("hv1", 0.02) ] ~memory_pages:64, plan1)
+      end
+      else
+        ( D.Database.build ~seed:11 q2.D.Queries.catalog,
+          bindings2,
+          Lazy.force plan2 )
+    in
+    let pool = D.Database.pool db in
+    List.init runs (fun _ ->
+        let before = (D.Buffer_pool.stats pool).D.Buffer_pool.logical_reads in
+        let outcome = D.Session.submit session db bindings plan in
+        let after = (D.Buffer_pool.stats pool).D.Buffer_pool.logical_reads in
+        (faulty, outcome, after - before))
+  in
+  let others = List.init 2 (fun i -> Domain.spawn (worker ~faulty:(i = 0))) in
+  let mine = worker ~faulty:false () in
+  let all = List.concat (mine :: List.map Domain.join others) in
+  let own = { D.Resilience.retries = 0; faults_absorbed = 0; budget_aborts = 0;
+              memory_aborts = 0; failovers = 0; attempts = 1; replans = 0;
+              checkpoints_taken = 0; resume_hits = 0 } in
+  let rows, reads =
+    List.fold_left
+      (fun (rows, reads) (faulty, outcome, delta) ->
+        match outcome with
+        | D.Session.Completed (tuples, _, stats) ->
+          let want =
+            if faulty then
+              { own with faults_absorbed = 1; failovers = 1; attempts = 2 }
+            else own
+          in
+          if stats <> want then
+            Alcotest.failf "a %s run reports %d attempts, %d failovers, %d faults"
+              (if faulty then "failing-over" else "healthy")
+              stats.D.Resilience.attempts stats.D.Resilience.failovers
+              stats.D.Resilience.faults_absorbed;
+          (rows + List.length tuples, reads + delta)
+        | D.Session.Failed f ->
+          Alcotest.failf "run failed: %a" D.Resilience.pp_failure f
+        | D.Session.Shed _ -> Alcotest.fail "run shed")
+      (0, 0) all
+  in
+  let so = D.Session.obs session in
+  Alcotest.(check int) "Completed" (3 * runs) (Trace.get so Counter.Completed);
+  Alcotest.(check int) "Rows_out is the runs' sum" rows (Trace.get so Counter.Rows_out);
+  Alcotest.(check int) "Logical_reads is the runs' sum" reads
+    (Trace.get so Counter.Logical_reads);
+  Alcotest.(check int) "Failovers are the failing domain's" runs
+    (Trace.get so Counter.Failovers)
+
 let suite =
   ( "session",
     [ Alcotest.test_case "config validation" `Quick test_config_validation;
@@ -305,4 +384,6 @@ let suite =
       Alcotest.test_case "chaos soak: 32 governed sessions" `Slow
         test_chaos_soak;
       Alcotest.test_case "counters fold each run's deltas" `Quick
-        test_counters_fold_run_deltas ] )
+        test_counters_fold_run_deltas;
+      Alcotest.test_case "run traces stay per domain" `Quick
+        test_run_traces_stay_apart ] )
