@@ -12,8 +12,8 @@
    measured on the serve path.  Allocating a full columnar block of
    [capacity] ints per column for every batch, however small the result,
    drives enough major-GC marking to cost about half of cache-hit
-   throughput; copying scanned tuples out of their pages doubles the live
-   heap wherever spilled pages stay resident.
+   throughput; copying scanned tuples out of their pages doubled the live
+   heap, measured while spilled pages were never freed.
 
    Invariants:
    - rows [0, len) are materialized and [len <= capacity];

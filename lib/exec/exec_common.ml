@@ -4,7 +4,9 @@
    The joining and sorting cores materialize their inputs and spill
    through the buffer pool under low memory (Grace hash join
    partitioning, external sort runs), so spilling is observable in the
-   I/O counters. *)
+   I/O counters.  Spill files are temporary: each is released page by
+   page as it is read back, and a core that raises releases every spill
+   file it still owns before the exception goes on. *)
 
 module Interval = Dqep_util.Interval
 module Schema = Dqep_algebra.Schema
@@ -72,15 +74,29 @@ let tuples_per_page db width =
     ~page_bytes:(Catalog.page_bytes (Database.catalog db))
     ~record_bytes:(Int.max 1 width)
 
-let spill db width tuples =
+(* [with_spills db f] runs [f spill], where [spill width tuples] writes
+   a temporary heap file.  Every file [f] spills that still holds pages
+   when [f] returns or raises (an I/O fault, an exhausted I/O budget, a
+   memory abort, a cancellation or a deadline) is released then, the
+   unread rest of a file whose read-back stopped part way included.  A
+   file [f] has read back with [unspill] holds none. *)
+let with_spills db f =
   let pool = Database.pool db in
-  let heap = Heap_file.create pool ~tuples_per_page:(tuples_per_page db width) in
-  Heap_file.append_list pool heap tuples;
-  heap
+  let files = ref [] in
+  let spill width tuples =
+    let heap = Heap_file.create pool ~tuples_per_page:(tuples_per_page db width) in
+    files := heap :: !files;
+    Heap_file.append_list pool heap tuples;
+    heap
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (Heap_file.release pool) !files)
+    (fun () -> f spill)
 
+(* Read a spill file back, releasing each page as it is read. *)
 let unspill db heap =
   let acc = ref [] in
-  Heap_file.scan (Database.pool db) heap (fun _ t -> acc := t :: !acc);
+  Heap_file.consume (Database.pool db) heap (fun t -> acc := t :: !acc);
   List.rev !acc
 
 let rec values_at (tuple : tuple) = function
@@ -137,22 +153,23 @@ let hash_join_core ?(gov = Governor.none) ?(obs = Trace.null) db env
       Trace.add obs Counter.Spill_partitions fanout;
       Trace.add obs Counter.Spilled_tuples
         (List.length build + List.length probe);
-      let part key tuples width =
-        let buckets = Array.make fanout [] in
-        List.iter
-          (fun t ->
-            let h = Hashtbl.hash (depth, key t) mod fanout in
-            buckets.(h) <- t :: buckets.(h))
-          tuples;
-        Array.map (fun ts -> spill db width (List.rev ts)) buckets
-      in
-      let build_parts = part build_key build left_width in
-      let probe_parts = part probe_key probe right_width in
-      Array.iteri
-        (fun i bheap ->
-          join_partition (depth + 1) (unspill db bheap)
-            (unspill db probe_parts.(i)))
-        build_parts
+      with_spills db (fun spill ->
+          let part key tuples width =
+            let buckets = Array.make fanout [] in
+            List.iter
+              (fun t ->
+                let h = Hashtbl.hash (depth, key t) mod fanout in
+                buckets.(h) <- t :: buckets.(h))
+              tuples;
+            Array.map (fun ts -> spill width (List.rev ts)) buckets
+          in
+          let build_parts = part build_key build left_width in
+          let probe_parts = part probe_key probe right_width in
+          Array.iteri
+            (fun i bheap ->
+              join_partition (depth + 1) (unspill db bheap)
+                (unspill db probe_parts.(i)))
+            build_parts)
     end
   in
   join_partition 0 build probe
@@ -202,7 +219,8 @@ let sort_core ?(gov = Governor.none) ?(obs = Trace.null) db env ~width
     (* In-memory sort: the whole input is the working set. *)
     Governor.with_charge gov (n * Int.max 1 width) (fun () ->
         List.stable_sort compare_tuples tuples)
-  else begin
+  else
+    with_spills db @@ fun spill ->
     let per_run = Int.max 1 (mem * page_bytes / Int.max 1 width) in
     let rec runs acc = function
       | [] -> List.rev acc
@@ -217,9 +235,8 @@ let sort_core ?(gov = Governor.none) ?(obs = Trace.null) db env ~width
         in
         Trace.incr obs Counter.Spill_runs;
         Trace.add obs Counter.Spilled_tuples (List.length sorted);
-        runs (spill db width sorted :: acc) remainder
+        runs (spill width sorted :: acc) remainder
     in
     let run_files = runs [] tuples in
     let sorted_runs = List.map (fun h -> unspill db h) run_files in
     merge_runs compare_tuples sorted_runs
-  end

@@ -19,7 +19,9 @@
    Session.submit is recorded in [escaped], which must stay empty), and
    after every outcome — completed, failed, shed, cancelled mid-spill —
    the job's buffer pool holds zero pinned pages ([leaks] must stay
-   empty).  Hang-freedom is enforced by the caller's watchdog. *)
+   empty) and its disk as many live pages as after the build: every
+   spill page was released ([spill_leaks] must stay empty).
+   Hang-freedom is enforced by the caller's watchdog. *)
 
 module Governor = Dqep_exec.Governor
 module Session = Dqep_exec.Session
@@ -66,6 +68,8 @@ type tally = {
   replans_recovered : int;
       (** busted-scenario jobs that completed after at least one replan *)
   leaks : string list;  (** pin-leak reports; the contract demands [] *)
+  spill_leaks : string list;
+      (** live disk pages an outcome left beyond the build's; must be [] *)
   checkpoint_leaks : string list;
       (** checkpoint bytes still charged after an outcome; must be [] *)
   escaped : string list;  (** exceptions escaping submit; must be [] *)
@@ -85,6 +89,13 @@ let pp_tally ppf t =
     (List.length t.leaks)
     (List.length t.checkpoint_leaks)
     (List.length t.escaped)
+
+(* Pages an outcome left live on [db]'s disk beyond the [built] it had
+   after its build: spill pages never released. *)
+let spill_leak db ~built =
+  let live = Buffer_pool.live_pages (Database.pool db) in
+  if live = built then None
+  else Some (Printf.sprintf "%d live pages, %d after the build" live built)
 
 (* One job, executed on whatever domain claimed it.  Deterministic in
    (seed, job): the instance, bindings, scenario, worker count and
@@ -160,6 +171,7 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
     | Clean | Deadline | Cancel | Memory | Faulty ->
       Resilience.default
   in
+  let built = Buffer_pool.live_pages (Database.pool db) in
   let outcome =
     try Ok (Session.submit session ~gov ~resilience db bindings plan)
     with e -> Error (Printexc.to_string e)
@@ -171,6 +183,11 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
       Some
         (Printf.sprintf "job %d (%s): %s" job (scenario_name scenario) msg)
   in
+  let spill_leak =
+    Option.map
+      (Printf.sprintf "job %d (%s): %s" job (scenario_name scenario))
+      (spill_leak db ~built)
+  in
   (* Every scenario: a failover observation is charged to the job's
      governor whether or not checkpoints are on. *)
   let ckpt_leak =
@@ -180,7 +197,7 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
            (scenario_name scenario) (Governor.charged_bytes gov))
     else None
   in
-  (scenario, outcome, leak, ckpt_leak)
+  (scenario, outcome, (leak, spill_leak), ckpt_leak)
 
 let empty_session_stats =
   { Session.submitted = 0; admitted = 0; completed = 0; failed = 0;
@@ -292,7 +309,9 @@ let run ?(workers = 4) ?(jobs = 32) ?(seed = 1) ?(max_inflight = 3)
         | Busted, Ok (Session.Completed (_, _, stats)), _, _ ->
           stats.Resilience.replans > 0
         | _ -> false);
-    leaks = List.filter_map (fun (_, _, leak, _) -> leak) results;
+    leaks = List.filter_map (fun (_, _, (leak, _), _) -> leak) results;
+    spill_leaks =
+      List.filter_map (fun (_, _, (_, spill_leak), _) -> spill_leak) results;
     checkpoint_leaks =
       (let per_job =
          List.filter_map (fun (_, _, _, ckpt_leak) -> ckpt_leak) results
@@ -340,6 +359,8 @@ type serve_tally = {
   untyped : string list;  (** unparseable/blank responses; must be [] *)
   internal_errors : string list;  (** class=internal details; must be [] *)
   leaks : string list;  (** buffer-pool pin leaks across every db; must be [] *)
+  spill_leaks : string list;
+      (** dbs with live pages beyond their build's; must be [] *)
   pool_leak_bytes : int;  (** session memory pool bytes after drain; must be 0 *)
   server : Server.stats;
 }
@@ -427,13 +448,15 @@ let serve_soak ?(clients = 4) ?(requests = 256) ?(seed = 1)
       shapes
   in
   let poisoned_key = keys.(0) and drifted_key = keys.(drifted) in
-  (* Track every database either pool ever builds, for the pin-leak
-     sweep at the end. *)
+  (* Track every database either pool ever builds, with its live page
+     count after the build, for the pin- and spill-leak sweeps at the
+     end. *)
   let all_dbs = ref [] in
   let dbs_mu = Mutex.create () in
   let track db =
+    let built = Buffer_pool.live_pages (Database.pool db) in
     Mutex.lock dbs_mu;
-    all_dbs := db :: !all_dbs;
+    all_dbs := (db, built) :: !all_dbs;
     Mutex.unlock dbs_mu;
     db
   in
@@ -526,17 +549,21 @@ let serve_soak ?(clients = 4) ?(requests = 256) ?(seed = 1)
     | Ok (Protocol.Error_reply { class_; _ }) -> class_ = c
     | _ -> false
   in
-  let leaks =
+  let dbs =
     Mutex.lock dbs_mu;
     let dbs = !all_dbs in
     Mutex.unlock dbs_mu;
+    dbs
+  in
+  let leaks =
     List.filter_map
-      (fun db ->
+      (fun (db, _) ->
         match Buffer_pool.leak_check (Database.pool db) with
         | Ok () -> None
         | Error msg -> Some msg)
       dbs
   in
+  let spill_leaks = List.filter_map (fun (db, built) -> spill_leak db ~built) dbs in
   let pool_leak_bytes =
     match Session.memory_pool (Server.session server) with
     | Some pool -> Governor.pool_in_use pool
@@ -591,4 +618,4 @@ let serve_soak ?(clients = 4) ?(requests = 256) ?(seed = 1)
            | Ok (Protocol.Error_reply { class_ = "internal"; detail; _ }) ->
              Some detail
            | _ -> None);
-    leaks; pool_leak_bytes; server = stats }
+    leaks; spill_leaks; pool_leak_bytes; server = stats }

@@ -6,7 +6,9 @@
     parallel exchange — through one shared {!Dqep_exec.Session}.  The
     harness checks the governed-session contract: every job gets exactly
     one typed outcome ({!tally.escaped} empty), no outcome leaks a
-    buffer-pool pin ({!tally.leaks} empty), and no job of any scenario
+    buffer-pool pin ({!tally.leaks} empty) or a spill page (its disk
+    has as many live pages as after its build: {!tally.spill_leaks}
+    empty), and no job of any scenario
     ends with memory-governor bytes still charged
     ({!tally.checkpoint_leaks} empty) — the busted and faulty-resume
     scenarios run with checkpointed recovery enabled, and every
@@ -39,6 +41,10 @@ type tally = {
   replans_recovered : int;
       (** busted-scenario jobs that completed after at least one replan *)
   leaks : string list;  (** pin-leak reports; the contract demands [] *)
+  spill_leaks : string list;
+      (** jobs whose disk has more or fewer live pages
+          ({!Dqep_storage.Buffer_pool.live_pages}) after the outcome
+          than after the build; must be [] *)
   checkpoint_leaks : string list;
       (** bytes still charged to a job's governor after its outcome,
           every scenario; must be [] *)
@@ -74,7 +80,8 @@ val run :
 
     The serving contract under the storm: every request line gets
     exactly one typed response ({!serve_tally.untyped} empty, no
-    [class=internal] errors), no database leaks a buffer-pool pin, the
+    [class=internal] errors), no database leaks a buffer-pool pin or a
+    spill page, the
     session memory pool drains to zero, the poisoned shape trips its
     breaker, the healthy shapes keep completing, and the drifted shape
     completes on a pruned plan or ends [infeasible], never [rejected]. *)
@@ -97,6 +104,9 @@ type serve_tally = {
   untyped : string list;  (** unparseable/blank responses; must be [] *)
   internal_errors : string list;  (** class=internal details; must be [] *)
   leaks : string list;  (** buffer-pool pin leaks across every db; must be [] *)
+  spill_leaks : string list;
+      (** dbs with more or fewer live pages than after their build;
+          must be [] *)
   pool_leak_bytes : int;  (** session memory pool bytes after drain; must be 0 *)
   server : Dqep_serve.Server.stats;
 }

@@ -7,6 +7,7 @@ type frame = {
   mutable dirty : bool;
   mutable last_use : int;
   mutable slot : int; (* index in [slots] *)
+  mutable released : bool; (* its id goes to the free list on eviction *)
 }
 
 type stats = {
@@ -42,6 +43,11 @@ let () =
    the smallest stamp.  A [resize] that shrinks the pool far rebuilds
    [slots] and the table, so a bulk load through thousands of frames
    leaves nothing that size behind.
+
+   A released frame has dropped its payload but keeps its place: it is
+   evicted in LRU order like any other and written then if dirty, and
+   only its removal hands its id to the disk's free list.  So releasing
+   moves no I/O, and no id is recycled while a frame holds it.
 
    I/O accounting lives on an owned observation trace: the pool's
    counters are ordinary [Dqep_obs.Counter]s, and a per-run trace can be
@@ -79,7 +85,7 @@ let table_size capacity = Int.max 16 (2 * capacity)
 (* Fills the unused tail of [slots]; its stamp loses every comparison. *)
 let no_frame =
   { page = { Page.id = -1; payload = Page.Free }; pins = 0; dirty = false;
-    last_use = max_int; slot = -1 }
+    last_use = max_int; slot = -1; released = false }
 
 let create ?(frames = 64) disk =
   if frames <= 0 then invalid_arg "Buffer_pool.create: frames <= 0";
@@ -172,6 +178,7 @@ let remove t f =
   last.slot <- f.slot;
   t.slots.(t.count - 1) <- no_frame;
   t.count <- t.count - 1;
+  if f.released then Disk.free t.disk f.page.Page.id;
   if f.dirty then check_io_limit t
 
 (* Evicts until there is room for one more page. *)
@@ -183,7 +190,7 @@ let rec make_room t =
 
 (* Requires room. *)
 let admit t page ~pins ~dirty =
-  let f = { page; pins; dirty; last_use = tick t; slot = t.count } in
+  let f = { page; pins; dirty; last_use = tick t; slot = t.count; released = false } in
   Hashtbl.add t.table page.Page.id f;
   t.slots.(t.count) <- f;
   t.count <- t.count + 1;
@@ -246,6 +253,7 @@ let pin t id =
       bump t Counter.Logical_reads;
       match Hashtbl.find_opt t.table id with
       | Some f ->
+        if f.released then invalid_arg "Buffer_pool.pin: released page";
         f.pins <- f.pins + 1;
         f.last_use <- tick t;
         f.page
@@ -275,6 +283,32 @@ let unpin t id =
       | Some f ->
         if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: page not pinned";
         f.pins <- f.pins - 1)
+
+(* The frame stays resident; its payload goes at once. *)
+let retire f =
+  f.released <- true;
+  f.page.Page.payload <- Page.Free
+
+let unpin_and_release t id =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table id with
+      | None -> invalid_arg "Buffer_pool.unpin_and_release: page not resident"
+      | Some f ->
+        if f.pins <= 0 then
+          invalid_arg "Buffer_pool.unpin_and_release: page not pinned";
+        if f.pins > 1 then
+          invalid_arg "Buffer_pool.unpin_and_release: page pinned elsewhere";
+        f.pins <- 0;
+        retire f)
+
+let release t id =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table id with
+      | None -> Disk.free t.disk id
+      | Some f ->
+        if f.pins > 0 then invalid_arg "Buffer_pool.release: page pinned";
+        if f.released then invalid_arg "Buffer_pool.release: page already released";
+        retire f)
 
 let mark_dirty t id =
   locked t (fun () ->
@@ -313,6 +347,14 @@ let flush_all t =
              end))
 
 let resident t = t.count
+
+let live_pages t =
+  locked t (fun () ->
+      let released = ref 0 in
+      for i = 0 to t.count - 1 do
+        if t.slots.(i).released then incr released
+      done;
+      Disk.page_count t.disk - Disk.free_pages t.disk - !released)
 
 let resident_pages t =
   locked t (fun () -> List.map (fun f -> f.page.Page.id) (resident_frames t))

@@ -22,7 +22,17 @@
     the mutex.  (A {!resize} whose eviction faults or trips the I/O
     budget can leave more pages than the new budget; the next admission
     evicts down to it first.)  Pages stay resident until evicted by
-    exact LRU over unpinned frames. *)
+    exact LRU over unpinned frames.
+
+    Page lifecycle: {!new_page} allocates an id on the {!Disk}, which
+    reuses freed ids first.  {!release} and {!unpin_and_release} retire
+    a page: its payload is dropped at once, but its frame stays resident
+    until LRU evicts it, and is written then if dirty, exactly as an
+    unreleased frame would be.  Only the frame's eviction hands the id
+    to the disk's free list, so an id is recycled only after its frame
+    has left the pool.  Releasing performs no I/O and consults no fault
+    schedule: physical reads and writes, and so seeded fault schedules,
+    are those of a pool that never releases. *)
 
 type t
 
@@ -71,10 +81,27 @@ val pin : t -> int -> Page.t
     read trips it, the page is left resident but not pinned; if the
     write of a dirty victim trips it, the victim is already evicted and
     the page not yet admitted.
-    @raise Failure on a miss when every frame is pinned. *)
+    @raise Failure on a miss when every frame is pinned.
+    @raise Invalid_argument if the page is released, or free or
+    unallocated on the disk. *)
 
 val unpin : t -> int -> unit
 (** @raise Invalid_argument if the page is not resident or not pinned. *)
+
+val unpin_and_release : t -> int -> unit
+(** Drop the caller's pin and {!release} the page, in one lookup: for a
+    reader that consumes a temporary page.  The page must hold exactly
+    that one pin.
+    @raise Invalid_argument if the page is not resident, not pinned, or
+    pinned more than once (the pool is left unchanged). *)
+
+val release : t -> int -> unit
+(** Retire an unpinned page that nothing will read again.  A resident
+    page's payload is dropped and its frame released as described above;
+    a page not resident is freed on the disk at once.  Pinning a
+    released page raises [Invalid_argument].
+    @raise Invalid_argument if the page is pinned, already released, or
+    free or unallocated on the disk. *)
 
 val mark_dirty : t -> int -> unit
 (** Mark a resident page dirty so its eviction counts as a write. *)
@@ -116,7 +143,14 @@ val attach_obs : t -> Dqep_obs.Trace.t -> unit
 
 val detach_obs : t -> unit
 val resident : t -> int
-(** Number of pages currently held. *)
+(** Number of pages currently held, released frames not yet evicted
+    included. *)
+
+val live_pages : t -> int
+(** Pages of the pool's disk that are allocated and not released: the
+    disk's ids less its free list and less the released frames still
+    resident.  A run that releases every temporary page it allocated
+    leaves this where it found it. *)
 
 val resident_pages : t -> int list
 (** Ids of the pages currently held, sorted — which pages the

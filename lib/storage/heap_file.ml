@@ -92,6 +92,44 @@ let scan pool t f =
             invalid_arg "Heap_file.scan: corrupt page"))
     (List.rev t.pages)
 
+(* Each page is released on the unpin that ends its read, so the read
+   costs one pool lookup per page, as [scan] does.  The file keeps the
+   pages not yet read: if a pin raises, [release] can still retire
+   them. *)
+let consume pool t f =
+  let rest = ref (List.rev t.pages) in
+  t.pages <- [];
+  let rec next () =
+    match !rest with
+    | [] -> ()
+    | id :: later ->
+      let page = Buffer_pool.pin pool id in
+      (match page.Page.payload with
+      | Page.Heap h ->
+        let tuples = h.tuples and count = h.count in
+        Buffer_pool.unpin_and_release pool id;
+        rest := later;
+        t.count <- t.count - count;
+        for slot = 0 to count - 1 do
+          f tuples.(slot)
+        done
+      | Page.Free | Page.Btree _ ->
+        Buffer_pool.unpin pool id;
+        invalid_arg "Heap_file.consume: corrupt page");
+      next ()
+  in
+  match next () with
+  | () -> ()
+  | exception e ->
+    t.pages <- List.rev !rest;
+    raise e
+
+let release pool t =
+  let pages = t.pages in
+  t.pages <- [];
+  t.count <- 0;
+  List.iter (Buffer_pool.release pool) pages
+
 let fetch pool (rid : Rid.t) =
   Buffer_pool.with_page pool rid.page (fun page ->
       match page.Page.payload with

@@ -1,7 +1,14 @@
 (** Heap files: unordered collections of fixed-width tuples.
 
     The logical record width (512 bytes in the paper) determines how many
-    tuples fit one page; the tuples themselves are integer arrays. *)
+    tuples fit one page; the tuples themselves are integer arrays.
+
+    A temporary file (a spill partition or sort run) is read back once
+    with {!consume}, which releases each page as it is read, and a file
+    abandoned part way is retired with {!release}.  Either way its pages
+    go through {!Buffer_pool.release}: a page's id is recycled only after
+    its frame has left the pool, and physical I/O and fault schedules are
+    those of a file whose pages were never released. *)
 
 type t
 
@@ -24,6 +31,19 @@ val append_list : Buffer_pool.t -> t -> int array list -> unit
 
 val scan : Buffer_pool.t -> t -> (Rid.t -> int array -> unit) -> unit
 (** Full scan in page order, pinning one page at a time. *)
+
+val consume : Buffer_pool.t -> t -> (int array -> unit) -> unit
+(** Read the file back in page order, as {!scan} does, releasing each
+    page on the unpin that ends its read ({!Buffer_pool.unpin_and_release}).
+    Afterwards the file is empty.  If a pin raises (an I/O fault, an
+    exhausted I/O budget) or [f] does, the file holds exactly the pages
+    not yet released and the exception goes on: {!release} retires
+    them. *)
+
+val release : Buffer_pool.t -> t -> unit
+(** Release every page the file still holds ({!Buffer_pool.release})
+    and leave it empty.  No I/O.
+    @raise Invalid_argument if one of its pages is pinned. *)
 
 val fetch : Buffer_pool.t -> Rid.t -> int array
 (** Fetch a single record by rid.

@@ -2,9 +2,9 @@
 
    Runs the multi-domain governed-session harness with configurable
    scale and fails loudly — nonzero exit — on any breach of the
-   contract: a job without a typed outcome, a leaked buffer-pool pin, an
-   unexpected failure class, or a hang (own watchdog; CI adds a hard
-   step timeout on top).
+   contract: a job without a typed outcome, a leaked buffer-pool pin, a
+   leaked spill page, a leaked checkpoint byte, an unexpected failure
+   class, or a hang (own watchdog; CI adds a hard step timeout on top).
 
    With --serve the soak runs through the serving layer instead: client
    domains hammer a Server (wire protocol, plan cache, per-shape
@@ -26,6 +26,7 @@ let session_soak ~workers ~jobs ~seed ~max_inflight =
     fail "%d jobs submitted, %d outcomes" jobs t.Chaos.total;
   List.iter (fail "escaped exception: %s") t.Chaos.escaped;
   List.iter (fail "pin leak: %s") t.Chaos.leaks;
+  List.iter (fail "spill leak: %s") t.Chaos.spill_leaks;
   List.iter (fail "checkpoint leak: %s") t.Chaos.checkpoint_leaks;
   if t.Chaos.other_failures > 0 then
     fail "%d unexpected failure outcomes" t.Chaos.other_failures;
@@ -43,6 +44,7 @@ let serve_soak ~workers ~jobs ~seed ~max_inflight =
   List.iter (fail "untyped response: %s") t.Chaos.untyped;
   List.iter (fail "internal error: %s") t.Chaos.internal_errors;
   List.iter (fail "pin leak: %s") t.Chaos.leaks;
+  List.iter (fail "spill leak: %s") t.Chaos.spill_leaks;
   if t.Chaos.client_errors > 0 then
     fail "%d client-side errors in a well-formed workload"
       t.Chaos.client_errors;

@@ -179,6 +179,110 @@ let test_spill_path_pinned () =
      re-pinned the page being filled. *)
   Alcotest.(check int) "logical reads" 475 io.D.Buffer_pool.logical_reads
 
+(* The join of the spill-path test: 600 x 600 rows Grace-partitioned
+   twice under a 6-page grant. *)
+let spilling_join () =
+  let rel name =
+    D.Relation.make ~name ~cardinality:600 ~record_bytes:256
+      ~attributes:
+        [ D.Attribute.make ~name:"k" ~domain_size:40;
+          D.Attribute.make ~name:"v" ~domain_size:10 ]
+  in
+  let catalog = D.Catalog.create ~relations:[ rel "A"; rel "B" ] ~indexes:[] () in
+  let db = D.Database.build ~seed:5 catalog in
+  let mem = 6 in
+  let env, b, scan = builder_bits catalog mem in
+  let col rel attr = D.Col.make ~rel ~attr in
+  let preds =
+    [ D.Predicate.equi ~left:(col "A" "k") ~right:(col "B" "k");
+      D.Predicate.equi ~left:(col "A" "v") ~right:(col "B" "v") ]
+  in
+  let rows =
+    D.Estimate.join_rows env preds (D.Estimate.base_rows env "A")
+      (D.Estimate.base_rows env "B")
+  in
+  let plan =
+    D.Plan.Builder.operator b (D.Physical.Hash_join preds)
+      ~inputs:[ scan "A"; scan "B" ] ~rels:[ "A"; "B" ] ~rows ~bytes_per_row:512
+      ~props:D.Props.unordered
+  in
+  (db, D.Bindings.make ~selectivities:[] ~memory_pages:mem, plan)
+
+let digest_rows tuples =
+  List.map
+    (fun t -> String.concat "," (Array.to_list (Array.map string_of_int t)))
+    tuples
+  |> String.concat ";" |> Digest.string |> Digest.to_hex
+
+(* No leak on the abort path: a spilling join stopped, whether it is
+   writing its partitions or reading them back, leaves no pin and
+   releases every spill page it allocated.  [run db bindings plan obs
+   point] runs the join armed to abort at [point]; every point must
+   abort, at least two after spilling began.  The database then runs
+   the join to completion as before. *)
+let check_spill_aborts ~what ~points run =
+  let db, bindings, plan = spilling_join () in
+  let pool = D.Database.pool db in
+  let live = D.Buffer_pool.live_pages pool in
+  let spilled = ref 0 in
+  List.iter
+    (fun point ->
+      let label what' = Printf.sprintf "%s %d: %s" what point what' in
+      let obs = D.Obs.Trace.create () in
+      (match run db bindings plan obs point with
+      | _ -> Alcotest.fail (label "the run completed")
+      | exception (D.Fault.Io_fault _ | D.Governor.Cancelled _) -> ());
+      if D.Obs.Trace.get obs D.Obs.Counter.Spill_partitions > 0 then incr spilled;
+      Alcotest.(check (result unit string))
+        (label "no pins") (Ok ()) (D.Buffer_pool.leak_check pool);
+      Alcotest.(check int) (label "live pages") live (D.Buffer_pool.live_pages pool))
+    points;
+  Alcotest.(check bool) "aborts after spilling" true (!spilled >= 2);
+  let tuples, _ = D.Executor.run db bindings plan in
+  Alcotest.(check string) "then completes unchanged"
+    "4eb0b5a361ccafc9a054857890339992" (digest_rows tuples);
+  Alcotest.(check int) "live pages after the clean run" live
+    (D.Buffer_pool.live_pages pool)
+
+(* Points spread over the run's 800 physical I/Os. *)
+let test_fault_abort_releases_spills () =
+  check_spill_aborts ~what:"fault after I/O" ~points:[ 40; 150; 300; 450; 600; 750 ]
+    (fun db bindings plan obs n ->
+      let disk = D.Buffer_pool.disk (D.Database.pool db) in
+      D.Disk.set_faults disk
+        (Some (D.Fault.create (D.Fault.config ~fail_after:(n, D.Fault.Permanent) ~seed:1 ())));
+      Fun.protect
+        ~finally:(fun () -> D.Disk.set_faults disk None)
+        (fun () -> D.Executor.run db ~obs bindings plan))
+
+(* Points spread over the probe checks of the partitions' joins. *)
+let test_cancel_abort_releases_spills () =
+  check_spill_aborts ~what:"cancel after check" ~points:[ 1; 60; 300; 700 ]
+    (fun db bindings plan obs n ->
+      let gov = D.Governor.create ~cancel_after_checks:n () in
+      D.Executor.run db ~gov ~obs bindings plan)
+
+(* Flat heap: the spilling join replayed 50 times on one database
+   returns the same rows every time, and recycles its spill pages, so
+   the disk holds no more pages after run 50 than after run 1. *)
+let test_spill_pages_recycled () =
+  let db, bindings, plan = spilling_join () in
+  let pool = D.Database.pool db in
+  let disk = D.Buffer_pool.disk pool in
+  let live = D.Buffer_pool.live_pages pool in
+  let after_first = ref 0 in
+  for run = 1 to 50 do
+    let tuples, _ = D.Executor.run db bindings plan in
+    let label what = Printf.sprintf "run %d: %s" run what in
+    Alcotest.(check int) (label "rows") 924 (List.length tuples);
+    Alcotest.(check string) (label "digest") "4eb0b5a361ccafc9a054857890339992"
+      (digest_rows tuples);
+    Alcotest.(check int) (label "live pages") live (D.Buffer_pool.live_pages pool);
+    if run = 1 then after_first := D.Disk.page_count disk
+  done;
+  Alcotest.(check int) "disk pages after run 50 = after run 1" !after_first
+    (D.Disk.page_count disk)
+
 let test_external_sort_many_runs () =
   let catalog = edge_catalog ~cardinality:3000 ~domain:750 in
   let db = D.Database.build ~seed:8 catalog in
@@ -225,6 +329,12 @@ let suite =
       Alcotest.test_case "grace partitioning" `Quick test_grace_partitioning_correct;
       Alcotest.test_case "spill path: order and I/O pinned" `Quick
         test_spill_path_pinned;
+      Alcotest.test_case "spill abort on a fault releases its pages" `Quick
+        test_fault_abort_releases_spills;
+      Alcotest.test_case "spill abort on cancel releases its pages" `Quick
+        test_cancel_abort_releases_spills;
+      Alcotest.test_case "spill pages recycled over 50 runs" `Quick
+        test_spill_pages_recycled;
       Alcotest.test_case "external sort, many runs" `Quick
         test_external_sort_many_runs;
       Alcotest.test_case "choose-plan re-decides per run" `Quick

@@ -1,16 +1,27 @@
 (* Model-based test of the buffer pool.
 
    Random command sequences — pin, unpin, new page, mark dirty, resize,
-   flush, a bulk load of unpinned dirty pages, and arming or disarming
-   the I/O budget — run against the pool (one frame table behind one
-   mutex, one flat eviction array) and against a pure LRU model.  After
-   every command both must agree on the outcome (including the
-   exception raised), the resident set, the pinned count and the
-   logical, physical-read and physical-write counters.  Resident sets
-   agree before and after each command, so the two evict the same
-   victims.  Where the budget trips, the model says what has already
-   happened: a pin that trips it leaves its page resident and unpinned,
-   and a dirty eviction that trips it has already removed the frame.
+   flush, a bulk load of unpinned dirty pages, arming or disarming the
+   I/O budget, and the page lifecycle's release, unpin-and-release and
+   misuses — run against the pool (one frame table behind one mutex,
+   one flat eviction array) and against a pure LRU model.  After every
+   command both must agree on the outcome (including the exception
+   raised), the resident set, the pinned count, the live and free page
+   counts and the logical, physical-read and physical-write counters.
+   Resident sets agree before and after each command, so the two evict
+   the same victims.  Where the budget trips, the model says what has
+   already happened: a pin that trips it leaves its page resident and
+   unpinned, and a dirty eviction that trips it has already removed the
+   frame.
+
+   The lifecycle: a released frame stays resident, is evicted in LRU
+   order and written then if dirty, and only its eviction puts its id on
+   the disk's free list (a stack); an unpinned page released while not
+   resident is freed at once.  New pages take the id the model's free
+   list says, so an id recycled while its frame is still resident shows
+   up as a wrong id or a wrong resident set.  Releasing a pinned,
+   released or free page raises, as does pinning a released or free
+   one.
 
    Half the cases start the way [Database.build] does: a bulk load
    through a 4096-frame pool, a flush, and a shrink to 4-16 frames; the
@@ -24,13 +35,14 @@ module M = Map.Make (Int)
 
 (* --- the reference model ------------------------------------------------- *)
 
-type mframe = { pins : int; dirty : bool; used : int }
+type mframe = { pins : int; dirty : bool; used : int; released : bool }
 
 type model = {
   cap : int;
   frames : mframe M.t;
   clock : int;
-  next_id : int;  (* pages allocated so far; ids are 0 .. next_id - 1 *)
+  next_id : int;  (* ids handed out so far: 0 .. next_id - 1 *)
+  free : int list;  (* the disk's free list, next to be reused first *)
   logical : int;
   reads : int;
   writes : int;
@@ -38,13 +50,15 @@ type model = {
 }
 
 let empty cap =
-  { cap; frames = M.empty; clock = 0; next_id = 0; logical = 0; reads = 0;
-    writes = 0; limit = None }
+  { cap; frames = M.empty; clock = 0; next_id = 0; free = []; logical = 0;
+    reads = 0; writes = 0; limit = None }
 
 let all_pinned = Printexc.to_string (Failure "Buffer_pool: all frames pinned")
 
 let below_pinned =
   Printexc.to_string (Invalid_argument "Buffer_pool.resize: smaller than pinned pages")
+
+let invalid msg = Printexc.to_string (Invalid_argument msg)
 
 (* A command stopped by an error, in the state it had reached: an
    eviction or two may already have happened. *)
@@ -75,7 +89,8 @@ let evict m =
     let m =
       { m with
         frames = M.remove id m.frames;
-        writes = (m.writes + if f.dirty then 1 else 0) }
+        writes = (m.writes + if f.dirty then 1 else 0);
+        free = (if f.released then id :: m.free else m.free) }
     in
     if f.dirty then check_budget m;
     m
@@ -84,9 +99,26 @@ let rec make_room m = if M.cardinal m.frames >= m.cap then make_room (evict m) e
 
 let admit m id ~pins ~dirty =
   let m = { m with clock = m.clock + 1 } in
-  { m with frames = M.add id { pins; dirty; used = m.clock } m.frames }
+  { m with frames = M.add id { pins; dirty; used = m.clock; released = false } m.frames }
+
+(* The id a new page gets, and the model with it handed out. *)
+let allocate m =
+  match m.free with
+  | id :: rest -> (id, { m with free = rest })
+  | [] -> (m.next_id, { m with next_id = m.next_id + 1 })
 
 let pinned m = M.fold (fun id f acc -> if f.pins > 0 then id :: acc else acc) m.frames []
+
+let released m =
+  M.fold (fun id f acc -> if f.released then id :: acc else acc) m.frames []
+
+(* Ids allocated and not released: what a caller may still pin. *)
+let live m =
+  List.filter
+    (fun id ->
+      (not (List.mem id m.free))
+      && match M.find_opt id m.frames with Some f -> not f.released | None -> true)
+    (List.init m.next_id Fun.id)
 
 (* --- commands ------------------------------------------------------------ *)
 
@@ -101,6 +133,10 @@ type cmd =
   | Flush
   | Bulk of int
   | Set_io_limit of int option  (* headroom over the I/O done so far *)
+  | Release of int  (* an unpinned live page, resident or not *)
+  | Unpin_release of int  (* a pinned page *)
+  | Release_dead of int  (* a pinned, released or free page: raises *)
+  | Pin_dead of int  (* a released or free page: raises *)
 
 let show_cmd = function
   | Pin i -> Printf.sprintf "Pin %d" i
@@ -112,6 +148,10 @@ let show_cmd = function
   | Bulk n -> Printf.sprintf "Bulk %d" n
   | Set_io_limit None -> "Set_io_limit None"
   | Set_io_limit (Some k) -> Printf.sprintf "Set_io_limit (+%d)" k
+  | Release i -> Printf.sprintf "Release %d" i
+  | Unpin_release i -> Printf.sprintf "Unpin_release %d" i
+  | Release_dead i -> Printf.sprintf "Release_dead %d" i
+  | Pin_dead i -> Printf.sprintf "Pin_dead %d" i
 
 let nth_mod l i = List.nth l (i mod List.length l)
 
@@ -121,9 +161,9 @@ let step pool m cmd =
   let real f = match f () with () -> Ok () | exception e -> Error (Printexc.to_string e) in
   let expect m f = match f m with m' -> (m', Ok ()) | exception Stopped (m', e) -> (m', Error e) in
   match cmd with
-  | Pin _ when m.next_id = 0 -> (m, Ok (), Ok ())
+  | Pin _ when live m = [] -> (m, Ok (), Ok ())
   | Pin i ->
-    let id = i mod m.next_id in
+    let id = nth_mod (live m) i in
     let m = { m with logical = m.logical + 1 } in
     let m', want =
       expect m (fun m ->
@@ -153,16 +193,20 @@ let step pool m cmd =
       Ok (),
       real (fun () -> Pool.mark_dirty pool id) )
   | New_page ->
+    (* The id is the one free after making room: an eviction may have
+       just freed it. *)
+    let expected = ref (-1) in
     let m', want =
       expect m (fun m ->
-          let m = make_room m in
-          admit { m with next_id = m.next_id + 1 } m.next_id ~pins:1 ~dirty:true)
+          let id, m = allocate (make_room m) in
+          expected := id;
+          admit m id ~pins:1 ~dirty:true)
     in
     let got =
       real (fun () ->
           let page = Pool.new_page pool in
-          if page.D.Page.id <> m.next_id then
-            failwith (Printf.sprintf "new page id %d, model %d" page.D.Page.id m.next_id))
+          if page.D.Page.id <> !expected then
+            failwith (Printf.sprintf "new page id %d, model %d" page.D.Page.id !expected))
     in
     (m', want, got)
   | Resize n ->
@@ -200,7 +244,8 @@ let step pool m cmd =
         match expect m make_room with
         | m, (Error _ as failed) -> (m, failed)
         | m, Ok () ->
-          load (admit { m with next_id = m.next_id + 1 } m.next_id ~pins:0 ~dirty:true) (j - 1)
+          let id, m = allocate m in
+          load (admit m id ~pins:0 ~dirty:true) (j - 1)
     in
     let m', want = load m k in
     let got =
@@ -213,6 +258,50 @@ let step pool m cmd =
   | Set_io_limit k ->
     let limit = Option.map (fun k -> m.reads + m.writes + k) k in
     ({ m with limit }, Ok (), real (fun () -> Pool.set_io_limit pool limit))
+  | Release i -> (
+    match List.filter (fun id -> not (List.mem id (pinned m))) (live m) with
+    | [] -> (m, Ok (), Ok ())
+    | unpinned ->
+      let id = nth_mod unpinned i in
+      let m' =
+        match M.find_opt id m.frames with
+        | Some f -> { m with frames = M.add id { f with released = true } m.frames }
+        | None -> { m with free = id :: m.free }
+      in
+      (m', Ok (), real (fun () -> Pool.release pool id)))
+  | Unpin_release _ when pinned m = [] -> (m, Ok (), Ok ())
+  | Unpin_release i ->
+    let id = nth_mod (pinned m) i in
+    let f = M.find id m.frames in
+    let m', want =
+      if f.pins > 1 then
+        (m, Error (invalid "Buffer_pool.unpin_and_release: page pinned elsewhere"))
+      else ({ m with frames = M.add id { f with pins = 0; released = true } m.frames }, Ok ())
+    in
+    (m', want, real (fun () -> Pool.unpin_and_release pool id))
+  | Release_dead i -> (
+    let targets =
+      List.map (fun id -> (id, "Buffer_pool.release: page pinned")) (pinned m)
+      @ List.map (fun id -> (id, "Buffer_pool.release: page already released")) (released m)
+      @ List.map (fun id -> (id, "Disk.free: page not allocated")) m.free
+    in
+    match targets with
+    | [] -> (m, Ok (), Ok ())
+    | _ ->
+      let id, msg = nth_mod targets i in
+      (m, Error (invalid msg), real (fun () -> Pool.release pool id)))
+  | Pin_dead i -> (
+    let targets =
+      List.map (fun id -> (id, "Buffer_pool.pin: released page")) (released m)
+      @ List.map (fun id -> (id, "Disk.get: unallocated page id")) m.free
+    in
+    match targets with
+    | [] -> (m, Ok (), Ok ())
+    | _ ->
+      let id, msg = nth_mod targets i in
+      ( { m with logical = m.logical + 1 },
+        Error (invalid msg),
+        real (fun () -> ignore (Pool.pin pool id)) ))
 
 (* --- the property --------------------------------------------------------- *)
 
@@ -233,7 +322,11 @@ let cmd_gen =
       (1, return Flush);
       (1, map (fun n -> Bulk n) (int_range 1 40));
       (1, map (fun k -> Set_io_limit (Some k)) (int_range 0 8));
-      (1, return (Set_io_limit None)) ]
+      (1, return (Set_io_limit None));
+      (2, map (fun i -> Release i) nat);
+      (2, map (fun i -> Unpin_release i) nat);
+      (1, map (fun i -> Release_dead i) nat);
+      (1, map (fun i -> Pin_dead i) nat) ]
 
 let case_gen =
   let open QCheck.Gen in
@@ -248,7 +341,8 @@ let case_gen =
 let prop_pool_matches_model =
   QCheck.Test.make ~name:"pool = LRU model, with I/O budget" ~count:150
     (QCheck.make ~print:show_case case_gen) (fun c ->
-      let pool = Pool.create ~frames:c.initial (D.Disk.create ()) in
+      let disk = D.Disk.create () in
+      let pool = Pool.create ~frames:c.initial disk in
       let check m i cmd want got =
         let fail what =
           QCheck.Test.fail_reportf "command %d (%s): %s" i (show_cmd cmd) what
@@ -262,6 +356,8 @@ let prop_pool_matches_model =
         if Pool.resident_pages pool <> List.map fst (M.bindings m.frames) then
           fail "resident sets differ";
         if Pool.pinned_count pool <> List.length (pinned m) then fail "pinned counts differ";
+        if Pool.live_pages pool <> List.length (live m) then fail "live pages differ";
+        if D.Disk.free_pages disk <> List.length m.free then fail "free lists differ";
         if s.Pool.logical_reads <> m.logical then fail "logical reads differ";
         if s.Pool.physical_reads <> m.reads then fail "physical reads differ";
         if s.Pool.physical_writes <> m.writes then fail "physical writes differ"

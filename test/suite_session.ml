@@ -201,8 +201,8 @@ let test_chaos_soak () =
   (* The acceptance soak: 32 jobs across 4 domains through one shared
      session — clean runs, deadlines, cancellations, memory pressure and
      injected faults.
-     Contract: every job exactly one typed outcome, no pin leaks, no
-     hangs (watchdog), no untyped failures. *)
+     Contract: every job exactly one typed outcome, no pin or spill-page
+     leaks, no hangs (watchdog), no untyped failures. *)
   let t =
     Test_util.with_watchdog ~deadline:120. "session: chaos soak" (fun () ->
         D.Experiments.Chaos.run ~workers:4 ~jobs:32 ~seed:1 ~max_inflight:3
@@ -213,6 +213,7 @@ let test_chaos_soak () =
   Alcotest.(check (list string)) "no escaped exceptions" []
     t.D.Experiments.Chaos.escaped;
   Alcotest.(check (list string)) "no pin leaks" [] t.D.Experiments.Chaos.leaks;
+  Alcotest.(check (list string)) "no spill leaks" [] t.D.Experiments.Chaos.spill_leaks;
   Alcotest.(check int) "no untyped-failure classes" 0
     t.D.Experiments.Chaos.other_failures;
   let classes =

@@ -21,6 +21,86 @@ let test_disk_allocation () =
   Alcotest.check_raises "unallocated" (Invalid_argument "Disk.get: unallocated page id")
     (fun () -> ignore (D.Disk.get disk 100))
 
+let test_disk_free_list () =
+  let disk = D.Disk.create () in
+  for _ = 1 to 5 do
+    ignore (D.Disk.allocate disk)
+  done;
+  D.Disk.free disk 1;
+  D.Disk.free disk 3;
+  Alcotest.(check int) "free pages" 2 (D.Disk.free_pages disk);
+  Alcotest.check_raises "double free" (Invalid_argument "Disk.free: page not allocated")
+    (fun () -> D.Disk.free disk 3);
+  Alcotest.check_raises "free id unreadable" (Invalid_argument "Disk.get: unallocated page id")
+    (fun () -> ignore (D.Disk.get disk 1));
+  let reused = List.init 3 (fun _ -> (D.Disk.allocate disk).D.Page.id) in
+  Alcotest.(check (list int)) "last freed, first reused; then fresh" [ 3; 1; 5 ] reused;
+  Alcotest.(check int) "array grows only past the free list" 6 (D.Disk.page_count disk)
+
+(* A consuming read-back returns what a scan does, releases every page,
+   and moves no I/O: released frames stay resident until evicted, and
+   only then are their ids reused. *)
+let test_heap_consume_releases () =
+  let tuples = Array.init 10 (fun i -> [| i; i * i |]) in
+  let load () =
+    let _, pool = fresh ~frames:4 () in
+    (pool, D.Heap_file.of_tuples pool ~tuples_per_page:2 tuples)
+  in
+  let read f =
+    let pool, heap = load () in
+    let before = D.Buffer_pool.stats pool in
+    let got = ref [] in
+    f pool heap (fun t -> got := t :: !got);
+    (pool, heap, List.rev !got, D.Buffer_pool.diff ~before ~after:(D.Buffer_pool.stats pool))
+  in
+  let _, _, scanned, scan_io = read (fun pool heap f -> D.Heap_file.scan pool heap (fun _ t -> f t)) in
+  let pool, heap, got, io = read D.Heap_file.consume in
+  Alcotest.(check bool) "a scan's tuples" true (got = scanned && got = Array.to_list tuples);
+  Alcotest.(check bool) "a scan's I/O" true (io = scan_io);
+  Alcotest.(check int) "file empty" 0 (D.Heap_file.page_count heap);
+  Alcotest.(check int) "nothing live" 0 (D.Buffer_pool.live_pages pool);
+  (* Pages 1-4 stay resident, released; page 0 was evicted while the
+     read went on, so its id alone is free. *)
+  let resident = D.Buffer_pool.resident_pages pool in
+  Alcotest.(check (list int)) "released frames stay resident" [ 1; 2; 3; 4 ] resident;
+  Alcotest.(check int) "only evicted ids are free" 1
+    (D.Disk.free_pages (D.Buffer_pool.disk pool));
+  Alcotest.check_raises "a released page cannot be pinned"
+    (Invalid_argument "Buffer_pool.pin: released page") (fun () ->
+      ignore (D.Buffer_pool.pin pool 2));
+  (* Each new page first evicts the least recently used released frame,
+     and takes the id that eviction just freed. *)
+  Alcotest.(check (list int)) "ids reused after eviction only" [ 1; 2; 3 ]
+    (List.init 3 (fun _ -> heap_page pool))
+
+(* A read-back stopped by a fault keeps its unread pages; releasing the
+   file retires them, resident or not, with no I/O. *)
+let test_heap_consume_abort () =
+  let disk, pool = fresh ~frames:2 () in
+  let live = D.Buffer_pool.live_pages pool in
+  let heap =
+    D.Heap_file.of_tuples pool ~tuples_per_page:1 (Array.init 6 (fun i -> [| i |]))
+  in
+  let ids = D.Heap_file.page_ids heap in
+  let broken = List.nth ids 2 in
+  D.Disk.set_faults disk
+    (Some (D.Fault.create (D.Fault.config ~broken_pages:[ (broken, D.Fault.Transient) ] ~seed:1 ())));
+  let got = ref 0 in
+  (match D.Heap_file.consume pool heap (fun _ -> incr got) with
+  | () -> Alcotest.fail "consume read a broken page"
+  | exception D.Fault.Io_fault _ -> ());
+  Alcotest.(check int) "two pages read" 2 !got;
+  Alcotest.(check (list int)) "the unread rest stays"
+    (List.filteri (fun i _ -> i >= 2) ids) (D.Heap_file.page_ids heap);
+  Alcotest.(check int) "nothing pinned" 0 (D.Buffer_pool.pinned_count pool);
+  let before = D.Buffer_pool.stats pool in
+  D.Heap_file.release pool heap;
+  let io = D.Buffer_pool.diff ~before ~after:(D.Buffer_pool.stats pool) in
+  Alcotest.(check int) "release does no I/O" 0
+    (io.D.Buffer_pool.physical_reads + io.D.Buffer_pool.physical_writes
+   + io.D.Buffer_pool.logical_reads);
+  Alcotest.(check int) "nothing live" live (D.Buffer_pool.live_pages pool)
+
 let test_pool_counts_io () =
   let _, pool = fresh () in
   let p1 = heap_page pool and p2 = heap_page pool in
@@ -318,6 +398,7 @@ let test_database_deterministic () =
 let suite =
   ( "storage",
     [ Alcotest.test_case "disk allocation" `Quick test_disk_allocation;
+      Alcotest.test_case "disk free list" `Quick test_disk_free_list;
       Alcotest.test_case "pool counts I/O" `Quick test_pool_counts_io;
       Alcotest.test_case "pool LRU eviction" `Quick test_pool_lru_eviction;
       Alcotest.test_case "pinned pages stay" `Quick test_pool_pinned_not_evicted;
@@ -340,5 +421,9 @@ let suite =
       Alcotest.test_case "heap bulk append equals repeated append" `Quick
         test_heap_append_list;
       Alcotest.test_case "heap capacity math" `Quick test_heap_capacity_math;
+      Alcotest.test_case "consuming read-back releases pages" `Quick
+        test_heap_consume_releases;
+      Alcotest.test_case "aborted read-back keeps the rest" `Quick
+        test_heap_consume_abort;
       Alcotest.test_case "database build" `Quick test_database_build;
       Alcotest.test_case "database deterministic" `Quick test_database_deterministic ] )
