@@ -71,7 +71,6 @@ module Props = Dqep_algebra.Props
 
 module Device = Dqep_cost.Device
 module Bindings = Dqep_cost.Bindings
-module Dist = Dqep_cost.Dist
 module Risk = Dqep_cost.Risk
 module Env = Dqep_cost.Env
 module Estimate = Dqep_cost.Estimate

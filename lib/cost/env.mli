@@ -9,7 +9,11 @@
     - {!static}: expected values (default selectivity 0.05, memory 64
       pages) — the traditional optimizer;
     - {!of_bindings}: actual values — used for run-time optimization and
-      for start-up-time re-evaluation of choose-plan decisions. *)
+      for start-up-time re-evaluation of choose-plan decisions.
+
+    Every parameter is an interval, and a known value is a point
+    interval.  The ranked risk postures see no other shape: they read
+    the {!scenarios} grid drawn from those intervals. *)
 
 module Interval = Dqep_util.Interval
 
@@ -26,7 +30,6 @@ val make :
 val dynamic :
   ?memory:Interval.t ->
   ?selectivity_bounds:(string * Interval.t) list ->
-  ?selectivity_dists:(string * Dist.t) list ->
   ?device:Device.t ->
   Dqep_catalog.Catalog.t ->
   t
@@ -35,10 +38,6 @@ val dynamic :
     point that the database implementor is free to model uncertainty more
     tightly when more is known (e.g. an application always passes small
     limits).  Narrower intervals mean fewer incomparable plans.
-    [selectivity_dists] goes further and shapes the uncertainty {e
-    within} the bounds — per-predicate histograms from the feedback
-    pipeline ([Dqep_obs.Feedback.selectivity_dists]); it takes
-    precedence over [selectivity_bounds] for variables listed in both.
     Default [memory] is the point 64 (memory certain); pass e.g.
     [Interval.make 16. 112.] to make it an uncertain parameter too. *)
 
@@ -69,16 +68,14 @@ val with_memory_pages : t -> Interval.t -> t
     memory-budget abort: under the lowered grant the decision procedure
     prefers a lower-memory alternative. *)
 
-val refine_dists : t -> selectivities:(string * Dist.t) list -> t
+val refine_dists : t -> selectivities:(string * Interval.t) list -> t
 (** [refine_dists t ~selectivities] is [t] with each listed host
-    variable's prior narrowed by its observation histogram
-    ([Dqep_obs.Feedback.selectivity_dists]) — the feedback step of the
-    observation pipeline.  The hull of each refined distribution is
-    [Interval.refine] of the prior's hull by the observation's hull, so
-    narrowing never steps outside the prior: plans re-costed under the
-    refined environment stay comparable with plans costed under the
-    original.  The refined environment also carries {e where} inside
-    the narrowed band the realized selectivities concentrate. *)
+    variable's prior narrowed to [Interval.refine prior band] by its
+    observed band ([Dqep_obs.Feedback.selectivity_dists]) — the feedback
+    step of the observation pipeline.  Each refined interval is computed
+    once, by this call.  Refinement never steps outside the prior, so
+    plans re-costed under the refined environment stay comparable with
+    plans costed under the original. *)
 
 val default_io_budget_factor : float
 (** 4.0: the default of the resilient executor's I/O guard factor, whose
@@ -90,23 +87,20 @@ val io_budget_factor : t -> float
 
 val selectivity : t -> Dqep_algebra.Predicate.select -> Interval.t
 (** Selectivity of a selection predicate: the bound value as a point, or
-    the environment's interval for its host variable: the hull of the
-    environment's belief about it. *)
+    the environment's interval for its host variable. *)
 
 val host_selectivity : t -> string -> Interval.t
 (** {!selectivity} of a predicate on the named host variable.
     @raise Not_found as {!of_bindings} does for an unlisted variable. *)
 
-val is_point : t -> bool
-(** Whether all parameters this environment ever returned or can return
-    are points (memory is a point and host variables map to points);
-    used only for reporting. *)
-
 val scenarios : t -> (float * t) list
-(** The environment's scenario grid: [Dist.default_levels] equally
-    weighted {e point} environments, scenario [j] binding every
-    selectivity to its [q_j]-quantile and memory to its
-    [(1 - q_j)]-quantile.  The extreme scenarios are exactly the two
-    corners the interval cost model evaluates, so any plan's cost under
-    any scenario lies within its interval cost — the soundness basis for
-    rank-based pruning ({!Dqep_optimizer.Search}). *)
+(** The environment's scenario grid: 8 equally weighted {e point}
+    environments at levels [q_j = j/7].  Scenario [j] binds every
+    selectivity to the [q_j]-quantile and memory to the
+    [(1 - q_j)]-quantile of its interval's two-point, equal-mass
+    embedding: the lower bound up to level 1/4, the upper bound from
+    level 3/4, linear in between.  The extreme scenarios are exactly the
+    two corners the interval cost model evaluates, so any plan's cost
+    under any scenario lies within its interval cost — the soundness
+    basis for rank-based pruning ({!Dqep_optimizer.Search}) under the
+    ranked risk postures ({!Risk}). *)

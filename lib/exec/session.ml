@@ -22,8 +22,8 @@
    served request pays it: a run without a caller's trace records
    through its domain's reused run trace (zeroed, not created), its
    counts are folded into the session trace in one pass, and its
-   bindings are filed into the feedback histograms in place, under one
-   lock hold. *)
+   bindings are filed into the feedback bands in place, under one lock
+   hold. *)
 
 module Trace = Dqep_obs.Trace
 module Counter = Dqep_obs.Counter
@@ -124,11 +124,6 @@ let memory_pool t = t.pool
 let obs t = t.obs
 let feedback t = t.feedback
 
-(* Histogram-shaped refinement: the hull of every feedback histogram is
-   the band [selectivity_bounds] used to report, so interval consumers
-   of the refined env see exactly the pre-histogram narrowing, while
-   ranked-risk optimization additionally learns where inside each band
-   the realized selectivities concentrate. *)
 let refined_env t env =
   Env.refine_dists env ~selectivities:(Feedback.selectivity_dists t.feedback)
 

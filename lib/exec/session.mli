@@ -78,8 +78,8 @@ val feedback : t -> Dqep_obs.Feedback.t
     deposited by every completed run. *)
 
 val refined_env : t -> Dqep_cost.Env.t -> Dqep_cost.Env.t
-(** Narrow an environment's selectivity priors by the session's observed
-    histograms ({!Dqep_cost.Env.refine_dists} over
+(** Narrow each of an environment's selectivity intervals by the
+    session's observed band for it ({!Dqep_cost.Env.refine_dists} over
     {!Dqep_obs.Feedback.selectivity_dists}) — the environment to hand
     the optimizer when re-optimizing within the session. *)
 

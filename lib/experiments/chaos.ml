@@ -9,7 +9,9 @@
    plan, and a scenario drawn from the seeded mix:
 
    - clean: no limits;
-   - deadline: a few milliseconds of wall-clock budget;
+   - deadline: a few milliseconds of budget on a clock that advances a
+     fixed tick per read, so a deadline job's outcome is a function of
+     (seed, job) like every other's;
    - cancel: deterministic cancellation at a seeded check tick;
    - memory: a tight per-query memory budget (plus the shared pool);
    - faulty: an injected I/O fault schedule on the job's disk.
@@ -97,6 +99,12 @@ let spill_leak db ~built =
   if live = built then None
   else Some (Printf.sprintf "%d live pages, %d after the build" live built)
 
+(* Seconds a deadline job's clock advances per read.  The governor
+   reads it at creation and then every [check_every] (32) checks, so a
+   job overruns the default 3 ms deadline after about 200 checks: some
+   deadline jobs finish within that, some do not. *)
+let clock_tick = 5e-4
+
 (* One job, executed on whatever domain claimed it.  Deterministic in
    (seed, job): the instance, bindings, scenario, worker count and
    fault schedule all derive from them. *)
@@ -130,7 +138,13 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
          [charged_bytes] (per job) and in [Governor.pool_in_use] (at the
          end of the soak). *)
       Governor.create ~pool:ckpt_pool ()
-    | Deadline -> Governor.create ~deadline:deadline_s ()
+    | Deadline ->
+      (* The deadline runs on a clock that advances [clock_tick] per
+         read, not on the wall clock, so whether a job overruns it
+         depends on the job's work alone. *)
+      let reads = Atomic.make 0 in
+      let clock () = float_of_int (Atomic.fetch_and_add reads 1) *. clock_tick in
+      Governor.create ~clock ~deadline:deadline_s ()
     | Cancel -> Governor.create ~cancel_after_checks:(1 + (job * 37 mod 200)) ()
     | Memory ->
       (* Tight enough that large builds must spill and some still abort;

@@ -1,7 +1,7 @@
 (** Multi-domain chaos/soak harness for resource-governed sessions.
 
     Worker domains submit seeded query jobs — a mix of clean runs,
-    wall-clock deadlines, deterministic cancellations, tight memory
+    deadlines, deterministic cancellations, tight memory
     budgets and injected I/O faults, sequential and through the
     parallel exchange — through one shared {!Dqep_exec.Session}.  The
     harness checks the governed-session contract: every job gets exactly
@@ -18,7 +18,8 @@
     Deterministic in [seed] up to domain scheduling: the job set is
     fixed, but which outcomes race to completion (shedding, pool
     pressure) varies with interleaving — the contract holds for all of
-    them. *)
+    them.  At one worker nothing races, and two runs on the same seed
+    give the same tally. *)
 
 type scenario = Clean | Deadline | Cancel | Memory | Faulty | Busted | Faulty_resume
 
@@ -65,8 +66,10 @@ val run :
   unit ->
   tally
 (** Defaults: 4 worker domains, 32 jobs, seed 1, 3 admission slots,
-    queue bound 64, a 1 MiB shared memory pool, 3 ms deadlines.  Blocks
-    until every job has its outcome. *)
+    queue bound 64, a 1 MiB shared memory pool, 3 ms deadlines.  A
+    deadline is measured on a per-job clock that advances 0.5 ms each
+    time the governor reads it (once per 32 checks), not on the wall
+    clock.  Blocks until every job has its outcome. *)
 
 (** {1 The serving-layer fault storm}
 

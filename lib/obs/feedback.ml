@@ -1,33 +1,19 @@
 (* The observation cache: per-session (and, in the server, per-shape)
-   running histograms of realized parameter selectivities, and of
+   bands of realized parameter selectivities, and of
    operator cardinalities for callers that file them.  Every completed
    run writes here; the readers ([selectivity_dists],
    [selectivity_band]) run only when a plan is optimized. *)
 
 module Interval = Dqep_util.Interval
-module Dist = Dqep_cost.Dist
 
-(* A histogram: the exact [lo, hi] envelope every prior consumer relies
-   on, plus at most [Dist.max_buckets] (value, count) buckets recording
-   where inside the envelope the observations actually fell.  Buckets
-   are sorted by value and the extreme ones always sit exactly at [lo]
-   and [hi] (overflow merges absorb into the endpoints, mirroring
-   [Dist.compact]), so the histogram's hull IS the band.
-
-   Every completed run files each of its bindings here, so an
-   observation updates the histogram in place: buckets live in fixed
-   arrays of [Dist.max_buckets + 1] slots (the extra one holds a new
-   value until the merge), and [lo]/[hi] in a float array, so filing an
-   observation allocates nothing. *)
+(* A band: the exact [lo, hi] envelope of every value observed under a
+   key, and how many values that was.  Every completed run files each of
+   its bindings here, so the bounds live in a float array updated in
+   place: filing an observation allocates nothing. *)
 type band = {
   bounds : float array;  (* [| lo; hi |] *)
-  values : float array;
-  counts : int array;
-  mutable len : int;  (* buckets in use *)
   mutable n : int;
 }
-
-let slots = Dist.max_buckets + 1
 
 type t = {
   mu : Mutex.t;
@@ -42,62 +28,8 @@ let create () =
     cardinalities = Hashtbl.create 7;
   }
 
-let new_band v =
-  let b =
-    { bounds = [| v; v |]; values = Array.make slots v;
-      counts = Array.make slots 0; len = 1; n = 1 }
-  in
-  b.counts.(0) <- 1;
-  b
-
-(* Count [v] into its bucket, or open a bucket for it in value order. *)
-let insert_bucket b (v : float) =
-  let vs = b.values and cs = b.counts in
-  let i = ref 0 in
-  while !i < b.len && v > vs.(!i) do
-    incr i
-  done;
-  let i = !i in
-  if i < b.len && v = vs.(i) then cs.(i) <- cs.(i) + 1
-  else begin
-    for j = b.len downto i + 1 do
-      vs.(j) <- vs.(j - 1);
-      cs.(j) <- cs.(j - 1)
-    done;
-    vs.(i) <- v;
-    cs.(i) <- 1;
-    b.len <- b.len + 1
-  end
-
-(* Merge the closest adjacent pair (the first, on ties); a pair touching
-   an end collapses onto the endpoint's value so the extremes never
-   move. *)
-let compact_buckets b =
-  if b.len > Dist.max_buckets then begin
-    let vs = b.values and cs = b.counts in
-    let best = ref 0 and best_gap = ref infinity in
-    for i = 0 to b.len - 2 do
-      let gap = vs.(i + 1) -. vs.(i) in
-      if gap < !best_gap then begin
-        best := i;
-        best_gap := gap
-      end
-    done;
-    let i = !best and last = b.len - 2 in
-    let v0 = vs.(i) and c0 = cs.(i) and v1 = vs.(i + 1) and c1 = cs.(i + 1) in
-    vs.(i) <-
-      (if i = 0 then v0
-       else if i = last then v1
-       else
-         ((v0 *. float_of_int c0) +. (v1 *. float_of_int c1))
-         /. float_of_int (c0 + c1));
-    cs.(i) <- c0 + c1;
-    for j = i + 1 to b.len - 2 do
-      vs.(j) <- vs.(j + 1);
-      cs.(j) <- cs.(j + 1)
-    done;
-    b.len <- b.len - 1
-  end
+let new_band v = { bounds = [| v; v |]; n = 1 }
+let interval b = Interval.make b.bounds.(0) b.bounds.(1)
 
 (* The bounds move as [Float.min]/[Float.max] would move them (NaN never
    gets here; -0. is below 0.), without boxing a float. *)
@@ -108,9 +40,7 @@ let observe_band table key v =
       let lo = b.bounds.(0) and hi = b.bounds.(1) in
       if v < lo || (v = lo && Float.sign_bit v) then b.bounds.(0) <- v;
       if v > hi || (v = hi && not (Float.sign_bit v)) then b.bounds.(1) <- v;
-      b.n <- b.n + 1;
-      insert_bucket b v;
-      compact_buckets b
+      b.n <- b.n + 1
     | exception Not_found -> Hashtbl.add table key (new_band v)
 
 let locked t f =
@@ -142,20 +72,12 @@ let observe_rows t ~key rows =
   observe_band t.cardinalities key (float_of_int rows);
   Mutex.unlock t.mu
 
-let band_of table key =
-  Option.map
-    (fun b -> Interval.make b.bounds.(0) b.bounds.(1))
-    (Hashtbl.find_opt table key)
-
-let dist_of_band b =
-  Dist.make
-    (List.init b.len (fun i -> (b.values.(i), float_of_int b.counts.(i))))
-
-let selectivity_band t var = locked t (fun () -> band_of t.selectivities var)
+let selectivity_band t var =
+  locked t (fun () -> Option.map interval (Hashtbl.find_opt t.selectivities var))
 
 let selectivity_dists t =
   locked t (fun () ->
-      Hashtbl.fold (fun k b acc -> (k, dist_of_band b) :: acc) t.selectivities []
+      Hashtbl.fold (fun k b acc -> (k, interval b) :: acc) t.selectivities []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 let observations t =

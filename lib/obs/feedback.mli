@@ -1,13 +1,9 @@
 (** The per-session observation cache: what execution has taught us
     about this session's parameters and operators.
 
-    Two keyed families of running histograms.  Each histogram keeps the
-    exact [\[min, max\]] envelope of every value observed so far plus at
-    most [Dqep_cost.Dist.max_buckets] (value, count) buckets recording
-    where inside the envelope the observations fell; the extreme buckets
-    always sit exactly at the envelope's ends, so a histogram's hull IS
-    its band and every band-shaped consumer behaves as before the
-    histogram upgrade:
+    Two keyed families of bands.  Each band is the exact [\[min, max\]]
+    envelope of every value observed under its key, with a count of
+    those values:
 
     - {e selectivities}, keyed by selectivity variable name — fed by
       the parameter bindings of completed runs;
@@ -42,10 +38,9 @@ val observe_rows : t -> key:string -> int -> unit
 
 val selectivity_band : t -> string -> Dqep_util.Interval.t option
 
-val selectivity_dists : t -> (string * Dqep_cost.Dist.t) list
-(** Every selectivity histogram, sorted by variable name; each hull is
-    the variable's {!selectivity_band}.  Feed to
-    [Dqep_cost.Env.refine_dists]. *)
+val selectivity_dists : t -> (string * Dqep_util.Interval.t) list
+(** Every selectivity band ({!selectivity_band}), sorted by variable
+    name.  Feed to [Dqep_cost.Env.refine_dists]. *)
 
 val observations : t -> int
 (** Total number of recorded observations (not bands). *)

@@ -196,7 +196,8 @@ type t = {
      text per entry, dropped with the entry, so the memo never outgrows
      the cache. *)
   memo : entry Texts.t;
-  (* Per-shape run feedback (realized parameter selectivities),
+  (* Per-shape run feedback (a band of realized selectivities per
+     parameter),
      deliberately NOT tied to plan entries: evicting or invalidating a
      plan discards the plan, not what its runs measured, so the
      re-optimization that follows an eviction still sees every
@@ -320,7 +321,8 @@ let note_replan t ~key =
         if e.replan_events >= t.replan_threshold then begin
           (* A replan storm: the cached plan's estimates keep busting
              against this shape's actual data.  Evict so the next
-             request re-optimizes with the feedback-refined env. *)
+             request re-optimizes with the env its feedback bands
+             refine. *)
           remove_entry t e;
           t.s_replan <- t.s_replan + 1;
           true

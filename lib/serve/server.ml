@@ -288,11 +288,11 @@ let handle_run t (run : Protocol.run) =
           match Sql.to_logical catalog (Plan_cache.generalize ast) with
           | Error e -> Error (`Client ("semantic", e))
           | Ok logical -> (
-            (* Refine first by the session's global observation cache,
-               then by this shape's own accumulated feedback — the side
-               table survives whatever eviction caused this miss, so a
-               shape that has run before is never re-optimized from the
-               cold catalog priors. *)
+            (* Narrow each parameter's interval first by the session's
+               band, then by this shape's own band — the side table
+               survives whatever eviction caused this miss, so a shape
+               that has run before is never re-optimized from the cold
+               catalog priors. *)
             let refine env =
               let env = Session.refined_env t.session env in
               let shape_fb = Plan_cache.shape_feedback t.cache ~key in

@@ -19,17 +19,8 @@ let is_point a = a.lo = a.hi
 let width a = a.hi -. a.lo
 let mid a = (a.lo +. a.hi) /. 2.
 let add a b = { lo = a.lo +. b.lo; hi = a.hi +. b.hi }
-let sum l = List.fold_left add zero l
-
-let sub_lo limit used =
-  let shift = used.lo in
-  { lo = Float.max 0. (limit.lo -. shift); hi = Float.max 0. (limit.hi -. shift) }
 
 let mul a b = { lo = a.lo *. b.lo; hi = a.hi *. b.hi }
-
-let scale k a =
-  if k < 0. then invalid_arg "Interval.scale: negative factor";
-  { lo = k *. a.lo; hi = k *. a.hi }
 
 let combine_min a b = { lo = Float.min a.lo b.lo; hi = Float.min a.hi b.hi }
 let union a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
@@ -58,7 +49,6 @@ let compare_cost a b =
   else if b.hi < a.lo then Gt
   else Incomparable
 
-let dominates a b = compare_cost a b = Lt
 let equal a b = a.lo = b.lo && a.hi = b.hi
 
 let pp ppf a =

@@ -49,19 +49,8 @@ val mid : t -> float
     page counts). *)
 
 val add : t -> t -> t
-val sum : t list -> t
-
-val sub_lo : t -> t -> t
-(** [sub_lo limit used] subtracts only the {e lower} bound of [used] from
-    both ends of [limit], clamping at zero.  This is the paper's
-    branch-and-bound subtraction: "subtracting costs only subtracts the
-    lower-bound, since we can only be sure that the lower-bound cost will
-    be 'used up'" (Section 5). *)
 
 val mul : t -> t -> t
-val scale : float -> t -> t
-(** [scale k a] multiplies both bounds by [k >= 0]. *)
-
 val combine_min : t -> t -> t
 (** [combine_min a b] is the cost of a dynamic plan choosing the cheaper
     of two alternatives: [\[min a.lo b.lo, min a.hi b.hi\]] (Section 5:
@@ -100,9 +89,6 @@ type order =
 val compare_cost : t -> t -> order
 (** [compare_cost a b] orders two interval costs.  Overlapping intervals
     are [Incomparable]; only identical point values are [Eq]. *)
-
-val dominates : t -> t -> bool
-(** [dominates a b] iff [compare_cost a b = Lt]. *)
 
 val equal : t -> t -> bool
 (** Structural equality of bounds (not the partial order's [Eq]). *)

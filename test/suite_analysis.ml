@@ -837,11 +837,6 @@ let prop_interval_ops_stay_valid =
       && I.is_valid (I.mul a b)
       && I.is_valid (I.union a b))
 
-let prop_scale_stays_valid =
-  QCheck.Test.make ~name:"scale preserves is_valid" ~count:500
-    (QCheck.pair (QCheck.make QCheck.Gen.(float_range 0. 100.)) arb_interval)
-    (fun (f, i) -> I.is_valid (I.scale f i))
-
 let prop_hash_consing_shares =
   QCheck.Test.make ~name:"same subplan interns to the same pid" ~count:100
     (QCheck.make QCheck.Gen.(float_range 1. 10000.)) (fun rows ->
@@ -975,7 +970,6 @@ let suite =
       Alcotest.test_case "DQEP5xx JSON round-trip" `Quick
         test_dqep5_json_roundtrip;
       QCheck_alcotest.to_alcotest prop_interval_ops_stay_valid;
-      QCheck_alcotest.to_alcotest prop_scale_stays_valid;
       QCheck_alcotest.to_alcotest prop_hash_consing_shares;
       QCheck_alcotest.to_alcotest prop_optimizer_output_verifies;
       Alcotest.test_case "certified plan meets drift" `Quick

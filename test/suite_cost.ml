@@ -1,5 +1,6 @@
-(* Cost model: environments, cardinality estimation, interval cost
-   functions and their monotonicity (the paper's Section 5 assumption). *)
+(* Cost model: environments and their scenario grid, cardinality
+   estimation, interval cost functions and their monotonicity (the
+   paper's Section 5 assumption). *)
 
 module D = Dqep
 module I = D.Interval
@@ -182,6 +183,109 @@ let prop_monotone_in_rows =
           cost lo <= cost hi +. 1e-9)
         [ D.Physical.Hash_join [ join_pred ]; D.Physical.Merge_join [ join_pred ] ])
 
+(* --- the scenario grid --------------------------------------------------- *)
+
+(* A dynamic environment with host variable "h" in [s_lo, s_hi] and
+   memory in [m_lo, m_hi] pages, from unordered draws. *)
+let arb_interval_env =
+  QCheck.make
+    ~print:(fun ((a, b), (m, n)) -> Printf.sprintf "sel %h %h, mem %d %d" a b m n)
+    QCheck.Gen.(
+      pair
+        (pair (float_bound_inclusive 1.) (float_bound_inclusive 1.))
+        (pair (int_range 1 200) (int_range 1 200)))
+
+let interval_env ((a, b), (m, n)) =
+  D.Env.dynamic
+    ~memory:(I.make (float_of_int (Int.min m n)) (float_of_int (Int.max m n)))
+    ~selectivity_bounds:[ ("h", I.make (Float.min a b) (Float.max a b)) ]
+    (catalog ())
+
+let scenario_envs env = List.map snd (D.Env.scenarios env)
+
+(* A selection on R1 joined to R2: the selection's rows come from the
+   environment's selectivity, the hash join's cost from its memory. *)
+let select_join_cost env =
+  let base1 = D.Estimate.base_rows env "R1" and base2 = D.Estimate.base_rows env "R2" in
+  let rows = D.Estimate.select_rows env (sel_pred (D.Predicate.Host_var "h")) base1 in
+  own env (D.Physical.Hash_join [ join_pred ])
+    ~inputs:
+      [ { D.Cost_model.rows; bytes_per_row = 512 };
+        { D.Cost_model.rows = base2; bytes_per_row = 512 } ]
+    ~output_rows:(D.Estimate.join_rows env [ join_pred ] rows base2)
+
+let prop_scenario_corners =
+  QCheck.Test.make ~name:"extreme scenarios are the interval cost corners"
+    ~count:200 arb_interval_env (fun draw ->
+      let env = interval_env draw in
+      let envs = scenario_envs env in
+      let first = List.hd envs and last = List.nth envs (List.length envs - 1) in
+      let cost = select_join_cost env in
+      List.length envs = 8
+      && I.equal (select_join_cost first) (I.point cost.I.lo)
+      && I.equal (select_join_cost last) (I.point cost.I.hi))
+
+let prop_scenario_monotone_in_hull =
+  QCheck.Test.make ~name:"scenario values monotone in level, inside the hull"
+    ~count:200 arb_interval_env (fun draw ->
+      let env = interval_env draw in
+      let sel e = D.Env.host_selectivity e "h" and mem e = D.Env.memory_pages e in
+      let rec ordered = function
+        | a :: (b :: _ as rest) -> a <= b && ordered rest
+        | [ _ ] | [] -> true
+      in
+      let inside hull i = I.is_point i && I.contains hull i.I.lo in
+      let envs = scenario_envs env in
+      List.for_all (fun e -> inside (sel env) (sel e) && inside (mem env) (mem e)) envs
+      && ordered (List.map (fun e -> (sel e).I.lo) envs)
+      && ordered (List.rev_map (fun e -> (mem e).I.lo) envs))
+
+let test_scenario_point () =
+  let c = catalog () in
+  let check env =
+    List.iter
+      (fun (w, e) ->
+        Alcotest.(check (float 0.)) "weight" 0.125 w;
+        Alcotest.(check (float 0.)) "selectivity" 0.3
+          (D.Env.host_selectivity e "h").I.lo;
+        Alcotest.(check bool) "selectivity is a point" true
+          (I.is_point (D.Env.host_selectivity e "h"));
+        Alcotest.(check bool) "memory is the point" true
+          (I.equal (D.Env.memory_pages e) (I.point 48.)))
+      (D.Env.scenarios env)
+  in
+  check
+    (D.Env.of_bindings c
+       (D.Bindings.make ~selectivities:[ ("h", 0.3) ] ~memory_pages:48));
+  check
+    (D.Env.dynamic ~memory:(I.point 48.)
+       ~selectivity_bounds:[ ("h", I.point 0.3) ] c)
+
+(* The grid's values for [0, 1], [0.001, 0.011] and memory [16, 112],
+   as the distribution-valued environment computed them. *)
+let test_scenario_values () =
+  let env =
+    D.Env.dynamic ~memory:(I.make 16. 112.)
+      ~selectivity_bounds:[ ("a", I.make 0. 1.); ("b", I.make 0.001 0.011) ]
+      (catalog ())
+  in
+  let envs = scenario_envs env in
+  let values f = List.map (fun e -> Printf.sprintf "%h" (f e).I.lo) envs in
+  Alcotest.(check (list string)) "[0, 1]"
+    [ "0x0p+0"; "0x0p+0"; "0x1.249249249249p-4"; "0x1.6db6db6db6db6p-2";
+      "0x1.4924924924924p-1"; "0x1.db6db6db6db6ep-1"; "0x1p+0"; "0x1p+0" ]
+    (values (fun e -> D.Env.host_selectivity e "a"));
+  Alcotest.(check (list string)) "[0.001, 0.011]"
+    [ "0x1.0624dd2f1a9fcp-10"; "0x1.0624dd2f1a9fcp-10";
+      "0x1.c163c450bfed2p-10"; "0x1.2b97d835d548cp-8";
+      "0x1.e6d6bf577a964p-8"; "0x1.510ad33c8ff1ep-7";
+      "0x1.6872b020c49bap-7"; "0x1.6872b020c49bap-7" ]
+    (values (fun e -> D.Env.host_selectivity e "b"));
+  Alcotest.(check (list string)) "memory [16, 112]"
+    [ "0x1.cp+6"; "0x1.cp+6"; "0x1.a492492492492p+6"; "0x1.36db6db6db6dbp+6";
+      "0x1.924924924924ap+5"; "0x1.6db6db6db6db6p+4"; "0x1p+4"; "0x1p+4" ]
+    (values D.Env.memory_pages)
+
 let suite =
   ( "cost",
     [ Alcotest.test_case "environment modes" `Quick test_env_modes;
@@ -195,4 +299,9 @@ let suite =
         test_choose_plan_cost;
       Alcotest.test_case "interval cost brackets point costs" `Quick
         test_interval_cost_brackets_points;
-      QCheck_alcotest.to_alcotest prop_monotone_in_rows ] )
+      QCheck_alcotest.to_alcotest prop_monotone_in_rows;
+      QCheck_alcotest.to_alcotest prop_scenario_corners;
+      QCheck_alcotest.to_alcotest prop_scenario_monotone_in_hull;
+      Alcotest.test_case "scenario grid of a point is the point" `Quick
+        test_scenario_point;
+      Alcotest.test_case "scenario values pinned" `Quick test_scenario_values ] )

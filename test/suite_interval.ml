@@ -23,26 +23,11 @@ let test_point () =
   near "width" 0. (I.width p);
   near "mid" 3. (I.mid p)
 
-let test_add_sum () =
+let test_add () =
   let a = I.make 1. 2. and b = I.make 10. 20. in
   let s = I.add a b in
   check "lo" 11. s.I.lo;
-  check "hi" 22. s.I.hi;
-  let total = I.sum [ a; b; I.point 0.5 ] in
-  check "sum lo" 11.5 total.I.lo;
-  check "sum hi" 22.5 total.I.hi
-
-let test_sub_lo () =
-  (* Branch-and-bound: only the lower bound of the used cost is
-     subtracted (paper, Section 5). *)
-  let limit = I.make 10. 20. and used = I.make 3. 9. in
-  let r = I.sub_lo limit used in
-  check "lo" 7. r.I.lo;
-  check "hi" 17. r.I.hi;
-  (* Clamps at zero. *)
-  let r = I.sub_lo (I.make 1. 2.) (I.make 5. 6.) in
-  check "clamped lo" 0. r.I.lo;
-  check "clamped hi" 0. r.I.hi
+  check "hi" 22. s.I.hi
 
 let test_combine_min () =
   (* The paper's example: [0,10] and [1,1] combine to [0,1] (+ overhead,
@@ -66,12 +51,10 @@ let test_compare () =
   Alcotest.(check bool) "touching incomparable" true
     (cmp (I.make 1. 2.) (I.make 2. 3.) = I.Incomparable)
 
-let test_mul_scale () =
+let test_mul () =
   let m = I.mul (I.make 2. 3.) (I.make 4. 5.) in
   check "mul lo" 8. m.I.lo;
-  check "mul hi" 15. m.I.hi;
-  let s = I.scale 2. (I.make 1. 2.) in
-  check "scale hi" 4. s.I.hi
+  check "mul hi" 15. m.I.hi
 
 let test_union_contains_clamp () =
   let u = I.union (I.make 1. 2.) (I.make 5. 6.) in
@@ -166,11 +149,10 @@ let suite =
   ( "interval",
     [ Alcotest.test_case "make validates" `Quick test_make_validates;
       Alcotest.test_case "point" `Quick test_point;
-      Alcotest.test_case "add and sum" `Quick test_add_sum;
-      Alcotest.test_case "sub_lo (B&B subtraction)" `Quick test_sub_lo;
+      Alcotest.test_case "add" `Quick test_add;
       Alcotest.test_case "combine_min (choose-plan)" `Quick test_combine_min;
       Alcotest.test_case "partial order" `Quick test_compare;
-      Alcotest.test_case "mul and scale" `Quick test_mul_scale;
+      Alcotest.test_case "mul" `Quick test_mul;
       Alcotest.test_case "union, contains, clamp" `Quick test_union_contains_clamp;
       Alcotest.test_case "refine (observation narrowing)" `Quick test_refine;
       QCheck_alcotest.to_alcotest prop_refine_never_widens;

@@ -183,52 +183,11 @@ let test_feedback_bands () =
   Feedback.clear f;
   Alcotest.(check bool) "cleared" true (Feedback.selectivity_band f "hv1" = None)
 
-(* The list-based histogram that [Feedback] kept before its buckets
-   moved into fixed arrays, copied here as the reference: the array
-   version must give bit-identical bands, distributions and counts. *)
-module List_feedback = struct
-  type band = {
-    mutable lo : float;
-    mutable hi : float;
-    mutable n : int;
-    mutable buckets : (float * int) list;
-  }
-
-  let rec insert_bucket (v : float) = function
-    | [] -> [ (v, 1) ]
-    | (bv, c) :: rest ->
-      if v = bv then (bv, c + 1) :: rest
-      else if v < bv then (v, 1) :: (bv, c) :: rest
-      else (bv, c) :: insert_bucket v rest
-
-  let compact_buckets buckets =
-    if List.compare_length_with buckets D.Dist.max_buckets <= 0 then buckets
-    else begin
-      let rec closest i best best_gap = function
-        | ((v0 : float), _) :: ((v1, _) :: _ as rest) ->
-          let gap = v1 -. v0 in
-          if gap < best_gap then closest (i + 1) i gap rest
-          else closest (i + 1) best best_gap rest
-        | [ _ ] | [] -> best
-      in
-      let best = closest 0 0 infinity buckets in
-      let last = List.length buckets - 2 in
-      let rec merge i = function
-        | (v0, c0) :: (v1, c1) :: rest when i = best ->
-          let merged =
-            if i = 0 then (v0, c0 + c1)
-            else if i = last then (v1, c0 + c1)
-            else
-              ( ((v0 *. float_of_int c0) +. (v1 *. float_of_int c1))
-                /. float_of_int (c0 + c1),
-                c0 + c1 )
-          in
-          merged :: rest
-        | b :: rest -> b :: merge (i + 1) rest
-        | [] -> []
-      in
-      merge 0 buckets
-    end
+(* A plain reference for [Feedback]'s bands: mutable float fields moved
+   by [Float.min]/[Float.max], which the array version must match bit
+   for bit (signed zeros too). *)
+module Ref_feedback = struct
+  type band = { mutable lo : float; mutable hi : float; mutable n : int }
 
   let observe table key v =
     if not (Float.is_nan v) && v >= 0. then
@@ -236,19 +195,14 @@ module List_feedback = struct
       | Some b ->
         b.lo <- Float.min b.lo v;
         b.hi <- Float.max b.hi v;
-        b.n <- b.n + 1;
-        b.buckets <- compact_buckets (insert_bucket v b.buckets)
-      | None -> Hashtbl.add table key { lo = v; hi = v; n = 1; buckets = [ (v, 1) ] }
+        b.n <- b.n + 1
+      | None -> Hashtbl.add table key { lo = v; hi = v; n = 1 }
 
   let band table key =
     Option.map (fun b -> D.Interval.make b.lo b.hi) (Hashtbl.find_opt table key)
 
-  let dists table =
-    Hashtbl.fold
-      (fun k b acc ->
-        (k, D.Dist.make (List.map (fun (v, c) -> (v, float_of_int c)) b.buckets))
-        :: acc)
-      table []
+  let bands table =
+    Hashtbl.fold (fun k b acc -> (k, D.Interval.make b.lo b.hi) :: acc) table []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   let observations sels rows =
@@ -289,7 +243,7 @@ let fb_op_gen =
       (1, return Read) ]
 
 let prop_feedback_matches_list_reference =
-  QCheck.Test.make ~name:"feedback histograms = list reference" ~count:300
+  QCheck.Test.make ~name:"feedback bands = list reference" ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map show_fb_op ops))
        ~shrink:QCheck.Shrink.list
@@ -303,24 +257,24 @@ let prop_feedback_matches_list_reference =
         List.for_all
           (fun var ->
             bits (Feedback.selectivity_band f var)
-            = bits (List_feedback.band sels var))
+            = bits (Ref_feedback.band sels var))
           fb_vars
-        && bits (Feedback.selectivity_dists f) = bits (List_feedback.dists sels)
-        && Feedback.observations f = List_feedback.observations sels rows
+        && bits (Feedback.selectivity_dists f) = bits (Ref_feedback.bands sels)
+        && Feedback.observations f = Ref_feedback.observations sels rows
       in
       List.for_all
         (function
           | Sel (var, v) ->
             Feedback.observe_selectivity f var v;
-            List_feedback.observe sels var v;
+            Ref_feedback.observe sels var v;
             true
           | Sels l ->
             Feedback.observe_selectivities f l;
-            List.iter (fun (var, v) -> List_feedback.observe sels var v) l;
+            List.iter (fun (var, v) -> Ref_feedback.observe sels var v) l;
             true
           | Rows (key, n) ->
             Feedback.observe_rows f ~key n;
-            List_feedback.observe rows key (float_of_int n);
+            Ref_feedback.observe rows key (float_of_int n);
             true
           | Read -> agree ())
         ops

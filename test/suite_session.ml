@@ -241,6 +241,22 @@ let test_chaos_soak () =
   Alcotest.(check int) "nothing left in flight" 0
     (s.D.Session.admitted - s.D.Session.completed - s.D.Session.failed)
 
+(* At one worker nothing races, so the soak is a function of its seed:
+   deadline jobs run on a clock that advances a fixed tick per read.
+   On the wall clock, a slow moment on the host could turn a completed
+   job into a deadline one. *)
+let test_chaos_one_worker_is_deterministic () =
+  let tally () =
+    Test_util.with_watchdog ~deadline:120. "session: one-worker chaos"
+      (fun () -> D.Experiments.Chaos.run ~workers:1 ~jobs:48 ~seed:1 ())
+  in
+  let a = tally () and b = tally () in
+  let show t = Format.asprintf "%a" D.Experiments.Chaos.pp_tally t in
+  Alcotest.(check string) "same seed, same tally" (show a) (show b);
+  Alcotest.(check bool) "some deadline jobs abort, some finish" true
+    (a.D.Experiments.Chaos.deadline_exceeded > 0
+    && a.D.Experiments.Chaos.deadline_exceeded < 7)
+
 (* Session.submit folds exactly a run's counter deltas into the session
    trace, whether the run trace is its own or the caller's, and a
    caller's trace that already holds counts keeps them (and its taps). *)
@@ -384,6 +400,8 @@ let suite =
         test_session_pool_bounds_admitted_queries;
       Alcotest.test_case "chaos soak: 32 governed sessions" `Slow
         test_chaos_soak;
+      Alcotest.test_case "one-worker chaos is a function of its seed" `Slow
+        test_chaos_one_worker_is_deterministic;
       Alcotest.test_case "counters fold each run's deltas" `Quick
         test_counters_fold_run_deltas;
       Alcotest.test_case "run traces stay per domain" `Quick

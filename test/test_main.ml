@@ -33,5 +33,4 @@ let () =
       Suite_absint.suite;
       Suite_obs.suite;
       Suite_serve.suite;
-      Suite_dist.suite;
       Suite_risk.suite ]
