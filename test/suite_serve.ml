@@ -434,12 +434,11 @@ let test_dropped_attribute_infeasible () =
 (* What a warm hit allocates beyond its run: minor words of
    [Server.handle_line] less those of the bare run ([Startup.resolve]
    and [Executor.execute]) on the same plan and bindings, the least
-   such difference over five requests.  The warm-up fills each
-   binding's histograms, so every measured request files three fresh
-   values twice into full ones.  A fresh trace per request costs 181
-   words and list-based histograms about 80 a filing, so the bound, set
-   about a hundred words above what a hit costs, catches either coming
-   back. *)
+   such difference over five requests.  The warm-up creates each
+   binding's band, so every measured request files three values twice
+   into existing ones.  A fresh trace per request costs 181 words, so
+   the bound, set about a hundred words above what a hit costs, catches
+   it coming back. *)
 let hit_overhead_words = 750.
 
 let test_hit_allocation () =
