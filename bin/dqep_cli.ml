@@ -412,19 +412,9 @@ let run_cmd =
         Printf.eprintf "%s: %s\n" label e;
         1
       | Ok r -> (
-        (* With checkpointing requested, retain a parallel optimization of
-           the same query so a busted estimate can re-enter the memo
-           incrementally instead of failing outright. *)
-        let replan =
-          if checkpoints then
-            match
-              D.Reoptimize.prepare ?options:opt_options ~mode
-                q.D.Queries.catalog q.D.Queries.query
-            with
-            | Ok (rt, _) -> Some (D.Reoptimize.replan rt)
-            | Error _ -> None
-          else None
-        in
+        (* With checkpointing requested, a busted estimate re-enters the
+           search that built the plan instead of failing outright. *)
+        let replan = if checkpoints then Some (D.Optimizer.replan r) else None in
         let config = make_config ?replan () in
         (* The supervisor reads no CPU clock; the CLI times the whole
            supervised run itself. *)

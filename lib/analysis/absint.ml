@@ -620,12 +620,7 @@ let floors env ~budget_bytes ~rows_of (dag : Plan.Dag.t) =
     let v = go i in
     if Float.is_finite v then to_bytes v else 0
 
-let guaranteed_bytes_of env ~budget_bytes (dag : Plan.Dag.t) =
+let guaranteed_bytes env ~budget_bytes (dag : Plan.Dag.t) =
   let rows = sound_rows env dag in
   floors env ~budget_bytes ~rows_of:(Array.get rows) dag
     (dag.Plan.Dag.length - 1)
-
-let guaranteed_bytes env ~budget_bytes (plan : Plan.t) =
-  let dag = Plan.Dag.of_plan plan in
-  let rows = sound_rows env dag in
-  floors env ~budget_bytes ~rows_of:(Array.get rows) dag (dag.Plan.Dag.length - 1)

@@ -105,12 +105,9 @@ val floors :
     coverage analysis's planning-level admissibility test, not a runtime
     guarantee. *)
 
-val guaranteed_bytes : Env.t -> budget_bytes:int -> Plan.t -> int
+val guaranteed_bytes : Env.t -> budget_bytes:int -> Plan.Dag.t -> int
 (** Sound lower bound on the largest single governor charge every
-    execution of the plan must make under the given budget (the budget
-    caps the governed memory grant, hence the Grace fanout).  Strictly
-    above [budget_bytes] means statically doomed. *)
-
-val guaranteed_bytes_of : Env.t -> budget_bytes:int -> Plan.Dag.t -> int
-(** {!guaranteed_bytes} of the plan at a numbering's last index, over
-    that numbering. *)
+    execution of the plan at a numbering's last index must make under
+    the given budget (the budget caps the governed memory grant, hence
+    the Grace fanout).  Strictly above [budget_bytes] means statically
+    doomed. *)

@@ -88,7 +88,7 @@ let choose_space_of ?(max_regions = default_max_regions) ?budget_bytes ~catalog
        alternative's subtree separately re-walks shared structure
        quadratically. *)
     let feasible =
-      let drifted = Verify.drifted dag (Verify.feasibility_of ~catalog dag) in
+      let drifted = Verify.drifted dag (Verify.feasibility ~catalog dag) in
       let ok = Array.make n false in
       for i = 0 to n - 1 do
         let arity = first.(i + 1) - first.(i) and ok_inputs = ref 0 in
@@ -351,7 +351,7 @@ let budget_diags ~budget_bytes (plan : Plan.t) floor =
 
 let budget_check env ~budget_bytes plan =
   budget_diags ~budget_bytes plan
-    (Absint.guaranteed_bytes env ~budget_bytes plan)
+    (Absint.guaranteed_bytes env ~budget_bytes (Plan.Dag.of_plan plan))
 
 (* --- checkpoint-fingerprint collisions ------------------------------------ *)
 
@@ -585,6 +585,6 @@ let plan ?max_regions ?budget_bytes ?pipeline_threshold ~catalog env
     | None -> []
     | Some budget_bytes ->
       budget_diags ~budget_bytes p
-        (Absint.guaranteed_bytes_of env ~budget_bytes dag))
+        (Absint.guaranteed_bytes env ~budget_bytes dag))
   @ fingerprints_of ~catalog dag
   @ pipeline_of ?threshold:pipeline_threshold dag

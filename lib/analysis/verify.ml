@@ -287,12 +287,7 @@ let collector () =
   let add d = if not (List.mem d !diags) then diags := d :: !diags in
   (diags, add)
 
-let feasibility ~catalog plan =
-  let diags, add = collector () in
-  Plan.iter (resolve_node ~catalog ~add) plan;
-  List.rev !diags
-
-let feasibility_of ~catalog (dag : Plan.Dag.t) =
+let feasibility ~catalog (dag : Plan.Dag.t) =
   let diags, add = collector () in
   for i = 0 to dag.Plan.Dag.length - 1 do
     resolve_node ~catalog ~add dag.Plan.Dag.nodes.(i)

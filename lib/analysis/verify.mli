@@ -62,16 +62,12 @@ val semantics : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
     reported as drift (DQEP301/302), never also as a scope or span error
     (DQEP304/305). *)
 
-val feasibility : catalog:Dqep_catalog.Catalog.t -> Plan.t -> Diagnostic.t list
-(** The catalog-resolution subset of {!semantics} — exactly its
-    diagnostics for which [Diagnostic.is_feasibility] holds (missing
-    relations, attributes and indexes), in the same order, without the
-    schema walk. *)
-
-val feasibility_of :
+val feasibility :
   catalog:Dqep_catalog.Catalog.t -> Plan.Dag.t -> Diagnostic.t list
-(** {!feasibility} of the plan at a numbering's last index, over that
-    numbering. *)
+(** The catalog-resolution subset of {!semantics} for the plan at a
+    numbering's last index — exactly its diagnostics for which
+    [Diagnostic.is_feasibility] holds (missing relations, attributes
+    and indexes), in the same order, without the schema walk. *)
 
 val drifted : Plan.Dag.t -> Diagnostic.t list -> int -> bool
 (** [drifted dag diags] holds for the indices of [dag] at which [diags]

@@ -96,7 +96,6 @@ module Memo = Dqep_optimizer.Memo
 module Pareto = Dqep_optimizer.Pareto
 module Search = Dqep_optimizer.Search
 module Optimizer = Dqep_optimizer.Optimizer
-module Reoptimize = Dqep_optimizer.Reoptimize
 
 (** {1 SQL front-end} *)
 

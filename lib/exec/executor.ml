@@ -42,8 +42,10 @@ let memory_pages = Exec_common.memory_pages
    corrupt, so only the feasibility subset is run. *)
 let verify_activation ~certified db env plan =
   let catalog = Database.catalog db in
+  let dag = lazy (Plan.Dag.of_plan plan) in
   let drift, corrupt =
-    (if certified then Dqep_analysis.Verify.feasibility ~catalog plan
+    (if certified then
+       Dqep_analysis.Verify.feasibility ~catalog (Lazy.force dag)
      else Dqep_analysis.Verify.plan ~catalog plan)
     |> Dqep_util.Diagnostic.errors
     |> List.partition (fun (d : Dqep_util.Diagnostic.t) ->
@@ -52,7 +54,7 @@ let verify_activation ~certified db env plan =
   if corrupt <> [] then raise (Invalid_plan corrupt);
   if drift = [] then plan
   else
-    let dag = Plan.Dag.of_plan plan in
+    let dag = Lazy.force dag in
     match Plan.rewrite env ~dead:(Dqep_analysis.Verify.drifted dag drift) dag with
     | Some pruned -> pruned
     | None -> raise (Infeasible drift)

@@ -60,9 +60,9 @@ type config = {
           checkpointed observation (keyed by relation set); returns the
           replacement plan, or [None] to decline.  [None] (the default)
           turns a busted estimate into the typed {!Estimate_busted}
-          failure instead.  {!Dqep_optimizer}'s [Reoptimize.replan],
-          applied to a retained search, is the intended callback — the supervisor itself stays free of
-          an optimizer dependency. *)
+          failure instead.  [Optimizer.replan] of the plan's
+          optimization result is the intended callback; the supervisor
+          itself stays free of an optimizer dependency. *)
   risk : Dqep_cost.Risk.t;
       (** risk posture handed to every start-up re-resolution
           ({!Dqep_plans.Startup.resolve}); default [Expected].  The

@@ -284,11 +284,9 @@ let submit t ?(gov = Governor.none) ?obs ?(resilience = Resilience.default)
         | None -> None
         | Some budget_bytes ->
           let env = Env.of_bindings (Database.catalog db) bindings in
-          let floor = Dqep_analysis.Absint.guaranteed_bytes env ~budget_bytes plan in
-          if floor > budget_bytes then
-            Some
-              (Analyses.budget_check env ~budget_bytes plan)
-          else None
+          (match Analyses.budget_check env ~budget_bytes plan with
+          | [] -> None
+          | diags -> Some diags)
       end
     in
     (* The run records through the caller's trace when one was supplied,

@@ -30,7 +30,6 @@ module Session = Dqep_exec.Session
 module Resilience = Dqep_exec.Resilience
 module Plangen = Dqep_workload.Plangen
 module Optimizer = Dqep_optimizer.Optimizer
-module Reoptimize = Dqep_optimizer.Reoptimize
 module Database = Dqep_storage.Database
 module Buffer_pool = Dqep_storage.Buffer_pool
 module Disk = Dqep_storage.Disk
@@ -123,11 +122,12 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
       Database.build ~seed:((seed * 7919) + job) inst.Plangen.catalog
   in
   let mode = Optimizer.dynamic ~uncertain_memory:true () in
-  let plan =
+  let optimized =
     match Optimizer.optimize ~mode inst.Plangen.catalog inst.Plangen.query with
-    | Ok r -> r.Optimizer.plan
+    | Ok r -> r
     | Error _ -> invalid_arg "Chaos: optimizer failed on a Plangen instance"
   in
+  let plan = optimized.Optimizer.plan in
   let bindings = Plangen.bindings inst ~seed:(seed + (job * 13)) in
   let gov =
     match scenario with
@@ -172,16 +172,9 @@ let run_job ~session ~seed ~deadline_s ~ckpt_pool job =
   let resilience =
     match scenario with
     | Busted | Faulty_resume ->
-      let replan =
-        match
-          Reoptimize.prepare ~mode inst.Plangen.catalog inst.Plangen.query
-        with
-        | Ok (rt, _) -> Some (Reoptimize.replan rt)
-        | Error _ -> None
-      in
       Resilience.config ~checkpoints:true
         ~checkpoint_tolerance:(if scenario = Busted then 1.5 else 4.0)
-        ~max_replans:2 ?replan ()
+        ~max_replans:2 ~replan:(Optimizer.replan optimized) ()
     | Clean | Deadline | Cancel | Memory | Faulty ->
       Resilience.default
   in

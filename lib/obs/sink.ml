@@ -34,18 +34,5 @@ let channel ?(format = Jsonl) oc =
         Mutex.unlock mu);
   }
 
-let buffer ?(format = Jsonl) buf =
-  let mu = Mutex.create () in
-  {
-    emit =
-      (fun e ->
-        let line = render format e in
-        Mutex.lock mu;
-        Buffer.add_string buf line;
-        Buffer.add_char buf '\n';
-        Mutex.unlock mu);
-    flush = (fun () -> ());
-  }
-
 let emit t e = t.emit e
 let flush t = t.flush ()

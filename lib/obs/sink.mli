@@ -20,7 +20,5 @@ val channel : ?format:format -> out_channel -> t
 (** Writes one line per event; [format] defaults to [Jsonl].  The
     channel is not closed by the sink. *)
 
-val buffer : ?format:format -> Buffer.t -> t
-
 val emit : t -> Event.t -> unit
 val flush : t -> unit

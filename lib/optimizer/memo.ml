@@ -61,7 +61,6 @@ let create env =
     preds = [||];
     lexpr_count = 0 }
 
-let env t = t.env
 let group t id = t.groups.(id)
 let group_count t = t.used
 let lexpr_count t = t.lexpr_count

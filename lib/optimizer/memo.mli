@@ -41,7 +41,6 @@ type group = private {
 type t
 
 val create : Dqep_cost.Env.t -> t
-val env : t -> Dqep_cost.Env.t
 
 val max_relations : int
 (** The most relations, and the most selections, a query may have. *)

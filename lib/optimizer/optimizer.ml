@@ -15,32 +15,27 @@ let dynamic ?(uncertain_memory = false) () = Dynamic { uncertain_memory }
 
 type options = {
   device : Dqep_cost.Device.t;
-  memory_interval : Interval.t;
   prune : bool;
-  use_index_join : bool;
   left_deep : bool;
   exhaustive : bool;
   selectivity_bounds : (string * Interval.t) list;
   sample_domination : int option;
-  sample_seed : int;
   verify : bool;
   risk : Dqep_cost.Risk.t;
-  risk_margin : float;
 }
 
 let default_options =
   { device = Dqep_cost.Device.default;
-    memory_interval = Interval.make 16. 112.;
     prune = false;
-    use_index_join = true;
     left_deep = false;
     exhaustive = false;
     selectivity_bounds = [];
     sample_domination = None;
-    sample_seed = 42;
     verify = false;
-    risk = Dqep_cost.Risk.default;
-    risk_margin = 0.1 }
+    risk = Dqep_cost.Risk.default }
+
+(* The run-time memory range when it is uncertain (paper: [16, 112]). *)
+let memory_interval = Interval.make 16. 112.
 
 type stats = {
   cpu_seconds : float;
@@ -61,12 +56,28 @@ type certificate = { plan : Plan.t; catalog : Dqep_catalog.Catalog.t }
 let certified_plan c = c.plan
 let certified_catalog c = c.catalog
 
+type replan_stats = {
+  groups_total : int;
+  groups_moved : int;
+  groups_dirty : int;
+  reused_winners : int;
+}
+
+(* The state that built a plan, kept for [replan]. *)
+type retained = {
+  memo : Memo.t;
+  search : Search.t;
+  root : int;
+  mutable last : replan_stats option;
+}
+
 type result = {
   plan : Plan.t;
   env : Env.t;
   stats : stats;
   diagnostics : Dqep_util.Diagnostic.t list;
   certificate : certificate;
+  retained : retained;
 }
 
 let env_of_mode options catalog = function
@@ -74,7 +85,7 @@ let env_of_mode options catalog = function
     Env.static ~default_selectivity ~memory_pages ~device:options.device catalog
   | Dynamic { uncertain_memory } ->
     let memory =
-      if uncertain_memory then options.memory_interval else Interval.point 64.
+      if uncertain_memory then memory_interval else Interval.point 64.
     in
     Env.dynamic ~memory ~selectivity_bounds:options.selectivity_bounds
       ~device:options.device catalog
@@ -101,13 +112,14 @@ let search_config ?(options = default_options) ?refine ~mode catalog query =
     in
     Ok
       ( env,
-        Search.config ~keep_equal_alternatives ~prune:options.prune
-          ~use_index_join:options.use_index_join
-          ~left_deep_only:options.left_deep
-          ~force_incomparable:options.exhaustive
-          ~sample_domination:options.sample_domination
-          ~sample_seed:options.sample_seed ~verify_winners:options.verify
-          ~risk:options.risk ~risk_margin:options.risk_margin env )
+        { Search.env;
+          keep_equal_alternatives;
+          prune = options.prune;
+          left_deep_only = options.left_deep;
+          force_incomparable = options.exhaustive;
+          sample_domination = options.sample_domination;
+          verify_winners = options.verify;
+          risk = options.risk } )
 
 let optimize ?(options = default_options) ?refine ~mode catalog query =
   match search_config ~options ?refine ~mode catalog query with
@@ -144,6 +156,7 @@ let optimize ?(options = default_options) ?refine ~mode catalog query =
           env;
           diagnostics;
           certificate = { plan; catalog };
+          retained = { memo; search; root; last = None };
           stats =
             { cpu_seconds;
               groups = Memo.group_count memo;
@@ -156,3 +169,55 @@ let optimize ?(options = default_options) ?refine ~mode catalog query =
               alternatives_pruned = s.Search.alternatives_pruned;
               plan_nodes = dag.Plan.Dag.length;
               choose_nodes = !chooses } })
+
+(* Incremental re-optimization: fold the observations into the retained
+   memo's row intervals ([Memo.refine_rows], which never leaves the
+   prior, so winners of unmoved groups stay soundly costed), mark the
+   transitive parents of every moved group dirty, drop only those
+   groups' memoized goals ([Search.reseed]) and search again.  Clean
+   groups answer from cache; the result is the plan a fresh search of
+   the refined memo returns.
+
+   The dirty closure is a fixpoint of passes over the groups: ingest
+   interns children first, but exploration adds joins over groups it
+   creates later (associativity's [B join C]), so a child's id can be
+   above its parent's and one ascending pass can miss a parent. *)
+let replan r ~rels_rows =
+  let t = r.retained in
+  match Memo.refine_rows t.memo rels_rows with
+  | [] -> None
+  | moved ->
+    let n = Memo.group_count t.memo in
+    let dirty = Array.make n false in
+    List.iter (fun id -> dirty.(id) <- true) moved;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for id = 0 to n - 1 do
+        if
+          (not dirty.(id))
+          && List.exists
+               (fun e -> Array.exists (fun c -> dirty.(c)) e.Lmexpr.children)
+               (Memo.lexprs (Memo.group t.memo id))
+        then begin
+          dirty.(id) <- true;
+          changed := true
+        end
+      done
+    done;
+    let reused =
+      Search.reseed t.search ~dirty:(fun gid -> gid < n && dirty.(gid))
+    in
+    let plan = Search.optimize t.search t.root Props.Any ~limit:Float.infinity in
+    let groups_dirty =
+      Array.fold_left (fun a d -> if d then a + 1 else a) 0 dirty
+    in
+    t.last <-
+      Some
+        { groups_total = n;
+          groups_moved = List.length moved;
+          groups_dirty;
+          reused_winners = reused };
+    plan
+
+let last_replan r = r.retained.last

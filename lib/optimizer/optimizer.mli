@@ -27,8 +27,6 @@ val dynamic : ?uncertain_memory:bool -> unit -> mode
 
 type options = {
   device : Dqep_cost.Device.t;
-  memory_interval : Interval.t;
-      (** run-time memory range when uncertain (paper: [\[16, 112\]]) *)
   prune : bool;
       (** branch-and-bound (paper, Section 5); default [false].  A goal
           asked again under a larger limit is searched again from
@@ -40,7 +38,6 @@ type options = {
           picks (built over a child answer the limit cut short).  The
           paper's figures and the [pruning] ablation turn it on to show
           the Section 5 effect *)
-  use_index_join : bool;
   left_deep : bool;
       (** restrict join shapes to left-deep trees — the traditional
           System R-style search space the paper contrasts with *)
@@ -52,7 +49,9 @@ type options = {
       (** narrower compile-time intervals for specific host variables
           (dynamic mode); unlisted variables default to [\[0, 1\]] *)
   sample_domination : int option;
-  sample_seed : int;
+      (** Section 3's heuristic: with [Some n], a plan no cheaper than
+          another at each of [n] sampled parameter settings (fixed
+          seeds) is dropped although their intervals overlap *)
   verify : bool;
       (** run the static analysis pass ({!Dqep_analysis.Verify}): every
           winner is verified as it is memoized (raising
@@ -62,13 +61,12 @@ type options = {
       (** ranking posture ({!Dqep_cost.Risk}): [Worst_case] (default)
           is the paper's interval search bit-for-bit; [Expected] ranks
           by least expected cost over the scenario grid and collapses
-          incomparable near-ties, [Quantile p] by the [p]-quantile *)
-  risk_margin : float;
-      (** relative near-tie retention for ranked postures (default 0.1):
-          plans within [(1 + risk_margin)] of the best rank stay as
-          choose alternatives; 0 degenerates to a single-plan optimizer.
-          Ignored under [Worst_case] *)
+          incomparable near-ties, [Quantile p] by the [p]-quantile.
+          A ranked posture keeps the plans within 10% of the best rank
+          as choose alternatives *)
 }
+(** The search always considers index joins, and an uncertain memory
+    grant ranges over the paper's [\[16, 112\]] pages. *)
 
 val default_options : options
 
@@ -81,6 +79,8 @@ type stats = {
   candidates : int;
   pruned : int;
   sample_evaluations : int;
+      (** costs computed for sampled domination and risk ranking: one
+          per environment for each plan priced *)
   alternatives_pruned : int;
       (** choose alternatives collapsed as rank near-misses under a
           ranked [risk] posture *)
@@ -102,6 +102,10 @@ type certificate
 val certified_plan : certificate -> Plan.t
 val certified_catalog : certificate -> Dqep_catalog.Catalog.t
 
+type retained
+(** The memo, search state and root group that built a result's plan,
+    kept for {!replan}. *)
+
 type result = {
   plan : Plan.t;
   env : Dqep_cost.Env.t;  (** environment the plan was optimized under *)
@@ -110,6 +114,7 @@ type result = {
       (** static-analysis findings over the plan and memo; always empty
           unless {!options.verify} is set *)
   certificate : certificate;  (** [plan] and the catalog it was built against *)
+  retained : retained;
 }
 
 val search_config :
@@ -120,9 +125,9 @@ val search_config :
   Dqep_algebra.Logical.t ->
   (Dqep_cost.Env.t * Search.config, string) Result.t
 (** Validate the query and build the environment and search
-    configuration {!optimize} searches under ([refine] as there) —
-    shared with {!Reoptimize.prepare}, so a retained search is
-    configured exactly like a one-shot one. *)
+    configuration {!optimize} searches under ([refine] as there), so a
+    search of a memo built by hand is configured exactly like
+    {!optimize}'s. *)
 
 val optimize :
   ?options:options ->
@@ -139,4 +144,41 @@ val optimize :
     runs — the feedback re-optimization hook: pass
     [Dqep_exec.Session.refined_env session] to cost the search against
     the selectivity bands the session has actually observed instead of
-    the full priors. *)
+    the full priors.  The refined environment is the one {!replan}
+    re-enters the search under.
+
+    The result retains the memo and search state; dropping the result
+    drops them. *)
+
+type replan_stats = {
+  groups_total : int;  (** memo groups at replan time *)
+  groups_moved : int;  (** groups whose row interval was refined *)
+  groups_dirty : int;  (** moved groups plus transitive parents, re-costed *)
+  reused_winners : int;  (** memoized goal entries served as cache hits *)
+}
+(** The memo-reuse accounting of one {!replan}: re-optimization was
+    incremental when [groups_dirty < groups_total]. *)
+
+val replan : result -> rels_rows:(string * float) list -> Plan.t option
+(** Incremental re-optimization, the recovery half of checkpointed
+    mid-query re-optimization: when a run-time observation escapes the
+    plan's validity band ({!Dqep_exec.Checkpoint.Estimate_busted}),
+    re-enter the search that built [result]'s plan instead of
+    optimizing from scratch.  The observed cardinalities (keyed by
+    sorted relation set joined with ["|"], as produced by
+    [Checkpoint.rels_observations]) narrow the retained memo's row
+    intervals ({!Memo.refine_rows}); only the groups whose interval
+    moved, and their transitive parents, are searched again, and every
+    clean group answers from its memoized winner ({!Search.reseed}).
+
+    [None] when no group's interval moved (the observations were inside
+    every prior already) or the search produced no plan; otherwise the
+    plan a fresh search of the refined memo returns, sharing structure
+    with earlier plans wherever clean winners were reused.  The memo
+    stays refined, so a later call builds on this one.  [replan r] is
+    the callback [Resilience.config ~replan] expects; a result serves
+    one supervised run at a time. *)
+
+val last_replan : result -> replan_stats option
+(** Accounting of the most recent {!replan} of [result] that moved a
+    group, [None] before the first. *)

@@ -21,24 +21,19 @@ type config = {
   env : Env.t;
   keep_equal_alternatives : bool;
   prune : bool;
-  use_index_join : bool;
   left_deep_only : bool;
   force_incomparable : bool;
   sample_domination : int option;
-  sample_seed : int;
   verify_winners : bool;
   risk : Risk.t;
-  risk_margin : float;
 }
 
-let config ?(keep_equal_alternatives = true) ?(prune = false)
-    ?(use_index_join = true) ?(left_deep_only = false)
-    ?(force_incomparable = false) ?(sample_domination = None)
-    ?(sample_seed = 42) ?(verify_winners = false)
-    ?(risk = Risk.default) ?(risk_margin = 0.1) env =
-  { env; keep_equal_alternatives; prune; use_index_join; left_deep_only;
-    force_incomparable; sample_domination; sample_seed; verify_winners;
-    risk; risk_margin }
+(* A ranked posture keeps the plans whose rank is within (1 + margin)
+   of the goal's best. *)
+let risk_margin = 0.1
+
+(* Seed of the sampled-domination environments. *)
+let sample_seed = 42
 
 type stats = {
   goals : int;
@@ -55,8 +50,8 @@ type t = {
   memo : Memo.t;
   mutable builder : Plan.Builder.t;
   winners : (int, (Props.required * entry) list) Hashtbl.t;
-  sample_envs : Env.t list Lazy.t;
-  sample_costs : (int * int, float) Hashtbl.t;
+  sample_evaluator : Startup.evaluator Lazy.t;
+  sample_vectors : (int, float array) Hashtbl.t;
   rank_evaluator : Startup.evaluator Lazy.t;
   rank_vectors : (int, float array) Hashtbl.t;
   rank_costs : (int, float) Hashtbl.t;
@@ -69,15 +64,15 @@ type t = {
 
 (* Deterministic per-(variable, sample) selectivities and memory values
    for the sampled-domination heuristic. *)
-let make_sample_envs config n =
+let sample_envs config n =
   let base_mem = Env.memory_pages config.env in
   List.init n (fun j ->
       let selectivity var =
-        let rng = Rng.create (Hashtbl.hash (var, config.sample_seed, j)) in
+        let rng = Rng.create (Hashtbl.hash (var, sample_seed, j)) in
         Interval.point (Rng.float rng)
       in
       let mem =
-        let rng = Rng.create (Hashtbl.hash ("memory", config.sample_seed, j)) in
+        let rng = Rng.create (Hashtbl.hash ("memory", sample_seed, j)) in
         Interval.point
           (Rng.uniform rng base_mem.Interval.lo base_mem.Interval.hi)
       in
@@ -91,12 +86,12 @@ let create config memo =
     memo;
     builder = Plan.Builder.create config.env;
     winners = Hashtbl.create 64;
-    sample_envs =
+    sample_evaluator =
       lazy
-        (match config.sample_domination with
-        | None -> []
-        | Some n -> make_sample_envs config n);
-    sample_costs = Hashtbl.create 256;
+        (Startup.evaluator
+           (sample_envs config
+              (Option.value ~default:0 config.sample_domination)));
+    sample_vectors = Hashtbl.create 256;
     rank_evaluator =
       lazy (Startup.evaluator (List.map snd (Env.scenarios config.env)));
     rank_vectors = Hashtbl.create 256;
@@ -107,10 +102,8 @@ let create config memo =
     sample_evaluations = 0;
     alternatives_pruned = 0 }
 
-let memo t = t.memo
-
-(* Incremental re-entry after refined cardinalities (Reoptimize): keep
-   the memoized winner of every clean group — its bound is raised to
+(* Incremental re-entry after refined cardinalities ([Optimizer.replan]):
+   keep the memoized winner of every clean group — its bound is raised to
    infinity so [optimize] serves it as a pure cache hit — and drop the
    entries of dirty groups (and every goal whose cached answer was
    [None], which may become a plan under the fresh unlimited search).
@@ -152,32 +145,27 @@ let stats t =
     sample_evaluations = t.sample_evaluations;
     alternatives_pruned = t.alternatives_pruned }
 
-let sample_cost t j env (plan : Plan.t) =
-  let key = (plan.Plan.pid, j) in
-  match Hashtbl.find_opt t.sample_costs key with
-  | Some c -> c
-  | None ->
-    let c, _ = Startup.evaluate env plan in
-    t.sample_evaluations <- t.sample_evaluations + 1;
-    Hashtbl.add t.sample_costs key c;
-    c
-
-(* The policy's rank of a plan: its start-up-resolved cost under every
-   scenario of the environment's grid, aggregated by the risk posture.
-   Each scenario is a point environment inside the uncertainty box, and
-   start-up resolution picks the cheapest choose-plan alternative there,
-   so every scenario cost — and hence any aggregate of them — lies
-   within the plan's interval cost.  That containment is what keeps the
-   search's [lo > limit] pruning sound when the limit is tightened from
-   a rank (see [consider]). *)
-let scenario_vector t (plan : Plan.t) =
-  match Hashtbl.find_opt t.rank_vectors plan.Plan.pid with
+(* A plan's start-up-resolved cost under each of an evaluator's fixed
+   environments, memoized by pid.  Each is a point environment inside
+   the uncertainty box, and start-up resolution picks the cheapest
+   choose-plan alternative there, so every entry lies within the plan's
+   interval cost. *)
+let priced t evaluator vectors (plan : Plan.t) =
+  match Hashtbl.find_opt vectors plan.Plan.pid with
   | Some v -> v
   | None ->
-    let v = Startup.evaluate_with (Lazy.force t.rank_evaluator) plan in
+    let v = Startup.evaluate_with (Lazy.force evaluator) plan in
     t.sample_evaluations <- t.sample_evaluations + Array.length v;
-    Hashtbl.add t.rank_vectors plan.Plan.pid v;
+    Hashtbl.add vectors plan.Plan.pid v;
     v
+
+(* The policy's rank of a plan: its cost under every scenario of the
+   environment's grid, aggregated by the risk posture.  Every scenario
+   cost, and hence any aggregate of them, lies within the plan's
+   interval cost; that containment is what keeps the search's
+   [lo > limit] pruning sound when the limit is tightened from a rank
+   (see [consider]). *)
+let scenario_vector t plan = priced t t.rank_evaluator t.rank_vectors plan
 
 let rank t (plan : Plan.t) =
   match Hashtbl.find_opt t.rank_costs plan.Plan.pid with
@@ -189,12 +177,12 @@ let rank t (plan : Plan.t) =
 
 (* [a] consistently at least as cheap as [b] over all sampled settings. *)
 let sample_dominates t a b =
-  match Lazy.force t.sample_envs with
-  | [] -> false
-  | envs ->
-    List.for_all
-      (fun (j, env) -> sample_cost t j env a <= sample_cost t j env b)
-      (List.mapi (fun j env -> (j, env)) envs)
+  let va = priced t t.sample_evaluator t.sample_vectors a
+  and vb = priced t t.sample_evaluator t.sample_vectors b in
+  let rec cheaper j =
+    j = Array.length va || (va.(j) <= vb.(j) && cheaper (j + 1))
+  in
+  cheaper 0
 
 let find_entry t gid required =
   match Hashtbl.find_opt t.winners gid with
@@ -237,8 +225,8 @@ let rec goal t gid required ~limit =
     let pareto = ref [] in
     let sample_dom =
       match t.config.sample_domination with
-      | None -> None
-      | Some _ -> Some (fun a b -> sample_dominates t a b)
+      | Some n when n > 0 -> Some (fun a b -> sample_dominates t a b)
+      | Some _ | None -> None
     in
     let rank_of =
       match t.config.risk with
@@ -279,7 +267,7 @@ let rec goal t gid required ~limit =
             Pareto.insert ~keep_equal:t.config.keep_equal_alternatives
               ?sample_dominates:sample_dom ?rank:rank_of
               ?scenario_costs:scenario_costs_of
-              ~margin:t.config.risk_margin ~on_rank_drop !pareto plan
+              ~margin:risk_margin ~on_rank_drop !pareto plan
           in
           pareto := set;
           if added && t.config.prune then begin
@@ -307,7 +295,7 @@ let rec goal t gid required ~limit =
               in
               let cutoff =
                 Float.max
-                  ((1. +. t.config.risk_margin) *. rk plan)
+                  ((1. +. risk_margin) *. rk plan)
                   winner_bound
               in
               if cutoff < !local_limit then local_limit := cutoff)
@@ -453,40 +441,39 @@ and implementations t (e : Lmexpr.t) ~mk ~child ~child_limit ~consider =
         (Props.ordered [ first.Predicate.left; first.Predicate.right ]));
     (* Index join: inner must be a (possibly selected) base relation with
        an index on a join column. *)
-    if t.config.use_index_join then
-      match rgroup.Memo.rels with
-      | [] | _ :: _ :: _ -> ()
-      | [ inner_rel ] ->
-        let inner_filter =
-          match rgroup.Memo.sels with
-          | [] -> Some None
-          | [ p ] -> Some (Some p)
-          | _ :: _ :: _ -> None
-        in
-        (match inner_filter with
-        | None -> ()
-        | Some inner_filter ->
-          List.iter
-            (fun (p : Predicate.equi) ->
-              if
-                Catalog.has_index catalog ~rel:inner_rel
-                  ~attr:p.Predicate.right.Col.attr
-              then begin
-                let op =
-                  Physical.Index_join
-                    { preds;
-                      inner_rel;
-                      inner_attr = p.Predicate.right.Col.attr;
-                      inner_filter }
-                in
-                match
-                  child gl Props.Any
-                    ~limit:(child_limit op [ group_input lgroup ] ~spent:0.)
-                with
-                | None -> ()
-                | Some outer -> consider (mk op [ outer ] Props.unordered)
-              end)
-            preds)
+    match rgroup.Memo.rels with
+    | [] | _ :: _ :: _ -> ()
+    | [ inner_rel ] ->
+      let inner_filter =
+        match rgroup.Memo.sels with
+        | [] -> Some None
+        | [ p ] -> Some (Some p)
+        | _ :: _ :: _ -> None
+      in
+      (match inner_filter with
+      | None -> ()
+      | Some inner_filter ->
+        List.iter
+          (fun (p : Predicate.equi) ->
+            if
+              Catalog.has_index catalog ~rel:inner_rel
+                ~attr:p.Predicate.right.Col.attr
+            then begin
+              let op =
+                Physical.Index_join
+                  { preds;
+                    inner_rel;
+                    inner_attr = p.Predicate.right.Col.attr;
+                    inner_filter }
+              in
+              match
+                child gl Props.Any
+                  ~limit:(child_limit op [ group_input lgroup ] ~spent:0.)
+              with
+              | None -> ()
+              | Some outer -> consider (mk op [ outer ] Props.unordered)
+            end)
+          preds)
     end
 
 let optimize t gid required ~limit = (goal t gid required ~limit).best

@@ -22,8 +22,7 @@ type config = {
   env : Dqep_cost.Env.t;
   keep_equal_alternatives : bool;
       (** keep both plans on exactly equal cost (dynamic mode) *)
-  prune : bool;  (** enable branch-and-bound (default [false]) *)
-  use_index_join : bool;
+  prune : bool;  (** enable branch-and-bound *)
   left_deep_only : bool;
       (** restrict join implementations to left-deep shapes (inner input
           is a base relation) — the "traditional optimizers" baseline the
@@ -34,46 +33,29 @@ type config = {
           all plans *)
   sample_domination : int option;
       (** Section 3's heuristic: drop a plan whose cost is no better at
-          each of N sampled parameter settings *)
-  sample_seed : int;
+          each of N sampled parameter settings (fixed seeds), priced
+          like the ranked postures' scenarios: one start-up evaluator
+          over the N point environments *)
   verify_winners : bool;
       (** debug: run the static verifier ({!Dqep_analysis.Verify.winner})
           on every winner before memoizing it, raising
           {!Dqep_analysis.Verify.Failed} on error-severity diagnostics *)
   risk : Dqep_cost.Risk.t;
-      (** ranking posture.  [Worst_case] (the default) is the paper's
-          pure interval search, bit-for-bit; [Expected] / [Quantile _]
-          additionally rank incomparable survivors by their aggregated
-          scenario cost and keep only near-ties ({!Pareto.insert}'s
-          [rank] path), emitting strictly fewer choose alternatives *)
-  risk_margin : float;
-      (** relative near-tie retention margin for ranked postures: a plan
-          survives if its rank is within [(1 + risk_margin)] of the
-          goal's best rank.  0 keeps only rank winners (a traditional
-          single-plan optimizer); larger margins trade choose-plan
-          adaptivity back in.  Ignored under [Worst_case] *)
+      (** ranking posture.  [Worst_case] is the paper's pure interval
+          search, bit-for-bit; [Expected] / [Quantile _] additionally
+          rank incomparable survivors by their aggregated scenario cost
+          and keep only plans within 10% of the goal's best rank, plus
+          each scenario's winner ({!Pareto.insert}'s [rank] path),
+          emitting strictly fewer choose alternatives *)
 }
-
-val config :
-  ?keep_equal_alternatives:bool ->
-  ?prune:bool ->
-  ?use_index_join:bool ->
-  ?left_deep_only:bool ->
-  ?force_incomparable:bool ->
-  ?sample_domination:int option ->
-  ?sample_seed:int ->
-  ?verify_winners:bool ->
-  ?risk:Dqep_cost.Risk.t ->
-  ?risk_margin:float ->
-  Dqep_cost.Env.t ->
-  config
 
 type stats = {
   goals : int;  (** optimization goals evaluated (including cache hits) *)
   candidates : int;  (** physical plans considered *)
   pruned : int;  (** candidates cut by branch-and-bound *)
   sample_evaluations : int;
-      (** plan evaluations for sampled domination and risk ranking *)
+      (** plan evaluations for sampled domination and risk ranking: a
+          plan priced once counts one per environment of its vector *)
   alternatives_pruned : int;
       (** interval-incomparable plans collapsed by the risk posture's
           rank filter *)
@@ -92,7 +74,6 @@ val optimize : t -> int -> Props.required -> limit:float -> Plan.t option
     reused whenever the cached computation's limit covers the request. *)
 
 val stats : t -> stats
-val memo : t -> Memo.t
 
 val reseed : t -> dirty:(int -> bool) -> int
 (** Prepare the search for an incremental re-entry after the memo's row

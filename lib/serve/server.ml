@@ -137,8 +137,16 @@ let db_pool ~build ~slots () =
           incr built;
           Mutex.unlock mu;
           (* Building outside the lock keeps other borrowers moving;
-             the slot was reserved by [incr built]. *)
-          build ()
+             the slot was reserved by [incr built], and a failed build
+             gives it back. *)
+          match build () with
+          | db -> db
+          | exception e ->
+            Mutex.lock mu;
+            decr built;
+            Condition.signal cond;
+            Mutex.unlock mu;
+            raise e
         end
         else begin
           Condition.wait cond mu;
@@ -361,22 +369,25 @@ let handle_run t (run : Protocol.run) =
             | None -> base
             | Some risk -> { base with Resilience.risk }
           in
-          let db = t.acquire ~shape:key in
           let outcome =
-            Fun.protect
-              ~finally:(fun () -> t.release ~shape:key db)
-              (fun () ->
-                try
-                  Ok
-                    (Session.submit t.session ~gov ~resilience
-                       ~clock:t.cfg.clock db bindings plan)
-                with e -> Error (Printexc.to_string e))
+            match t.acquire ~shape:key with
+            | exception e -> Error (Printexc.to_string e)
+            | db ->
+              Fun.protect
+                ~finally:(fun () -> t.release ~shape:key db)
+                (fun () ->
+                  try
+                    Ok
+                      (Session.submit t.session ~gov ~resilience
+                         ~clock:t.cfg.clock db bindings plan)
+                  with e -> Error (Printexc.to_string e))
           in
           match outcome with
           | Error detail ->
-            (* Nothing may escape Session.submit; if something does, the
-               shape is broken in a way the type system didn't expect —
-               trip towards the breaker and report it typed anyway. *)
+            (* Nothing may escape acquiring a database or Session.submit;
+               if something does, the shape is broken in a way the type
+               system didn't expect — trip towards the breaker and
+               report it typed anyway. *)
             Breaker.failed ticket;
             err t ~id ~class_:"internal" detail
           | Ok (Session.Completed (tuples, _, stats)) ->

@@ -68,7 +68,8 @@ val db_pool :
   (shape:string -> Dqep_storage.Database.t)
   * (shape:string -> Dqep_storage.Database.t -> unit)
 (** A bounded pool of interchangeable databases built lazily by [build]
-    (at most [slots] alive); [acquire] blocks when all are on loan.
+    (at most [slots] alive); [acquire] blocks when all are on loan.  A
+    [build] that raises gives its slot back, and [acquire] re-raises.
     Ignores the shape key — harnesses that poison specific shapes
     supply their own pair instead. *)
 

@@ -239,14 +239,6 @@ let rec fold_leaves pool page_id f acc =
 
 let entry_count pool t = fold_leaves pool t.root (fun acc n -> acc + n) 0
 
-let rec depth_of pool page_id =
-  Buffer_pool.with_page pool page_id (fun page ->
-      match node_of page with
-      | Page.Leaf _ -> 1
-      | Page.Internal node -> 1 + depth_of pool node.children.(0))
-
-let depth pool t = depth_of pool t.root
-
 let check_invariants pool t =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let exception Bad of string in

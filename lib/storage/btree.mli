@@ -24,8 +24,6 @@ val range : Buffer_pool.t -> t -> lo:int option -> hi:int option ->
     bounds are unbounded).  Visits keys in non-decreasing order. *)
 
 val entry_count : Buffer_pool.t -> t -> int
-val depth : Buffer_pool.t -> t -> int
-(** Number of levels, 1 for a lone leaf. *)
 
 val check_invariants : Buffer_pool.t -> t -> (unit, string) result
 (** Structural validation used by the test suite: sortedness within and

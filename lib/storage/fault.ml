@@ -46,16 +46,12 @@ type t = {
   config : config;
   rng : Rng.t;
   mutable ios : int;
-  mutable injected : int;
 }
 
-let create config = { config; rng = Rng.create config.seed; ios = 0; injected = 0 }
+let create config = { config; rng = Rng.create config.seed; ios = 0 }
 let ios_attempted t = t.ios
-let injected t = t.injected
 
-let raise_fault t kind op page =
-  t.injected <- t.injected + 1;
-  raise (Io_fault { kind; op; page })
+let raise_fault kind op page = raise (Io_fault { kind; op; page })
 
 (* One schedule consultation per physical I/O.  Check order matters for
    determinism: the data-dependent rules (broken page, I/O count) come
@@ -65,12 +61,12 @@ let raise_fault t kind op page =
 let consult t op page rate =
   t.ios <- t.ios + 1;
   (match List.assoc_opt page t.config.broken_pages with
-  | Some kind -> raise_fault t kind op page
+  | Some kind -> raise_fault kind op page
   | None -> ());
   (match t.config.fail_after with
-  | Some (n, kind) when t.ios > n -> raise_fault t kind op page
+  | Some (n, kind) when t.ios > n -> raise_fault kind op page
   | _ -> ());
-  if rate > 0. && Rng.float t.rng < rate then raise_fault t Transient op page
+  if rate > 0. && Rng.float t.rng < rate then raise_fault Transient op page
 
 let on_read t ~page = consult t Read page t.config.read_fault_rate
 let on_write t ~page = consult t Write page t.config.write_fault_rate

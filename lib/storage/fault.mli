@@ -54,9 +54,6 @@ val create : config -> t
 val ios_attempted : t -> int
 (** Physical I/Os submitted to the injector so far (faulted or not). *)
 
-val injected : t -> int
-(** Faults raised so far. *)
-
 val on_read : t -> page:int -> unit
 (** Consult the schedule for a physical read of [page].
     @raise Io_fault when the schedule says this read fails. *)

@@ -8,4 +8,3 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
-let pp ppf r = Format.fprintf ppf "(%d,%d)" r.page r.slot

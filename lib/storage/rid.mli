@@ -5,4 +5,3 @@ type t = { page : int; slot : int }
 val make : page:int -> slot:int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

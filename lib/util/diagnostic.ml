@@ -187,4 +187,3 @@ let to_jsonv d =
 let to_json d = Json.to_string (to_jsonv d)
 let list_to_json l = Json.to_string (Json.List (List.map to_jsonv l))
 
-let compare = Stdlib.compare

@@ -145,5 +145,3 @@ val to_json : t -> string
 
 val list_to_json : t list -> string
 
-val compare : t -> t -> int
-(** Structural order, for sorting and de-duplication. *)

@@ -39,7 +39,6 @@ let refine prior obs =
     { lo = v; hi = v }
 
 let contains a v = a.lo <= v && v <= a.hi
-let clamp a v = Float.max a.lo (Float.min a.hi v)
 
 type order = Lt | Gt | Eq | Incomparable
 

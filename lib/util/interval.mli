@@ -75,8 +75,6 @@ val refine : t -> t -> t
 
 val contains : t -> float -> bool
 
-val clamp : t -> float -> float
-(** [clamp a v] is [v] limited to [a]. *)
 
 (** {1 The partial order} *)
 

@@ -8,7 +8,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator. *)
 
-val copy : t -> t
 
 val split : t -> t
 (** [split t] derives an independent generator, advancing [t]. *)

@@ -132,7 +132,7 @@ let test_doomed_floor_kills () =
       (fun budget ->
         let floor =
           D.Absint.guaranteed_bytes r.D.Optimizer.env ~budget_bytes:budget
-            r.D.Optimizer.plan
+            (D.Plan.Dag.of_plan r.D.Optimizer.plan)
         in
         if floor > budget then begin
           incr doomed;
@@ -226,7 +226,7 @@ let doomed_submission () =
   let budget = 2 * 1024 in
   let floor =
     D.Absint.guaranteed_bytes r.D.Optimizer.env ~budget_bytes:budget
-      r.D.Optimizer.plan
+      (D.Plan.Dag.of_plan r.D.Optimizer.plan)
   in
   Alcotest.(check bool) "fixture is statically doomed" true (floor > budget);
   let db = D.Database.build ~seed:11 catalog in

@@ -21,11 +21,7 @@ let test_empty () =
   let pool = fresh () in
   let t = D.Btree.create pool ~page_bytes:small_page in
   Alcotest.(check int) "empty" 0 (D.Btree.entry_count pool t);
-  Alcotest.(check (list (module struct
-      type t = D.Rid.t
-      let pp = D.Rid.pp
-      let equal = D.Rid.equal
-    end))) "search empty" [] (D.Btree.search pool t 5);
+  Alcotest.(check int) "search empty" 0 (List.length (D.Btree.search pool t 5));
   check_ok pool t
 
 let test_insert_and_search () =
@@ -50,7 +46,8 @@ let test_many_inserts_split () =
   done;
   check_ok pool t;
   Alcotest.(check int) "count" 500 (D.Btree.entry_count pool t);
-  Alcotest.(check bool) "tree grew levels" true (D.Btree.depth pool t > 1)
+  (* A lone leaf is one page: more pages means the tree split. *)
+  Alcotest.(check bool) "tree split" true (D.Buffer_pool.live_pages pool > 1)
 
 let test_duplicates () =
   let pool = fresh () in

@@ -65,10 +65,6 @@ let test_busted_estimate_replans_incrementally () =
   let q = D.Queries.chain ~relations:3 in
   let mode = D.Optimizer.dynamic ~uncertain_memory:true () in
   let r = optimize_exn ~mode q in
-  let rt, _ =
-    Result.get_ok
-      (D.Reoptimize.prepare ~mode q.D.Queries.catalog q.D.Queries.query)
-  in
   (* skew 3: a selection bound at s really matches s^(1/3) of the rows,
      so every estimate downstream of a selection is off by far more than
      the 1.2x band tolerates. *)
@@ -77,7 +73,7 @@ let test_busted_estimate_replans_incrementally () =
   let config =
     D.Resilience.config ~checkpoints:true ~checkpoint_tolerance:1.2
       ~max_replans:4
-      ~replan:(D.Reoptimize.replan rt)
+      ~replan:(D.Optimizer.replan r)
       ()
   in
   match D.Resilience.run ~config db b r.D.Optimizer.plan with
@@ -88,17 +84,17 @@ let test_busted_estimate_replans_incrementally () =
       (rstats.D.Resilience.replans >= 1);
     Alcotest.(check bool) "checkpoints were taken" true
       (rstats.D.Resilience.checkpoints_taken >= 1);
-    (match D.Reoptimize.last_stats rt with
+    (match D.Optimizer.last_replan r with
     | None -> Alcotest.fail "no incremental replan recorded"
     | Some s ->
       Alcotest.(check bool) "observations moved some group" true
-        (s.D.Reoptimize.groups_moved >= 1);
+        (s.D.Optimizer.groups_moved >= 1);
       (* The memo-reuse assertion: the dirty closure is a strict subset
          of the memo, and clean winners were served as cache hits. *)
       Alcotest.(check bool) "re-costed groups < total groups" true
-        (s.D.Reoptimize.groups_dirty < s.D.Reoptimize.groups_total);
+        (s.D.Optimizer.groups_dirty < s.D.Optimizer.groups_total);
       Alcotest.(check bool) "memoized winners were reused" true
-        (s.D.Reoptimize.reused_winners > 0));
+        (s.D.Optimizer.reused_winners > 0));
     let ref_schema, expected = D.Reference.eval db b q.D.Queries.query in
     Alcotest.(check bool) "replanned run matches the reference" true
       (D.Reference.multiset_equal
@@ -146,33 +142,28 @@ let test_checkpoints_off_by_default () =
 let test_replan_requires_moved_groups () =
   let q = D.Queries.chain ~relations:2 in
   let mode = D.Optimizer.dynamic () in
-  let rt, plan =
-    Result.get_ok
-      (D.Reoptimize.prepare ~mode q.D.Queries.catalog q.D.Queries.query)
-  in
-  Alcotest.(check bool) "prepare yields a plan" true
-    (D.Plan.node_count plan > 0);
+  let r = optimize_exn ~mode q in
   (* No observations, unknown keys: nothing moves, no replan. *)
   Alcotest.(check bool) "empty observations -> None" true
-    (D.Reoptimize.replan rt ~rels_rows:[] = None);
+    (D.Optimizer.replan r ~rels_rows:[] = None);
   Alcotest.(check bool) "unknown relation set -> None" true
-    (D.Reoptimize.replan rt ~rels_rows:[ ("NoSuchRel", 12.) ] = None);
+    (D.Optimizer.replan r ~rels_rows:[ ("NoSuchRel", 12.) ] = None);
   Alcotest.(check bool) "nothing recorded yet" true
-    (D.Reoptimize.last_stats rt = None);
+    (D.Optimizer.last_replan r = None);
   (* A plausible observation for the join group moves it and re-plans
      incrementally. *)
-  match D.Reoptimize.replan rt ~rels_rows:[ ("R1|R2", 2.) ] with
+  match D.Optimizer.replan r ~rels_rows:[ ("R1|R2", 2.) ] with
   | None -> Alcotest.fail "an in-prior join observation must move the group"
   | Some plan' ->
     Alcotest.(check bool) "replanned plan is well-formed" true
       (D.Plan.node_count plan' > 0);
-    (match D.Reoptimize.last_stats rt with
+    (match D.Optimizer.last_replan r with
     | None -> Alcotest.fail "stats not recorded"
     | Some s ->
       Alcotest.(check bool) "dirty closure is a strict subset" true
-        (s.D.Reoptimize.groups_dirty < s.D.Reoptimize.groups_total);
+        (s.D.Optimizer.groups_dirty < s.D.Optimizer.groups_total);
       Alcotest.(check bool) "clean winners were reused" true
-        (s.D.Reoptimize.reused_winners > 0))
+        (s.D.Optimizer.reused_winners > 0))
 
 let test_refine_rows_converges () =
   (* Refinement is an intersection: once an observation has narrowed a
@@ -182,23 +173,19 @@ let test_refine_rows_converges () =
      group over R1 carries an interval prior even though the bare-scan
      group is a point.) *)
   let q = D.Queries.chain ~relations:2 in
-  let rt, _ =
-    Result.get_ok
-      (D.Reoptimize.prepare ~mode:(D.Optimizer.dynamic ())
-         q.D.Queries.catalog q.D.Queries.query)
-  in
+  let r = optimize_exn ~mode:(D.Optimizer.dynamic ()) q in
   let obs = [ ("R1", 1.0); ("R1|R2", 2.0) ] in
-  (match D.Reoptimize.replan rt ~rels_rows:obs with
+  (match D.Optimizer.replan r ~rels_rows:obs with
   | None -> Alcotest.fail "first observation must move interval priors"
   | Some _ -> ());
   Alcotest.(check bool) "repeating the same observation -> no replan" true
-    (D.Reoptimize.replan rt ~rels_rows:obs = None)
+    (D.Optimizer.replan r ~rels_rows:obs = None)
 
 (* --- incremental re-entry = fresh search --------------------------------- *)
 
 let digest plan = Digest.to_hex (Digest.string (D.Access_module.encode plan))
 
-(* [Reoptimize.replan] returns the plan a fresh search of the same
+(* [Optimizer.replan] returns the plan a fresh search of the same
    refined memo returns.  Every group of chains, stars and cycles gets
    one observation at four points of its row interval, in both memory
    modes.  Stars matter: exploration adds joins whose child group was
@@ -237,10 +224,10 @@ let test_replan_equals_fresh_search () =
             List.iter
               (fun f ->
                 let obs = [ (key, lo +. (f *. (hi -. lo))) ] in
-                let rt, _ =
-                  Result.get_ok (D.Reoptimize.prepare ~mode catalog query)
+                let r =
+                  Result.get_ok (D.Optimizer.optimize ~mode catalog query)
                 in
-                let replanned = D.Reoptimize.replan rt ~rels_rows:obs in
+                let replanned = D.Optimizer.replan r ~rels_rows:obs in
                 let memo, root = explored () in
                 let moved = D.Memo.refine_rows memo obs in
                 let fresh =
@@ -284,16 +271,9 @@ let test_differential_replanned_vs_reference () =
     match D.Optimizer.optimize ~mode inst.D.Plangen.catalog inst.D.Plangen.query with
     | Error e -> Alcotest.failf "seed %d: optimizer failed: %s" seed e
     | Ok r ->
-      let replan =
-        match
-          D.Reoptimize.prepare ~mode inst.D.Plangen.catalog inst.D.Plangen.query
-        with
-        | Ok (rt, _) -> Some (D.Reoptimize.replan rt)
-        | Error _ -> None
-      in
       let config =
         D.Resilience.config ~checkpoints:true ~checkpoint_tolerance:1.4
-          ~max_replans:4 ?replan ()
+          ~max_replans:4 ~replan:(D.Optimizer.replan r) ()
       in
       (match D.Resilience.run ~config db b r.D.Optimizer.plan with
       | Error (D.Resilience.Estimate_busted _), _ ->

@@ -56,14 +56,11 @@ let test_mul () =
   check "mul lo" 8. m.I.lo;
   check "mul hi" 15. m.I.hi
 
-let test_union_contains_clamp () =
+let test_union_contains () =
   let u = I.union (I.make 1. 2.) (I.make 5. 6.) in
   check "union lo" 1. u.I.lo;
   check "union hi" 6. u.I.hi;
-  Alcotest.(check bool) "contains" true (I.contains u 3.);
-  near "clamp low" 1. (I.clamp u 0.);
-  near "clamp high" 6. (I.clamp u 9.);
-  near "clamp inside" 3. (I.clamp u 3.)
+  Alcotest.(check bool) "contains" true (I.contains u 3.)
 
 let test_refine () =
   (* Overlap: intersection. *)
@@ -153,7 +150,7 @@ let suite =
       Alcotest.test_case "combine_min (choose-plan)" `Quick test_combine_min;
       Alcotest.test_case "partial order" `Quick test_compare;
       Alcotest.test_case "mul" `Quick test_mul;
-      Alcotest.test_case "union, contains, clamp" `Quick test_union_contains_clamp;
+      Alcotest.test_case "union, contains" `Quick test_union_contains;
       Alcotest.test_case "refine (observation narrowing)" `Quick test_refine;
       QCheck_alcotest.to_alcotest prop_refine_never_widens;
       QCheck_alcotest.to_alcotest prop_refine_within_prior;

@@ -583,6 +583,68 @@ let test_sampled_domination_shrinks_plans () =
   Alcotest.(check bool) "sampling evaluated plans" true
     (sampled.D.Optimizer.stats.D.Optimizer.sample_evaluations > 0)
 
+(* Sampled domination's plans, pinned by their access-module digests:
+   chains 3, 4 and 6, star 5 and cycle 5, at 4, 8 and 16 samples, with
+   memory fixed and uncertain.  Which plans survive depends only on the
+   sampled costs, not on how they are computed or counted. *)
+let sampled_digests =
+  [
+    ("chain", 3, 4, false, "81591afc94c05cb4235a0c89740df349");
+    ("chain", 3, 4, true, "8c27d46f5018ada534498a446816f9e7");
+    ("chain", 3, 8, false, "6a4ad5c31598321423169763bb5059ba");
+    ("chain", 3, 8, true, "3e51cae9f82014518f172a894eac507c");
+    ("chain", 3, 16, false, "6b0a1d687c5e05392fef0680d5ac31b3");
+    ("chain", 3, 16, true, "8787b135ad638eda9cdebdba3d6de92f");
+    ("chain", 4, 4, false, "2b8cb044a3288a4306a4881b26d2ed83");
+    ("chain", 4, 4, true, "754c2fc8d17a6167b6dccb794f8da109");
+    ("chain", 4, 8, false, "18fa9778786e4914684ee1b2010d7495");
+    ("chain", 4, 8, true, "7324eadb328ce748e470c019a2b21e1f");
+    ("chain", 4, 16, false, "60bf52fb787ad43e887bde7cb0560704");
+    ("chain", 4, 16, true, "82fd2f06a20737a2355d9a2ae8eb765b");
+    ("chain", 6, 4, false, "7dda8361c18da3b4bfa61c8ef7598aba");
+    ("chain", 6, 4, true, "6d1c0dfcfebac6435db230db035b14b9");
+    ("chain", 6, 8, false, "06a7e6fcc7d6d561d5c8dedac914d38f");
+    ("chain", 6, 8, true, "864d53669c139a888818d86342391fc3");
+    ("chain", 6, 16, false, "0ba43dd507f104695300d3985f8accdf");
+    ("chain", 6, 16, true, "cdea6385de1bec25dd0fe0637459256d");
+    ("star", 5, 4, false, "93d2cb64bcd7c835e5bdd9b2a774be00");
+    ("star", 5, 4, true, "15215865cd821dab41ad2f0c9b38365a");
+    ("star", 5, 8, false, "9a609172514674224dd583f99c9a1fbb");
+    ("star", 5, 8, true, "af9e838e511780bb205c7afe5b7a6282");
+    ("star", 5, 16, false, "3e5f11b39776014efb1a341f673f5980");
+    ("star", 5, 16, true, "31724e6b4eedc19893e1681b8be163f5");
+    ("cycle", 5, 4, false, "45e9b75d3c7fac3f8e3275cd0721e8e7");
+    ("cycle", 5, 4, true, "7f86b4cb63ba37ab706d47491570272d");
+    ("cycle", 5, 8, false, "f51fd305760470ffba1f06455b230595");
+    ("cycle", 5, 8, true, "3e033c20844b3cb9657fb68ddd7701d2");
+    ("cycle", 5, 16, false, "e506cc9d45fc93b9558b14be0434fbdf");
+    ("cycle", 5, 16, true, "c21c0a7825afdb72881255cca658fd3a");
+  ]
+
+let test_sampled_domination_plans_pinned () =
+  List.iter
+    (fun (shape, n, k, uncertain_memory, expected) ->
+      let q =
+        match shape with
+        | "chain" -> D.Queries.chain ~relations:n
+        | "star" -> D.Queries.star ~relations:n
+        | _ -> D.Queries.cycle ~relations:n
+      in
+      let r =
+        optimize_exn
+          ~options:
+            { D.Optimizer.default_options with
+              D.Optimizer.sample_domination = Some k }
+          ~mode:(D.Optimizer.dynamic ~uncertain_memory ())
+          q
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %d, %d samples, uncertain memory %b" shape n k
+           uncertain_memory)
+        expected
+        (Digest.to_hex (Digest.string (D.Access_module.encode r.D.Optimizer.plan))))
+    sampled_digests
+
 let test_static_plan_is_point_cost () =
   let q = D.Queries.chain ~relations:3 in
   let s = optimize_exn ~mode:D.Optimizer.static q in
@@ -630,6 +692,8 @@ let suite =
         test_uncertain_memory_superset;
       Alcotest.test_case "sampled domination shrinks plans" `Quick
         test_sampled_domination_shrinks_plans;
+      Alcotest.test_case "sampled domination plans are pinned" `Quick
+        test_sampled_domination_plans_pinned;
       Alcotest.test_case "static plans have point costs" `Quick
         test_static_plan_is_point_cost;
       Alcotest.test_case "invalid queries rejected" `Quick test_invalid_query_rejected;

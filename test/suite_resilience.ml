@@ -273,7 +273,10 @@ let test_partially_infeasible_plan_prunes_and_runs () =
       ~memory_pages:64
   in
   let tuples, stats = D.Executor.run db b plan in
-  (match D.Verify.feasibility ~catalog:reduced stats.D.Executor.resolved_plan with
+  (match
+     D.Verify.feasibility ~catalog:reduced
+       (D.Plan.Dag.of_plan stats.D.Executor.resolved_plan)
+   with
   | [] -> ()
   | diags ->
     Alcotest.failf "executed plan references dropped objects: %s"

@@ -738,6 +738,51 @@ let test_poisoned_shape_trips_breaker () =
   | Some S.Breaker.Closed -> ()
   | _ -> Alcotest.fail "healthy breaker not closed"
 
+(* A database build that fails answers its request with one typed
+   internal error and settles the shape's breaker ticket as a failure;
+   the pool gives the reserved slot back, so the next request builds
+   again instead of waiting for a database nobody will release. *)
+let test_failed_acquire_is_typed () =
+  Test_util.with_watchdog ~deadline:60. "serve failed acquire" @@ fun () ->
+  let catalog = D.Paper_catalog.make ~relations:2 in
+  let builds = ref 0 in
+  let acquire, release =
+    S.Server.db_pool ~slots:1
+      ~build:(fun () ->
+        incr builds;
+        if !builds = 1 then failwith "build failed";
+        D.Database.build ~seed:11 catalog)
+      ()
+  in
+  let server =
+    S.Server.create
+      ~config:
+        (S.Server.config
+           ~breaker:(S.Breaker.config ~failure_threshold:1 ~cooldown:60. ())
+           ())
+      ~acquire ~release catalog
+  in
+  let joined = chain_sql 2 in
+  let scan =
+    Printf.sprintf "SELECT * FROM %s WHERE %s.%s <= :u"
+      (D.Paper_catalog.rel_name 1) (D.Paper_catalog.rel_name 1)
+      D.Paper_catalog.select_attr
+  in
+  let line id sql = P.render_request (run_request ~id sql) in
+  (match P.parse_response (S.Server.handle_line server (line 1 joined)) with
+  | Ok (P.Error_reply { class_ = "internal"; _ }) -> ()
+  | Ok r -> Alcotest.failf "failed acquire: %s" (P.render_response r)
+  | Error e -> Alcotest.failf "failed acquire: unparseable reply: %s" e);
+  Alcotest.(check int) "the failure tripped the shape's breaker" 1
+    (match S.Server.breaker server ~shape:(S.Plan_cache.key (parse_exn joined)) with
+    | Some b -> S.Breaker.trips b
+    | None -> 0);
+  (match P.parse_response (S.Server.handle_line server (line 2 scan)) with
+  | Ok (P.Ok_reply _) -> ()
+  | Ok r -> Alcotest.failf "request after the failed build: %s" (P.render_response r)
+  | Error e -> Alcotest.failf "request after the failed build: %s" e);
+  Alcotest.(check int) "the slot was built again" 2 !builds
+
 let test_overload_sheds_typed () =
   Test_util.with_watchdog ~deadline:120. "serve overload" @@ fun () ->
   let catalog = D.Paper_catalog.make ~relations:2 in
@@ -1285,6 +1330,8 @@ let suite =
         test_overload_sheds_typed;
       Alcotest.test_case "request-side error classes" `Quick
         test_request_error_classes;
+      Alcotest.test_case "a failed acquire is typed and frees its slot"
+        `Quick test_failed_acquire_is_typed;
       QCheck_alcotest.to_alcotest prop_statement_memo;
       Alcotest.test_case "statement memo rules in the server" `Quick
         test_memo_rules_in_the_server;

@@ -25,19 +25,21 @@ let catalog_without_relation = without_relation base_query.D.Queries.catalog
 let prune env catalog plan =
   let dag = D.Plan.Dag.of_plan plan in
   D.Plan.rewrite env
-    ~dead:(D.Verify.drifted dag (D.Verify.feasibility ~catalog plan))
+    ~dead:(D.Verify.drifted dag (D.Verify.feasibility ~catalog dag))
     dag
 
 let test_valid_plan_checks () =
   let r = optimize_exn ~mode:(D.Optimizer.dynamic ()) base_query in
-  match D.Verify.feasibility ~catalog:base_query.D.Queries.catalog r.D.Optimizer.plan with
+  match D.Verify.feasibility ~catalog:base_query.D.Queries.catalog
+          (D.Plan.Dag.of_plan r.D.Optimizer.plan)
+  with
   | [] -> ()
   | diags -> Alcotest.failf "valid plan rejected: %s" (D.Diagnostic.list_to_string diags)
 
 let test_dropped_index_detected () =
   let r = optimize_exn ~mode:(D.Optimizer.dynamic ()) base_query in
   let catalog = catalog_without_index ~rel:"R1" ~attr:"a" in
-  match D.Verify.feasibility ~catalog r.D.Optimizer.plan with
+  match D.Verify.feasibility ~catalog (D.Plan.Dag.of_plan r.D.Optimizer.plan) with
   | [] -> Alcotest.fail "missing index not detected"
   | diags ->
     Alcotest.(check bool) "mentions the index" true
@@ -46,7 +48,7 @@ let test_dropped_index_detected () =
 let test_dropped_relation_detected () =
   let r = optimize_exn ~mode:D.Optimizer.static base_query in
   let catalog = catalog_without_relation "R2" in
-  match D.Verify.feasibility ~catalog r.D.Optimizer.plan with
+  match D.Verify.feasibility ~catalog (D.Plan.Dag.of_plan r.D.Optimizer.plan) with
   | [] -> Alcotest.fail "missing relation not detected"
   | diags ->
     Alcotest.(check bool) "mentions the relation" true
@@ -61,7 +63,7 @@ let test_prune_keeps_feasible_alternatives () =
   match prune env catalog r.D.Optimizer.plan with
   | None -> Alcotest.fail "everything pruned"
   | Some pruned ->
-    (match D.Verify.feasibility ~catalog pruned with
+    (match D.Verify.feasibility ~catalog (D.Plan.Dag.of_plan pruned) with
     | [] -> ()
     | diags ->
       Alcotest.failf "pruned plan still infeasible: %s"
@@ -102,7 +104,9 @@ let test_static_plan_brittleness () =
   let static = optimize_exn ~mode:D.Optimizer.static base_query in
   let dynamic = optimize_exn ~mode:(D.Optimizer.dynamic ()) base_query in
   let catalog = catalog_without_index ~rel:"R1" ~attr:"a" in
-  let static_ok = D.Verify.feasibility ~catalog static.D.Optimizer.plan = [] in
+  let static_ok =
+    D.Verify.feasibility ~catalog (D.Plan.Dag.of_plan static.D.Optimizer.plan) = []
+  in
   let dynamic_survives =
     prune (D.Env.dynamic catalog) catalog dynamic.D.Optimizer.plan <> None
   in
@@ -199,7 +203,7 @@ let test_resolver_agreement () =
                 D.Diagnostic.is_feasibility d.D.Diagnostic.code)
               (D.Verify.semantics ~catalog plan)
           in
-          let feasibility = D.Verify.feasibility ~catalog plan in
+          let feasibility = D.Verify.feasibility ~catalog (D.Plan.Dag.of_plan plan) in
           if feasibility <> semantic_feasibility then
             Alcotest.failf "%s: feasibility %s, semantics %s" name
               (D.Diagnostic.list_to_string feasibility)
